@@ -150,23 +150,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_cir_checked(path: str):
-    from .channel import load_cir
+def _load_checked(load, path):
+    """Run a file loader; malformed or truncated content is an input error."""
     p = _require_file(path)
     try:
-        return load_cir(p)
-    except (ValueError, KeyError, json.JSONDecodeError, struct.error) as exc:
+        return load(p)
+    except (ValueError, KeyError, struct.error) as exc:
         raise InputError(f"{p}: {exc}") from exc
 
 
 def cmd_process(args) -> int:
-    from .channel import ChirpConfig
+    from .channel import ChirpConfig, load_cir
     from .fmcw import (NoiseConfig, delay_doppler, map_to_csv, map_to_pgm,
                        pdp_series, pdp_to_csv, save_map, save_pdp, synth_beat)
 
-    frames, header = _load_cir_checked(args.cir)
+    frames, header = _load_checked(load_cir, args.cir)
     config = ChirpConfig(**header["config"])
     n = _positive("integer", "N", args.n_chirps)
+    stride = n if args.stride is None else _positive("integer", "stride", args.stride)
+    if args.t0_index < 0:
+        raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
     if n > len(frames):
         raise InputError(f"window of {n} chirps exceeds the {len(frames)} "
                          f"frames in {args.cir}")
@@ -181,7 +184,7 @@ def cmd_process(args) -> int:
         if f not in ("bin", "csv", "pgm"):
             raise InputError(f"unknown export format '{f}'")
 
-    starts = list(range(args.t0_index, len(beats) - n + 1, args.stride or n))
+    starts = list(range(args.t0_index, len(beats) - n + 1, stride))
     if args.num_windows is not None:
         starts = starts[:args.num_windows]
     if not starts:
@@ -219,10 +222,10 @@ def cmd_process(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .channel import ChirpConfig
+    from .channel import ChirpConfig, load_cir
     from .fmcw import map_to_csv, map_to_pgm, predicted_map, save_map
 
-    frames, header = _load_cir_checked(args.cir)
+    frames, header = _load_checked(load_cir, args.cir)
     config = ChirpConfig(**header["config"])
     n = _positive("integer", "N", args.n_chirps)
     try:
@@ -252,15 +255,8 @@ def cmd_compare(args) -> int:
     from .analysis import match_maps
     from .fmcw import load_map
 
-    def load(path):
-        p = _require_file(path)
-        try:
-            return load_map(p)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise InputError(f"{p}: {exc}") from exc
-
-    reference = load(args.reference)
-    test = load(args.test)
+    reference = _load_checked(load_map, args.reference)
+    test = _load_checked(load_map, args.test)
     try:
         report = match_maps(reference, test, threshold_db=args.threshold,
                             gate_bins=args.gate)
@@ -309,13 +305,13 @@ def cmd_info(args) -> int:
     head = p.read_bytes()[:8]
     if head == b"RFTCIR1\n":
         from .channel import load_cir
-        frames, header = load_cir(p)
+        frames, header = _load_checked(load_cir, p)
         print(f"{p}: CIR, {len(frames)} frames, link {header['link']}, "
               f"t0 = {header['t0']}")
         print(json.dumps(header["config"], sort_keys=True, indent=2))
     elif head == b"RFTDDM1\n":
         from .fmcw import load_map
-        ddm = load_map(p)
+        ddm = _load_checked(load_map, p)
         print(f"{p}: delay-Doppler map, {ddm.power_db.shape[0]} x "
               f"{ddm.power_db.shape[1]} bins, "
               f"T_w = {ddm.metadata.get('t_window', 0.0) * 1e3:.5f} ms, "
@@ -323,7 +319,7 @@ def cmd_info(args) -> int:
         print(json.dumps(ddm.metadata, sort_keys=True, indent=2))
     elif head == b"RFTPDP1\n":
         from .fmcw import load_pdp
-        pdp = load_pdp(p)
+        pdp = _load_checked(load_pdp, p)
         print(f"{p}: PDP series, {pdp.power_db.shape[0]} epochs x "
               f"{pdp.power_db.shape[1]} delay bins")
     else:
@@ -332,10 +328,10 @@ def cmd_info(args) -> int:
             scene = load_scene(p)
         except Exception as exc:
             raise InputError(f"{p}: unrecognized file ({exc})") from exc
-        lo, hi = scene.t_span
+        span = "static" if scene.t_span is None else "t in [{}, {}]".format(*scene.t_span)
         print(f"{p}: scene '{scene.name}', {len(scene.facets)} facets, "
               f"{len(scene.transceivers)} transceivers, {len(scene.bodies)} "
-              f"bodies, t in [{lo}, {hi}]")
+              f"bodies, {span}")
     return EXIT_OK
 
 

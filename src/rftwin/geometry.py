@@ -19,7 +19,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 def facet_normal(vertices: np.ndarray) -> np.ndarray:
     """Unit normal from the first three vertices, right-handed in vertex order."""
     v = np.asarray(vertices, dtype=float)
-    return unit(np.cross(v[1] - v[0], v[2] - v[0]))
+    (ax, ay, az), (bx, by, bz) = (v[1] - v[0]).tolist(), (v[2] - v[0]).tolist()
+    return unit(np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]))
 
 
 def facet_area(vertices: np.ndarray) -> float:
@@ -75,10 +76,10 @@ class FacetPack:
     """Stacked facet arrays for one snapshot, for vectorized hit/occlusion tests.
 
     Triangles are padded to quads by repeating the last vertex; the degenerate
-    edge contributes a zero cross product and never rejects a point.
+    edge has a zero edge normal and never rejects a point.
     """
 
-    def __init__(self, vertex_arrays):
+    def __init__(self, vertex_arrays, normals=None):
         f = len(vertex_arrays)
         verts = np.empty((f, 4, 3))
         for i, v in enumerate(vertex_arrays):
@@ -88,25 +89,33 @@ class FacetPack:
                 verts[i, 3] = v[2]
         self.n_facets = f
         self.verts = verts
-        if f:
-            self.normals = np.array([facet_normal(v) for v in vertex_arrays])
-        else:
-            self.normals = np.zeros((0, 3))
+        if normals is None:
+            normals = [facet_normal(v) for v in vertex_arrays]
+        self.normals = np.array(normals, dtype=float).reshape(f, 3)
         self.offsets = np.einsum("fj,fj->f", self.normals, verts[:, 0])
-        self.edges = np.roll(verts, -1, axis=1) - verts
+        # In-plane edge normals n x e, pointing into the facet for a
+        # right-handed winding: (e x r) . n = (n x e) . r for r = p - v.
+        edges = verts[:, [1, 2, 3, 0]] - verts
+        ex, ey, ez = (edges[..., i] for i in range(3))
+        nx, ny, nz = (self.normals[:, i, None] for i in range(3))
+        self.edge_normals = np.stack([ny * ez - nz * ey, nz * ex - nx * ez,
+                                      nx * ey - ny * ex], axis=-1)   # (F, 4, 3)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Point-in-facet mask. points[..., F, 3] broadcast against the pack."""
-        rel = points[..., None, :] - self.verts      # (..., F, 4, 3)
-        cross = np.cross(self.edges, rel)
-        side = np.einsum("...fkj,fj->...fk", cross, self.normals)
-        return np.all(side >= -_EDGE_TOL, axis=-1)
+    def contains(self, points: np.ndarray, facet_idx=None) -> np.ndarray:
+        """Point-in-facet mask, the one containment kernel of the tracer.
 
-    def contains_at(self, points: np.ndarray, facet_idx: np.ndarray) -> np.ndarray:
-        """Per-row test of points[m] against facet facet_idx[m]."""
-        rel = points[:, None, :] - self.verts[facet_idx]         # (M, 4, 3)
-        cross = np.cross(self.edges[facet_idx], rel)
-        side = np.einsum("mkj,mj->mk", cross, self.normals[facet_idx])
+        With facet_idx, points[..., 3] is tested against facet facet_idx[...]
+        (same leading shape).  Without it, points[..., F, 3] is tested against
+        the pack, facet f on the second to last axis; a size-1 axis there
+        broadcasts against every facet.
+        """
+        verts, w = self.verts, self.edge_normals
+        if facet_idx is not None:
+            verts, w = verts[facet_idx], w[facet_idx]
+        p = np.asarray(points, dtype=float)[..., None, :]
+        side = ((p[..., 0] - verts[..., 0]) * w[..., 0]
+                + (p[..., 1] - verts[..., 1]) * w[..., 1]
+                + (p[..., 2] - verts[..., 2]) * w[..., 2])
         return np.all(side >= -_EDGE_TOL, axis=-1)
 
     def segments_blocked(self, starts: np.ndarray, ends: np.ndarray,
@@ -129,15 +138,7 @@ class FacetPack:
         margin = eps / np.maximum(lengths, 1e-12)
         inside_span = (t > margin[:, None]) & (t < 1.0 - margin[:, None])
         hit = p[:, None, :] + t[..., None] * d[:, None, :]
-        valid = inside_span & self._contains_per_facet(hit)
-        return np.any(valid, axis=1)
-
-    def _contains_per_facet(self, points: np.ndarray) -> np.ndarray:
-        """points shaped (S, F, 3), tested against the matching facet."""
-        rel = points[:, :, None, :] - self.verts[None]   # (S, F, 4, 3)
-        cross = np.cross(self.edges[None], rel)
-        side = np.einsum("sfkj,fj->sfk", cross, self.normals)
-        return np.all(side >= -_EDGE_TOL, axis=-1)
+        return np.any(inside_span & self.contains(hit), axis=1)
 
 
 def segment_hits_facet(p: np.ndarray, q: np.ndarray, vertices: np.ndarray,

@@ -122,8 +122,7 @@ class WorldSnapshot:
         self.facets: list[SnapshotFacet] = facets
         self.body_poses: dict[str, PoseSample] = body_poses
         self.transceiver_states: dict[str, TransceiverState] = transceiver_states
-        self.pack = FacetPack([f.vertices for f in facets]) if facets else FacetPack([])
-        self._materials = [f.material_id for f in facets]
+        self.pack = FacetPack([f.vertices for f in facets], [f.normal for f in facets])
 
     def point_velocity(self, facet_index: int, point: np.ndarray) -> np.ndarray:
         body_id = self.facets[facet_index].body_id

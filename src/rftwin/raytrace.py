@@ -1,9 +1,21 @@
 """Ray tracing over one world snapshot: LOS, specular images, diffuse samples.
 
-Specular paths come from the image method: the transmitter is mirrored
-through each candidate facet sequence, the candidate is intersected back to
-front, and survivors are validated for facet membership, front-sidedness and
-occlusion.  Diffuse paths use a deterministic stratified sample pattern per
+Specular paths come from the image method (Allen & Berkley, 1979), run as
+one vectorized pass over a chain table.  For F facets and orders 1..K the
+table holds every facet sequence without an immediate repeat,
+sum_k F (F-1)^(k-1) chains (301 for F = 7, K = 3), built once per (F, K)
+and ordered by order, then facet indices; that is the order paths come out
+in.  Per snapshot the pass
+  1. mirrors the transmitter through every facet prefix (nested images),
+  2. intersects back to front, from the receiver through the last facet's
+     image to the first, keeping chains whose every hit lies strictly
+     inside its image segment,
+  3. keeps the chains whose hits lie inside their facets with the points
+     before and after each hit strictly in front of it, and
+  4. drops chains with an occluded segment, sliced from the same
+     (chains, K+2, 3) point table in one batched occlusion test.
+
+Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
 same scene and config reproduce the exact same paths.
 
@@ -16,7 +28,7 @@ body velocity of the touched facet is exactly the right rate.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +143,7 @@ def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
                    config: TraceConfig = TraceConfig()) -> list[PathGeometry]:
     """Specular paths up to config.max_specular_order, image method.
 
-    Candidates are deduplicated by facet sequence and returned in a stable
-    order (by order, then facet indices).
+    Paths come out in chain-table order: by order, then facet indices.
     """
     txp = snap.transceiver_state(tx_id).position
     rxp = snap.transceiver_state(rx_id).position
@@ -140,146 +151,123 @@ def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
     if pack.n_facets == 0 or config.max_specular_order == 0:
         return []
 
-    candidates: list[tuple[tuple, list]] = []   # (facet sequence, points)
-    if config.max_specular_order >= 1:
-        candidates += _order1_candidates(pack, txp, rxp)
-    if config.max_specular_order >= 2:
-        candidates += _order2_candidates(pack, txp, rxp)
-    if config.max_specular_order >= 3:
-        candidates += _orderk_candidates(pack, txp, rxp, 3)
+    table = _chain_table(pack.n_facets, config.max_specular_order)
+    ok, pts = _trace_chains(pack, txp, rxp, table)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        # Occlusion over every segment of every survivor; the zero-length
+        # TX -> TX segments of the left padding never count as blocked.
+        legs = pts[idx]
+        blocked = pack.segments_blocked(legs[:, :-1].reshape(-1, 3),
+                                        legs[:, 1:].reshape(-1, 3),
+                                        config.occlusion_epsilon)
+        idx = idx[~blocked.reshape(len(idx), -1).any(axis=1)]
 
-    if not candidates:
-        return []
-
-    # One batched occlusion pass over every segment of every candidate.
-    starts, ends, owner = [], [], []
-    for ci, (_, pts) in enumerate(candidates):
-        for a, b in zip(pts[:-1], pts[1:]):
-            starts.append(a)
-            ends.append(b)
-            owner.append(ci)
-    blocked = pack.segments_blocked(np.array(starts), np.array(ends),
-                                    config.occlusion_epsilon)
-    bad = set(np.asarray(owner)[blocked].tolist())
-
-    paths, seen = [], set()
-    for ci, (seq, pts) in enumerate(candidates):
-        if ci in bad or seq in seen:
-            continue
-        seen.add(seq)
-        normals = [pack.normals[f] for f in seq]
-        paths.append(_path_from_points("specular", tx_id, rx_id, pts, seq, normals))
-    paths.sort(key=lambda p: (p.order, p.facet_indices))
+    paths = []
+    for c in idx:
+        h = table.hops[c]
+        seq = table.seq[c, -h:]
+        paths.append(_path_from_points("specular", tx_id, rx_id, pts[c, -h - 2:],
+                                       tuple(seq.tolist()), pack.normals[seq]))
     return paths
 
 
-def _order1_candidates(pack, txp, rxp):
+@dataclass(frozen=True)
+class _ChainTable:
+    """Every candidate facet sequence of orders 1..K, one row per chain.
+
+    Rows run by order, then facet indices, and exclude immediate repeats
+    (a facet cannot face itself), so there are sum_k F (F-1)^(k-1) of them.
+    Sequences are right-aligned: column K-1 holds every chain's last facet
+    and the left padding (0, masked by ``live``) belongs to no chain.
+    The back-to-front pass of the image method visits the last facet first,
+    so its step j touches the rows with hops > j, the suffix from first[j],
+    using step_facets[j] and the nested image in image_rows[j].
+    """
+
+    seq: np.ndarray             # (C, K) facet indices
+    hops: np.ndarray            # (C,) chain order
+    live: np.ndarray            # (C, K) True where seq is part of the chain
+    first: tuple                # per step j: first row with hops > j
+    step_facets: tuple          # per step j: facet of the depth-(hops - j) image
+    image_rows: tuple           # per step j: row of that image in the image array
+
+
+@functools.lru_cache(maxsize=8)
+def _chain_table(n_facets: int, max_order: int) -> _ChainTable:
+    """Chain table for a facet count, cached: it depends on nothing else.
+
+    Nested images are stored densely, depth d over every d-facet prefix, in
+    one array with depth d starting at row F + F^2 + ... + F^(d-1).
+    """
+    f, k_max = n_facets, max_order
+    seqs, hops, codes = [], [], []
+    for k in range(1, k_max + 1):
+        s = np.indices((f,) * k).reshape(k, -1).T
+        s = s[np.all(s[:, 1:] != s[:, :-1], axis=1)]
+        seqs.append(np.pad(s, ((0, 0), (k_max - k, 0))))
+        hops.append(np.full(len(s), k))
+        # code[:, d] is the image row of the depth-(d+1) prefix
+        code = np.empty_like(s)
+        prefix = np.zeros(len(s), dtype=s.dtype)
+        for d in range(k):
+            prefix = prefix * f + s[:, d]
+            code[:, d] = prefix + sum(f ** i for i in range(1, d + 1))
+        codes.append(code)
+    seq = np.concatenate(seqs)
+    hop = np.concatenate(hops)
+    first, step_facets, image_rows = [], [], []
+    for j in range(k_max):
+        first.append(int(np.searchsorted(hop, j + 1)))
+        step_facets.append(seq[first[-1]:, k_max - 1 - j])
+        image_rows.append(np.concatenate([c[:, c.shape[1] - 1 - j]
+                                          for c in codes if c.shape[1] > j]))
+    live = np.arange(k_max)[None, :] >= (k_max - hop)[:, None]
+    return _ChainTable(seq, hop, live, tuple(first), tuple(step_facets),
+                      tuple(image_rows))
+
+
+def _trace_chains(pack, txp, rxp, table: _ChainTable):
+    """All chains of the table through the image method in one pass.
+
+    Returns the mask of chains that pass the span, front-side and
+    containment tests, and the (C, K+2, 3) point table: TX, the hits, RX,
+    right-aligned like table.seq, with the left padding repeating TX.
+    """
     n, off = pack.normals, pack.offsets
-    sd_tx = txp @ n.T - off
-    sd_rx = rxp @ n.T - off
-    images = txp[None, :] - 2.0 * sd_tx[:, None] * n
-    d = rxp[None, :] - images
-    denom = np.einsum("fj,fj->f", d, n)
-    ok = (sd_tx > _FRONT_EPS) & (sd_rx > _FRONT_EPS) & (np.abs(denom) > 1e-12)
+    k_max = table.seq.shape[1]
+    image = txp - 2.0 * (txp @ n.T - off)[:, None] * n
+    images = [image]
+    for _ in range(1, k_max):
+        image = image[..., None, :] - 2.0 * (image @ n.T - off)[..., None] * n
+        images.append(image.reshape(-1, 3))
+    images = np.concatenate(images)
+
+    pts = np.empty((len(table.hops), k_max + 2, 3))
+    pts[:, :-1] = txp
+    pts[:, -1] = rxp
+    ok = np.ones(len(table.hops), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(ok, (off - np.einsum("fj,fj->f", images, n)) / denom, -1.0)
-    ok &= (t > _PARAM_EPS) & (t < 1.0 - _PARAM_EPS)
-    p = images + t[:, None] * d
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        idx = idx[pack.contains_at(p[idx], idx)]
-    return [((int(f),), [txp, p[f], rxp]) for f in idx]
-
-
-def _order2_candidates(pack, txp, rxp):
-    f = pack.n_facets
-    if f < 2:
-        return []
-    n, off = pack.normals, pack.offsets
-    sd_tx = txp @ n.T - off
-    sd_rx = rxp @ n.T - off
-    im1 = txp[None, :] - 2.0 * sd_tx[:, None] * n                  # (F,3)
-    sd_im1 = im1 @ n.T - off[None, :]                              # (F,F) im1[i] vs plane j
-    im2 = im1[:, None, :] - 2.0 * sd_im1[..., None] * n[None]      # (F,F,3)
-
-    d2 = rxp[None, None, :] - im2
-    denom2 = np.einsum("ifj,fj->if", d2, n)
-    safe2 = np.abs(denom2) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = np.where(safe2, (off[None, :] - np.einsum("ifj,fj->if", im2, n))
-                      / np.where(safe2, denom2, 1.0), -1.0)
-    ok = safe2 & (t2 > _PARAM_EPS) & (t2 < 1.0 - _PARAM_EPS)
-    ok &= (sd_tx[:, None] > _FRONT_EPS) & (sd_rx[None, :] > _FRONT_EPS)
-    ok &= ~np.eye(f, dtype=bool)
-    p2 = im2 + t2[..., None] * d2
-
-    d1 = p2 - im1[:, None, :]
-    denom1 = np.einsum("ifj,ij->if", d1, n)
-    safe1 = np.abs(denom1) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(safe1, (off[:, None] - np.einsum("ij,ij->i", im1, n)[:, None])
-                      / np.where(safe1, denom1, 1.0), -1.0)
-    ok &= safe1 & (t1 > _PARAM_EPS) & (t1 < 1.0 - _PARAM_EPS)
-    p1 = im1[:, None, :] + np.where(ok, t1, 0.0)[..., None] * d1
-
-    # Reflected leg must leave facet i frontward, and hit facet j frontward.
-    ok &= np.einsum("ifj,ij->if", p2, n) - off[:, None] > _FRONT_EPS
-    ok &= np.einsum("ifj,fj->if", p1, n) - off[None, :] > _FRONT_EPS
-
-    ii, jj = np.nonzero(ok)
-    if ii.size:
-        keep = pack.contains_at(p1[ii, jj], ii) & pack.contains_at(p2[ii, jj], jj)
-        ii, jj = ii[keep], jj[keep]
-    return [((int(i), int(j)), [txp, p1[i, j], p2[i, j], rxp])
-            for i, j in zip(ii, jj)]
-
-
-def _orderk_candidates(pack, txp, rxp, order):
-    """Generic nested-image search for one fixed order (used for order 3)."""
-    out = []
-    n, off = pack.normals, pack.offsets
-    for seq in itertools.product(range(pack.n_facets), repeat=order):
-        if any(seq[i] == seq[i + 1] for i in range(order - 1)):
-            continue
-        images = [txp]
-        for fidx in seq:
-            p = images[-1]
-            images.append(p - 2.0 * (float(p @ n[fidx]) - off[fidx]) * n[fidx])
-        pts = [rxp]
-        target = rxp
-        valid = True
-        for depth in range(order - 1, -1, -1):
-            fidx = seq[depth]
-            src = images[depth + 1]
-            d = target - src
-            denom = float(d @ n[fidx])
-            if abs(denom) < 1e-12:
-                valid = False
-                break
-            t = (off[fidx] - float(src @ n[fidx])) / denom
-            if not (_PARAM_EPS < t < 1.0 - _PARAM_EPS):
-                valid = False
-                break
-            hit = src + t * d
-            if not bool(pack.contains_at(hit[None], np.array([fidx]))[0]):
-                valid = False
-                break
-            pts.append(hit)
-            target = hit
-        if not valid:
-            continue
-        pts.append(txp)
-        pts = pts[::-1]
-        # Front-side checks along the unfolded chain.
-        for i, fidx in enumerate(seq):
-            before, after = pts[i], pts[i + 2]
-            if (float(before @ n[fidx]) - off[fidx] <= _FRONT_EPS
-                    or float(after @ n[fidx]) - off[fidx] <= _FRONT_EPS):
-                valid = False
-                break
-        if valid:
-            out.append((tuple(int(s) for s in seq), pts))
-    return out
+        # Back to front: intersect the line from each image to the point
+        # after it (RX first) with the image's facet.
+        for j in range(k_max):
+            lo, fac, src = table.first[j], table.step_facets[j], images[table.image_rows[j]]
+            nf = n[fac]
+            d = pts[lo:, k_max + 1 - j] - src
+            denom = np.einsum("cj,cj->c", d, nf)
+            t = (off[fac] - np.einsum("cj,cj->c", src, nf)) / denom
+            ok[lo:] &= (np.abs(denom) > 1e-12) & (t > _PARAM_EPS) & (t < 1.0 - _PARAM_EPS)
+            pts[lo:, k_max - j] = src + t[:, None] * d
+    # Each hit inside its facet, with the points before and after it
+    # strictly in front of the facet; only chains still in span are tested.
+    rows = np.flatnonzero(ok)
+    seq, p = table.seq[rows], pts[rows]
+    nrm, offs = n[seq], off[seq]
+    good = ((np.einsum("ckj,ckj->ck", p[:, :-2], nrm) - offs > _FRONT_EPS)
+            & (np.einsum("ckj,ckj->ck", p[:, 2:], nrm) - offs > _FRONT_EPS)
+            & pack.contains(p[:, 1:-1], seq))
+    ok[rows] = np.all(good | ~table.live[rows], axis=1)
+    return ok, pts
 
 
 @dataclass

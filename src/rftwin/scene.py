@@ -26,6 +26,11 @@ class SceneError(ValueError):
     """Scene file could not be parsed or failed validation."""
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise SceneError(f"{what} must be finite numbers")
+
+
 # Relative gain floor of the parabolic-in-dB pattern model.
 PATTERN_FLOOR_DB = 30.0
 
@@ -171,6 +176,10 @@ class Transceiver:
         if fixed == mounted:
             raise SceneError(
                 f"transceiver '{self.id}': exactly one of a fixed pose or a body mount must be set")
+        for name in ("position", "boresight", "offset_position", "offset_boresight"):
+            value = getattr(self, name)
+            if value is not None:
+                _require_finite(value, f"transceiver '{self.id}': {name}")
 
     @property
     def is_fixed(self) -> bool:
@@ -207,6 +216,7 @@ class Facet:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] not in (3, 4) or v.shape[1] != 3:
             raise SceneError(f"facet {self.index}: needs 3 or 4 xyz vertices")
+        _require_finite(v, f"facet {self.index}: vertices")
         self.vertices = v
         if facet_area(v) <= MIN_FACET_AREA:
             raise SceneError(f"facet {self.index}: degenerate area")
@@ -254,6 +264,10 @@ class MobileBody:
         p = np.asarray(self.positions, dtype=float)
         if len(t) < 2:
             raise SceneError(f"body '{self.id}': needs at least two waypoints")
+        _require_finite(t, f"body '{self.id}': waypoint times")
+        _require_finite(p, f"body '{self.id}': waypoint positions")
+        if self.yaws is not None:
+            _require_finite(self.yaws, f"body '{self.id}': waypoint yaws")
         if np.any(np.diff(t) <= 0.0):
             raise SceneError(f"body '{self.id}': waypoint timestamps must strictly increase")
         if p.shape != (len(t), 3):

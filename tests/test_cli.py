@@ -136,6 +136,54 @@ def test_process_validates_window_and_format(artifacts, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_process_rejects_negative_t0_index(artifacts, tmp_path, capsys):
+    cir = str(artifacts["out"] / "run.cir")
+    assert main(["process", "--cir", cir, "-N", "8", "--t0-index", "-5",
+                 "-o", str(tmp_path)]) == 2
+    assert "--t0-index" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_process_rejects_zero_stride(artifacts, tmp_path, capsys):
+    cir = str(artifacts["out"] / "run.cir")
+    assert main(["process", "--cir", cir, "-N", "8", "--stride", "0",
+                 "-o", str(tmp_path)]) == 2
+    assert "--stride must be a positive integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_info_on_static_scene(tmp_path, capsys):
+    doc = plates_scene_doc()
+    doc["facets"] = doc["facets"][:1]
+    doc["bodies"] = []
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "0 bodies" in out and "static" in out
+
+
+def test_info_on_truncated_artifacts_is_input_error(artifacts, tmp_path, capsys):
+    out = artifacts["out"]
+    for name in ("run.cir", "run_w000000.ddm", "run.pdp"):
+        raw = (out / name).read_bytes()
+        for keep in (12, 40, len(raw) // 2, len(raw) - 1):
+            cut = tmp_path / f"cut_{keep}_{name}"
+            cut.write_bytes(raw[:keep])
+            assert main(["info", str(cut)]) == 2, (name, keep)
+            assert str(cut) in capsys.readouterr().err
+
+
+def test_non_finite_scene_is_input_error(tmp_path, capsys):
+    doc = plates_scene_doc()
+    doc["facets"][0]["vertices"][2][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scene", str(path), "--tx", "UE", "--chirps", "4",
+                 "--no-diffuse", "-o", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_compare_mismatched_windows_is_contract_error(artifacts, tmp_path, capsys):
     out = artifacts["out"]
     cir = str(out / "run.cir")

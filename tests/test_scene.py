@@ -1,5 +1,7 @@
 """Scene schema: materials, patterns, facet validation, JSON round-trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,31 @@ def test_reference_validation(mutate, match):
     mutate(doc)
     with pytest.raises(SceneError, match=match):
         scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (lambda d: d["facets"][0]["vertices"][1].__setitem__(2, float("nan")), "facet 0"),
+    (lambda d: d["facets"][1]["vertices"][0].__setitem__(0, float("inf")), "facet 1"),
+    (lambda d: d["bodies"][0]["waypoints"][1].__setitem__(2, float("nan")), "waypoint positions"),
+    (lambda d: d["bodies"][0]["waypoints"][2].__setitem__(0, float("inf")), "waypoint times"),
+    (lambda d: d["bodies"][0]["waypoints"][0].__setitem__(4, float("nan")), "waypoint yaws"),
+    (lambda d: d["transceivers"][0]["position"].__setitem__(0, float("nan")), "position"),
+    (lambda d: d["transceivers"][0]["boresight"].__setitem__(1, float("-inf")), "boresight"),
+    (lambda d: d["transceivers"][1]["offset_position"].__setitem__(2, float("nan")),
+     "offset_position"),
+    (lambda d: d["transceivers"][1]["offset_boresight"].__setitem__(0, float("nan")),
+     "offset_boresight"),
+])
+def test_non_finite_numbers_are_rejected(mutate, match, tmp_path):
+    doc = small_scene_doc()
+    mutate(doc)
+    with pytest.raises(SceneError, match=match):
+        scene_from_dict(doc)
+    # the JSON NaN / Infinity literals take the same route through load_scene
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneError, match="finite"):
+        load_scene(path)
 
 
 def test_transceiver_needs_exactly_one_mount():
