@@ -27,13 +27,11 @@ _EXPORTS = {
     "snapshot": "kinematics",
     "WorldSnapshot": "kinematics",
     "TraceConfig": "raytrace",
-    "PathGeometry": "raytrace",
+    "PathTable": "raytrace",
     "trace_los": "raytrace",
     "trace_specular": "raytrace",
     "trace_diffuse": "raytrace",
-    "path_doppler": "raytrace",
     "SPEED_OF_LIGHT": "em",
-    "amplitude_of": "em",
     "amplitudes_of": "em",
     "fresnel_reflection": "em",
     "lobe_gain": "em",
@@ -42,7 +40,7 @@ _EXPORTS = {
     "ChirpConfig": "channel",
     "SensingLink": "channel",
     "CirFrame": "channel",
-    "CirPath": "channel",
+    "doppler_of": "channel",
     "simulate_cir": "channel",
     "save_cir": "channel",
     "load_cir": "channel",

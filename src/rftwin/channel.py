@@ -8,16 +8,16 @@ dropped and counted per frame.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
+from .container import now, read_container, write_container
 from .em import SPEED_OF_LIGHT, amplitudes_of
-from .kinematics import build_trajectories, snapshot
-from .raytrace import TraceConfig, trace_diffuse, trace_los, trace_specular, build_sample_patterns
+from .kinematics import WorldSnapshot, build_trajectories, snapshot
+from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns,
+                       trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
 
 
@@ -90,58 +90,53 @@ class SensingLink:
 
 
 @dataclass
-class CirPath:
-    """One tap of the impulse response with association metadata."""
-
-    amplitude: complex
-    delay: float
-    doppler: float
-    kind: str
-    facet_indices: tuple[int, ...] = ()
-    sample_index: int | None = None
-
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.facet_indices, self.sample_index)
-
-
-@dataclass
 class CirFrame:
+    """Impulse response at one chirp epoch: the kept rows of its path table,
+    with a, tau and nu filled."""
+
     epoch_index: int
     t: float
-    paths: list[CirPath] = field(default_factory=list)
+    paths: PathTable
     n_dropped: int = 0
 
 
-def _doppler_batch(paths, snap, f_c) -> np.ndarray:
-    """Path Doppler for a whole frame in one vector pass."""
+def doppler_of(paths: PathTable, snap: WorldSnapshot, tx_id: str, rx_id: str,
+               f_c: float) -> np.ndarray:
+    """Doppler shift per path in Hz; positive while the path shortens.
+
+    nu = -(f_c / c) d(length)/dt.  Each segment contributes the projection
+    of its endpoint velocities onto its direction: the transceivers' and,
+    at every hit, the rigid-body velocity of the touched facet.  For
+    specular points the in-plane migration of the reflection point does not
+    change path length to first order (the mirror law makes the length
+    stationary), so that velocity is exactly the right rate.  Rows are
+    left-aligned (TX in column 0) before the sum, so a path's Doppler does
+    not depend on the padding of the table it sits in.
+    """
     n = len(paths)
     if n == 0:
         return np.zeros(0)
-    max_pts = max(len(p.points) for p in paths)
-    pts = np.zeros((n, max_pts, 3))
-    vels = np.zeros((n, max_pts, 3))
-    seg_mask = np.zeros((n, max_pts - 1), dtype=bool)
+    width = paths.points.shape[1]
+    vel = np.zeros(paths.points.shape)
+    vel[:, :-1] = snap.transceiver_state(tx_id).velocity
+    vel[:, -1] = snap.transceiver_state(rx_id).velocity
+    hit_vel = vel[:, 1:-1]
+    hit_vel[paths.facets >= 0] = 0.0
+    # Owning body of every hit; the -1 padding picks the appended None.
+    owner = np.array([f.body_id for f in snap.facets] + [None], dtype=object)[paths.facets]
+    for body_id in snap.body_poses:
+        on = owner == body_id
+        if on.any():
+            hit_vel[on] = snap.body_point_velocity(body_id, paths.points[:, 1:-1][on])
 
-    body_of_facet = {}
-    for fi, f in enumerate(snap.facets):
-        body_of_facet[fi] = f.body_id
-
-    for i, p in enumerate(paths):
-        m = len(p.points)
-        pts[i, :m] = p.points
-        seg_mask[i, : m - 1] = True
-        vels[i, 0] = snap.transceiver_state(p.tx_id).velocity
-        vels[i, m - 1] = snap.transceiver_state(p.rx_id).velocity
-        for k, fi in enumerate(p.facet_indices):
-            bid = body_of_facet[fi]
-            if bid is not None:
-                vels[i, k + 1] = snap.body_point_velocity(bid, p.points[k + 1])
-
+    cols = np.arange(width) + (width - 2 - paths.hops.astype(int))[:, None]
+    live = cols < width
+    rows, cols = np.arange(n)[:, None], np.minimum(cols, width - 1)
+    pts, vel = paths.points[rows, cols], vel[rows, cols]
     segs = np.diff(pts, axis=1)
     norms = np.linalg.norm(segs, axis=2)
-    units = np.where(seg_mask[..., None], segs / np.maximum(norms, 1e-300)[..., None], 0.0)
-    rate = np.einsum("nsj,nsj->n", units, np.diff(vels, axis=1))
+    units = np.where(live[:, 1:, None], segs / np.maximum(norms, 1e-300)[..., None], 0.0)
+    rate = np.einsum("nsj,nsj->n", units, np.diff(vel, axis=1))
     return -(f_c / SPEED_OF_LIGHT) * rate
 
 
@@ -163,39 +158,27 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
             f"epoch grid [{t0:.6g}, {t_end:.6g}] s not covered by body "
             f"trajectories [{span[0]:.6g}, {span[1]:.6g}] s")
 
+    tx, rx = link.tx_id, link.rx_id
     trajectories = build_trajectories(scene)
     patterns = build_sample_patterns(scene, trace)
     frames = []
     for k in range(n):
         t_k = t0 + k * config.pri
         snap = snapshot(scene, t_k, trajectories)
-        paths = []
-        if not link.mono_static:
-            los = trace_los(snap, link.tx_id, link.rx_id, trace)
-            if los is not None:
-                paths.append(los)
-        paths += trace_specular(snap, link.tx_id, link.rx_id, trace)
-        paths += trace_diffuse(snap, link.tx_id, link.rx_id, trace, patterns)
-
-        amps = amplitudes_of(paths, snap, scene, config.f_c)
-        nus = _doppler_batch(paths, snap, config.f_c)
-        taus = np.array([p.total_length for p in paths]) / SPEED_OF_LIGHT \
-            if paths else np.zeros(0)
-
-        keep = taus < config.max_delay
-        frame = CirFrame(k, t_k, n_dropped=int(np.count_nonzero(~keep)))
-        for i in np.flatnonzero(keep):
-            p = paths[i]
-            frame.paths.append(CirPath(complex(amps[i]), float(taus[i]),
-                                       float(nus[i]), p.kind, p.facet_indices,
-                                       p.sample_index))
-        frames.append(frame)
+        parts = [] if link.mono_static else [trace_los(snap, tx, rx, trace)]
+        parts += [trace_specular(snap, tx, rx, trace),
+                  trace_diffuse(snap, tx, rx, trace, patterns)]
+        paths = PathTable.concat(parts)
+        paths.a = amplitudes_of(paths, snap, scene, tx, rx, config.f_c)
+        paths.nu = doppler_of(paths, snap, tx, rx, config.f_c)
+        paths.tau = paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
+        keep = paths.tau < config.max_delay
+        n_dropped = len(keep) - int(np.count_nonzero(keep))
+        frames.append(CirFrame(k, t_k, paths.take(keep) if n_dropped else paths, n_dropped))
     return frames
 
 
-_KIND_CODE = {"los": 0, "specular": 1, "diffuse": 2}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
-_CIR_MAGIC = b"RFTCIR1\n"
+CIR_MAGIC = b"RFTCIR1\n"
 
 
 def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
@@ -213,7 +196,7 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
               "config": config.to_dict(),
               "link": {"tx": link.tx_id, "rx": link.rx_id},
               "t0": t0, "n_frames": len(frames),
-              "created": "frozen" if frozen_clock else _now()}
+              "created": "frozen" if frozen_clock else now()}
     if trace is not None:
         header["trace"] = {"max_specular_order": trace.max_specular_order,
                            "diffuse_enabled": trace.diffuse_enabled,
@@ -223,66 +206,41 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
                            "subdivide_area": trace.subdivide_area}
     if extra:
         header.update(extra)
-    blob = json.dumps(header, sort_keys=True).encode()
 
-    with open(path, "wb") as fh:
-        fh.write(_CIR_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+    def chunks():
         for fr in frames:
-            n = len(fr.paths)
-            fh.write(struct.pack("<Id II", fr.epoch_index, fr.t, n, fr.n_dropped))
-            amps = np.array([p.amplitude for p in fr.paths], dtype=complex)
-            fh.write(np.ascontiguousarray(amps.real, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(amps.imag, dtype="<f8").tobytes())
-            fh.write(np.array([p.delay for p in fr.paths], dtype="<f8").tobytes())
-            fh.write(np.array([p.doppler for p in fr.paths], dtype="<f8").tobytes())
-            fh.write(np.array([_KIND_CODE[p.kind] for p in fr.paths],
-                              dtype=np.uint8).tobytes())
-            fh.write(np.array([len(p.facet_indices) for p in fr.paths],
-                              dtype=np.uint8).tobytes())
-            facets = [fi for p in fr.paths for fi in p.facet_indices]
-            fh.write(np.array(facets, dtype="<i4").tobytes())
-            fh.write(np.array([-1 if p.sample_index is None else p.sample_index
-                               for p in fr.paths], dtype="<i4").tobytes())
+            p = fr.paths
+            yield struct.pack("<Id II", fr.epoch_index, fr.t, len(p), fr.n_dropped)
+            for col in (p.a.real, p.a.imag, p.tau, p.nu):
+                yield np.ascontiguousarray(col, dtype="<f8")
+            yield from (p.kind.astype(np.uint8), p.hops.astype(np.uint8),
+                        p.facets[p.facets >= 0].astype("<i4"), p.sample.astype("<i4"))
+    write_container(path, CIR_MAGIC, header, chunks())
 
 
 def load_cir(path) -> tuple[list[CirFrame], dict]:
-    """Read a CIR file back into frames plus its JSON header."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != _CIR_MAGIC:
-        raise ValueError(f"{path}: not a rftwin CIR file")
-    hlen = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + hlen].decode())
-    off = 12 + hlen
+    """Read a CIR file back into frames plus its JSON header.
+
+    The columns are read-only views of the file bytes; facet rows are as
+    wide as the frame's largest hop count.
+    """
+    header, body = read_container(path, CIR_MAGIC, "CIR")
     frames = []
     for _ in range(header["n_frames"]):
-        epoch, t, n, dropped = struct.unpack_from("<Id II", raw, off)
-        off += struct.calcsize("<Id II")
-        def take(dtype, count):
-            nonlocal off
-            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-            off += arr.nbytes
-            return arr
-        a_re = take("<f8", n)
-        a_im = take("<f8", n)
-        tau = take("<f8", n)
-        nu = take("<f8", n)
-        kind = take(np.uint8, n)
-        hops = take(np.uint8, n)
-        facets = take("<i4", int(hops.sum()))
-        sample = take("<i4", n)
-        frame = CirFrame(int(epoch), float(t), n_dropped=int(dropped))
-        pos = 0
-        for i in range(n):
-            h = int(hops[i])
-            frame.paths.append(CirPath(
-                complex(a_re[i], a_im[i]), float(tau[i]), float(nu[i]),
-                _KIND_NAME[int(kind[i])],
-                tuple(int(x) for x in facets[pos:pos + h]),
-                None if sample[i] < 0 else int(sample[i])))
-            pos += h
-        frames.append(frame)
+        epoch, t, n, dropped = body.unpack("<Id II")
+        a_re, a_im, tau, nu = body.take("<f8", 4 * n).reshape(4, n)
+        kind, hops = body.take(np.uint8, 2 * n).reshape(2, n)
+        flat = body.take("<i4", int(hops.sum()))
+        if (kind >= len(KINDS)).any() or (flat < 0).any():
+            raise ValueError(f"{path}: frame {epoch}: unknown kind code or negative facet index")
+        width = int(hops.max(initial=0))
+        facets = np.full((n, width), -1, np.int32)
+        facets[np.arange(width) >= width - hops[:, None].astype(int)] = flat
+        a = np.empty(n, dtype=complex)
+        a.real, a.imag = a_re, a_im
+        frames.append(CirFrame(epoch, t, PathTable(kind, hops, facets, body.take("<i4", n),
+                                                   a=a, tau=tau, nu=nu), dropped))
+    body.end()
     return frames, header
 
 
@@ -292,14 +250,9 @@ def cir_to_csv(path, frames: list[CirFrame]) -> None:
         fh.write("epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,"
                  "facets,sample_index\n")
         for fr in frames:
-            for p in fr.paths:
-                facets = "|".join(str(fi) for fi in p.facet_indices)
-                sample = "" if p.sample_index is None else p.sample_index
-                fh.write(f"{fr.epoch_index},{fr.t!r},{p.kind},{p.delay!r},"
-                         f"{p.doppler!r},{p.amplitude.real!r},"
-                         f"{p.amplitude.imag!r},{facets},{sample}\n")
-
-
-def _now() -> str:
-    import datetime
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+            p = fr.paths
+            for (kind, facets, sample), tau, nu, a in zip(
+                    p.keys(), p.tau.tolist(), p.nu.tolist(), p.a.tolist()):
+                fh.write(f"{fr.epoch_index},{fr.t!r},{kind},{tau!r},{nu!r},"
+                         f"{a.real!r},{a.imag!r},{'|'.join(map(str, facets))},"
+                         f"{'' if sample is None else sample}\n")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 from pathlib import Path
 
@@ -93,8 +92,10 @@ def _add_common(sub):
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     from .channel import SensingLink, cir_to_csv, save_cir, simulate_cir
-    from .raytrace import TraceConfig
+    from .raytrace import KINDS, TraceConfig
     from .scene import SceneError, load_scene
 
     scene_path = _require_file(args.scene)
@@ -135,10 +136,9 @@ def cmd_simulate(args) -> int:
     csv_path = out / f"{tag}_paths.csv"
     cir_to_csv(csv_path, frames)
 
-    counts: dict[str, int] = {}
-    for fr in frames:
-        for p in fr.paths:
-            counts[p.kind] = counts.get(p.kind, 0) + 1
+    per_kind = np.bincount(np.concatenate([fr.paths.kind for fr in frames]),
+                           minlength=len(KINDS))
+    counts = {kind: int(c) for kind, c in zip(KINDS, per_kind) if c}
     summary = {"frames": len(frames), "t0": args.t0,
                "paths_per_kind": counts, "seed": args.seed,
                "dropped_beyond_max_delay": sum(fr.n_dropped for fr in frames)}
@@ -155,7 +155,7 @@ def _load_checked(load, path):
     p = _require_file(path)
     try:
         return load(p)
-    except (ValueError, KeyError, struct.error) as exc:
+    except (ValueError, KeyError) as exc:
         raise InputError(f"{p}: {exc}") from exc
 
 
@@ -170,6 +170,8 @@ def cmd_process(args) -> int:
     stride = n if args.stride is None else _positive("integer", "stride", args.stride)
     if args.t0_index < 0:
         raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
+    if args.num_windows is not None:
+        _positive("integer", "num-windows", args.num_windows)
     if n > len(frames):
         raise InputError(f"window of {n} chirps exceeds the {len(frames)} "
                          f"frames in {args.cir}")
@@ -301,24 +303,24 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from .channel import CIR_MAGIC, load_cir
+    from .fmcw import MAP_MAGIC, PDP_MAGIC, load_map, load_pdp
+
     p = _require_file(args.file)
     head = p.read_bytes()[:8]
-    if head == b"RFTCIR1\n":
-        from .channel import load_cir
+    if head == CIR_MAGIC:
         frames, header = _load_checked(load_cir, p)
         print(f"{p}: CIR, {len(frames)} frames, link {header['link']}, "
               f"t0 = {header['t0']}")
         print(json.dumps(header["config"], sort_keys=True, indent=2))
-    elif head == b"RFTDDM1\n":
-        from .fmcw import load_map
+    elif head == MAP_MAGIC:
         ddm = _load_checked(load_map, p)
         print(f"{p}: delay-Doppler map, {ddm.power_db.shape[0]} x "
               f"{ddm.power_db.shape[1]} bins, "
               f"T_w = {ddm.metadata.get('t_window', 0.0) * 1e3:.5f} ms, "
               f"peak {ddm.power_db.max():.2f} dB")
         print(json.dumps(ddm.metadata, sort_keys=True, indent=2))
-    elif head == b"RFTPDP1\n":
-        from .fmcw import load_pdp
+    elif head == PDP_MAGIC:
         pdp = _load_checked(load_pdp, p)
         print(f"{p}: PDP series, {pdp.power_db.shape[0]} epochs x "
               f"{pdp.power_db.shape[1]} delay bins")

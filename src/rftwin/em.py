@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import epsilon_0
 
+from .geometry import cross, reflect_direction
 from .kinematics import WorldSnapshot
-from .raytrace import PathGeometry
+from .raytrace import KINDS, PathTable
 from .scene import AntennaPattern, Scene, boresight_angles, unit
 
 # Rounded engineering value; the radar timing tables in the validated
@@ -115,8 +116,8 @@ def _antenna_frame(boresight: np.ndarray) -> np.ndarray:
     ref = np.array([0.0, 0.0, 1.0])
     if abs(float(np.dot(x, ref))) > 0.999:
         ref = np.array([1.0, 0.0, 0.0])
-    y = unit(np.cross(ref, x))
-    return np.stack([x, y, np.cross(x, y)])
+    y = unit(cross(ref, x))
+    return np.stack([x, y, cross(x, y)])
 
 
 def _gains_db(pattern: AntennaPattern, frame: np.ndarray,
@@ -127,63 +128,42 @@ def _gains_db(pattern: AntennaPattern, frame: np.ndarray,
     return np.asarray(pattern.gain_db(az, el), dtype=float)
 
 
-def amplitudes_of(paths: list[PathGeometry], snap: WorldSnapshot, scene: Scene,
-                  f_c: float, with_breakdown: bool = False):
-    """Vectorized amplitude evaluation for one snapshot's path list.
+def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
+                  tx_id: str, rx_id: str, f_c: float,
+                  with_breakdown: bool = False):
+    """Vectorized amplitude evaluation for one snapshot's path table.
 
     Returns a complex array, or a list of PathAmplitude when with_breakdown
-    is set.  amplitude_of is the single-path wrapper around this.
+    is set.
     """
     n = len(paths)
     if n == 0:
         return [] if with_breakdown else np.zeros(0, dtype=complex)
 
     lam = SPEED_OF_LIGHT / f_c
-    frames = {tid: _antenna_frame(snap.transceiver_state(tid).boresight)
-              for tid in {p.tx_id for p in paths} | {p.rx_id for p in paths}}
+    k = paths.facets.shape[1]
+    hop_mask = paths.facets >= 0                            # (n, k)
+    fidx = np.maximum(paths.facets, 0)
+    rows = np.arange(n)
+    segs = np.diff(paths.points, axis=1)                    # (n, k + 1, 3)
+    seg_len = np.linalg.norm(segs, axis=2)
+    # Padding segments have zero length and stay zero vectors.
+    units = segs / np.where(seg_len > 0.0, seg_len, 1.0)[..., None]
+    k_in, k_out = units[:, :-1], units[:, 1:]
+    departures = segs[rows, k - paths.hops.astype(int)]
+    arrivals = segs[:, -1]
+    departures = departures / np.sqrt(np.vecdot(departures, departures))[:, None]
+    arrivals = arrivals / np.sqrt(np.vecdot(arrivals, arrivals))[:, None]
+    is_diffuse = paths.kind == KINDS.index("diffuse")
+    lengths = seg_len.sum(axis=1)
+    spread_len = np.where(is_diffuse, np.prod(seg_len[:, -2:], axis=1), lengths)
 
-    max_k = max((p.order for p in paths), default=0)
-    max_k = max(max_k, 1)
-    fidx = np.zeros((n, max_k), dtype=int)
-    hop_mask = np.zeros((n, max_k), dtype=bool)
-    k_in = np.zeros((n, max_k, 3))
-    k_out = np.zeros((n, max_k, 3))
-    k_mir = np.zeros((n, max_k, 3))
-    is_diffuse = np.zeros(n, dtype=bool)
-    areas = np.ones(n)
-    lengths = np.empty(n)
-    spread_len = np.empty(n)
-    departures = np.empty((n, 3))
-    arrivals = np.empty((n, 3))
-    for i, p in enumerate(paths):
-        k = p.order
-        lengths[i] = p.total_length
-        departures[i] = p.departure
-        arrivals[i] = p.arrival
-        if p.kind == "diffuse":
-            is_diffuse[i] = True
-            areas[i] = p.effective_area
-            seg = p.segment_lengths
-            spread_len[i] = seg[0] * seg[1]
-        else:
-            spread_len[i] = p.total_length
-        if k:
-            fidx[i, :k] = p.facet_indices
-            hop_mask[i, :k] = True
-            k_in[i, :k] = p.k_in
-            k_out[i, :k] = p.k_out
-            k_mir[i, :k] = p.k_mirror
-
-    tx_gain_db = np.empty(n)
-    rx_gain_db = np.empty(n)
-    for tid in {p.tx_id for p in paths}:
-        idx = np.array([i for i, p in enumerate(paths) if p.tx_id == tid])
-        tx_gain_db[idx] = _gains_db(scene.transceiver(tid).pattern,
-                                    frames[tid], departures[idx])
-    for tid in {p.rx_id for p in paths}:
-        idx = np.array([i for i, p in enumerate(paths) if p.rx_id == tid])
-        rx_gain_db[idx] = _gains_db(scene.transceiver(tid).pattern,
-                                    frames[tid], -arrivals[idx])
+    tx_gain_db = _gains_db(scene.transceiver(tx_id).pattern,
+                           _antenna_frame(snap.transceiver_state(tx_id).boresight),
+                           departures)
+    rx_gain_db = _gains_db(scene.transceiver(rx_id).pattern,
+                           _antenna_frame(snap.transceiver_state(rx_id).boresight),
+                           -arrivals)
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
     materials = list(scene.materials.values())
@@ -202,13 +182,12 @@ def amplitudes_of(paths: list[PathGeometry], snap: WorldSnapshot, scene: Scene,
         r_table = np.sqrt(1.0 - s_table ** 2)
         alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
         norm_table = np.array([lobe_normalization(m.lobe_exponent) for m in materials])
-    facet_mat = np.array([mat_index[f.material_id] for f in snap.facets], dtype=int) \
-        if snap.facets else np.zeros(0, dtype=int)
+    facet_mat = np.array([mat_index[f.material_id] for f in snap.facets], dtype=int)
 
-    normals = snap.pack.normals[fidx] if snap.pack.n_facets \
-        else np.zeros((n, max_k, 3))                        # (n, k, 3)
+    normals = snap.pack.normals[fidx]                       # (n, k, 3)
+    k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
-    mat_at = facet_mat[fidx] if len(facet_mat) else np.zeros_like(fidx)
+    mat_at = facet_mat[fidx]
     eps_at = eps_table[mat_at]
     root = np.sqrt(eps_at - (1.0 - cos_i ** 2))
     # padded hop slots (mask False) can hit 0/0 here; any value works for them
@@ -225,7 +204,7 @@ def amplitudes_of(paths: list[PathGeometry], snap: WorldSnapshot, scene: Scene,
     cos_s = np.clip(np.einsum("nkj,nkj->nk", k_out, normals), 0.0, 1.0)
     dot = np.clip(np.einsum("nkj,nkj->nk", k_mir, k_out), -1.0, 1.0)
     f_lobe = norm_table[mat_at] * ((1.0 + dot) / 2.0) ** alpha_table[mat_at]
-    patch = np.sqrt(np.maximum(areas[:, None] * cos_i * cos_s * f_lobe, 0.0))
+    patch = np.sqrt(np.maximum(paths.area[:, None] * cos_i * cos_s * f_lobe, 0.0))
     diff_factor = s_table[mat_at] * gamma_mag * patch
 
     factor = np.where(is_diffuse[:, None], diff_factor, spec_factor)
@@ -239,19 +218,14 @@ def amplitudes_of(paths: list[PathGeometry], snap: WorldSnapshot, scene: Scene,
         return amps
 
     out = []
-    for i, p in enumerate(paths):
+    for i, (kind, facets, _) in enumerate(paths.keys()):
+        label = "scatter" if kind == "diffuse" else "reflection"
         with np.errstate(divide="ignore"):
             bd = {"spreading_db": float(20.0 * np.log10(spread[i])),
                   "tx_gain_db": float(tx_gain_db[i]),
                   "rx_gain_db": float(rx_gain_db[i])}
-            for k, fi in enumerate(p.facet_indices):
-                label = "scatter" if p.kind == "diffuse" else "reflection"
-                bd[f"{label}_{k}_facet_{fi}_db"] = float(20.0 * np.log10(factor[i, k]))
+            for j, fi in enumerate(facets):
+                col = k - len(facets) + j
+                bd[f"{label}_{j}_facet_{fi}_db"] = float(20.0 * np.log10(factor[i, col]))
         out.append(PathAmplitude(float(magnitude[i]), float(phase[i]), bd))
     return out
-
-
-def amplitude_of(path: PathGeometry, snap: WorldSnapshot, scene: Scene,
-                 f_c: float) -> PathAmplitude:
-    """Complex amplitude and dB budget for a single path."""
-    return amplitudes_of([path], snap, scene, f_c, with_breakdown=True)[0]

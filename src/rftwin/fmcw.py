@@ -20,8 +20,6 @@ the analytic prediction of predicted_map.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +28,8 @@ from scipy.constants import k as boltzmann
 from scipy.signal import get_window
 
 from .channel import ChirpConfig, CirFrame
+from .raytrace import PathTable
+from .container import now, read_container, write_container
 
 _WINDOWS = ("hann", "hamming", "blackman", "boxcar")
 
@@ -86,26 +86,20 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
     t_m = np.arange(n_s) / config.f_samp
     sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0) if noise.enabled else 0.0
 
-    trail: dict = {}        # path key -> (t_prev, nu_prev, accumulated phase)
+    ids, n_ids = _path_ids(frames)
+    trail = np.full((n_ids, 3), np.nan)     # per path id: t, nu, phase when last seen
     out = []
-    for fr in frames:
-        if fr.paths:
-            a = np.array([p.amplitude for p in fr.paths])
-            tau = np.array([p.delay for p in fr.paths])
-            phi = np.empty(len(fr.paths))
-            for i, p in enumerate(fr.paths):
-                prev = trail.get(p.key)
-                if prev is None:
-                    phi[i] = 0.0
-                else:
-                    t_prev, nu_prev, phi_prev = prev
-                    phi[i] = phi_prev + np.pi * (nu_prev + p.doppler) \
-                        * (fr.t - t_prev)
-                trail[p.key] = (fr.t, p.doppler, phi[i])
-            const = 2.0 * np.pi * (config.f_c * tau
-                                   - 0.5 * config.slope * tau ** 2) + phi
-            weights = a * np.exp(1j * const)
-            tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(tau, t_m))
+    for fr, idx in zip(frames, ids):
+        p = fr.paths
+        if len(p):
+            t_prev, nu_prev, phi_prev = trail[idx].T
+            phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
+            phi[np.isnan(t_prev)] = 0.0
+            trail[idx, 0], trail[idx, 1], trail[idx, 2] = fr.t, p.nu, phi
+            const = 2.0 * np.pi * (config.f_c * p.tau
+                                   - 0.5 * config.slope * p.tau ** 2) + phi
+            weights = p.a * np.exp(1j * const)
+            tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(p.tau, t_m))
             samples = weights @ tones
         else:
             samples = np.zeros(n_s, dtype=complex)
@@ -115,6 +109,20 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
                                          + 1j * rng.standard_normal(n_s))
         out.append(BeatFrame(fr.epoch_index, fr.t, samples))
     return out
+
+
+def _path_ids(frames: list[CirFrame]) -> tuple[list[np.ndarray], int]:
+    """One integer id per path key over the frames: per frame the ids of its
+    rows, and the number of distinct keys."""
+    if not frames:
+        return [], 0
+    rows = PathTable.concat([fr.paths for fr in frames]).key_rows()
+    order = np.lexsort(rows.T)
+    new = np.ones(len(rows), dtype=bool)          # first row of each key in order
+    new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return np.split(ids, np.cumsum([len(fr.paths) for fr in frames])[:-1]), int(new.sum())
 
 
 def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
@@ -249,25 +257,31 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
     delay_step = d_axis[1] - d_axis[0]
     t_centroid = (n_delay - 1) / (2.0 * config.f_samp)
     offs, resp = _window_response_table(window_fast, n_delay)
-    first: dict = {}
-    last: dict = {}
-    for fr in frames[t0_index:t0_index + n_chirps]:
-        for p in fr.paths:
-            first.setdefault(p.key, (fr.t, p.delay))
-            last[p.key] = (fr.t, p.delay)
+    window = frames[t0_index:t0_index + n_chirps]
+    ids, _ = _path_ids(window)
+    # First and last (t, tau) of every path key in the window.
+    flat = np.concatenate(ids)
+    t = np.concatenate([np.full(len(fr.paths), fr.t) for fr in window])
+    tau = np.concatenate([fr.paths.tau for fr in window])
+    first = np.unique(flat, return_index=True)[1]
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+
+    p = mid.paths
+    mid_ids = ids[n_chirps // 2]
+    bin_idx = np.round(p.tau / delay_step).astype(int)
+    inside = (bin_idx >= 0) & (bin_idx < n_delay)
+    a, nu, tau_mid = p.a[inside], p.nu[inside], p.tau[inside]
+    bin_idx, mid_ids = bin_idx[inside], mid_ids[inside]
+    (t_a, tau_a), (t_b, tau_b) = ((t[r], tau[r]) for r in (first[mid_ids], last[mid_ids]))
+    moving = t_b > t_a
+    tau_dot = np.where(moving, (tau_b - tau_a) / np.where(moving, t_b - t_a, 1.0), 0.0)
+    apparent = nu + config.slope * tau_dot * t_centroid
     m = np.arange(n_chirps)
-    for p in mid.paths:
-        bin_idx = int(round(p.delay / delay_step))
-        if not 0 <= bin_idx < n_delay:
-            continue
-        (t_a, tau_a), (t_b, tau_b) = first[p.key], last[p.key]
-        tau_dot = (tau_b - tau_a) / (t_b - t_a) if t_b > t_a else 0.0
-        apparent = p.doppler + config.slope * tau_dot * t_centroid
-        tau_m = p.delay + tau_dot * (m - n_chirps // 2) * config.pri
-        gain = np.interp(np.abs(tau_m / delay_step - bin_idx), offs, resp)
-        tone = gain * np.exp(2j * np.pi * apparent * config.pri * m)
-        col = np.abs(np.fft.fftshift(np.fft.fft(tone))) ** 2 / n_chirps ** 2
-        power[:, bin_idx] += np.abs(p.amplitude) ** 2 * col
+    tau_m = tau_mid[:, None] + tau_dot[:, None] * (m - n_chirps // 2) * config.pri
+    gain = np.interp(np.abs(tau_m / delay_step - bin_idx[:, None]), offs, resp)
+    tone = gain * np.exp(2j * np.pi * apparent[:, None] * config.pri * m)
+    col = np.abs(np.fft.fftshift(np.fft.fft(tone, axis=1), axes=1)) ** 2 / n_chirps ** 2
+    np.add.at(power.T, bin_idx, np.abs(a)[:, None] ** 2 * col)
     return DelayDopplerMap(
         _power_db(power), d_axis, nu_axis,
         metadata={"n_chirps": n_chirps, "t_window": t_w,
@@ -276,40 +290,28 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
                   "zero_pad": False, "config": config.to_dict()})
 
 
-_MAP_MAGIC = b"RFTDDM1\n"
+MAP_MAGIC = b"RFTDDM1\n"
 
 
 def save_map(path, ddm: DelayDopplerMap, frozen_clock: bool = False) -> None:
     """Binary map container: magic, JSON header, f64 axes, f64 dB grid."""
     meta = dict(ddm.metadata)
-    meta["created"] = "frozen" if frozen_clock else _now()
+    meta["created"] = "frozen" if frozen_clock else now()
     header = {"format": "rftwin-ddm", "version": 1,
               "n_doppler": int(ddm.power_db.shape[0]),
               "n_delay": int(ddm.power_db.shape[1]),
               "metadata": meta}
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAP_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ddm.delay_axis, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ddm.doppler_axis, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ddm.power_db, dtype="<f8").tobytes())
+    write_container(path, MAP_MAGIC, header,
+                    (np.ascontiguousarray(a, dtype="<f8")
+                     for a in (ddm.delay_axis, ddm.doppler_axis, ddm.power_db)))
 
 
 def load_map(path) -> DelayDopplerMap:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MAP_MAGIC:
-        raise ValueError(f"{path}: not a rftwin delay-Doppler map file")
-    hlen = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + hlen].decode())
-    off = 12 + hlen
+    header, body = read_container(path, MAP_MAGIC, "delay-Doppler map")
     n_dop, n_del = header["n_doppler"], header["n_delay"]
-    d_axis = np.frombuffer(raw, "<f8", n_del, off).copy()
-    off += 8 * n_del
-    nu_axis = np.frombuffer(raw, "<f8", n_dop, off).copy()
-    off += 8 * n_dop
-    power = np.frombuffer(raw, "<f8", n_dop * n_del, off).reshape(n_dop, n_del).copy()
+    d_axis, nu_axis = body.take("<f8", n_del).copy(), body.take("<f8", n_dop).copy()
+    power = body.take("<f8", n_dop * n_del).reshape(n_dop, n_del).copy()
+    body.end()
     return DelayDopplerMap(power, d_axis, nu_axis, header["metadata"])
 
 
@@ -357,42 +359,25 @@ def pdp_to_csv(path, pdp: PdpSeries) -> None:
             fh.write(f"{t!r}," + ",".join(repr(v) for v in row) + "\n")
 
 
-_PDP_MAGIC = b"RFTPDP1\n"
+PDP_MAGIC = b"RFTPDP1\n"
 
 
 def save_pdp(path, pdp: PdpSeries, frozen_clock: bool = False) -> None:
     meta = dict(pdp.metadata)
-    meta["created"] = "frozen" if frozen_clock else _now()
+    meta["created"] = "frozen" if frozen_clock else now()
     header = {"format": "rftwin-pdp", "version": 1,
               "n_epochs": int(pdp.power_db.shape[0]),
               "n_delay": int(pdp.power_db.shape[1]),
               "metadata": meta}
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_PDP_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(pdp.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(pdp.delay_axis, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(pdp.power_db, dtype="<f8").tobytes())
+    write_container(path, PDP_MAGIC, header,
+                    (np.ascontiguousarray(a, dtype="<f8")
+                     for a in (pdp.times, pdp.delay_axis, pdp.power_db)))
 
 
 def load_pdp(path) -> PdpSeries:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _PDP_MAGIC:
-        raise ValueError(f"{path}: not a rftwin PDP file")
-    hlen = struct.unpack_from("<I", raw, 8)[0]
-    header = json.loads(raw[12:12 + hlen].decode())
-    off = 12 + hlen
+    header, body = read_container(path, PDP_MAGIC, "PDP")
     n_e, n_d = header["n_epochs"], header["n_delay"]
-    times = np.frombuffer(raw, "<f8", n_e, off).copy()
-    off += 8 * n_e
-    d_axis = np.frombuffer(raw, "<f8", n_d, off).copy()
-    off += 8 * n_d
-    power = np.frombuffer(raw, "<f8", n_e * n_d, off).reshape(n_e, n_d).copy()
+    times, d_axis = body.take("<f8", n_e).copy(), body.take("<f8", n_d).copy()
+    power = body.take("<f8", n_e * n_d).reshape(n_e, n_d).copy()
+    body.end()
     return PdpSeries(power, d_axis, times, header["metadata"])
-
-
-def _now() -> str:
-    import datetime
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -16,11 +16,17 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, written by component: the same bits
+    as np.cross without its per-call axis handling."""
+    (ax, ay, az), (bx, by, bz) = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+
+
 def facet_normal(vertices: np.ndarray) -> np.ndarray:
     """Unit normal from the first three vertices, right-handed in vertex order."""
     v = np.asarray(vertices, dtype=float)
-    (ax, ay, az), (bx, by, bz) = (v[1] - v[0]).tolist(), (v[2] - v[0]).tolist()
-    return unit(np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]))
+    return unit(cross(v[1] - v[0], v[2] - v[0]))
 
 
 def facet_area(vertices: np.ndarray) -> float:
@@ -63,8 +69,8 @@ def mirror_point(p: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray
 
 
 def reflect_direction(k_in: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Mirror law: k_r = k_i - 2 (k_i . n) n."""
-    return k_in - 2.0 * float(np.dot(k_in, normal)) * normal
+    """Mirror law: k_r = k_i - 2 (k_i . n) n, over the last axis."""
+    return k_in - 2.0 * np.vecdot(k_in, normal)[..., None] * normal
 
 
 def yaw_matrix(yaw: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .geometry import FacetPack, facet_normal, yaw_matrix
+from .geometry import FacetPack, cross, facet_normal, yaw_matrix
 from .scene import Facet, Scene, Transceiver
 
 
@@ -124,16 +124,15 @@ class WorldSnapshot:
         self.transceiver_states: dict[str, TransceiverState] = transceiver_states
         self.pack = FacetPack([f.vertices for f in facets], [f.normal for f in facets])
 
-    def point_velocity(self, facet_index: int, point: np.ndarray) -> np.ndarray:
-        body_id = self.facets[facet_index].body_id
-        if body_id is None:
-            return np.zeros(3)
-        return self.body_point_velocity(body_id, point)
-
     def body_point_velocity(self, body_id: str, point: np.ndarray) -> np.ndarray:
+        """Rigid-field velocity of the body at point, or at each row of an
+        (..., 3) array of points."""
         pose = self.body_poses[body_id]
-        omega = np.array([0.0, 0.0, pose.yaw_rate])
-        return pose.velocity + np.cross(omega, np.asarray(point) - pose.position)
+        r, w = np.asarray(point) - pose.position, pose.yaw_rate
+        # omega x r for omega = (0, 0, w), term by term as np.cross forms it
+        return pose.velocity + np.stack([0.0 * r[..., 2] - w * r[..., 1],
+                                         w * r[..., 0] - 0.0 * r[..., 2],
+                                         0.0 * r[..., 1] - 0.0 * r[..., 0]], axis=-1)
 
     def transceiver_state(self, tid: str) -> TransceiverState:
         return self.transceiver_states[tid]
@@ -150,7 +149,7 @@ def _pose_transceiver(trx: Transceiver, body_poses) -> TransceiverState:
     position = pose.position + offset
     boresight = rot @ np.asarray(trx.offset_boresight, dtype=float)
     omega = np.array([0.0, 0.0, pose.yaw_rate])
-    velocity = pose.velocity + np.cross(omega, offset)
+    velocity = pose.velocity + cross(omega, offset)
     return TransceiverState(position, boresight, velocity)
 
 

@@ -19,21 +19,18 @@ Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
 same scene and config reproduce the exact same paths.
 
-Doppler is assembled analytically: each segment contributes the projection
-of its endpoint velocities onto the segment direction.  For specular points
-the in-plane migration of the reflection point does not change path length
-to first order (the mirror law makes the length stationary), so the rigid
-body velocity of the touched facet is exactly the right rate.
+Every tracer returns a PathTable, the one path form from here to the .cir
+file: struct-of-arrays columns, one row per path.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import facet_area, reflect_direction, unit
+from .geometry import facet_area
 from .kinematics import WorldSnapshot
 from .scene import Scene
 
@@ -66,81 +63,111 @@ class TraceConfig:
             raise ValueError("occlusion_epsilon must be positive")
 
 
-@dataclass
-class PathGeometry:
-    """One propagation path at one instant.
+KINDS = ("los", "specular", "diffuse")     # path kind code = position
 
-    points runs TX, interaction(s)..., RX.  k_in/k_out/k_mirror hold the
-    incident, outgoing and mirror-law unit vectors per interaction.  For
-    diffuse paths effective_area is the patch area represented by the sample
-    and sample_index identifies the sample within its facet's pattern.
+
+@dataclass
+class PathTable:
+    """Paths of one link at one instant, one row per path, in .cir column order.
+
+    kind indexes KINDS and hops counts interactions.  Rows are right-aligned
+    like the chain table: a path of h hops has its facets in facets[i, K-h:]
+    (-1 before them) and its points TX, hits..., RX in points[i, K-h:] (TX
+    repeated before them), so points[:, -1] is always the receiver.  Facet
+    indices are positions in the snapshot's facet list.  sample is the
+    diffuse sample index within its facet's pattern and area the patch it
+    stands for; they are -1 and 0 for the other kinds.  The tracer fills the
+    geometry columns, simulate_cir adds the complex amplitude a, the delay
+    tau [s] and the Doppler nu [Hz].  A table read from a .cir file has no
+    points or area.
     """
 
-    kind: str
-    tx_id: str
-    rx_id: str
-    points: np.ndarray
-    facet_indices: tuple[int, ...]
-    total_length: float
-    k_in: np.ndarray
-    k_out: np.ndarray
-    k_mirror: np.ndarray
-    effective_area: float | None = None
-    sample_index: int | None = None
+    kind: np.ndarray                    # (n,) uint8
+    hops: np.ndarray                    # (n,) uint8
+    facets: np.ndarray                  # (n, K) int32
+    sample: np.ndarray                  # (n,) int32
+    points: np.ndarray | None = None    # (n, K + 2, 3)
+    area: np.ndarray | None = None      # (n,)
+    a: np.ndarray | None = None         # (n,) complex
+    tau: np.ndarray | None = None       # (n,)
+    nu: np.ndarray | None = None        # (n,)
 
-    @property
-    def order(self) -> int:
-        return len(self.facet_indices)
+    def __len__(self) -> int:
+        return len(self.kind)
 
-    @property
-    def departure(self) -> np.ndarray:
-        return unit(self.points[1] - self.points[0])
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
-    def arrival(self) -> np.ndarray:
-        return unit(self.points[-1] - self.points[-2])
+    def take(self, rows) -> PathTable:
+        """The table restricted to rows (an index array or a mask)."""
+        return PathTable(**{k: None if v is None else v[rows]
+                            for k, v in self._columns().items()})
 
-    @property
+    @staticmethod
+    def concat(tables) -> PathTable:
+        """Rows of every table in order, padded on the left to the widest K."""
+        k = max(t.facets.shape[1] for t in tables)
+
+        def column(name):
+            parts = [getattr(t, name) for t in tables]
+            if any(p is None for p in parts):
+                return None
+            if name in ("facets", "points"):
+                parts = [_pad_left(p, k if name == "facets" else k + 2) for p in parts]
+            return np.concatenate(parts)
+        return PathTable(**{name: column(name) for name in tables[0]._columns()})
+
     def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
+        """(n, K + 1) segment lengths, zero over the left padding."""
+        return np.linalg.norm(np.diff(self.points, axis=1), axis=2)
 
-    @property
-    def key(self) -> tuple:
-        """Association key, stable across epochs of one simulation."""
-        return (self.kind, self.facet_indices, self.sample_index)
+    def keys(self) -> list[tuple]:
+        """Association key per path, (kind, facet tuple, sample or None);
+        stable across the epochs of one simulation."""
+        return [(KINDS[k], tuple(f for f in row if f >= 0), None if s < 0 else s)
+                for k, row, s in zip(self.kind.tolist(), self.facets.tolist(),
+                                     self.sample.tolist())]
+
+    def key_rows(self) -> np.ndarray:
+        """The keys as int rows: kind, sample, facets."""
+        return np.column_stack([self.kind, self.sample, self.facets]).astype(np.int64)
 
 
-def _path_from_points(kind, tx_id, rx_id, points, facet_indices, normals,
-                      effective_area=None, sample_index=None) -> PathGeometry:
-    pts = np.asarray(points, dtype=float)
-    segs = np.diff(pts, axis=0)
-    lengths = np.linalg.norm(segs, axis=1)
-    units = segs / lengths[:, None]
-    k_in = units[:-1] if len(facet_indices) else np.zeros((0, 3))
-    k_out = units[1:] if len(facet_indices) else np.zeros((0, 3))
-    k_mirror = np.array([reflect_direction(k_in[i], normals[i])
-                         for i in range(len(facet_indices))]).reshape(-1, 3)
-    return PathGeometry(kind, tx_id, rx_id, pts, tuple(facet_indices),
-                        float(lengths.sum()), k_in, k_out, k_mirror,
-                        effective_area, sample_index)
+def _pad_left(column: np.ndarray, width: int) -> np.ndarray:
+    """Facets padded with -1, or points with their first point (TX), on the
+    left to width columns."""
+    pad = width - column.shape[1]
+    if pad == 0:
+        return column
+    out = np.empty((len(column), width) + column.shape[2:], column.dtype)
+    out[:, :pad] = -1 if column.ndim == 2 else column[:, :1]
+    out[:, pad:] = column
+    return out
+
+
+def _table(kind: str, facets, points, sample=None, area=None) -> PathTable:
+    n = len(facets)
+    return PathTable(np.full(n, KINDS.index(kind), np.uint8),
+                     np.count_nonzero(facets >= 0, axis=1).astype(np.uint8),
+                     facets.astype(np.int32),
+                     np.full(n, -1, np.int32) if sample is None else sample.astype(np.int32),
+                     points, np.zeros(n) if area is None else area)
 
 
 def trace_los(snap: WorldSnapshot, tx_id: str, rx_id: str,
-              config: TraceConfig = TraceConfig()) -> PathGeometry | None:
-    """Direct path, or None when blocked or for a co-located pair."""
+              config: TraceConfig = TraceConfig()) -> PathTable:
+    """Direct path; no row when blocked or for a co-located pair."""
     txp = snap.transceiver_state(tx_id).position
     rxp = snap.transceiver_state(rx_id).position
-    if np.linalg.norm(rxp - txp) < 1e-9:
-        return None
-    blocked = snap.pack.segments_blocked(txp[None], rxp[None],
-                                         config.occlusion_epsilon)
-    if bool(blocked[0]):
-        return None
-    return _path_from_points("los", tx_id, rx_id, [txp, rxp], (), [])
+    points = np.stack([txp, rxp])[None]
+    if np.linalg.norm(rxp - txp) < 1e-9 or bool(
+            snap.pack.segments_blocked(txp[None], rxp[None], config.occlusion_epsilon)[0]):
+        points = points[:0]
+    return _table("los", np.empty((len(points), 0), int), points)
 
 
 def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
-                   config: TraceConfig = TraceConfig()) -> list[PathGeometry]:
+                   config: TraceConfig = TraceConfig()) -> PathTable:
     """Specular paths up to config.max_specular_order, image method.
 
     Paths come out in chain-table order: by order, then facet indices.
@@ -148,10 +175,11 @@ def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
     txp = snap.transceiver_state(tx_id).position
     rxp = snap.transceiver_state(rx_id).position
     pack = snap.pack
-    if pack.n_facets == 0 or config.max_specular_order == 0:
-        return []
+    k_max = config.max_specular_order
+    if pack.n_facets == 0 or k_max == 0:
+        return _table("specular", np.empty((0, k_max), int), np.empty((0, k_max + 2, 3)))
 
-    table = _chain_table(pack.n_facets, config.max_specular_order)
+    table = _chain_table(pack.n_facets, k_max)
     ok, pts = _trace_chains(pack, txp, rxp, table)
     idx = np.flatnonzero(ok)
     if idx.size:
@@ -162,14 +190,7 @@ def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
                                         legs[:, 1:].reshape(-1, 3),
                                         config.occlusion_epsilon)
         idx = idx[~blocked.reshape(len(idx), -1).any(axis=1)]
-
-    paths = []
-    for c in idx:
-        h = table.hops[c]
-        seq = table.seq[c, -h:]
-        paths.append(_path_from_points("specular", tx_id, rx_id, pts[c, -h - 2:],
-                                       tuple(seq.tolist()), pack.normals[seq]))
-    return paths
+    return _table("specular", np.where(table.live[idx], table.seq[idx], -1), pts[idx])
 
 
 @dataclass(frozen=True)
@@ -274,6 +295,7 @@ def _trace_chains(pack, txp, rxp, table: _ChainTable):
 class _SamplePattern:
     weights: np.ndarray       # (M, n_vertices) convex vertex weights
     n_samples: int
+    area: float               # facet area the samples share
 
 
 def diffuse_sample_count(area: float, config: TraceConfig) -> int:
@@ -308,83 +330,54 @@ def diffuse_sample_pattern(facet_index: int, n_vertices: int, area: float,
         u = np.where(fold, 1.0 - u, u)
         v = np.where(fold, 1.0 - v, v)
         weights = np.stack([1.0 - u - v, u, v], axis=1)
-    return _SamplePattern(weights, m)
+    return _SamplePattern(weights, m, area)
 
 
 def trace_diffuse(snap: WorldSnapshot, tx_id: str, rx_id: str,
                   config: TraceConfig = TraceConfig(),
-                  patterns: dict | None = None) -> list[PathGeometry]:
+                  patterns: dict | None = None) -> PathTable:
     """Single-bounce diffuse paths from the stratified facet samples.
 
     Samples facing away from either endpoint or with a blocked leg are
-    dropped; each survivor carries effective_area = facet area / n_samples.
+    dropped; each survivor carries area = facet area / n_samples.  patterns
+    (from build_sample_patterns) holds the scene facets' patterns and areas,
+    which rigid motion leaves unchanged; without it they are built from the
+    posed facets.
     """
-    if not config.diffuse_enabled or snap.pack.n_facets == 0:
-        return []
     txp = snap.transceiver_state(tx_id).position
     rxp = snap.transceiver_state(rx_id).position
     pack = snap.pack
-
     points, owners, sample_ids, areas = [], [], [], []
-    for fi, facet in enumerate(snap.facets):
+    for fi, facet in enumerate(snap.facets if config.diffuse_enabled else ()):
         sd_tx = float(txp @ pack.normals[fi]) - pack.offsets[fi]
         sd_rx = float(rxp @ pack.normals[fi]) - pack.offsets[fi]
         if sd_tx <= _FRONT_EPS or sd_rx <= _FRONT_EPS:
             continue
         nv = len(facet.vertices)
-        area = facet_area(facet.vertices)
         if patterns is not None and facet.index in patterns:
             pat = patterns[facet.index]
         else:
-            pat = diffuse_sample_pattern(facet.index, nv, area, config)
-        pts = pat.weights @ facet.vertices[:nv]
-        points.append(pts)
+            pat = diffuse_sample_pattern(facet.index, nv, facet_area(facet.vertices), config)
+        points.append(pat.weights @ facet.vertices[:nv])
         owners.append(np.full(pat.n_samples, fi))
         sample_ids.append(np.arange(pat.n_samples))
-        areas.append(np.full(pat.n_samples, area / pat.n_samples))
+        areas.append(np.full(pat.n_samples, pat.area / pat.n_samples))
     if not points:
-        return []
+        return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)))
 
     pts = np.concatenate(points)
-    owners = np.concatenate(owners)
-    sample_ids = np.concatenate(sample_ids)
-    areas = np.concatenate(areas)
-
     blocked_in = pack.segments_blocked(np.broadcast_to(txp, pts.shape), pts,
                                        config.occlusion_epsilon)
     blocked_out = pack.segments_blocked(pts, np.broadcast_to(rxp, pts.shape),
                                         config.occlusion_epsilon)
     keep = ~(blocked_in | blocked_out)
-
-    paths = []
-    for p, fi, si, a in zip(pts[keep], owners[keep], sample_ids[keep], areas[keep]):
-        paths.append(_path_from_points(
-            "diffuse", tx_id, rx_id, [txp, p, rxp], (int(snap.facets[fi].index),),
-            [pack.normals[fi]], effective_area=float(a), sample_index=int(si)))
-    return paths
+    legs = np.empty((np.count_nonzero(keep), 3, 3))
+    legs[:, 0], legs[:, 1], legs[:, 2] = txp, pts[keep], rxp
+    return _table("diffuse", np.concatenate(owners)[keep, None], legs,
+                  np.concatenate(sample_ids)[keep], np.concatenate(areas)[keep])
 
 
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:
     """Precompute per-facet sample patterns keyed by scene facet index."""
     return {f.index: diffuse_sample_pattern(f.index, len(f.vertices), f.area, config)
             for f in scene.facets}
-
-
-def path_doppler(path: PathGeometry, snap: WorldSnapshot, f_c: float,
-                 speed_of_light: float | None = None) -> float:
-    """Doppler shift in Hz; positive while the total path length shrinks.
-
-    nu = -(f_c / c) d(total_length)/dt, with the rate assembled from the
-    snapshot velocity field at the two endpoints and every interaction point.
-    """
-    from .em import SPEED_OF_LIGHT
-    c = SPEED_OF_LIGHT if speed_of_light is None else speed_of_light
-    vels = [snap.transceiver_state(path.tx_id).velocity]
-    for fi, pt in zip(path.facet_indices, path.points[1:-1]):
-        vels.append(snap.point_velocity(fi, pt))
-    vels.append(snap.transceiver_state(path.rx_id).velocity)
-    vels = np.asarray(vels)
-    segs = np.diff(path.points, axis=0)
-    units = segs / np.linalg.norm(segs, axis=1)[:, None]
-    rate = float(np.einsum("sj,sj->", units, np.diff(vels, axis=0)))
-    return -(f_c / c) * rate

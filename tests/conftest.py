@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rftwin.channel import ChirpConfig, SensingLink, simulate_cir
+from rftwin.channel import ChirpConfig, CirFrame, SensingLink, simulate_cir
 from rftwin.fmcw import synth_beat
-from rftwin.raytrace import TraceConfig
+from rftwin.raytrace import PathTable, TraceConfig
 from rftwin.scene import Scene, load_scene, scene_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +64,16 @@ def _run_episode(scene, config, trace, link, t0) -> Episode:
     t_synth = time.perf_counter() - started
     return Episode(scene, config, trace, link, t0, frames, beats,
                    {"simulate": t_sim, "synth": t_synth})
+
+
+def cir_frame(epoch: int, t: float, a=(), tau=(), nu=()) -> CirFrame:
+    """A CIR frame of specular taps, tap i on facet i (one key per tap)."""
+    n = len(tau)
+    paths = PathTable(np.ones(n, np.uint8), np.ones(n, np.uint8),
+                      np.arange(n, dtype=np.int32)[:, None], np.full(n, -1, np.int32),
+                      a=np.asarray(a, dtype=complex), tau=np.asarray(tau, dtype=float),
+                      nu=np.asarray(nu, dtype=float))
+    return CirFrame(epoch, t, paths)
 
 
 def plate_position(index: int, t: float) -> np.ndarray:

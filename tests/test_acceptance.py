@@ -13,9 +13,9 @@ import time
 import numpy as np
 from scipy.optimize import minimize
 
-from conftest import FIXTURES, two_ray_doc
+from conftest import FIXTURES, cir_frame, two_ray_doc
 from rftwin.analysis import extract_peaks, ridge_fraction
-from rftwin.channel import ChirpConfig, CirFrame, CirPath, max_range
+from rftwin.channel import ChirpConfig, CirFrame, max_range
 from rftwin.cli import main
 from rftwin.em import lobe_gain, lobe_normalization, split_power
 from rftwin.fmcw import (delay_doppler, pdp_series, predicted_map, synth_beat,
@@ -62,7 +62,7 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     top = max(movers, key=lambda p: p.power_db)
 
     static_frames = [CirFrame(fr.epoch_index, fr.t,
-                              [p for p in fr.paths if abs(p.doppler) < 5.0])
+                              fr.paths.take(np.abs(fr.paths.nu) < 5.0))
                      for fr in ep.frames]
     static_map = delay_doppler(synth_beat(static_frames, ep.config),
                                ep.config, t0_index=start, n_chirps=n)
@@ -132,9 +132,9 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
         doppler_bin = 1.0 / cfg.window_duration(128)
         for w in windows:
             mid = ep.frames[w + 64]
-            amps = np.array([abs(p.amplitude) for p in mid.paths])
-            tb = np.array([p.delay for p in mid.paths]) / delay_bin
-            nb = np.array([p.doppler for p in mid.paths]) / doppler_bin
+            amps = np.abs(mid.paths.a)
+            tb = mid.paths.tau / delay_bin
+            nb = mid.paths.nu / doppler_bin
             proc = delay_doppler(ep.beats, cfg, t0_index=w, n_chirps=128,
                                  window_fast="hann", window_slow="boxcar")
             pred = predicted_map(ep.frames, cfg, t0_index=w, n_chirps=128)
@@ -179,9 +179,8 @@ def test_criterion_05_doppler_matches_delay_rate(plates_episode,
         f_c = ep.config.f_c
         series: dict = {}
         for fr in ep.frames:
-            for p in fr.paths:
-                series.setdefault(p.key, []).append(
-                    (fr.epoch_index, fr.t, p.delay, p.doppler))
+            for key, tau, nu in zip(fr.paths.keys(), fr.paths.tau, fr.paths.nu):
+                series.setdefault(key, []).append((fr.epoch_index, fr.t, tau, nu))
         for recs in series.values():
             if len(recs) < 3:
                 continue
@@ -261,8 +260,10 @@ def _corridor_doc() -> dict:
 def test_criterion_07_image_method_geometry():
     # Ground bounce between an elevated mast and a street-level terminal.
     snap = snapshot(scene_from_dict(two_ray_doc()), 0.0)
-    path = [p for p in trace_specular(snap, "BS", "UE")
-            if p.facet_indices == (0,)][0]
+    paths = trace_specular(snap, "BS", "UE")
+    row = paths.keys().index(("specular", (0,), None))
+    bounce = paths.points[row, -2]
+    length = float(paths.segment_lengths()[row].sum())
     txp = snap.transceiver_state("BS").position
     rxp = snap.transceiver_state("UE").position
 
@@ -274,31 +275,33 @@ def test_criterion_07_image_method_geometry():
                     options={"xatol": 1e-10, "fatol": 1e-12,
                              "maxiter": 20_000, "maxfev": 20_000})
     point_err = float(np.linalg.norm(
-        path.points[1] - np.array([best.x[0], best.x[1], 0.0])))
-    length_err = abs(path.total_length - float(best.fun))
-    pinned = (abs(path.points[1][0] - 26.087) <= 5e-4
-              and abs(path.total_length - 32.129) <= 5e-4)
+        bounce - np.array([best.x[0], best.x[1], 0.0])))
+    length_err = abs(length - float(best.fun))
+    pinned = (abs(bounce[0] - 26.087) <= 5e-4
+              and abs(length - 32.129) <= 5e-4)
 
     # Double bounce down a corridor: length must equal the unfolded
     # straight line from the twice-mirrored transmitter image.
     snap2 = snapshot(scene_from_dict(_corridor_doc()), 0.0)
     tx2 = snap2.transceiver_state("BS").position
     rx2 = snap2.transceiver_state("UE").position
-    order2 = [p for p in trace_specular(snap2, "BS", "UE")
-              if len(p.facet_indices) == 2]
+    paths2 = trace_specular(snap2, "BS", "UE")
+    lengths2 = paths2.segment_lengths().sum(axis=1)
+    order2 = [(facets, lengths2[i]) for i, (_, facets, _) in enumerate(paths2.keys())
+              if len(facets) == 2]
     worst_unfold = 0.0
-    for p in order2:
+    for facets, total in order2:
         image = tx2
-        for f in p.facet_indices:
+        for f in facets:
             image = mirror_point(image, snap2.pack.normals[f],
                                  float(snap2.pack.offsets[f]))
         worst_unfold = max(worst_unfold,
-                           abs(p.total_length - float(np.linalg.norm(rx2 - image))))
+                           abs(total - float(np.linalg.norm(rx2 - image))))
 
     ok = (point_err <= 1e-6 and length_err <= 1e-6 and pinned
           and len(order2) >= 1 and worst_unfold <= 1e-6)
-    _verdict(7, ok, f"bounce at x = {path.points[1][0]:.6f} m, length "
-                    f"{path.total_length:.6f} m (expect 26.087 / 32.129); vs "
+    _verdict(7, ok, f"bounce at x = {bounce[0]:.6f} m, length "
+                    f"{length:.6f} m (expect 26.087 / 32.129); vs "
                     f"brute force {point_err:.2e} m point, {length_err:.2e} m "
                     f"length; {len(order2)} double bounces, unfolded-image "
                     f"length gap {worst_unfold:.2e} m")
@@ -311,8 +314,7 @@ def test_criterion_08_doppler_mainlobe_nulls():
 
     def tone_map(nu):
         amp = 0.5 * np.exp(-2j * np.pi * config.f_c * 40e-9)
-        frames = [CirFrame(k, k * config.pri,
-                           [CirPath(amp, 40e-9, nu, "specular", (0,), None)])
+        frames = [cir_frame(k, k * config.pri, [amp], [40e-9], [nu])
                   for k in range(n)]
         beats = synth_beat(frames, config)
         ddm = delay_doppler(beats, config, t0_index=0, n_chirps=n,
@@ -373,10 +375,10 @@ def test_criterion_09_platform_motion_pdp(scenario_c_episode):
     hi: dict = {}
     count: dict = {}
     for fr in ep.frames:
-        for p in fr.paths:
-            lo[p.key] = min(lo.get(p.key, np.inf), p.delay)
-            hi[p.key] = max(hi.get(p.key, -np.inf), p.delay)
-            count[p.key] = count.get(p.key, 0) + 1
+        for key, tau in zip(fr.paths.keys(), fr.paths.tau.tolist()):
+            lo[key] = min(lo.get(key, np.inf), tau)
+            hi[key] = max(hi.get(key, -np.inf), tau)
+            count[key] = count.get(key, 0) + 1
     los_span = (hi[("los", (), None)] - lo[("los", (), None)]) / delay_bin
     secondary = max((hi[k] - lo[k]) / delay_bin for k in lo
                     if k[0] != "los" and count[k] >= 128)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rftwin.channel import (
     ChirpConfig,
+    CirFrame,
     SensingLink,
     cir_to_csv,
+    doppler_of,
     load_cir,
     max_range,
     save_cir,
@@ -14,10 +19,10 @@ from rftwin.channel import (
 )
 from rftwin.em import SPEED_OF_LIGHT
 from rftwin.kinematics import snapshot
-from rftwin.raytrace import TraceConfig, trace_specular, path_doppler
+from rftwin.raytrace import PathTable, TraceConfig, trace_specular
 from rftwin.scene import SceneError, scene_from_dict
 
-from conftest import plates_scene_doc
+from conftest import plates_scene_doc, spin_rig_doc
 
 C = SPEED_OF_LIGHT
 
@@ -83,11 +88,9 @@ def test_static_plate_delay_and_doppler():
                           TraceConfig(diffuse_enabled=False), n_chirps=2)
     assert len(frames) == 2
     for fr in frames:
-        assert len(fr.paths) == 1
-        p = fr.paths[0]
-        assert p.kind == "specular"
-        assert p.delay == pytest.approx(12.0 / C, rel=1e-12)
-        assert p.doppler == pytest.approx(0.0, abs=1e-9)
+        assert fr.paths.keys() == [("specular", (0,), None)]
+        assert fr.paths.tau[0] == pytest.approx(12.0 / C, rel=1e-12)
+        assert fr.paths.nu[0] == pytest.approx(0.0, abs=1e-9)
         assert fr.n_dropped == 0
     assert frames[1].t - frames[0].t == pytest.approx(ChirpConfig().pri)
 
@@ -97,14 +100,13 @@ def test_mono_link_has_no_los_bi_link_does():
     trace = TraceConfig(diffuse_enabled=False)
     mono = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(), trace,
                         n_chirps=1)
-    assert all(p.kind != "los" for p in mono[0].paths)
+    assert all(kind != "los" for kind, _, _ in mono[0].paths.keys())
     assert SensingLink("UE", "UE").mono_static
     bi = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), trace,
                       n_chirps=1)
-    assert any(p.kind == "los" for p in bi[0].paths)
+    assert bi[0].paths.keys()[0] == ("los", (), None)
     assert not SensingLink("BS", "UE").mono_static
-    los = [p for p in bi[0].paths if p.kind == "los"][0]
-    assert los.delay == pytest.approx(2.0 / C, rel=1e-12)
+    assert bi[0].paths.tau[0] == pytest.approx(2.0 / C, rel=1e-12)
 
 
 def test_unknown_link_endpoint_raises():
@@ -132,7 +134,7 @@ def test_paths_beyond_unambiguous_delay_are_dropped_and_counted():
     scene = scene_from_dict(mono_plate_doc(np.ceil(reach) + 15.0))
     frames = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
                           TraceConfig(diffuse_enabled=False), n_chirps=1)
-    assert frames[0].paths == []
+    assert len(frames[0].paths) == 0
     assert frames[0].n_dropped == 1
     near = scene_from_dict(mono_plate_doc(np.floor(reach) - 5.0))
     frames = simulate_cir(near, SensingLink("UE", "UE"), ChirpConfig(),
@@ -145,18 +147,18 @@ def test_frame_doppler_matches_per_path_recompute(plates_episode):
     ep = plates_episode
     frame = ep.frames[97]
     snap = snapshot(ep.scene, frame.t)
-    traced = {p.key: p for p in trace_specular(snap, "UE", "UE", ep.trace)}
-    assert len(traced) == len(frame.paths) == 3
-    for tap in frame.paths:
-        geo = traced[tap.key]
-        assert tap.doppler == pytest.approx(
-            path_doppler(geo, snap, ep.config.f_c), abs=1e-9)
-        assert tap.delay == pytest.approx(geo.total_length / C, rel=1e-12)
+    traced = trace_specular(snap, "UE", "UE", ep.trace)
+    assert traced.keys() == frame.paths.keys()
+    assert len(frame.paths) == 3
+    assert frame.paths.nu == pytest.approx(
+        doppler_of(traced, snap, "UE", "UE", ep.config.f_c), abs=1e-9)
+    assert frame.paths.tau == pytest.approx(
+        traced.segment_lengths().sum(axis=1) / C, rel=1e-12)
 
 
 def test_association_keys_stable_across_epochs(plates_episode):
-    keys0 = {p.key for p in plates_episode.frames[0].paths}
-    keys_last = {p.key for p in plates_episode.frames[-1].paths}
+    keys0 = set(plates_episode.frames[0].paths.keys())
+    keys_last = set(plates_episode.frames[-1].paths.keys())
     assert keys0 == keys_last
     assert ("specular", (1,), None) in keys0
 
@@ -178,17 +180,7 @@ def test_cir_file_roundtrip(tmp_path, plates_episode):
     assert header["trace"]["diffuse_enabled"] is False
     assert len(frames) == 3
     for got, want in zip(frames, subset):
-        assert got.epoch_index == want.epoch_index
-        assert got.t == want.t
-        assert got.n_dropped == want.n_dropped
-        assert len(got.paths) == len(want.paths)
-        for a, b in zip(got.paths, want.paths):
-            assert a.amplitude == b.amplitude
-            assert a.delay == b.delay
-            assert a.doppler == b.doppler
-            assert a.kind == b.kind
-            assert a.facet_indices == b.facet_indices
-            assert a.sample_index == b.sample_index
+        assert_same_frame(got, want)
 
 
 def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode):
@@ -200,11 +192,31 @@ def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode)
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def assert_same_frame(got, want):
+    """Every .cir field equal, bit for bit."""
+    assert (got.epoch_index, got.n_dropped) == (want.epoch_index, want.n_dropped)
+    assert np.float64(got.t).tobytes() == np.float64(want.t).tobytes()
+    assert got.paths.keys() == want.paths.keys()
+    for col in ("kind", "hops", "sample", "a", "tau", "nu"):
+        assert getattr(got.paths, col).tobytes() == getattr(want.paths, col).tobytes(), col
+
+
 def test_load_cir_rejects_foreign_files(tmp_path):
     bad = tmp_path / "junk.cir"
     bad.write_bytes(b"NOTACIR\n" + b"\x00" * 32)
     with pytest.raises(ValueError, match="not a rftwin CIR"):
         load_cir(bad)
+
+
+def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
+    ep = plates_episode
+    frame = ep.frames[0]
+    frame = CirFrame(frame.epoch_index, frame.t, frame.paths.take(slice(None)))
+    frame.paths.kind = np.full(len(frame.paths), 3, np.uint8)
+    path = tmp_path / "kind3.cir"
+    save_cir(path, [frame], ep.config, ep.link)
+    with pytest.raises(ValueError, match="unknown kind code"):
+        load_cir(path)
 
 
 def test_cir_csv_export(tmp_path, plates_episode):
@@ -219,7 +231,7 @@ def test_cir_csv_export(tmp_path, plates_episode):
     assert first[0] == "0"
     assert first[2] in ("los", "specular", "diffuse")
     # delays survive the text round-trip exactly (repr formatting)
-    assert float(first[3]) == ep.frames[0].paths[0].delay
+    assert float(first[3]) == ep.frames[0].paths.tau[0]
 
 
 def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
@@ -228,10 +240,65 @@ def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
     config = ChirpConfig(n_chirps_total=2)
     frames = simulate_cir(scene, SensingLink("UE", "UE"), config,
                           TraceConfig(diffuse_samples_per_facet=4), t0=0.0)
-    assert any(p.kind == "diffuse" for p in frames[0].paths)
+    assert (frames[0].paths.sample >= 0).any()
     path = tmp_path / "d.cir"
     save_cir(path, frames, config, SensingLink("UE", "UE"))
     back, _ = load_cir(path)
-    for got, want in zip(back[0].paths, frames[0].paths):
-        assert got.key == want.key
-        assert got.amplitude == want.amplitude
+    for got, want in zip(back, frames):
+        assert_same_frame(got, want)
+
+
+def _swap_key(key):
+    kind, facets, sample = key
+    return kind, facets[::-1], sample
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(0.05, 1.95))
+def test_swapping_tx_and_rx_keeps_every_delay_and_doppler(t):
+    """Reciprocity on the spin rig: UE -> BS traces every BS -> UE path
+    backwards (facet sequences reversed) with the same tau and nu."""
+    scene = scene_from_dict(spin_rig_doc())
+    config = ChirpConfig()
+    trace = TraceConfig(max_specular_order=3, diffuse_samples_per_facet=4)
+    fwd, back = (simulate_cir(scene, SensingLink(tx, rx), config, trace, t0=t,
+                              n_chirps=1)[0].paths
+                 for tx, rx in (("BS", "UE"), ("UE", "BS")))
+    assert len(fwd) >= 4
+    rows = {_swap_key(key): i for i, key in enumerate(back.keys())}
+    assert sorted(rows) == sorted(fwd.keys())
+    order = [rows[key] for key in fwd.keys()]
+    assert back.tau[order] == pytest.approx(fwd.tau, rel=1e-12)
+    assert back.nu[order] == pytest.approx(fwd.nu, rel=1e-9, abs=1e-6)
+
+
+def _frame_strategy(draw, epoch):
+    n = draw(st.integers(0, 6))
+    hops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    width = draw(st.integers(max(hops, default=0), 3))
+    facets = np.full((n, width), -1, np.int32)
+    for i, h in enumerate(hops):
+        facets[i, width - h:] = draw(st.lists(st.integers(0, 2 ** 31 - 1),
+                                              min_size=h, max_size=h))
+    ints = st.lists(st.integers(-1, 2 ** 31 - 1), min_size=n, max_size=n)
+    floats = st.lists(st.floats(width=64), min_size=2 * n, max_size=2 * n)
+    a = np.array(draw(floats)).view(complex)
+    paths = PathTable(np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                               np.uint8),
+                      np.array(hops, np.uint8), facets, np.array(draw(ints), np.int32), a=a,
+                      tau=np.array(draw(floats))[:n], nu=np.array(draw(floats))[n:])
+    return CirFrame(epoch, draw(st.floats(width=64)), paths,
+                    draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
+    frames = [_frame_strategy(data.draw, epoch)
+              for epoch in range(data.draw(st.integers(0, 4)))]
+    path = tmp_path_factory.mktemp("cir") / "random.cir"
+    save_cir(path, frames, ChirpConfig(), SensingLink("UE", "UE"), frozen_clock=True)
+    back, header = load_cir(path)
+    assert header["n_frames"] == len(back) == len(frames)
+    for got, want in zip(back, frames):
+        assert_same_frame(got, want)

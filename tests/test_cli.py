@@ -152,6 +152,30 @@ def test_process_rejects_zero_stride(artifacts, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_process_rejects_num_windows_below_one(artifacts, tmp_path, capsys, count):
+    cir = str(artifacts["out"] / "run.cir")
+    assert main(["process", "--cir", cir, "-N", "8", "--num-windows", count,
+                 "-o", str(tmp_path)]) == 2
+    assert "--num-windows must be a positive integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_truncated_map_and_padded_pdp_are_input_errors(artifacts, tmp_path, capsys):
+    out = artifacts["out"]
+    ddm = (out / "run_w000000.ddm").read_bytes()
+    cut = tmp_path / "cut.ddm"
+    cut.write_bytes(ddm[:-8])
+    assert main(["compare", "--reference", str(out / "run_pred_w000000.ddm"),
+                 "--test", str(cut), "-o", str(tmp_path)]) == 2
+    assert "truncated" in capsys.readouterr().err
+    for name in ("run.pdp", "run_w000000.ddm", "run.cir"):
+        padded = tmp_path / f"padded_{name}"
+        padded.write_bytes((out / name).read_bytes() + b"\0" * 8)
+        assert main(["info", str(padded)]) == 2, name
+        assert "8 bytes after the declared payload" in capsys.readouterr().err
+
+
 def test_info_on_static_scene(tmp_path, capsys):
     doc = plates_scene_doc()
     doc["facets"] = doc["facets"][:1]

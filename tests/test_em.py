@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from rftwin.em import (
     SPEED_OF_LIGHT,
-    amplitude_of,
     amplitudes_of,
     fresnel_reflection,
     lobe_gain,
@@ -17,13 +16,35 @@ from rftwin.em import (
     split_power,
 )
 from rftwin.kinematics import snapshot
-from rftwin.raytrace import TraceConfig, trace_diffuse, trace_los, trace_specular
+from rftwin.raytrace import PathTable, TraceConfig, trace_diffuse, trace_los, trace_specular
 from rftwin.scene import Material, boresight_angles, scene_from_dict
 
 from conftest import spin_rig_doc, two_ray_doc
 
 F_C = 79e9
 LAMBDA = SPEED_OF_LIGHT / F_C
+
+
+def amplitude_of(paths, snap, scene, f_c):
+    """Amplitude and dB budget of the single row of a BS -> UE table."""
+    assert len(paths) == 1
+    return amplitudes_of(paths, snap, scene, "BS", "UE", f_c, with_breakdown=True)[0]
+
+
+def geometry(paths, i):
+    """Points, length, departure, arrival and per-hop k_in/k_out of row i."""
+    pts = paths.points[i, paths.facets.shape[1] - int(paths.hops[i]):]
+    segs = np.diff(pts, axis=0)
+    k = segs / np.linalg.norm(segs, axis=1)[:, None]
+    return {"points": pts, "length": float(np.linalg.norm(segs, axis=1).sum()),
+            "segments": np.linalg.norm(segs, axis=1), "departure": k[0],
+            "arrival": k[-1], "k_in": k[:-1], "k_out": k[1:]}
+
+
+def all_paths(snap, config):
+    return PathTable.concat([trace_los(snap, "BS", "UE", config),
+                             trace_specular(snap, "BS", "UE", config),
+                             trace_diffuse(snap, "BS", "UE", config)])
 
 
 def closed_form_gamma(material, theta, f_c):
@@ -155,9 +176,10 @@ def test_los_amplitude_includes_both_antenna_gains():
     snap = snapshot(scene, 0.0)
     los = trace_los(snap, "BS", "UE")
     amp = amplitude_of(los, snap, scene, F_C)
-    d = los.total_length
-    g_tx = pattern_gain_db(scene.transceivers["BS"], los.departure)
-    g_rx = pattern_gain_db(scene.transceivers["UE"], -los.arrival)
+    geo = geometry(los, 0)
+    d = geo["length"]
+    g_tx = pattern_gain_db(scene.transceivers["BS"], geo["departure"])
+    g_rx = pattern_gain_db(scene.transceivers["UE"], -geo["arrival"])
     expected = LAMBDA / (4 * np.pi * d) * 10 ** ((g_tx + g_rx) / 20.0)
     assert amp.magnitude == pytest.approx(expected, rel=1e-12)
     assert amp.breakdown["tx_gain_db"] == pytest.approx(g_tx)
@@ -167,18 +189,19 @@ def test_los_amplitude_includes_both_antenna_gains():
 def test_specular_amplitude_reimplemented():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
-    path = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))[0]
-    amp = amplitude_of(path, snap, scene, F_C)
+    paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))
+    amp = amplitude_of(paths, snap, scene, F_C)
+    path = geometry(paths, 0)
 
     mat = scene.materials["concrete"]
-    theta = np.arccos(abs(float(path.k_in[0] @ snap.pack.normals[0])))
+    theta = np.arccos(abs(float(path["k_in"][0] @ snap.pack.normals[0])))
     gamma = closed_form_gamma(mat, theta, F_C)
-    g_tx = pattern_gain_db(scene.transceivers["BS"], path.departure)
-    g_rx = pattern_gain_db(scene.transceivers["UE"], -path.arrival)
-    expected_mag = (LAMBDA / (4 * np.pi * path.total_length)
+    g_tx = pattern_gain_db(scene.transceivers["BS"], path["departure"])
+    g_rx = pattern_gain_db(scene.transceivers["UE"], -path["arrival"])
+    expected_mag = (LAMBDA / (4 * np.pi * path["length"])
                     * 10 ** ((g_tx + g_rx) / 20.0)
                     * mat.reflection_reduction * abs(gamma))
-    expected_phase = (-2 * np.pi * F_C * path.total_length / SPEED_OF_LIGHT
+    expected_phase = (-2 * np.pi * F_C * path["length"] / SPEED_OF_LIGHT
                       + cmath.phase(gamma))
     assert amp.magnitude == pytest.approx(expected_mag, rel=1e-12)
     # compare phases on the circle
@@ -191,21 +214,25 @@ def test_diffuse_amplitude_reimplemented():
     snap = snapshot(scene, 0.0)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = trace_diffuse(snap, "BS", "UE", config)
-    amps = amplitudes_of(paths, snap, scene, F_C)
+    amps = amplitudes_of(paths, snap, scene, "BS", "UE", F_C)
     mat = scene.materials["concrete"]
     normal = snap.pack.normals[0]
-    for path, amp in zip(paths, amps):
-        d1, d2 = path.segment_lengths
-        cos_i = abs(float(path.k_in[0] @ normal))
-        cos_s = max(float(path.k_out[0] @ normal), 0.0)
+    assert len(paths) == 4
+    for i, amp in enumerate(amps):
+        path = geometry(paths, i)
+        d1, d2 = path["segments"]
+        k_in, k_out = path["k_in"][0], path["k_out"][0]
+        cos_i = abs(float(k_in @ normal))
+        cos_s = max(float(k_out @ normal), 0.0)
         gamma = closed_form_gamma(mat, np.arccos(cos_i), F_C)
-        f_lobe = lobe_gain(path.k_mirror[0], path.k_out[0], mat.lobe_exponent)
-        g_tx = pattern_gain_db(scene.transceivers["BS"], path.departure)
-        g_rx = pattern_gain_db(scene.transceivers["UE"], -path.arrival)
+        k_mirror = k_in - 2.0 * float(k_in @ normal) * normal
+        f_lobe = lobe_gain(k_mirror, k_out, mat.lobe_exponent)
+        g_tx = pattern_gain_db(scene.transceivers["BS"], path["departure"])
+        g_rx = pattern_gain_db(scene.transceivers["UE"], -path["arrival"])
         expected = (LAMBDA / (4 * np.pi * d1 * d2)
                     * 10 ** ((g_tx + g_rx) / 20.0)
                     * mat.scattering_coeff * abs(gamma)
-                    * np.sqrt(path.effective_area * cos_i * cos_s * f_lobe))
+                    * np.sqrt(paths.area[i] * cos_i * cos_s * f_lobe))
         assert abs(amp) == pytest.approx(expected, rel=1e-10)
 
 
@@ -213,13 +240,11 @@ def test_breakdown_terms_sum_to_magnitude():
     scene = scene_from_dict(spin_rig_doc())
     snap = snapshot(scene, 0.5)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
-    paths = [trace_los(snap, "BS", "UE", config)]
-    paths += trace_specular(snap, "BS", "UE", config)
-    paths += trace_diffuse(snap, "BS", "UE", config)
-    paths = [p for p in paths if p is not None]
+    paths = all_paths(snap, config)
     assert len(paths) >= 4
-    for p in paths:
-        amp = amplitude_of(p, snap, scene, F_C)
+    amps = amplitudes_of(paths, snap, scene, "BS", "UE", F_C, with_breakdown=True)
+    for amp, (_, facets, _) in zip(amps, paths.keys()):
+        assert len(amp.breakdown) == 3 + len(facets)
         assert sum(amp.breakdown.values()) == pytest.approx(
             20 * np.log10(amp.magnitude), abs=1e-9)
         assert amp.complex_amplitude == pytest.approx(
@@ -230,18 +255,18 @@ def test_vectorized_amplitudes_match_singles():
     scene = scene_from_dict(spin_rig_doc())
     snap = snapshot(scene, 0.5)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
-    paths = [trace_los(snap, "BS", "UE", config)]
-    paths += trace_specular(snap, "BS", "UE", config)
-    paths += trace_diffuse(snap, "BS", "UE", config)
-    paths = [p for p in paths if p is not None]
-    batch = amplitudes_of(paths, snap, scene, F_C)
-    for p, a in zip(paths, batch):
-        single = amplitude_of(p, snap, scene, F_C).complex_amplitude
+    paths = all_paths(snap, config)
+    batch = amplitudes_of(paths, snap, scene, "BS", "UE", F_C)
+    budgets = amplitudes_of(paths, snap, scene, "BS", "UE", F_C, with_breakdown=True)
+    for i, (a, budget) in enumerate(zip(batch, budgets)):
+        single = amplitude_of(paths.take([i]), snap, scene, F_C).complex_amplitude
         assert a == pytest.approx(single, rel=1e-12)
+        assert a == pytest.approx(budget.complex_amplitude, rel=1e-12)
 
 
 def test_empty_path_list():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
-    assert len(amplitudes_of([], snap, scene, F_C)) == 0
-    assert amplitudes_of([], snap, scene, F_C, with_breakdown=True) == []
+    empty = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=0))
+    assert len(amplitudes_of(empty, snap, scene, "BS", "UE", F_C)) == 0
+    assert amplitudes_of(empty, snap, scene, "BS", "UE", F_C, with_breakdown=True) == []

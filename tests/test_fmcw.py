@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.constants import Boltzmann
 
-from rftwin.channel import ChirpConfig, CirFrame, CirPath
+from conftest import cir_frame
+from rftwin.channel import ChirpConfig
 from rftwin.fmcw import (
     BeatFrame,
     NoiseConfig,
@@ -31,12 +32,14 @@ DELAY_STEP = (CFG.f_samp / NS) / CFG.slope      # one delay bin in seconds
 DOPPLER_STEP = 1.0 / (128 * CFG.pri)            # one Doppler bin at N = 128
 
 
-def tap(amplitude, delay, doppler, kind="specular"):
-    return CirPath(amplitude, delay, doppler, kind, (0,), None)
+def tap(amplitude, delay, doppler):
+    return amplitude, delay, doppler
 
 
-def make_frames(paths, n, t0=0.0):
-    return [CirFrame(k, t0 + k * CFG.pri, list(paths)) for k in range(n)]
+def make_frames(taps, n, t0=0.0):
+    """n frames carrying the same taps, each tap its own path key."""
+    a, tau, nu = zip(*taps) if taps else ((), (), ())
+    return [cir_frame(k, t0 + k * CFG.pri, a, tau, nu) for k in range(n)]
 
 
 def wrap(phi):
@@ -288,7 +291,7 @@ def test_noise_is_deterministic_and_keyed_by_epoch():
 
 
 def test_noise_variance_matches_config():
-    frames = [CirFrame(k, k * CFG.pri, []) for k in range(64)]
+    frames = make_frames([], 64)
     noise = NoiseConfig(enabled=True, seed=11)
     beats = synth_beat(frames, CFG, noise)
     samples = np.concatenate([b.samples for b in beats])

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from rftwin.channel import doppler_of
 from rftwin.geometry import facet_normal
 from rftwin.kinematics import build_trajectories, snapshot
 from rftwin.raytrace import (
+    PathTable,
     TraceConfig,
     _chain_table,
     build_sample_patterns,
     diffuse_sample_count,
     diffuse_sample_pattern,
-    path_doppler,
     trace_diffuse,
     trace_los,
     trace_specular,
@@ -53,12 +54,27 @@ def total_length(points):
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
+def lengths(paths):
+    return paths.segment_lengths().sum(axis=1)
+
+
+def by_facets(paths):
+    """Row index per facet sequence."""
+    return {facets: i for i, (_, facets, _) in enumerate(paths.keys())}
+
+
+def path_points(paths, i):
+    """TX, hits..., RX of row i, without the left padding."""
+    return paths.points[i, paths.facets.shape[1] - int(paths.hops[i]):]
+
+
 def test_ground_bounce_matches_brute_force_minimum():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))
     assert len(paths) == 1
-    bounce = paths[0]
+    bounce = path_points(paths, 0)
+    length = lengths(paths)[0]
 
     tx = np.array([0.0, 0.0, 10.0])
     rx = np.array([30.0, 0.0, 1.5])
@@ -70,22 +86,25 @@ def test_ground_bounce_matches_brute_force_minimum():
     res = minimize(path_len, x0=[20.0, 1.0], method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12})
     assert res.success
-    assert np.allclose(bounce.points[1][:2], res.x, atol=1e-6)
-    assert bounce.total_length == pytest.approx(res.fun, abs=1e-6)
+    assert np.allclose(bounce[1][:2], res.x, atol=1e-6)
+    assert length == pytest.approx(res.fun, abs=1e-6)
     # closed form: image of the BS below the ground plane
     x_star = 30.0 * 10.0 / 11.5
-    assert bounce.points[1] == pytest.approx([x_star, 0.0, 0.0], abs=1e-9)
-    assert bounce.total_length == pytest.approx(np.hypot(30.0, 11.5), abs=1e-9)
+    assert bounce[1] == pytest.approx([x_star, 0.0, 0.0], abs=1e-9)
+    assert length == pytest.approx(np.hypot(30.0, 11.5), abs=1e-9)
     # mirror law at the bounce point
-    assert np.allclose(bounce.k_mirror[0], bounce.k_out[0], atol=1e-12)
+    k_in, k_out = (np.diff(bounce, axis=0).T / np.linalg.norm(np.diff(bounce, axis=0), axis=1)).T
+    n = snap.pack.normals[0]
+    assert np.allclose(k_in - 2.0 * (k_in @ n) * n, k_out, atol=1e-12)
 
 
 def test_double_bounce_length_equals_unfolded_image_distance():
     scene = scene_from_dict(corridor_doc())
     snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=2))
-    by_seq = {p.facet_indices: p for p in paths}
+    by_seq = by_facets(paths)
     assert set(by_seq) == {(0,), (1,), (0, 1), (1, 0)}
+    length = lengths(paths)
 
     tx = np.array([1.0, 2.0, 1.0])
     rx = np.array([4.0, 8.0, 1.2])
@@ -97,20 +116,20 @@ def test_double_bounce_length_equals_unfolded_image_distance():
 
     left_right = np.linalg.norm(mirror_x(mirror_x(tx, 0.0), 5.0) - rx)
     right_left = np.linalg.norm(mirror_x(mirror_x(tx, 5.0), 0.0) - rx)
-    assert by_seq[(0, 1)].total_length == pytest.approx(left_right, abs=1e-6)
-    assert by_seq[(1, 0)].total_length == pytest.approx(right_left, abs=1e-6)
+    assert length[by_seq[(0, 1)]] == pytest.approx(left_right, abs=1e-6)
+    assert length[by_seq[(1, 0)]] == pytest.approx(right_left, abs=1e-6)
     # both bounce points on their walls, path length consistent with points
-    p = by_seq[(0, 1)]
-    assert p.points[1][0] == pytest.approx(0.0, abs=1e-9)
-    assert p.points[2][0] == pytest.approx(5.0, abs=1e-9)
-    assert p.total_length == pytest.approx(total_length(p.points), abs=1e-12)
+    p = path_points(paths, by_seq[(0, 1)])
+    assert p[1][0] == pytest.approx(0.0, abs=1e-9)
+    assert p[2][0] == pytest.approx(5.0, abs=1e-9)
+    assert length[by_seq[(0, 1)]] == pytest.approx(total_length(p), abs=1e-12)
 
 
 def test_triple_bounce_length_identity():
     scene = scene_from_dict(corridor_doc())
     snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=3))
-    by_seq = {p.facet_indices: p for p in paths}
+    by_seq = by_facets(paths)
     assert (0, 1, 0) in by_seq and (1, 0, 1) in by_seq
 
     tx = np.array([1.0, 2.0, 1.0])
@@ -118,7 +137,7 @@ def test_triple_bounce_length_identity():
     img = tx.copy()
     for plane in (0.0, 5.0, 0.0):
         img[0] = 2.0 * plane - img[0]
-    assert by_seq[(0, 1, 0)].total_length == pytest.approx(
+    assert lengths(paths)[by_seq[(0, 1, 0)]] == pytest.approx(
         np.linalg.norm(img - rx), abs=1e-6)
 
 
@@ -129,23 +148,23 @@ def test_los_occlusion_toggle():
                           "material": "concrete"})
     scene = scene_from_dict(doc)
     snap = snapshot(scene, 0.0)
-    assert trace_los(snap, "BS", "UE") is None
+    assert len(trace_los(snap, "BS", "UE")) == 0
     # the screen also shadows the ground bounce
-    assert trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1)) == []
+    assert len(trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))) == 0
 
     doc["facets"][1]["vertices"] = [[15.0, 3.0, 0.0], [15.0, 3.0, 12.0],
                                     [15.0, 5.0, 12.0], [15.0, 5.0, 0.0]]
     snap = snapshot(scene_from_dict(doc), 0.0)
     los = trace_los(snap, "BS", "UE")
-    assert los is not None
-    assert los.total_length == pytest.approx(np.hypot(30.0, 8.5), abs=1e-12)
+    assert len(los) == 1 and los.kind[0] == 0 and los.hops[0] == 0
+    assert lengths(los)[0] == pytest.approx(np.hypot(30.0, 8.5), abs=1e-12)
     assert len(trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))) == 1
 
 
 def test_colocated_pair_has_no_los():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
-    assert trace_los(snap, "BS", "BS") is None
+    assert len(trace_los(snap, "BS", "BS")) == 0
 
 
 def test_one_sided_facets_need_both_endpoints_in_front():
@@ -154,8 +173,8 @@ def test_one_sided_facets_need_both_endpoints_in_front():
     doc["facets"][0]["vertices"] = doc["facets"][0]["vertices"][::-1]
     scene = scene_from_dict(doc)
     snap = snapshot(scene, 0.0)
-    assert trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1)) == []
-    assert trace_diffuse(snap, "BS", "UE", TraceConfig(diffuse_samples_per_facet=4)) == []
+    assert len(trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))) == 0
+    assert len(trace_diffuse(snap, "BS", "UE", TraceConfig(diffuse_samples_per_facet=4))) == 0
 
 
 def test_reflection_foot_outside_facet_is_rejected():
@@ -165,7 +184,7 @@ def test_reflection_foot_outside_facet_is_rejected():
                                     [20.0, 5.0, 0.0], [10.0, 5.0, 0.0]]
     scene = scene_from_dict(doc)
     snap = snapshot(scene, 0.0)
-    assert trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1)) == []
+    assert len(trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))) == 0
 
 
 def test_trace_config_validation():
@@ -203,12 +222,11 @@ def test_diffuse_paths_cover_facet_and_sum_area():
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = trace_diffuse(snap, "BS", "UE", config)
     assert len(paths) == diffuse_sample_count(200.0, config)
-    assert sum(p.effective_area for p in paths) == pytest.approx(200.0, rel=1e-12)
-    pts = np.array([p.points[1] for p in paths])
-    assert snap.pack.contains(pts[:, None, :]).all()
-    assert len({p.sample_index for p in paths}) == len(paths)
-    for p in paths[:5]:
-        assert p.total_length == pytest.approx(total_length(p.points), abs=1e-12)
+    assert paths.area.sum() == pytest.approx(200.0, rel=1e-12)
+    assert snap.pack.contains(paths.points[:, 1, None, :]).all()
+    assert len(set(paths.sample.tolist())) == len(paths)
+    assert (paths.kind == 2).all() and (paths.hops == 1).all() and (paths.facets == 0).all()
+    assert lengths(paths) == pytest.approx([total_length(p) for p in paths.points], abs=1e-12)
 
 
 def test_diffuse_respects_occlusion_per_sample():
@@ -224,11 +242,10 @@ def test_diffuse_respects_occlusion_per_sample():
     config = TraceConfig(diffuse_samples_per_facet=16, subdivide_area=1e9)
     open_paths = trace_diffuse(snapshot(scene_from_dict(two_ray_doc()), 0.0),
                                "BS", "UE", config)
-    shadowed = [p for p in trace_diffuse(snap, "BS", "UE", config)
-                if p.facet_indices == (0,)]
+    paths = trace_diffuse(snap, "BS", "UE", config)
+    shadowed = paths.points[paths.facets[:, 0] == 0, 1]
     assert 0 < len(shadowed) < len(open_paths)
-    for p in shadowed:
-        assert p.points[1][0] > 23.74
+    assert (shadowed[:, 0] > 23.74).all()
 
 
 def test_build_sample_patterns_matches_per_facet_calls():
@@ -239,13 +256,6 @@ def test_build_sample_patterns_matches_per_facet_calls():
     assert np.array_equal(patterns[0].weights, direct.weights)
 
 
-def path_by_key(paths, key):
-    for p in paths:
-        if p.key == key:
-            return p
-    return None
-
-
 def test_path_doppler_matches_finite_difference_of_length():
     scene = scene_from_dict(spin_rig_doc())
     traj = build_trajectories(scene)
@@ -254,27 +264,23 @@ def test_path_doppler_matches_finite_difference_of_length():
 
     def all_paths(tt):
         snap = snapshot(scene, tt, traj)
-        paths = []
-        los = trace_los(snap, "BS", "UE", config)
-        if los is not None:
-            paths.append(los)
-        paths += trace_specular(snap, "BS", "UE", config)
-        paths += trace_diffuse(snap, "BS", "UE", config)
-        return snap, paths
+        return snap, PathTable.concat([trace_los(snap, "BS", "UE", config),
+                                       trace_specular(snap, "BS", "UE", config),
+                                       trace_diffuse(snap, "BS", "UE", config)])
 
     snap, paths = all_paths(t)
-    _, before = all_paths(t - h)
-    _, after = all_paths(t + h)
+    nu = doppler_of(paths, snap, "BS", "UE", F_C)
+    (_, before), (_, after) = all_paths(t - h), all_paths(t + h)
+    length_m = dict(zip(before.keys(), lengths(before)))
+    length_p = dict(zip(after.keys(), lengths(after)))
     assert len(paths) >= 6
     checked = 0
-    for p in paths:
-        pm, pp = path_by_key(before, p.key), path_by_key(after, p.key)
-        if pm is None or pp is None:
+    for key, nu_path in zip(paths.keys(), nu):
+        if key not in length_m or key not in length_p:
             continue
-        rate_fd = (pp.total_length - pm.total_length) / (2.0 * h)
+        rate_fd = (length_p[key] - length_m[key]) / (2.0 * h)
         nu_fd = -(F_C / C) * rate_fd
-        nu = path_doppler(p, snap, F_C)
-        assert nu == pytest.approx(nu_fd, abs=max(0.5, 1e-4 * abs(nu_fd)))
+        assert nu_path == pytest.approx(nu_fd, abs=max(0.5, 1e-4 * abs(nu_fd)))
         checked += 1
     assert checked >= 6
 
@@ -287,20 +293,20 @@ def test_path_doppler_sign_convention():
     scene = scene_from_dict(doc)
     snap = snapshot(scene, 0.5)
     los = trace_los(snap, "BS", "UE")
-    assert los is not None
-    assert path_doppler(los, snap, F_C) > 0.0
+    assert len(los) == 1
+    assert doppler_of(los, snap, "BS", "UE", F_C)[0] > 0.0
 
 
 def test_specular_order_and_stable_sort():
     scene = scene_from_dict(corridor_doc())
     snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=2))
-    orders = [p.order for p in paths]
+    orders = paths.hops.tolist()
     assert orders == sorted(orders)
-    seqs = [p.facet_indices for p in paths]
+    seqs = paths.keys()
     assert len(seqs) == len(set(seqs))
     again = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=2))
-    assert seqs == [p.facet_indices for p in again]
+    assert seqs == again.keys()
 
 
 def test_chain_table_counts_and_order():
@@ -422,7 +428,8 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
         reference.update(_reference_chains(facets, txp, rxp, order))
     # Every full face mirrors once; the panels all lie on the faces of a
     # convex box, so nothing is occluded and every candidate survives.
-    assert sum(p.order == 1 for p in paths) >= scales.count(1.0)
-    assert [p.facet_indices for p in paths] == sorted(reference, key=lambda s: (len(s), s))
-    for p in paths:
-        assert np.abs(p.points - reference[p.facet_indices]).max() < 1e-9
+    assert np.count_nonzero(paths.hops == 1) >= scales.count(1.0)
+    seqs = [facets for _, facets, _ in paths.keys()]
+    assert seqs == sorted(reference, key=lambda s: (len(s), s))
+    for i, seq in enumerate(seqs):
+        assert np.abs(path_points(paths, i) - reference[seq]).max() < 1e-9
