@@ -9,7 +9,7 @@ dropped and counted per frame.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,10 +63,7 @@ class ChirpConfig:
         return n_chirps * self.pri
 
     def to_dict(self) -> dict:
-        return {"f_c": self.f_c, "bandwidth": self.bandwidth,
-                "t_chirp": self.t_chirp, "t_idle": self.t_idle,
-                "slope": self.slope, "f_samp": self.f_samp,
-                "n_chirps_total": self.n_chirps_total}
+        return asdict(self)
 
 
 def max_range(config: ChirpConfig, mode: str = "mono") -> float:
@@ -113,10 +110,6 @@ def doppler_of(paths: PathTable, snap: WorldSnapshot, tx_id: str, rx_id: str,
     left-aligned (TX in column 0) before the sum, so a path's Doppler does
     not depend on the padding of the table it sits in.
     """
-    n = len(paths)
-    if n == 0:
-        return np.zeros(0)
-    width = paths.points.shape[1]
     vel = np.zeros(paths.points.shape)
     vel[:, :-1] = snap.transceiver_state(tx_id).velocity
     vel[:, -1] = snap.transceiver_state(rx_id).velocity
@@ -129,10 +122,8 @@ def doppler_of(paths: PathTable, snap: WorldSnapshot, tx_id: str, rx_id: str,
         if on.any():
             hit_vel[on] = snap.body_point_velocity(body_id, paths.points[:, 1:-1][on])
 
-    cols = np.arange(width) + (width - 2 - paths.hops.astype(int))[:, None]
-    live = cols < width
-    rows, cols = np.arange(n)[:, None], np.minimum(cols, width - 1)
-    pts, vel = paths.points[rows, cols], vel[rows, cols]
+    index, live = paths.left_aligned()
+    pts, vel = paths.points[index], vel[index]
     segs = np.diff(pts, axis=1)
     norms = np.linalg.norm(segs, axis=2)
     units = np.where(live[:, 1:, None], segs / np.maximum(norms, 1e-300)[..., None], 0.0)
@@ -198,12 +189,7 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
               "t0": t0, "n_frames": len(frames),
               "created": "frozen" if frozen_clock else now()}
     if trace is not None:
-        header["trace"] = {"max_specular_order": trace.max_specular_order,
-                           "diffuse_enabled": trace.diffuse_enabled,
-                           "diffuse_samples_per_facet": trace.diffuse_samples_per_facet,
-                           "occlusion_epsilon": trace.occlusion_epsilon,
-                           "seed": trace.seed,
-                           "subdivide_area": trace.subdivide_area}
+        header["trace"] = asdict(trace)
     if extra:
         header.update(extra)
 
@@ -233,13 +219,11 @@ def load_cir(path) -> tuple[list[CirFrame], dict]:
         flat = body.take("<i4", int(hops.sum()))
         if (kind >= len(KINDS)).any() or (flat < 0).any():
             raise ValueError(f"{path}: frame {epoch}: unknown kind code or negative facet index")
-        width = int(hops.max(initial=0))
-        facets = np.full((n, width), -1, np.int32)
-        facets[np.arange(width) >= width - hops[:, None].astype(int)] = flat
         a = np.empty(n, dtype=complex)
         a.real, a.imag = a_re, a_im
-        frames.append(CirFrame(epoch, t, PathTable(kind, hops, facets, body.take("<i4", n),
-                                                   a=a, tau=tau, nu=nu), dropped))
+        frames.append(CirFrame(epoch, t, PathTable(kind, hops, PathTable.facet_rows(hops, flat),
+                                                   body.take("<i4", n), a=a, tau=tau, nu=nu),
+                               dropped))
     body.end()
     return frames, header
 

@@ -32,7 +32,7 @@ from scipy.constants import epsilon_0
 from .geometry import cross, reflect_direction
 from .kinematics import WorldSnapshot
 from .raytrace import KINDS, PathTable
-from .scene import AntennaPattern, Scene, boresight_angles, unit
+from .scene import AntennaPattern, Material, Scene, boresight_angles, unit
 
 # Rounded engineering value; the radar timing tables in the validated
 # configuration are built on it, and the range identities only reproduce
@@ -110,6 +110,9 @@ class PathAmplitude:
         return complex(self.magnitude * np.exp(1j * self.phase))
 
 
+_FREE_SPACE = Material("free space", 1.0, 0.0, 0.0, 1)
+
+
 def _antenna_frame(boresight: np.ndarray) -> np.ndarray:
     """Rows are the antenna frame axes (x boresight, z near global up)."""
     x = unit(np.asarray(boresight, dtype=float))
@@ -136,27 +139,25 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
     Returns a complex array, or a list of PathAmplitude when with_breakdown
     is set.
     """
-    n = len(paths)
-    if n == 0:
+    if not len(paths):
         return [] if with_breakdown else np.zeros(0, dtype=complex)
 
     lam = SPEED_OF_LIGHT / f_c
-    k = paths.facets.shape[1]
     hop_mask = paths.facets >= 0                            # (n, k)
-    fidx = np.maximum(paths.facets, 0)
-    rows = np.arange(n)
+    first = paths.first()
+    rows = np.arange(len(paths))
     segs = np.diff(paths.points, axis=1)                    # (n, k + 1, 3)
     seg_len = np.linalg.norm(segs, axis=2)
     # Padding segments have zero length and stay zero vectors.
     units = segs / np.where(seg_len > 0.0, seg_len, 1.0)[..., None]
     k_in, k_out = units[:, :-1], units[:, 1:]
-    departures = segs[rows, k - paths.hops.astype(int)]
+    departures = segs[rows, first]
     arrivals = segs[:, -1]
     departures = departures / np.sqrt(np.vecdot(departures, departures))[:, None]
     arrivals = arrivals / np.sqrt(np.vecdot(arrivals, arrivals))[:, None]
     is_diffuse = paths.kind == KINDS.index("diffuse")
     lengths = seg_len.sum(axis=1)
-    spread_len = np.where(is_diffuse, np.prod(seg_len[:, -2:], axis=1), lengths)
+    spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
 
     tx_gain_db = _gains_db(scene.transceiver(tx_id).pattern,
                            _antenna_frame(snap.transceiver_state(tx_id).boresight),
@@ -166,28 +167,22 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
                            -arrivals)
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
+    # The material tables end in free space and the normals in a zero
+    # normal, which the -1 facet padding picks, also in a scene without
+    # facets.  The factors of padded slots are masked below.
     materials = list(scene.materials.values())
-    if not materials:
-        materials = [None]
-        eps_table = np.array([1.0 + 0j])
-        s_table, r_table = np.array([0.0]), np.array([1.0])
-        alpha_table, norm_table = np.array([1.0]), np.array([lobe_normalization(1)])
-        mat_index = {}
-    else:
-        mat_index = {m.name: j for j, m in enumerate(materials)}
-        eps_table = np.array([_complex_permittivity(m.rel_permittivity,
-                                                    m.conductivity, f_c)
-                              for m in materials])
-        s_table = np.array([m.scattering_coeff for m in materials])
-        r_table = np.sqrt(1.0 - s_table ** 2)
-        alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
-        norm_table = np.array([lobe_normalization(m.lobe_exponent) for m in materials])
-    facet_mat = np.array([mat_index[f.material_id] for f in snap.facets], dtype=int)
-
-    normals = snap.pack.normals[fidx]                       # (n, k, 3)
+    mat_index = {m.name: j for j, m in enumerate(materials)}
+    materials.append(_FREE_SPACE)
+    eps_table = np.array([_complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
+                          for m in materials])
+    s_table = np.array([m.scattering_coeff for m in materials])
+    r_table = np.sqrt(1.0 - s_table ** 2)
+    alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
+    norm_table = np.array([lobe_normalization(m.lobe_exponent) for m in materials])
+    mat_at = np.array([mat_index[f.material_id] for f in snap.facets] + [-1])[paths.facets]
+    normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
-    mat_at = facet_mat[fidx]
     eps_at = eps_table[mat_at]
     root = np.sqrt(eps_at - (1.0 - cos_i ** 2))
     # padded hop slots (mask False) can hit 0/0 here; any value works for them
@@ -225,7 +220,7 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
                   "tx_gain_db": float(tx_gain_db[i]),
                   "rx_gain_db": float(rx_gain_db[i])}
             for j, fi in enumerate(facets):
-                col = k - len(facets) + j
-                bd[f"{label}_{j}_facet_{fi}_db"] = float(20.0 * np.log10(factor[i, col]))
+                bd[f"{label}_{j}_facet_{fi}_db"] = float(
+                    20.0 * np.log10(factor[i, first[i] + j]))
         out.append(PathAmplitude(float(magnitude[i]), float(phase[i]), bd))
     return out

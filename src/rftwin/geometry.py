@@ -16,11 +16,16 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors, written by component: the same bits
-    as np.cross without its per-call axis handling."""
-    (ax, ay, az), (bx, by, bz) = np.asarray(a).tolist(), np.asarray(b).tolist()
-    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+def cross(a, b) -> np.ndarray:
+    """Cross product over the last axis, broadcasting, written by component:
+    the same bits as np.cross without its per-call axis handling.  Two single
+    3-vectors go through Python floats, which is faster at that size."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    single = a.ndim == b.ndim == 1
+    (ax, ay, az), (bx, by, bz) = ((v.tolist() if single else (v[..., 0], v[..., 1], v[..., 2]))
+                                  for v in (a, b))
+    out = [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]
+    return np.array(out) if single else np.stack(out, axis=-1)
 
 
 def facet_normal(vertices: np.ndarray) -> np.ndarray:
@@ -102,10 +107,7 @@ class FacetPack:
         # In-plane edge normals n x e, pointing into the facet for a
         # right-handed winding: (e x r) . n = (n x e) . r for r = p - v.
         edges = verts[:, [1, 2, 3, 0]] - verts
-        ex, ey, ez = (edges[..., i] for i in range(3))
-        nx, ny, nz = (self.normals[:, i, None] for i in range(3))
-        self.edge_normals = np.stack([ny * ez - nz * ey, nz * ex - nx * ez,
-                                      nx * ey - ny * ex], axis=-1)   # (F, 4, 3)
+        self.edge_normals = cross(self.normals[:, None], edges)    # (F, 4, 3)
 
     def contains(self, points: np.ndarray, facet_idx=None) -> np.ndarray:
         """Point-in-facet mask, the one containment kernel of the tracer.

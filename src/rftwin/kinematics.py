@@ -100,11 +100,13 @@ class TransceiverState:
 
 @dataclass
 class SnapshotFacet:
-    """World-frame facet at the snapshot instant, keyed by its scene index."""
+    """World-frame facet at the snapshot instant, keyed by its scene index.
+    Rigid motion keeps the area of the scene facet."""
 
     index: int
     vertices: np.ndarray
     normal: np.ndarray
+    area: float
     material_id: str
     body_id: str | None
 
@@ -128,11 +130,8 @@ class WorldSnapshot:
         """Rigid-field velocity of the body at point, or at each row of an
         (..., 3) array of points."""
         pose = self.body_poses[body_id]
-        r, w = np.asarray(point) - pose.position, pose.yaw_rate
-        # omega x r for omega = (0, 0, w), term by term as np.cross forms it
-        return pose.velocity + np.stack([0.0 * r[..., 2] - w * r[..., 1],
-                                         w * r[..., 0] - 0.0 * r[..., 2],
-                                         0.0 * r[..., 1] - 0.0 * r[..., 0]], axis=-1)
+        r = np.asarray(point) - pose.position
+        return pose.velocity + cross((0.0, 0.0, pose.yaw_rate), r)
 
     def transceiver_state(self, tid: str) -> TransceiverState:
         return self.transceiver_states[tid]
@@ -148,8 +147,7 @@ def _pose_transceiver(trx: Transceiver, body_poses) -> TransceiverState:
     offset = rot @ np.asarray(trx.offset_position, dtype=float)
     position = pose.position + offset
     boresight = rot @ np.asarray(trx.offset_boresight, dtype=float)
-    omega = np.array([0.0, 0.0, pose.yaw_rate])
-    velocity = pose.velocity + cross(omega, offset)
+    velocity = pose.velocity + cross((0.0, 0.0, pose.yaw_rate), offset)
     return TransceiverState(position, boresight, velocity)
 
 
@@ -167,12 +165,12 @@ def snapshot(scene: Scene, t: float,
     facets = []
     for f in scene.facets:
         if f.body_id is None:
-            facets.append(SnapshotFacet(f.index, f.vertices, f.normal,
+            facets.append(SnapshotFacet(f.index, f.vertices, f.normal, f.area,
                                         f.material_id, None))
         else:
             pose = body_poses[f.body_id]
             verts = pose.position + f.vertices @ pose.rotation.T
-            facets.append(SnapshotFacet(f.index, verts, facet_normal(verts),
+            facets.append(SnapshotFacet(f.index, verts, facet_normal(verts), f.area,
                                         f.material_id, f.body_id))
 
     states = {tid: _pose_transceiver(trx, body_poses)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import facet_area
 from .kinematics import WorldSnapshot
 from .scene import Scene
 
@@ -117,6 +116,27 @@ class PathTable:
             return np.concatenate(parts)
         return PathTable(**{name: column(name) for name in tables[0]._columns()})
 
+    def first(self) -> np.ndarray:
+        """Per row, the column of its TX in points, which is also the column
+        of its first facet in facets and of its first segment: K - hops."""
+        return self.facets.shape[1] - self.hops.astype(int)
+
+    def left_aligned(self) -> tuple[tuple, np.ndarray]:
+        """Index that shifts a per-point (n, K + 2, ...) column left so every
+        row starts at its TX, and the (n, K + 2) mask of the columns on the
+        path.  Past the RX, where the mask is False, the index repeats RX."""
+        width = self.points.shape[1]
+        cols = np.arange(width) + self.first()[:, None]
+        return (np.arange(len(self))[:, None], np.minimum(cols, width - 1)), cols < width
+
+    @staticmethod
+    def facet_rows(hops: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Right-aligned, -1 padded facet rows from their flat concatenation."""
+        width = int(hops.max(initial=0))
+        facets = np.full((len(hops), width), -1, np.int32)
+        facets[_live(hops, width)] = flat
+        return facets
+
     def segment_lengths(self) -> np.ndarray:
         """(n, K + 1) segment lengths, zero over the left padding."""
         return np.linalg.norm(np.diff(self.points, axis=1), axis=2)
@@ -131,6 +151,12 @@ class PathTable:
     def key_rows(self) -> np.ndarray:
         """The keys as int rows: kind, sample, facets."""
         return np.column_stack([self.kind, self.sample, self.facets]).astype(np.int64)
+
+
+def _live(hops: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) mask of the columns that right-aligned rows of hops
+    entries fill."""
+    return np.arange(width) >= (width - hops.astype(int))[:, None]
 
 
 def _pad_left(column: np.ndarray, width: int) -> np.ndarray:
@@ -243,7 +269,7 @@ def _chain_table(n_facets: int, max_order: int) -> _ChainTable:
         step_facets.append(seq[first[-1]:, k_max - 1 - j])
         image_rows.append(np.concatenate([c[:, c.shape[1] - 1 - j]
                                           for c in codes if c.shape[1] > j]))
-    live = np.arange(k_max)[None, :] >= (k_max - hop)[:, None]
+    live = _live(hop, k_max)
     return _ChainTable(seq, hop, live, tuple(first), tuple(step_facets),
                       tuple(image_rows))
 
@@ -295,7 +321,6 @@ def _trace_chains(pack, txp, rxp, table: _ChainTable):
 class _SamplePattern:
     weights: np.ndarray       # (M, n_vertices) convex vertex weights
     n_samples: int
-    area: float               # facet area the samples share
 
 
 def diffuse_sample_count(area: float, config: TraceConfig) -> int:
@@ -330,7 +355,7 @@ def diffuse_sample_pattern(facet_index: int, n_vertices: int, area: float,
         u = np.where(fold, 1.0 - u, u)
         v = np.where(fold, 1.0 - v, v)
         weights = np.stack([1.0 - u - v, u, v], axis=1)
-    return _SamplePattern(weights, m, area)
+    return _SamplePattern(weights, m)
 
 
 def trace_diffuse(snap: WorldSnapshot, tx_id: str, rx_id: str,
@@ -340,9 +365,9 @@ def trace_diffuse(snap: WorldSnapshot, tx_id: str, rx_id: str,
 
     Samples facing away from either endpoint or with a blocked leg are
     dropped; each survivor carries area = facet area / n_samples.  patterns
-    (from build_sample_patterns) holds the scene facets' patterns and areas,
-    which rigid motion leaves unchanged; without it they are built from the
-    posed facets.
+    (from build_sample_patterns) holds the scene facets' patterns; without it
+    they are built per call.  Rigid motion leaves both the patterns and the
+    facet areas unchanged.
     """
     txp = snap.transceiver_state(tx_id).position
     rxp = snap.transceiver_state(rx_id).position
@@ -357,11 +382,11 @@ def trace_diffuse(snap: WorldSnapshot, tx_id: str, rx_id: str,
         if patterns is not None and facet.index in patterns:
             pat = patterns[facet.index]
         else:
-            pat = diffuse_sample_pattern(facet.index, nv, facet_area(facet.vertices), config)
+            pat = diffuse_sample_pattern(facet.index, nv, facet.area, config)
         points.append(pat.weights @ facet.vertices[:nv])
         owners.append(np.full(pat.n_samples, fi))
         sample_ids.append(np.arange(pat.n_samples))
-        areas.append(np.full(pat.n_samples, pat.area / pat.n_samples))
+        areas.append(np.full(pat.n_samples, facet.area / pat.n_samples))
     if not points:
         return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)))
 

@@ -12,6 +12,7 @@ body are given in the body frame and ride along with it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -231,11 +232,12 @@ class Facet:
         if not convex:
             raise SceneError(f"facet {self.index}: polygon must be convex with consistent winding")
 
-    @property
+    # Cached: snapshots read both for every facet at every epoch.
+    @functools.cached_property
     def normal(self) -> np.ndarray:
         return facet_normal(self.vertices)
 
-    @property
+    @functools.cached_property
     def area(self) -> float:
         return facet_area(self.vertices)
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.constants import epsilon_0
 from scipy.integrate import quad
 
+from rftwin.channel import ChirpConfig, SensingLink, simulate_cir
 from rftwin.em import (
     SPEED_OF_LIGHT,
     amplitudes_of,
@@ -16,7 +17,7 @@ from rftwin.em import (
     split_power,
 )
 from rftwin.kinematics import snapshot
-from rftwin.raytrace import PathTable, TraceConfig, trace_diffuse, trace_los, trace_specular
+from rftwin.raytrace import KINDS, PathTable, TraceConfig, trace_diffuse, trace_los, trace_specular
 from rftwin.scene import Material, boresight_angles, scene_from_dict
 
 from conftest import spin_rig_doc, two_ray_doc
@@ -33,7 +34,7 @@ def amplitude_of(paths, snap, scene, f_c):
 
 def geometry(paths, i):
     """Points, length, departure, arrival and per-hop k_in/k_out of row i."""
-    pts = paths.points[i, paths.facets.shape[1] - int(paths.hops[i]):]
+    pts = paths.points[i, paths.first()[i]:]
     segs = np.diff(pts, axis=0)
     k = segs / np.linalg.norm(segs, axis=1)[:, None]
     return {"points": pts, "length": float(np.linalg.norm(segs, axis=1).sum()),
@@ -164,6 +165,20 @@ def test_free_space_amplitude_at_ten_meters():
     snap_far = snapshot(far, 0.0)
     amp_far = amplitude_of(trace_los(snap_far, "BS", "UE"), snap_far, far, F_C)
     assert amp_far.magnitude == pytest.approx(amp.magnitude / 2.0, rel=1e-12)
+
+
+def test_free_space_cir_has_one_los_tap():
+    # No facets: the LOS row is padded to the width of the diffuse and
+    # specular tables, and its padding indexes no facet.
+    scene = scene_from_dict(isotropic_pair_doc(10.0))
+    frames = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), n_chirps=3)
+    for fr in frames:
+        p = fr.paths
+        assert len(p) == 1 and p.kind[0] == KINDS.index("los") and fr.n_dropped == 0
+        assert p.facets.shape[1] >= 1 and (p.facets == -1).all()
+        assert abs(p.a[0]) == pytest.approx(LAMBDA / (4 * np.pi * 10.0), rel=1e-12)
+        assert p.tau[0] == pytest.approx(10.0 / SPEED_OF_LIGHT, rel=1e-12)
+        assert p.nu[0] == 0.0
 
 
 def pattern_gain_db(trx, direction):

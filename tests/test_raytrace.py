@@ -65,7 +65,7 @@ def by_facets(paths):
 
 def path_points(paths, i):
     """TX, hits..., RX of row i, without the left padding."""
-    return paths.points[i, paths.facets.shape[1] - int(paths.hops[i]):]
+    return paths.points[i, paths.first()[i]:]
 
 
 def test_ground_bounce_matches_brute_force_minimum():
