@@ -46,7 +46,6 @@ _EXPORTS = {
     "load_cir": "channel",
     "max_range": "channel",
     "NoiseConfig": "fmcw",
-    "BeatFrame": "fmcw",
     "synth_beat": "fmcw",
     "range_fft": "fmcw",
     "delay_doppler": "fmcw",

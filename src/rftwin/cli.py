@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 EXIT_OK = 0
@@ -159,10 +160,34 @@ def _load_checked(load, path):
         raise InputError(f"{p}: {exc}") from exc
 
 
+def _export_formats(spec: str) -> list[str]:
+    """The --export comma list; an unknown format is an input error."""
+    formats = [f.strip() for f in spec.split(",") if f.strip()]
+    for f in formats:
+        if f not in ("bin", "csv", "pgm"):
+            raise InputError(f"unknown export format '{f}'")
+    return formats
+
+
+def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
+    """Write one map in each requested format; the names of the files."""
+    from .fmcw import map_to_csv, map_to_pgm, save_map
+
+    written = []
+    for fmt, suffix, write in (("bin", ".ddm", partial(save_map, frozen_clock=frozen_clock)),
+                               ("csv", ".csv", map_to_csv), ("pgm", ".pgm", map_to_pgm)):
+        if fmt in formats:
+            write(f"{base}{suffix}", ddm)
+            written.append(f"{base}{suffix}")
+    return written
+
+
 def cmd_process(args) -> int:
+    import numpy as np
+
     from .channel import ChirpConfig, load_cir
-    from .fmcw import (NoiseConfig, delay_doppler, map_to_csv, map_to_pgm,
-                       pdp_series, pdp_to_csv, save_map, save_pdp, synth_beat)
+    from .fmcw import (NoiseConfig, delay_doppler, pdp_series, pdp_to_csv,
+                       save_pdp, synth_beat)
 
     frames, header = _load_checked(load_cir, args.cir)
     config = ChirpConfig(**header["config"])
@@ -175,46 +200,35 @@ def cmd_process(args) -> int:
     if n > len(frames):
         raise InputError(f"window of {n} chirps exceeds the {len(frames)} "
                          f"frames in {args.cir}")
-    noise = NoiseConfig(enabled=args.noise, noise_figure_db=args.noise_figure,
-                        tx_power_dbm=args.tx_power, seed=args.noise_seed)
-    beats = synth_beat(frames, config, noise)
-
-    out = _out_dir(args)
-    tag = args.tag or Path(args.cir).stem
-    formats = [f.strip() for f in args.export.split(",") if f.strip()]
-    for f in formats:
-        if f not in ("bin", "csv", "pgm"):
-            raise InputError(f"unknown export format '{f}'")
-
-    starts = list(range(args.t0_index, len(beats) - n + 1, stride))
+    formats = _export_formats(args.export)
+    starts = list(range(args.t0_index, len(frames) - n + 1, stride))
     if args.num_windows is not None:
         starts = starts[:args.num_windows]
     if not starts:
         raise InputError(f"no complete {n}-chirp window starts at index "
-                         f"{args.t0_index} in {len(beats)} beat frames")
+                         f"{args.t0_index} in {len(frames)} beat frames")
 
-    pdp = pdp_series(beats, config, window=args.window)
-    pdp.metadata["seed"] = header.get("extra", {}).get("seed")
+    noise = NoiseConfig(enabled=args.noise, noise_figure_db=args.noise_figure,
+                        tx_power_dbm=args.tx_power, seed=args.noise_seed)
+    beats = synth_beat(frames, config, noise)
+    times = np.array([fr.t for fr in frames])
+
+    out = _out_dir(args)
+    tag = args.tag or Path(args.cir).stem
+    pdp = pdp_series(beats, times, config, window=args.window)
+    pdp.metadata["seed"] = header.get("seed")
     if "bin" in formats:
         save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
     if "csv" in formats:
         pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
     written = []
     for start in starts:
-        ddm = delay_doppler(beats, config, t0_index=start, n_chirps=n,
+        ddm = delay_doppler(beats, times, config, t0_index=start, n_chirps=n,
                             window_fast=args.window, window_slow=args.window_slow,
                             zero_pad=args.zero_pad)
-        ddm.metadata["seed"] = header.get("extra", {}).get("seed")
-        base = out / f"{tag}_w{start:06d}"
-        if "bin" in formats:
-            save_map(f"{base}.ddm", ddm, frozen_clock=args.frozen_clock)
-            written.append(f"{base}.ddm")
-        if "csv" in formats:
-            map_to_csv(f"{base}.csv", ddm)
-            written.append(f"{base}.csv")
-        if "pgm" in formats:
-            map_to_pgm(f"{base}.pgm", ddm)
-            written.append(f"{base}.pgm")
+        ddm.metadata["seed"] = header.get("seed")
+        written += _write_map(out / f"{tag}_w{start:06d}", ddm, formats,
+                              args.frozen_clock)
     t_w = config.window_duration(n)
     print(f"processed {len(beats)} beat frames; window {n} chirps "
           f"(T_w = {t_w * 1e3:.5f} ms); wrote {len(written)} map files")
@@ -225,30 +239,22 @@ def cmd_process(args) -> int:
 
 def cmd_predict(args) -> int:
     from .channel import ChirpConfig, load_cir
-    from .fmcw import map_to_csv, map_to_pgm, predicted_map, save_map
+    from .fmcw import predicted_map
 
     frames, header = _load_checked(load_cir, args.cir)
     config = ChirpConfig(**header["config"])
     n = _positive("integer", "N", args.n_chirps)
+    formats = _export_formats(args.export)
     try:
         ddm = predicted_map(frames, config, t0_index=args.t0_index, n_chirps=n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    ddm.metadata["seed"] = header.get("extra", {}).get("seed")
+    ddm.metadata["seed"] = header.get("seed")
 
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
     base = out / f"{tag}_pred_w{args.t0_index:06d}"
-    formats = [f.strip() for f in args.export.split(",") if f.strip()]
-    for f in formats:
-        if f not in ("bin", "csv", "pgm"):
-            raise InputError(f"unknown export format '{f}'")
-    if "bin" in formats:
-        save_map(f"{base}.ddm", ddm, frozen_clock=args.frozen_clock)
-    if "csv" in formats:
-        map_to_csv(f"{base}.csv", ddm)
-    if "pgm" in formats:
-        map_to_pgm(f"{base}.pgm", ddm)
+    _write_map(base, ddm, formats, args.frozen_clock)
     print(f"wrote analytic map {base} (T_w = {ddm.metadata['t_window'] * 1e3:.5f} ms)")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ from scipy.constants import epsilon_0
 from .geometry import cross, reflect_direction
 from .kinematics import WorldSnapshot
 from .raytrace import KINDS, PathTable
-from .scene import AntennaPattern, Material, Scene, boresight_angles, unit
+from .scene import AntennaPattern, Material, Scene, unit
 
 # Rounded engineering value; the radar timing tables in the validated
 # configuration are built on it, and the range identities only reproduce

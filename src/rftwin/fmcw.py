@@ -64,16 +64,9 @@ class NoiseConfig:
         return 10.0 ** ((self.floor_dbm(f_samp) - self.tx_power_dbm) / 10.0)
 
 
-@dataclass
-class BeatFrame:
-    epoch_index: int
-    t: float
-    samples: np.ndarray
-
-
 def synth_beat(frames: list[CirFrame], config: ChirpConfig,
-               noise: NoiseConfig = NoiseConfig()) -> list[BeatFrame]:
-    """Dechirped I/Q samples for every frame (see module docstring).
+               noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
+    """Dechirped I/Q samples, one row per frame (see module docstring).
 
     Each path's slow-time phase is the running integral of its Doppler
     over the frames where it appears (trapezoid rule, keyed by path), so a
@@ -88,41 +81,39 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
 
     ids, n_ids = _path_ids(frames)
     trail = np.full((n_ids, 3), np.nan)     # per path id: t, nu, phase when last seen
-    out = []
-    for fr, idx in zip(frames, ids):
+    beats = np.empty((len(frames), n_s), dtype=complex)
+    stop = 0
+    for row, fr in zip(beats, frames):
         p = fr.paths
-        if len(p):
-            t_prev, nu_prev, phi_prev = trail[idx].T
-            phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
-            phi[np.isnan(t_prev)] = 0.0
-            trail[idx, 0], trail[idx, 1], trail[idx, 2] = fr.t, p.nu, phi
-            const = 2.0 * np.pi * (config.f_c * p.tau
-                                   - 0.5 * config.slope * p.tau ** 2) + phi
-            weights = p.a * np.exp(1j * const)
-            tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(p.tau, t_m))
-            samples = weights @ tones
-        else:
-            samples = np.zeros(n_s, dtype=complex)
+        start, stop = stop, stop + len(p)
+        idx = ids[start:stop]
+        t_prev, nu_prev, phi_prev = trail[idx].T
+        phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
+        phi[np.isnan(t_prev)] = 0.0
+        trail[idx, 0], trail[idx, 1], trail[idx, 2] = fr.t, p.nu, phi
+        const = 2.0 * np.pi * (config.f_c * p.tau
+                               - 0.5 * config.slope * p.tau ** 2) + phi
+        weights = p.a * np.exp(1j * const)
+        tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(p.tau, t_m))
+        row[:] = weights @ tones
         if noise.enabled:
             rng = np.random.default_rng([noise.seed, fr.epoch_index])
-            samples = samples + sigma * (rng.standard_normal(n_s)
-                                         + 1j * rng.standard_normal(n_s))
-        out.append(BeatFrame(fr.epoch_index, fr.t, samples))
-    return out
+            row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
+    return beats
 
 
-def _path_ids(frames: list[CirFrame]) -> tuple[list[np.ndarray], int]:
-    """One integer id per path key over the frames: per frame the ids of its
-    rows, and the number of distinct keys."""
+def _path_ids(frames: list[CirFrame]) -> tuple[np.ndarray, int]:
+    """One integer id per path key over the frames: the id of every row of
+    the frames' tables in order, and the number of distinct keys."""
     if not frames:
-        return [], 0
+        return np.empty(0, dtype=np.intp), 0
     rows = PathTable.concat([fr.paths for fr in frames]).key_rows()
     order = np.lexsort(rows.T)
     new = np.ones(len(rows), dtype=bool)          # first row of each key in order
     new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
     ids = np.empty(len(rows), dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
-    return np.split(ids, np.cumsum([len(fr.paths) for fr in frames])[:-1]), int(new.sum())
+    return ids, int(new.sum())
 
 
 def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
@@ -132,10 +123,10 @@ def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
 
 def range_fft(samples: np.ndarray, window: str = "hann",
               zero_pad: bool = False) -> np.ndarray:
-    """Windowed fast-time FFT, normalized by the window sum."""
-    w = window_taps(window, len(samples))
-    n_out = 2 * len(samples) if zero_pad else len(samples)
-    return np.fft.fft(samples * w, n=n_out) / w.sum()
+    """Windowed fast-time FFT over the last axis, normalized by the window sum."""
+    n = samples.shape[-1]
+    w = window_taps(window, n)
+    return np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1) / w.sum()
 
 
 @dataclass
@@ -163,35 +154,46 @@ def _power_db(power: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(power, 1e-30))
 
 
-def delay_doppler(beats: list[BeatFrame], config: ChirpConfig,
+def _epochs(beats: np.ndarray, times) -> np.ndarray:
+    """times as a float array; ValueError unless it has one epoch per beat row."""
+    times = np.asarray(times, dtype=float)
+    if times.shape != beats.shape[:1]:
+        raise ValueError(f"{len(times)} epoch times for {len(beats)} beat rows")
+    return times
+
+
+def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay: int,
+              windows: list[str], zero_pad: bool) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Delay axis, Doppler axis and metadata of the n_chirps-epoch window
+    starting at t0_index; ValueError if the window leaves the epochs."""
+    if t0_index < 0 or t0_index + n_chirps > len(times):
+        raise ValueError(f"window [{t0_index}, {t0_index + n_chirps}) outside "
+                         f"the {len(times)} available frames")
+    meta = {"n_chirps": n_chirps, "t_window": config.window_duration(n_chirps),
+            "t0": float(times[t0_index]), "t0_index": t0_index,
+            "windows": windows, "zero_pad": zero_pad, "config": config.to_dict()}
+    return (delay_axis(config, n_delay),
+            np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri)), meta)
+
+
+def delay_doppler(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
                   t0_index: int = 0, n_chirps: int = 128,
                   window_fast: str = "hann", window_slow: str = "hann",
                   zero_pad: bool = False) -> DelayDopplerMap:
-    """Delay-Doppler power map over n_chirps consecutive beat frames.
+    """Delay-Doppler power map over n_chirps consecutive rows of the beat
+    matrix; times holds the epoch of every row.
 
     Doppler bins are spaced 1 / (n_chirps * pri) and span +-1 / (2 pri),
     centered on zero, with approaching targets at positive Doppler.
     """
-    if t0_index < 0 or t0_index + n_chirps > len(beats):
-        raise ValueError(f"window [{t0_index}, {t0_index + n_chirps}) outside "
-                         f"the {len(beats)} available beat frames")
-    block = beats[t0_index:t0_index + n_chirps]
-    w_fast = window_taps(window_fast, len(block[0].samples))
-    n_out = 2 * len(w_fast) if zero_pad else len(w_fast)
-    rows = np.fft.fft(np.stack([b.samples for b in block]) * w_fast,
-                      n=n_out, axis=1) / w_fast.sum()
+    d_axis, nu_axis, meta = _map_axes(_epochs(beats, times), config, t0_index, n_chirps,
+                                      beats.shape[1] * (2 if zero_pad else 1),
+                                      [window_fast, window_slow], zero_pad)
+    rows = range_fft(beats[t0_index:t0_index + n_chirps], window_fast, zero_pad)
     w_slow = window_taps(window_slow, n_chirps)
     grid = np.fft.fftshift(np.fft.fft(rows * w_slow[:, None], axis=0), axes=0)
     grid /= w_slow.sum()
-    t_w = config.window_duration(n_chirps)
-    return DelayDopplerMap(
-        _power_db(np.abs(grid) ** 2),
-        delay_axis(config, n_out),
-        np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri)),
-        metadata={"n_chirps": n_chirps, "t_window": t_w, "t0": block[0].t,
-                  "t0_index": t0_index,
-                  "windows": [window_fast, window_slow],
-                  "zero_pad": zero_pad, "config": config.to_dict()})
+    return DelayDopplerMap(_power_db(np.abs(grid) ** 2), d_axis, nu_axis, meta)
 
 
 @dataclass
@@ -204,13 +206,13 @@ class PdpSeries:
     metadata: dict = field(default_factory=dict)
 
 
-def pdp_series(beats: list[BeatFrame], config: ChirpConfig,
+def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
                window: str = "hann") -> PdpSeries:
-    w = window_taps(window, len(beats[0].samples))
-    rows = np.fft.fft(np.stack([b.samples for b in beats]) * w, axis=1) / w.sum()
+    """Range profile of every row of the beat matrix; times holds their epochs."""
+    rows = range_fft(beats, window)
     return PdpSeries(_power_db(np.abs(rows) ** 2),
                      delay_axis(config, rows.shape[1]),
-                     np.array([b.t for b in beats]),
+                     _epochs(beats, times),
                      metadata={"window": window, "config": config.to_dict()})
 
 
@@ -245,29 +247,26 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
     match delay_doppler without padding; the Doppler comparison assumes a
     boxcar slow-time window.
     """
-    if t0_index < 0 or t0_index + n_chirps > len(frames):
-        raise ValueError(f"window [{t0_index}, {t0_index + n_chirps}) outside "
-                         f"the {len(frames)} available frames")
-    mid = frames[t0_index + n_chirps // 2]
     n_delay = config.samples_per_chirp
-    d_axis = delay_axis(config, n_delay)
-    nu_axis = np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri))
-    t_w = config.window_duration(n_chirps)
+    times = [fr.t for fr in frames]
+    d_axis, nu_axis, meta = _map_axes(times, config, t0_index, n_chirps, n_delay,
+                                      ["analytic", "analytic"], False)
     power = np.zeros((n_chirps, n_delay))
     delay_step = d_axis[1] - d_axis[0]
     t_centroid = (n_delay - 1) / (2.0 * config.f_samp)
     offs, resp = _window_response_table(window_fast, n_delay)
     window = frames[t0_index:t0_index + n_chirps]
+    counts = [len(fr.paths) for fr in window]
     ids, _ = _path_ids(window)
     # First and last (t, tau) of every path key in the window.
-    flat = np.concatenate(ids)
-    t = np.concatenate([np.full(len(fr.paths), fr.t) for fr in window])
+    t = np.repeat(times[t0_index:t0_index + n_chirps], counts)
     tau = np.concatenate([fr.paths.tau for fr in window])
-    first = np.unique(flat, return_index=True)[1]
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    first = np.unique(ids, return_index=True)[1]
+    last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
 
-    p = mid.paths
-    mid_ids = ids[n_chirps // 2]
+    p = window[n_chirps // 2].paths
+    start = sum(counts[:n_chirps // 2])
+    mid_ids = ids[start:start + len(p)]
     bin_idx = np.round(p.tau / delay_step).astype(int)
     inside = (bin_idx >= 0) & (bin_idx < n_delay)
     a, nu, tau_mid = p.a[inside], p.nu[inside], p.tau[inside]
@@ -282,12 +281,7 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
     tone = gain * np.exp(2j * np.pi * apparent[:, None] * config.pri * m)
     col = np.abs(np.fft.fftshift(np.fft.fft(tone, axis=1), axes=1)) ** 2 / n_chirps ** 2
     np.add.at(power.T, bin_idx, np.abs(a)[:, None] ** 2 * col)
-    return DelayDopplerMap(
-        _power_db(power), d_axis, nu_axis,
-        metadata={"n_chirps": n_chirps, "t_window": t_w,
-                  "t0": frames[t0_index].t, "t0_index": t0_index,
-                  "windows": ["analytic", "analytic"],
-                  "zero_pad": False, "config": config.to_dict()})
+    return DelayDopplerMap(_power_db(power), d_axis, nu_axis, meta)
 
 
 MAP_MAGIC = b"RFTDDM1\n"

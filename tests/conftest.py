@@ -43,7 +43,8 @@ SCENARIO_C_T0 = 2.74223872
 
 @dataclass
 class Episode:
-    """One simulated link: scene, geometry trace, CIR frames, beat frames."""
+    """One simulated link: scene, geometry trace, CIR frames, beat matrix
+    and the epoch of every frame."""
 
     scene: Scene
     config: ChirpConfig
@@ -51,7 +52,8 @@ class Episode:
     link: SensingLink
     t0: float
     frames: list
-    beats: list
+    beats: np.ndarray
+    times: np.ndarray
     seconds: dict = field(default_factory=dict)
 
 
@@ -62,8 +64,14 @@ def _run_episode(scene, config, trace, link, t0) -> Episode:
     started = time.perf_counter()
     beats = synth_beat(frames, config)
     t_synth = time.perf_counter() - started
-    return Episode(scene, config, trace, link, t0, frames, beats,
+    return Episode(scene, config, trace, link, t0, frames, beats, epoch_times(frames),
                    {"simulate": t_sim, "synth": t_synth})
+
+
+def epoch_times(frames) -> np.ndarray:
+    """The epoch of every frame: the times argument of delay_doppler and
+    pdp_series."""
+    return np.array([fr.t for fr in frames])
 
 
 def cir_frame(epoch: int, t: float, a=(), tau=(), nu=()) -> CirFrame:

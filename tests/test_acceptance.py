@@ -13,7 +13,7 @@ import time
 import numpy as np
 from scipy.optimize import minimize
 
-from conftest import FIXTURES, cir_frame, two_ray_doc
+from conftest import FIXTURES, cir_frame, epoch_times, two_ray_doc
 from rftwin.analysis import extract_peaks, ridge_fraction
 from rftwin.channel import ChirpConfig, CirFrame, max_range
 from rftwin.cli import main
@@ -56,7 +56,7 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
     n = 128
     start = len(ep.beats) - n      # closest approach sits at the episode end
-    ddm = delay_doppler(ep.beats, ep.config, t0_index=start, n_chirps=n)
+    ddm = delay_doppler(ep.beats, ep.times, ep.config, t0_index=start, n_chirps=n)
     movers = [p for p in extract_peaks(ddm, threshold_db=40.0)
               if abs(p.doppler_hz) > 300.0]
     top = max(movers, key=lambda p: p.power_db)
@@ -64,7 +64,7 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     static_frames = [CirFrame(fr.epoch_index, fr.t,
                               fr.paths.take(np.abs(fr.paths.nu) < 5.0))
                      for fr in ep.frames]
-    static_map = delay_doppler(synth_beat(static_frames, ep.config),
+    static_map = delay_doppler(synth_beat(static_frames, ep.config), ep.times,
                                ep.config, t0_index=start, n_chirps=n)
     ridge = ridge_fraction(static_map)
 
@@ -135,7 +135,7 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
             amps = np.abs(mid.paths.a)
             tb = mid.paths.tau / delay_bin
             nb = mid.paths.nu / doppler_bin
-            proc = delay_doppler(ep.beats, cfg, t0_index=w, n_chirps=128,
+            proc = delay_doppler(ep.beats, ep.times, cfg, t0_index=w, n_chirps=128,
                                  window_fast="hann", window_slow="boxcar")
             pred = predicted_map(ep.frames, cfg, t0_index=w, n_chirps=128)
             a_top = amps.max()
@@ -317,7 +317,7 @@ def test_criterion_08_doppler_mainlobe_nulls():
         frames = [cir_frame(k, k * config.pri, [amp], [40e-9], [nu])
                   for k in range(n)]
         beats = synth_beat(frames, config)
-        ddm = delay_doppler(beats, config, t0_index=0, n_chirps=n,
+        ddm = delay_doppler(beats, epoch_times(frames), config, t0_index=0, n_chirps=n,
                             window_fast="boxcar", window_slow="boxcar")
         return ddm, beats
 
@@ -338,8 +338,7 @@ def test_criterion_08_doppler_mainlobe_nulls():
     nu_off = 1106.6
     ddm2, beats2 = tone_map(nu_off)
     tbin = int(np.argmax(ddm2.power_linear().max(axis=0)))
-    seq = np.array([np.fft.fft(b.samples)[tbin] / len(b.samples)
-                    for b in beats2])
+    seq = np.array([np.fft.fft(b)[tbin] / len(b) for b in beats2])
     m = np.arange(n)
 
     def spectrum(nus):
@@ -367,7 +366,7 @@ def test_criterion_08_doppler_mainlobe_nulls():
 def test_criterion_09_platform_motion_pdp(scenario_c_episode):
     ep = scenario_c_episode
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
-    pdp = pdp_series(ep.beats, ep.config)
+    pdp = pdp_series(ep.beats, ep.times, ep.config)
     dominant_drift = int(np.ptp(np.argmax(pdp.power_db, axis=1)))
 
     delay_bin = (ep.config.f_samp / ep.config.samples_per_chirp) / ep.config.slope

@@ -261,3 +261,38 @@ def test_threads_flag_validation(monkeypatch, capsys):
     junk_ok = main(["--threads", "2", "info", "/definitely/not/a/file"])
     assert junk_ok == 2           # threads accepted, then input error on file
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_maps_and_pdps_record_the_simulate_seed(tmp_path):
+    from rftwin.fmcw import load_map, load_pdp
+
+    scene = write_scene(tmp_path)
+    common = ["--tag", "run", "-o", str(tmp_path), "--frozen-clock"]
+    assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "8",
+                 "--no-diffuse", "--seed", "7"] + common) == 0
+    cir = str(tmp_path / "run.cir")
+    assert main(["process", "--cir", cir, "-N", "8"] + common) == 0
+    assert main(["predict", "--cir", cir, "-N", "8"] + common) == 0
+    assert load_pdp(tmp_path / "run.pdp").metadata["seed"] == 7
+    assert load_map(tmp_path / "run_w000000.ddm").metadata["seed"] == 7
+    assert load_map(tmp_path / "run_pred_w000000.ddm").metadata["seed"] == 7
+
+
+def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeypatch):
+    import rftwin.fmcw
+
+    def synth_beat(*args, **kwargs):
+        raise RuntimeError("synthesis reached")
+
+    monkeypatch.setattr(rftwin.fmcw, "synth_beat", synth_beat)
+    cir = str(artifacts["out"] / "run.cir")
+    sink = ["-o", str(tmp_path)]
+    assert main(["process", "--cir", cir, "-N", "8", "--export", "foo"] + sink) == 2
+    assert "unknown export format 'foo'" in capsys.readouterr().err
+    assert main(["process", "--cir", cir, "-N", "8", "--t0-index", "12"] + sink) == 2
+    assert ("no complete 8-chirp window starts at index 12 in 16 beat frames"
+            in capsys.readouterr().err)
+    # a valid command does reach the patched synthesis
+    assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
+    assert "synthesis reached" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

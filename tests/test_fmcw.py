@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import Boltzmann
 
-from conftest import cir_frame
+from conftest import cir_frame, epoch_times
 from rftwin.channel import ChirpConfig
 from rftwin.fmcw import (
-    BeatFrame,
+    DelayDopplerMap,
     NoiseConfig,
+    PdpSeries,
     delay_axis,
     delay_doppler,
     fold_doppler,
@@ -61,7 +64,7 @@ def test_window_taps_values_and_validation():
 def test_beat_tone_sits_at_slope_times_delay():
     tau = 160 * DELAY_STEP          # exactly on delay bin 160
     beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
-    spec = np.abs(range_fft(beats[0].samples, window="boxcar"))
+    spec = np.abs(range_fft(beats[0], window="boxcar"))
     assert np.argmax(spec) == 160
     # on-grid boxcar tone: normalized peak equals the tap amplitude
     assert spec[160] == pytest.approx(1.0, rel=1e-12)
@@ -76,8 +79,8 @@ def test_beat_constant_phase_term():
     # at the first fast-time sample the f_c tau terms cancel, leaving the
     # residual video phase -pi slope tau^2
     expected = wrap(-np.pi * CFG.slope * tau ** 2)
-    assert np.angle(beats[0].samples[0]) == pytest.approx(expected, abs=1e-9)
-    assert abs(beats[0].samples[0]) == pytest.approx(0.5, rel=1e-12)
+    assert np.angle(beats[0, 0]) == pytest.approx(expected, abs=1e-9)
+    assert abs(beats[0, 0]) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_slow_time_phase_advance_per_chirp():
@@ -85,7 +88,7 @@ def test_slow_time_phase_advance_per_chirp():
     tau = 200 * DELAY_STEP
     beats = synth_beat(make_frames([tap(1.0, tau, nu)], 4), CFG)
     for k in range(3):
-        step = np.angle(beats[k + 1].samples[0] * np.conj(beats[k].samples[0]))
+        step = np.angle(beats[k + 1, 0] * np.conj(beats[k, 0]))
         assert step == pytest.approx(wrap(2 * np.pi * nu * CFG.pri), abs=1e-9)
     # the engineering rule of thumb for this Doppler: about 0.875 rad per chirp
     assert 2 * np.pi * nu * CFG.pri == pytest.approx(0.875, abs=1e-3)
@@ -105,7 +108,7 @@ def test_parseval_with_documented_scaling():
 def test_zero_padding_doubles_bins_and_keeps_peak():
     tau = 300 * DELAY_STEP
     beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
-    spec = np.abs(range_fft(beats[0].samples, window="hann", zero_pad=True))
+    spec = np.abs(range_fft(beats[0], window="hann", zero_pad=True))
     assert len(spec) == 2 * NS
     assert np.argmax(spec) == 600
     axis = delay_axis(CFG, 2 * NS)
@@ -118,7 +121,7 @@ def test_hann_highest_sidelobe_level():
     # would sample them at their nulls and hide the window's leakage floor
     tau = 400.5 * DELAY_STEP
     beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
-    spec = np.abs(range_fft(beats[0].samples, window="hann"))
+    spec = np.abs(range_fft(beats[0], window="hann"))
     k = np.arange(NS)
     mainlobe = np.abs(k - 400.5) < 2.5
     worst_db = 20 * np.log10(spec[(~mainlobe) & (k < NS // 2)].max())
@@ -131,7 +134,7 @@ def test_tone_separation_resolved_and_merged():
     t1, t2_far, t2_near = 400 * DELAY_STEP, 403 * DELAY_STEP, 400.8 * DELAY_STEP
     resolved = synth_beat(make_frames([tap(1.0, t1, 0.0),
                                        tap(-1.0, t2_far, 0.0)], 1), CFG)
-    spec = np.abs(range_fft(resolved[0].samples, window="hann"))
+    spec = np.abs(range_fft(resolved[0], window="hann"))
     region = spec[395:410]
     local_max = [i for i in range(1, len(region) - 1)
                  if region[i] >= region[i - 1] and region[i] >= region[i + 1]
@@ -140,7 +143,7 @@ def test_tone_separation_resolved_and_merged():
 
     merged = synth_beat(make_frames([tap(1.0, t1, 0.0),
                                      tap(1.0, t2_near, 0.0)], 1), CFG)
-    spec = np.abs(range_fft(merged[0].samples, window="hann"))
+    spec = np.abs(range_fft(merged[0], window="hann"))
     region = spec[395:410]
     local_max = [i for i in range(1, len(region) - 1)
                  if region[i] >= region[i - 1] and region[i] >= region[i + 1]
@@ -149,8 +152,9 @@ def test_tone_separation_resolved_and_merged():
 
 
 def test_map_axes_spacing_and_metadata():
-    beats = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 128), CFG)
-    ddm = delay_doppler(beats, CFG, n_chirps=128)
+    frames = make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 128)
+    beats, times = synth_beat(frames, CFG), epoch_times(frames)
+    ddm = delay_doppler(beats, times, CFG, n_chirps=128)
     assert ddm.power_db.shape == (128, NS)
     assert ddm.doppler_bin == pytest.approx(DOPPLER_STEP, rel=1e-12)
     assert ddm.doppler_axis[0] == pytest.approx(-64 * DOPPLER_STEP, rel=1e-12)
@@ -161,16 +165,20 @@ def test_map_axes_spacing_and_metadata():
     assert ddm.metadata["t0_index"] == 0
     assert ddm.metadata["config"]["f_c"] == CFG.f_c
     with pytest.raises(ValueError, match="outside"):
-        delay_doppler(beats, CFG, t0_index=1, n_chirps=128)
+        delay_doppler(beats, times, CFG, t0_index=1, n_chirps=128)
     with pytest.raises(ValueError, match="outside"):
-        delay_doppler(beats, CFG, t0_index=-1, n_chirps=64)
+        delay_doppler(beats, times, CFG, t0_index=-1, n_chirps=64)
+    with pytest.raises(ValueError, match="127 epoch times for 128 beat rows"):
+        delay_doppler(beats, times[1:], CFG)
+    with pytest.raises(ValueError, match="127 epoch times for 128 beat rows"):
+        pdp_series(beats, times[:-1], CFG)
 
 
 def test_on_grid_path_power_is_exact():
     a = 0.01
     tau = 160 * DELAY_STEP
-    beats = synth_beat(make_frames([tap(a, tau, 0.0)], 128), CFG)
-    ddm = delay_doppler(beats, CFG, n_chirps=128)
+    frames = make_frames([tap(a, tau, 0.0)], 128)
+    ddm = delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert (i, j) == (64, 160)      # zero Doppler row, the tap's delay bin
     assert ddm.power_linear()[i, j] == pytest.approx(a * a, rel=1e-9)
@@ -179,15 +187,16 @@ def test_on_grid_path_power_is_exact():
 
 def test_approaching_target_lands_at_positive_doppler():
     nu = 17 * DOPPLER_STEP
-    beats = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128), CFG)
-    ddm = delay_doppler(beats, CFG, n_chirps=128)
+    frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
+    times = epoch_times(frames)
+    ddm = delay_doppler(synth_beat(frames, CFG), times, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu, rel=1e-12)
     assert j == 160
     receding = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, -nu)], 128), CFG)
-    i2, _ = np.unravel_index(np.argmax(delay_doppler(receding, CFG).power_db),
+    i2, _ = np.unravel_index(np.argmax(delay_doppler(receding, times, CFG).power_db),
                              (128, NS))
-    assert delay_doppler(receding, CFG).doppler_axis[i2] == pytest.approx(-nu)
+    assert delay_doppler(receding, times, CFG).doppler_axis[i2] == pytest.approx(-nu)
 
 
 def test_doppler_beyond_nyquist_folds():
@@ -199,8 +208,8 @@ def test_doppler_beyond_nyquist_folds():
     arr = fold_doppler(np.array([0.0, nu]), CFG)
     assert arr.shape == (2,)
 
-    beats = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128), CFG)
-    ddm = delay_doppler(beats, CFG, n_chirps=128)
+    frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
+    ddm = delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
     i, _ = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu - f_rep, rel=1e-9)
 
@@ -209,7 +218,7 @@ def test_predicted_map_matches_processed_on_grid():
     a, tau, nu = 0.02, 160 * DELAY_STEP, 17 * DOPPLER_STEP
     frames = make_frames([tap(a, tau, nu)], 128)
     beats = synth_beat(frames, CFG)
-    proc = delay_doppler(beats, CFG, n_chirps=128,
+    proc = delay_doppler(beats, epoch_times(frames), CFG, n_chirps=128,
                          window_fast="boxcar", window_slow="boxcar")
     pred = predicted_map(frames, CFG, n_chirps=128)
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
@@ -253,12 +262,17 @@ def test_predicted_map_rounds_delay_to_nearest_bin():
 def test_pdp_series_static_path():
     frames = make_frames([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
     beats = synth_beat(frames, CFG)
-    pdp = pdp_series(beats, CFG)
+    pdp = pdp_series(beats, epoch_times(frames), CFG)
     assert pdp.power_db.shape == (16, NS)
     assert np.array_equal(np.argmax(pdp.power_db, axis=1), np.full(16, 160))
     assert np.allclose(pdp.times, [f.t for f in frames])
     assert pdp.metadata["window"] == "hann"
     assert pdp.power_db[0, 160] == pytest.approx(20 * np.log10(0.1), abs=1e-8)
+    # range_fft transforms every row of the matrix as it does a single row
+    rows = range_fft(beats, window="hamming", zero_pad=True)
+    assert rows.shape == (16, 2 * NS)
+    assert np.allclose(rows[5], range_fft(beats[5], window="hamming", zero_pad=True),
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_noise_defaults_off_and_floor_formula():
@@ -271,8 +285,7 @@ def test_noise_defaults_off_and_floor_formula():
     frames = make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 4)
     clean = synth_beat(frames, CFG)
     default = synth_beat(frames, CFG, NoiseConfig())
-    for a, b in zip(clean, default):
-        assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(clean, default)
 
 
 def test_noise_is_deterministic_and_keyed_by_epoch():
@@ -280,21 +293,19 @@ def test_noise_is_deterministic_and_keyed_by_epoch():
     noisy = NoiseConfig(enabled=True, seed=5)
     a = synth_beat(frames, CFG, noisy)
     b = synth_beat(frames, CFG, noisy)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.samples, y.samples)
+    assert np.array_equal(a, b)
     c = synth_beat(frames, CFG, NoiseConfig(enabled=True, seed=6))
-    assert not np.array_equal(a[0].samples, c[0].samples)
+    assert not np.array_equal(a[0], c[0])
     # per-epoch keying: a tail batch reproduces the same noise draws
     tail = synth_beat(frames[32:], CFG, noisy)
-    for x, y in zip(a[32:], tail):
-        assert np.array_equal(x.samples, y.samples)
+    assert np.array_equal(a[32:], tail)
 
 
 def test_noise_variance_matches_config():
     frames = make_frames([], 64)
     noise = NoiseConfig(enabled=True, seed=11)
     beats = synth_beat(frames, CFG, noise)
-    samples = np.concatenate([b.samples for b in beats])
+    samples = beats.ravel()
     var = np.mean(np.abs(samples) ** 2)
     assert var == pytest.approx(noise.sample_variance(CFG.f_samp), rel=0.02)
     assert np.mean(samples).real == pytest.approx(0.0, abs=5e-3 * np.sqrt(var))
@@ -302,8 +313,7 @@ def test_noise_variance_matches_config():
 
 def small_map():
     frames = make_frames([tap(0.05, 160 * DELAY_STEP, 3 * 1.0 / (16 * CFG.pri))], 16)
-    beats = synth_beat(frames, CFG)
-    return delay_doppler(beats, CFG, n_chirps=16)
+    return delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=16)
 
 
 def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
@@ -365,7 +375,7 @@ def test_map_pgm_export(tmp_path):
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):
     frames = make_frames([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
-    pdp = pdp_series(synth_beat(frames, CFG), CFG)
+    pdp = pdp_series(synth_beat(frames, CFG), epoch_times(frames), CFG)
     out = tmp_path / "series.pdp"
     save_pdp(out, pdp, frozen_clock=True)
     back = load_pdp(out)
@@ -386,9 +396,43 @@ def test_pdp_file_roundtrip_and_csv(tmp_path):
     assert float(lines[1].split(",")[0]) == pdp.times[0]
 
 
+# Float64 bit patterns: every special value plus arbitrary bits (NaN payloads,
+# subnormals, finite values of any magnitude).
+_SPECIAL_BITS = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]).view(np.uint64).tolist()
+_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_map_and_pdp_round_trips_are_bit_exact(tmp_path_factory, data):
+    def f64(n):
+        return np.array(data.draw(st.lists(_BITS, min_size=n, max_size=n)),
+                        np.uint64).view(np.float64)
+
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    ddm = DelayDopplerMap(f64(rows * cols).reshape(rows, cols), f64(cols), f64(rows),
+                          {"n_chirps": rows})
+    pdp = PdpSeries(f64(rows * cols).reshape(rows, cols), f64(cols), f64(rows),
+                    {"window": "hann"})
+    directory = tmp_path_factory.mktemp("maps")
+    save_map(directory / "r.ddm", ddm, frozen_clock=True)
+    save_pdp(directory / "r.pdp", pdp, frozen_clock=True)
+    back_map, back_pdp = load_map(directory / "r.ddm"), load_pdp(directory / "r.pdp")
+    for got, want in ((back_map.power_db, ddm.power_db),
+                      (back_map.delay_axis, ddm.delay_axis),
+                      (back_map.doppler_axis, ddm.doppler_axis),
+                      (back_pdp.power_db, pdp.power_db),
+                      (back_pdp.delay_axis, pdp.delay_axis),
+                      (back_pdp.times, pdp.times)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert back_map.metadata == {"n_chirps": rows, "created": "frozen"}
+    assert back_pdp.metadata == {"window": "hann", "created": "frozen"}
+
+
 def test_beat_frames_cover_episode(plates_episode):
-    beats = plates_episode.beats
-    assert len(beats) == 256
-    assert all(isinstance(b, BeatFrame) for b in beats)
-    assert beats[1].t - beats[0].t == pytest.approx(CFG.pri)
-    assert len(beats[0].samples) == NS
+    beats, times = plates_episode.beats, plates_episode.times
+    assert isinstance(beats, np.ndarray) and beats.dtype == complex
+    assert beats.shape == (256, NS)
+    assert times.shape == (256,)
+    assert times[1] - times[0] == pytest.approx(CFG.pri)
