@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0
 
 from .geometry import cross, reflect_direction
 from .kinematics import WorldSnapshot
@@ -38,6 +37,9 @@ from .scene import AntennaPattern, Material, Scene, unit
 # configuration are built on it, and the range identities only reproduce
 # with this constant.
 SPEED_OF_LIGHT = 3.0e8
+
+# Vacuum permittivity in F/m (CODATA 2022).
+EPSILON_0 = 8.8541878188e-12
 
 
 def split_power(scattering_coeff: float) -> tuple[float, float]:
@@ -69,7 +71,7 @@ def lobe_gain(k_mirror: np.ndarray, k_scatter: np.ndarray,
 
 
 def _complex_permittivity(rel_permittivity, conductivity, f_c):
-    return rel_permittivity - 1j * conductivity / (2.0 * np.pi * f_c * epsilon_0)
+    return rel_permittivity - 1j * conductivity / (2.0 * np.pi * f_c * EPSILON_0)
 
 
 def _fresnel_te_tm(eps, cos_theta):

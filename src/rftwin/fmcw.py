@@ -24,21 +24,34 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import k as boltzmann
-from scipy.signal import get_window
 
 from .channel import ChirpConfig, CirFrame
 from .raytrace import PathTable
 from .container import now, read_container, write_container
 
-_WINDOWS = ("hann", "hamming", "blackman", "boxcar")
+BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
+
+# Cosine-sum coefficients a_k of w = sum_k a_k cos(k x), x over [-pi, pi).
+# Hamming's second one is 1 - 0.54, which is one ulp away from 0.46.
+_WINDOWS = {"hann": (0.5, 0.5), "hamming": (0.54, 1.0 - 0.54),
+            "blackman": (0.42, 0.50, 0.08), "boxcar": (1.0,)}
 
 
 def window_taps(name: str, n: int) -> np.ndarray:
-    """Periodic analysis window taps; see _WINDOWS for the supported names."""
+    """Periodic (DFT-even) analysis window of n taps; see _WINDOWS for the
+    supported names.  The arithmetic is scipy's general_cosine with one
+    extra tap dropped, so the taps equal get_window(name, n, fftbins=True)."""
     if name not in _WINDOWS:
-        raise ValueError(f"unknown window '{name}', expected one of {_WINDOWS}")
-    return get_window(name, n, fftbins=True)
+        raise ValueError(f"unknown window '{name}', expected one of {tuple(_WINDOWS)}")
+    if n < 1:
+        raise ValueError(f"window length must be at least 1, got {n}")
+    if n == 1:
+        return np.ones(1)
+    x = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate(_WINDOWS[name]):
+        w += a * np.cos(k * x)
+    return w[:-1]
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,7 @@ class NoiseConfig:
     seed: int = 0
 
     def floor_dbm(self, f_samp: float) -> float:
-        return (10.0 * np.log10(boltzmann * self.temperature_k * f_samp / 1e-3)
+        return (10.0 * np.log10(BOLTZMANN * self.temperature_k * f_samp / 1e-3)
                 + self.noise_figure_db)
 
     def sample_variance(self, f_samp: float) -> float:
@@ -126,7 +139,9 @@ def range_fft(samples: np.ndarray, window: str = "hann",
     """Windowed fast-time FFT over the last axis, normalized by the window sum."""
     n = samples.shape[-1]
     w = window_taps(window, n)
-    return np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1) / w.sum()
+    spectrum = np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1)
+    spectrum /= w.sum()
+    return spectrum
 
 
 @dataclass
@@ -151,7 +166,11 @@ class DelayDopplerMap:
 
 
 def _power_db(power: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(power, 1e-30))
+    """10 log10 of power floored at 1e-30, computed in place in power."""
+    np.maximum(power, 1e-30, out=power)
+    np.log10(power, out=power)
+    power *= 10.0
+    return power
 
 
 def _epochs(beats: np.ndarray, times) -> np.ndarray:
@@ -206,13 +225,22 @@ class PdpSeries:
     metadata: dict = field(default_factory=dict)
 
 
+# Rows per range FFT in pdp_series: about 1 MB of temporaries at 2104
+# samples per chirp, small enough that the allocator reuses them from block
+# to block instead of mapping fresh pages for each.
+_PDP_BLOCK_ROWS = 32
+
+
 def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
                window: str = "hann") -> PdpSeries:
     """Range profile of every row of the beat matrix; times holds their epochs."""
-    rows = range_fft(beats, window)
-    return PdpSeries(_power_db(np.abs(rows) ** 2),
-                     delay_axis(config, rows.shape[1]),
-                     _epochs(beats, times),
+    times = _epochs(beats, times)
+    power_db = np.empty(beats.shape)
+    for start in range(0, len(beats), _PDP_BLOCK_ROWS):
+        rows = slice(start, start + _PDP_BLOCK_ROWS)
+        block = np.abs(range_fft(beats[rows], window), out=power_db[rows])
+        _power_db(np.square(block, out=block))
+    return PdpSeries(power_db, delay_axis(config, beats.shape[1]), times,
                      metadata={"window": window, "config": config.to_dict()})
 
 
@@ -310,12 +338,13 @@ def load_map(path) -> DelayDopplerMap:
 
 
 def map_to_csv(path, ddm: DelayDopplerMap) -> None:
+    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major."""
+    delays = [f"{tau!r}," for tau in ddm.delay_axis.tolist()]
     with open(path, "w") as fh:
         fh.write("delay_s,doppler_hz,power_db\n")
-        for i, nu in enumerate(ddm.doppler_axis.tolist()):
-            row = ddm.power_db[i].tolist()
-            for tau, p in zip(ddm.delay_axis.tolist(), row):
-                fh.write(f"{tau!r},{nu!r},{p!r}\n")
+        for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db.tolist()):
+            doppler = f"{nu!r},"
+            fh.write("".join([f"{tau}{doppler}{p!r}\n" for tau, p in zip(delays, row)]))
 
 
 def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
@@ -348,9 +377,9 @@ def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
 
 def pdp_to_csv(path, pdp: PdpSeries) -> None:
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(repr(d) for d in pdp.delay_axis.tolist()) + "\n")
+        fh.write("t," + ",".join(map(repr, pdp.delay_axis.tolist())) + "\n")
         for t, row in zip(pdp.times.tolist(), pdp.power_db.tolist()):
-            fh.write(f"{t!r}," + ",".join(repr(v) for v in row) + "\n")
+            fh.write(f"{t!r}," + ",".join(map(repr, row)) + "\n")
 
 
 PDP_MAGIC = b"RFTPDP1\n"

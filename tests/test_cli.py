@@ -2,10 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import plates_scene_doc
+from conftest import FIXTURES, REPO_ROOT, plates_scene_doc
 from rftwin.cli import main
 
 
@@ -296,3 +298,35 @@ def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeyp
     assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
     assert "synthesis reached" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+NO_SCIPY_RUN = """
+import sys
+import rftwin.analysis, rftwin.channel, rftwin.cli, rftwin.fmcw, rftwin.kinematics, rftwin.scene
+from rftwin.cli import main
+scene, out = sys.argv[1:]
+common = ["--tag", "run", "-o", out, "--frozen-clock"]
+assert main(["info", scene]) == 0
+assert main(["simulate", "--scene", scene, "--tx", "UE", "--t0", "0.1",
+             "--chirps", "16", *common]) == 0
+assert main(["process", "--cir", out + "/run.cir", "-N", "8",
+             "--export", "bin,csv,pgm", *common]) == 0
+assert main(["predict", "--cir", out + "/run.cir", "-N", "8", *common]) == 0
+assert main(["compare", "--reference", out + "/run_pred_w000000.ddm",
+             "--test", out + "/run_w000000.ddm", *common]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """numpy is the only numeric dependency: importing rftwin and running
+    every command loads no scipy module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN,
+                          str(FIXTURES / "scenario_b.json"), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run_w000008.ddm").is_file()

@@ -4,11 +4,14 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 from scipy.integrate import quad
 
 from rftwin.channel import ChirpConfig, SensingLink, simulate_cir
 from rftwin.em import (
+    EPSILON_0,
     SPEED_OF_LIGHT,
     amplitudes_of,
     fresnel_reflection,
@@ -63,6 +66,10 @@ def test_speed_of_light_engineering_value():
     assert SPEED_OF_LIGHT == 3.0e8
 
 
+def test_vacuum_permittivity_literal_is_codata():
+    assert EPSILON_0 == epsilon_0
+
+
 def test_split_power_conserves_energy():
     for s in (0.0, 0.05, 0.35, 1.0):
         r, s_out = split_power(s)
@@ -73,6 +80,48 @@ def test_split_power_conserves_energy():
         split_power(1.0001)
     with pytest.raises(ValueError):
         split_power(-0.1)
+
+
+def material_terms(s, rel_permittivity, conductivity, lobe_exponent):
+    """Per-hop breakdown terms in dB on the two-ray ground patch: the specular
+    reflection and the reflections of four diffuse samples."""
+    doc = two_ray_doc()
+    doc["materials"] = [{"name": "ground", "rel_permittivity": rel_permittivity,
+                         "conductivity": conductivity, "scattering_coeff": s,
+                         "lobe_exponent": lobe_exponent}]
+    doc["facets"][0]["material"] = "ground"
+    scene = scene_from_dict(doc)
+    snap = snapshot(scene, 0.0)
+    specular = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))
+    diffuse = trace_diffuse(snap, "BS", "UE", TraceConfig(diffuse_samples_per_facet=4,
+                                                          subdivide_area=1e9))
+    (reflection,) = (a.breakdown["reflection_0_facet_0_db"]
+                     for a in amplitudes_of(specular, snap, scene, "BS", "UE", F_C,
+                                            with_breakdown=True))
+    scatter = [a.breakdown["scatter_0_facet_0_db"]
+               for a in amplitudes_of(diffuse, snap, scene, "BS", "UE", F_C,
+                                      with_breakdown=True)]
+    return reflection, np.array(scatter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1.5, 80.0), st.floats(0.0, 100.0),
+       st.integers(1, 32))
+def test_reflection_and_scattering_conserve_power(s, rel_permittivity, conductivity,
+                                                  lobe_exponent):
+    """R^2 + S^2 = 1 as the amplitudes apply them: each factor is read from
+    the dB budget against the same material split all-specular (S = 0) or
+    all-diffuse (S = 1), which cancels |Gamma|, the lobe and the patch.
+    The permittivity stays above 1 so that the surface reflects at all."""
+    material = (rel_permittivity, conductivity, lobe_exponent)
+    reflection, scatter = material_terms(s, *material)
+    mirror, _ = material_terms(0.0, *material)
+    _, lobe = material_terms(1.0, *material)
+    r = 10.0 ** ((reflection - mirror) / 20.0)
+    s_hat = 10.0 ** ((scatter - lobe) / 20.0)
+    assert len(s_hat) == 4
+    assert np.allclose(r ** 2 + s_hat ** 2, 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(s_hat, s, rtol=1e-12, atol=0.0)
 
 
 def test_lobe_normalization_matches_quadrature():

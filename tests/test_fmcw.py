@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import constants
 from scipy.constants import Boltzmann
+from scipy.signal import get_window
 
 from conftest import cir_frame, epoch_times
 from rftwin.channel import ChirpConfig
+from rftwin import fmcw
 from rftwin.fmcw import (
+    BOLTZMANN,
     DelayDopplerMap,
     NoiseConfig,
     PdpSeries,
@@ -59,6 +63,20 @@ def test_window_taps_values_and_validation():
     assert len(window_taps("blackman", n)) == n
     with pytest.raises(ValueError, match="unknown window"):
         window_taps("kaiser9000", n)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            window_taps("hann", bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["hann", "hamming", "blackman", "boxcar"]),
+       st.integers(min_value=1, max_value=4208))
+def test_window_taps_match_scipy_bits(name, n):
+    assert window_taps(name, n).tobytes() == get_window(name, n, fftbins=True).tobytes()
+
+
+def test_boltzmann_literal_is_codata():
+    assert BOLTZMANN == constants.k
 
 
 def test_beat_tone_sits_at_slope_times_delay():
@@ -337,15 +355,22 @@ def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
 
 def test_map_csv_export(tmp_path):
     ddm = small_map()
+    ddm.power_db[0, :3] = (-0.0, np.nan, -np.inf)
     out = tmp_path / "map.csv"
     map_to_csv(out, ddm)
-    lines = out.read_text().splitlines()
+    text = out.read_text()
+    lines = text.splitlines()
     assert lines[0] == "delay_s,doppler_hz,power_db"
     assert len(lines) == 1 + ddm.power_db.size
     tau, nu, p = lines[1].split(",")
     assert float(tau) == ddm.delay_axis[0]
     assert float(nu) == ddm.doppler_axis[0]
-    assert float(p) == ddm.power_db[0, 0]
+    assert p == "-0.0"
+    # One line per cell, Doppler-major, every float written by repr.
+    cells = "".join(f"{tau!r},{nu!r},{p!r}\n"
+                    for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db.tolist())
+                    for tau, p in zip(ddm.delay_axis.tolist(), row))
+    assert text == "delay_s,doppler_hz,power_db\n" + cells
 
 
 def test_map_pgm_export(tmp_path):
@@ -373,6 +398,17 @@ def test_map_pgm_export(tmp_path):
     assert repr(ddm.doppler_bin) in sidecar
 
 
+def test_pdp_series_blocks_match_whole_matrix():
+    rng = np.random.default_rng(5)
+    n = 2 * fmcw._PDP_BLOCK_ROWS + 37
+    beats = rng.standard_normal((n, 96)) + 1j * rng.standard_normal((n, 96))
+    beats[3] = 0.0                                  # clipped to the -300 dB floor
+    pdp = pdp_series(beats, np.arange(n) * CFG.pri, CFG, window="blackman")
+    whole = 10.0 * np.log10(np.maximum(np.abs(range_fft(beats, "blackman")) ** 2, 1e-30))
+    assert pdp.power_db.tobytes() == whole.tobytes()
+    assert pdp.power_db.shape == (n, 96) and len(pdp.delay_axis) == 96
+
+
 def test_pdp_file_roundtrip_and_csv(tmp_path):
     frames = make_frames([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
     pdp = pdp_series(synth_beat(frames, CFG), epoch_times(frames), CFG)
@@ -392,8 +428,9 @@ def test_pdp_file_roundtrip_and_csv(tmp_path):
     pdp_to_csv(csv, pdp)
     lines = csv.read_text().splitlines()
     assert len(lines) == 1 + 8
-    assert lines[0].startswith("t,")
-    assert float(lines[1].split(",")[0]) == pdp.times[0]
+    assert lines[0] == "t," + ",".join(repr(d) for d in pdp.delay_axis.tolist())
+    for line, t, row in zip(lines[1:], pdp.times.tolist(), pdp.power_db.tolist()):
+        assert line == ",".join(repr(v) for v in [t, *row])
 
 
 # Float64 bit patterns: every special value plus arbitrary bits (NaN payloads,

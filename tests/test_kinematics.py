@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from rftwin.kinematics import (
     TrajectoryRangeError,
+    _Spline,
     build_trajectories,
     interpolate,
     snapshot,
@@ -178,3 +182,46 @@ def test_trajectories_reused_across_snapshots():
     b = snapshot(scene, 0.5)
     assert np.allclose(a.facets[0].vertices, b.facets[0].vertices)
     assert a.t == b.t == 0.5
+
+
+def knots(min_size, max_size):
+    """Strictly increasing knot times and (n, 2) values for the spline oracles."""
+    gaps = st.lists(st.floats(0.05, 5.0), min_size=min_size - 1, max_size=max_size - 1)
+    value = st.floats(-100.0, 100.0)
+    return st.tuples(st.floats(-10.0, 10.0), gaps).flatmap(
+        lambda g: st.tuples(
+            st.just(np.cumsum([g[0], *g[1]])),
+            st.lists(st.tuples(value, value), min_size=len(g[1]) + 1,
+                     max_size=len(g[1]) + 1).map(np.array),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))
+
+
+def sample_both(spline, reference, times, fractions):
+    """(ours, scipy's) value, first and second derivative at the fractions of
+    the span, the knots, and 1e-12 beyond either end."""
+    ts = [times[0] + f * (times[-1] - times[0]) for f in fractions]
+    ts += [*times.tolist(), times[0] - 1e-12, times[-1] + 1e-12]
+    ours = np.array([spline(t) for t in ts])                     # (t, 3, m)
+    theirs = np.stack([reference(ts, nu) for nu in range(3)], axis=1)
+    return ours, theirs
+
+
+@settings(max_examples=150, deadline=None)
+@given(knots(2, 2))
+def test_two_knot_spline_is_scipys_clamped_spline_bit_for_bit(case):
+    times, values, fractions = case
+    slope = (values[1] - values[0]) / (times[1] - times[0])
+    reference = CubicSpline(times, values, bc_type=((1, slope), (1, slope)))
+    ours, theirs = sample_both(_Spline(times, values), reference, times, fractions)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(knots(3, 8))
+def test_natural_spline_matches_scipy(case):
+    times, values, fractions = case
+    reference = CubicSpline(times, values, bc_type="natural")
+    ours, theirs = sample_both(_Spline(times, values), reference, times, fractions)
+    for nu in range(3):
+        scale = np.abs(theirs[:, nu]).max()
+        np.testing.assert_allclose(ours[:, nu], theirs[:, nu], rtol=1e-9, atol=1e-9 * scale)
