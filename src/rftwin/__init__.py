@@ -33,10 +33,12 @@ _EXPORTS = {
     "trace_diffuse": "raytrace",
     "SPEED_OF_LIGHT": "em",
     "amplitudes_of": "em",
-    "fresnel_reflection": "em",
-    "lobe_gain": "em",
+    "specular_reduction": "em",
     "lobe_normalization": "em",
-    "split_power": "em",
+    "lobe_density": "em",
+    "complex_permittivity": "em",
+    "fresnel": "em",
+    "antenna_angles": "em",
     "ChirpConfig": "channel",
     "SensingLink": "channel",
     "CirFrame": "channel",

@@ -146,12 +146,3 @@ def ridge_fraction(ddm: DelayDopplerMap, half_width_bins: int = 1) -> float:
     hi = min(zero + half_width_bins + 1, power.shape[0])
     return float(power[lo:hi].sum() / power.sum())
 
-
-def peak_to_sidelobe_db(ddm: DelayDopplerMap, exclude_bins: int = 3) -> float:
-    """Main peak power over the strongest cell outside its exclusion box."""
-    p = ddm.power_db
-    i, j = np.unravel_index(np.argmax(p), p.shape)
-    masked = p.copy()
-    masked[max(0, i - exclude_bins):i + exclude_bins + 1,
-           max(0, j - exclude_bins):j + exclude_bins + 1] = -np.inf
-    return float(p[i, j] - masked.max())

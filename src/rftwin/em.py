@@ -20,6 +20,11 @@ Amplitude models (voltage gain relative to unit transmit amplitude):
 The diffuse form treats each sample as a re-radiating patch: intercepted
 flux A_eff cos(theta_i) over the first hop, lobe-shaped re-emission over the
 second, which is the (4 pi d1 d2) bi-segment spreading written above.
+
+amplitudes_of evaluates them over a path table with one element-wise kernel
+per quantity: specular_reduction (R from S), lobe_density on
+lobe_normalization (f_lobe), fresnel on complex_permittivity (|Gamma| and
+the TE phase) and antenna_angles (azimuth and elevation in degrees).
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cross, reflect_direction
+from .geometry import cross, reflect_direction, unit
 from .kinematics import WorldSnapshot
 from .raytrace import KINDS, PathTable
-from .scene import AntennaPattern, Material, Scene, unit
+from .scene import Material, Scene
 
 # Rounded engineering value; the radar timing tables in the validated
 # configuration are built on it, and the range identities only reproduce
@@ -42,57 +47,63 @@ SPEED_OF_LIGHT = 3.0e8
 EPSILON_0 = 8.8541878188e-12
 
 
-def split_power(scattering_coeff: float) -> tuple[float, float]:
-    """(reflection_reduction, scattering_coeff) with R^2 + S^2 = 1."""
-    s = float(scattering_coeff)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("scattering coefficient must be in [0, 1]")
-    return float(np.sqrt(1.0 - s * s)), s
+def specular_reduction(scattering_coeff):
+    """Specular amplitude reduction R = sqrt(1 - S^2) paired with the
+    scattering coefficient S, so that R^2 + S^2 = 1."""
+    return np.sqrt(1.0 - np.square(scattering_coeff))
 
 
-def lobe_normalization(lobe_exponent: int) -> float:
+def lobe_normalization(lobe_exponent):
     """Constant C(alpha) so the lobe integrates to 1 over its hemisphere.
 
     Closed form of 1 / int_hemisphere ((1 + cos psi)/2)^alpha dOmega with psi
-    measured from the lobe axis.
+    measured from the lobe axis; alpha may be an array.
     """
-    a = int(lobe_exponent)
-    if a < 1:
+    b = np.asarray(lobe_exponent) + 1.0
+    if np.min(b, initial=2.0) < 2.0:
         raise ValueError("lobe exponent must be >= 1")
-    return (a + 1) / (4.0 * np.pi * (1.0 - 2.0 ** -(a + 1)))
+    return b / (4.0 * np.pi * (1.0 - 0.5 ** b))
 
 
-def lobe_gain(k_mirror: np.ndarray, k_scatter: np.ndarray,
-              lobe_exponent: int) -> float:
-    """Normalized diffuse lobe density (1/sr) toward k_scatter."""
-    dot = float(np.clip(np.dot(unit(np.asarray(k_mirror, dtype=float)),
-                               unit(np.asarray(k_scatter, dtype=float))), -1.0, 1.0))
-    return lobe_normalization(lobe_exponent) * ((1.0 + dot) / 2.0) ** lobe_exponent
+def lobe_density(cos_psi, lobe_exponent):
+    """Normalized diffuse lobe density (1/sr) at angle psi from the mirror
+    direction, element-wise over cos_psi and lobe_exponent."""
+    return lobe_normalization(lobe_exponent) * ((1.0 + cos_psi) / 2.0) ** lobe_exponent
 
 
-def _complex_permittivity(rel_permittivity, conductivity, f_c):
+def complex_permittivity(rel_permittivity, conductivity, f_c):
+    """eps_r - j sigma / (2 pi f_c eps_0), relative to vacuum."""
     return rel_permittivity - 1j * conductivity / (2.0 * np.pi * f_c * EPSILON_0)
 
 
-def _fresnel_te_tm(eps, cos_theta):
-    sin_sq = 1.0 - cos_theta ** 2
-    root = np.sqrt(eps - sin_sq)
-    g_te = (cos_theta - root) / (cos_theta + root)
-    g_tm = (eps * cos_theta - root) / (eps * cos_theta + root)
-    return g_te, g_tm
+def fresnel(eps, cos_theta):
+    """Unpolarized (|Gamma|, TE phase) for the complex relative permittivity
+    eps at incidence cos_theta in [0, 1].  A vanishing denominator, which a
+    padded hop slot can give as 0/0, yields a coefficient of 0."""
+    root = np.sqrt(eps - (1.0 - cos_theta ** 2))
+    den_te = cos_theta + root
+    den_tm = eps * cos_theta + root
+    ok_te = np.abs(den_te) > 1e-30
+    ok_tm = np.abs(den_tm) > 1e-30
+    g_te = np.where(ok_te, (cos_theta - root) / np.where(ok_te, den_te, 1.0), 0.0)
+    g_tm = np.where(ok_tm, (eps * cos_theta - root) / np.where(ok_tm, den_tm, 1.0), 0.0)
+    return 0.5 * (np.abs(g_te) + np.abs(g_tm)), np.angle(g_te)
 
 
-def fresnel_reflection(material, incidence_angle: float, f_c: float) -> complex:
-    """Unpolarized reflection coefficient at incidence_angle from the normal.
-
-    Magnitude is the average of the TE and TM magnitudes, phase follows TE.
-    """
-    if not 0.0 <= incidence_angle < np.pi / 2.0 + 1e-9:
-        raise ValueError("incidence angle must be in [0, pi/2)")
-    eps = _complex_permittivity(material.rel_permittivity, material.conductivity, f_c)
-    g_te, g_tm = _fresnel_te_tm(eps, np.cos(incidence_angle))
-    mag = 0.5 * (abs(g_te) + abs(g_tm))
-    return complex(mag * np.exp(1j * np.angle(g_te)))
+def antenna_angles(boresight, directions):
+    """Azimuth and elevation in degrees of unit directions (..., 3) in the
+    antenna frame: x along the boresight, z as close to global up as the
+    boresight allows.  For a vertical boresight, global x replaces global
+    up as the frame reference."""
+    x = unit(np.asarray(boresight, dtype=float))
+    ref = np.array([0.0, 0.0, 1.0])
+    if abs(float(np.dot(x, ref))) > 0.999:
+        ref = np.array([1.0, 0.0, 0.0])
+    y = unit(cross(ref, x))
+    d = directions @ np.stack([x, y, cross(x, y)]).T
+    az = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+    el = np.degrees(np.arctan2(d[..., 2], np.hypot(d[..., 0], d[..., 1])))
+    return az, el
 
 
 @dataclass
@@ -107,30 +118,8 @@ class PathAmplitude:
     phase: float
     breakdown: dict[str, float]
 
-    @property
-    def complex_amplitude(self) -> complex:
-        return complex(self.magnitude * np.exp(1j * self.phase))
-
 
 _FREE_SPACE = Material("free space", 1.0, 0.0, 0.0, 1)
-
-
-def _antenna_frame(boresight: np.ndarray) -> np.ndarray:
-    """Rows are the antenna frame axes (x boresight, z near global up)."""
-    x = unit(np.asarray(boresight, dtype=float))
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(x, ref))) > 0.999:
-        ref = np.array([1.0, 0.0, 0.0])
-    y = unit(cross(ref, x))
-    return np.stack([x, y, cross(x, y)])
-
-
-def _gains_db(pattern: AntennaPattern, frame: np.ndarray,
-              directions: np.ndarray) -> np.ndarray:
-    d = directions @ frame.T
-    az = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
-    el = np.degrees(np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1])))
-    return np.asarray(pattern.gain_db(az, el), dtype=float)
 
 
 def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
@@ -161,12 +150,10 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
     lengths = seg_len.sum(axis=1)
     spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
 
-    tx_gain_db = _gains_db(scene.transceiver(tx_id).pattern,
-                           _antenna_frame(snap.transceiver_state(tx_id).boresight),
-                           departures)
-    rx_gain_db = _gains_db(scene.transceiver(rx_id).pattern,
-                           _antenna_frame(snap.transceiver_state(rx_id).boresight),
-                           -arrivals)
+    tx_gain_db = scene.transceiver(tx_id).pattern.gain_db(
+        *antenna_angles(snap.transceiver_state(tx_id).boresight, departures))
+    rx_gain_db = scene.transceiver(rx_id).pattern.gain_db(
+        *antenna_angles(snap.transceiver_state(rx_id).boresight, -arrivals))
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
     # The material tables end in free space and the normals in a zero
@@ -175,37 +162,25 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
     materials = list(scene.materials.values())
     mat_index = {m.name: j for j, m in enumerate(materials)}
     materials.append(_FREE_SPACE)
-    eps_table = np.array([_complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
+    eps_table = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
                           for m in materials])
     s_table = np.array([m.scattering_coeff for m in materials])
-    r_table = np.sqrt(1.0 - s_table ** 2)
+    r_table = specular_reduction(s_table)
     alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
-    norm_table = np.array([lobe_normalization(m.lobe_exponent) for m in materials])
     mat_at = np.array([mat_index[f.material_id] for f in snap.facets] + [-1])[paths.facets]
     normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
-    eps_at = eps_table[mat_at]
-    root = np.sqrt(eps_at - (1.0 - cos_i ** 2))
-    # padded hop slots (mask False) can hit 0/0 here; any value works for them
-    den_te = cos_i + root
-    den_tm = eps_at * cos_i + root
-    ok_te = np.abs(den_te) > 1e-30
-    ok_tm = np.abs(den_tm) > 1e-30
-    g_te = np.where(ok_te, (cos_i - root) / np.where(ok_te, den_te, 1.0), 0.0)
-    g_tm = np.where(ok_tm, (eps_at * cos_i - root) / np.where(ok_tm, den_tm, 1.0), 0.0)
-    gamma_mag = 0.5 * (np.abs(g_te) + np.abs(g_tm))
-    gamma_phase = np.angle(g_te)
+    gamma_mag, gamma_phase = fresnel(eps_table[mat_at], cos_i)
 
-    spec_factor = r_table[mat_at] * gamma_mag
+    split = np.where(is_diffuse[:, None], s_table[mat_at], r_table[mat_at])
     cos_s = np.clip(np.einsum("nkj,nkj->nk", k_out, normals), 0.0, 1.0)
     dot = np.clip(np.einsum("nkj,nkj->nk", k_mir, k_out), -1.0, 1.0)
-    f_lobe = norm_table[mat_at] * ((1.0 + dot) / 2.0) ** alpha_table[mat_at]
+    f_lobe = lobe_density(dot, alpha_table[mat_at])
     patch = np.sqrt(np.maximum(paths.area[:, None] * cos_i * cos_s * f_lobe, 0.0))
-    diff_factor = s_table[mat_at] * gamma_mag * patch
+    patch = np.where(is_diffuse[:, None], patch, 1.0)
 
-    factor = np.where(is_diffuse[:, None], diff_factor, spec_factor)
-    factor = np.where(hop_mask, factor, 1.0)
+    factor = np.where(hop_mask, split * gamma_mag * patch, 1.0)
     spread = lam / (4.0 * np.pi * spread_len)
     magnitude = spread * gain_factor * np.prod(factor, axis=1)
     phase = (-2.0 * np.pi * f_c * lengths / SPEED_OF_LIGHT
@@ -214,15 +189,18 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
     if not with_breakdown:
         return amps
 
+    # A hop's term is a sum of logs: the product of its factors underflows
+    # to 0 for a subnormal scattering coefficient, its logs do not.
+    with np.errstate(divide="ignore"):
+        spread_db = 20.0 * np.log10(spread)
+        hop_db = 20.0 * (np.log10(split) + np.log10(gamma_mag) + np.log10(patch))
     out = []
     for i, (kind, facets, _) in enumerate(paths.keys()):
         label = "scatter" if kind == "diffuse" else "reflection"
-        with np.errstate(divide="ignore"):
-            bd = {"spreading_db": float(20.0 * np.log10(spread[i])),
-                  "tx_gain_db": float(tx_gain_db[i]),
-                  "rx_gain_db": float(rx_gain_db[i])}
-            for j, fi in enumerate(facets):
-                bd[f"{label}_{j}_facet_{fi}_db"] = float(
-                    20.0 * np.log10(factor[i, first[i] + j]))
+        bd = {"spreading_db": float(spread_db[i]),
+              "tx_gain_db": float(tx_gain_db[i]),
+              "rx_gain_db": float(rx_gain_db[i])}
+        for j, fi in enumerate(facets):
+            bd[f"{label}_{j}_facet_{fi}_db"] = float(hop_db[i, first[i] + j])
         out.append(PathAmplitude(float(magnitude[i]), float(phase[i]), bd))
     return out

@@ -244,12 +244,6 @@ def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
                      metadata={"window": window, "config": config.to_dict()})
 
 
-def fold_doppler(nu: np.ndarray, config: ChirpConfig) -> np.ndarray:
-    """Alias Doppler into the unambiguous span +-1 / (2 pri)."""
-    f_rep = 1.0 / config.pri
-    return (np.asarray(nu) + f_rep / 2.0) % f_rep - f_rep / 2.0
-
-
 def _window_response_table(window: str, n: int, oversample: int = 64,
                            span_bins: float = 8.0):
     """|DTFT| of a window vs frequency offset in bins, normalized to 1 at 0."""

@@ -18,8 +18,8 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def cross(a, b) -> np.ndarray:
     """Cross product over the last axis, broadcasting, written by component:
-    the same bits as np.cross without its per-call axis handling.  Two single
-    3-vectors go through Python floats, which is faster at that size."""
+    the same bits as numpy's cross without its per-call axis handling.  Two
+    single 3-vectors go through Python floats, which is faster at that size."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     single = a.ndim == b.ndim == 1
     (ax, ay, az), (bx, by, bz) = ((v.tolist() if single else (v[..., 0], v[..., 1], v[..., 2]))
@@ -38,12 +38,8 @@ def facet_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     area = 0.0
     for i in range(1, len(v) - 1):
-        area += 0.5 * np.linalg.norm(np.cross(v[i] - v[0], v[i + 1] - v[0]))
+        area += 0.5 * np.linalg.norm(cross(v[i] - v[0], v[i + 1] - v[0]))
     return float(area)
-
-
-def facet_centroid(vertices: np.ndarray) -> np.ndarray:
-    return np.asarray(vertices, dtype=float).mean(axis=0)
 
 
 def coplanarity_error(vertices: np.ndarray) -> float:
@@ -59,18 +55,8 @@ def is_convex(vertices: np.ndarray) -> bool:
     """Convexity with winding consistent with the facet normal."""
     v = np.asarray(vertices, dtype=float)
     n = facet_normal(v)
-    m = len(v)
-    for i in range(m):
-        e1 = v[(i + 1) % m] - v[i]
-        e2 = v[(i + 2) % m] - v[(i + 1) % m]
-        if float(np.dot(np.cross(e1, e2), n)) < -_EDGE_TOL:
-            return False
-    return True
-
-
-def mirror_point(p: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Reflect a point across the plane {x : normal . x = offset}."""
-    return p - 2.0 * (float(np.dot(p, normal)) - offset) * normal
+    edges = np.roll(v, -1, axis=0) - v
+    return bool(np.all(cross(edges, np.roll(edges, -1, axis=0)) @ n >= -_EDGE_TOL))
 
 
 def reflect_direction(k_in: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -148,23 +134,3 @@ class FacetPack:
         hit = p[:, None, :] + t[..., None] * d[:, None, :]
         return np.any(inside_span & self.contains(hit), axis=1)
 
-
-def segment_hits_facet(p: np.ndarray, q: np.ndarray, vertices: np.ndarray,
-                       eps: float = 0.0):
-    """Intersection point of segment pq with one facet, or None."""
-    pack = FacetPack([vertices])
-    v = np.asarray(vertices, dtype=float)
-    n = facet_normal(v)
-    offset = float(np.dot(n, v[0]))
-    d = q - p
-    denom = float(np.dot(d, n))
-    if abs(denom) < 1e-12:
-        return None
-    t = (offset - float(np.dot(p, n))) / denom
-    margin = eps / max(float(np.linalg.norm(d)), 1e-12)
-    if not (margin < t < 1.0 - margin):
-        return None
-    x = p + t * d
-    if not bool(pack.contains(x[None, None, :])[0, 0]):
-        return None
-    return x

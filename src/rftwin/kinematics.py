@@ -132,11 +132,6 @@ def _heading(vel, acc):
     return float(np.arctan2(vy, vx)), rate
 
 
-def interpolate(body, t: float) -> PoseSample:
-    """Pose of one mobile body at time t (see MobileBody for waypoint rules)."""
-    return _Trajectory(body.times, body.positions, body.yaws).sample(t)
-
-
 @dataclass(frozen=True)
 class TransceiverState:
     position: np.ndarray

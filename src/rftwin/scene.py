@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (COPLANARITY_TOL, MIN_FACET_AREA, coplanarity_error,
-                       facet_area, facet_normal, is_convex, unit)
+                       facet_area, facet_normal, is_convex)
 
 
 class SceneError(ValueError):
@@ -65,11 +65,6 @@ class Material:
             raise SceneError(f"material '{self.name}': scattering_coeff must be in [0, 1]")
         if int(self.lobe_exponent) != self.lobe_exponent or self.lobe_exponent < 1:
             raise SceneError(f"material '{self.name}': lobe_exponent must be an integer >= 1")
-
-    @property
-    def reflection_reduction(self) -> float:
-        """Specular amplitude reduction paired with scattering_coeff."""
-        return float(np.sqrt(1.0 - self.scattering_coeff ** 2))
 
     def to_dict(self) -> dict:
         return {
@@ -127,25 +122,6 @@ class AntennaPattern:
             "hpbw_azimuth_deg": self.hpbw_azimuth_deg,
             "hpbw_elevation_deg": self.hpbw_elevation_deg,
         }
-
-
-def boresight_angles(boresight: np.ndarray, direction: np.ndarray):
-    """Azimuth/elevation (degrees) of a direction in an antenna frame.
-
-    The frame has x along the boresight and z as close to global up as the
-    boresight allows; for a vertical boresight, global x breaks the tie.
-    """
-    x = unit(np.asarray(boresight, dtype=float))
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(x, ref))) > 0.999:
-        ref = np.array([1.0, 0.0, 0.0])
-    y = unit(np.cross(ref, x))
-    z = np.cross(x, y)
-    d = unit(np.asarray(direction, dtype=float))
-    dx, dy, dz = float(np.dot(d, x)), float(np.dot(d, y)), float(np.dot(d, z))
-    az = np.degrees(np.arctan2(dy, dx))
-    el = np.degrees(np.arctan2(dz, np.hypot(dx, dy)))
-    return az, el
 
 
 @dataclass(frozen=True)
@@ -308,9 +284,6 @@ class Scene:
             return self.transceivers[tid]
         except KeyError:
             raise SceneError(f"unknown transceiver '{tid}'") from None
-
-    def material_of(self, facet: Facet) -> Material:
-        return self.materials[facet.material_id]
 
     @property
     def t_span(self) -> tuple[float, float] | None:

@@ -9,7 +9,6 @@ from rftwin.analysis import (
     PeakMatch,
     extract_peaks,
     match_maps,
-    peak_to_sidelobe_db,
     ridge_fraction,
 )
 from rftwin.fmcw import DelayDopplerMap
@@ -153,12 +152,3 @@ def test_ridge_fraction():
     power2[18, 5] = 1.0              # two bins off, outside default width
     assert ridge_fraction(grid_map(power2)) == pytest.approx(0.5)
 
-
-def test_peak_to_sidelobe():
-    power = np.full((33, 41), 1e-12)
-    power[16, 20] = 1.0
-    power[16, 22] = 0.5              # inside the 3-bin exclusion box
-    power[16, 30] = 0.01             # the true competitor, -20 dB
-    assert peak_to_sidelobe_db(grid_map(power)) == pytest.approx(20.0, abs=1e-6)
-    assert peak_to_sidelobe_db(grid_map(power), exclude_bins=1) == pytest.approx(
-        10 * np.log10(1.0 / 0.5), abs=1e-6)

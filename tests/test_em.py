@@ -4,7 +4,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 from scipy.integrate import quad
@@ -14,14 +14,16 @@ from rftwin.em import (
     EPSILON_0,
     SPEED_OF_LIGHT,
     amplitudes_of,
-    fresnel_reflection,
-    lobe_gain,
+    antenna_angles,
+    complex_permittivity,
+    fresnel,
+    lobe_density,
     lobe_normalization,
-    split_power,
+    specular_reduction,
 )
 from rftwin.kinematics import snapshot
 from rftwin.raytrace import KINDS, PathTable, TraceConfig, trace_diffuse, trace_los, trace_specular
-from rftwin.scene import Material, boresight_angles, scene_from_dict
+from rftwin.scene import Material, SceneError, scene_from_dict
 
 from conftest import spin_rig_doc, two_ray_doc
 
@@ -51,6 +53,13 @@ def all_paths(snap, config):
                              trace_diffuse(snap, "BS", "UE", config)])
 
 
+def fresnel_of(material, theta, f_c):
+    """Complex coefficient of the Fresnel kernel for a material at theta."""
+    eps = complex_permittivity(material.rel_permittivity, material.conductivity, f_c)
+    mag, phase = fresnel(eps, np.cos(theta))
+    return complex(mag * np.exp(1j * phase))
+
+
 def closed_form_gamma(material, theta, f_c):
     """Unpolarized Fresnel coefficient, written out independently."""
     eps = complex(material.rel_permittivity,
@@ -71,15 +80,15 @@ def test_vacuum_permittivity_literal_is_codata():
 
 
 def test_split_power_conserves_energy():
-    for s in (0.0, 0.05, 0.35, 1.0):
-        r, s_out = split_power(s)
-        assert r * r + s_out * s_out == pytest.approx(1.0, abs=1e-15)
-    assert split_power(0.0) == (1.0, 0.0)
-    assert split_power(1.0) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        split_power(1.0001)
-    with pytest.raises(ValueError):
-        split_power(-0.1)
+    s = np.array([0.0, 0.05, 0.35, 1.0])
+    r = specular_reduction(s)
+    assert np.allclose(r * r + s * s, 1.0, rtol=0.0, atol=1e-15)
+    assert specular_reduction(0.0) == 1.0
+    assert specular_reduction(1.0) == 0.0
+    # the coefficient's domain is enforced where a material is made
+    for bad in (1.0001, -0.1):
+        with pytest.raises(SceneError):
+            Material("bad", 2.0, 0.0, bad, 1)
 
 
 def material_terms(s, rel_permittivity, conductivity, lobe_exponent):
@@ -107,6 +116,8 @@ def material_terms(s, rel_permittivity, conductivity, lobe_exponent):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(1.5, 80.0), st.floats(0.0, 100.0),
        st.integers(1, 32))
+@example(5e-324, 2.0, 0.0, 1)
+@example(2.2250738585e-313, 2.0, 0.0, 1)
 def test_reflection_and_scattering_conserve_power(s, rel_permittivity, conductivity,
                                                   lobe_exponent):
     """R^2 + S^2 = 1 as the amplitudes apply them: each factor is read from
@@ -137,27 +148,29 @@ def test_lobe_normalization_matches_quadrature():
 
 
 def test_lobe_gain_peaks_on_mirror_axis_and_decreases():
-    axis = np.array([0.0, 0.0, 1.0])
     for alpha in (1, 4, 16):
-        peak = lobe_gain(axis, axis, alpha)
+        peak = lobe_density(1.0, alpha)
         assert peak == pytest.approx(lobe_normalization(alpha), rel=1e-12)
         angles = np.linspace(0.0, np.pi / 2, 19)
-        gains = [lobe_gain(axis, [np.sin(a), 0.0, np.cos(a)], alpha)
-                 for a in angles]
-        assert all(g1 > g2 for g1, g2 in zip(gains, gains[1:]))
+        gains = lobe_density(np.cos(angles), alpha)
+        assert np.all(np.diff(gains) < 0.0)
     # higher exponent concentrates the lobe
-    off = [np.sin(0.5), 0.0, np.cos(0.5)]
-    assert lobe_gain(axis, off, 16) / lobe_normalization(16) < \
-        lobe_gain(axis, off, 1) / lobe_normalization(1)
+    off = np.cos(0.5)
+    assert lobe_density(off, 16) / lobe_normalization(16) < \
+        lobe_density(off, 1) / lobe_normalization(1)
+    # element-wise over the exponent, as the amplitudes index it per hop
+    alphas = np.array([1.0, 4.0, 16.0])
+    assert np.array_equal(lobe_density(off, alphas),
+                          [lobe_density(off, a) for a in (1, 4, 16)])
 
 
 def test_fresnel_normal_incidence_closed_form():
     for mat in (Material("glassy", 6.27, 0.79, 0.15, 16),
                 Material("lossless", 4.0, 0.0, 0.0, 1)):
-        got = fresnel_reflection(mat, 0.0, F_C)
+        got = fresnel_of(mat, 0.0, F_C)
         assert got == pytest.approx(closed_form_gamma(mat, 0.0, F_C), abs=1e-12)
     # lossless eps=4 at normal incidence: |(1-2)/(1+2)| = 1/3, TE phase pi
-    g = fresnel_reflection(Material("lossless", 4.0, 0.0, 0.0, 1), 0.0, F_C)
+    g = fresnel_of(Material("lossless", 4.0, 0.0, 0.0, 1), 0.0, F_C)
     assert abs(g) == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert np.angle(g) == pytest.approx(np.pi, abs=1e-12)
 
@@ -165,25 +178,30 @@ def test_fresnel_normal_incidence_closed_form():
 def test_fresnel_brewster_and_grazing():
     lossless = Material("lossless", 4.0, 0.0, 0.0, 1)
     theta_b = np.arctan(2.0)     # Brewster angle for eps = 4
-    g = fresnel_reflection(lossless, theta_b, F_C)
+    g = fresnel_of(lossless, theta_b, F_C)
     # TM vanishes at Brewster, so the unpolarized magnitude is |TE| / 2 = 0.3
     assert abs(g) == pytest.approx(0.3, abs=1e-9)
     for mat in (lossless, Material("metalish", 1.0, 1.0e7, 0.05, 32)):
-        assert abs(fresnel_reflection(mat, np.pi / 2 - 1e-6, F_C)) > 0.99
+        assert abs(fresnel_of(mat, np.pi / 2 - 1e-6, F_C)) > 0.99
     # good conductor reflects almost everything at any angle
     metal = Material("metalish", 1.0, 1.0e7, 0.05, 32)
     for theta in (0.0, 0.5, 1.2):
-        assert abs(fresnel_reflection(metal, theta, F_C)) > 0.998
+        assert abs(fresnel_of(metal, theta, F_C)) > 0.998
 
 
 def test_fresnel_passivity_and_domain():
     mat = Material("brickish", 3.91, 0.05, 0.45, 2)
     for theta in np.linspace(0.0, np.pi / 2 - 1e-3, 25):
-        assert abs(fresnel_reflection(mat, theta, F_C)) <= 1.0 + 1e-12
-    with pytest.raises(ValueError):
-        fresnel_reflection(mat, -0.1, F_C)
-    with pytest.raises(ValueError):
-        fresnel_reflection(mat, np.pi / 2 + 0.1, F_C)
+        assert abs(fresnel_of(mat, theta, F_C)) <= 1.0 + 1e-12
+    # the whole domain cos(theta) in [0, 1] in one call, grazing included
+    eps = complex_permittivity(mat.rel_permittivity, mat.conductivity, F_C)
+    cos_theta = np.linspace(0.0, 1.0, 101)
+    mag, phase = fresnel(eps, cos_theta)
+    assert mag.shape == phase.shape == cos_theta.shape
+    assert np.all(mag <= 1.0 + 1e-12)
+    assert mag[0] == pytest.approx(1.0, abs=1e-12)
+    expected = [closed_form_gamma(mat, np.arccos(c), F_C) for c in cos_theta]
+    assert np.allclose(mag * np.exp(1j * phase), expected, rtol=0.0, atol=1e-12)
 
 
 def isotropic_pair_doc(distance):
@@ -231,7 +249,7 @@ def test_free_space_cir_has_one_los_tap():
 
 
 def pattern_gain_db(trx, direction):
-    az, el = boresight_angles(trx.boresight, direction)
+    az, el = antenna_angles(trx.boresight, direction)
     return trx.pattern.gain_db(az, el)
 
 
@@ -264,7 +282,7 @@ def test_specular_amplitude_reimplemented():
     g_rx = pattern_gain_db(scene.transceivers["UE"], -path["arrival"])
     expected_mag = (LAMBDA / (4 * np.pi * path["length"])
                     * 10 ** ((g_tx + g_rx) / 20.0)
-                    * mat.reflection_reduction * abs(gamma))
+                    * specular_reduction(mat.scattering_coeff) * abs(gamma))
     expected_phase = (-2 * np.pi * F_C * path["length"] / SPEED_OF_LIGHT
                       + cmath.phase(gamma))
     assert amp.magnitude == pytest.approx(expected_mag, rel=1e-12)
@@ -290,7 +308,7 @@ def test_diffuse_amplitude_reimplemented():
         cos_s = max(float(k_out @ normal), 0.0)
         gamma = closed_form_gamma(mat, np.arccos(cos_i), F_C)
         k_mirror = k_in - 2.0 * float(k_in @ normal) * normal
-        f_lobe = lobe_gain(k_mirror, k_out, mat.lobe_exponent)
+        f_lobe = lobe_density(float(k_mirror @ k_out), mat.lobe_exponent)
         g_tx = pattern_gain_db(scene.transceivers["BS"], path["departure"])
         g_rx = pattern_gain_db(scene.transceivers["UE"], -path["arrival"])
         expected = (LAMBDA / (4 * np.pi * d1 * d2)
@@ -311,8 +329,6 @@ def test_breakdown_terms_sum_to_magnitude():
         assert len(amp.breakdown) == 3 + len(facets)
         assert sum(amp.breakdown.values()) == pytest.approx(
             20 * np.log10(amp.magnitude), abs=1e-9)
-        assert amp.complex_amplitude == pytest.approx(
-            amp.magnitude * np.exp(1j * amp.phase))
 
 
 def test_vectorized_amplitudes_match_singles():
@@ -323,9 +339,9 @@ def test_vectorized_amplitudes_match_singles():
     batch = amplitudes_of(paths, snap, scene, "BS", "UE", F_C)
     budgets = amplitudes_of(paths, snap, scene, "BS", "UE", F_C, with_breakdown=True)
     for i, (a, budget) in enumerate(zip(batch, budgets)):
-        single = amplitude_of(paths.take([i]), snap, scene, F_C).complex_amplitude
-        assert a == pytest.approx(single, rel=1e-12)
-        assert a == pytest.approx(budget.complex_amplitude, rel=1e-12)
+        single = amplitude_of(paths.take([i]), snap, scene, F_C)
+        assert a == pytest.approx(single.magnitude * np.exp(1j * single.phase), rel=1e-12)
+        assert a == pytest.approx(budget.magnitude * np.exp(1j * budget.phase), rel=1e-12)
 
 
 def test_empty_path_list():

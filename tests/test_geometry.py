@@ -6,19 +6,36 @@ import pytest
 from rftwin.geometry import (
     FacetPack,
     coplanarity_error,
+    cross,
     facet_area,
-    facet_centroid,
     facet_normal,
     is_convex,
-    mirror_point,
     reflect_direction,
-    segment_hits_facet,
     unit,
     yaw_matrix,
 )
 
 SQUARE_XY = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def segment_hits_facet(p, q, vertices, eps=0.0):
+    """Scalar reference: intersection point of segment pq with one facet,
+    or None.  Hits within eps meters of either endpoint do not count."""
+    v = np.asarray(vertices, dtype=float)
+    n = facet_normal(v)
+    d = q - p
+    denom = float(np.dot(d, n))
+    if abs(denom) < 1e-12:
+        return None
+    t = (float(np.dot(n, v[0])) - float(np.dot(p, n))) / denom
+    margin = eps / max(float(np.linalg.norm(d)), 1e-12)
+    if not (margin < t < 1.0 - margin):
+        return None
+    x = p + t * d
+    if not bool(FacetPack([v]).contains(x[None, None, :])[0, 0]):
+        return None
+    return x
 
 
 def random_convex_polygon(rng, n_vertices):
@@ -57,15 +74,20 @@ def test_facet_normal_follows_winding():
     assert np.allclose(facet_normal(SQUARE_XY[::-1]), [0.0, 0.0, -1.0])
 
 
+def test_cross_is_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(2, 50, 3)) * 10.0 ** rng.integers(-8, 8, size=(2, 50, 1))
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert cross(a[:, None], b[None]).tobytes() == np.cross(a[:, None], b[None]).tobytes()
+    for u, v in zip(a, b):
+        assert cross(u, v).tobytes() == np.cross(u, v).tobytes()
+
+
 def test_facet_area_matches_shoelace_oracle():
     rng = np.random.default_rng(11)
     for n in (3, 4, 4, 5, 6):
         verts, shoelace = random_convex_polygon(rng, n)
         assert facet_area(verts) == pytest.approx(shoelace, rel=1e-12)
-
-
-def test_facet_centroid_is_vertex_mean():
-    assert np.allclose(facet_centroid(SQUARE_XY), [0.5, 0.5, 0.0])
 
 
 def test_coplanarity_error_measures_out_of_plane_offset():
@@ -83,6 +105,11 @@ def test_is_convex_accepts_square_rejects_chevron():
 
 
 def test_mirror_point_involution_and_midpoint_on_plane():
+    def mirror_point(p, n, offset):
+        """Point mirror across {x : n . x = offset}: the mirror law about the
+        plane point offset * n."""
+        return offset * n + reflect_direction(p - offset * n, n)
+
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = unit(rng.normal(size=3))
@@ -125,7 +152,7 @@ def test_contains_accepts_convex_interior_rejects_exterior():
     inside = w @ verts
     assert np.all(pack.contains(inside[:, None, :]).ravel())
     # points pushed out past each edge midpoint
-    centroid = facet_centroid(verts)
+    centroid = verts.mean(axis=0)
     mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
     outside = centroid + 1.3 * (mids - centroid)
     assert not np.any(pack.contains(outside[:, None, :]).ravel())

@@ -10,68 +10,72 @@ from rftwin.kinematics import (
     TrajectoryRangeError,
     _Spline,
     build_trajectories,
-    interpolate,
     snapshot,
 )
-from rftwin.scene import MobileBody, scene_from_dict
+from rftwin.scene import MobileBody, Scene, scene_from_dict
 
 PATTERN = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 90.0, "hpbw_elevation_deg": 60.0}
 
 
-def fd_velocity(body, t, h=1e-5):
-    a = interpolate(body, t - h).position
-    b = interpolate(body, t + h).position
+def trajectory(body):
+    """The interpolant snapshot samples for this body."""
+    return build_trajectories(Scene({}, [], {}, {body.id: body}))[body.id]
+
+
+def fd_velocity(traj, t, h=1e-5):
+    a = traj.sample(t - h).position
+    b = traj.sample(t + h).position
     return (b - a) / (2.0 * h)
 
 
 def test_linear_motion_is_exact():
-    body = MobileBody("b", [0.0, 2.0], [[0.0, 1.0, 0.0], [4.0, 1.0, 2.0]])
-    mid = interpolate(body, 1.0)
+    traj = trajectory(MobileBody("b", [0.0, 2.0], [[0.0, 1.0, 0.0], [4.0, 1.0, 2.0]]))
+    mid = traj.sample(1.0)
     assert np.allclose(mid.position, [2.0, 1.0, 1.0], atol=1e-12)
     assert np.allclose(mid.velocity, [2.0, 0.0, 1.0], atol=1e-12)
-    start = interpolate(body, 0.0)
+    start = traj.sample(0.0)
     assert np.allclose(start.velocity, [2.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_derived_yaw_follows_heading():
-    body = MobileBody("b", [0.0, 2.0], [[10.0, 5.0, 0.0], [6.0, 5.0, 0.0]])
-    pose = interpolate(body, 1.0)
+    traj = trajectory(MobileBody("b", [0.0, 2.0], [[10.0, 5.0, 0.0], [6.0, 5.0, 0.0]]))
+    pose = traj.sample(1.0)
     assert pose.yaw == pytest.approx(np.pi)        # moving along -x
     assert pose.yaw_rate == pytest.approx(0.0, abs=1e-12)
-    body = MobileBody("b", [0.0, 2.0], [[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]])
-    assert interpolate(body, 0.5).yaw == pytest.approx(np.pi / 4)
+    traj = trajectory(MobileBody("b", [0.0, 2.0], [[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]]))
+    assert traj.sample(0.5).yaw == pytest.approx(np.pi / 4)
 
 
 def test_spline_velocity_matches_finite_difference():
     rng = np.random.default_rng(12)
     times = np.array([0.0, 1.0, 2.5, 4.0, 5.0])
     waypoints = rng.normal(scale=5.0, size=(5, 3))
-    body = MobileBody("b", times, waypoints)
+    traj = trajectory(MobileBody("b", times, waypoints))
     for t in (0.3, 1.7, 2.5, 3.9, 4.7):
-        pose = interpolate(body, t)
-        assert np.allclose(pose.velocity, fd_velocity(body, t), atol=1e-6)
+        pose = traj.sample(t)
+        assert np.allclose(pose.velocity, fd_velocity(traj, t), atol=1e-6)
     # interpolant passes through the waypoints
     for t, p in zip(times, waypoints):
-        assert np.allclose(interpolate(body, t).position, p, atol=1e-12)
+        assert np.allclose(traj.sample(t).position, p, atol=1e-12)
 
 
 def test_given_yaw_and_yaw_rate_fd():
     times = [0.0, 1.0, 2.0, 3.0]
     pos = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]
     yaws = [0.0, 0.4, 0.9, 1.0]
-    body = MobileBody("b", times, pos, yaws)
+    traj = trajectory(MobileBody("b", times, pos, yaws))
     for t in (0.5, 1.5, 2.5):
-        pose = interpolate(body, t)
+        pose = traj.sample(t)
         h = 1e-5
-        rate_fd = (interpolate(body, t + h).yaw - interpolate(body, t - h).yaw) / (2 * h)
+        rate_fd = (traj.sample(t + h).yaw - traj.sample(t - h).yaw) / (2 * h)
         assert pose.yaw_rate == pytest.approx(rate_fd, abs=1e-6)
 
 
 def test_yaw_unwrap_across_pi():
     # +170 deg to -170 deg should take the short way through 180
     y0, y1 = np.radians(170.0), np.radians(-170.0)
-    body = MobileBody("b", [0.0, 1.0], [[0, 0, 0], [1, 0, 0]], [y0, y1])
-    mid = interpolate(body, 0.5).yaw
+    traj = trajectory(MobileBody("b", [0.0, 1.0], [[0, 0, 0], [1, 0, 0]], [y0, y1]))
+    mid = traj.sample(0.5).yaw
     assert mid == pytest.approx(np.pi, abs=1e-9)
 
 
@@ -79,25 +83,25 @@ def test_derived_yaw_rate_matches_curvature():
     # quarter-turn style arc sampled from a circle of radius 5 at 1 rad/s
     ts = np.linspace(0.0, 1.0, 9)
     pos = np.stack([5.0 * np.cos(ts), 5.0 * np.sin(ts), np.zeros_like(ts)], axis=1)
-    body = MobileBody("b", ts, pos)
-    pose = interpolate(body, 0.5)
+    traj = trajectory(MobileBody("b", ts, pos))
+    pose = traj.sample(0.5)
     # heading of circular motion advances at the angular rate of the circle
     # (loose: a natural spline through 9 samples bends slightly at the ends)
     assert pose.yaw_rate == pytest.approx(1.0, rel=2e-2)
     h = 1e-5
-    rate_fd = (interpolate(body, 0.5 + h).yaw - interpolate(body, 0.5 - h).yaw) / (2 * h)
+    rate_fd = (traj.sample(0.5 + h).yaw - traj.sample(0.5 - h).yaw) / (2 * h)
     assert pose.yaw_rate == pytest.approx(rate_fd, abs=1e-5)
 
 
 def test_no_extrapolation():
-    body = MobileBody("b", [0.0, 1.0], [[0, 0, 0], [1, 0, 0]])
+    traj = trajectory(MobileBody("b", [0.0, 1.0], [[0, 0, 0], [1, 0, 0]]))
     with pytest.raises(TrajectoryRangeError):
-        interpolate(body, -0.5)
+        traj.sample(-0.5)
     with pytest.raises(TrajectoryRangeError):
-        interpolate(body, 1.5)
+        traj.sample(1.5)
     # endpoints themselves are valid
-    interpolate(body, 0.0)
-    interpolate(body, 1.0)
+    traj.sample(0.0)
+    traj.sample(1.0)
 
 
 def moving_scene_doc():

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from rftwin.em import antenna_angles, specular_reduction
+from rftwin.geometry import unit
 from rftwin.scene import (
     AntennaPattern,
     Material,
     SceneError,
     Transceiver,
-    boresight_angles,
     load_scene,
     material_defaults,
     scene_from_dict,
@@ -51,7 +52,8 @@ def test_material_presets_conserve_power_and_values():
     presets = material_defaults()
     assert set(presets) == {"metal", "glass", "concrete", "brick"}
     for m in presets.values():
-        assert m.reflection_reduction ** 2 + m.scattering_coeff ** 2 == pytest.approx(1.0)
+        assert specular_reduction(m.scattering_coeff) ** 2 + m.scattering_coeff ** 2 == \
+            pytest.approx(1.0)
     assert presets["metal"].conductivity == 1.0e7
     assert presets["metal"].scattering_coeff == 0.05
     assert presets["concrete"].rel_permittivity == 5.24
@@ -97,17 +99,26 @@ def test_pattern_rejects_nonpositive_beamwidths():
 
 
 def test_boresight_angles_principal_directions():
+    def angles(boresight, direction):
+        return antenna_angles(boresight, unit(np.array(direction)))
+
     b = [1.0, 0.0, 0.0]
-    assert boresight_angles(b, [1.0, 0.0, 0.0]) == pytest.approx((0.0, 0.0))
-    az, el = boresight_angles(b, [0.0, 1.0, 0.0])
+    assert angles(b, [1.0, 0.0, 0.0]) == pytest.approx((0.0, 0.0))
+    az, el = angles(b, [0.0, 1.0, 0.0])
     assert (az, el) == pytest.approx((90.0, 0.0))
-    az, el = boresight_angles(b, [0.0, 0.0, 1.0])
+    az, el = angles(b, [0.0, 0.0, 1.0])
     assert el == pytest.approx(90.0)
-    az, el = boresight_angles(b, [1.0, 0.0, 1.0])
+    az, el = angles(b, [1.0, 0.0, 1.0])
     assert (az, el) == pytest.approx((0.0, 45.0))
     # vertical boresight falls back to a horizontal reference axis
-    az, el = boresight_angles([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    az, el = angles([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     assert el == pytest.approx(90.0)
+    # a stack of directions gives the same angles, row by row
+    rows = np.array([unit(np.array(d)) for d in
+                     ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0])])
+    az, el = antenna_angles(b, rows)
+    assert az == pytest.approx([0.0, 90.0, 0.0])
+    assert el == pytest.approx([0.0, 0.0, 45.0])
 
 
 def test_facet_validation_messages_name_the_facet():
@@ -135,7 +146,7 @@ def test_facet_normal_area_from_scene():
     assert wall.area == pytest.approx(4.0)
     tri = scene.facets[1]
     assert tri.area == pytest.approx(0.5)
-    assert scene.material_of(wall).name == "custom"
+    assert scene.materials[wall.material_id].name == "custom"
 
 
 def test_body_waypoint_validation():
