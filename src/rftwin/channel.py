@@ -207,36 +207,81 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
 def load_cir(path) -> tuple[list[CirFrame], dict]:
     """Read a CIR file back into frames plus its JSON header.
 
-    The columns are read-only views of the file bytes; facet rows are as
-    wide as the frame's largest hop count.
+    One pass walks the frame headers and joins the frames' column bytes;
+    each column is then cut from them for the whole file at once, and every
+    frame's table holds slices of those columns.  Facet rows are as wide as
+    the file's largest hop count.
     """
     header, body = read_container(path, CIR_MAGIC, "CIR")
-    frames = []
-    for _ in range(header["n_frames"]):
-        epoch, t, n, dropped = body.unpack("<Id II")
-        a_re, a_im, tau, nu = body.take("<f8", 4 * n).reshape(4, n)
-        kind, hops = body.take(np.uint8, 2 * n).reshape(2, n)
-        flat = body.take("<i4", int(hops.sum()))
-        if (kind >= len(KINDS)).any() or (flat < 0).any():
-            raise ValueError(f"{path}: frame {epoch}: unknown kind code or negative facet index")
-        a = np.empty(n, dtype=complex)
-        a.real, a.imag = a_re, a_im
-        frames.append(CirFrame(epoch, t, PathTable(kind, hops, PathTable.facet_rows(hops, flat),
-                                                   body.take("<i4", n), a=a, tau=tau, nu=nu),
-                               dropped))
+    n_frames = header["n_frames"]
+    if not isinstance(n_frames, int) or n_frames < 0:
+        raise ValueError(f"{path}: bad frame count {n_frames!r}")
+    raw = memoryview(body.raw)
+    heads, floats, codes, ints, n_facets = [], [], [], [], []
+    for _ in range(n_frames):
+        heads.append(body.unpack("<Id II"))
+        count = heads[-1][2]
+        start = body.skip(34 * count)           # a_re, a_im, tau, nu, kind, hops
+        n_facets.append(sum(raw[start + 33 * count:start + 34 * count]))
+        body.skip(4 * (n_facets[-1] + count))   # facet indices, sample indices
+        floats.append(raw[start:start + 32 * count])
+        codes.append(raw[start + 32 * count:start + 34 * count])
+        ints.append(raw[start + 34 * count:body.offset])
     body.end()
+
+    # Frame k's block of c columns starts at c * first[k] in the joined
+    # bytes, so item r of column j sits at r + (c - 1) * first[k] + j * n[k].
+    n = np.array([head[2] for head in heads], dtype=np.intp)
+    n_facets = np.array(n_facets, dtype=np.intp)
+    first = np.cumsum(n) - n
+    rows = np.arange(n.sum())
+    floats = np.frombuffer(b"".join(floats), "<f8")
+    a_re, a_im, tau, nu = (floats[rows + np.repeat(3 * first + j * n, n)] for j in range(4))
+    codes = np.frombuffer(b"".join(codes), np.uint8)
+    kind, hops = (codes[rows + np.repeat(first + j * n, n)] for j in range(2))
+    ints = np.frombuffer(b"".join(ints), "<i4")
+    flat = ints[np.arange(n_facets.sum()) + np.repeat(first, n_facets)]
+    sample = ints[rows + np.repeat(np.cumsum(n_facets), n)]
+    bad = np.concatenate([np.repeat(np.arange(n_frames), n)[kind >= len(KINDS)],
+                          np.repeat(np.arange(n_frames), n_facets)[flat < 0]])
+    if bad.size:
+        raise ValueError(f"{path}: frame {heads[bad.min()][0]}: unknown kind code "
+                         "or negative facet index")
+
+    a = np.empty(len(rows), dtype=complex)
+    a.real, a.imag = a_re, a_im
+    facets = PathTable.facet_rows(hops, flat)
+    frames = []
+    for (epoch, t, count, dropped), lo in zip(heads, first.tolist()):
+        at = slice(lo, lo + count)
+        frames.append(CirFrame(epoch, t, PathTable(kind[at], hops[at], facets[at], sample[at],
+                                                   a=a[at], tau=tau[at], nu=nu[at]),
+                               dropped))
     return frames, header
+
+
+class _FacetFields(dict):
+    """Facet row tuple -> the facets field of the CSV, formatted on first use."""
+
+    def __missing__(self, row: tuple) -> str:
+        self[row] = field = "|".join(str(f) for f in row if f >= 0)
+        return field
 
 
 def cir_to_csv(path, frames: list[CirFrame]) -> None:
     """Flat CSV export: one row per path per frame."""
+    kinds = [f"{kind}," for kind in KINDS]
+    facet_fields = _FacetFields()
     with open(path, "w") as fh:
         fh.write("epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,"
                  "facets,sample_index\n")
         for fr in frames:
             p = fr.paths
-            for (kind, facets, sample), tau, nu, a in zip(
-                    p.keys(), p.tau.tolist(), p.nu.tolist(), p.a.tolist()):
-                fh.write(f"{fr.epoch_index},{fr.t!r},{kind},{tau!r},{nu!r},"
-                         f"{a.real!r},{a.imag!r},{'|'.join(map(str, facets))},"
-                         f"{'' if sample is None else sample}\n")
+            head = f"{fr.epoch_index},{fr.t!r},"
+            fh.write("".join([
+                f"{head}{kinds[k]}{tau!r},{nu!r},{re!r},{im!r},{f},{'' if s < 0 else s}\n"
+                for k, tau, nu, re, im, f, s in zip(
+                    p.kind.tolist(), p.tau.tolist(), p.nu.tolist(), p.a.real.tolist(),
+                    p.a.imag.tolist(), map(facet_fields.__getitem__,
+                                           map(tuple, p.facets.tolist())),
+                    p.sample.tolist())]))

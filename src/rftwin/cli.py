@@ -169,6 +169,17 @@ def _export_formats(spec: str) -> list[str]:
     return formats
 
 
+def _window_name(flag: str, name: str) -> str:
+    """A --window/--window-slow value; an unknown name is an input error."""
+    from .fmcw import window_taps
+
+    try:
+        window_taps(name, 1)
+    except ValueError as exc:
+        raise InputError(f"--{flag}: {exc}") from exc
+    return name
+
+
 def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
     """Write one map in each requested format; the names of the files."""
     from .fmcw import map_to_csv, map_to_pgm, save_map
@@ -187,7 +198,7 @@ def cmd_process(args) -> int:
 
     from .channel import ChirpConfig, load_cir
     from .fmcw import (NoiseConfig, delay_doppler, pdp_series, pdp_to_csv,
-                       save_pdp, synth_beat)
+                       range_windows, save_pdp, synth_beat)
 
     frames, header = _load_checked(load_cir, args.cir)
     config = ChirpConfig(**header["config"])
@@ -201,6 +212,8 @@ def cmd_process(args) -> int:
         raise InputError(f"window of {n} chirps exceeds the {len(frames)} "
                          f"frames in {args.cir}")
     formats = _export_formats(args.export)
+    window_fast = _window_name("window", args.window)
+    window_slow = _window_name("window-slow", args.window_slow)
     starts = list(range(args.t0_index, len(frames) - n + 1, stride))
     if args.num_windows is not None:
         starts = starts[:args.num_windows]
@@ -215,17 +228,17 @@ def cmd_process(args) -> int:
 
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
-    pdp = pdp_series(beats, times, config, window=args.window)
+    pdp = pdp_series(beats, times, config, window=window_fast)
     pdp.metadata["seed"] = header.get("seed")
     if "bin" in formats:
         save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
     if "csv" in formats:
         pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
     written = []
-    for start in starts:
-        ddm = delay_doppler(beats, times, config, t0_index=start, n_chirps=n,
-                            window_fast=args.window, window_slow=args.window_slow,
-                            zero_pad=args.zero_pad)
+    windows = range_windows(beats, starts, n, window_fast, args.zero_pad)
+    for start, rows in zip(starts, windows):
+        ddm = delay_doppler(rows, times, config, t0_index=start,
+                            window_fast=window_fast, window_slow=window_slow)
         ddm.metadata["seed"] = header.get("seed")
         written += _write_map(out / f"{tag}_w{start:06d}", ddm, formats,
                               args.frozen_clock)

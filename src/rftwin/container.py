@@ -38,7 +38,8 @@ class Payload:
     def __init__(self, path, raw: bytes, offset: int):
         self.path, self.raw, self.offset = path, raw, offset
 
-    def _advance(self, nbytes: int) -> int:
+    def skip(self, nbytes: int) -> int:
+        """Step over nbytes; the offset where they start."""
         start = self.offset
         if nbytes > len(self.raw) - start:
             raise ValueError(f"{self.path}: payload truncated at byte {len(self.raw)}, "
@@ -47,14 +48,14 @@ class Payload:
         return start
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.raw, self._advance(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.raw, self.skip(struct.calcsize(fmt)))
 
     def take(self, dtype, count) -> np.ndarray:
         """count items of dtype, as a read-only view of the file bytes."""
         if not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError(f"{self.path}: bad array length {count!r}")
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.raw, dtype, count, self._advance(dtype.itemsize * count))
+        return np.frombuffer(self.raw, dtype, count, self.skip(dtype.itemsize * count))
 
     def end(self) -> None:
         extra = len(self.raw) - self.offset

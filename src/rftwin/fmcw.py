@@ -13,13 +13,29 @@ evolves purely through the Doppler phasor, one rotation of 2 pi nu pri per
 chirp.  t_ref is the first synthesized epoch, keeping the phasor argument
 small so slowly drifting Doppler does not skew the apparent frequency.
 
-FFT normalization: both axes divide by the window sum (coherent gain), so an
-on-grid path of amplitude a peaks at |a| in the map, directly comparable to
-the analytic prediction of predicted_map.
+Factored synthesis: with w_n the constant part of a path's phasor and
+omega_n = 2 pi slope tau_n / f_samp, the fast-time index splits as
+m = B q + r with B = ceil(sqrt(samples_per_chirp)), and
+
+    row[B q + r] = sum_n (w_n exp(j omega_n B q)) exp(j omega_n r),
+
+one (Q x P) @ (P x B) complex product per chirp, built from P (Q + B)
+exponentials instead of P samples_per_chirp.  Both exponent arguments are
+rounded apart, which moves each tone by a few ulps of its largest argument
+(2 pi slope tau t_m, at most about 1.3e4 rad): every sample stays within
+1e-11 of the largest sample of the direct sum.
+
+Processing: range_fft is the one windowed fast-time FFT.  pdp_series takes
+it over every beat row, and delay_doppler reads the range spectra of one
+window's rows; range_windows transforms each row once for a sequence of
+overlapping windows.  Both axes divide by the window sum (coherent gain),
+so an on-grid path of amplitude a peaks at |a| in the map, directly
+comparable to the analytic prediction of predicted_map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,56 +93,99 @@ class NoiseConfig:
         return 10.0 ** ((self.floor_dbm(f_samp) - self.tx_power_dbm) / 10.0)
 
 
+# Budget of a synth_beat block: about 1 MB of exponentials and products,
+# like the temporaries of one _PDP_BLOCK_ROWS range_fft.
+_SYNTH_BLOCK_BYTES = 1 << 20
+
+
 def synth_beat(frames: list[CirFrame], config: ChirpConfig,
                noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
-    """Dechirped I/Q samples, one row per frame (see module docstring).
+    """Dechirped I/Q samples, one row per frame, in the factored form of the
+    module docstring.
 
     Each path's slow-time phase is the running integral of its Doppler
     over the frames where it appears (trapezoid rule, keyed by path), so a
     drifting nu evolves the phase correctly; for constant nu this equals
-    nu * (t - t_first).  Noise draws are keyed by (seed, epoch_index), so
-    a given frame always receives the same noise regardless of batch
+    nu * (t - t_first).  Frames go through np.matmul in blocks, padded to
+    the block's largest path count with zero weights, so an empty frame
+    gives a zero row.  Noise draws are keyed by (seed, epoch_index), so a
+    given frame always receives the same noise regardless of batch
     boundaries.
     """
     n_s = config.samples_per_chirp
-    t_m = np.arange(n_s) / config.f_samp
-    sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0) if noise.enabled else 0.0
-
-    ids, n_ids = _path_ids(frames)
-    trail = np.full((n_ids, 3), np.nan)     # per path id: t, nu, phase when last seen
     beats = np.empty((len(frames), n_s), dtype=complex)
-    stop = 0
-    for row, fr in zip(beats, frames):
-        p = fr.paths
-        start, stop = stop, stop + len(p)
-        idx = ids[start:stop]
-        t_prev, nu_prev, phi_prev = trail[idx].T
-        phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
-        phi[np.isnan(t_prev)] = 0.0
-        trail[idx, 0], trail[idx, 1], trail[idx, 2] = fr.t, p.nu, phi
-        const = 2.0 * np.pi * (config.f_c * p.tau
-                               - 0.5 * config.slope * p.tau ** 2) + phi
-        weights = p.a * np.exp(1j * const)
-        tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(p.tau, t_m))
-        row[:] = weights @ tones
-        if noise.enabled:
+    if not frames:
+        return beats
+    paths = PathTable.concat([fr.paths for fr in frames])
+    counts = np.array([len(fr.paths) for fr in frames])
+    phi = _phase_trails(_path_ids(paths), np.repeat([fr.t for fr in frames], counts),
+                        paths.nu)
+    const = 2.0 * np.pi * (config.f_c * paths.tau
+                           - 0.5 * config.slope * paths.tau ** 2) + phi
+    weights = paths.a * np.exp(1j * const)
+
+    # t_m at m = B q and at m = r, with the bits of the direct form's t_m.
+    t_m = np.arange(n_s) / config.f_samp
+    b = math.isqrt(max(n_s - 1, 0)) + 1
+    t_q, t_r = t_m[::b], t_m[:b]
+    q = len(t_q)
+    omega = 2.0 * np.pi * config.slope
+    block = max(1, _SYNTH_BLOCK_BYTES
+                // (16 * (q * b + 2 * (q + b) * max(int(counts.max()), 1))))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    for f0 in range(0, len(frames), block):
+        f1 = min(f0 + block, len(frames))
+        live = np.arange(counts[f0:f1].max()) < counts[f0:f1, None]
+        w = np.zeros(live.shape, dtype=complex)
+        tau = np.zeros(live.shape)
+        w[live] = weights[bounds[f0]:bounds[f1]]
+        tau[live] = paths.tau[bounds[f0]:bounds[f1]]
+        left = w[:, None, :] * np.exp(1j * (omega * (tau[:, None, :] * t_q[:, None])))
+        right = np.exp(1j * (omega * (tau[:, :, None] * t_r)))
+        beats[f0:f1] = np.matmul(left, right).reshape(f1 - f0, q * b)[:, :n_s]
+    if noise.enabled:
+        sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
+        for row, fr in zip(beats, frames):
             rng = np.random.default_rng([noise.seed, fr.epoch_index])
             row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
     return beats
 
 
-def _path_ids(frames: list[CirFrame]) -> tuple[np.ndarray, int]:
-    """One integer id per path key over the frames: the id of every row of
-    the frames' tables in order, and the number of distinct keys."""
-    if not frames:
-        return np.empty(0, dtype=np.intp), 0
-    rows = PathTable.concat([fr.paths for fr in frames]).key_rows()
+def _phase_trails(ids: np.ndarray, t: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Slow-time phase of every path row: 0 at the first row of its key,
+    then the previous row's phase plus pi (nu_prev + nu) (t - t_prev).
+
+    The rows are sorted by key once; the sums then run one occurrence rank
+    at a time over all keys, in the order and with the bits of a row-by-row
+    update.
+    """
+    order = np.argsort(ids, kind="stable")
+    t, nu, key = t[order], nu[order], ids[order]
+    step = np.pi * (nu[:-1] + nu[1:]) * (t[1:] - t[:-1])
+    index = np.arange(len(key))
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    rank = index - np.maximum.accumulate(np.where(starts, index, 0))
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = np.cumsum(np.bincount(rank))
+    phase = np.zeros(len(key))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = by_rank[lo:hi]
+        phase[at] = phase[at - 1] + step[at - 1]
+    phi = np.empty_like(phase)
+    phi[order] = phase
+    return phi
+
+
+def _path_ids(paths: PathTable) -> np.ndarray:
+    """One integer id per path key: the id of every row of paths."""
+    rows = paths.key_rows()
     order = np.lexsort(rows.T)
     new = np.ones(len(rows), dtype=bool)          # first row of each key in order
     new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
     ids = np.empty(len(rows), dtype=np.intp)
     ids[order] = np.cumsum(new) - 1
-    return ids, int(new.sum())
+    return ids
 
 
 def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
@@ -134,14 +193,50 @@ def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (config.f_samp / n_bins) / config.slope
 
 
-def range_fft(samples: np.ndarray, window: str = "hann",
-              zero_pad: bool = False) -> np.ndarray:
-    """Windowed fast-time FFT over the last axis, normalized by the window sum."""
+# Rows per range_fft call in pdp_series and range_windows: about 1 MB of
+# temporaries at 2116 samples per chirp, small enough that the allocator
+# reuses them from block to block instead of mapping fresh pages for each.
+_PDP_BLOCK_ROWS = 32
+
+
+def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Windowed fast-time FFT over the last axis, normalized by the window
+    sum; written into out when given.  A block of rows gives the bits of
+    each row on its own."""
     n = samples.shape[-1]
     w = window_taps(window, n)
-    spectrum = np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1)
+    spectrum = np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1, out=out)
     spectrum /= w.sum()
     return spectrum
+
+
+def range_windows(beats: np.ndarray, starts, n_chirps: int, window: str = "hann",
+                  zero_pad: bool = False):
+    """Range spectra (range_fft) of the n_chirps beat rows from each of the
+    ascending starts, one window after the other: the rows argument of
+    delay_doppler.
+
+    Every beat row is transformed once, however many windows hold it.  The
+    spectra live in a buffer of n_chirps rows, or 2 n_chirps when windows
+    overlap; each window is a view into it, valid until the next is drawn.
+    """
+    overlap = any(b - a < n_chirps for a, b in zip(starts, starts[1:]))
+    buffer = np.empty(((2 if overlap else 1) * n_chirps,
+                       beats.shape[1] * (2 if zero_pad else 1)), dtype=complex)
+    base = done = 0         # buffer[i] holds beat row base + i; rows below done are in
+    for start in starts:
+        end = start + n_chirps
+        if start >= done:
+            base = done = start
+        elif end - base > len(buffer):        # move the shared rows to the front
+            buffer[:done - start] = buffer[start - base:done - base]
+            base = start
+        for lo in range(done, end, _PDP_BLOCK_ROWS):
+            hi = min(lo + _PDP_BLOCK_ROWS, end)
+            range_fft(beats[lo:hi], window, zero_pad, out=buffer[lo - base:hi - base])
+        done = end
+        yield buffer[start - base:end - base]
 
 
 @dataclass
@@ -195,24 +290,40 @@ def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay:
             np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri)), meta)
 
 
-def delay_doppler(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
-                  t0_index: int = 0, n_chirps: int = 128,
-                  window_fast: str = "hann", window_slow: str = "hann",
-                  zero_pad: bool = False) -> DelayDopplerMap:
-    """Delay-Doppler power map over n_chirps consecutive rows of the beat
-    matrix; times holds the epoch of every row.
+# Delay columns per slow-time FFT in delay_doppler: about 1 MB of complex
+# temporaries at 128 chirps.
+_MAP_BLOCK_COLUMNS = 512
 
+
+def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
+                  t0_index: int = 0, window_fast: str = "hann",
+                  window_slow: str = "hann") -> DelayDopplerMap:
+    """Delay-Doppler power map of one window of len(rows) chirps.
+
+    rows holds range_fft(beats[t0_index:t0_index + len(rows)], window_fast,
+    zero_pad), as range_windows yields it, and times the epoch of every
+    beat row.  Rows twice as wide as samples_per_chirp are zero-padded.
     Doppler bins are spaced 1 / (n_chirps * pri) and span +-1 / (2 pri),
-    centered on zero, with approaching targets at positive Doppler.
+    centered on zero, with approaching targets at positive Doppler.  The
+    slow-time FFT runs over blocks of delay columns, which gives the bits
+    of one FFT over the whole window.
     """
-    d_axis, nu_axis, meta = _map_axes(_epochs(beats, times), config, t0_index, n_chirps,
-                                      beats.shape[1] * (2 if zero_pad else 1),
-                                      [window_fast, window_slow], zero_pad)
-    rows = range_fft(beats[t0_index:t0_index + n_chirps], window_fast, zero_pad)
+    n_chirps, n_delay = rows.shape
+    zero_pad = n_delay == 2 * config.samples_per_chirp
+    if not zero_pad and n_delay != config.samples_per_chirp:
+        raise ValueError(f"{n_delay} delay bins, expected {config.samples_per_chirp} "
+                         f"or {2 * config.samples_per_chirp} (zero-padded)")
+    d_axis, nu_axis, meta = _map_axes(np.asarray(times, dtype=float), config, t0_index,
+                                      n_chirps, n_delay, [window_fast, window_slow],
+                                      zero_pad)
     w_slow = window_taps(window_slow, n_chirps)
-    grid = np.fft.fftshift(np.fft.fft(rows * w_slow[:, None], axis=0), axes=0)
-    grid /= w_slow.sum()
-    return DelayDopplerMap(_power_db(np.abs(grid) ** 2), d_axis, nu_axis, meta)
+    power = np.empty((n_chirps, n_delay))
+    for lo in range(0, n_delay, _MAP_BLOCK_COLUMNS):
+        cols = slice(lo, lo + _MAP_BLOCK_COLUMNS)
+        grid = np.fft.fft(rows[:, cols] * w_slow[:, None], axis=0)
+        grid /= w_slow.sum()
+        power[:, cols] = np.fft.fftshift(np.abs(grid) ** 2, axes=0)
+    return DelayDopplerMap(_power_db(power), d_axis, nu_axis, meta)
 
 
 @dataclass
@@ -223,12 +334,6 @@ class PdpSeries:
     delay_axis: np.ndarray
     times: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-
-# Rows per range FFT in pdp_series: about 1 MB of temporaries at 2104
-# samples per chirp, small enough that the allocator reuses them from block
-# to block instead of mapping fresh pages for each.
-_PDP_BLOCK_ROWS = 32
 
 
 def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
@@ -279,10 +384,11 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
     offs, resp = _window_response_table(window_fast, n_delay)
     window = frames[t0_index:t0_index + n_chirps]
     counts = [len(fr.paths) for fr in window]
-    ids, _ = _path_ids(window)
+    paths = PathTable.concat([fr.paths for fr in window])
+    ids = _path_ids(paths)
     # First and last (t, tau) of every path key in the window.
     t = np.repeat(times[t0_index:t0_index + n_chirps], counts)
-    tau = np.concatenate([fr.paths.tau for fr in window])
+    tau = paths.tau
     first = np.unique(ids, return_index=True)[1]
     last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
 
@@ -336,9 +442,10 @@ def map_to_csv(path, ddm: DelayDopplerMap) -> None:
     delays = [f"{tau!r}," for tau in ddm.delay_axis.tolist()]
     with open(path, "w") as fh:
         fh.write("delay_s,doppler_hz,power_db\n")
-        for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db.tolist()):
+        for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db):
             doppler = f"{nu!r},"
-            fh.write("".join([f"{tau}{doppler}{p!r}\n" for tau, p in zip(delays, row)]))
+            fh.write("".join([f"{tau}{doppler}{p!r}\n"
+                              for tau, p in zip(delays, row.tolist())]))
 
 
 def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
@@ -372,8 +479,8 @@ def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
 def pdp_to_csv(path, pdp: PdpSeries) -> None:
     with open(path, "w") as fh:
         fh.write("t," + ",".join(map(repr, pdp.delay_axis.tolist())) + "\n")
-        for t, row in zip(pdp.times.tolist(), pdp.power_db.tolist()):
-            fh.write(f"{t!r}," + ",".join(map(repr, row)) + "\n")
+        for t, row in zip(pdp.times.tolist(), pdp.power_db):
+            fh.write(f"{t!r}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 PDP_MAGIC = b"RFTPDP1\n"

@@ -42,8 +42,8 @@ class Material:
 
     Attributes
     ----------
-    rel_permittivity : real part of the relative permittivity, >= 1.
-    conductivity : S/m, >= 0.
+    rel_permittivity : real part of the relative permittivity, finite, >= 1.
+    conductivity : S/m, finite, >= 0.
     scattering_coeff : fraction of the reflected field fed into the diffuse
         lobe, in [0, 1].  The specular reduction follows from power
         conservation: reduction**2 + scattering_coeff**2 = 1.
@@ -57,10 +57,10 @@ class Material:
     lobe_exponent: int
 
     def __post_init__(self):
-        if self.rel_permittivity < 1.0:
-            raise SceneError(f"material '{self.name}': rel_permittivity must be >= 1")
-        if self.conductivity < 0.0:
-            raise SceneError(f"material '{self.name}': conductivity must be >= 0")
+        if not 1.0 <= self.rel_permittivity < np.inf:
+            raise SceneError(f"material '{self.name}': rel_permittivity must be finite and >= 1")
+        if not 0.0 <= self.conductivity < np.inf:
+            raise SceneError(f"material '{self.name}': conductivity must be finite and >= 0")
         if not 0.0 <= self.scattering_coeff <= 1.0:
             raise SceneError(f"material '{self.name}': scattering_coeff must be in [0, 1]")
         if int(self.lobe_exponent) != self.lobe_exponent or self.lobe_exponent < 1:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from rftwin.channel import ChirpConfig, CirFrame, SensingLink, simulate_cir
-from rftwin.fmcw import synth_beat
+from rftwin.fmcw import delay_doppler, range_fft, synth_beat
 from rftwin.raytrace import PathTable, TraceConfig
 from rftwin.scene import Scene, load_scene, scene_from_dict
 
@@ -72,6 +72,15 @@ def epoch_times(frames) -> np.ndarray:
     """The epoch of every frame: the times argument of delay_doppler and
     pdp_series."""
     return np.array([fr.t for fr in frames])
+
+
+def window_map(beats, times, config, t0_index=0, n_chirps=128, window_fast="hann",
+               window_slow="hann", zero_pad=False):
+    """delay_doppler of the n_chirps beat rows from t0_index, with the rows
+    range-transformed for this window alone."""
+    rows = range_fft(beats[t0_index:t0_index + n_chirps], window_fast, zero_pad)
+    return delay_doppler(rows, times, config, t0_index=t0_index,
+                         window_fast=window_fast, window_slow=window_slow)
 
 
 def cir_frame(epoch: int, t: float, a=(), tau=(), nu=()) -> CirFrame:

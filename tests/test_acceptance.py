@@ -13,13 +13,12 @@ import time
 import numpy as np
 from scipy.optimize import minimize
 
-from conftest import FIXTURES, cir_frame, epoch_times, two_ray_doc
+from conftest import FIXTURES, cir_frame, epoch_times, two_ray_doc, window_map
 from rftwin.analysis import extract_peaks, ridge_fraction
 from rftwin.channel import ChirpConfig, CirFrame, max_range
 from rftwin.cli import main
 from rftwin.em import lobe_density, specular_reduction
-from rftwin.fmcw import (delay_doppler, pdp_series, predicted_map, synth_beat,
-                         window_taps)
+from rftwin.fmcw import pdp_series, predicted_map, synth_beat, window_taps
 from rftwin.kinematics import snapshot
 from rftwin.raytrace import trace_specular
 from rftwin.scene import scene_from_dict
@@ -55,7 +54,7 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
     n = 128
     start = len(ep.beats) - n      # closest approach sits at the episode end
-    ddm = delay_doppler(ep.beats, ep.times, ep.config, t0_index=start, n_chirps=n)
+    ddm = window_map(ep.beats, ep.times, ep.config, t0_index=start, n_chirps=n)
     movers = [p for p in extract_peaks(ddm, threshold_db=40.0)
               if abs(p.doppler_hz) > 300.0]
     top = max(movers, key=lambda p: p.power_db)
@@ -63,8 +62,8 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     static_frames = [CirFrame(fr.epoch_index, fr.t,
                               fr.paths.take(np.abs(fr.paths.nu) < 5.0))
                      for fr in ep.frames]
-    static_map = delay_doppler(synth_beat(static_frames, ep.config), ep.times,
-                               ep.config, t0_index=start, n_chirps=n)
+    static_map = window_map(synth_beat(static_frames, ep.config), ep.times,
+                            ep.config, t0_index=start, n_chirps=n)
     ridge = ridge_fraction(static_map)
 
     ok = (abs(top.delay_s - 62e-9) <= ddm.delay_bin
@@ -134,8 +133,8 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
             amps = np.abs(mid.paths.a)
             tb = mid.paths.tau / delay_bin
             nb = mid.paths.nu / doppler_bin
-            proc = delay_doppler(ep.beats, ep.times, cfg, t0_index=w, n_chirps=128,
-                                 window_fast="hann", window_slow="boxcar")
+            proc = window_map(ep.beats, ep.times, cfg, t0_index=w, n_chirps=128,
+                              window_fast="hann", window_slow="boxcar")
             pred = predicted_map(ep.frames, cfg, t0_index=w, n_chirps=128)
             a_top = amps.max()
             for i in range(len(mid.paths)):
@@ -311,8 +310,8 @@ def test_criterion_08_doppler_mainlobe_nulls():
         frames = [cir_frame(k, k * config.pri, [amp], [40e-9], [nu])
                   for k in range(n)]
         beats = synth_beat(frames, config)
-        ddm = delay_doppler(beats, epoch_times(frames), config, t0_index=0, n_chirps=n,
-                            window_fast="boxcar", window_slow="boxcar")
+        ddm = window_map(beats, epoch_times(frames), config, t0_index=0, n_chirps=n,
+                         window_fast="boxcar", window_slow="boxcar")
         return ddm, beats
 
     # On the Doppler grid the bin spacing equals 1/T_w, so both first nulls

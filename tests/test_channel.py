@@ -1,5 +1,8 @@
 """Chirp timing, CIR simulation semantics and the CIR file round-trip."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -217,6 +220,29 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
     save_cir(path, [frame], ep.config, ep.link)
     with pytest.raises(ValueError, match="unknown kind code"):
         load_cir(path)
+
+
+def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_episode):
+    ep = plates_episode
+    path = tmp_path / "plates.cir"
+    save_cir(path, ep.frames[:3], ep.config, ep.link)
+    raw = bytearray(path.read_bytes())
+    hlen = struct.unpack_from("<I", raw, 8)[0]
+    at = 12 + hlen                                  # frame 0 header
+    n = struct.unpack_from("<I", raw, at + 12)[0]
+    at += 20 + 34 * n + 4 * (sum(raw[at + 20 + 33 * n:at + 20 + 34 * n]) + n)
+    n = struct.unpack_from("<I", raw, at + 12)[0]   # frame 1: negate its first facet
+    struct.pack_into("<i", raw, at + 20 + 34 * n, -7)
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="frame 1: unknown kind code or negative facet"):
+        load_cir(path)
+    header = json.loads(raw[12:12 + hlen].decode())
+    for count in (-1, 2.5, "3"):
+        header["n_frames"] = count
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+        with pytest.raises(ValueError, match=f"bad frame count {count!r}"):
+            load_cir(path)
 
 
 def test_cir_csv_export(tmp_path, plates_episode):

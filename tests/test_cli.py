@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -200,6 +201,23 @@ def test_info_on_truncated_artifacts_is_input_error(artifacts, tmp_path, capsys)
             assert str(cut) in capsys.readouterr().err
 
 
+def test_cir_cut_inside_a_facet_block_is_input_error(artifacts, tmp_path, capsys):
+    raw = (artifacts["out"] / "run.cir").read_bytes()
+    at = 12 + struct.unpack_from("<I", raw, 8)[0]         # first frame header
+    for _ in range(3):                                    # skip frames 0 and 1, then cut
+        n = struct.unpack_from("<I", raw, at + 12)[0]
+        hops = raw[at + 20 + 33 * n:at + 20 + 34 * n]
+        facets = at + 20 + 34 * n
+        at = facets + 4 * (sum(hops) + n)
+    assert sum(hops) >= 2
+    cut = tmp_path / "cut.cir"
+    cut.write_bytes(raw[:facets + 6])                     # one facet and a half
+    assert main(["process", "--cir", str(cut), "-N", "8", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cut) in err and f"payload truncated at byte {facets + 6}" in err
+    assert list(tmp_path.iterdir()) == [cut]
+
+
 def test_non_finite_scene_is_input_error(tmp_path, capsys):
     doc = plates_scene_doc()
     doc["facets"][0]["vertices"][2][1] = float("nan")
@@ -294,6 +312,10 @@ def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeyp
     assert main(["process", "--cir", cir, "-N", "8", "--t0-index", "12"] + sink) == 2
     assert ("no complete 8-chirp window starts at index 12 in 16 beat frames"
             in capsys.readouterr().err)
+    assert main(["process", "--cir", cir, "-N", "8", "--window", "foo"] + sink) == 2
+    assert "--window: unknown window 'foo'" in capsys.readouterr().err
+    assert main(["process", "--cir", cir, "-N", "8", "--window-slow", "kaiser"] + sink) == 2
+    assert "--window-slow: unknown window 'kaiser'" in capsys.readouterr().err
     # a valid command does reach the patched synthesis
     assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
     assert "synthesis reached" in capsys.readouterr().err

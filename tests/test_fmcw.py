@@ -8,9 +8,10 @@ from scipy import constants
 from scipy.constants import Boltzmann
 from scipy.signal import get_window
 
-from conftest import cir_frame, epoch_times
-from rftwin.channel import ChirpConfig
+from conftest import cir_frame, epoch_times, window_map
+from rftwin.channel import ChirpConfig, CirFrame
 from rftwin import fmcw
+from rftwin.raytrace import PathTable
 from rftwin.fmcw import (
     BOLTZMANN,
     DelayDopplerMap,
@@ -26,6 +27,7 @@ from rftwin.fmcw import (
     pdp_to_csv,
     predicted_map,
     range_fft,
+    range_windows,
     save_map,
     save_pdp,
     synth_beat,
@@ -171,7 +173,7 @@ def test_tone_separation_resolved_and_merged():
 def test_map_axes_spacing_and_metadata():
     frames = make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 128)
     beats, times = synth_beat(frames, CFG), epoch_times(frames)
-    ddm = delay_doppler(beats, times, CFG, n_chirps=128)
+    ddm = window_map(beats, times, CFG, n_chirps=128)
     assert ddm.power_db.shape == (128, NS)
     assert ddm.doppler_bin == pytest.approx(DOPPLER_STEP, rel=1e-12)
     assert ddm.doppler_axis[0] == pytest.approx(-64 * DOPPLER_STEP, rel=1e-12)
@@ -181,12 +183,13 @@ def test_map_axes_spacing_and_metadata():
     assert ddm.metadata["windows"] == ["hann", "hann"]
     assert ddm.metadata["t0_index"] == 0
     assert ddm.metadata["config"]["f_c"] == CFG.f_c
+    rows = range_fft(beats)
     with pytest.raises(ValueError, match="outside"):
-        delay_doppler(beats, times, CFG, t0_index=1, n_chirps=128)
+        delay_doppler(rows, times, CFG, t0_index=1)
     with pytest.raises(ValueError, match="outside"):
-        delay_doppler(beats, times, CFG, t0_index=-1, n_chirps=64)
-    with pytest.raises(ValueError, match="127 epoch times for 128 beat rows"):
-        delay_doppler(beats, times[1:], CFG)
+        delay_doppler(rows[:64], times, CFG, t0_index=-1)
+    with pytest.raises(ValueError, match=f"{NS - 1} delay bins, expected {NS} or {2 * NS}"):
+        delay_doppler(rows[:, 1:], times, CFG)
     with pytest.raises(ValueError, match="127 epoch times for 128 beat rows"):
         pdp_series(beats, times[:-1], CFG)
 
@@ -195,7 +198,7 @@ def test_on_grid_path_power_is_exact():
     a = 0.01
     tau = 160 * DELAY_STEP
     frames = make_frames([tap(a, tau, 0.0)], 128)
-    ddm = delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
+    ddm = window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert (i, j) == (64, 160)      # zero Doppler row, the tap's delay bin
     assert ddm.power_linear()[i, j] == pytest.approx(a * a, rel=1e-9)
@@ -206,21 +209,21 @@ def test_approaching_target_lands_at_positive_doppler():
     nu = 17 * DOPPLER_STEP
     frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
     times = epoch_times(frames)
-    ddm = delay_doppler(synth_beat(frames, CFG), times, CFG, n_chirps=128)
+    ddm = window_map(synth_beat(frames, CFG), times, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu, rel=1e-12)
     assert j == 160
     receding = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, -nu)], 128), CFG)
-    i2, _ = np.unravel_index(np.argmax(delay_doppler(receding, times, CFG).power_db),
+    i2, _ = np.unravel_index(np.argmax(window_map(receding, times, CFG).power_db),
                              (128, NS))
-    assert delay_doppler(receding, times, CFG).doppler_axis[i2] == pytest.approx(-nu)
+    assert window_map(receding, times, CFG).doppler_axis[i2] == pytest.approx(-nu)
 
 
 def test_doppler_beyond_nyquist_folds():
     f_rep = 1.0 / CFG.pri
     nu = 69 * DOPPLER_STEP          # 5 bins past the +Nyquist edge (64 bins)
     frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
-    ddm = delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
+    ddm = window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
     i, _ = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu - f_rep, rel=1e-9)
 
@@ -229,8 +232,8 @@ def test_predicted_map_matches_processed_on_grid():
     a, tau, nu = 0.02, 160 * DELAY_STEP, 17 * DOPPLER_STEP
     frames = make_frames([tap(a, tau, nu)], 128)
     beats = synth_beat(frames, CFG)
-    proc = delay_doppler(beats, epoch_times(frames), CFG, n_chirps=128,
-                         window_fast="boxcar", window_slow="boxcar")
+    proc = window_map(beats, epoch_times(frames), CFG, n_chirps=128,
+                      window_fast="boxcar", window_slow="boxcar")
     pred = predicted_map(frames, CFG, n_chirps=128)
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     qi = np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape)
@@ -286,6 +289,90 @@ def test_pdp_series_static_path():
                        rtol=1e-12, atol=1e-15)
 
 
+def direct_beats(frames, config, noise=NoiseConfig()):
+    """The direct sum: one weights @ exp(outer(tau, t_m)) per frame, with
+    each key's phase trail updated frame by frame."""
+    n_s = config.samples_per_chirp
+    t_m = np.arange(n_s) / config.f_samp
+    trail = {}                          # key -> (t, nu, phase) when last seen
+    beats = np.empty((len(frames), n_s), dtype=complex)
+    for row, fr in zip(beats, frames):
+        p = fr.paths
+        keys = p.keys()
+        t_prev, nu_prev, phi_prev = np.array(
+            [trail.get(k, (np.nan,) * 3) for k in keys]).reshape(-1, 3).T
+        phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
+        phi[np.isnan(t_prev)] = 0.0
+        trail.update(zip(keys, zip([fr.t] * len(p), p.nu.tolist(), phi.tolist())))
+        const = 2.0 * np.pi * (config.f_c * p.tau
+                               - 0.5 * config.slope * p.tau ** 2) + phi
+        weights = p.a * np.exp(1j * const)
+        tones = np.exp(1j * (2.0 * np.pi * config.slope) * np.outer(p.tau, t_m))
+        row[:] = weights @ tones
+        if noise.enabled:
+            sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
+            rng = np.random.default_rng([noise.seed, fr.epoch_index])
+            row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
+    return beats
+
+
+# 2104 samples per chirp: not a square, so the factored rows are cut.
+CFG_2104 = ChirpConfig(f_samp=18.65e6, n_chirps_total=256)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.sampled_from([CFG, CFG_2104]), n_frames=st.integers(1, 6),
+       pool=st.integers(0, 70), seed=st.integers(0, 2 ** 32 - 1), noise=st.booleans())
+def test_factored_synthesis_matches_direct_sum(config, n_frames, pool, seed, noise):
+    """Random frames of 0-70 paths drawn from a pool of keys, so paths
+    appear, vanish and reappear and some frames are empty."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for k in range(n_frames):
+        ids = np.flatnonzero(rng.random(pool) < rng.choice([0.0, 0.3, 0.8, 1.0]))
+        n = len(ids)
+        paths = PathTable(np.ones(n, np.uint8), np.ones(n, np.uint8),
+                          ids.astype(np.int32)[:, None], np.full(n, -1, np.int32),
+                          a=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                          tau=rng.uniform(0.0, config.max_delay, n),
+                          nu=rng.uniform(-0.5, 0.5, n) / config.pri)
+        frames.append(CirFrame(k, k * config.pri, paths))
+    cfg_noise = NoiseConfig(enabled=noise, seed=seed % 1000)
+    got, want = synth_beat(frames, config, cfg_noise), direct_beats(frames, config, cfg_noise)
+    assert got.shape == want.shape == (n_frames, config.samples_per_chirp)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("zero_pad", [False, True])
+@pytest.mark.parametrize("stride", [7, 45])
+def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride):
+    """Each window's rows from range_windows are range_fft of that window
+    alone, and delay_doppler on them gives the bits of one slow-time FFT
+    over the whole window, for every window name in both roles."""
+    n = 40                      # more than one range_fft block per window
+    frames = make_frames([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
+                          tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
+    beats = synth_beat(frames, CFG, NoiseConfig(enabled=True, seed=3))
+    times = epoch_times(frames)
+    starts = list(range(0, len(beats) - n + 1, stride))
+    names = ["hann", "hamming", "blackman", "boxcar"]
+    for fast, slow in zip(names, names[1:] + names[:1]):
+        shared = range_windows(beats, starts, n, fast, zero_pad)
+        for start, rows in zip(starts, shared):
+            fresh = range_fft(beats[start:start + n], fast, zero_pad)
+            assert rows.tobytes() == fresh.tobytes()
+            ddm = delay_doppler(rows, times, CFG, t0_index=start,
+                                window_fast=fast, window_slow=slow)
+            w = window_taps(slow, n)
+            grid = np.fft.fftshift(np.fft.fft(fresh * w[:, None], axis=0), axes=0)
+            grid /= w.sum()
+            whole = 10.0 * np.log10(np.maximum(np.abs(grid) ** 2, 1e-30))
+            assert ddm.power_db.tobytes() == whole.tobytes()
+            assert ddm.metadata["zero_pad"] is zero_pad
+            assert ddm.metadata["windows"] == [fast, slow]
+            assert ddm.metadata["t0_index"] == start
+
+
 def test_noise_defaults_off_and_floor_formula():
     noise = NoiseConfig()
     assert not noise.enabled
@@ -324,7 +411,7 @@ def test_noise_variance_matches_config():
 
 def small_map():
     frames = make_frames([tap(0.05, 160 * DELAY_STEP, 3 * 1.0 / (16 * CFG.pri))], 16)
-    return delay_doppler(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=16)
+    return window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=16)
 
 
 def test_map_file_roundtrip_and_frozen_determinism(tmp_path):

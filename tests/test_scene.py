@@ -79,6 +79,27 @@ def test_material_validation(kwargs):
         Material(**base)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["rel_permittivity", "conductivity"])
+def test_non_finite_material_constants_are_rejected(field, value, tmp_path, capsys):
+    from conftest import FIXTURES
+    from rftwin.cli import main
+
+    doc = json.loads((FIXTURES / "scenario_b.json").read_text())
+    concrete = material_defaults()["concrete"].to_dict()
+    concrete[field] = value
+    doc["materials"] = [concrete if m == {"preset": "concrete"} else m
+                        for m in doc["materials"]]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SceneError, match=f"'concrete': {field} must be finite"):
+        load_scene(path)
+    assert main(["simulate", "--scene", str(path), "--tx", "UE", "--t0", "0.1",
+                 "--chirps", "2", "-o", str(tmp_path)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "scene.cir").exists()
+
+
 def test_pattern_gain_peak_halfpower_and_floor():
     p = AntennaPattern(**PATTERN)
     assert p.gain_db(0.0, 0.0) == pytest.approx(5.0)
