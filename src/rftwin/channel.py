@@ -1,24 +1,43 @@
 """Time-varying channel impulse responses over a chirp epoch grid.
 
-Each chirp interval gets a fresh world snapshot (quasi-static within the
-chirp), a fresh trace, and per-path amplitude, delay and Doppler.  Paths
-whose delay exceeds the unambiguous beat-spectrum span f_samp / slope are
-dropped and counted per frame.
+simulate_cir runs an episode in blocks of _BLOCK_CHIRPS chirps, in three
+passes over each block:
+
+1. the world at every epoch of the block at once (kinematics.snapshots),
+   quasi-static within each chirp;
+2. LOS and specular tracing over the whole block, diffuse tracing per
+   chirp, and one block table of their rows, ordered by epoch, with a frame
+   column and the snapshot columns of each row's epoch;
+3. amplitude, Doppler and delay of every row of the block in one call each.
+
+Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
+are then dropped and counted per frame, and each frame is a slice of the
+kept rows.  What is fixed for the episode (spline interpolants, diffuse
+sample patterns, the amplitude model's LinkConstants) is built once.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .container import now, read_container, write_container
-from .em import SPEED_OF_LIGHT, amplitudes_of
-from .kinematics import WorldSnapshot, build_trajectories, snapshot
+from .em import SPEED_OF_LIGHT, LinkConstants, amplitudes_of
+# snapshot is not called here any more; perfbench's span recorder still
+# looks it up in this module.
+from .kinematics import WorldSnapshot, build_trajectories, snapshot, snapshots  # noqa: F401
 from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns,
                        trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
+
+# Chirps per block pass: large enough to spread the fixed cost of the
+# vectorized passes, small enough that the block table and the temporaries
+# of the amplitude pass stay a few MB at the tens of paths per chirp of the
+# shipped scenes.
+_BLOCK_CHIRPS = 64
 
 
 @dataclass(frozen=True)
@@ -35,7 +54,10 @@ class ChirpConfig:
 
     def __post_init__(self):
         for name in ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp"):
-            if getattr(self, name) < 0 or (name != "t_idle" and getattr(self, name) == 0):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"ChirpConfig.{name} must be finite, got {value}")
+            if value < 0 or (name != "t_idle" and value == 0):
                 raise ValueError(f"ChirpConfig.{name} must be positive")
         if self.n_chirps_total < 1:
             raise ValueError("n_chirps_total must be >= 1")
@@ -97,33 +119,25 @@ class CirFrame:
     n_dropped: int = 0
 
 
-def doppler_of(paths: PathTable, snap: WorldSnapshot, tx_id: str, rx_id: str,
+def doppler_of(paths: PathTable, snap: WorldSnapshot | None, tx_id: str, rx_id: str,
                f_c: float) -> np.ndarray:
     """Doppler shift per path in Hz; positive while the path shortens.
 
     nu = -(f_c / c) d(length)/dt.  Each segment contributes the projection
     of its endpoint velocities onto its direction: the transceivers' and,
-    at every hit, the rigid-body velocity of the touched facet.  For
-    specular points the in-plane migration of the reflection point does not
-    change path length to first order (the mirror law makes the length
-    stationary), so that velocity is exactly the right rate.  Rows are
-    left-aligned (TX in column 0) before the sum, so a path's Doppler does
-    not depend on the padding of the table it sits in.
+    at every hit, the rigid-body velocity of the touched facet (the table's
+    velocity column).  For specular points the in-plane migration of the
+    reflection point does not change path length to first order (the
+    mirror law makes the length stationary), so that velocity is exactly
+    the right rate.  Rows are left-aligned (TX in column 0) before the sum,
+    so a path's Doppler does not depend on the padding of the table it sits
+    in.  snap is the snapshot one table was traced in, or None for a table
+    that carries its snapshot columns, as in amplitudes_of.
     """
-    vel = np.zeros(paths.points.shape)
-    vel[:, :-1] = snap.transceiver_state(tx_id).velocity
-    vel[:, -1] = snap.transceiver_state(rx_id).velocity
-    hit_vel = vel[:, 1:-1]
-    hit_vel[paths.facets >= 0] = 0.0
-    # Owning body of every hit; the -1 padding picks the appended None.
-    owner = np.array([f.body_id for f in snap.facets] + [None], dtype=object)[paths.facets]
-    for body_id in snap.body_poses:
-        on = owner == body_id
-        if on.any():
-            hit_vel[on] = snap.body_point_velocity(body_id, paths.points[:, 1:-1][on])
-
+    if snap is not None:
+        paths = snap.attach(paths, tx_id, rx_id)
     index, live = paths.left_aligned()
-    pts, vel = paths.points[index], vel[index]
+    pts, vel = paths.points[index], paths.velocity[index]
     segs = np.diff(pts, axis=1)
     norms = np.linalg.norm(segs, axis=2)
     units = np.where(live[:, 1:, None], segs / np.maximum(norms, 1e-300)[..., None], 0.0)
@@ -137,10 +151,13 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     """Impulse-response frames on the chirp epoch grid t0 + k * pri.
 
     Deterministic for a fixed scene, configs and t0.  Raises SceneError when
-    the epoch grid is not covered by every body trajectory.
+    t0 is not finite or the epoch grid is not covered by every body
+    trajectory.
     """
     scene.transceiver(link.tx_id)
     scene.transceiver(link.rx_id)
+    if not math.isfinite(t0):
+        raise SceneError(f"episode start t0 must be finite, got {t0}")
     n = config.n_chirps_total if n_chirps is None else n_chirps
     span = scene.t_span
     t_end = t0 + (n - 1) * config.pri
@@ -150,23 +167,58 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
             f"trajectories [{span[0]:.6g}, {span[1]:.6g}] s")
 
     tx, rx = link.tx_id, link.rx_id
+    times = t0 + np.arange(max(n, 0)) * config.pri
     trajectories = build_trajectories(scene)
     patterns = build_sample_patterns(scene, trace)
+    constants = LinkConstants(scene, tx, rx, config.f_c)
     frames = []
-    for k in range(n):
-        t_k = t0 + k * config.pri
-        snap = snapshot(scene, t_k, trajectories)
-        parts = [] if link.mono_static else [trace_los(snap, tx, rx, trace)]
-        parts += [trace_specular(snap, tx, rx, trace),
-                  trace_diffuse(snap, tx, rx, trace, patterns)]
-        paths = PathTable.concat(parts)
-        paths.a = amplitudes_of(paths, snap, scene, tx, rx, config.f_c)
-        paths.nu = doppler_of(paths, snap, tx, rx, config.f_c)
-        paths.tau = paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
-        keep = paths.tau < config.max_delay
-        n_dropped = len(keep) - int(np.count_nonzero(keep))
-        frames.append(CirFrame(k, t_k, paths.take(keep) if n_dropped else paths, n_dropped))
+    for lo in range(0, len(times), _BLOCK_CHIRPS):
+        snaps = snapshots(scene, times[lo:lo + _BLOCK_CHIRPS], trajectories)
+        parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
+        parts.append(trace_specular(snaps, tx, rx, trace))
+        for k, snap in enumerate(snaps if trace.diffuse_enabled else ()):
+            parts.append(trace_diffuse(snap, tx, rx, trace, patterns))
+            parts[-1].frame = np.full(len(parts[-1]), k)
+        # Rows by epoch, and within an epoch LOS, specular, diffuse.
+        block = PathTable.concat(parts)
+        block = snaps.attach(block.take(np.argsort(block.frame, kind="stable")), tx, rx)
+        block.a = amplitudes_of(block, None, scene, tx, rx, config.f_c, constants=constants)
+        block.nu = doppler_of(block, None, tx, rx, config.f_c)
+        block.tau = block.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
+        frames += _block_frames(block, block.tau < config.max_delay, lo, snaps.t)
     return frames
+
+
+def _block_frames(block: PathTable, keep: np.ndarray, first_epoch: int,
+                  times: np.ndarray) -> list[CirFrame]:
+    """The frames of a block: each a slice of the kept rows' .cir columns,
+    with the count of its rows beyond the maximum delay."""
+    kept = block.cir_columns().take(keep)
+    counts = np.bincount(block.frame[keep], minlength=len(times))
+    dropped = np.bincount(block.frame[~keep], minlength=len(times))
+    ends = np.cumsum(counts).tolist()
+    return [CirFrame(first_epoch + k, t, kept.take(slice(end - count, end)), n_drop)
+            for k, (t, count, end, n_drop) in enumerate(zip(
+                times.tolist(), counts.tolist(), ends, dropped.tolist()))]
+
+
+def frame_stats(frames: list[CirFrame]) -> dict:
+    """Per-frame telemetry of an episode: for every path kind that occurs,
+    the min, mean and max of its rows per frame, and the same of the rows
+    dropped beyond the maximum delay."""
+    def stats(values: np.ndarray) -> dict:
+        if not len(values):
+            return {"min": 0, "mean": 0.0, "max": 0}
+        return {"min": int(values.min()), "mean": float(values.mean()), "max": int(values.max())}
+
+    n = len(frames)
+    kinds = np.concatenate([np.zeros(0, np.uint8)] + [fr.paths.kind for fr in frames])
+    frame_of = np.repeat(np.arange(n), [len(fr.paths) for fr in frames])
+    per_frame = np.bincount(frame_of * len(KINDS) + kinds,
+                            minlength=n * len(KINDS)).reshape(n, len(KINDS))
+    return {"paths_per_frame": {kind: stats(per_frame[:, j])
+                                for j, kind in enumerate(KINDS) if per_frame[:, j].any()},
+            "dropped_per_frame": stats(np.array([fr.n_dropped for fr in frames]))}
 
 
 CIR_MAGIC = b"RFTCIR1\n"

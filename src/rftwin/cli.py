@@ -95,7 +95,7 @@ def _add_common(sub):
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    from .channel import SensingLink, cir_to_csv, save_cir, simulate_cir
+    from .channel import SensingLink, cir_to_csv, frame_stats, save_cir, simulate_cir
     from .raytrace import KINDS, TraceConfig
     from .scene import SceneError, load_scene
 
@@ -142,7 +142,8 @@ def cmd_simulate(args) -> int:
     counts = {kind: int(c) for kind, c in zip(KINDS, per_kind) if c}
     summary = {"frames": len(frames), "t0": args.t0,
                "paths_per_kind": counts, "seed": args.seed,
-               "dropped_beyond_max_delay": sum(fr.n_dropped for fr in frames)}
+               "dropped_beyond_max_delay": sum(fr.n_dropped for fr in frames),
+               **frame_stats(frames)}
     (out / f"{tag}_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {cir_path} ({len(frames)} frames), {csv_path}")
@@ -158,6 +159,19 @@ def _load_checked(load, path):
         return load(p)
     except (ValueError, KeyError) as exc:
         raise InputError(f"{p}: {exc}") from exc
+
+
+def _load_cir_config(path):
+    """Frames, header and chirp config of a .cir file.  A malformed file, or
+    a header config that ChirpConfig rejects (unknown key, wrong type, bad
+    value), is an input error naming the file."""
+    from .channel import ChirpConfig, load_cir
+
+    frames, header = _load_checked(load_cir, path)
+    try:
+        return frames, header, ChirpConfig(**header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad chirp config in the header: {exc}") from exc
 
 
 def _export_formats(spec: str) -> list[str]:
@@ -196,12 +210,10 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 def cmd_process(args) -> int:
     import numpy as np
 
-    from .channel import ChirpConfig, load_cir
     from .fmcw import (NoiseConfig, delay_doppler, pdp_series, pdp_to_csv,
                        range_windows, save_pdp, synth_beat)
 
-    frames, header = _load_checked(load_cir, args.cir)
-    config = ChirpConfig(**header["config"])
+    frames, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps)
     stride = n if args.stride is None else _positive("integer", "stride", args.stride)
     if args.t0_index < 0:
@@ -251,11 +263,9 @@ def cmd_process(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .channel import ChirpConfig, load_cir
     from .fmcw import predicted_map
 
-    frames, header = _load_checked(load_cir, args.cir)
-    config = ChirpConfig(**header["config"])
+    frames, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps)
     formats = _export_formats(args.export)
     try:

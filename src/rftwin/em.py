@@ -24,7 +24,11 @@ second, which is the (4 pi d1 d2) bi-segment spreading written above.
 amplitudes_of evaluates them over a path table with one element-wise kernel
 per quantity: specular_reduction (R from S), lobe_density on
 lobe_normalization (f_lobe), fresnel on complex_permittivity (|Gamma| and
-the TE phase) and antenna_angles (azimuth and elevation in degrees).
+the TE phase) and antenna_angles on antenna_frame (azimuth and elevation in
+degrees).  The table may hold one snapshot's paths or a block of chirps
+with their snapshot columns; what is fixed over an episode (material
+tables, the facet -> material index, lobe normalization, the antenna frames
+of fixed transceivers) is built once in LinkConstants.
 """
 
 from __future__ import annotations
@@ -65,10 +69,13 @@ def lobe_normalization(lobe_exponent):
     return b / (4.0 * np.pi * (1.0 - 0.5 ** b))
 
 
-def lobe_density(cos_psi, lobe_exponent):
+def lobe_density(cos_psi, lobe_exponent, normalization=None):
     """Normalized diffuse lobe density (1/sr) at angle psi from the mirror
-    direction, element-wise over cos_psi and lobe_exponent."""
-    return lobe_normalization(lobe_exponent) * ((1.0 + cos_psi) / 2.0) ** lobe_exponent
+    direction, element-wise over cos_psi and lobe_exponent; normalization,
+    when given, is lobe_normalization(lobe_exponent) computed beforehand."""
+    if normalization is None:
+        normalization = lobe_normalization(lobe_exponent)
+    return normalization * ((1.0 + cos_psi) / 2.0) ** lobe_exponent
 
 
 def complex_permittivity(rel_permittivity, conductivity, f_c):
@@ -90,17 +97,24 @@ def fresnel(eps, cos_theta):
     return 0.5 * (np.abs(g_te) + np.abs(g_tm)), np.angle(g_te)
 
 
-def antenna_angles(boresight, directions):
+def antenna_frame(boresight):
+    """Antenna frame rows x, y, z, (..., 3, 3) for boresights (..., 3): x
+    along the boresight, z as close to global up as the boresight allows.
+    For a vertical boresight, global x replaces global up as the frame
+    reference."""
+    x = unit(boresight)
+    vertical = np.abs(x[..., 2:]) > 0.999
+    y = unit(cross(np.where(vertical, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), x))
+    return np.stack([x, y, cross(x, y)], axis=-2)
+
+
+def antenna_angles(boresight, directions, frame=None):
     """Azimuth and elevation in degrees of unit directions (..., 3) in the
-    antenna frame: x along the boresight, z as close to global up as the
-    boresight allows.  For a vertical boresight, global x replaces global
-    up as the frame reference."""
-    x = unit(np.asarray(boresight, dtype=float))
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(x, ref))) > 0.999:
-        ref = np.array([1.0, 0.0, 0.0])
-    y = unit(cross(ref, x))
-    d = directions @ np.stack([x, y, cross(x, y)]).T
+    antenna frame of the boresight, element-wise over the leading axes;
+    frame, when given, is antenna_frame(boresight) computed beforehand."""
+    if frame is None:
+        frame = antenna_frame(np.asarray(boresight, dtype=float))
+    d = np.vecdot(np.asarray(directions)[..., None, :], frame)
     az = np.degrees(np.arctan2(d[..., 1], d[..., 0]))
     el = np.degrees(np.arctan2(d[..., 2], np.hypot(d[..., 0], d[..., 1])))
     return az, el
@@ -122,14 +136,51 @@ class PathAmplitude:
 _FREE_SPACE = Material("free space", 1.0, 0.0, 0.0, 1)
 
 
-def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
-                  tx_id: str, rx_id: str, f_c: float,
-                  with_breakdown: bool = False):
-    """Vectorized amplitude evaluation for one snapshot's path table.
+class LinkConstants:
+    """What amplitudes_of needs that is fixed over an episode of one link at
+    one carrier, built once per episode like the diffuse sample patterns.
 
-    Returns a complex array, or a list of PathAmplitude when with_breakdown
-    is set.
+    The material tables end in free space, which the -1 facet padding picks
+    through facet_material, also in a scene without facets: permittivity
+    eps, the diffuse and specular splits S and R, the lobe exponent and its
+    normalization.  frames holds the antenna frame of a fixed TX and RX, and
+    None for a transceiver on a body, whose frame follows each row's
+    boresight.
     """
+
+    def __init__(self, scene: Scene, tx_id: str, rx_id: str, f_c: float):
+        materials = list(scene.materials.values())
+        row = {m.name: j for j, m in enumerate(materials)}
+        materials.append(_FREE_SPACE)
+        self.eps = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
+                             for m in materials])
+        self.s = np.array([m.scattering_coeff for m in materials])
+        self.r = specular_reduction(self.s)
+        self.alpha = np.array([m.lobe_exponent for m in materials], dtype=float)
+        self.lobe_norm = lobe_normalization(self.alpha)
+        self.facet_material = np.array([row[f.material_id] for f in scene.facets] + [-1])
+        ends = (scene.transceiver(tx_id), scene.transceiver(rx_id))
+        self.patterns = tuple(trx.pattern for trx in ends)
+        self.frames = tuple(antenna_frame(np.asarray(trx.boresight, dtype=float))
+                            if trx.is_fixed else None for trx in ends)
+
+
+def amplitudes_of(paths: PathTable, snap: WorldSnapshot | None, scene: Scene,
+                  tx_id: str, rx_id: str, f_c: float,
+                  with_breakdown: bool = False,
+                  constants: LinkConstants | None = None):
+    """Vectorized amplitude evaluation for a path table.
+
+    snap is the snapshot one table was traced in; a table that carries its
+    snapshot columns (a block of chirps from SnapshotBlock.attach) passes
+    None.  A single snapshot is the block of one frame, through the same
+    kernel.  constants, the LinkConstants of (scene, tx_id, rx_id, f_c),
+    saves rebuilding them on every call.  Returns a complex array, or a list
+    of PathAmplitude when with_breakdown is set.
+    """
+    if snap is not None:
+        paths = snap.attach(paths, tx_id, rx_id)
+    link = LinkConstants(scene, tx_id, rx_id, f_c) if constants is None else constants
     if not len(paths):
         return [] if with_breakdown else np.zeros(0, dtype=complex)
 
@@ -150,33 +201,23 @@ def amplitudes_of(paths: PathTable, snap: WorldSnapshot, scene: Scene,
     lengths = seg_len.sum(axis=1)
     spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
 
-    tx_gain_db = scene.transceiver(tx_id).pattern.gain_db(
-        *antenna_angles(snap.transceiver_state(tx_id).boresight, departures))
-    rx_gain_db = scene.transceiver(rx_id).pattern.gain_db(
-        *antenna_angles(snap.transceiver_state(rx_id).boresight, -arrivals))
+    (tx_pattern, rx_pattern), (tx_frame, rx_frame) = link.patterns, link.frames
+    tx_gain_db = tx_pattern.gain_db(*antenna_angles(paths.tx_boresight, departures, tx_frame))
+    rx_gain_db = rx_pattern.gain_db(*antenna_angles(paths.rx_boresight, -arrivals, rx_frame))
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
-    # The material tables end in free space and the normals in a zero
-    # normal, which the -1 facet padding picks, also in a scene without
-    # facets.  The factors of padded slots are masked below.
-    materials = list(scene.materials.values())
-    mat_index = {m.name: j for j, m in enumerate(materials)}
-    materials.append(_FREE_SPACE)
-    eps_table = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
-                          for m in materials])
-    s_table = np.array([m.scattering_coeff for m in materials])
-    r_table = specular_reduction(s_table)
-    alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
-    mat_at = np.array([mat_index[f.material_id] for f in snap.facets] + [-1])[paths.facets]
-    normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
+    # The -1 facet padding picks free space and a zero normal; the factors
+    # of padded slots are masked below.
+    mat_at = link.facet_material[paths.facets]
+    normals = paths.normals
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
-    gamma_mag, gamma_phase = fresnel(eps_table[mat_at], cos_i)
+    gamma_mag, gamma_phase = fresnel(link.eps[mat_at], cos_i)
 
-    split = np.where(is_diffuse[:, None], s_table[mat_at], r_table[mat_at])
+    split = np.where(is_diffuse[:, None], link.s[mat_at], link.r[mat_at])
     cos_s = np.clip(np.einsum("nkj,nkj->nk", k_out, normals), 0.0, 1.0)
     dot = np.clip(np.einsum("nkj,nkj->nk", k_mir, k_out), -1.0, 1.0)
-    f_lobe = lobe_density(dot, alpha_table[mat_at])
+    f_lobe = lobe_density(dot, link.alpha[mat_at], link.lobe_norm[mat_at])
     patch = np.sqrt(np.maximum(paths.area[:, None] * cos_i * cos_s * f_lobe, 0.0))
     patch = np.where(is_diffuse[:, None], patch, 1.0)
 

@@ -1,4 +1,4 @@
-"""Rigid-body kinematics: waypoint interpolation and per-epoch world snapshots.
+"""Rigid-body kinematics: waypoint interpolation and world snapshots.
 
 Trajectories are interpolated with a cubic spline per coordinate, so
 position is C2 and velocity is the exact analytic derivative of the
@@ -9,17 +9,22 @@ straight line at constant velocity.  Yaw, unwrapped, is interpolated the
 same way when the waypoints give it; otherwise it comes from the velocity
 heading.  No extrapolation: asking for a time outside a body's waypoint span
 is an error.
+
+snapshots() poses the world at many epochs at once: one spline evaluation
+per body over the epoch array, and posed facets, their pack and the
+transceiver states as arrays with a leading epoch axis.  Each epoch's
+WorldSnapshot is a view on them; snapshot() is the block of one epoch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FacetPack, cross, facet_normal, yaw_matrix
-from .scene import Facet, Scene, Transceiver
+from .geometry import FacetPack, cross, facet_normal, pad_quad, yaw_matrix
+from .scene import Scene
 
 
 class TrajectoryRangeError(ValueError):
@@ -66,16 +71,19 @@ class _Spline:
         self._coef = np.stack([np.hstack(row) for row in (
             (zero, zero, zero), (c0, d1[0], d1[1]), (c1, d1[1], 2.0 * d1[2]),
             (c2, d1[2], zero), (c3, zero, zero))], axis=1)
-        self._knots = x.tolist()
+        self._knots = x
 
-    def __call__(self, t: float) -> np.ndarray:
-        """(3, m) rows: value, first and second derivative at t; beyond the
-        knots the end polynomials extend."""
-        i = min(max(bisect_right(self._knots, t) - 1, 0), len(self._knots) - 2)
+    def __call__(self, t) -> np.ndarray:
+        """Rows of value, first and second derivative: (3, m) at a scalar t,
+        (n, 3, m) at n times; beyond the knots the end polynomials extend."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self._knots, t, side="right") - 1,
+                    0, len(self._knots) - 2)
         u = t - self._knots[i]
         u2 = u * u
-        powers = np.array([1.0, 1.0, u, u2, u2 * u])[:, None]
-        return (self._coef[i] * powers).sum(axis=0).reshape(3, -1)
+        one = np.ones_like(u)
+        powers = np.stack([one, one, u, u2, u2 * u], axis=-1)[..., None]
+        return (self._coef[i] * powers).sum(axis=-2).reshape(t.shape + (3, -1))
 
 
 def _natural_slopes(dx, y, slope):
@@ -100,8 +108,9 @@ def _natural_slopes(dx, y, slope):
 
 
 class _Trajectory:
-    """Callable interpolant for one body, built once and evaluated per epoch:
-    one spline over the position columns and, when given, the unwrapped yaw."""
+    """Callable interpolant for one body, built once and evaluated per block
+    of epochs: one spline over the position columns and, when given, the
+    unwrapped yaw."""
 
     def __init__(self, times, positions, yaws=None):
         self.t0, self.t1 = float(times[0]), float(times[-1])
@@ -111,32 +120,44 @@ class _Trajectory:
             values = np.column_stack([values, np.unwrap(np.asarray(yaws, dtype=float))])
         self._spline = _Spline(times, values)
 
-    def sample(self, t: float) -> PoseSample:
-        if not (self.t0 - 1e-12 <= t <= self.t1 + 1e-12):
+    def poses(self, times) -> tuple[np.ndarray, ...]:
+        """Position (n, 3), velocity (n, 3), yaw (n,) and yaw rate (n,) at
+        each of n times."""
+        times = np.asarray(times, dtype=float)
+        outside = ~((self.t0 - 1e-12 <= times) & (times <= self.t1 + 1e-12))
+        if outside.any():
             raise TrajectoryRangeError(
-                f"t={t} outside trajectory span [{self.t0}, {self.t1}]")
-        (pos, vel, acc) = self._spline(t)
-        if self._has_yaw:
-            yaw, rate = float(pos[3]), float(vel[3])
-        else:
-            yaw, rate = _heading(vel, acc)
-        return PoseSample(float(t), pos[:3], vel[:3], yaw, rate)
+                f"t={times[outside][0]} outside trajectory span [{self.t0}, {self.t1}]")
+        pos, vel, acc = np.moveaxis(self._spline(times), -2, 0)
+        yaw, rate = (pos[:, 3], vel[:, 3]) if self._has_yaw else _heading(vel, acc)
+        return pos[:, :3], vel[:, :3], yaw, rate
+
+    def sample(self, t: float) -> PoseSample:
+        pos, vel, yaw, rate = self.poses([t])
+        return PoseSample(float(t), pos[0], vel[0], float(yaw[0]), float(rate[0]))
 
 
 def _heading(vel, acc):
-    vx, vy = float(vel[0]), float(vel[1])
+    """Yaw and yaw rate of the velocity heading; 0 for a body at rest."""
+    vx, vy = vel[:, 0], vel[:, 1]
     speed_sq = vx * vx + vy * vy
-    if speed_sq < 1e-18:
-        return 0.0, 0.0
-    rate = (vx * float(acc[1]) - vy * float(acc[0])) / speed_sq
-    return float(np.arctan2(vy, vx)), rate
+    still = speed_sq < 1e-18
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = (vx * acc[:, 1] - vy * acc[:, 0]) / speed_sq
+    return np.where(still, 0.0, np.arctan2(vy, vx)), np.where(still, 0.0, rate)
 
 
 @dataclass(frozen=True)
 class TransceiverState:
+    """Position, boresight and velocity of a radio head; in a SnapshotBlock
+    each is an (n, 3) array over the epochs."""
+
     position: np.ndarray
     boresight: np.ndarray
     velocity: np.ndarray
+
+    def __getitem__(self, k) -> TransceiverState:
+        return TransceiverState(self.position[k], self.boresight[k], self.velocity[k])
 
 
 @dataclass
@@ -152,71 +173,182 @@ class SnapshotFacet:
     body_id: str | None
 
 
-class WorldSnapshot:
-    """Frozen world at one instant: posed facets, a velocity field, radio poses.
+class SnapshotBlock:
+    """The world at n epochs, as arrays with a leading epoch axis.
 
-    Velocities follow the rigid field v + omega x r of the owning body, with
-    omega = yaw_rate * z.  Static facets and fixed transceivers have zero
-    velocity.  The transforms are rigid, so facet shape is preserved.
+    Body poses come from one spline evaluation per body over the epochs,
+    facets are posed into one stacked FacetPack, and every transceiver's
+    state is an (n, 3) TransceiverState.  block[k] is the WorldSnapshot of
+    epoch k, a view on these arrays.  Velocities follow the rigid field
+    v + omega x r of the owning body, with omega = yaw_rate * z.  Static
+    facets and fixed transceivers have zero velocity.
     """
 
-    def __init__(self, t: float, facets, body_poses, transceiver_states):
-        self.t = float(t)
-        self.facets: list[SnapshotFacet] = facets
-        self.body_poses: dict[str, PoseSample] = body_poses
-        self.transceiver_states: dict[str, TransceiverState] = transceiver_states
-        self.pack = FacetPack([f.vertices for f in facets], [f.normal for f in facets])
+    def __init__(self, scene: Scene, times, trajectories: dict):
+        self.scene = scene
+        self.t = np.asarray(times, dtype=float).reshape(-1)
+        n = len(self.t)
+        self.body_ids = list(trajectories)
+        body = {b: j for j, b in enumerate(self.body_ids)}
+        # Body pose arrays: (n, B, 3) position and velocity, (n, B) yaw and rate.
+        if self.body_ids:
+            columns = zip(*(trajectories[b].poses(self.t) for b in self.body_ids))
+            (self.body_position, self.body_velocity, self.body_yaw,
+             self.body_yaw_rate) = (np.stack(c, axis=1) for c in columns)
+        else:
+            self.body_position = self.body_velocity = np.zeros((n, 0, 3))
+            self.body_yaw = self.body_yaw_rate = np.zeros((n, 0))
+        rotation = yaw_matrix(self.body_yaw)                        # (n, B, 3, 3)
+        # Scene facet -> owning body column, -1 for static facets and for the
+        # -1 padding of path tables.
+        self.facet_body = np.array([body.get(f.body_id, -1) for f in scene.facets] + [-1])
+
+        verts = np.empty((n, len(scene.facets), 4, 3))
+        normals = np.empty((n, len(scene.facets), 3))
+        for i, f in enumerate(scene.facets):
+            if f.body_id is None:
+                verts[:, i], normals[:, i] = pad_quad(f.vertices), f.normal
+            else:
+                j = body[f.body_id]
+                posed = (self.body_position[:, j, None]
+                         + np.matmul(f.vertices, rotation[:, j].transpose(0, 2, 1)))
+                verts[:, i], normals[:, i] = pad_quad(posed), facet_normal(posed)
+        self.pack = FacetPack.stacked(verts, normals)
+
+        self.states = {}
+        for tid, trx in scene.transceivers.items():
+            if trx.is_fixed:
+                state = [np.repeat(np.asarray(v, dtype=float)[None], n, axis=0)
+                         for v in (trx.position, trx.boresight, (0.0, 0.0, 0.0))]
+            else:
+                j = body[trx.body_id]
+                rot = rotation[:, j]
+                offset = np.matmul(rot, np.asarray(trx.offset_position, dtype=float))
+                state = [self.body_position[:, j] + offset,
+                         np.matmul(rot, np.asarray(trx.offset_boresight, dtype=float)),
+                         self.body_velocity[:, j] + cross(self._omega(self.body_yaw_rate[:, j]),
+                                                          offset)]
+            self.states[tid] = TransceiverState(*state)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> WorldSnapshot:
+        return WorldSnapshot(self, range(len(self))[k])
+
+    def view(self, epochs: slice) -> SnapshotBlock:
+        """The block of a slice of the epochs, as views on these arrays."""
+        block = SnapshotBlock.__new__(SnapshotBlock)
+        block.scene, block.body_ids, block.facet_body = self.scene, self.body_ids, self.facet_body
+        for name in ("t", "body_position", "body_velocity", "body_yaw", "body_yaw_rate"):
+            setattr(block, name, getattr(self, name)[epochs])
+        block.pack = self.pack[epochs]
+        block.states = {tid: state[epochs] for tid, state in self.states.items()}
+        return block
+
+    @staticmethod
+    def _omega(yaw_rate):
+        """Angular velocity vectors (..., 3) of yaw rates (...)."""
+        zero = np.zeros_like(yaw_rate)
+        return np.stack([zero, zero, yaw_rate], axis=-1)
+
+    def point_velocity(self, epoch, body, points) -> np.ndarray:
+        """Rigid-field velocity of body column body at epoch index epoch at
+        points, element-wise over the leading axes of all three."""
+        r = points - self.body_position[epoch, body]
+        omega = self._omega(self.body_yaw_rate[epoch, body])
+        return self.body_velocity[epoch, body] + cross(omega, r)
+
+    def attach(self, paths, tx_id: str, rx_id: str):
+        """Fill the snapshot columns of a path table whose frame column
+        indexes this block's epochs, and return it.
+
+        velocity (n, K+2, 3) follows points: the TX velocity up to the TX
+        column, at each hit the rigid-body velocity of the touched facet
+        (zero on static facets), the RX velocity last.  normals (n, K, 3)
+        are the hit facets' normals, zero in the -1 padding.  tx_boresight
+        and rx_boresight are the antenna boresights of each row's epoch.
+        """
+        k, facets = paths.frame, paths.facets
+        tx, rx = self.states[tx_id], self.states[rx_id]
+        paths.tx_boresight, paths.rx_boresight = tx.boresight[k], rx.boresight[k]
+        normals = self.pack.normals
+        normals = np.concatenate([normals, np.zeros((len(normals), 1, 3))], axis=1)
+        paths.normals = normals[k[:, None], facets]
+
+        vel = np.empty(paths.points.shape)
+        vel[:, :-1] = tx.velocity[k][:, None]
+        vel[:, -1] = rx.velocity[k]
+        hit_vel = vel[:, 1:-1]
+        hit_vel[facets >= 0] = 0.0
+        owner = self.facet_body[facets]
+        on = owner >= 0
+        if on.any():
+            hit_vel[on] = self.point_velocity(np.broadcast_to(k[:, None], on.shape)[on],
+                                              owner[on], paths.points[:, 1:-1][on])
+        paths.velocity = vel
+        return paths
+
+
+class WorldSnapshot:
+    """Frozen world at one epoch of a SnapshotBlock: posed facets, a
+    velocity field, radio poses; views on the block's arrays.  The
+    transforms are rigid, so facet shape is preserved."""
+
+    def __init__(self, block: SnapshotBlock, index: int):
+        self.block, self.index = block, index
+        self.t = float(block.t[index])
+        self.pack: FacetPack = block.pack[index]
+
+    @functools.cached_property
+    def epoch_block(self) -> SnapshotBlock:
+        """The block of this one epoch, which the tracers run over."""
+        return self.block.view(slice(self.index, self.index + 1))
+
+    @functools.cached_property
+    def facets(self) -> list[SnapshotFacet]:
+        return [SnapshotFacet(f.index, self.pack.verts[i, :len(f.vertices)],
+                              self.pack.normals[i], f.area, f.material_id, f.body_id)
+                for i, f in enumerate(self.block.scene.facets)]
+
+    @functools.cached_property
+    def body_poses(self) -> dict[str, PoseSample]:
+        b, k = self.block, self.index
+        return {bid: PoseSample(self.t, b.body_position[k, j], b.body_velocity[k, j],
+                                float(b.body_yaw[k, j]), float(b.body_yaw_rate[k, j]))
+                for j, bid in enumerate(b.body_ids)}
+
+    def transceiver_state(self, tid: str) -> TransceiverState:
+        return self.block.states[tid][self.index]
 
     def body_point_velocity(self, body_id: str, point: np.ndarray) -> np.ndarray:
         """Rigid-field velocity of the body at point, or at each row of an
         (..., 3) array of points."""
-        pose = self.body_poses[body_id]
-        r = np.asarray(point) - pose.position
-        return pose.velocity + cross((0.0, 0.0, pose.yaw_rate), r)
+        return self.block.point_velocity(self.index, self.block.body_ids.index(body_id),
+                                         np.asarray(point))
 
-    def transceiver_state(self, tid: str) -> TransceiverState:
-        return self.transceiver_states[tid]
-
-
-def _pose_transceiver(trx: Transceiver, body_poses) -> TransceiverState:
-    if trx.is_fixed:
-        return TransceiverState(np.asarray(trx.position, dtype=float),
-                                np.asarray(trx.boresight, dtype=float),
-                                np.zeros(3))
-    pose = body_poses[trx.body_id]
-    rot = pose.rotation
-    offset = rot @ np.asarray(trx.offset_position, dtype=float)
-    position = pose.position + offset
-    boresight = rot @ np.asarray(trx.offset_boresight, dtype=float)
-    velocity = pose.velocity + cross((0.0, 0.0, pose.yaw_rate), offset)
-    return TransceiverState(position, boresight, velocity)
+    def attach(self, paths, tx_id: str, rx_id: str):
+        """A copy of a path table traced in this snapshot, with its frame
+        and snapshot columns filled (SnapshotBlock.attach)."""
+        paths = paths.take(slice(None))
+        paths.frame = np.full(len(paths), self.index)
+        return self.block.attach(paths, tx_id, rx_id)
 
 
-def snapshot(scene: Scene, t: float,
-             trajectories: dict | None = None) -> WorldSnapshot:
-    """Build the world at time t.
+def snapshots(scene: Scene, times, trajectories: dict | None = None) -> SnapshotBlock:
+    """The world at each of the times.
 
     trajectories may carry prebuilt interpolants (from build_trajectories) to
-    avoid refitting splines when sampling many epochs.
+    avoid refitting splines for every block of epochs.
     """
     if trajectories is None:
         trajectories = build_trajectories(scene)
-    body_poses = {bid: traj.sample(t) for bid, traj in trajectories.items()}
+    return SnapshotBlock(scene, times, trajectories)
 
-    facets = []
-    for f in scene.facets:
-        if f.body_id is None:
-            facets.append(SnapshotFacet(f.index, f.vertices, f.normal, f.area,
-                                        f.material_id, None))
-        else:
-            pose = body_poses[f.body_id]
-            verts = pose.position + f.vertices @ pose.rotation.T
-            facets.append(SnapshotFacet(f.index, verts, facet_normal(verts), f.area,
-                                        f.material_id, f.body_id))
 
-    states = {tid: _pose_transceiver(trx, body_poses)
-              for tid, trx in scene.transceivers.items()}
-    return WorldSnapshot(t, facets, body_poses, states)
+def snapshot(scene: Scene, t: float, trajectories: dict | None = None) -> WorldSnapshot:
+    """The world at time t: the block of one epoch."""
+    return snapshots(scene, [t], trajectories)[0]
 
 
 def build_trajectories(scene: Scene) -> dict[str, _Trajectory]:

@@ -1,11 +1,12 @@
-"""Ray tracing over one world snapshot: LOS, specular images, diffuse samples.
+"""Ray tracing over world snapshots: LOS, specular images, diffuse samples.
 
 Specular paths come from the image method (Allen & Berkley, 1979), run as
 one vectorized pass over a chain table.  For F facets and orders 1..K the
 table holds every facet sequence without an immediate repeat,
 sum_k F (F-1)^(k-1) chains (301 for F = 7, K = 3), built once per (F, K)
 and ordered by order, then facet indices; that is the order paths come out
-in.  Per snapshot the pass
+in.  The pass runs over a block of snapshots at once, with a leading epoch
+axis on every array; a single snapshot is the block of one.  It
   1. mirrors the transmitter through every facet prefix (nested images),
   2. intersects back to front, from the receiver through the last facet's
      image to the first, keeping chains whose every hit lies strictly
@@ -13,14 +14,16 @@ in.  Per snapshot the pass
   3. keeps the chains whose hits lie inside their facets with the points
      before and after each hit strictly in front of it, and
   4. drops chains with an occluded segment, sliced from the same
-     (chains, K+2, 3) point table in one batched occlusion test.
+     (epochs, chains, K+2, 3) point table in one batched occlusion test.
+LOS runs over a block the same way; diffuse tracing runs per snapshot.
 
 Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
 same scene and config reproduce the exact same paths.
 
 Every tracer returns a PathTable, the one path form from here to the .cir
-file: struct-of-arrays columns, one row per path.
+file: struct-of-arrays columns, one row per path.  A block's table also
+carries the frame (epoch within the block) of each row.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kinematics import WorldSnapshot
+from .kinematics import SnapshotBlock, WorldSnapshot
 from .scene import Scene
 
 _FRONT_EPS = 1e-9   # m, strict front-side margin
 _PARAM_EPS = 1e-9   # unitless span margin for image-line intersections
+# Chain-table rows of one image-method pass over a block of snapshots,
+# epochs times chains: bounds its point table to a few MB in large scenes.
+_CHAIN_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ KINDS = ("los", "specular", "diffuse")     # path kind code = position
 
 @dataclass
 class PathTable:
-    """Paths of one link at one instant, one row per path, in .cir column order.
+    """Paths of one link, one row per path, in .cir column order.
 
     kind indexes KINDS and hops counts interactions.  Rows are right-aligned
     like the chain table: a path of h hops has its facets in facets[i, K-h:]
@@ -75,21 +81,30 @@ class PathTable:
     repeated before them), so points[:, -1] is always the receiver.  Facet
     indices are positions in the snapshot's facet list.  sample is the
     diffuse sample index within its facet's pattern and area the patch it
-    stands for; they are -1 and 0 for the other kinds.  The tracer fills the
-    geometry columns, simulate_cir adds the complex amplitude a, the delay
-    tau [s] and the Doppler nu [Hz].  A table read from a .cir file has no
-    points or area.
+    stands for; they are -1 and 0 for the other kinds.  The tracers fill the
+    geometry columns and, over a block of snapshots, frame: the row's epoch
+    within the block.  simulate_cir stacks a block's tables by frame and
+    adds the snapshot columns of each row's epoch (SnapshotBlock.attach):
+    velocity beside points, the hit facets' normals and the antenna
+    boresights.  Then it adds the complex amplitude a, the delay tau [s] and
+    the Doppler nu [Hz].  A table read from a .cir file has only the .cir
+    columns.
     """
 
-    kind: np.ndarray                    # (n,) uint8
-    hops: np.ndarray                    # (n,) uint8
-    facets: np.ndarray                  # (n, K) int32
-    sample: np.ndarray                  # (n,) int32
-    points: np.ndarray | None = None    # (n, K + 2, 3)
-    area: np.ndarray | None = None      # (n,)
-    a: np.ndarray | None = None         # (n,) complex
-    tau: np.ndarray | None = None       # (n,)
-    nu: np.ndarray | None = None        # (n,)
+    kind: np.ndarray                            # (n,) uint8
+    hops: np.ndarray                            # (n,) uint8
+    facets: np.ndarray                          # (n, K) int32
+    sample: np.ndarray                          # (n,) int32
+    points: np.ndarray | None = None            # (n, K + 2, 3)
+    area: np.ndarray | None = None              # (n,)
+    a: np.ndarray | None = None                 # (n,) complex
+    tau: np.ndarray | None = None               # (n,)
+    nu: np.ndarray | None = None                # (n,)
+    frame: np.ndarray | None = None             # (n,) int
+    velocity: np.ndarray | None = None          # (n, K + 2, 3)
+    normals: np.ndarray | None = None           # (n, K, 3)
+    tx_boresight: np.ndarray | None = None      # (n, 3)
+    rx_boresight: np.ndarray | None = None      # (n, 3)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -98,9 +113,14 @@ class PathTable:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def take(self, rows) -> PathTable:
-        """The table restricted to rows (an index array or a mask)."""
+        """The table restricted to rows (an index array, a mask or a slice)."""
         return PathTable(**{k: None if v is None else v[rows]
                             for k, v in self._columns().items()})
+
+    def cir_columns(self) -> PathTable:
+        """The table with only the columns of a .cir frame."""
+        return PathTable(self.kind, self.hops, self.facets, self.sample,
+                         a=self.a, tau=self.tau, nu=self.nu)
 
     @staticmethod
     def concat(tables) -> PathTable:
@@ -171,52 +191,84 @@ def _pad_left(column: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _table(kind: str, facets, points, sample=None, area=None) -> PathTable:
+def _table(kind: str, facets, points, sample=None, area=None, frame=None) -> PathTable:
     n = len(facets)
     return PathTable(np.full(n, KINDS.index(kind), np.uint8),
                      np.count_nonzero(facets >= 0, axis=1).astype(np.uint8),
                      facets.astype(np.int32),
                      np.full(n, -1, np.int32) if sample is None else sample.astype(np.int32),
-                     points, np.zeros(n) if area is None else area)
+                     points, np.zeros(n) if area is None else area, frame=frame)
 
 
-def trace_los(snap: WorldSnapshot, tx_id: str, rx_id: str,
+def _epochs(snap) -> tuple[SnapshotBlock, bool]:
+    """The block a tracer runs over: a SnapshotBlock as it is, a
+    WorldSnapshot as the block of its epoch; and whether the snapshot was
+    single, whose table has no frame column."""
+    if isinstance(snap, SnapshotBlock):
+        return snap, False
+    return snap.epoch_block, True
+
+
+def _framed(table: PathTable, single: bool) -> PathTable:
+    if single:
+        table.frame = None
+    return table
+
+
+def trace_los(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
               config: TraceConfig = TraceConfig()) -> PathTable:
-    """Direct path; no row when blocked or for a co-located pair."""
-    txp = snap.transceiver_state(tx_id).position
-    rxp = snap.transceiver_state(rx_id).position
-    points = np.stack([txp, rxp])[None]
-    if np.linalg.norm(rxp - txp) < 1e-9 or bool(
-            snap.pack.segments_blocked(txp[None], rxp[None], config.occlusion_epsilon)[0]):
-        points = points[:0]
-    return _table("los", np.empty((len(points), 0), int), points)
+    """Direct path; no row when blocked or for a co-located pair.
+
+    snap is one snapshot or a block of them; a block's table holds the
+    epochs' rows in epoch order, with their frame column.
+    """
+    block, single = _epochs(snap)
+    txp = block.states[tx_id].position
+    rxp = block.states[rx_id].position
+    apart = rxp - txp
+    live = np.sqrt(np.vecdot(apart, apart)) >= 1e-9
+    live &= ~block.pack.segments_blocked(txp, rxp, config.occlusion_epsilon,
+                                         np.arange(len(block)))
+    frame = np.flatnonzero(live)
+    return _framed(_table("los", np.empty((len(frame), 0), int),
+                          np.stack([txp[frame], rxp[frame]], axis=1), frame=frame), single)
 
 
-def trace_specular(snap: WorldSnapshot, tx_id: str, rx_id: str,
+def trace_specular(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
                    config: TraceConfig = TraceConfig()) -> PathTable:
     """Specular paths up to config.max_specular_order, image method.
 
-    Paths come out in chain-table order: by order, then facet indices.
+    Paths come out in chain-table order: by order, then facet indices; for
+    a block of snapshots, epoch by epoch, with their frame column.
     """
-    txp = snap.transceiver_state(tx_id).position
-    rxp = snap.transceiver_state(rx_id).position
-    pack = snap.pack
+    block, single = _epochs(snap)
     k_max = config.max_specular_order
-    if pack.n_facets == 0 or k_max == 0:
-        return _table("specular", np.empty((0, k_max), int), np.empty((0, k_max + 2, 3)))
+    n_facets = block.pack.n_facets
+    if n_facets == 0 or k_max == 0 or not len(block):
+        return _framed(_table("specular", np.empty((0, k_max), int),
+                              np.empty((0, k_max + 2, 3)), frame=np.empty(0, int)), single)
 
-    table = _chain_table(pack.n_facets, k_max)
-    ok, pts = _trace_chains(pack, txp, rxp, table)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        # Occlusion over every segment of every survivor; the zero-length
-        # TX -> TX segments of the left padding never count as blocked.
-        legs = pts[idx]
-        blocked = pack.segments_blocked(legs[:, :-1].reshape(-1, 3),
-                                        legs[:, 1:].reshape(-1, 3),
-                                        config.occlusion_epsilon)
-        idx = idx[~blocked.reshape(len(idx), -1).any(axis=1)]
-    return _table("specular", np.where(table.live[idx], table.seq[idx], -1), pts[idx])
+    table = _chain_table(n_facets, k_max)
+    step = max(1, _CHAIN_ROWS // len(table.hops))
+    tables = []
+    for lo in range(0, len(block), step):
+        part = block.view(slice(lo, lo + step))
+        ok, pts = _trace_chains(part.pack, part.states[tx_id].position,
+                                part.states[rx_id].position, table)
+        frame, idx = np.nonzero(ok)
+        if idx.size:
+            # Occlusion over every segment of every survivor; the zero-length
+            # TX -> TX segments of the left padding never count as blocked.
+            legs = pts[frame, idx]
+            blocked = part.pack.segments_blocked(legs[:, :-1].reshape(-1, 3),
+                                                 legs[:, 1:].reshape(-1, 3),
+                                                 config.occlusion_epsilon,
+                                                 np.repeat(frame, k_max + 1))
+            clear = ~blocked.reshape(len(idx), -1).any(axis=1)
+            frame, idx = frame[clear], idx[clear]
+        tables.append(_table("specular", np.where(table.live[idx], table.seq[idx], -1),
+                             pts[frame, idx], frame=lo + frame))
+    return _framed(PathTable.concat(tables), single)
 
 
 @dataclass(frozen=True)
@@ -275,45 +327,56 @@ def _chain_table(n_facets: int, max_order: int) -> _ChainTable:
 
 
 def _trace_chains(pack, txp, rxp, table: _ChainTable):
-    """All chains of the table through the image method in one pass.
+    """All chains of the table through the image method in one pass over a
+    stacked pack of E snapshots, with the TX and RX positions txp and rxp
+    (E, 3).
 
-    Returns the mask of chains that pass the span, front-side and
-    containment tests, and the (C, K+2, 3) point table: TX, the hits, RX,
-    right-aligned like table.seq, with the left padding repeating TX.
+    Returns the (E, C) mask of chains that pass the span, front-side and
+    containment tests, and the (E, C, K+2, 3) point table: TX, the hits,
+    RX, right-aligned like table.seq, with the left padding repeating TX.
     """
-    n, off = pack.normals, pack.offsets
+    n, off = pack.normals, pack.offsets                  # (E, F, 3), (E, F)
+    e, f = off.shape
     k_max = table.seq.shape[1]
-    image = txp - 2.0 * (txp @ n.T - off)[:, None] * n
+    # Depth d images have shape (E, F, ..., F, 3) with d facet axes; the
+    # facet arrays broadcast over all but the last of them.
+    image = txp[:, None] - 2.0 * (np.matmul(txp[:, None], n.transpose(0, 2, 1))[:, 0]
+                                  - off)[..., None] * n
     images = [image]
-    for _ in range(1, k_max):
-        image = image[..., None, :] - 2.0 * (image @ n.T - off)[..., None] * n
-        images.append(image.reshape(-1, 3))
-    images = np.concatenate(images)
+    for depth in range(1, k_max):
+        ones = (1,) * depth
+        image = (image[..., None, :]
+                 - 2.0 * (np.matmul(image, n.transpose(0, 2, 1).reshape((e,) + ones[1:] + (3, f)))
+                          - off.reshape((e,) + ones + (f,)))[..., None]
+                 * n.reshape((e,) + ones + (f, 3)))
+        images.append(image.reshape(e, -1, 3))
+    images = np.concatenate(images, axis=1)
 
-    pts = np.empty((len(table.hops), k_max + 2, 3))
-    pts[:, :-1] = txp
-    pts[:, -1] = rxp
-    ok = np.ones(len(table.hops), dtype=bool)
+    pts = np.empty((e, len(table.hops), k_max + 2, 3))
+    pts[:, :, :-1] = txp[:, None, None]
+    pts[:, :, -1] = rxp[:, None]
+    ok = np.ones((e, len(table.hops)), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Back to front: intersect the line from each image to the point
         # after it (RX first) with the image's facet.
         for j in range(k_max):
-            lo, fac, src = table.first[j], table.step_facets[j], images[table.image_rows[j]]
-            nf = n[fac]
-            d = pts[lo:, k_max + 1 - j] - src
-            denom = np.einsum("cj,cj->c", d, nf)
-            t = (off[fac] - np.einsum("cj,cj->c", src, nf)) / denom
-            ok[lo:] &= (np.abs(denom) > 1e-12) & (t > _PARAM_EPS) & (t < 1.0 - _PARAM_EPS)
-            pts[lo:, k_max - j] = src + t[:, None] * d
+            lo, fac, src = table.first[j], table.step_facets[j], images[:, table.image_rows[j]]
+            nf = n[:, fac]
+            d = pts[:, lo:, k_max + 1 - j] - src
+            denom = np.einsum("ecj,ecj->ec", d, nf)
+            t = (off[:, fac] - np.einsum("ecj,ecj->ec", src, nf)) / denom
+            ok[:, lo:] &= (np.abs(denom) > 1e-12) & (t > _PARAM_EPS) & (t < 1.0 - _PARAM_EPS)
+            pts[:, lo:, k_max - j] = src + t[..., None] * d
     # Each hit inside its facet, with the points before and after it
     # strictly in front of the facet; only chains still in span are tested.
-    rows = np.flatnonzero(ok)
-    seq, p = table.seq[rows], pts[rows]
-    nrm, offs = n[seq], off[seq]
+    snap, rows = np.nonzero(ok)
+    seq, p = table.seq[rows], pts[snap, rows]
+    at = (snap[:, None], seq)
+    nrm, offs = n[at], off[at]
     good = ((np.einsum("ckj,ckj->ck", p[:, :-2], nrm) - offs > _FRONT_EPS)
             & (np.einsum("ckj,ckj->ck", p[:, 2:], nrm) - offs > _FRONT_EPS)
-            & pack.contains(p[:, 1:-1], seq))
-    ok[rows] = np.all(good | ~table.live[rows], axis=1)
+            & pack.contains(p[:, 1:-1], at))
+    ok[snap, rows] = np.all(good | ~table.live[rows], axis=1)
     return ok, pts
 
 

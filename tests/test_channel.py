@@ -6,26 +6,45 @@ import struct
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rftwin import channel
 from rftwin.channel import (
     ChirpConfig,
     CirFrame,
     SensingLink,
     cir_to_csv,
     doppler_of,
+    frame_stats,
     load_cir,
     max_range,
     save_cir,
     simulate_cir,
 )
-from rftwin.em import SPEED_OF_LIGHT
-from rftwin.kinematics import snapshot
-from rftwin.raytrace import PathTable, TraceConfig, trace_specular
-from rftwin.scene import SceneError, scene_from_dict
+from rftwin.em import (
+    _FREE_SPACE,
+    SPEED_OF_LIGHT,
+    antenna_angles,
+    complex_permittivity,
+    fresnel,
+    lobe_density,
+    specular_reduction,
+)
+from rftwin.geometry import reflect_direction
+from rftwin.kinematics import build_trajectories, snapshot
+from rftwin.raytrace import (
+    KINDS,
+    PathTable,
+    TraceConfig,
+    build_sample_patterns,
+    trace_diffuse,
+    trace_los,
+    trace_specular,
+)
+from rftwin.scene import SceneError, load_scene, scene_from_dict
 
-from conftest import plates_scene_doc, spin_rig_doc
+from conftest import FIXTURES, plates_scene_doc, spin_rig_doc
 
 C = SPEED_OF_LIGHT
 
@@ -72,6 +91,10 @@ def test_chirp_config_validation():
         ChirpConfig(n_chirps_total=0)
     with pytest.raises(ValueError, match="slope"):
         ChirpConfig(slope=30.0e12)
+    for name in ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"ChirpConfig.{name} must be finite"):
+                ChirpConfig(**{name: value})
     # zero idle time is allowed
     ChirpConfig(t_idle=0.0)
 
@@ -116,6 +139,16 @@ def test_unknown_link_endpoint_raises():
     scene = scene_from_dict(mono_plate_doc())
     with pytest.raises(SceneError, match="unknown transceiver"):
         simulate_cir(scene, SensingLink("UE", "XX"), ChirpConfig(), n_chirps=1)
+
+
+def test_non_finite_episode_start_raises():
+    # With bodies the span check let NaN through; without bodies there is
+    # no span check at all.
+    for doc in (spin_rig_doc(), mono_plate_doc()):
+        for t0 in (np.nan, np.inf):
+            with pytest.raises(SceneError, match="t0 must be finite"):
+                simulate_cir(scene_from_dict(doc), SensingLink("UE", "UE"), ChirpConfig(),
+                             t0=t0, n_chirps=2)
 
 
 def test_epoch_grid_must_be_covered_by_trajectories():
@@ -328,3 +361,212 @@ def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
     assert header["n_frames"] == len(back) == len(frames)
     for got, want in zip(back, frames):
         assert_same_frame(got, want)
+
+
+# -- the per-snapshot pass that the block pass replaced, kept as its reference
+
+def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
+    """amplitudes_of as it was evaluated one snapshot at a time: material
+    tables, facet materials, normals and antenna frames rebuilt from the
+    scene and the snapshot on every call."""
+    if not len(paths):
+        return np.zeros(0, dtype=complex)
+    lam = SPEED_OF_LIGHT / f_c
+    hop_mask = paths.facets >= 0
+    first = paths.first()
+    rows = np.arange(len(paths))
+    segs = np.diff(paths.points, axis=1)
+    seg_len = np.linalg.norm(segs, axis=2)
+    units = segs / np.where(seg_len > 0.0, seg_len, 1.0)[..., None]
+    k_in, k_out = units[:, :-1], units[:, 1:]
+    departures = segs[rows, first]
+    arrivals = segs[:, -1]
+    departures = departures / np.sqrt(np.vecdot(departures, departures))[:, None]
+    arrivals = arrivals / np.sqrt(np.vecdot(arrivals, arrivals))[:, None]
+    is_diffuse = paths.kind == KINDS.index("diffuse")
+    lengths = seg_len.sum(axis=1)
+    spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
+
+    tx_gain_db = scene.transceiver(tx_id).pattern.gain_db(
+        *antenna_angles(snap.transceiver_state(tx_id).boresight, departures))
+    rx_gain_db = scene.transceiver(rx_id).pattern.gain_db(
+        *antenna_angles(snap.transceiver_state(rx_id).boresight, -arrivals))
+    gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
+
+    materials = list(scene.materials.values())
+    mat_index = {m.name: j for j, m in enumerate(materials)}
+    materials.append(_FREE_SPACE)
+    eps_table = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
+                          for m in materials])
+    s_table = np.array([m.scattering_coeff for m in materials])
+    r_table = specular_reduction(s_table)
+    alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
+    mat_at = np.array([mat_index[f.material_id] for f in snap.facets] + [-1])[paths.facets]
+    normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
+    k_mir = reflect_direction(k_in, normals)
+    cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
+    gamma_mag, gamma_phase = fresnel(eps_table[mat_at], cos_i)
+
+    split = np.where(is_diffuse[:, None], s_table[mat_at], r_table[mat_at])
+    cos_s = np.clip(np.einsum("nkj,nkj->nk", k_out, normals), 0.0, 1.0)
+    dot = np.clip(np.einsum("nkj,nkj->nk", k_mir, k_out), -1.0, 1.0)
+    f_lobe = lobe_density(dot, alpha_table[mat_at])
+    patch = np.sqrt(np.maximum(paths.area[:, None] * cos_i * cos_s * f_lobe, 0.0))
+    patch = np.where(is_diffuse[:, None], patch, 1.0)
+
+    factor = np.where(hop_mask, split * gamma_mag * patch, 1.0)
+    spread = lam / (4.0 * np.pi * spread_len)
+    magnitude = spread * gain_factor * np.prod(factor, axis=1)
+    phase = (-2.0 * np.pi * f_c * lengths / SPEED_OF_LIGHT
+             + np.sum(np.where(hop_mask, gamma_phase, 0.0), axis=1))
+    return magnitude * np.exp(1j * phase)
+
+
+def reference_doppler(paths, snap, tx_id, rx_id, f_c):
+    """doppler_of as it was evaluated one snapshot at a time, with the
+    velocity of every point looked up in the snapshot."""
+    vel = np.zeros(paths.points.shape)
+    vel[:, :-1] = snap.transceiver_state(tx_id).velocity
+    vel[:, -1] = snap.transceiver_state(rx_id).velocity
+    hit_vel = vel[:, 1:-1]
+    hit_vel[paths.facets >= 0] = 0.0
+    owner = np.array([f.body_id for f in snap.facets] + [None], dtype=object)[paths.facets]
+    for body_id in snap.body_poses:
+        on = owner == body_id
+        if on.any():
+            hit_vel[on] = snap.body_point_velocity(body_id, paths.points[:, 1:-1][on])
+
+    index, live = paths.left_aligned()
+    pts, vel = paths.points[index], vel[index]
+    segs = np.diff(pts, axis=1)
+    norms = np.linalg.norm(segs, axis=2)
+    units = np.where(live[:, 1:, None], segs / np.maximum(norms, 1e-300)[..., None], 0.0)
+    rate = np.einsum("nsj,nsj->n", units, np.diff(vel, axis=1))
+    return -(f_c / SPEED_OF_LIGHT) * rate
+
+
+def reference_cir(scene, link, config, trace, t0, n):
+    """simulate_cir one chirp at a time: snapshot, trace, amplitude, Doppler,
+    delay and the drop beyond the maximum delay per chirp."""
+    tx, rx = link.tx_id, link.rx_id
+    trajectories = build_trajectories(scene)
+    patterns = build_sample_patterns(scene, trace)
+    frames = []
+    for k in range(n):
+        t_k = t0 + k * config.pri
+        snap = snapshot(scene, t_k, trajectories)
+        parts = [] if link.mono_static else [trace_los(snap, tx, rx, trace)]
+        parts += [trace_specular(snap, tx, rx, trace),
+                  trace_diffuse(snap, tx, rx, trace, patterns)]
+        paths = PathTable.concat(parts)
+        paths.a = reference_amplitudes(paths, snap, scene, tx, rx, config.f_c)
+        paths.nu = reference_doppler(paths, snap, tx, rx, config.f_c)
+        paths.tau = paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
+        keep = paths.tau < config.max_delay
+        frames.append(CirFrame(k, t_k, paths.take(keep),
+                               len(keep) - int(np.count_nonzero(keep))))
+    return frames
+
+
+def free_space_doc():
+    pattern = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 90.0, "hpbw_elevation_deg": 60.0}
+    return {"materials": [], "facets": [],
+            "transceivers": [
+                {"id": "BS", "role": "BS", "position": [0.0, 0.0, 2.0],
+                 "boresight": [1.0, 0.0, 0.0], "pattern": dict(pattern)},
+                {"id": "UE", "role": "UE", "position": [20.0, 3.0, 1.5],
+                 "boresight": [-1.0, 0.0, 0.0], "pattern": dict(pattern)}]}
+
+
+def crossing_plate_doc():
+    """A plate sliding across the radar's beam at 4 m/s: its specular path
+    exists only while the mirror point lies on it, t in (0.375, 0.625) s."""
+    doc = mono_plate_doc()
+    doc["facets"] = [{"vertices": [[0.0, 0.5, -0.5], [0.0, -0.5, -0.5],
+                                   [0.0, -0.5, 0.5], [0.0, 0.5, 0.5]],
+                      "material": "metal", "body": "slider"}]
+    doc["bodies"] = [{"id": "slider", "waypoints": [[0.0, 6.0, -2.0, 1.0, 0.0],
+                                                    [1.0, 6.0, 2.0, 1.0, 0.0]]}]
+    return doc
+
+
+def turntable_doc():
+    """A plate turning about a vertical axis 6 m ahead of the radars: its
+    normal and the velocity of every hit on it change from chirp to chirp."""
+    doc = mono_plate_doc()
+    doc["facets"] = [{"vertices": [[0.0, -0.5, -0.5], [0.0, 0.5, -0.5],
+                                   [0.0, 0.5, 0.5], [0.0, -0.5, 0.5]],
+                      "material": "metal", "body": "table"}]
+    doc["bodies"] = [{"id": "table", "waypoints": [[0.0, 6.0, 0.0, 1.0, np.pi - 0.3],
+                                                   [1.0, 6.0, 0.0, 1.0, np.pi + 0.3]]}]
+    return doc
+
+
+B = channel._BLOCK_CHIRPS
+# name -> (scene, link, trace, chirp config, body span, most chirps drawn)
+BLOCK_CASES = {
+    "spin_bs_ue": (scene_from_dict(spin_rig_doc()), SensingLink("BS", "UE"),
+                   TraceConfig(max_specular_order=3, diffuse_samples_per_facet=4),
+                   ChirpConfig(), (0.0, 2.0), 2 * B + 5),
+    "spin_ue_bs": (scene_from_dict(spin_rig_doc()), SensingLink("UE", "BS"),
+                   TraceConfig(max_specular_order=3, diffuse_samples_per_facet=4),
+                   ChirpConfig(), (0.0, 2.0), 2 * B + 5),
+    "plates": (scene_from_dict(plates_scene_doc()), SensingLink("UE", "UE"),
+               TraceConfig(diffuse_enabled=False), ChirpConfig(), (0.0, 0.1), 2 * B + 5),
+    "scenario_b": (load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
+                   TraceConfig(), ChirpConfig(), (0.0, 2.0), B + 5),
+    "free_space_mono": (scene_from_dict(free_space_doc()), SensingLink("BS", "BS"),
+                        TraceConfig(), ChirpConfig(), (0.0, 1.0), B + 5),
+    "free_space_bi": (scene_from_dict(free_space_doc()), SensingLink("BS", "UE"),
+                      TraceConfig(), ChirpConfig(), (0.0, 1.0), B + 5),
+    "crossing": (scene_from_dict(crossing_plate_doc()), SensingLink("UE", "UE"),
+                 TraceConfig(diffuse_enabled=False), ChirpConfig(t_idle=5e-3),
+                 (0.0, 1.0), 2 * B + 5),
+    "turntable": (scene_from_dict(turntable_doc()), SensingLink("UE", "BS"),
+                  TraceConfig(diffuse_samples_per_facet=4), ChirpConfig(t_idle=1e-3),
+                  (0.0, 1.0), 2 * B + 5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(BLOCK_CASES)), n_draw=st.integers(0, 2 * B + 5),
+       start=st.floats(0.0, 1.0))
+@example(case="plates", n_draw=B + 3, start=0.0)
+@example(case="spin_bs_ue", n_draw=2 * B + 1, start=0.5)
+@example(case="spin_ue_bs", n_draw=B - 1, start=0.9)
+@example(case="scenario_b", n_draw=B + 1, start=0.1)
+@example(case="crossing", n_draw=2 * B + 5, start=0.45)
+@example(case="turntable", n_draw=2 * B + 5, start=0.4)
+@example(case="free_space_mono", n_draw=3, start=0.0)
+@example(case="free_space_bi", n_draw=B + 2, start=0.0)
+@example(case="plates", n_draw=0, start=0.0)
+def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, start):
+    """The block pass against the per-snapshot reference, every .cir column
+    bit for bit: blocks of B chirps and a remainder, chirps without paths,
+    a free-space scene and an empty episode."""
+    scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
+    n = min(n_draw, most)
+    t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
+    got = simulate_cir(scene, link, config, trace, t0=t0, n_chirps=n)
+    want = reference_cir(scene, link, config, trace, t0, n)
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        assert_same_frame(g, w)
+        assert g.paths.facets.tobytes() == w.paths.facets.tobytes()
+    if case == "crossing" and n == 2 * B + 5 and start == 0.45:
+        counts = [len(fr.paths) for fr in got]
+        assert 0 in counts and 1 in counts
+
+
+def test_frame_stats_on_the_plates(plates_episode):
+    stats = frame_stats(plates_episode.frames)
+    assert stats == {"paths_per_frame": {"specular": {"min": 3, "mean": 3.0, "max": 3}},
+                     "dropped_per_frame": {"min": 0, "mean": 0.0, "max": 0}}
+    # Frames cut from the episode: the kinds and drops of those frames only.
+    frames = [CirFrame(k, 0.0, fr.paths.take(slice(k)), fr.n_dropped + k)
+              for k, fr in enumerate(plates_episode.frames[:4])]
+    stats = frame_stats(frames)
+    assert stats["paths_per_frame"] == {"specular": {"min": 0, "mean": 1.5, "max": 3}}
+    assert stats["dropped_per_frame"] == {"min": 0, "mean": 1.5, "max": 3}
+    assert frame_stats([]) == {"paths_per_frame": {},
+                               "dropped_per_frame": {"min": 0, "mean": 0.0, "max": 0}}

@@ -352,3 +352,67 @@ def test_commands_run_without_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run_w000008.ddm").is_file()
+
+
+def static_scene(directory):
+    """The plates scene without its bodies: the static plate alone."""
+    doc = plates_scene_doc()
+    doc["facets"], doc["bodies"] = doc["facets"][:1], []
+    path = directory / "static.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t0", "nan"), ("--t0", "inf"), ("--f-c", "nan"), ("--f-c", "inf"),
+    ("--bandwidth", "nan"), ("--slope", "nan"), ("--t-chirp", "nan"),
+    ("--t-idle", "nan"), ("--f-samp", "nan")])
+def test_non_finite_chirp_and_epoch_flags_are_input_errors(tmp_path, capsys, flag, value):
+    for scene, name in ((FIXTURES / "scenario_b.json", "b"), (static_scene(tmp_path), "static")):
+        out = tmp_path / name
+        assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "4",
+                     flag, value, "-o", str(out)]) == 2, (flag, value, name)
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["process", "predict"])
+@pytest.mark.parametrize("change, message", [
+    ({"f_c": -1.0}, "ChirpConfig.f_c must be positive"),
+    ({"colour": "red"}, "colour"),
+    ({"f_c": "x"}, "bad chirp config")])
+def test_malformed_header_chirp_config_is_input_error(artifacts, tmp_path, capsys,
+                                                     command, change, message):
+    raw = (artifacts["out"] / "run.cir").read_bytes()
+    hlen = struct.unpack_from("<I", raw, 8)[0]
+    header = json.loads(raw[12:12 + hlen].decode())
+    header["config"].update(change)
+    blob = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "bad.cir"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+    assert main([command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
+    summary = json.loads((artifacts["out"] / "run_summary.json").read_text())
+    # Every chirp of the plates sees each of the three plates once.
+    assert summary["paths_per_kind"] == {"specular": 48}
+    assert summary["paths_per_frame"] == {"specular": {"min": 3, "mean": 3.0, "max": 3}}
+    assert summary["dropped_per_frame"] == {"min": 0, "mean": 0.0, "max": 0}
+    assert summary["dropped_beyond_max_delay"] == 0
+    # The static plate beyond the unambiguous range: one drop per frame.
+    doc = plates_scene_doc()
+    doc["facets"], doc["bodies"] = doc["facets"][:1], []
+    for vertex in doc["facets"][0]["vertices"]:
+        vertex[0] = 400.0
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc))
+    assert main(["simulate", "--scene", str(far), "--tx", "UE", "--chirps", "5",
+                 "--no-diffuse", "--tag", "far", "-o", str(tmp_path), "--frozen-clock"]) == 0
+    summary = json.loads((tmp_path / "far_summary.json").read_text())
+    assert summary["paths_per_kind"] == {} and summary["paths_per_frame"] == {}
+    assert summary["dropped_per_frame"] == {"min": 1, "mean": 1.0, "max": 1}
+    assert summary["dropped_beyond_max_delay"] == 5

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from rftwin import raytrace
 from rftwin.channel import doppler_of
 from rftwin.geometry import facet_normal
-from rftwin.kinematics import build_trajectories, snapshot
+from rftwin.kinematics import build_trajectories, snapshot, snapshots
 from rftwin.raytrace import (
     PathTable,
     TraceConfig,
@@ -433,3 +434,27 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
     assert seqs == sorted(reference, key=lambda s: (len(s), s))
     for i, seq in enumerate(seqs):
         assert np.abs(path_points(paths, i) - reference[seq]).max() < 1e-9
+
+
+def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
+    """LOS and specular tracing over a block of epochs give each epoch's
+    per-snapshot rows, in epoch order, also when the specular pass is
+    split into parts of a few epochs."""
+    scene = scene_from_dict(spin_rig_doc())
+    block = snapshots(scene, 0.3 + 0.05 * np.arange(20))
+    config = TraceConfig(max_specular_order=3)
+    columns = ("kind", "hops", "facets", "sample", "points", "area")
+    whole = {tracer: tracer(block, "BS", "UE", config) for tracer in (trace_los, trace_specular)}
+    assert np.all(np.diff(whole[trace_specular].frame) >= 0)
+    assert len(whole[trace_los]) > 0 and len(whole[trace_specular]) >= 20
+    for k, snap in enumerate(block):
+        for tracer, rows in whole.items():
+            single = tracer(snap, "BS", "UE", config)
+            assert single.frame is None
+            mine = rows.take(rows.frame == k)
+            for col in columns:
+                assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # two epochs of 6 chains a pass
+    parts = trace_specular(block, "BS", "UE", config)
+    for col in columns + ("frame",):
+        assert getattr(parts, col).tobytes() == getattr(whole[trace_specular], col).tobytes()
