@@ -5,9 +5,9 @@ passes over each block:
 
 1. the world at every epoch of the block at once (kinematics.snapshots),
    quasi-static within each chirp;
-2. LOS and specular tracing over the whole block, diffuse tracing per
-   chirp, and one block table of their rows, ordered by epoch, with a frame
-   column and the snapshot columns of each row's epoch;
+2. LOS, specular and diffuse tracing over the whole block, and one block
+   table of their rows, ordered by epoch, with a frame column and the
+   snapshot columns of each row's epoch;
 3. amplitude, Doppler and delay of every row of the block in one call each.
 
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
@@ -61,6 +61,9 @@ class ChirpConfig:
                 raise ValueError(f"ChirpConfig.{name} must be positive")
         if self.n_chirps_total < 1:
             raise ValueError("n_chirps_total must be >= 1")
+        if self.samples_per_chirp < 2:
+            raise ValueError(f"samples per chirp floor(t_chirp * f_samp) is "
+                             f"{self.samples_per_chirp}; at least 2 are needed")
         swept = self.slope * self.t_chirp
         if abs(swept - self.bandwidth) > 1e-3 * self.bandwidth:
             raise ValueError(
@@ -176,9 +179,8 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         snaps = snapshots(scene, times[lo:lo + _BLOCK_CHIRPS], trajectories)
         parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
         parts.append(trace_specular(snaps, tx, rx, trace))
-        for k, snap in enumerate(snaps if trace.diffuse_enabled else ()):
-            parts.append(trace_diffuse(snap, tx, rx, trace, patterns))
-            parts[-1].frame = np.full(len(parts[-1]), k)
+        if trace.diffuse_enabled:
+            parts.append(trace_diffuse(snaps, tx, rx, trace, patterns))
         # Rows by epoch, and within an epoch LOS, specular, diffuse.
         block = PathTable.concat(parts)
         block = snaps.attach(block.take(np.argsort(block.frame, kind="stable")), tx, rx)

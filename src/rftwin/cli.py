@@ -52,9 +52,10 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _positive(kind, name, value):
-    if value <= 0:
-        raise InputError(f"--{name} must be a positive {kind}, got {value}")
+def _positive(kind, name, value, least=1):
+    if value < least:
+        floor = f" of at least {least}" if least > 1 else ""
+        raise InputError(f"--{name} must be a positive {kind}{floor}, got {value}")
     return value
 
 
@@ -158,7 +159,8 @@ def _load_checked(load, path):
     try:
         return load(p)
     except (ValueError, KeyError) as exc:
-        raise InputError(f"{p}: {exc}") from exc
+        message = str(exc)
+        raise InputError(message if message.startswith(f"{p}:") else f"{p}: {message}") from exc
 
 
 def _load_cir_config(path):
@@ -214,7 +216,7 @@ def cmd_process(args) -> int:
                        range_windows, save_pdp, synth_beat)
 
     frames, header, config = _load_cir_config(args.cir)
-    n = _positive("integer", "N", args.n_chirps)
+    n = _positive("integer", "N", args.n_chirps, least=2)
     stride = n if args.stride is None else _positive("integer", "stride", args.stride)
     if args.t0_index < 0:
         raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
@@ -266,7 +268,7 @@ def cmd_predict(args) -> int:
     from .fmcw import predicted_map
 
     frames, header, config = _load_cir_config(args.cir)
-    n = _positive("integer", "N", args.n_chirps)
+    n = _positive("integer", "N", args.n_chirps, least=2)
     formats = _export_formats(args.export)
     try:
         ddm = predicted_map(frames, config, t0_index=args.t0_index, n_chirps=n)

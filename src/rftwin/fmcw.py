@@ -351,11 +351,12 @@ def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
 
 def _window_response_table(window: str, n: int, oversample: int = 64,
                            span_bins: float = 8.0):
-    """|DTFT| of a window vs frequency offset in bins, normalized to 1 at 0."""
+    """|DTFT| of a window vs frequency offset in bins, normalized to 1 at 0;
+    n taps repeat every n bins, so a short window wraps its one period."""
     w = window_taps(window, n)
     spec = np.abs(np.fft.fft(w, n * oversample)) / w.sum()
-    count = int(span_bins * oversample) + 1
-    return np.arange(count) / oversample, spec[:count]
+    offsets = np.arange(int(span_bins * oversample) + 1)
+    return offsets / oversample, spec[offsets % len(spec)]
 
 
 def predicted_map(frames: list[CirFrame], config: ChirpConfig,

@@ -146,26 +146,26 @@ class FacetPack:
 
         Hits within eps meters of either endpoint do not count, so segments
         that terminate on a facet are not occluded by it.  A stacked pack
-        takes each segment's snapshot index in snapshot.
+        takes each segment's snapshot index in snapshot; a single pack is
+        the stack of one.  Only the (segment, facet) pairs whose plane
+        crossing lies inside the span are tested for containment.
         """
         p = np.atleast_2d(np.asarray(starts, dtype=float))
         q = np.atleast_2d(np.asarray(ends, dtype=float))
+        if snapshot is None:
+            return self[None].segments_blocked(p, q, eps, np.zeros(len(p), int))
+        blocked = np.zeros(len(p), dtype=bool)
         if self.n_facets == 0:
-            return np.zeros(len(p), dtype=bool)
+            return blocked
         d = q - p                                     # (S, 3)
         lengths = np.linalg.norm(d, axis=1)
-        if snapshot is None:
-            facets = None
-            denom = d @ self.normals.T                # (S, F)
-            num = self.offsets[None, :] - p @ self.normals.T
-        else:
-            facets = (snapshot[:, None], np.arange(self.n_facets))
-            normals = self.normals[snapshot]          # (S, F, 3)
-            denom = np.einsum("sj,sfj->sf", d, normals)
-            num = self.offsets[snapshot] - np.einsum("sj,sfj->sf", p, normals)
+        normals = self.normals[snapshot]              # (S, F, 3)
+        denom = np.einsum("sj,sfj->sf", d, normals)
+        num = self.offsets[snapshot] - np.einsum("sj,sfj->sf", p, normals)
         safe = np.abs(denom) > 1e-12
         t = np.where(safe, num / np.where(safe, denom, 1.0), -1.0)
         margin = eps / np.maximum(lengths, 1e-12)
-        inside_span = (t > margin[:, None]) & (t < 1.0 - margin[:, None])
-        hit = p[:, None, :] + t[..., None] * d[:, None, :]
-        return np.any(inside_span & self.contains(hit, facets), axis=1)
+        seg, fac = np.nonzero((t > margin[:, None]) & (t < 1.0 - margin[:, None]))
+        hit = p[seg] + t[seg, fac][:, None] * d[seg]
+        blocked[seg[self.contains(hit, (snapshot[seg], fac))]] = True
+        return blocked

@@ -160,19 +160,6 @@ class TransceiverState:
         return TransceiverState(self.position[k], self.boresight[k], self.velocity[k])
 
 
-@dataclass
-class SnapshotFacet:
-    """World-frame facet at the snapshot instant, keyed by its scene index.
-    Rigid motion keeps the area of the scene facet."""
-
-    index: int
-    vertices: np.ndarray
-    normal: np.ndarray
-    area: float
-    material_id: str
-    body_id: str | None
-
-
 class SnapshotBlock:
     """The world at n epochs, as arrays with a leading epoch axis.
 
@@ -304,12 +291,6 @@ class WorldSnapshot:
     def epoch_block(self) -> SnapshotBlock:
         """The block of this one epoch, which the tracers run over."""
         return self.block.view(slice(self.index, self.index + 1))
-
-    @functools.cached_property
-    def facets(self) -> list[SnapshotFacet]:
-        return [SnapshotFacet(f.index, self.pack.verts[i, :len(f.vertices)],
-                              self.pack.normals[i], f.area, f.material_id, f.body_id)
-                for i, f in enumerate(self.block.scene.facets)]
 
     @functools.cached_property
     def body_poses(self) -> dict[str, PoseSample]:

@@ -15,7 +15,7 @@ axis on every array; a single snapshot is the block of one.  It
      before and after each hit strictly in front of it, and
   4. drops chains with an occluded segment, sliced from the same
      (epochs, chains, K+2, 3) point table in one batched occlusion test.
-LOS runs over a block the same way; diffuse tracing runs per snapshot.
+LOS and diffuse tracing run over a block the same way.
 
 Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
@@ -38,8 +38,9 @@ from .scene import Scene
 
 _FRONT_EPS = 1e-9   # m, strict front-side margin
 _PARAM_EPS = 1e-9   # unitless span margin for image-line intersections
-# Chain-table rows of one image-method pass over a block of snapshots,
-# epochs times chains: bounds its point table to a few MB in large scenes.
+# Rows of one tracing pass over a block of snapshots, epochs times chains
+# (image method) or epochs times diffuse samples: bounds its point and
+# occlusion tables to a few MB in large scenes.
 _CHAIN_ROWS = 1 << 15
 
 
@@ -66,6 +67,8 @@ class TraceConfig:
             raise ValueError("diffuse_samples_per_facet must be >= 1")
         if self.occlusion_epsilon <= 0:
             raise ValueError("occlusion_epsilon must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 KINDS = ("los", "specular", "diffuse")     # path kind code = position
@@ -421,48 +424,52 @@ def diffuse_sample_pattern(facet_index: int, n_vertices: int, area: float,
     return _SamplePattern(weights, m)
 
 
-def trace_diffuse(snap: WorldSnapshot, tx_id: str, rx_id: str,
+def trace_diffuse(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
                   config: TraceConfig = TraceConfig(),
                   patterns: dict | None = None) -> PathTable:
     """Single-bounce diffuse paths from the stratified facet samples.
 
-    Samples facing away from either endpoint or with a blocked leg are
-    dropped; each survivor carries area = facet area / n_samples.  patterns
-    (from build_sample_patterns) holds the scene facets' patterns; without it
-    they are built per call.  Rigid motion leaves both the patterns and the
-    facet areas unchanged.
+    Samples of facets facing away from either endpoint, or with a blocked
+    leg, are dropped; each survivor carries area = facet area / n_samples.
+    patterns (from build_sample_patterns) holds the scene facets' patterns;
+    without it they are built per call.  Rigid motion leaves both the
+    patterns and the facet areas unchanged.  snap is one snapshot or a block
+    of them; rows come out by epoch, then facet, then sample, and a block's
+    table has their frame column.
     """
-    txp = snap.transceiver_state(tx_id).position
-    rxp = snap.transceiver_state(rx_id).position
-    pack = snap.pack
-    points, owners, sample_ids, areas = [], [], [], []
-    for fi, facet in enumerate(snap.facets if config.diffuse_enabled else ()):
-        sd_tx = float(txp @ pack.normals[fi]) - pack.offsets[fi]
-        sd_rx = float(rxp @ pack.normals[fi]) - pack.offsets[fi]
-        if sd_tx <= _FRONT_EPS or sd_rx <= _FRONT_EPS:
-            continue
-        nv = len(facet.vertices)
-        if patterns is not None and facet.index in patterns:
-            pat = patterns[facet.index]
-        else:
-            pat = diffuse_sample_pattern(facet.index, nv, facet.area, config)
-        points.append(pat.weights @ facet.vertices[:nv])
-        owners.append(np.full(pat.n_samples, fi))
-        sample_ids.append(np.arange(pat.n_samples))
-        areas.append(np.full(pat.n_samples, facet.area / pat.n_samples))
-    if not points:
-        return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)))
-
-    pts = np.concatenate(points)
-    blocked_in = pack.segments_blocked(np.broadcast_to(txp, pts.shape), pts,
-                                       config.occlusion_epsilon)
-    blocked_out = pack.segments_blocked(pts, np.broadcast_to(rxp, pts.shape),
-                                        config.occlusion_epsilon)
-    keep = ~(blocked_in | blocked_out)
-    legs = np.empty((np.count_nonzero(keep), 3, 3))
-    legs[:, 0], legs[:, 1], legs[:, 2] = txp, pts[keep], rxp
-    return _table("diffuse", np.concatenate(owners)[keep, None], legs,
-                  np.concatenate(sample_ids)[keep], np.concatenate(areas)[keep])
+    block, single = _epochs(snap)
+    facets = block.scene.facets if config.diffuse_enabled else []
+    if not facets or not len(block):
+        return _framed(_table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)),
+                              frame=np.empty(0, int)), single)
+    pats = [patterns[f.index] if patterns is not None and f.index in patterns
+            else diffuse_sample_pattern(f.index, len(f.vertices), f.area, config)
+            for f in facets]
+    # Per pattern sample, facet by facet: its facet, index and area.
+    counts = [p.n_samples for p in pats]
+    owner = np.repeat(np.arange(len(pats)), counts)
+    sample = np.concatenate([np.arange(c) for c in counts])
+    area = np.repeat([f.area / c for f, c in zip(facets, counts)], counts)
+    eps = config.occlusion_epsilon
+    step = max(1, _CHAIN_ROWS // len(owner))
+    tables = []
+    for lo in range(0, len(block), step):
+        part = block.view(slice(lo, lo + step))
+        pack = part.pack
+        txp, rxp = part.states[tx_id].position, part.states[rx_id].position
+        front = ((np.einsum("ej,efj->ef", txp, pack.normals) - pack.offsets > _FRONT_EPS)
+                 & (np.einsum("ej,efj->ef", rxp, pack.normals) - pack.offsets > _FRONT_EPS))
+        frame, rows = np.nonzero(front[:, owner])
+        points = np.concatenate([np.matmul(p.weights, pack.verts[:, i, :len(f.vertices)])
+                                 for i, (f, p) in enumerate(zip(facets, pats))], axis=1)
+        pts = points[frame, rows]
+        keep = ~(pack.segments_blocked(txp[frame], pts, eps, frame)
+                 | pack.segments_blocked(pts, rxp[frame], eps, frame))
+        frame, rows = frame[keep], rows[keep]
+        legs = np.stack([txp[frame], pts[keep], rxp[frame]], axis=1)
+        tables.append(_table("diffuse", owner[rows, None], legs, sample[rows], area[rows],
+                             frame=lo + frame))
+    return _framed(PathTable.concat(tables), single)
 
 
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:

@@ -95,6 +95,11 @@ def test_chirp_config_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"ChirpConfig.{name} must be finite"):
                 ChirpConfig(**{name: value})
+    # fewer than two samples per chirp: floor(t_chirp * f_samp) of 0 and 1
+    for f_samp in (1.0, 1.0e4):
+        with pytest.raises(ValueError, match="at least 2"):
+            ChirpConfig(f_samp=f_samp)
+    assert ChirpConfig(f_samp=17.8e3).samples_per_chirp == 2
     # zero idle time is allowed
     ChirpConfig(t_idle=0.0)
 
@@ -401,7 +406,7 @@ def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
     s_table = np.array([m.scattering_coeff for m in materials])
     r_table = specular_reduction(s_table)
     alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
-    mat_at = np.array([mat_index[f.material_id] for f in snap.facets] + [-1])[paths.facets]
+    mat_at = np.array([mat_index[f.material_id] for f in snap.block.scene.facets] + [-1])[paths.facets]
     normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
@@ -430,7 +435,7 @@ def reference_doppler(paths, snap, tx_id, rx_id, f_c):
     vel[:, -1] = snap.transceiver_state(rx_id).velocity
     hit_vel = vel[:, 1:-1]
     hit_vel[paths.facets >= 0] = 0.0
-    owner = np.array([f.body_id for f in snap.facets] + [None], dtype=object)[paths.facets]
+    owner = np.array([f.body_id for f in snap.block.scene.facets] + [None], dtype=object)[paths.facets]
     for body_id in snap.body_poses:
         on = owner == body_id
         if on.any():

@@ -316,10 +316,59 @@ def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeyp
     assert "--window: unknown window 'foo'" in capsys.readouterr().err
     assert main(["process", "--cir", cir, "-N", "8", "--window-slow", "kaiser"] + sink) == 2
     assert "--window-slow: unknown window 'kaiser'" in capsys.readouterr().err
+    assert main(["process", "--cir", cir, "-N", "1", "--export", "pgm"] + sink) == 2
+    assert "--N must be a positive integer of at least 2, got 1" in capsys.readouterr().err
     # a valid command does reach the patched synthesis
     assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
     assert "synthesis reached" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_rejects_a_one_chirp_window(artifacts, tmp_path, capsys):
+    cir = str(artifacts["out"] / "run.cir")
+    assert main(["predict", "--cir", cir, "-N", "1", "-o", str(tmp_path)]) == 2
+    assert "--N must be a positive integer of at least 2, got 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_names_a_foreign_file_once(artifacts, tmp_path, capsys):
+    cir = str(artifacts["out"] / "run.cir")
+    assert main(["compare", "--reference", cir, "--test", cir, "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cir}: not a rftwin delay-Doppler map file\n"
+
+
+def test_negative_seed_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scene", str(write_scene(tmp_path)), "--tx", "UE",
+                 "--chirps", "4", "--seed", "-1", "-o", str(out)]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f_samp", ["1", "10000"])
+def test_fewer_than_two_samples_per_chirp_is_input_error(tmp_path, capsys, f_samp):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scene", str(write_scene(tmp_path)), "--tx", "UE",
+                 "--chirps", "4", "--f-samp", f_samp, "-o", str(out)]) == 2
+    assert "at least 2 are needed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f_samp, samples", [("17.8e3", 2), ("35.5e3", 4), ("70.9e3", 8)])
+def test_short_chirps_run_the_whole_chain(tmp_path, f_samp, samples):
+    """Windows shorter than the prediction's 8-bin response table."""
+    from rftwin.fmcw import load_map
+
+    common = ["--tag", "run", "-o", str(tmp_path), "--frozen-clock"]
+    cir = str(tmp_path / "run.cir")
+    assert main(["simulate", "--scene", str(write_scene(tmp_path)), "--tx", "UE",
+                 "--chirps", "8", "--no-diffuse", "--f-samp", f_samp] + common) == 0
+    assert main(["process", "--cir", cir, "-N", "8", "--export", "bin,csv,pgm"] + common) == 0
+    assert main(["predict", "--cir", cir, "-N", "8"] + common) == 0
+    assert load_map(tmp_path / "run_pred_w000000.ddm").power_db.shape == (8, samples)
+    assert main(["compare", "--reference", str(tmp_path / "run_pred_w000000.ddm"),
+                 "--test", str(tmp_path / "run_w000000.ddm")] + common) == 0
 
 
 NO_SCIPY_RUN = """
@@ -380,7 +429,8 @@ def test_non_finite_chirp_and_epoch_flags_are_input_errors(tmp_path, capsys, fla
 @pytest.mark.parametrize("change, message", [
     ({"f_c": -1.0}, "ChirpConfig.f_c must be positive"),
     ({"colour": "red"}, "colour"),
-    ({"f_c": "x"}, "bad chirp config")])
+    ({"f_c": "x"}, "bad chirp config"),
+    ({"f_samp": 1.0}, "at least 2 are needed")])
 def test_malformed_header_chirp_config_is_input_error(artifacts, tmp_path, capsys,
                                                      command, change, message):
     raw = (artifacts["out"] / "run.cir").read_bytes()

@@ -76,6 +76,22 @@ def test_window_taps_match_scipy_bits(name, n):
     assert window_taps(name, n).tobytes() == get_window(name, n, fftbins=True).tobytes()
 
 
+@pytest.mark.parametrize("name", ["hann", "hamming", "blackman", "boxcar"])
+def test_window_response_table_repeats_short_windows(name):
+    """n taps have a DTFT of period n bins: a window shorter than the 8-bin
+    span repeats its one period, and from 9 taps up the table is the first
+    8 * 64 + 1 points of the padded FFT, bit for bit."""
+    for n in range(1, 13):
+        offs, resp = fmcw._window_response_table(name, n)
+        assert len(offs) == len(resp) == 8 * 64 + 1
+        w = window_taps(name, n)
+        dtft = np.abs(np.exp(-2j * np.pi * np.outer(offs / n, np.arange(n))) @ w) / w.sum()
+        assert np.allclose(resp, dtft, rtol=0.0, atol=1e-12)
+        if n >= 9:
+            spec = np.abs(np.fft.fft(w, n * 64)) / w.sum()
+            assert resp.tobytes() == spec[:8 * 64 + 1].tobytes()
+
+
 def test_boltzmann_literal_is_codata():
     assert BOLTZMANN == constants.k
 

@@ -178,6 +178,19 @@ def test_segments_blocked_matches_scalar_brute_force():
         for p, q in zip(starts, ends)
     ])
     assert np.array_equal(fast, slow)
+    # A stacked pack of five snapshots, each segment tested in its own.
+    worlds = [[random_convex_polygon(rng, n)[0] for n in (3, 4, 4)] for _ in range(5)]
+    packs = [FacetPack(w) for w in worlds]
+    stacked = FacetPack.stacked(np.stack([p.verts for p in packs]),
+                                np.stack([p.normals for p in packs]))
+    snapshot = rng.integers(0, len(worlds), len(starts))
+    fast = stacked.segments_blocked(starts, ends, eps, snapshot)
+    slow = np.array([
+        any(segment_hits_facet(p, q, v, eps) is not None for v in worlds[k])
+        for p, q, k in zip(starts, ends, snapshot)
+    ])
+    assert np.array_equal(fast, slow)
+    assert 0 < np.count_nonzero(slow) < len(slow)
 
 
 def test_segments_touching_a_facet_are_not_blocked_by_it():

@@ -131,14 +131,14 @@ def moving_scene_doc():
 def test_snapshot_poses_body_facets_rigidly():
     scene = scene_from_dict(moving_scene_doc())
     snap = snapshot(scene, 1.0)
-    moved = snap.facets[0]
+    moved = snap.pack.verts[0, :len(scene.facets[0].vertices)]
     pose = snap.body_poses["rig"]
     expected = pose.position + scene.facets[0].vertices @ pose.rotation.T
-    assert np.allclose(moved.vertices, expected, atol=1e-12)
+    assert np.allclose(moved, expected, atol=1e-12)
     # rigid: area and edge lengths preserved
-    assert np.linalg.norm(moved.vertices[1] - moved.vertices[0]) == pytest.approx(1.0)
-    static = snap.facets[1]
-    assert np.allclose(static.vertices, scene.facets[1].vertices)
+    assert np.linalg.norm(moved[1] - moved[0]) == pytest.approx(1.0)
+    static = snap.pack.verts[1, :len(scene.facets[1].vertices)]
+    assert np.allclose(static, scene.facets[1].vertices)
 
 
 def test_mounted_transceiver_pose_and_velocity():
@@ -184,7 +184,7 @@ def test_trajectories_reused_across_snapshots():
     traj = build_trajectories(scene)
     a = snapshot(scene, 0.5, traj)
     b = snapshot(scene, 0.5)
-    assert np.allclose(a.facets[0].vertices, b.facets[0].vertices)
+    assert np.allclose(a.pack.verts[0], b.pack.verts[0])
     assert a.t == b.t == 0.5
 
 

@@ -1,10 +1,12 @@
 """Ray tracer against brute-force minimization, image identities and FD Doppler."""
 
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -13,9 +15,11 @@ from rftwin.channel import doppler_of
 from rftwin.geometry import facet_normal
 from rftwin.kinematics import build_trajectories, snapshot, snapshots
 from rftwin.raytrace import (
+    _FRONT_EPS,
     PathTable,
     TraceConfig,
     _chain_table,
+    _table,
     build_sample_patterns,
     diffuse_sample_count,
     diffuse_sample_pattern,
@@ -23,9 +27,9 @@ from rftwin.raytrace import (
     trace_los,
     trace_specular,
 )
-from rftwin.scene import scene_from_dict
+from rftwin.scene import load_scene, scene_from_dict
 
-from conftest import spin_rig_doc, two_ray_doc
+from conftest import FIXTURES, spin_rig_doc, two_ray_doc
 
 PATTERN = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 90.0, "hpbw_elevation_deg": 60.0}
 F_C = 79e9
@@ -195,6 +199,9 @@ def test_trace_config_validation():
         TraceConfig(diffuse_samples_per_facet=0)
     with pytest.raises(ValueError):
         TraceConfig(occlusion_epsilon=0.0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        TraceConfig(seed=-1)
+    TraceConfig(seed=0)
 
 
 def test_diffuse_sample_count_scales_with_area():
@@ -458,3 +465,113 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     parts = trace_specular(block, "BS", "UE", config)
     for col in columns + ("frame",):
         assert getattr(parts, col).tobytes() == getattr(whole[trace_specular], col).tobytes()
+
+
+def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
+    """The per-facet diffuse tracer over one snapshot: a Python loop over
+    the facets in front of both endpoints, posed in the snapshot's pack,
+    then one occlusion pass per leg through that pack."""
+    txp = snap.transceiver_state(tx_id).position
+    rxp = snap.transceiver_state(rx_id).position
+    pack = snap.pack
+    points, owners, sample_ids, areas = [], [], [], []
+    for fi, facet in enumerate(snap.block.scene.facets if config.diffuse_enabled else ()):
+        sd_tx = float(txp @ pack.normals[fi]) - pack.offsets[fi]
+        sd_rx = float(rxp @ pack.normals[fi]) - pack.offsets[fi]
+        if sd_tx <= _FRONT_EPS or sd_rx <= _FRONT_EPS:
+            continue
+        nv = len(facet.vertices)
+        if patterns is not None and facet.index in patterns:
+            pat = patterns[facet.index]
+        else:
+            pat = diffuse_sample_pattern(facet.index, nv, facet.area, config)
+        points.append(pat.weights @ pack.verts[fi, :nv])
+        owners.append(np.full(pat.n_samples, fi))
+        sample_ids.append(np.arange(pat.n_samples))
+        areas.append(np.full(pat.n_samples, facet.area / pat.n_samples))
+    if not points:
+        return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)))
+
+    pts = np.concatenate(points)
+    blocked_in = pack.segments_blocked(np.broadcast_to(txp, pts.shape), pts,
+                                       config.occlusion_epsilon)
+    blocked_out = pack.segments_blocked(pts, np.broadcast_to(rxp, pts.shape),
+                                        config.occlusion_epsilon)
+    keep = ~(blocked_in | blocked_out)
+    legs = np.empty((np.count_nonzero(keep), 3, 3))
+    legs[:, 0], legs[:, 1], legs[:, 2] = txp, pts[keep], rxp
+    return _table("diffuse", np.concatenate(owners)[keep, None], legs,
+                  np.concatenate(sample_ids)[keep], np.concatenate(areas)[keep])
+
+
+def _ground_behind_doc():
+    """The two-ray scene with the ground wound downwards: behind both radios."""
+    doc = two_ray_doc()
+    doc["facets"][0]["vertices"] = doc["facets"][0]["vertices"][::-1]
+    return doc
+
+
+# name: (scene, TX, RX).  The spin rig's plate faces away from the UE it
+# carries, so it is behind an endpoint at every epoch; scenario_c's UE rides
+# on a body, and scenario_b's car facets move.
+DIFFUSE_RIGS = {
+    "spin": (lambda: scene_from_dict(spin_rig_doc()), "BS", "UE"),
+    "spin_reverse": (lambda: scene_from_dict(spin_rig_doc()), "UE", "BS"),
+    "scenario_c": (lambda: load_scene(FIXTURES / "scenario_c.json"), "BS", "UE"),
+    "scenario_b": (lambda: load_scene(FIXTURES / "scenario_b.json"), "UE", "UE"),
+    "ground_behind": (lambda: scene_from_dict(_ground_behind_doc()), "BS", "UE"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _diffuse_rig(name):
+    build, tx, rx = DIFFUSE_RIGS[name]
+    return build(), tx, rx
+
+
+@settings(max_examples=40, deadline=None)
+@given(rig=st.sampled_from(sorted(DIFFUSE_RIGS)), n=st.integers(1, 130),
+       start=st.floats(0.0, 1.0), step=st.sampled_from([125.86e-6, 2e-3, 1e-2]),
+       samples=st.integers(1, 9), seed=st.integers(0, 2 ** 16),
+       prebuilt=st.booleans(), cap=st.sampled_from([None, 1, 200, 1000]))
+@example(rig="spin", n=130, start=0.2, step=1e-2, samples=4, seed=1729, prebuilt=True, cap=None)
+@example(rig="spin_reverse", n=129, start=0.5, step=1e-2, samples=9, seed=3, prebuilt=False,
+         cap=200)
+@example(rig="scenario_c", n=130, start=0.4, step=1e-2, samples=8, seed=1729, prebuilt=True,
+         cap=1000)
+@example(rig="scenario_b", n=65, start=0.1, step=1e-2, samples=16, seed=1, prebuilt=True,
+         cap=None)
+@example(rig="scenario_b", n=3, start=0.0, step=2e-3, samples=4, seed=9001, prebuilt=False,
+         cap=1)
+@example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0, prebuilt=False,
+         cap=None)
+def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, samples,
+                                                          seed, prebuilt, cap):
+    """A block of 1 to 130 epochs gives, row for row and bit for bit, each
+    epoch's rows from the per-facet tracer, in epoch order with their frame:
+    with and without prebuilt patterns, and split by the row cap."""
+    scene, tx, rx = _diffuse_rig(rig)
+    lo, hi = scene.t_span or (0.0, 1.0)
+    step = min(step, (hi - lo) / n)
+    times = lo + start * ((hi - lo) - (n - 1) * step) + step * np.arange(n)
+    config = TraceConfig(diffuse_samples_per_facet=samples, seed=seed)
+    patterns = build_sample_patterns(scene, config) if prebuilt else None
+    block = snapshots(scene, times)
+    with mock.patch.object(raytrace, "_CHAIN_ROWS", cap or raytrace._CHAIN_ROWS):
+        table = trace_diffuse(block, tx, rx, config, patterns)
+    parts = []
+    for k, snap in enumerate(block):
+        parts.append(_reference_diffuse(snap, tx, rx, config, patterns))
+        parts[-1].frame = np.full(len(parts[-1]), k)
+    reference = PathTable.concat(parts)
+    for col in ("kind", "hops", "facets", "sample", "points", "area", "frame"):
+        mine, ref = getattr(table, col), getattr(reference, col)
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape, col
+        assert mine.tobytes() == ref.tobytes(), col
+    if rig.startswith("spin"):
+        assert not (table.facets == 1).any()        # the rig plate faces away
+    if rig == "ground_behind":
+        assert len(table) == 0
+    single = trace_diffuse(block[n - 1], tx, rx, config, patterns)
+    assert single.frame is None
+    assert single.points.tobytes() == table.take(table.frame == n - 1).points.tobytes()
