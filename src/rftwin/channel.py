@@ -19,7 +19,6 @@ sample patterns, the amplitude model's LinkConstants) is built once.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -172,7 +171,7 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     tx, rx = link.tx_id, link.rx_id
     times = t0 + np.arange(max(n, 0)) * config.pri
     trajectories = build_trajectories(scene)
-    patterns = build_sample_patterns(scene, trace)
+    patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
     constants = LinkConstants(scene, tx, rx, config.f_c)
     frames = []
     for lo in range(0, len(times), _BLOCK_CHIRPS):
@@ -247,15 +246,45 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
     if extra:
         header.update(extra)
 
-    def chunks():
-        for fr in frames:
-            p = fr.paths
-            yield struct.pack("<Id II", fr.epoch_index, fr.t, len(p), fr.n_dropped)
-            for col in (p.a.real, p.a.imag, p.tau, p.nu):
-                yield np.ascontiguousarray(col, dtype="<f8")
-            yield from (p.kind.astype(np.uint8), p.hops.astype(np.uint8),
-                        p.facets[p.facets >= 0].astype("<i4"), p.sample.astype("<i4"))
-    write_container(path, CIR_MAGIC, header, chunks())
+    write_container(path, CIR_MAGIC, header, _cir_payload(frames))
+
+
+_FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4")])
+_PAYLOAD_CHUNK = 1 << 16        # 2-byte units gathered per written chunk
+
+
+def _runs(source: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """source[start:start + size] for every run, concatenated."""
+    ends = np.cumsum(sizes)
+    return source[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])]
+
+
+def _cir_payload(frames: list[CirFrame]):
+    """The .cir payload in chunks of whole frames, gathered from the
+    episode's columns: a frame is its header, then the run of its rows (or
+    facets) in every column.  With each frame's kind and hop codes joined
+    first, every run has an even size, so the gather moves 2-byte units."""
+    if not frames:
+        return
+    p = PathTable.concat([fr.paths for fr in frames])
+    n = np.array([len(fr.paths) for fr in frames])
+    first, live = np.cumsum(n) - n, p.facets >= 0
+    n_facets = np.bincount(np.repeat(np.arange(len(n)), n), live.sum(axis=1),
+                           minlength=len(n)).astype(int)
+    codes = _runs(np.concatenate([p.kind, p.hops]).astype(np.uint8),
+                  np.column_stack([first, first + len(p)]).ravel(), np.repeat(n, 2))
+    columns = [(np.array([(fr.epoch_index, fr.t, len(fr.paths), fr.n_dropped) for fr in frames],
+                         _FRAME_HEAD), np.ones_like(n))]
+    columns += [(col.astype("<f8"), n) for col in (p.a.real, p.a.imag, p.tau, p.nu)]
+    columns += [(codes, 2 * n), (p.facets[live].astype("<i4"), n_facets),
+                (p.sample.astype("<i4"), n)]
+    source = np.concatenate([col.view(np.uint8) for col, _ in columns]).view(np.uint16)
+    sizes = np.column_stack([count * col.itemsize // 2 for col, count in columns])
+    starts = (np.cumsum([0] + [col.nbytes // 2 for col, _ in columns[:-1]])
+              + np.cumsum(sizes, axis=0) - sizes)
+    offset = np.cumsum(sizes.sum(axis=1)) - sizes.sum(axis=1)
+    for group in np.split(np.arange(len(n)), np.flatnonzero(np.diff(offset // _PAYLOAD_CHUNK)) + 1):
+        yield _runs(source, starts[group].ravel(), sizes[group].ravel())
 
 
 def load_cir(path) -> tuple[list[CirFrame], dict]:
@@ -314,28 +343,26 @@ def load_cir(path) -> tuple[list[CirFrame], dict]:
     return frames, header
 
 
-class _FacetFields(dict):
-    """Facet row tuple -> the facets field of the CSV, formatted on first use."""
-
-    def __missing__(self, row: tuple) -> str:
-        self[row] = field = "|".join(str(f) for f in row if f >= 0)
-        return field
-
-
 def cir_to_csv(path, frames: list[CirFrame]) -> None:
     """Flat CSV export: one row per path per frame."""
-    kinds = [f"{kind}," for kind in KINDS]
-    facet_fields = _FacetFields()
-    with open(path, "w") as fh:
-        fh.write("epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,"
-                 "facets,sample_index\n")
-        for fr in frames:
-            p = fr.paths
-            head = f"{fr.epoch_index},{fr.t!r},"
-            fh.write("".join([
-                f"{head}{kinds[k]}{tau!r},{nu!r},{re!r},{im!r},{f},{'' if s < 0 else s}\n"
-                for k, tau, nu, re, im, f, s in zip(
-                    p.kind.tolist(), p.tau.tolist(), p.nu.tolist(), p.a.real.tolist(),
-                    p.a.imag.tolist(), map(facet_fields.__getitem__,
-                                           map(tuple, p.facets.tolist())),
-                    p.sample.tolist())]))
+    from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
+    with open(path, "wb") as fh:
+        fh.write(b"epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,facets,sample_index\n")
+        if not frames:
+            return
+        p = PathTable.concat([fr.paths for fr in frames])
+        frame = np.repeat(np.arange(len(frames)), [len(fr.paths) for fr in frames])
+        epochs = text_cells([str(fr.epoch_index) for fr in frames])
+        times = float_text([fr.t for fr in frames])
+        facet_rows, facet_of = np.unique(p.facets, axis=0, return_inverse=True)
+        kinds, facet_of = text_cells(KINDS), facet_of.reshape(-1)
+        facets = text_cells(["|".join(str(f) for f in row if f >= 0)
+                             for row in facet_rows.tolist()])
+        sample_ids, sample_of = np.unique(p.sample, return_inverse=True)
+        samples = text_cells(["" if s < 0 else str(s) for s in sample_ids.tolist()])
+        floats = np.column_stack([p.tau, p.nu, p.a.real, p.a.imag])
+        for lo in range(0, len(p), CSV_CHUNK // 4):
+            at = slice(lo, lo + CSV_CHUNK // 4)
+            fh.write(csv_lines(epochs[frame[at], None], times[frame[at], None],
+                               kinds[p.kind[at], None], float_text(floats[at]),
+                               facets[facet_of[at], None], samples[sample_of[at], None]))

@@ -97,7 +97,7 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .channel import SensingLink, cir_to_csv, frame_stats, save_cir, simulate_cir
-    from .raytrace import KINDS, TraceConfig
+    from .raytrace import KINDS, TraceConfig, diffuse_sample_count
     from .scene import SceneError, load_scene
 
     scene_path = _require_file(args.scene)
@@ -121,6 +121,8 @@ def cmd_simulate(args) -> int:
                             diffuse_enabled=not args.no_diffuse,
                             diffuse_samples_per_facet=args.diffuse_samples,
                             seed=args.seed)
+        for facet in scene.facets if trace.diffuse_enabled else []:
+            diffuse_sample_count(facet.area, trace)     # before any pattern is built
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -387,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="highest specular bounce count")
     sim.add_argument("--no-diffuse", action="store_true")
     sim.add_argument("--diffuse-samples", type=int, default=16,
-                     help="base diffuse samples per facet")
+                     help="base diffuse samples per facet; a facet's count, "
+                          "scaled up by its area, may be at most 32768")
     sim.add_argument("--seed", type=int, default=1729)
     _add_chirp_flags(sim)
     _add_common(sim)

@@ -439,14 +439,19 @@ def load_map(path) -> DelayDopplerMap:
 
 
 def map_to_csv(path, ddm: DelayDopplerMap) -> None:
-    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major."""
-    delays = [f"{tau!r}," for tau in ddm.delay_axis.tolist()]
-    with open(path, "w") as fh:
-        fh.write("delay_s,doppler_hz,power_db\n")
-        for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db):
-            doppler = f"{nu!r},"
-            fh.write("".join([f"{tau}{doppler}{p!r}\n"
-                              for tau, p in zip(delays, row.tolist())]))
+    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major; a
+    block's distinct powers (mostly the -300 dB floor) are formatted once."""
+    from .csvtext import CSV_CHUNK, csv_lines, float_text
+    delays = float_text(ddm.delay_axis)[None, :, None]
+    dopplers = float_text(ddm.doppler_axis)[:, None, None]
+    step = max(1, CSV_CHUNK // max(ddm.power_db.shape[1], 1))
+    with open(path, "wb") as fh:
+        fh.write(b"delay_s,doppler_hz,power_db\n")
+        for lo in range(0, len(dopplers), step):
+            block = np.ascontiguousarray(ddm.power_db[lo:lo + step], dtype=np.float64)
+            bits, index = np.unique(block.view(np.int64), return_inverse=True)
+            power = float_text(bits.view(np.float64))[index.reshape(block.shape)]
+            fh.write(csv_lines(delays, dopplers[lo:lo + step], power[:, :, None]))
 
 
 def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
@@ -478,10 +483,15 @@ def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
 
 
 def pdp_to_csv(path, pdp: PdpSeries) -> None:
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(map(repr, pdp.delay_axis.tolist())) + "\n")
-        for t, row in zip(pdp.times.tolist(), pdp.power_db):
-            fh.write(f"{t!r}," + ",".join(map(repr, row.tolist())) + "\n")
+    """Text PDP series: a `t` line with the delay axis, then one line per
+    epoch holding its time and its row of dB powers."""
+    from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
+    step = max(1, CSV_CHUNK // (pdp.power_db.shape[1] + 1))
+    with open(path, "wb") as fh:
+        fh.write(csv_lines(text_cells(["t"])[None], float_text(pdp.delay_axis)[None]))
+        for lo in range(0, len(pdp.times), step):
+            fh.write(csv_lines(float_text(pdp.times[lo:lo + step])[:, None],
+                               float_text(pdp.power_db[lo:lo + step])))
 
 
 PDP_MAGIC = b"RFTPDP1\n"

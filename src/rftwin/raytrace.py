@@ -29,6 +29,7 @@ carries the frame (epoch within the block) of each row.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,6 +43,7 @@ _PARAM_EPS = 1e-9   # unitless span margin for image-line intersections
 # (image method) or epochs times diffuse samples: bounds its point and
 # occlusion tables to a few MB in large scenes.
 _CHAIN_ROWS = 1 << 15
+_MAX_FACET_SAMPLES = _CHAIN_ROWS    # diffuse samples one facet may have
 
 
 @dataclass(frozen=True)
@@ -390,10 +392,15 @@ class _SamplePattern:
 
 
 def diffuse_sample_count(area: float, config: TraceConfig) -> int:
-    """Samples for one facet: base count scaled by area, as a full grid."""
+    """Samples for one facet: base count scaled by area, as a full grid; more
+    than _MAX_FACET_SAMPLES (32768) is a ValueError."""
     target = config.diffuse_samples_per_facet * max(
         1, int(np.ceil(area / config.subdivide_area)))
-    side = int(np.ceil(np.sqrt(target)))
+    side = math.isqrt(target - 1) + 1
+    if side * side > _MAX_FACET_SAMPLES:
+        raise ValueError(f"diffuse_samples_per_facet = {config.diffuse_samples_per_facet} "
+                         f"gives a facet of area {area:.6g} {side * side} samples, above "
+                         f"the cap of {_MAX_FACET_SAMPLES}")
     return side * side
 
 

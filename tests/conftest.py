@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rftwin.channel import ChirpConfig, CirFrame, SensingLink, simulate_cir
 from rftwin.fmcw import delay_doppler, range_fft, synth_beat
@@ -36,6 +37,11 @@ PLATE_BEARINGS_DEG = (0.0, 20.0, -20.0)
 PLATE_RANGES_M = (6.0, 9.3, 14.0)
 PLATE_RATES_MPS = (0.0, -2.0302, 0.9556)
 PLATE_T_MID = 64 * 125.86e-6   # window center with the default chirp timing
+
+# Float64 bit patterns: every special value plus arbitrary bits (NaN payloads,
+# subnormals, finite values of any magnitude).
+_SPECIAL_BITS = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]).view(np.uint64).tolist()
+FLOAT_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
 
 SCENARIO_B_T0 = 0.1
 SCENARIO_C_T0 = 2.74223872

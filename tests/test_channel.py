@@ -296,6 +296,14 @@ def test_cir_csv_export(tmp_path, plates_episode):
     assert first[2] in ("los", "specular", "diffuse")
     # delays survive the text round-trip exactly (repr formatting)
     assert float(first[3]) == ep.frames[0].paths.tau[0]
+    # Over several write chunks the CSV and the .cir payload equal the old
+    # per-frame writers byte for byte.
+    many = ep.frames * 6
+    cir_to_csv(tmp_path / "many.csv", many)
+    reference_cir_csv(tmp_path / "ref.csv", many)
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    save_cir(tmp_path / "many.cir", many, ep.config, ep.link, frozen_clock=True)
+    assert (tmp_path / "many.cir").read_bytes().endswith(b"".join(reference_cir_payload(many)))
 
 
 def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
@@ -355,17 +363,49 @@ def _frame_strategy(draw, epoch):
                     draw(st.integers(0, 2 ** 32 - 1)))
 
 
+def reference_cir_payload(frames):
+    """save_cir's payload as it was written, frame by frame."""
+    for fr in frames:
+        p = fr.paths
+        yield struct.pack("<Id II", fr.epoch_index, fr.t, len(p), fr.n_dropped)
+        for col in (p.a.real, p.a.imag, p.tau, p.nu):
+            yield np.ascontiguousarray(col, dtype="<f8").tobytes()
+        yield from (p.kind.astype(np.uint8).tobytes(), p.hops.astype(np.uint8).tobytes(),
+                    p.facets[p.facets >= 0].astype("<i4").tobytes(),
+                    p.sample.astype("<i4").tobytes())
+
+
+def reference_cir_csv(path, frames):
+    """cir_to_csv as it was, one repr call per float: the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,facets,sample_index\n")
+        for fr in frames:
+            p = fr.paths
+            for k, tau, nu, re, im, row, s in zip(
+                    p.kind.tolist(), p.tau.tolist(), p.nu.tolist(), p.a.real.tolist(),
+                    p.a.imag.tolist(), p.facets.tolist(), p.sample.tolist()):
+                facets = "|".join(str(f) for f in row if f >= 0)
+                fh.write(f"{fr.epoch_index},{fr.t!r},{KINDS[k]},{tau!r},{nu!r},{re!r},{im!r},"
+                         f"{facets},{'' if s < 0 else s}\n")
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
     frames = [_frame_strategy(data.draw, epoch)
               for epoch in range(data.draw(st.integers(0, 4)))]
-    path = tmp_path_factory.mktemp("cir") / "random.cir"
+    directory = tmp_path_factory.mktemp("cir")
+    path = directory / "random.cir"
     save_cir(path, frames, ChirpConfig(), SensingLink("UE", "UE"), frozen_clock=True)
     back, header = load_cir(path)
     assert header["n_frames"] == len(back) == len(frames)
     for got, want in zip(back, frames):
         assert_same_frame(got, want)
+    assert path.read_bytes().endswith(b"".join(reference_cir_payload(frames)))
+    # The CSV export equals its per-value reference byte for byte.
+    cir_to_csv(directory / "random.csv", frames)
+    reference_cir_csv(directory / "ref.csv", frames)
+    assert (directory / "random.csv").read_bytes() == (directory / "ref.csv").read_bytes()
 
 
 # -- the per-snapshot pass that the block pass replaced, kept as its reference

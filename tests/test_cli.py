@@ -106,6 +106,22 @@ def test_bad_chirp_count_is_input_error(tmp_path, capsys):
     assert "n_chirps_total" in capsys.readouterr().err
 
 
+def test_oversized_diffuse_patterns_are_input_errors(tmp_path, capsys, monkeypatch):
+    """Rejected from the sample count alone: no pattern is ever built."""
+    import rftwin.raytrace
+
+    def no_pattern(*args):
+        raise AssertionError("a diffuse sample pattern was built")
+    monkeypatch.setattr(rftwin.raytrace, "diffuse_sample_pattern", no_pattern)
+    for count in ("100000000", "32769", str(10 ** 30)):
+        code = main(["simulate", "--scene", str(FIXTURES / "scenario_b.json"), "--tx", "UE",
+                     "--t0", "0.1", "--chirps", "2", "--diffuse-samples", count,
+                     "-o", str(tmp_path)])
+        assert code == 2
+        assert "above the cap of 32768" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_mono_mode_requires_matching_rx(tmp_path, capsys):
     scene = write_scene(tmp_path)
     code = main(["simulate", "--scene", str(scene), "--tx", "UE",

@@ -1,0 +1,63 @@
+"""float_text is repr, bit for bit, on any float64."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import FLOAT_BITS
+from rftwin.csvtext import float_text
+
+
+def texts(values) -> list[str]:
+    """float_text of a 1-d array, each element's NUL bytes dropped."""
+    return [row[row != 0].tobytes().decode() for row in float_text(values)]
+
+
+def bits_of(*values) -> list[int]:
+    return np.array(values, np.float64).view(np.uint64).tolist()
+
+
+# Values where a rule decides the text: signed zeros, NaN and infinities;
+# the smallest subnormal, the smallest normal and the largest double; the
+# switch between positional and exponent form (1e16, 1e-4 and their
+# neighbours); repeating fractions; the -300 dB floor.  Then ties, which go
+# to repr: 1.8014398509481988e16 has an odd M at a gap of 4, so the
+# integers at its interval ends are excluded, and 2227925162407529.8 lies
+# half way between two candidates.  Below 1.7800590868057611e-307, a power
+# of two, the gap is half the gap above.
+EXAMPLES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 9999999999999998.0,
+            1e-4, 1e-5, 0.1, 1 / 3, -300.0, 1.8014398509481988e16, 2227925162407529.8,
+            -2206331399073625.8, 1.7800590868057611e-307, 1.1392378155556871e-305)
+
+
+def _with_examples(test):
+    for value in EXAMPLES:
+        test = example(bits=bits_of(value))(test)
+    return example(bits=bits_of(*EXAMPLES))(test)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(FLOAT_BITS, min_size=1, max_size=40))
+@_with_examples
+def test_float_text_is_repr_on_any_bits(bits):
+    values = np.array(bits, np.uint64).view(np.float64)
+    assert texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_float_text_is_repr_on_powers_of_two_and_ten():
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{k}") for k in range(-323, 309)]])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert texts(values) == [repr(v) for v in values.tolist()]
+
+
+def test_float_text_keeps_the_shape_and_takes_lists():
+    grid = np.arange(6.0).reshape(2, 3) / 7
+    cells = float_text(grid)
+    assert cells.shape[:2] == (2, 3) and cells.shape[2] <= 24 and cells.dtype == np.uint8
+    assert texts(grid.ravel()) == texts(list(grid.ravel())) == [repr(v) for v in grid.ravel().tolist()]
+    assert float_text([]).shape == (0, 1)

@@ -8,7 +8,7 @@ from scipy import constants
 from scipy.constants import Boltzmann
 from scipy.signal import get_window
 
-from conftest import cir_frame, epoch_times, window_map
+from conftest import FLOAT_BITS, cir_frame, epoch_times, window_map
 from rftwin.channel import ChirpConfig, CirFrame
 from rftwin import fmcw
 from rftwin.raytrace import PathTable
@@ -529,17 +529,30 @@ def test_pdp_file_roundtrip_and_csv(tmp_path):
         assert line == ",".join(repr(v) for v in [t, *row])
 
 
-# Float64 bit patterns: every special value plus arbitrary bits (NaN payloads,
-# subnormals, finite values of any magnitude).
-_SPECIAL_BITS = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]).view(np.uint64).tolist()
-_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
+def reference_map_csv(path, ddm):
+    """map_to_csv as it was, one repr call per float: the byte reference."""
+    delays = [f"{tau!r}," for tau in ddm.delay_axis.tolist()]
+    with open(path, "w") as fh:
+        fh.write("delay_s,doppler_hz,power_db\n")
+        for nu, row in zip(ddm.doppler_axis.tolist(), ddm.power_db):
+            doppler = f"{nu!r},"
+            fh.write("".join([f"{tau}{doppler}{p!r}\n"
+                              for tau, p in zip(delays, row.tolist())]))
+
+
+def reference_pdp_csv(path, pdp):
+    """pdp_to_csv as it was, one repr call per float: the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(map(repr, pdp.delay_axis.tolist())) + "\n")
+        for t, row in zip(pdp.times.tolist(), pdp.power_db):
+            fh.write(f"{t!r}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_map_and_pdp_round_trips_are_bit_exact(tmp_path_factory, data):
     def f64(n):
-        return np.array(data.draw(st.lists(_BITS, min_size=n, max_size=n)),
+        return np.array(data.draw(st.lists(FLOAT_BITS, min_size=n, max_size=n)),
                         np.uint64).view(np.float64)
 
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
@@ -561,6 +574,12 @@ def test_map_and_pdp_round_trips_are_bit_exact(tmp_path_factory, data):
         assert got.tobytes() == want.tobytes()
     assert back_map.metadata == {"n_chirps": rows, "created": "frozen"}
     assert back_pdp.metadata == {"window": "hann", "created": "frozen"}
+    # The CSV writers equal their per-value references byte for byte.
+    for write, reference, item, name in ((map_to_csv, reference_map_csv, ddm, "m"),
+                                         (pdp_to_csv, reference_pdp_csv, pdp, "p")):
+        write(directory / f"{name}.csv", item)
+        reference(directory / f"{name}_ref.csv", item)
+        assert (directory / f"{name}.csv").read_bytes() == (directory / f"{name}_ref.csv").read_bytes()
 
 
 def test_beat_frames_cover_episode(plates_episode):

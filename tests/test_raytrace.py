@@ -212,6 +212,13 @@ def test_diffuse_sample_count_scales_with_area():
     assert diffuse_sample_count(30.0, config) == 36   # 2 blocks -> 32 -> side 6
 
 
+def test_diffuse_sample_count_is_capped_at_one_tracing_pass():
+    assert diffuse_sample_count(4.0, TraceConfig(diffuse_samples_per_facet=181 ** 2)) == 32761
+    for base, area in ((181 ** 2 + 1, 4.0), (16385, 30.0), (10 ** 400, 1.0)):
+        with pytest.raises(ValueError, match="above the cap of 32768"):
+            diffuse_sample_count(area, TraceConfig(diffuse_samples_per_facet=base))
+
+
 def test_diffuse_pattern_is_deterministic_and_convex():
     config = TraceConfig()
     a = diffuse_sample_pattern(3, 4, 10.0, config)
