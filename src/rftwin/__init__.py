@@ -25,7 +25,6 @@ _EXPORTS = {
     "load_scene": "scene",
     "material_defaults": "scene",
     "snapshot": "kinematics",
-    "WorldSnapshot": "kinematics",
     "TraceConfig": "raytrace",
     "PathTable": "raytrace",
     "trace_los": "raytrace",

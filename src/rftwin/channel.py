@@ -27,7 +27,7 @@ from .container import now, read_container, write_container
 from .em import SPEED_OF_LIGHT, LinkConstants, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
-from .kinematics import WorldSnapshot, build_trajectories, snapshot, snapshots  # noqa: F401
+from .kinematics import build_trajectories, snapshot, snapshots  # noqa: F401
 from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns,
                        trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
@@ -121,8 +121,7 @@ class CirFrame:
     n_dropped: int = 0
 
 
-def doppler_of(paths: PathTable, snap: WorldSnapshot | None, tx_id: str, rx_id: str,
-               f_c: float) -> np.ndarray:
+def doppler_of(paths: PathTable, f_c: float) -> np.ndarray:
     """Doppler shift per path in Hz; positive while the path shortens.
 
     nu = -(f_c / c) d(length)/dt.  Each segment contributes the projection
@@ -133,11 +132,9 @@ def doppler_of(paths: PathTable, snap: WorldSnapshot | None, tx_id: str, rx_id: 
     mirror law makes the length stationary), so that velocity is exactly
     the right rate.  Rows are left-aligned (TX in column 0) before the sum,
     so a path's Doppler does not depend on the padding of the table it sits
-    in.  snap is the snapshot one table was traced in, or None for a table
-    that carries its snapshot columns, as in amplitudes_of.
+    in.  The table carries its snapshot columns (SnapshotBlock.attach), as
+    in amplitudes_of.
     """
-    if snap is not None:
-        paths = snap.attach(paths, tx_id, rx_id)
     index, live = paths.left_aligned()
     pts, vel = paths.points[index], paths.velocity[index]
     segs = np.diff(pts, axis=1)
@@ -183,8 +180,8 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         # Rows by epoch, and within an epoch LOS, specular, diffuse.
         block = PathTable.concat(parts)
         block = snaps.attach(block.take(np.argsort(block.frame, kind="stable")), tx, rx)
-        block.a = amplitudes_of(block, None, scene, tx, rx, config.f_c, constants=constants)
-        block.nu = doppler_of(block, None, tx, rx, config.f_c)
+        block.a = amplitudes_of(block, scene, tx, rx, config.f_c, constants=constants)
+        block.nu = doppler_of(block, config.f_c)
         block.tau = block.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
         frames += _block_frames(block, block.tau < config.max_delay, lo, snaps.t)
     return frames

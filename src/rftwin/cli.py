@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -230,6 +231,11 @@ def cmd_process(args) -> int:
     formats = _export_formats(args.export)
     window_fast = _window_name("window", args.window)
     window_slow = _window_name("window-slow", args.window_slow)
+    try:
+        noise = NoiseConfig(enabled=args.noise, noise_figure_db=args.noise_figure,
+                            tx_power_dbm=args.tx_power, seed=args.noise_seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     starts = list(range(args.t0_index, len(frames) - n + 1, stride))
     if args.num_windows is not None:
         starts = starts[:args.num_windows]
@@ -237,8 +243,6 @@ def cmd_process(args) -> int:
         raise InputError(f"no complete {n}-chirp window starts at index "
                          f"{args.t0_index} in {len(frames)} beat frames")
 
-    noise = NoiseConfig(enabled=args.noise, noise_figure_db=args.noise_figure,
-                        tx_power_dbm=args.tx_power, seed=args.noise_seed)
     beats = synth_beat(frames, config, noise)
     times = np.array([fr.t for fr in frames])
 
@@ -290,6 +294,10 @@ def cmd_compare(args) -> int:
     from .analysis import match_maps
     from .fmcw import load_map
 
+    if args.gate < 0:
+        raise InputError(f"--gate must be >= 0, got {args.gate}")
+    if not 0.0 <= args.threshold < math.inf:
+        raise InputError(f"--threshold must be finite and >= 0, got {args.threshold}")
     reference = _load_checked(load_map, args.reference)
     test = _load_checked(load_map, args.test)
     try:

@@ -25,10 +25,11 @@ amplitudes_of evaluates them over a path table with one element-wise kernel
 per quantity: specular_reduction (R from S), lobe_density on
 lobe_normalization (f_lobe), fresnel on complex_permittivity (|Gamma| and
 the TE phase) and antenna_angles on antenna_frame (azimuth and elevation in
-degrees).  The table may hold one snapshot's paths or a block of chirps
-with their snapshot columns; what is fixed over an episode (material
-tables, the facet -> material index, lobe normalization, the antenna frames
-of fixed transceivers) is built once in LinkConstants.
+degrees).  The table carries the snapshot columns of each row's epoch
+(SnapshotBlock.attach), for one epoch or a block of chirps alike; what is
+fixed over an episode (material tables, the facet -> material index, lobe
+normalization, the antenna frames of fixed transceivers) is built once in
+LinkConstants.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import cross, reflect_direction, unit
-from .kinematics import WorldSnapshot
 from .raytrace import KINDS, PathTable
 from .scene import Material, Scene
 
@@ -165,21 +165,16 @@ class LinkConstants:
                             if trx.is_fixed else None for trx in ends)
 
 
-def amplitudes_of(paths: PathTable, snap: WorldSnapshot | None, scene: Scene,
-                  tx_id: str, rx_id: str, f_c: float,
+def amplitudes_of(paths: PathTable, scene: Scene, tx_id: str, rx_id: str, f_c: float,
                   with_breakdown: bool = False,
                   constants: LinkConstants | None = None):
-    """Vectorized amplitude evaluation for a path table.
+    """Vectorized amplitude evaluation for a path table that carries its
+    snapshot columns (SnapshotBlock.attach).
 
-    snap is the snapshot one table was traced in; a table that carries its
-    snapshot columns (a block of chirps from SnapshotBlock.attach) passes
-    None.  A single snapshot is the block of one frame, through the same
-    kernel.  constants, the LinkConstants of (scene, tx_id, rx_id, f_c),
-    saves rebuilding them on every call.  Returns a complex array, or a list
-    of PathAmplitude when with_breakdown is set.
+    constants, the LinkConstants of (scene, tx_id, rx_id, f_c), saves
+    rebuilding them on every call.  Returns a complex array, or a list of
+    PathAmplitude when with_breakdown is set.
     """
-    if snap is not None:
-        paths = snap.attach(paths, tx_id, rx_id)
     link = LinkConstants(scene, tx_id, rx_id, f_c) if constants is None else constants
     if not len(paths):
         return [] if with_breakdown else np.zeros(0, dtype=complex)

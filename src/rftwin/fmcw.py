@@ -84,6 +84,17 @@ class NoiseConfig:
     temperature_k: float = 290.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("noise_figure_db", "tx_power_dbm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"NoiseConfig.{name} must be finite, got {value}")
+        if not 0.0 < self.temperature_k < math.inf:
+            raise ValueError(f"NoiseConfig.temperature_k must be finite and positive, "
+                             f"got {self.temperature_k}")
+        if self.seed < 0:
+            raise ValueError(f"NoiseConfig.seed must be a non-negative integer, got {self.seed}")
+
     def floor_dbm(self, f_samp: float) -> float:
         return (10.0 * np.log10(BOLTZMANN * self.temperature_k * f_samp / 1e-3)
                 + self.noise_figure_db)

@@ -12,13 +12,12 @@ is an error.
 
 snapshots() poses the world at many epochs at once: one spline evaluation
 per body over the epoch array, and posed facets, their pack and the
-transceiver states as arrays with a leading epoch axis.  Each epoch's
-WorldSnapshot is a view on them; snapshot() is the block of one epoch.
+transceiver states as arrays with a leading epoch axis.  That SnapshotBlock
+is the one form of the world; snapshot() is the block of one epoch.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +28,6 @@ from .scene import Scene
 
 class TrajectoryRangeError(ValueError):
     """Requested time lies outside a body's waypoint span."""
-
-
-@dataclass(frozen=True)
-class PoseSample:
-    """Body state at one instant: planar yaw attitude plus full 3D velocity."""
-
-    t: float
-    position: np.ndarray
-    velocity: np.ndarray
-    yaw: float
-    yaw_rate: float
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return yaw_matrix(self.yaw)
 
 
 class _Spline:
@@ -132,10 +116,6 @@ class _Trajectory:
         yaw, rate = (pos[:, 3], vel[:, 3]) if self._has_yaw else _heading(vel, acc)
         return pos[:, :3], vel[:, :3], yaw, rate
 
-    def sample(self, t: float) -> PoseSample:
-        pos, vel, yaw, rate = self.poses([t])
-        return PoseSample(float(t), pos[0], vel[0], float(yaw[0]), float(rate[0]))
-
 
 def _heading(vel, acc):
     """Yaw and yaw rate of the velocity heading; 0 for a body at rest."""
@@ -165,8 +145,7 @@ class SnapshotBlock:
 
     Body poses come from one spline evaluation per body over the epochs,
     facets are posed into one stacked FacetPack, and every transceiver's
-    state is an (n, 3) TransceiverState.  block[k] is the WorldSnapshot of
-    epoch k, a view on these arrays.  Velocities follow the rigid field
+    state is an (n, 3) TransceiverState.  Velocities follow the rigid field
     v + omega x r of the owning body, with omega = yaw_rate * z.  Static
     facets and fixed transceivers have zero velocity.
     """
@@ -219,9 +198,6 @@ class SnapshotBlock:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, k: int) -> WorldSnapshot:
-        return WorldSnapshot(self, range(len(self))[k])
 
     def view(self, epochs: slice) -> SnapshotBlock:
         """The block of a slice of the epochs, as views on these arrays."""
@@ -277,45 +253,6 @@ class SnapshotBlock:
         return paths
 
 
-class WorldSnapshot:
-    """Frozen world at one epoch of a SnapshotBlock: posed facets, a
-    velocity field, radio poses; views on the block's arrays.  The
-    transforms are rigid, so facet shape is preserved."""
-
-    def __init__(self, block: SnapshotBlock, index: int):
-        self.block, self.index = block, index
-        self.t = float(block.t[index])
-        self.pack: FacetPack = block.pack[index]
-
-    @functools.cached_property
-    def epoch_block(self) -> SnapshotBlock:
-        """The block of this one epoch, which the tracers run over."""
-        return self.block.view(slice(self.index, self.index + 1))
-
-    @functools.cached_property
-    def body_poses(self) -> dict[str, PoseSample]:
-        b, k = self.block, self.index
-        return {bid: PoseSample(self.t, b.body_position[k, j], b.body_velocity[k, j],
-                                float(b.body_yaw[k, j]), float(b.body_yaw_rate[k, j]))
-                for j, bid in enumerate(b.body_ids)}
-
-    def transceiver_state(self, tid: str) -> TransceiverState:
-        return self.block.states[tid][self.index]
-
-    def body_point_velocity(self, body_id: str, point: np.ndarray) -> np.ndarray:
-        """Rigid-field velocity of the body at point, or at each row of an
-        (..., 3) array of points."""
-        return self.block.point_velocity(self.index, self.block.body_ids.index(body_id),
-                                         np.asarray(point))
-
-    def attach(self, paths, tx_id: str, rx_id: str):
-        """A copy of a path table traced in this snapshot, with its frame
-        and snapshot columns filled (SnapshotBlock.attach)."""
-        paths = paths.take(slice(None))
-        paths.frame = np.full(len(paths), self.index)
-        return self.block.attach(paths, tx_id, rx_id)
-
-
 def snapshots(scene: Scene, times, trajectories: dict | None = None) -> SnapshotBlock:
     """The world at each of the times.
 
@@ -327,9 +264,9 @@ def snapshots(scene: Scene, times, trajectories: dict | None = None) -> Snapshot
     return SnapshotBlock(scene, times, trajectories)
 
 
-def snapshot(scene: Scene, t: float, trajectories: dict | None = None) -> WorldSnapshot:
+def snapshot(scene: Scene, t: float, trajectories: dict | None = None) -> SnapshotBlock:
     """The world at time t: the block of one epoch."""
-    return snapshots(scene, [t], trajectories)[0]
+    return snapshots(scene, [t], trajectories)
 
 
 def build_trajectories(scene: Scene) -> dict[str, _Trajectory]:

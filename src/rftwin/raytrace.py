@@ -1,12 +1,13 @@
-"""Ray tracing over world snapshots: LOS, specular images, diffuse samples.
+"""Ray tracing over blocks of world snapshots: LOS, specular images, diffuse
+samples.
 
 Specular paths come from the image method (Allen & Berkley, 1979), run as
 one vectorized pass over a chain table.  For F facets and orders 1..K the
 table holds every facet sequence without an immediate repeat,
 sum_k F (F-1)^(k-1) chains (301 for F = 7, K = 3), built once per (F, K)
 and ordered by order, then facet indices; that is the order paths come out
-in.  The pass runs over a block of snapshots at once, with a leading epoch
-axis on every array; a single snapshot is the block of one.  It
+in.  The pass runs over a SnapshotBlock, with a leading epoch axis on
+every array; one instant is the block of one epoch.  It
   1. mirrors the transmitter through every facet prefix (nested images),
   2. intersects back to front, from the receiver through the last facet's
      image to the first, keeping chains whose every hit lies strictly
@@ -22,8 +23,8 @@ facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
 same scene and config reproduce the exact same paths.
 
 Every tracer returns a PathTable, the one path form from here to the .cir
-file: struct-of-arrays columns, one row per path.  A block's table also
-carries the frame (epoch within the block) of each row.
+file: struct-of-arrays columns, one row per path, with the frame (epoch
+within the block) of each row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kinematics import SnapshotBlock, WorldSnapshot
+from .kinematics import SnapshotBlock
 from .scene import Scene
 
 _FRONT_EPS = 1e-9   # m, strict front-side margin
@@ -87,13 +88,12 @@ class PathTable:
     indices are positions in the snapshot's facet list.  sample is the
     diffuse sample index within its facet's pattern and area the patch it
     stands for; they are -1 and 0 for the other kinds.  The tracers fill the
-    geometry columns and, over a block of snapshots, frame: the row's epoch
-    within the block.  simulate_cir stacks a block's tables by frame and
-    adds the snapshot columns of each row's epoch (SnapshotBlock.attach):
-    velocity beside points, the hit facets' normals and the antenna
-    boresights.  Then it adds the complex amplitude a, the delay tau [s] and
-    the Doppler nu [Hz].  A table read from a .cir file has only the .cir
-    columns.
+    geometry columns and frame, the row's epoch within the block.
+    simulate_cir stacks a block's tables by frame and adds the snapshot
+    columns of each row's epoch (SnapshotBlock.attach): velocity beside
+    points, the hit facets' normals and the antenna boresights.  Then it
+    adds the complex amplitude a, the delay tau [s] and the Doppler nu [Hz].
+    A table read from a .cir file has only the .cir columns.
     """
 
     kind: np.ndarray                            # (n,) uint8
@@ -205,29 +205,10 @@ def _table(kind: str, facets, points, sample=None, area=None, frame=None) -> Pat
                      points, np.zeros(n) if area is None else area, frame=frame)
 
 
-def _epochs(snap) -> tuple[SnapshotBlock, bool]:
-    """The block a tracer runs over: a SnapshotBlock as it is, a
-    WorldSnapshot as the block of its epoch; and whether the snapshot was
-    single, whose table has no frame column."""
-    if isinstance(snap, SnapshotBlock):
-        return snap, False
-    return snap.epoch_block, True
-
-
-def _framed(table: PathTable, single: bool) -> PathTable:
-    if single:
-        table.frame = None
-    return table
-
-
-def trace_los(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
+def trace_los(block: SnapshotBlock, tx_id: str, rx_id: str,
               config: TraceConfig = TraceConfig()) -> PathTable:
-    """Direct path; no row when blocked or for a co-located pair.
-
-    snap is one snapshot or a block of them; a block's table holds the
-    epochs' rows in epoch order, with their frame column.
-    """
-    block, single = _epochs(snap)
+    """Direct path, at most one row per epoch, in epoch order: none where
+    it is blocked or for a co-located pair."""
     txp = block.states[tx_id].position
     rxp = block.states[rx_id].position
     apart = rxp - txp
@@ -235,23 +216,22 @@ def trace_los(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
     live &= ~block.pack.segments_blocked(txp, rxp, config.occlusion_epsilon,
                                          np.arange(len(block)))
     frame = np.flatnonzero(live)
-    return _framed(_table("los", np.empty((len(frame), 0), int),
-                          np.stack([txp[frame], rxp[frame]], axis=1), frame=frame), single)
+    return _table("los", np.empty((len(frame), 0), int),
+                  np.stack([txp[frame], rxp[frame]], axis=1), frame=frame)
 
 
-def trace_specular(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
+def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
                    config: TraceConfig = TraceConfig()) -> PathTable:
     """Specular paths up to config.max_specular_order, image method.
 
-    Paths come out in chain-table order: by order, then facet indices; for
-    a block of snapshots, epoch by epoch, with their frame column.
+    Paths come out epoch by epoch, and within an epoch in chain-table
+    order: by order, then facet indices.
     """
-    block, single = _epochs(snap)
     k_max = config.max_specular_order
     n_facets = block.pack.n_facets
     if n_facets == 0 or k_max == 0 or not len(block):
-        return _framed(_table("specular", np.empty((0, k_max), int),
-                              np.empty((0, k_max + 2, 3)), frame=np.empty(0, int)), single)
+        return _table("specular", np.empty((0, k_max), int),
+                      np.empty((0, k_max + 2, 3)), frame=np.empty(0, int))
 
     table = _chain_table(n_facets, k_max)
     step = max(1, _CHAIN_ROWS // len(table.hops))
@@ -273,7 +253,7 @@ def trace_specular(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
             frame, idx = frame[clear], idx[clear]
         tables.append(_table("specular", np.where(table.live[idx], table.seq[idx], -1),
                              pts[frame, idx], frame=lo + frame))
-    return _framed(PathTable.concat(tables), single)
+    return PathTable.concat(tables)
 
 
 @dataclass(frozen=True)
@@ -431,7 +411,7 @@ def diffuse_sample_pattern(facet_index: int, n_vertices: int, area: float,
     return _SamplePattern(weights, m)
 
 
-def trace_diffuse(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
+def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
                   config: TraceConfig = TraceConfig(),
                   patterns: dict | None = None) -> PathTable:
     """Single-bounce diffuse paths from the stratified facet samples.
@@ -440,15 +420,13 @@ def trace_diffuse(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
     leg, are dropped; each survivor carries area = facet area / n_samples.
     patterns (from build_sample_patterns) holds the scene facets' patterns;
     without it they are built per call.  Rigid motion leaves both the
-    patterns and the facet areas unchanged.  snap is one snapshot or a block
-    of them; rows come out by epoch, then facet, then sample, and a block's
-    table has their frame column.
+    patterns and the facet areas unchanged.  Rows come out by epoch, then
+    facet, then sample.
     """
-    block, single = _epochs(snap)
     facets = block.scene.facets if config.diffuse_enabled else []
     if not facets or not len(block):
-        return _framed(_table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)),
-                              frame=np.empty(0, int)), single)
+        return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)),
+                      frame=np.empty(0, int))
     pats = [patterns[f.index] if patterns is not None and f.index in patterns
             else diffuse_sample_pattern(f.index, len(f.vertices), f.area, config)
             for f in facets]
@@ -476,7 +454,7 @@ def trace_diffuse(snap: WorldSnapshot | SnapshotBlock, tx_id: str, rx_id: str,
         legs = np.stack([txp[frame], pts[keep], rxp[frame]], axis=1)
         tables.append(_table("diffuse", owner[rows, None], legs, sample[rows], area[rows],
                              frame=lo + frame))
-    return _framed(PathTable.concat(tables), single)
+    return PathTable.concat(tables)
 
 
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:

@@ -257,8 +257,8 @@ def test_criterion_07_image_method_geometry():
     row = paths.keys().index(("specular", (0,), None))
     bounce = paths.points[row, -2]
     length = float(paths.segment_lengths()[row].sum())
-    txp = snap.transceiver_state("BS").position
-    rxp = snap.transceiver_state("UE").position
+    txp = snap.states["BS"].position[0]
+    rxp = snap.states["UE"].position[0]
 
     def around(xy):
         q = np.array([xy[0], xy[1], 0.0])
@@ -276,8 +276,8 @@ def test_criterion_07_image_method_geometry():
     # Double bounce down a corridor: length must equal the unfolded
     # straight line from the twice-mirrored transmitter image.
     snap2 = snapshot(scene_from_dict(_corridor_doc()), 0.0)
-    tx2 = snap2.transceiver_state("BS").position
-    rx2 = snap2.transceiver_state("UE").position
+    tx2 = snap2.states["BS"].position[0]
+    rx2 = snap2.states["UE"].position[0]
     paths2 = trace_specular(snap2, "BS", "UE")
     lengths2 = paths2.segment_lengths().sum(axis=1)
     order2 = [(facets, lengths2[i]) for i, (_, facets, _) in enumerate(paths2.keys())
@@ -286,7 +286,7 @@ def test_criterion_07_image_method_geometry():
     for facets, total in order2:
         image = tx2
         for f in facets:
-            n, offset = snap2.pack.normals[f], float(snap2.pack.offsets[f])
+            n, offset = snap2.pack.normals[0, f], float(snap2.pack.offsets[0, f])
             image = image - 2.0 * (float(image @ n) - offset) * n
         worst_unfold = max(worst_unfold,
                            abs(total - float(np.linalg.norm(rx2 - image))))

@@ -1,20 +1,23 @@
 """The rftwin namespace: every export resolves, and retired names stay gone."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import rftwin
 
-# (module, name) of helpers that were replaced by the em kernels or by
-# references inside the tests.
+# (module, name) of helpers that were replaced by the em kernels, by
+# references inside the tests, or by the SnapshotBlock of one epoch.
 RETIRED = [
     ("em", "fresnel_reflection"), ("em", "_fresnel_te_tm"), ("em", "lobe_gain"),
     ("em", "split_power"), ("em", "_antenna_frame"), ("em", "_gains_db"),
     ("scene", "boresight_angles"), ("geometry", "segment_hits_facet"),
     ("geometry", "mirror_point"), ("geometry", "facet_centroid"),
     ("kinematics", "interpolate"), ("fmcw", "fold_doppler"),
-    ("analysis", "peak_to_sidelobe_db"),
+    ("analysis", "peak_to_sidelobe_db"), ("kinematics", "WorldSnapshot"),
+    ("kinematics", "PoseSample"),
 ]
 
 
@@ -36,6 +39,22 @@ def test_retired_names_are_gone(module, name):
 
 
 def test_retired_methods_are_gone():
+    from rftwin.kinematics import SnapshotBlock, _Trajectory
     from rftwin.scene import Material, Scene
     assert not hasattr(Material, "reflection_reduction")
     assert not hasattr(Scene, "material_of")
+    assert not hasattr(SnapshotBlock, "__getitem__")
+    assert not hasattr(_Trajectory, "sample")
+
+
+def test_readme_library_snippets_run(monkeypatch):
+    """The python blocks under "## Library use" in README.md run in order,
+    in one namespace, from the repository root."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 3
+    monkeypatch.chdir(readme.parent)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

@@ -192,7 +192,7 @@ def test_frame_doppler_matches_per_path_recompute(plates_episode):
     assert traced.keys() == frame.paths.keys()
     assert len(frame.paths) == 3
     assert frame.paths.nu == pytest.approx(
-        doppler_of(traced, snap, "UE", "UE", ep.config.f_c), abs=1e-9)
+        doppler_of(snap.attach(traced, "UE", "UE"), ep.config.f_c), abs=1e-9)
     assert frame.paths.tau == pytest.approx(
         traced.segment_lengths().sum(axis=1) / C, rel=1e-12)
 
@@ -413,7 +413,7 @@ def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
 def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
     """amplitudes_of as it was evaluated one snapshot at a time: material
     tables, facet materials, normals and antenna frames rebuilt from the
-    scene and the snapshot on every call."""
+    scene and the snapshot, a block of one epoch, on every call."""
     if not len(paths):
         return np.zeros(0, dtype=complex)
     lam = SPEED_OF_LIGHT / f_c
@@ -433,9 +433,9 @@ def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
     spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
 
     tx_gain_db = scene.transceiver(tx_id).pattern.gain_db(
-        *antenna_angles(snap.transceiver_state(tx_id).boresight, departures))
+        *antenna_angles(snap.states[tx_id].boresight[0], departures))
     rx_gain_db = scene.transceiver(rx_id).pattern.gain_db(
-        *antenna_angles(snap.transceiver_state(rx_id).boresight, -arrivals))
+        *antenna_angles(snap.states[rx_id].boresight[0], -arrivals))
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
     materials = list(scene.materials.values())
@@ -446,8 +446,8 @@ def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
     s_table = np.array([m.scattering_coeff for m in materials])
     r_table = specular_reduction(s_table)
     alpha_table = np.array([m.lobe_exponent for m in materials], dtype=float)
-    mat_at = np.array([mat_index[f.material_id] for f in snap.block.scene.facets] + [-1])[paths.facets]
-    normals = np.concatenate([snap.pack.normals, np.zeros((1, 3))])[paths.facets]
+    mat_at = np.array([mat_index[f.material_id] for f in snap.scene.facets] + [-1])[paths.facets]
+    normals = np.concatenate([snap.pack.normals[0], np.zeros((1, 3))])[paths.facets]
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
     gamma_mag, gamma_phase = fresnel(eps_table[mat_at], cos_i)
@@ -469,17 +469,18 @@ def reference_amplitudes(paths, snap, scene, tx_id, rx_id, f_c):
 
 def reference_doppler(paths, snap, tx_id, rx_id, f_c):
     """doppler_of as it was evaluated one snapshot at a time, with the
-    velocity of every point looked up in the snapshot."""
+    velocity of every point looked up in the snapshot, a block of one
+    epoch."""
     vel = np.zeros(paths.points.shape)
-    vel[:, :-1] = snap.transceiver_state(tx_id).velocity
-    vel[:, -1] = snap.transceiver_state(rx_id).velocity
+    vel[:, :-1] = snap.states[tx_id].velocity[0]
+    vel[:, -1] = snap.states[rx_id].velocity[0]
     hit_vel = vel[:, 1:-1]
     hit_vel[paths.facets >= 0] = 0.0
-    owner = np.array([f.body_id for f in snap.block.scene.facets] + [None], dtype=object)[paths.facets]
-    for body_id in snap.body_poses:
+    owner = np.array([f.body_id for f in snap.scene.facets] + [None], dtype=object)[paths.facets]
+    for j, body_id in enumerate(snap.body_ids):
         on = owner == body_id
         if on.any():
-            hit_vel[on] = snap.body_point_velocity(body_id, paths.points[:, 1:-1][on])
+            hit_vel[on] = snap.point_velocity(0, j, paths.points[:, 1:-1][on])
 
     index, live = paths.left_aligned()
     pts, vel = paths.points[index], vel[index]

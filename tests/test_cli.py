@@ -334,9 +334,36 @@ def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeyp
     assert "--window-slow: unknown window 'kaiser'" in capsys.readouterr().err
     assert main(["process", "--cir", cir, "-N", "1", "--export", "pgm"] + sink) == 2
     assert "--N must be a positive integer of at least 2, got 1" in capsys.readouterr().err
+    for flags, message in ((["--noise-seed", "-1"], "seed must be a non-negative integer"),
+                           (["--noise-figure", "nan"], "noise_figure_db must be finite"),
+                           (["--tx-power", "inf"], "tx_power_dbm must be finite")):
+        assert main(["process", "--cir", cir, "-N", "8", "--noise"] + flags + sink) == 2
+        assert message in capsys.readouterr().err
     # a valid command does reach the patched synthesis
     assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
     assert "synthesis reached" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_validates_gate_and_threshold_before_loading(artifacts, tmp_path, capsys,
+                                                             monkeypatch):
+    import rftwin.fmcw
+
+    def load_map(path):
+        raise RuntimeError("map loaded")
+
+    monkeypatch.setattr(rftwin.fmcw, "load_map", load_map)
+    ddm = str(artifacts["out"] / "run_w000000.ddm")
+    pair = ["compare", "--reference", ddm, "--test", ddm, "-o", str(tmp_path)]
+    for flags, message in ((["--gate", "-1"], "--gate must be >= 0, got -1"),
+                           (["--threshold", "nan"], "--threshold must be finite and >= 0"),
+                           (["--threshold", "inf"], "--threshold must be finite and >= 0"),
+                           (["--threshold", "-5"], "--threshold must be finite and >= 0")):
+        assert main(pair + flags) == 2
+        assert message in capsys.readouterr().err
+    # a gate of 0 and a threshold of 0 dB are valid and reach the loader
+    assert main(pair + ["--gate", "0", "--threshold", "0"]) == 4
+    assert "map loaded" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

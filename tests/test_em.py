@@ -34,7 +34,8 @@ LAMBDA = SPEED_OF_LIGHT / F_C
 def amplitude_of(paths, snap, scene, f_c):
     """Amplitude and dB budget of the single row of a BS -> UE table."""
     assert len(paths) == 1
-    return amplitudes_of(paths, snap, scene, "BS", "UE", f_c, with_breakdown=True)[0]
+    return amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", f_c,
+                         with_breakdown=True)[0]
 
 
 def geometry(paths, i):
@@ -105,11 +106,11 @@ def material_terms(s, rel_permittivity, conductivity, lobe_exponent):
     diffuse = trace_diffuse(snap, "BS", "UE", TraceConfig(diffuse_samples_per_facet=4,
                                                           subdivide_area=1e9))
     (reflection,) = (a.breakdown["reflection_0_facet_0_db"]
-                     for a in amplitudes_of(specular, snap, scene, "BS", "UE", F_C,
-                                            with_breakdown=True))
+                     for a in amplitudes_of(snap.attach(specular, "BS", "UE"), scene,
+                                            "BS", "UE", F_C, with_breakdown=True))
     scatter = [a.breakdown["scatter_0_facet_0_db"]
-               for a in amplitudes_of(diffuse, snap, scene, "BS", "UE", F_C,
-                                      with_breakdown=True)]
+               for a in amplitudes_of(snap.attach(diffuse, "BS", "UE"), scene,
+                                      "BS", "UE", F_C, with_breakdown=True)]
     return reflection, np.array(scatter)
 
 
@@ -276,7 +277,7 @@ def test_specular_amplitude_reimplemented():
     path = geometry(paths, 0)
 
     mat = scene.materials["concrete"]
-    theta = np.arccos(abs(float(path["k_in"][0] @ snap.pack.normals[0])))
+    theta = np.arccos(abs(float(path["k_in"][0] @ snap.pack.normals[0, 0])))
     gamma = closed_form_gamma(mat, theta, F_C)
     g_tx = pattern_gain_db(scene.transceivers["BS"], path["departure"])
     g_rx = pattern_gain_db(scene.transceivers["UE"], -path["arrival"])
@@ -296,9 +297,9 @@ def test_diffuse_amplitude_reimplemented():
     snap = snapshot(scene, 0.0)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = trace_diffuse(snap, "BS", "UE", config)
-    amps = amplitudes_of(paths, snap, scene, "BS", "UE", F_C)
+    amps = amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", F_C)
     mat = scene.materials["concrete"]
-    normal = snap.pack.normals[0]
+    normal = snap.pack.normals[0, 0]
     assert len(paths) == 4
     for i, amp in enumerate(amps):
         path = geometry(paths, i)
@@ -324,7 +325,8 @@ def test_breakdown_terms_sum_to_magnitude():
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = all_paths(snap, config)
     assert len(paths) >= 4
-    amps = amplitudes_of(paths, snap, scene, "BS", "UE", F_C, with_breakdown=True)
+    amps = amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", F_C,
+                         with_breakdown=True)
     for amp, (_, facets, _) in zip(amps, paths.keys()):
         assert len(amp.breakdown) == 3 + len(facets)
         assert sum(amp.breakdown.values()) == pytest.approx(
@@ -336,8 +338,9 @@ def test_vectorized_amplitudes_match_singles():
     snap = snapshot(scene, 0.5)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = all_paths(snap, config)
-    batch = amplitudes_of(paths, snap, scene, "BS", "UE", F_C)
-    budgets = amplitudes_of(paths, snap, scene, "BS", "UE", F_C, with_breakdown=True)
+    paths = snap.attach(paths, "BS", "UE")
+    batch = amplitudes_of(paths, scene, "BS", "UE", F_C)
+    budgets = amplitudes_of(paths, scene, "BS", "UE", F_C, with_breakdown=True)
     for i, (a, budget) in enumerate(zip(batch, budgets)):
         single = amplitude_of(paths.take([i]), snap, scene, F_C)
         assert a == pytest.approx(single.magnitude * np.exp(1j * single.phase), rel=1e-12)
@@ -348,5 +351,6 @@ def test_empty_path_list():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
     empty = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=0))
-    assert len(amplitudes_of(empty, snap, scene, "BS", "UE", F_C)) == 0
-    assert amplitudes_of(empty, snap, scene, "BS", "UE", F_C, with_breakdown=True) == []
+    empty = snap.attach(empty, "BS", "UE")
+    assert len(amplitudes_of(empty, scene, "BS", "UE", F_C)) == 0
+    assert amplitudes_of(empty, scene, "BS", "UE", F_C, with_breakdown=True) == []

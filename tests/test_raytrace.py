@@ -99,7 +99,7 @@ def test_ground_bounce_matches_brute_force_minimum():
     assert length == pytest.approx(np.hypot(30.0, 11.5), abs=1e-9)
     # mirror law at the bounce point
     k_in, k_out = (np.diff(bounce, axis=0).T / np.linalg.norm(np.diff(bounce, axis=0), axis=1)).T
-    n = snap.pack.normals[0]
+    n = snap.pack.normals[0, 0]
     assert np.allclose(k_in - 2.0 * (k_in @ n) * n, k_out, atol=1e-12)
 
 
@@ -238,7 +238,7 @@ def test_diffuse_paths_cover_facet_and_sum_area():
     paths = trace_diffuse(snap, "BS", "UE", config)
     assert len(paths) == diffuse_sample_count(200.0, config)
     assert paths.area.sum() == pytest.approx(200.0, rel=1e-12)
-    assert snap.pack.contains(paths.points[:, 1, None, :]).all()
+    assert snap.pack[0].contains(paths.points[:, 1, None, :]).all()
     assert len(set(paths.sample.tolist())) == len(paths)
     assert (paths.kind == 2).all() and (paths.hops == 1).all() and (paths.facets == 0).all()
     assert lengths(paths) == pytest.approx([total_length(p) for p in paths.points], abs=1e-12)
@@ -284,7 +284,7 @@ def test_path_doppler_matches_finite_difference_of_length():
                                        trace_diffuse(snap, "BS", "UE", config)])
 
     snap, paths = all_paths(t)
-    nu = doppler_of(paths, snap, "BS", "UE", F_C)
+    nu = doppler_of(snap.attach(paths, "BS", "UE"), F_C)
     (_, before), (_, after) = all_paths(t - h), all_paths(t + h)
     length_m = dict(zip(before.keys(), lengths(before)))
     length_p = dict(zip(after.keys(), lengths(after)))
@@ -309,7 +309,7 @@ def test_path_doppler_sign_convention():
     snap = snapshot(scene, 0.5)
     los = trace_los(snap, "BS", "UE")
     assert len(los) == 1
-    assert doppler_of(los, snap, "BS", "UE", F_C)[0] > 0.0
+    assert doppler_of(snap.attach(los, "BS", "UE"), F_C)[0] > 0.0
 
 
 def test_specular_order_and_stable_sort():
@@ -450,6 +450,11 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
         assert np.abs(path_points(paths, i) - reference[seq]).max() < 1e-9
 
 
+def epochs(block):
+    """Each epoch of a block as the block of that one epoch."""
+    return [block.view(slice(k, k + 1)) for k in range(len(block))]
+
+
 def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     """LOS and specular tracing over a block of epochs give each epoch's
     per-snapshot rows, in epoch order, also when the specular pass is
@@ -461,10 +466,10 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     whole = {tracer: tracer(block, "BS", "UE", config) for tracer in (trace_los, trace_specular)}
     assert np.all(np.diff(whole[trace_specular].frame) >= 0)
     assert len(whole[trace_los]) > 0 and len(whole[trace_specular]) >= 20
-    for k, snap in enumerate(block):
+    for k, snap in enumerate(epochs(block)):
         for tracer, rows in whole.items():
             single = tracer(snap, "BS", "UE", config)
-            assert single.frame is None
+            assert not single.frame.any()
             mine = rows.take(rows.frame == k)
             for col in columns:
                 assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
@@ -475,14 +480,14 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
 
 
 def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
-    """The per-facet diffuse tracer over one snapshot: a Python loop over
-    the facets in front of both endpoints, posed in the snapshot's pack,
-    then one occlusion pass per leg through that pack."""
-    txp = snap.transceiver_state(tx_id).position
-    rxp = snap.transceiver_state(rx_id).position
-    pack = snap.pack
+    """The per-facet diffuse tracer over one snapshot, a block of one epoch:
+    a Python loop over the facets in front of both endpoints, posed in the
+    snapshot's pack, then one occlusion pass per leg through that pack."""
+    txp = snap.states[tx_id].position[0]
+    rxp = snap.states[rx_id].position[0]
+    pack = snap.pack[0]
     points, owners, sample_ids, areas = [], [], [], []
-    for fi, facet in enumerate(snap.block.scene.facets if config.diffuse_enabled else ()):
+    for fi, facet in enumerate(snap.scene.facets if config.diffuse_enabled else ()):
         sd_tx = float(txp @ pack.normals[fi]) - pack.offsets[fi]
         sd_rx = float(rxp @ pack.normals[fi]) - pack.offsets[fi]
         if sd_tx <= _FRONT_EPS or sd_rx <= _FRONT_EPS:
@@ -567,7 +572,7 @@ def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, s
     with mock.patch.object(raytrace, "_CHAIN_ROWS", cap or raytrace._CHAIN_ROWS):
         table = trace_diffuse(block, tx, rx, config, patterns)
     parts = []
-    for k, snap in enumerate(block):
+    for k, snap in enumerate(epochs(block)):
         parts.append(_reference_diffuse(snap, tx, rx, config, patterns))
         parts[-1].frame = np.full(len(parts[-1]), k)
     reference = PathTable.concat(parts)
@@ -579,6 +584,6 @@ def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, s
         assert not (table.facets == 1).any()        # the rig plate faces away
     if rig == "ground_behind":
         assert len(table) == 0
-    single = trace_diffuse(block[n - 1], tx, rx, config, patterns)
-    assert single.frame is None
+    single = trace_diffuse(block.view(slice(n - 1, n)), tx, rx, config, patterns)
+    assert not single.frame.any()
     assert single.points.tobytes() == table.take(table.frame == n - 1).points.tobytes()
