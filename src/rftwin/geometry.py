@@ -84,37 +84,26 @@ def pad_quad(vertices: np.ndarray) -> np.ndarray:
 
 
 class FacetPack:
-    """Stacked facet arrays of a snapshot, for vectorized hit/occlusion tests.
+    """Stacked facet arrays of snapshots, for vectorized hit/occlusion tests.
 
     Triangles are padded to quads by repeating the last vertex; the degenerate
-    edge has a zero edge normal and never rejects a point.  A pack of many
-    snapshots (stacked) has a leading snapshot axis on every array, and
-    pack[k] is the pack of snapshot k as views on them.
+    edge has a zero edge normal and never rejects a point.  Every array has a
+    leading snapshot axis, and pack[k] is the facets of snapshot k as views
+    on them.
     """
-
-    def __init__(self, vertex_arrays, normals=None):
-        verts = np.empty((len(vertex_arrays), 4, 3))
-        for i, v in enumerate(vertex_arrays):
-            verts[i] = pad_quad(np.asarray(v, dtype=float))
-        if normals is None:
-            normals = [facet_normal(v) for v in vertex_arrays]
-        self._fill(verts, np.array(normals, dtype=float).reshape(len(verts), 3))
 
     @classmethod
     def stacked(cls, verts: np.ndarray, normals: np.ndarray) -> FacetPack:
         """Pack of quads (..., F, 4, 3) with unit normals (..., F, 3)."""
         pack = cls.__new__(cls)
-        pack._fill(verts, normals)
-        return pack
-
-    def _fill(self, verts, normals):
-        self.n_facets = verts.shape[-3]
-        self.verts, self.normals = verts, normals
-        self.offsets = np.einsum("...fj,...fj->...f", normals, verts[..., 0, :])
+        pack.n_facets = verts.shape[-3]
+        pack.verts, pack.normals = verts, normals
+        pack.offsets = np.einsum("...fj,...fj->...f", normals, verts[..., 0, :])
         # In-plane edge normals n x e, pointing into the facet for a
         # right-handed winding: (e x r) . n = (n x e) . r for r = p - v.
         edges = verts[..., [1, 2, 3, 0], :] - verts
-        self.edge_normals = cross(normals[..., None, :], edges)    # (..., F, 4, 3)
+        pack.edge_normals = cross(normals[..., None, :], edges)    # (..., F, 4, 3)
+        return pack
 
     def __getitem__(self, k) -> FacetPack:
         pack = FacetPack.__new__(FacetPack)
@@ -141,19 +130,18 @@ class FacetPack:
         return np.all(side >= -_EDGE_TOL, axis=-1)
 
     def segments_blocked(self, starts: np.ndarray, ends: np.ndarray,
-                         eps: float, snapshot=None) -> np.ndarray:
-        """True per segment if any facet intersects it strictly inside.
+                         eps: float, snapshot: np.ndarray) -> np.ndarray:
+        """True per segment if any facet of its snapshot intersects it
+        strictly inside.
 
         Hits within eps meters of either endpoint do not count, so segments
-        that terminate on a facet are not occluded by it.  A stacked pack
-        takes each segment's snapshot index in snapshot; a single pack is
-        the stack of one.  Only the (segment, facet) pairs whose plane
-        crossing lies inside the span are tested for containment.
+        that terminate on a facet are not occluded by it.  snapshot holds
+        each segment's snapshot index.  Only the (segment, facet) pairs
+        whose plane crossing lies inside the span are tested for
+        containment.
         """
         p = np.atleast_2d(np.asarray(starts, dtype=float))
         q = np.atleast_2d(np.asarray(ends, dtype=float))
-        if snapshot is None:
-            return self[None].segments_blocked(p, q, eps, np.zeros(len(p), int))
         blocked = np.zeros(len(p), dtype=bool)
         if self.n_facets == 0:
             return blocked

@@ -8,6 +8,12 @@ sum_k F (F-1)^(k-1) chains (301 for F = 7, K = 3), built once per (F, K)
 and ordered by order, then facet indices; that is the order paths come out
 in.  The pass runs over a SnapshotBlock, with a leading epoch axis on
 every array; one instant is the block of one epoch.  It
+  0. prunes the table to the chains whose facets can see each other at some
+     epoch of the block (the visibility tree of beam tracing, Funkhouser et
+     al., 1998): TX in front of the first facet, RX in front of the last,
+     and each consecutive pair partly in front of each other.  These are
+     loosened forms of the tests of steps 2 and 3, so no survivor is lost;
+     the steps below run on the kept rows only,
   1. mirrors the transmitter through every facet prefix (nested images),
   2. intersects back to front, from the receiver through the last facet's
      image to the first, keeping chains whose every hit lies strictly
@@ -35,6 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geometry import _EDGE_TOL
 from .kinematics import SnapshotBlock
 from .scene import Scene
 
@@ -233,13 +240,15 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
         return _table("specular", np.empty((0, k_max), int),
                       np.empty((0, k_max + 2, 3)), frame=np.empty(0, int))
 
-    table = _chain_table(n_facets, k_max)
-    step = max(1, _CHAIN_ROWS // len(table.hops))
+    full = _chain_table(n_facets, k_max)
+    step = max(1, _CHAIN_ROWS // len(full.hops))
     tables = []
     for lo in range(0, len(block), step):
         part = block.view(slice(lo, lo + step))
-        ok, pts = _trace_chains(part.pack, part.states[tx_id].position,
-                                part.states[rx_id].position, table)
+        txp, rxp = part.states[tx_id].position, part.states[rx_id].position
+        table = full.subset(np.flatnonzero(_viable_chains(part.pack, txp, rxp, full)
+                                           .any(axis=0)))
+        ok, pts = _trace_chains(part.pack, txp, rxp, table)
         frame, idx = np.nonzero(ok)
         if idx.size:
             # Occlusion over every segment of every survivor; the zero-length
@@ -253,28 +262,45 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
             frame, idx = frame[clear], idx[clear]
         tables.append(_table("specular", np.where(table.live[idx], table.seq[idx], -1),
                              pts[frame, idx], frame=lo + frame))
-    return PathTable.concat(tables)
+    return tables[0] if len(tables) == 1 else PathTable.concat(tables)
 
 
 @dataclass(frozen=True)
 class _ChainTable:
-    """Every candidate facet sequence of orders 1..K, one row per chain.
+    """Candidate facet sequences of orders 1..K, one row per chain.
 
-    Rows run by order, then facet indices, and exclude immediate repeats
-    (a facet cannot face itself), so there are sum_k F (F-1)^(k-1) of them.
+    The full table (_chain_table) holds every sequence without an immediate
+    repeat (a facet cannot face itself), sum_k F (F-1)^(k-1) rows by order,
+    then facet indices; subset keeps some of its rows in that order.
     Sequences are right-aligned: column K-1 holds every chain's last facet
     and the left padding (0, masked by ``live``) belongs to no chain.
-    The back-to-front pass of the image method visits the last facet first,
-    so its step j touches the rows with hops > j, the suffix from first[j],
-    using step_facets[j] and the nested image in image_rows[j].
+    images[:, c] is the row, in the dense image array, of the image through
+    the facet prefix ending at seq[:, c].  The back-to-front pass of the
+    image method visits the last facet first, so its step j touches the rows
+    with hops > j, the suffix from first[j], using step_facets[j] and the
+    nested image in image_rows[j].
     """
 
     seq: np.ndarray             # (C, K) facet indices
     hops: np.ndarray            # (C,) chain order
+    images: np.ndarray          # (C, K) image rows, right-aligned like seq
     live: np.ndarray            # (C, K) True where seq is part of the chain
     first: tuple                # per step j: first row with hops > j
     step_facets: tuple          # per step j: facet of the depth-(hops - j) image
     image_rows: tuple           # per step j: row of that image in the image array
+
+    @classmethod
+    def of(cls, seq, hops, images) -> _ChainTable:
+        """The table of rows sorted by hops, with the per-step slices."""
+        k_max = seq.shape[1]
+        first = tuple(int(np.searchsorted(hops, j + 1)) for j in range(k_max))
+        return cls(seq, hops, images, _live(hops, k_max), first,
+                   tuple(seq[lo:, k_max - 1 - j] for j, lo in enumerate(first)),
+                   tuple(images[lo:, k_max - 1 - j] for j, lo in enumerate(first)))
+
+    def subset(self, rows) -> _ChainTable:
+        """The table of the given rows, an increasing index array."""
+        return _ChainTable.of(self.seq[rows], self.hops[rows], self.images[rows])
 
 
 @functools.lru_cache(maxsize=8)
@@ -292,23 +318,65 @@ def _chain_table(n_facets: int, max_order: int) -> _ChainTable:
         seqs.append(np.pad(s, ((0, 0), (k_max - k, 0))))
         hops.append(np.full(len(s), k))
         # code[:, d] is the image row of the depth-(d+1) prefix
-        code = np.empty_like(s)
+        code = np.zeros((len(s), k_max), dtype=s.dtype)
         prefix = np.zeros(len(s), dtype=s.dtype)
         for d in range(k):
             prefix = prefix * f + s[:, d]
-            code[:, d] = prefix + sum(f ** i for i in range(1, d + 1))
+            code[:, k_max - k + d] = prefix + sum(f ** i for i in range(1, d + 1))
         codes.append(code)
-    seq = np.concatenate(seqs)
-    hop = np.concatenate(hops)
-    first, step_facets, image_rows = [], [], []
-    for j in range(k_max):
-        first.append(int(np.searchsorted(hop, j + 1)))
-        step_facets.append(seq[first[-1]:, k_max - 1 - j])
-        image_rows.append(np.concatenate([c[:, c.shape[1] - 1 - j]
-                                          for c in codes if c.shape[1] > j]))
-    live = _live(hop, k_max)
-    return _ChainTable(seq, hop, live, tuple(first), tuple(step_facets),
-                      tuple(image_rows))
+    return _ChainTable.of(np.concatenate(seqs), np.concatenate(hops), np.concatenate(codes))
+
+
+def _viable_chains(pack, txp, rxp, table: _ChainTable) -> np.ndarray:
+    """(E, C) mask of the chains of the table whose facets can see each
+    other at each epoch of a stacked pack: TX in front of the first facet,
+    RX in front of the last, and each consecutive pair mutually partly in
+    front, some point of each facet in front of the other's plane.
+
+    Every chain that _trace_chains keeps is viable at that epoch: its TX and
+    RX tests are the full pass's, and each hit it keeps is one that contains
+    accepts, in front of the facets before and after it.  contains reaches
+    past the vertices in two ways, and the vertex test is widened for both:
+      - it accepts side_e(p) >= -_EDGE_TOL on each edge e.  side_e is affine,
+        so with c the vertex centroid and s = _EDGE_TOL / min_e side_e(c),
+        q = c + (p - c) / (1 + s) is inside, and the distance of p to
+        another plane, affine too, is at most hi + s (hi - lo), hi and lo
+        its extremes over the vertices.  (A flat _EDGE_TOL / |e| would not
+        do: at a sharp corner accepted points lie farther from the polygon.)
+      - it sees only the in-plane part of p - v, and a quad's fourth vertex
+        may lie off the plane, by lift; projecting the vertices onto the
+        plane moves that bound by at most (1 + 2 s) lift.
+    s and lift depend only on a facet's shape, which rigid motion keeps, so
+    they are taken at the first epoch and doubled for the rounding of the
+    pose.  Testing against _FRONT_EPS / 2 covers the rounding of the full
+    pass's hits and dot products, a few ulps of the coordinates and images,
+    for scenes within 10 km of the origin.
+    """
+    n, off = pack.normals, pack.offsets                  # (E, F, 3), (E, F)
+    e, f = off.shape
+    # dist[e, p, b]: point p against the plane of facet b, for the points
+    # TX, RX and vertex v of facet a at 2 + v F + a
+    points = np.concatenate([txp[:, None], rxp[:, None],
+                             pack.verts.transpose(0, 2, 1, 3).reshape(e, 4 * f, 3)], axis=1)
+    dist = np.matmul(points, n.transpose(0, 2, 1)) - off[:, None]
+    eps = 0.5 * _FRONT_EPS
+    tx_front, rx_front = dist[:, 0] > eps, dist[:, 1] > eps
+    dist = dist[:, 2:].reshape(e, 4, f, f)
+    hi, lo = dist.max(axis=1), dist.min(axis=1)           # (E, a, b)
+    verts, w = pack.verts[0], pack.edge_normals[0]        # (F, 4, 3)
+    side = np.vecdot(verts.mean(axis=1, keepdims=True) - verts, w)
+    # The zero edge of a triangle padded to a quad rejects no point.
+    side[~w.any(axis=-1)] = np.inf
+    s = 2.0 * _EDGE_TOL / side.min(axis=1)                # (F,)
+    lift = 2.0 * np.abs(np.diagonal(dist[0], axis1=1, axis2=2)).max(axis=0)
+    partly = hi + s[:, None] * (hi - lo) > (eps - (1.0 + 2.0 * s) * lift)[:, None]
+    mutual = (partly & partly.transpose(0, 2, 1)).reshape(e, f * f)
+    seq, k_max = table.seq, table.seq.shape[1]
+    ok = (tx_front[:, seq[np.arange(len(seq)), k_max - table.hops]]
+          & rx_front[:, seq[:, -1]])
+    for j in range(k_max - 1):
+        ok &= mutual[:, seq[:, j] * f + seq[:, j + 1]] | ~table.live[:, j]
+    return ok
 
 
 def _trace_chains(pack, txp, rxp, table: _ChainTable):

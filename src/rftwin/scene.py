@@ -105,8 +105,10 @@ class AntennaPattern:
     hpbw_elevation_deg: float
 
     def __post_init__(self):
-        if self.hpbw_azimuth_deg <= 0 or self.hpbw_elevation_deg <= 0:
-            raise SceneError("antenna beamwidths must be positive")
+        if not -np.inf < self.peak_gain_dbi < np.inf:
+            raise SceneError("antenna peak_gain_dbi must be finite")
+        if not (0.0 < self.hpbw_azimuth_deg < np.inf and 0.0 < self.hpbw_elevation_deg < np.inf):
+            raise SceneError("antenna beamwidths must be finite and positive")
 
     def gain_db(self, az_deg, el_deg):
         az = np.asarray(az_deg, dtype=float)
@@ -153,10 +155,17 @@ class Transceiver:
         if fixed == mounted:
             raise SceneError(
                 f"transceiver '{self.id}': exactly one of a fixed pose or a body mount must be set")
+        for name in ("tx_power_dbm", "noise_figure_db"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise SceneError(f"transceiver '{self.id}': {name} must be finite")
         for name in ("position", "boresight", "offset_position", "offset_boresight"):
             value = getattr(self, name)
             if value is not None:
                 _require_finite(value, f"transceiver '{self.id}': {name}")
+                v = np.asarray(value, dtype=float)
+                # geometry.unit's test: the squared length must not be 0
+                if name.endswith("boresight") and not np.vecdot(v, v) > 0.0:
+                    raise SceneError(f"transceiver '{self.id}': {name} must have nonzero length")
 
     @property
     def is_fixed(self) -> bool:

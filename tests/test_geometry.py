@@ -10,6 +10,7 @@ from rftwin.geometry import (
     facet_area,
     facet_normal,
     is_convex,
+    pad_quad,
     reflect_direction,
     unit,
     yaw_matrix,
@@ -17,6 +18,18 @@ from rftwin.geometry import (
 
 SQUARE_XY = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def pack_of(*worlds):
+    """Stacked pack of one list of facet vertex arrays per snapshot."""
+    verts = np.array([[pad_quad(np.asarray(v, dtype=float)) for v in w] for w in worlds])
+    normals = np.array([[facet_normal(v) for v in w] for w in worlds])
+    return FacetPack.stacked(verts, normals)
+
+
+def blocked(pack, starts, ends, eps):
+    """segments_blocked of every segment in snapshot 0."""
+    return pack.segments_blocked(starts, ends, eps, np.zeros(len(starts), int))
 
 
 def segment_hits_facet(p, q, vertices, eps=0.0):
@@ -33,7 +46,7 @@ def segment_hits_facet(p, q, vertices, eps=0.0):
     if not (margin < t < 1.0 - margin):
         return None
     x = p + t * d
-    if not bool(FacetPack([v]).contains(x[None, None, :])[0, 0]):
+    if not bool(pack_of([v]).contains(x[None, None, :])[0, 0]):
         return None
     return x
 
@@ -145,7 +158,7 @@ def test_yaw_matrix_rotates_x_to_y():
 def test_contains_accepts_convex_interior_rejects_exterior():
     rng = np.random.default_rng(7)
     verts, _ = random_convex_polygon(rng, 4)
-    pack = FacetPack([verts])
+    pack = pack_of([verts])
     # interior points from strictly positive convex weights
     w = rng.dirichlet(np.ones(4), size=50) * 0.9 + 0.025
     w /= w.sum(axis=1, keepdims=True)
@@ -160,7 +173,7 @@ def test_contains_accepts_convex_interior_rejects_exterior():
 
 def test_contains_triangle_uses_padded_vertex():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    pack = FacetPack([tri])
+    pack = pack_of([tri])
     assert bool(pack.contains(np.array([[0.2, 0.2, 0.0]])[:, None, :])[0, 0])
     assert not bool(pack.contains(np.array([[0.7, 0.7, 0.0]])[:, None, :])[0, 0])
 
@@ -168,11 +181,11 @@ def test_contains_triangle_uses_padded_vertex():
 def test_segments_blocked_matches_scalar_brute_force():
     rng = np.random.default_rng(8)
     facets = [random_convex_polygon(rng, n)[0] for n in (3, 4, 4)]
-    pack = FacetPack(facets)
+    pack = pack_of(facets)
     starts = rng.normal(scale=2.0, size=(200, 3))
     ends = rng.normal(scale=2.0, size=(200, 3))
     eps = 1e-4
-    fast = pack.segments_blocked(starts, ends, eps)
+    fast = blocked(pack, starts, ends, eps)
     slow = np.array([
         any(segment_hits_facet(p, q, v, eps) is not None for v in facets)
         for p, q in zip(starts, ends)
@@ -180,9 +193,7 @@ def test_segments_blocked_matches_scalar_brute_force():
     assert np.array_equal(fast, slow)
     # A stacked pack of five snapshots, each segment tested in its own.
     worlds = [[random_convex_polygon(rng, n)[0] for n in (3, 4, 4)] for _ in range(5)]
-    packs = [FacetPack(w) for w in worlds]
-    stacked = FacetPack.stacked(np.stack([p.verts for p in packs]),
-                                np.stack([p.normals for p in packs]))
+    stacked = pack_of(*worlds)
     snapshot = rng.integers(0, len(worlds), len(starts))
     fast = stacked.segments_blocked(starts, ends, eps, snapshot)
     slow = np.array([
@@ -194,19 +205,19 @@ def test_segments_blocked_matches_scalar_brute_force():
 
 
 def test_segments_touching_a_facet_are_not_blocked_by_it():
-    pack = FacetPack([SQUARE_XY])
+    pack = pack_of([SQUARE_XY])
     on_facet = np.array([0.5, 0.5, 0.0])
     above = np.array([0.5, 0.5, 1.0])
     below = np.array([0.5, 0.5, -1.0])
-    assert not pack.segments_blocked(above[None], on_facet[None], 1e-4)[0]
-    assert pack.segments_blocked(above[None], below[None], 1e-4)[0]
+    assert not blocked(pack, above[None], on_facet[None], 1e-4)[0]
+    assert blocked(pack, above[None], below[None], 1e-4)[0]
 
 
 def test_segment_parallel_to_plane_is_clear():
-    pack = FacetPack([SQUARE_XY])
+    pack = pack_of([SQUARE_XY])
     p = np.array([0.1, 0.1, 0.5])
     q = np.array([0.9, 0.9, 0.5])
-    assert not pack.segments_blocked(p[None], q[None], 1e-4)[0]
+    assert not blocked(pack, p[None], q[None], 1e-4)[0]
     assert segment_hits_facet(p, q, SQUARE_XY) is None
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from rftwin import raytrace
-from rftwin.channel import doppler_of
+from rftwin.channel import ChirpConfig, doppler_of
 from rftwin.geometry import facet_normal
 from rftwin.kinematics import build_trajectories, snapshot, snapshots
 from rftwin.raytrace import (
@@ -411,21 +411,25 @@ def _box_walls(size, scales):
 
 
 unit_interval = st.floats(0.05, 0.95)
+# Strategies for _random_box's arguments: a box of panels in a random pose
+# with TX and RX inside it.  Scale 0 leaves a face open, scale 1 closes it
+# edge to edge.
+random_boxes = dict(
+    size=st.tuples(*[st.floats(1.0, 12.0)] * 3),
+    tx=st.tuples(*[unit_interval] * 3), rx=st.tuples(*[unit_interval] * 3),
+    angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+    scales=st.lists(st.sampled_from([0.0, 0.6, 0.8, 1.0]), min_size=6,
+                    max_size=6).filter(any))
 
 
-@settings(max_examples=100, deadline=None)
-@given(size=st.tuples(*[st.floats(1.0, 12.0)] * 3),
-       tx=st.tuples(*[unit_interval] * 3), rx=st.tuples(*[unit_interval] * 3),
-       angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
-       shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
-       scales=st.lists(st.sampled_from([0.0, 0.6, 0.8, 1.0]), min_size=6,
-                       max_size=6).filter(any))
-def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
-                                                          shift, scales):
-    """Scale 0 leaves a face open, scale 1 closes it edge to edge."""
+def _random_box(size, tx, rx, angles, shift, scales, flips=(False,) * 6):
+    """The panels, TX and RX, placed, and their scene; a flipped panel is
+    wound the other way, so it faces out of the box."""
     rot, origin = _rotation(*angles), np.array(shift)
     place = lambda p: np.asarray(p) @ rot.T + origin
-    facets = [place(v) for v, s in zip(_box_walls(size, scales), scales) if s > 0]
+    facets = [place(v[::-1] if flip else v)
+              for v, s, flip in zip(_box_walls(size, scales), scales, flips) if s > 0]
     txp, rxp = place(np.multiply(tx, size)), place(np.multiply(rx, size))
     doc = {
         "materials": [{"preset": "metal"}],
@@ -436,7 +440,15 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
             {"id": "UE", "role": "UE", "position": rxp.tolist(),
              "boresight": [1.0, 0.0, 0.0], "pattern": dict(PATTERN)}],
     }
-    snap = snapshot(scene_from_dict(doc), 0.0)
+    return facets, txp, rxp, scene_from_dict(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_boxes)
+def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
+                                                          shift, scales):
+    facets, txp, rxp, scene = _random_box(size, tx, rx, angles, shift, scales)
+    snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=3))
     reference = {}
     for order in (1, 2, 3):
@@ -450,6 +462,70 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
         assert np.abs(path_points(paths, i) - reference[seq]).max() < 1e-9
 
 
+def _dense_specular(block, tx_id, rx_id, config):
+    """trace_specular with every chain of the full table viable: the image
+    pass over all of _chain_table, as before the prune."""
+    def every_chain(pack, txp, rxp, table):
+        return np.ones((len(txp), len(table.hops)), dtype=bool)
+    with mock.patch.object(raytrace, "_viable_chains", every_chain):
+        return trace_specular(block, tx_id, rx_id, config)
+
+
+SPECULAR_COLUMNS = ("kind", "hops", "facets", "sample", "points", "area", "frame")
+
+
+def assert_same_rows(table, reference):
+    for col in SPECULAR_COLUMNS:
+        mine, ref = getattr(table, col), getattr(reference, col)
+        assert mine.dtype == ref.dtype and mine.shape == ref.shape, col
+        assert mine.tobytes() == ref.tobytes(), col
+
+
+@settings(max_examples=100, deadline=None)
+@given(**{**random_boxes, "tx": st.tuples(*[st.floats(-0.5, 1.5)] * 3),
+          "rx": st.tuples(*[st.floats(-0.5, 1.5)] * 3)},
+       flips=st.lists(st.booleans(), min_size=6, max_size=6), order=st.integers(1, 3))
+# RX outside the box, behind a panel that a surviving chain starts on.
+@example(size=(4.0, 4.0, 4.0), tx=(0.34, 0.44, 0.12), rx=(-0.25, 0.84, 0.79),
+         angles=(0.0, 0.0, 0.0), shift=(0.0, 0.0, 0.0), scales=[0.6, 0.8, 1.0, 0.6, 0.6, 1.0],
+         flips=[False] * 6, order=2)
+def test_pruned_image_pass_keeps_every_survivor(size, tx, rx, angles, shift, scales,
+                                                flips, order):
+    """Every chain of the full table that the image pass keeps is viable at
+    its epoch, and the pruned trace_specular is the dense one bit for bit.
+    TX and RX may lie outside the box, behind some panels.  A flipped panel
+    faces out of the box, so with TX and RX inside it the prune drops
+    every chain that starts or ends on it."""
+    facets, txp, rxp, scene = _random_box(size, tx, rx, angles, shift, scales, flips)
+    block = snapshot(scene, 0.0)
+    full = _chain_table(len(facets), order)
+    txs, rxs = block.states["BS"].position, block.states["UE"].position
+    ok, _ = raytrace._trace_chains(block.pack, txs, rxs, full)
+    viable = raytrace._viable_chains(block.pack, txs, rxs, full)
+    assert not (ok & ~viable).any()
+    inside = all(0.0 < c < 1.0 for c in tx + rx)
+    if inside and any(f for f, s in zip(flips, scales) if s > 0):
+        assert np.count_nonzero(viable) < len(full.hops)
+    config = TraceConfig(max_specular_order=order)
+    assert_same_rows(trace_specular(block, "BS", "UE", config),
+                     _dense_specular(block, "BS", "UE", config))
+
+
+def test_prune_keeps_few_chains_on_scenario_b():
+    """BS -> UE on scenario_b at order 3: the image pass of a 64-chirp block
+    from t0 = 0.1 runs on fewer than 100 of the 301 chains, and gives the
+    dense pass's paths."""
+    scene = load_scene(FIXTURES / "scenario_b.json")
+    block = snapshots(scene, 0.1 + ChirpConfig().pri * np.arange(64))
+    config = TraceConfig(max_specular_order=3)
+    with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy:
+        paths = trace_specular(block, "BS", "UE", config)
+    assert len(_chain_table(7, 3).hops) == 301
+    assert [len(call.args[3].hops) < 100 for call in spy.call_args_list] == [True]
+    assert len(paths) == 64
+    assert_same_rows(paths, _dense_specular(block, "BS", "UE", config))
+
+
 def epochs(block):
     """Each epoch of a block as the block of that one epoch."""
     return [block.view(slice(k, k + 1)) for k in range(len(block))]
@@ -458,7 +534,8 @@ def epochs(block):
 def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     """LOS and specular tracing over a block of epochs give each epoch's
     per-snapshot rows, in epoch order, also when the specular pass is
-    split into parts of a few epochs."""
+    split into parts of a few epochs, each pruned on its own; and the
+    pruned specular rows are the dense pass's."""
     scene = scene_from_dict(spin_rig_doc())
     block = snapshots(scene, 0.3 + 0.05 * np.arange(20))
     config = TraceConfig(max_specular_order=3)
@@ -473,6 +550,7 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
             mine = rows.take(rows.frame == k)
             for col in columns:
                 assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
+    assert_same_rows(whole[trace_specular], _dense_specular(block, "BS", "UE", config))
     monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # two epochs of 6 chains a pass
     parts = trace_specular(block, "BS", "UE", config)
     for col in columns + ("frame",):
@@ -505,10 +583,11 @@ def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
         return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)))
 
     pts = np.concatenate(points)
-    blocked_in = pack.segments_blocked(np.broadcast_to(txp, pts.shape), pts,
-                                       config.occlusion_epsilon)
-    blocked_out = pack.segments_blocked(pts, np.broadcast_to(rxp, pts.shape),
-                                        config.occlusion_epsilon)
+    epoch = np.zeros(len(pts), int)
+    blocked_in = snap.pack.segments_blocked(np.broadcast_to(txp, pts.shape), pts,
+                                            config.occlusion_epsilon, epoch)
+    blocked_out = snap.pack.segments_blocked(pts, np.broadcast_to(rxp, pts.shape),
+                                             config.occlusion_epsilon, epoch)
     keep = ~(blocked_in | blocked_out)
     legs = np.empty((np.count_nonzero(keep), 3, 3))
     legs[:, 0], legs[:, 1], legs[:, 2] = txp, pts[keep], rxp

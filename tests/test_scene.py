@@ -100,6 +100,59 @@ def test_non_finite_material_constants_are_rejected(field, value, tmp_path, caps
     assert not (tmp_path / "scene.cir").exists()
 
 
+def _scene_b_with(tmp_path, mutate):
+    from conftest import FIXTURES
+
+    doc = json.loads((FIXTURES / "scenario_b.json").read_text())
+    mutate({t["id"]: t for t in doc["transceivers"]})
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("trx,field,match", [
+    ("UE", ("pattern", "peak_gain_dbi"), "peak_gain_dbi must be finite"),
+    ("UE", ("pattern", "hpbw_azimuth_deg"), "beamwidths must be finite and positive"),
+    ("UE", ("pattern", "hpbw_elevation_deg"), "beamwidths must be finite and positive"),
+    ("UE", ("tx_power_dbm",), "'UE': tx_power_dbm must be finite"),
+    ("UE", ("noise_figure_db",), "'UE': noise_figure_db must be finite"),
+])
+def test_non_finite_antenna_and_link_fields_are_rejected(trx, field, match, value, tmp_path,
+                                                         capsys):
+    from rftwin.cli import main
+
+    def mutate(trxs):
+        entry = trxs[trx]
+        for key in field[:-1]:
+            entry = entry[key]
+        entry[field[-1]] = value
+    path = _scene_b_with(tmp_path, mutate)
+    with pytest.raises(SceneError, match=match):
+        load_scene(path)
+    assert main(["simulate", "--scene", str(path), "--tx", "UE", "--t0", "0.1",
+                 "--chirps", "2", "-o", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "scene.cir").exists()
+
+
+@pytest.mark.parametrize("link", [["--tx", "UE"], ["--mode", "bi", "--tx", "UE", "--rx", "BS"]])
+def test_zero_boresight_is_rejected(link, tmp_path, capsys):
+    from rftwin.cli import main
+
+    trx = link[-1]
+    path = _scene_b_with(tmp_path, lambda trxs: trxs[trx].update(boresight=[0, 0, 0]))
+    with pytest.raises(SceneError, match=f"'{trx}': boresight must have nonzero length"):
+        load_scene(path)
+    assert main(["simulate", "--scene", str(path), *link, "--t0", "0.1",
+                 "--chirps", "2", "-o", str(tmp_path)]) == 2
+    assert "boresight must have nonzero length" in capsys.readouterr().err
+    doc = small_scene_doc()
+    doc["transceivers"][1]["offset_boresight"] = [0.0, 0.0, 0.0]
+    with pytest.raises(SceneError, match="'UE': offset_boresight must have nonzero length"):
+        scene_from_dict(doc)
+
+
 def test_pattern_gain_peak_halfpower_and_floor():
     p = AntennaPattern(**PATTERN)
     assert p.gain_db(0.0, 0.0) == pytest.approx(5.0)
