@@ -40,7 +40,7 @@ _EXPORTS = {
     "antenna_angles": "em",
     "ChirpConfig": "channel",
     "SensingLink": "channel",
-    "CirFrame": "channel",
+    "Cir": "channel",
     "doppler_of": "channel",
     "simulate_cir": "channel",
     "save_cir": "channel",

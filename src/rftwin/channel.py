@@ -11,9 +11,10 @@ passes over each block:
 3. amplitude, Doppler and delay of every row of the block in one call each.
 
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
-are then dropped and counted per frame, and each frame is a slice of the
-kept rows.  What is fixed for the episode (spline interpolants, diffuse
-sample patterns, the amplitude model's LinkConstants) is built once.
+are then dropped and counted per frame.  The kept rows of every block form
+one episode table, a Cir.  What is fixed for the episode (spline
+interpolants, diffuse sample patterns, the amplitude model's
+LinkConstants) is built once.
 """
 
 from __future__ import annotations
@@ -111,14 +112,33 @@ class SensingLink:
 
 
 @dataclass
-class CirFrame:
-    """Impulse response at one chirp epoch: the kept rows of its path table,
-    with a, tau and nu filled."""
+class Cir:
+    """Impulse response of an episode, one table for all of its frames.
 
-    epoch_index: int
-    t: float
+    paths holds the .cir columns of every kept row, a, tau and nu filled,
+    in frame order; its frame column is the row's frame position in the
+    episode.  epoch_index, t and n_dropped are per frame: the epoch on the
+    chirp grid, its time and the rows dropped beyond the maximum delay.
+    """
+
     paths: PathTable
-    n_dropped: int = 0
+    epoch_index: np.ndarray         # (F,) int
+    t: np.ndarray                   # (F,) float
+    n_dropped: np.ndarray           # (F,) int
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, frames: slice) -> Cir:
+        """The sub-episode of a slice of consecutive frames, such as
+        cir[lo:hi]; its frame column counts from the slice start."""
+        at = range(len(self))[frames]
+        if not isinstance(at, range) or at.step != 1:
+            raise TypeError("a Cir takes a slice of consecutive frames, such as cir[k:k + 1]")
+        lo, hi = np.searchsorted(self.paths.frame, [at.start, at.stop])
+        paths = self.paths.take(slice(lo, hi))
+        paths.frame = paths.frame - at.start
+        return Cir(paths, self.epoch_index[frames], self.t[frames], self.n_dropped[frames])
 
 
 def doppler_of(paths: PathTable, f_c: float) -> np.ndarray:
@@ -144,10 +164,16 @@ def doppler_of(paths: PathTable, f_c: float) -> np.ndarray:
     return -(f_c / SPEED_OF_LIGHT) * rate
 
 
+# The .cir columns of no rows, the start of every episode table.
+_NO_PATHS = PathTable(*(np.zeros(0, np.uint8),) * 2, np.zeros((0, 0), np.int32),
+                      np.zeros(0, np.int32), a=np.zeros(0, complex), tau=np.zeros(0),
+                      nu=np.zeros(0), frame=np.zeros(0, int))
+
+
 def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
                  trace: TraceConfig = TraceConfig(), t0: float = 0.0,
-                 n_chirps: int | None = None) -> list[CirFrame]:
-    """Impulse-response frames on the chirp epoch grid t0 + k * pri.
+                 n_chirps: int | None = None) -> Cir:
+    """Impulse response of the episode on the chirp epoch grid t0 + k * pri.
 
     Deterministic for a fixed scene, configs and t0.  Raises SceneError when
     t0 is not finite or the epoch grid is not covered by every body
@@ -170,7 +196,7 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     trajectories = build_trajectories(scene)
     patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
     constants = LinkConstants(scene, tx, rx, config.f_c)
-    frames = []
+    kept, dropped = [_NO_PATHS], [np.zeros(0, int)]
     for lo in range(0, len(times), _BLOCK_CHIRPS):
         snaps = snapshots(scene, times[lo:lo + _BLOCK_CHIRPS], trajectories)
         parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
@@ -183,24 +209,14 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         block.a = amplitudes_of(block, scene, tx, rx, config.f_c, constants=constants)
         block.nu = doppler_of(block, config.f_c)
         block.tau = block.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
-        frames += _block_frames(block, block.tau < config.max_delay, lo, snaps.t)
-    return frames
+        keep = block.tau < config.max_delay
+        kept.append(block.cir_columns().take(keep))
+        kept[-1].frame += lo
+        dropped.append(np.bincount(block.frame[~keep], minlength=len(snaps.t)))
+    return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped))
 
 
-def _block_frames(block: PathTable, keep: np.ndarray, first_epoch: int,
-                  times: np.ndarray) -> list[CirFrame]:
-    """The frames of a block: each a slice of the kept rows' .cir columns,
-    with the count of its rows beyond the maximum delay."""
-    kept = block.cir_columns().take(keep)
-    counts = np.bincount(block.frame[keep], minlength=len(times))
-    dropped = np.bincount(block.frame[~keep], minlength=len(times))
-    ends = np.cumsum(counts).tolist()
-    return [CirFrame(first_epoch + k, t, kept.take(slice(end - count, end)), n_drop)
-            for k, (t, count, end, n_drop) in enumerate(zip(
-                times.tolist(), counts.tolist(), ends, dropped.tolist()))]
-
-
-def frame_stats(frames: list[CirFrame]) -> dict:
+def frame_stats(cir: Cir) -> dict:
     """Per-frame telemetry of an episode: for every path kind that occurs,
     the min, mean and max of its rows per frame, and the same of the rows
     dropped beyond the maximum delay."""
@@ -209,24 +225,22 @@ def frame_stats(frames: list[CirFrame]) -> dict:
             return {"min": 0, "mean": 0.0, "max": 0}
         return {"min": int(values.min()), "mean": float(values.mean()), "max": int(values.max())}
 
-    n = len(frames)
-    kinds = np.concatenate([np.zeros(0, np.uint8)] + [fr.paths.kind for fr in frames])
-    frame_of = np.repeat(np.arange(n), [len(fr.paths) for fr in frames])
-    per_frame = np.bincount(frame_of * len(KINDS) + kinds,
+    n = len(cir)
+    per_frame = np.bincount(cir.paths.frame * len(KINDS) + cir.paths.kind,
                             minlength=n * len(KINDS)).reshape(n, len(KINDS))
     return {"paths_per_frame": {kind: stats(per_frame[:, j])
                                 for j, kind in enumerate(KINDS) if per_frame[:, j].any()},
-            "dropped_per_frame": stats(np.array([fr.n_dropped for fr in frames]))}
+            "dropped_per_frame": stats(cir.n_dropped)}
 
 
 CIR_MAGIC = b"RFTCIR1\n"
 
 
-def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
+def save_cir(path, cir: Cir, config: ChirpConfig,
              link: SensingLink, trace: TraceConfig | None = None,
              t0: float = 0.0, extra: dict | None = None,
              frozen_clock: bool = False) -> None:
-    """Write frames in the little-endian binary layout described in README.
+    """Write an episode in the little-endian binary layout described in README.
 
     Layout: 8-byte magic, u32 header length, UTF-8 JSON header, then per
     frame u32 epoch_index, f64 t, u32 n_paths, u32 n_dropped followed by
@@ -236,14 +250,14 @@ def save_cir(path, frames: list[CirFrame], config: ChirpConfig,
     header = {"format": "rftwin-cir", "version": 1,
               "config": config.to_dict(),
               "link": {"tx": link.tx_id, "rx": link.rx_id},
-              "t0": t0, "n_frames": len(frames),
+              "t0": t0, "n_frames": len(cir),
               "created": "frozen" if frozen_clock else now()}
     if trace is not None:
         header["trace"] = asdict(trace)
     if extra:
         header.update(extra)
 
-    write_container(path, CIR_MAGIC, header, _cir_payload(frames))
+    write_container(path, CIR_MAGIC, header, _cir_payload(cir))
 
 
 _FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4")])
@@ -256,22 +270,23 @@ def _runs(source: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarr
     return source[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])]
 
 
-def _cir_payload(frames: list[CirFrame]):
+def _cir_payload(cir: Cir):
     """The .cir payload in chunks of whole frames, gathered from the
     episode's columns: a frame is its header, then the run of its rows (or
     facets) in every column.  With each frame's kind and hop codes joined
     first, every run has an even size, so the gather moves 2-byte units."""
-    if not frames:
+    if not len(cir):
         return
-    p = PathTable.concat([fr.paths for fr in frames])
-    n = np.array([len(fr.paths) for fr in frames])
+    p = cir.paths
+    n = np.bincount(p.frame, minlength=len(cir))
     first, live = np.cumsum(n) - n, p.facets >= 0
-    n_facets = np.bincount(np.repeat(np.arange(len(n)), n), live.sum(axis=1),
-                           minlength=len(n)).astype(int)
+    n_facets = np.bincount(p.frame, live.sum(axis=1), minlength=len(n)).astype(int)
     codes = _runs(np.concatenate([p.kind, p.hops]).astype(np.uint8),
                   np.column_stack([first, first + len(p)]).ravel(), np.repeat(n, 2))
-    columns = [(np.array([(fr.epoch_index, fr.t, len(fr.paths), fr.n_dropped) for fr in frames],
-                         _FRAME_HEAD), np.ones_like(n))]
+    heads = np.empty(len(n), _FRAME_HEAD)
+    heads["epoch"], heads["t"], heads["n_paths"], heads["n_dropped"] = (
+        cir.epoch_index, cir.t, n, cir.n_dropped)
+    columns = [(heads, np.ones_like(n))]
     columns += [(col.astype("<f8"), n) for col in (p.a.real, p.a.imag, p.tau, p.nu)]
     columns += [(codes, 2 * n), (p.facets[live].astype("<i4"), n_facets),
                 (p.sample.astype("<i4"), n)]
@@ -284,15 +299,17 @@ def _cir_payload(frames: list[CirFrame]):
         yield _runs(source, starts[group].ravel(), sizes[group].ravel())
 
 
-def load_cir(path) -> tuple[list[CirFrame], dict]:
-    """Read a CIR file back into frames plus its JSON header.
+def load_cir(path) -> tuple[Cir, dict]:
+    """Read a CIR file back into its episode table plus its JSON header.
 
     One pass walks the frame headers and joins the frames' column bytes;
-    each column is then cut from them for the whole file at once, and every
-    frame's table holds slices of those columns.  Facet rows are as wide as
-    the file's largest hop count.
+    each column is then cut from them for the whole file at once.  Facet
+    rows are as wide as the file's largest hop count.
     """
     header, body = read_container(path, CIR_MAGIC, "CIR")
+    missing = sorted({"config", "link", "t0", "n_frames"} - set(header))
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     n_frames = header["n_frames"]
     if not isinstance(n_frames, int) or n_frames < 0:
         raise ValueError(f"{path}: bad frame count {n_frames!r}")
@@ -311,7 +328,8 @@ def load_cir(path) -> tuple[list[CirFrame], dict]:
 
     # Frame k's block of c columns starts at c * first[k] in the joined
     # bytes, so item r of column j sits at r + (c - 1) * first[k] + j * n[k].
-    n = np.array([head[2] for head in heads], dtype=np.intp)
+    heads = np.array(heads, _FRAME_HEAD)
+    n = heads["n_paths"].astype(np.intp)
     n_facets = np.array(n_facets, dtype=np.intp)
     first = np.cumsum(n) - n
     rows = np.arange(n.sum())
@@ -322,35 +340,31 @@ def load_cir(path) -> tuple[list[CirFrame], dict]:
     ints = np.frombuffer(b"".join(ints), "<i4")
     flat = ints[np.arange(n_facets.sum()) + np.repeat(first, n_facets)]
     sample = ints[rows + np.repeat(np.cumsum(n_facets), n)]
-    bad = np.concatenate([np.repeat(np.arange(n_frames), n)[kind >= len(KINDS)],
+    frame = np.repeat(np.arange(n_frames), n)
+    bad = np.concatenate([frame[kind >= len(KINDS)],
                           np.repeat(np.arange(n_frames), n_facets)[flat < 0]])
     if bad.size:
-        raise ValueError(f"{path}: frame {heads[bad.min()][0]}: unknown kind code "
+        raise ValueError(f"{path}: frame {heads['epoch'][bad.min()]}: unknown kind code "
                          "or negative facet index")
 
     a = np.empty(len(rows), dtype=complex)
     a.real, a.imag = a_re, a_im
-    facets = PathTable.facet_rows(hops, flat)
-    frames = []
-    for (epoch, t, count, dropped), lo in zip(heads, first.tolist()):
-        at = slice(lo, lo + count)
-        frames.append(CirFrame(epoch, t, PathTable(kind[at], hops[at], facets[at], sample[at],
-                                                   a=a[at], tau=tau[at], nu=nu[at]),
-                               dropped))
-    return frames, header
+    paths = PathTable(kind, hops, PathTable.facet_rows(hops, flat), sample, a=a, tau=tau,
+                      nu=nu, frame=frame)
+    return Cir(paths, heads["epoch"].astype(int), heads["t"].astype(float),
+               heads["n_dropped"].astype(int)), header
 
 
-def cir_to_csv(path, frames: list[CirFrame]) -> None:
+def cir_to_csv(path, cir: Cir) -> None:
     """Flat CSV export: one row per path per frame."""
     from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
     with open(path, "wb") as fh:
         fh.write(b"epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,facets,sample_index\n")
-        if not frames:
+        p = cir.paths
+        if not len(p):
             return
-        p = PathTable.concat([fr.paths for fr in frames])
-        frame = np.repeat(np.arange(len(frames)), [len(fr.paths) for fr in frames])
-        epochs = text_cells([str(fr.epoch_index) for fr in frames])
-        times = float_text([fr.t for fr in frames])
+        epochs = text_cells([str(e) for e in cir.epoch_index.tolist()])
+        times = float_text(cir.t)
         facet_rows, facet_of = np.unique(p.facets, axis=0, return_inverse=True)
         kinds, facet_of = text_cells(KINDS), facet_of.reshape(-1)
         facets = text_cells(["|".join(str(f) for f in row if f >= 0)
@@ -360,6 +374,6 @@ def cir_to_csv(path, frames: list[CirFrame]) -> None:
         floats = np.column_stack([p.tau, p.nu, p.a.real, p.a.imag])
         for lo in range(0, len(p), CSV_CHUNK // 4):
             at = slice(lo, lo + CSV_CHUNK // 4)
-            fh.write(csv_lines(epochs[frame[at], None], times[frame[at], None],
+            fh.write(csv_lines(epochs[p.frame[at], None], times[p.frame[at], None],
                                kinds[p.kind[at], None], float_text(floats[at]),
                                facets[facet_of[at], None], samples[sample_of[at], None]))

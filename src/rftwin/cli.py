@@ -128,29 +128,28 @@ def cmd_simulate(args) -> int:
         raise InputError(str(exc)) from exc
 
     try:
-        frames = simulate_cir(scene, link, config, trace, t0=args.t0)
+        cir = simulate_cir(scene, link, config, trace, t0=args.t0)
     except SceneError as exc:
         raise InputError(str(exc)) from exc
 
     out = _out_dir(args)
     tag = args.tag or scene_path.stem
     cir_path = out / f"{tag}.cir"
-    save_cir(cir_path, frames, config, link, trace=trace, t0=args.t0,
+    save_cir(cir_path, cir, config, link, trace=trace, t0=args.t0,
              frozen_clock=args.frozen_clock,
              extra={"scene": scene_path.name, "seed": args.seed})
     csv_path = out / f"{tag}_paths.csv"
-    cir_to_csv(csv_path, frames)
+    cir_to_csv(csv_path, cir)
 
-    per_kind = np.bincount(np.concatenate([fr.paths.kind for fr in frames]),
-                           minlength=len(KINDS))
+    per_kind = np.bincount(cir.paths.kind, minlength=len(KINDS))
     counts = {kind: int(c) for kind, c in zip(KINDS, per_kind) if c}
-    summary = {"frames": len(frames), "t0": args.t0,
+    summary = {"frames": len(cir), "t0": args.t0,
                "paths_per_kind": counts, "seed": args.seed,
-               "dropped_beyond_max_delay": sum(fr.n_dropped for fr in frames),
-               **frame_stats(frames)}
+               "dropped_beyond_max_delay": int(cir.n_dropped.sum()),
+               **frame_stats(cir)}
     (out / f"{tag}_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {cir_path} ({len(frames)} frames), {csv_path}")
+    print(f"wrote {cir_path} ({len(cir)} frames), {csv_path}")
     for kind in sorted(counts):
         print(f"  {kind}: {counts[kind]} path records")
     return EXIT_OK
@@ -167,14 +166,14 @@ def _load_checked(load, path):
 
 
 def _load_cir_config(path):
-    """Frames, header and chirp config of a .cir file.  A malformed file, or
+    """Episode, header and chirp config of a .cir file.  A malformed file, or
     a header config that ChirpConfig rejects (unknown key, wrong type, bad
     value), is an input error naming the file."""
     from .channel import ChirpConfig, load_cir
 
-    frames, header = _load_checked(load_cir, path)
+    cir, header = _load_checked(load_cir, path)
     try:
-        return frames, header, ChirpConfig(**header["config"])
+        return cir, header, ChirpConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad chirp config in the header: {exc}") from exc
 
@@ -213,20 +212,18 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 
 
 def cmd_process(args) -> int:
-    import numpy as np
-
     from .fmcw import (NoiseConfig, delay_doppler, pdp_series, pdp_to_csv,
                        range_windows, save_pdp, synth_beat)
 
-    frames, header, config = _load_cir_config(args.cir)
+    cir, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps, least=2)
     stride = n if args.stride is None else _positive("integer", "stride", args.stride)
     if args.t0_index < 0:
         raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
     if args.num_windows is not None:
         _positive("integer", "num-windows", args.num_windows)
-    if n > len(frames):
-        raise InputError(f"window of {n} chirps exceeds the {len(frames)} "
+    if n > len(cir):
+        raise InputError(f"window of {n} chirps exceeds the {len(cir)} "
                          f"frames in {args.cir}")
     formats = _export_formats(args.export)
     window_fast = _window_name("window", args.window)
@@ -236,15 +233,15 @@ def cmd_process(args) -> int:
                             tx_power_dbm=args.tx_power, seed=args.noise_seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    starts = list(range(args.t0_index, len(frames) - n + 1, stride))
+    starts = list(range(args.t0_index, len(cir) - n + 1, stride))
     if args.num_windows is not None:
         starts = starts[:args.num_windows]
     if not starts:
         raise InputError(f"no complete {n}-chirp window starts at index "
-                         f"{args.t0_index} in {len(frames)} beat frames")
+                         f"{args.t0_index} in {len(cir)} beat frames")
 
-    beats = synth_beat(frames, config, noise)
-    times = np.array([fr.t for fr in frames])
+    beats = synth_beat(cir, config, noise)
+    times = cir.t
 
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
@@ -273,11 +270,11 @@ def cmd_process(args) -> int:
 def cmd_predict(args) -> int:
     from .fmcw import predicted_map
 
-    frames, header, config = _load_cir_config(args.cir)
+    cir, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps, least=2)
     formats = _export_formats(args.export)
     try:
-        ddm = predicted_map(frames, config, t0_index=args.t0_index, n_chirps=n)
+        ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     ddm.metadata["seed"] = header.get("seed")
@@ -350,8 +347,8 @@ def cmd_info(args) -> int:
     p = _require_file(args.file)
     head = p.read_bytes()[:8]
     if head == CIR_MAGIC:
-        frames, header = _load_checked(load_cir, p)
-        print(f"{p}: CIR, {len(frames)} frames, link {header['link']}, "
+        cir, header = _load_checked(load_cir, p)
+        print(f"{p}: CIR, {len(cir)} frames, link {header['link']}, "
               f"t0 = {header['t0']}")
         print(json.dumps(header["config"], sort_keys=True, indent=2))
     elif head == MAP_MAGIC:

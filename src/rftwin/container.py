@@ -64,10 +64,16 @@ class Payload:
 
 
 def read_container(path, magic: bytes, what: str) -> tuple[dict, Payload]:
-    """Header and payload cursor of a container; ValueError on a foreign file."""
+    """Header and payload cursor of a container; ValueError on a foreign
+    file, or on a header or header metadata that is not a JSON object."""
     raw = Path(path).read_bytes()
     if raw[:len(magic)] != magic:
         raise ValueError(f"{path}: not a rftwin {what} file")
     payload = Payload(path, raw, len(magic))
     (hlen,) = payload.unpack("<I")
-    return json.loads(payload.take(np.uint8, hlen).tobytes().decode()), payload
+    header = json.loads(payload.take(np.uint8, hlen).tobytes().decode())
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if not isinstance(header.get("metadata", {}), dict):
+        raise ValueError(f"{path}: header metadata is not a JSON object")
+    return header, payload

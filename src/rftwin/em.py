@@ -34,8 +34,6 @@ LinkConstants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import cross, reflect_direction, unit
@@ -120,19 +118,6 @@ def antenna_angles(boresight, directions, frame=None):
     return az, el
 
 
-@dataclass
-class PathAmplitude:
-    """Complex path weight with a per-term dB budget.
-
-    The breakdown entries (spreading, antenna gains, one entry per
-    interaction) sum to 20 log10(magnitude).
-    """
-
-    magnitude: float
-    phase: float
-    breakdown: dict[str, float]
-
-
 _FREE_SPACE = Material("free space", 1.0, 0.0, 0.0, 1)
 
 
@@ -172,12 +157,13 @@ def amplitudes_of(paths: PathTable, scene: Scene, tx_id: str, rx_id: str, f_c: f
     snapshot columns (SnapshotBlock.attach).
 
     constants, the LinkConstants of (scene, tx_id, rx_id, f_c), saves
-    rebuilding them on every call.  Returns a complex array, or a list of
-    PathAmplitude when with_breakdown is set.
+    rebuilding them on every call.  Returns the complex amplitudes, and
+    with with_breakdown also their dB budget: a dict of the (n,) columns
+    spreading_db, tx_gain_db and rx_gain_db and the (n, K) column hop_db,
+    one term per interaction in the facets layout and 0 dB in the padding.
+    Each row's terms sum to 20 log10 |a|.
     """
     link = LinkConstants(scene, tx_id, rx_id, f_c) if constants is None else constants
-    if not len(paths):
-        return [] if with_breakdown else np.zeros(0, dtype=complex)
 
     lam = SPEED_OF_LIGHT / f_c
     hop_mask = paths.facets >= 0                            # (n, k)
@@ -230,13 +216,5 @@ def amplitudes_of(paths: PathTable, scene: Scene, tx_id: str, rx_id: str, f_c: f
     with np.errstate(divide="ignore"):
         spread_db = 20.0 * np.log10(spread)
         hop_db = 20.0 * (np.log10(split) + np.log10(gamma_mag) + np.log10(patch))
-    out = []
-    for i, (kind, facets, _) in enumerate(paths.keys()):
-        label = "scatter" if kind == "diffuse" else "reflection"
-        bd = {"spreading_db": float(spread_db[i]),
-              "tx_gain_db": float(tx_gain_db[i]),
-              "rx_gain_db": float(rx_gain_db[i])}
-        for j, fi in enumerate(facets):
-            bd[f"{label}_{j}_facet_{fi}_db"] = float(hop_db[i, first[i] + j])
-        out.append(PathAmplitude(float(magnitude[i]), float(phase[i]), bd))
-    return out
+    return amps, {"spreading_db": spread_db, "tx_gain_db": tx_gain_db,
+                  "rx_gain_db": rx_gain_db, "hop_db": np.where(hop_mask, hop_db, 0.0)}

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChirpConfig, CirFrame
+from .channel import ChirpConfig, Cir
 from .raytrace import PathTable
 from .container import now, read_container, write_container
 
@@ -109,7 +109,7 @@ class NoiseConfig:
 _SYNTH_BLOCK_BYTES = 1 << 20
 
 
-def synth_beat(frames: list[CirFrame], config: ChirpConfig,
+def synth_beat(cir: Cir, config: ChirpConfig,
                noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """Dechirped I/Q samples, one row per frame, in the factored form of the
     module docstring.
@@ -124,13 +124,12 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
     boundaries.
     """
     n_s = config.samples_per_chirp
-    beats = np.empty((len(frames), n_s), dtype=complex)
-    if not frames:
+    beats = np.empty((len(cir), n_s), dtype=complex)
+    if not len(cir):
         return beats
-    paths = PathTable.concat([fr.paths for fr in frames])
-    counts = np.array([len(fr.paths) for fr in frames])
-    phi = _phase_trails(_path_ids(paths), np.repeat([fr.t for fr in frames], counts),
-                        paths.nu)
+    paths = cir.paths
+    counts = np.bincount(paths.frame, minlength=len(cir))
+    phi = _phase_trails(_path_ids(paths), cir.t[paths.frame], paths.nu)
     const = 2.0 * np.pi * (config.f_c * paths.tau
                            - 0.5 * config.slope * paths.tau ** 2) + phi
     weights = paths.a * np.exp(1j * const)
@@ -144,8 +143,8 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
     block = max(1, _SYNTH_BLOCK_BYTES
                 // (16 * (q * b + 2 * (q + b) * max(int(counts.max()), 1))))
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    for f0 in range(0, len(frames), block):
-        f1 = min(f0 + block, len(frames))
+    for f0 in range(0, len(cir), block):
+        f1 = min(f0 + block, len(cir))
         live = np.arange(counts[f0:f1].max()) < counts[f0:f1, None]
         w = np.zeros(live.shape, dtype=complex)
         tau = np.zeros(live.shape)
@@ -156,8 +155,8 @@ def synth_beat(frames: list[CirFrame], config: ChirpConfig,
         beats[f0:f1] = np.matmul(left, right).reshape(f1 - f0, q * b)[:, :n_s]
     if noise.enabled:
         sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
-        for row, fr in zip(beats, frames):
-            rng = np.random.default_rng([noise.seed, fr.epoch_index])
+        for row, epoch in zip(beats, cir.epoch_index.tolist()):
+            rng = np.random.default_rng([noise.seed, epoch])
             row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
     return beats
 
@@ -370,10 +369,10 @@ def _window_response_table(window: str, n: int, oversample: int = 64,
     return offsets / oversample, spec[offsets % len(spec)]
 
 
-def predicted_map(frames: list[CirFrame], config: ChirpConfig,
+def predicted_map(cir: Cir, config: ChirpConfig,
                   t0_index: int = 0, n_chirps: int = 128,
                   window_fast: str = "hann") -> DelayDopplerMap:
-    """Analytic delay-Doppler prediction from the path lists.
+    """Analytic delay-Doppler prediction from the episode's paths.
 
     Each path of the mid-window frame contributes its power |a_n|^2 on the
     delay bin nearest tau_n, spread over Doppler by the discrete slow-time
@@ -387,26 +386,23 @@ def predicted_map(frames: list[CirFrame], config: ChirpConfig,
     boxcar slow-time window.
     """
     n_delay = config.samples_per_chirp
-    times = [fr.t for fr in frames]
-    d_axis, nu_axis, meta = _map_axes(times, config, t0_index, n_chirps, n_delay,
+    d_axis, nu_axis, meta = _map_axes(cir.t, config, t0_index, n_chirps, n_delay,
                                       ["analytic", "analytic"], False)
     power = np.zeros((n_chirps, n_delay))
     delay_step = d_axis[1] - d_axis[0]
     t_centroid = (n_delay - 1) / (2.0 * config.f_samp)
     offs, resp = _window_response_table(window_fast, n_delay)
-    window = frames[t0_index:t0_index + n_chirps]
-    counts = [len(fr.paths) for fr in window]
-    paths = PathTable.concat([fr.paths for fr in window])
+    window = cir[t0_index:t0_index + n_chirps]
+    paths = window.paths
     ids = _path_ids(paths)
     # First and last (t, tau) of every path key in the window.
-    t = np.repeat(times[t0_index:t0_index + n_chirps], counts)
+    t = window.t[paths.frame]
     tau = paths.tau
     first = np.unique(ids, return_index=True)[1]
     last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
 
-    p = window[n_chirps // 2].paths
-    start = sum(counts[:n_chirps // 2])
-    mid_ids = ids[start:start + len(p)]
+    mid = paths.frame == n_chirps // 2
+    p, mid_ids = paths.take(mid), ids[mid]
     bin_idx = np.round(p.tau / delay_step).astype(int)
     inside = (bin_idx >= 0) & (bin_idx < n_delay)
     a, nu, tau_mid = p.a[inside], p.nu[inside], p.tau[inside]

@@ -100,7 +100,8 @@ class PathTable:
     columns of each row's epoch (SnapshotBlock.attach): velocity beside
     points, the hit facets' normals and the antenna boresights.  Then it
     adds the complex amplitude a, the delay tau [s] and the Doppler nu [Hz].
-    A table read from a .cir file has only the .cir columns.
+    The table of a channel.Cir, simulated or read from a .cir file, has
+    only the .cir columns and frame, the row's frame in the episode.
     """
 
     kind: np.ndarray                            # (n,) uint8
@@ -130,9 +131,9 @@ class PathTable:
                             for k, v in self._columns().items()})
 
     def cir_columns(self) -> PathTable:
-        """The table with only the columns of a .cir frame."""
+        """The table with only the .cir columns and frame."""
         return PathTable(self.kind, self.hops, self.facets, self.sample,
-                         a=self.a, tau=self.tau, nu=self.nu)
+                         a=self.a, tau=self.tau, nu=self.nu, frame=self.frame)
 
     @staticmethod
     def concat(tables) -> PathTable:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rftwin.channel import ChirpConfig, CirFrame, SensingLink, simulate_cir
+from rftwin.channel import ChirpConfig, Cir, SensingLink, simulate_cir
 from rftwin.fmcw import delay_doppler, range_fft, synth_beat
 from rftwin.raytrace import PathTable, TraceConfig
 from rftwin.scene import Scene, load_scene, scene_from_dict
@@ -49,7 +49,7 @@ SCENARIO_C_T0 = 2.74223872
 
 @dataclass
 class Episode:
-    """One simulated link: scene, geometry trace, CIR frames, beat matrix
+    """One simulated link: scene, geometry trace, CIR episode, beat matrix
     and the epoch of every frame."""
 
     scene: Scene
@@ -57,7 +57,7 @@ class Episode:
     trace: TraceConfig
     link: SensingLink
     t0: float
-    frames: list
+    cir: Cir
     beats: np.ndarray
     times: np.ndarray
     seconds: dict = field(default_factory=dict)
@@ -65,19 +65,13 @@ class Episode:
 
 def _run_episode(scene, config, trace, link, t0) -> Episode:
     started = time.perf_counter()
-    frames = simulate_cir(scene, link, config, trace, t0=t0)
+    cir = simulate_cir(scene, link, config, trace, t0=t0)
     t_sim = time.perf_counter() - started
     started = time.perf_counter()
-    beats = synth_beat(frames, config)
+    beats = synth_beat(cir, config)
     t_synth = time.perf_counter() - started
-    return Episode(scene, config, trace, link, t0, frames, beats, epoch_times(frames),
+    return Episode(scene, config, trace, link, t0, cir, beats, cir.t,
                    {"simulate": t_sim, "synth": t_synth})
-
-
-def epoch_times(frames) -> np.ndarray:
-    """The epoch of every frame: the times argument of delay_doppler and
-    pdp_series."""
-    return np.array([fr.t for fr in frames])
 
 
 def window_map(beats, times, config, t0_index=0, n_chirps=128, window_fast="hann",
@@ -89,14 +83,40 @@ def window_map(beats, times, config, t0_index=0, n_chirps=128, window_fast="hann
                          window_fast=window_fast, window_slow=window_slow)
 
 
-def cir_frame(epoch: int, t: float, a=(), tau=(), nu=()) -> CirFrame:
-    """A CIR frame of specular taps, tap i on facet i (one key per tap)."""
+def tap_table(a=(), tau=(), nu=()) -> PathTable:
+    """The .cir columns of one frame of specular taps, tap i on facet i (one
+    key per tap)."""
     n = len(tau)
-    paths = PathTable(np.ones(n, np.uint8), np.ones(n, np.uint8),
-                      np.arange(n, dtype=np.int32)[:, None], np.full(n, -1, np.int32),
-                      a=np.asarray(a, dtype=complex), tau=np.asarray(tau, dtype=float),
-                      nu=np.asarray(nu, dtype=float))
-    return CirFrame(epoch, t, paths)
+    return PathTable(np.ones(n, np.uint8), np.ones(n, np.uint8),
+                     np.arange(n, dtype=np.int32)[:, None], np.full(n, -1, np.int32),
+                     a=np.asarray(a, dtype=complex), tau=np.asarray(tau, dtype=float),
+                     nu=np.asarray(nu, dtype=float))
+
+
+# The .cir columns of no rows: an episode without frames.
+NO_PATHS = PathTable(np.zeros(0, np.uint8), np.zeros(0, np.uint8), np.zeros((0, 0), np.int32),
+                     np.zeros(0, np.int32), a=np.zeros(0, complex), tau=np.zeros(0),
+                     nu=np.zeros(0))
+
+
+def episode(frames) -> Cir:
+    """The Cir of per-frame tables: frames holds (epoch_index, t, paths,
+    n_dropped) per frame.  Only the .cir columns of the tables are kept,
+    padded on the left to the widest facet rows."""
+    frames = list(frames)
+    tables = [paths for _, _, paths, _ in frames]
+    paths = PathTable.concat([NO_PATHS] + tables).cir_columns()
+    paths.frame = np.repeat(np.arange(len(frames)), [len(table) for table in tables])
+    columns = [np.array([fr[j] for fr in frames], dtype=dtype)
+               for j, dtype in ((0, int), (1, float), (3, int))]
+    return Cir(paths, *columns)
+
+
+def frames_of(cir: Cir) -> list[tuple]:
+    """(epoch_index, t, paths, n_dropped) of every frame of an episode, each
+    paths cut with the frame slice cir[k:k + 1]."""
+    return [(int(cir.epoch_index[k]), float(cir.t[k]), cir[k:k + 1].paths,
+             int(cir.n_dropped[k])) for k in range(len(cir))]
 
 
 def plate_position(index: int, t: float) -> np.ndarray:

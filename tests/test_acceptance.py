@@ -9,13 +9,14 @@ decision, not a test fix.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from conftest import FIXTURES, cir_frame, epoch_times, two_ray_doc, window_map
+from conftest import FIXTURES, episode, tap_table, two_ray_doc, window_map
 from rftwin.analysis import extract_peaks, ridge_fraction
-from rftwin.channel import ChirpConfig, CirFrame, max_range
+from rftwin.channel import ChirpConfig, max_range
 from rftwin.cli import main
 from rftwin.em import lobe_density, specular_reduction
 from rftwin.fmcw import pdp_series, predicted_map, synth_beat, window_taps
@@ -59,10 +60,8 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
               if abs(p.doppler_hz) > 300.0]
     top = max(movers, key=lambda p: p.power_db)
 
-    static_frames = [CirFrame(fr.epoch_index, fr.t,
-                              fr.paths.take(np.abs(fr.paths.nu) < 5.0))
-                     for fr in ep.frames]
-    static_map = window_map(synth_beat(static_frames, ep.config), ep.times,
+    static = replace(ep.cir, paths=ep.cir.paths.take(np.abs(ep.cir.paths.nu) < 5.0))
+    static_map = window_map(synth_beat(static, ep.config), ep.times,
                             ep.config, t0_index=start, n_chirps=n)
     ridge = ridge_fraction(static_map)
 
@@ -70,13 +69,13 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
           and abs(top.doppler_hz - 1106.6) <= ddm.doppler_bin
           and ridge >= 0.9
           and runtime < 60.0
-          and len(ep.frames) == 4096
+          and len(ep.cir) == 4096
           and len(ep.scene.facets) <= 50)
     _verdict(3, ok, f"car peak {top.delay_s * 1e9:.3f} ns / "
                     f"{top.doppler_hz:.1f} Hz (expect 62 ns / 1106.6 Hz within "
                     f"{ddm.delay_bin * 1e9:.3f} ns / {ddm.doppler_bin:.1f} Hz), "
                     f"static ridge {ridge:.4f} (need >= 0.9), "
-                    f"sim+synth {runtime:.1f} s over {len(ep.frames)} chirps, "
+                    f"sim+synth {runtime:.1f} s over {len(ep.cir)} chirps, "
                     f"{len(ep.scene.facets)} facets")
 
 
@@ -129,13 +128,13 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
         delay_bin = (cfg.f_samp / n_delay) / cfg.slope
         doppler_bin = 1.0 / cfg.window_duration(128)
         for w in windows:
-            mid = ep.frames[w + 64]
+            mid = ep.cir[w + 64:w + 65]
             amps = np.abs(mid.paths.a)
             tb = mid.paths.tau / delay_bin
             nb = mid.paths.nu / doppler_bin
             proc = window_map(ep.beats, ep.times, cfg, t0_index=w, n_chirps=128,
                               window_fast="hann", window_slow="boxcar")
-            pred = predicted_map(ep.frames, cfg, t0_index=w, n_chirps=128)
+            pred = predicted_map(ep.cir, cfg, t0_index=w, n_chirps=128)
             a_top = amps.max()
             for i in range(len(mid.paths)):
                 col = int(round(tb[i]))
@@ -176,9 +175,9 @@ def test_criterion_05_doppler_matches_delay_rate(plates_episode,
     for ep in (plates_episode, scenario_b_episode, scenario_c_episode):
         f_c = ep.config.f_c
         series: dict = {}
-        for fr in ep.frames:
-            for key, tau, nu in zip(fr.paths.keys(), fr.paths.tau, fr.paths.nu):
-                series.setdefault(key, []).append((fr.epoch_index, fr.t, tau, nu))
+        p, epochs, times = ep.cir.paths, ep.cir.epoch_index.tolist(), ep.cir.t.tolist()
+        for key, k, tau, nu in zip(p.keys(), p.frame.tolist(), p.tau, p.nu):
+            series.setdefault(key, []).append((epochs[k], times[k], tau, nu))
         for recs in series.values():
             if len(recs) < 3:
                 continue
@@ -307,10 +306,10 @@ def test_criterion_08_doppler_mainlobe_nulls():
 
     def tone_map(nu):
         amp = 0.5 * np.exp(-2j * np.pi * config.f_c * 40e-9)
-        frames = [cir_frame(k, k * config.pri, [amp], [40e-9], [nu])
-                  for k in range(n)]
-        beats = synth_beat(frames, config)
-        ddm = window_map(beats, epoch_times(frames), config, t0_index=0, n_chirps=n,
+        cir = episode((k, k * config.pri, tap_table([amp], [40e-9], [nu]), 0)
+                      for k in range(n))
+        beats = synth_beat(cir, config)
+        ddm = window_map(beats, cir.t, config, t0_index=0, n_chirps=n,
                          window_fast="boxcar", window_slow="boxcar")
         return ddm, beats
 
@@ -366,11 +365,10 @@ def test_criterion_09_platform_motion_pdp(scenario_c_episode):
     lo: dict = {}
     hi: dict = {}
     count: dict = {}
-    for fr in ep.frames:
-        for key, tau in zip(fr.paths.keys(), fr.paths.tau.tolist()):
-            lo[key] = min(lo.get(key, np.inf), tau)
-            hi[key] = max(hi.get(key, -np.inf), tau)
-            count[key] = count.get(key, 0) + 1
+    for key, tau in zip(ep.cir.paths.keys(), ep.cir.paths.tau.tolist()):
+        lo[key] = min(lo.get(key, np.inf), tau)
+        hi[key] = max(hi.get(key, -np.inf), tau)
+        count[key] = count.get(key, 0) + 1
     los_span = (hi[("los", (), None)] - lo[("los", (), None)]) / delay_bin
     secondary = max((hi[k] - lo[k]) / delay_bin for k in lo
                     if k[0] != "los" and count[k] >= 128)

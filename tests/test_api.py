@@ -9,7 +9,8 @@ import pytest
 import rftwin
 
 # (module, name) of helpers that were replaced by the em kernels, by
-# references inside the tests, or by the SnapshotBlock of one epoch.
+# references inside the tests, by the SnapshotBlock of one epoch, or by the
+# Cir episode table and the breakdown columns of amplitudes_of.
 RETIRED = [
     ("em", "fresnel_reflection"), ("em", "_fresnel_te_tm"), ("em", "lobe_gain"),
     ("em", "split_power"), ("em", "_antenna_frame"), ("em", "_gains_db"),
@@ -17,7 +18,8 @@ RETIRED = [
     ("geometry", "mirror_point"), ("geometry", "facet_centroid"),
     ("kinematics", "interpolate"), ("fmcw", "fold_doppler"),
     ("analysis", "peak_to_sidelobe_db"), ("kinematics", "WorldSnapshot"),
-    ("kinematics", "PoseSample"),
+    ("kinematics", "PoseSample"), ("channel", "CirFrame"), ("channel", "_block_frames"),
+    ("em", "PathAmplitude"),
 ]
 
 

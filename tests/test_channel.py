@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from rftwin import channel
 from rftwin.channel import (
     ChirpConfig,
-    CirFrame,
     SensingLink,
     cir_to_csv,
     doppler_of,
@@ -44,7 +43,7 @@ from rftwin.raytrace import (
 )
 from rftwin.scene import SceneError, load_scene, scene_from_dict
 
-from conftest import FIXTURES, plates_scene_doc, spin_rig_doc
+from conftest import FIXTURES, episode, frames_of, plates_scene_doc, spin_rig_doc
 
 C = SPEED_OF_LIGHT
 
@@ -115,15 +114,15 @@ def test_max_range_mono_and_bi():
 
 def test_static_plate_delay_and_doppler():
     scene = scene_from_dict(mono_plate_doc(6.0))
-    frames = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                          TraceConfig(diffuse_enabled=False), n_chirps=2)
-    assert len(frames) == 2
-    for fr in frames:
-        assert fr.paths.keys() == [("specular", (0,), None)]
-        assert fr.paths.tau[0] == pytest.approx(12.0 / C, rel=1e-12)
-        assert fr.paths.nu[0] == pytest.approx(0.0, abs=1e-9)
-        assert fr.n_dropped == 0
-    assert frames[1].t - frames[0].t == pytest.approx(ChirpConfig().pri)
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
+                       TraceConfig(diffuse_enabled=False), n_chirps=2)
+    assert len(cir) == 2
+    assert cir.paths.keys() == [("specular", (0,), None)] * 2
+    assert cir.paths.frame.tolist() == [0, 1]
+    assert cir.paths.tau == pytest.approx(12.0 / C, rel=1e-12)
+    assert cir.paths.nu == pytest.approx(0.0, abs=1e-9)
+    assert cir.n_dropped.tolist() == [0, 0] and cir.epoch_index.tolist() == [0, 1]
+    assert cir.t[1] - cir.t[0] == pytest.approx(ChirpConfig().pri)
 
 
 def test_mono_link_has_no_los_bi_link_does():
@@ -131,13 +130,13 @@ def test_mono_link_has_no_los_bi_link_does():
     trace = TraceConfig(diffuse_enabled=False)
     mono = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(), trace,
                         n_chirps=1)
-    assert all(kind != "los" for kind, _, _ in mono[0].paths.keys())
+    assert all(kind != "los" for kind, _, _ in mono.paths.keys())
     assert SensingLink("UE", "UE").mono_static
     bi = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), trace,
                       n_chirps=1)
-    assert bi[0].paths.keys()[0] == ("los", (), None)
+    assert bi.paths.keys()[0] == ("los", (), None)
     assert not SensingLink("BS", "UE").mono_static
-    assert bi[0].paths.tau[0] == pytest.approx(2.0 / C, rel=1e-12)
+    assert bi.paths.tau[0] == pytest.approx(2.0 / C, rel=1e-12)
 
 
 def test_unknown_link_endpoint_raises():
@@ -165,29 +164,29 @@ def test_epoch_grid_must_be_covered_by_trajectories():
         simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
                      TraceConfig(diffuse_enabled=False), t0=0.9)
     # a grid that fits the span is fine
-    frames = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                          TraceConfig(diffuse_enabled=False), t0=0.5, n_chirps=16)
-    assert len(frames) == 16
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
+                       TraceConfig(diffuse_enabled=False), t0=0.5, n_chirps=16)
+    assert len(cir) == 16
 
 
 def test_paths_beyond_unambiguous_delay_are_dropped_and_counted():
     reach = max_range(ChirpConfig(), "mono")
     scene = scene_from_dict(mono_plate_doc(np.ceil(reach) + 15.0))
-    frames = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                          TraceConfig(diffuse_enabled=False), n_chirps=1)
-    assert len(frames[0].paths) == 0
-    assert frames[0].n_dropped == 1
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
+                       TraceConfig(diffuse_enabled=False), n_chirps=1)
+    assert len(cir.paths) == 0
+    assert cir.n_dropped.tolist() == [1]
     near = scene_from_dict(mono_plate_doc(np.floor(reach) - 5.0))
-    frames = simulate_cir(near, SensingLink("UE", "UE"), ChirpConfig(),
-                          TraceConfig(diffuse_enabled=False), n_chirps=1)
-    assert len(frames[0].paths) == 1
-    assert frames[0].n_dropped == 0
+    cir = simulate_cir(near, SensingLink("UE", "UE"), ChirpConfig(),
+                       TraceConfig(diffuse_enabled=False), n_chirps=1)
+    assert len(cir.paths) == 1
+    assert cir.n_dropped.tolist() == [0]
 
 
 def test_frame_doppler_matches_per_path_recompute(plates_episode):
     ep = plates_episode
-    frame = ep.frames[97]
-    snap = snapshot(ep.scene, frame.t)
+    frame = ep.cir[97:98]
+    snap = snapshot(ep.scene, frame.t[0])
     traced = trace_specular(snap, "UE", "UE", ep.trace)
     assert traced.keys() == frame.paths.keys()
     assert len(frame.paths) == 3
@@ -198,20 +197,20 @@ def test_frame_doppler_matches_per_path_recompute(plates_episode):
 
 
 def test_association_keys_stable_across_epochs(plates_episode):
-    keys0 = set(plates_episode.frames[0].paths.keys())
-    keys_last = set(plates_episode.frames[-1].paths.keys())
+    keys0 = set(plates_episode.cir[:1].paths.keys())
+    keys_last = set(plates_episode.cir[-1:].paths.keys())
     assert keys0 == keys_last
     assert ("specular", (1,), None) in keys0
 
 
 def test_cir_file_roundtrip(tmp_path, plates_episode):
     ep = plates_episode
-    subset = ep.frames[:3]
+    subset = ep.cir[:3]
     path = tmp_path / "plates.cir"
     save_cir(path, subset, ep.config, ep.link, trace=ep.trace, t0=ep.t0,
              extra={"scene": "calibration_plates", "seed": 1729},
              frozen_clock=True)
-    frames, header = load_cir(path)
+    back, header = load_cir(path)
     assert header["created"] == "frozen"
     assert header["format"] == "rftwin-cir"
     assert header["config"] == ep.config.to_dict()
@@ -219,24 +218,25 @@ def test_cir_file_roundtrip(tmp_path, plates_episode):
     assert header["n_frames"] == 3
     assert header["scene"] == "calibration_plates"
     assert header["trace"]["diffuse_enabled"] is False
-    assert len(frames) == 3
-    for got, want in zip(frames, subset):
-        assert_same_frame(got, want)
+    assert len(back) == 3
+    assert_same_cir(back, subset)
 
 
 def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode):
     ep = plates_episode
     p1, p2 = tmp_path / "a.cir", tmp_path / "b.cir"
     for p in (p1, p2):
-        save_cir(p, ep.frames[:2], ep.config, ep.link, trace=ep.trace,
+        save_cir(p, ep.cir[:2], ep.config, ep.link, trace=ep.trace,
                  t0=ep.t0, frozen_clock=True)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def assert_same_frame(got, want):
-    """Every .cir field equal, bit for bit."""
-    assert (got.epoch_index, got.n_dropped) == (want.epoch_index, want.n_dropped)
-    assert np.float64(got.t).tobytes() == np.float64(want.t).tobytes()
+def assert_same_cir(got, want):
+    """Every .cir field of every frame equal, bit for bit."""
+    assert got.epoch_index.tolist() == want.epoch_index.tolist()
+    assert got.n_dropped.tolist() == want.n_dropped.tolist()
+    assert got.t.astype(np.float64).tobytes() == want.t.astype(np.float64).tobytes()
+    assert got.paths.frame.tolist() == want.paths.frame.tolist()
     assert got.paths.keys() == want.paths.keys()
     for col in ("kind", "hops", "sample", "a", "tau", "nu"):
         assert getattr(got.paths, col).tobytes() == getattr(want.paths, col).tobytes(), col
@@ -251,11 +251,10 @@ def test_load_cir_rejects_foreign_files(tmp_path):
 
 def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
     ep = plates_episode
-    frame = ep.frames[0]
-    frame = CirFrame(frame.epoch_index, frame.t, frame.paths.take(slice(None)))
+    frame = ep.cir[:1]
     frame.paths.kind = np.full(len(frame.paths), 3, np.uint8)
     path = tmp_path / "kind3.cir"
-    save_cir(path, [frame], ep.config, ep.link)
+    save_cir(path, frame, ep.config, ep.link)
     with pytest.raises(ValueError, match="unknown kind code"):
         load_cir(path)
 
@@ -263,7 +262,7 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
 def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_episode):
     ep = plates_episode
     path = tmp_path / "plates.cir"
-    save_cir(path, ep.frames[:3], ep.config, ep.link)
+    save_cir(path, ep.cir[:3], ep.config, ep.link)
     raw = bytearray(path.read_bytes())
     hlen = struct.unpack_from("<I", raw, 8)[0]
     at = 12 + hlen                                  # frame 0 header
@@ -286,19 +285,19 @@ def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_
 def test_cir_csv_export(tmp_path, plates_episode):
     ep = plates_episode
     out = tmp_path / "plates.csv"
-    cir_to_csv(out, ep.frames[:4])
+    cir_to_csv(out, ep.cir[:4])
     lines = out.read_text().splitlines()
-    n_paths = sum(len(fr.paths) for fr in ep.frames[:4])
+    n_paths = len(ep.cir[:4].paths)
     assert lines[0].startswith("epoch_index,t,kind,")
     assert len(lines) == 1 + n_paths
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[2] in ("los", "specular", "diffuse")
     # delays survive the text round-trip exactly (repr formatting)
-    assert float(first[3]) == ep.frames[0].paths.tau[0]
+    assert float(first[3]) == ep.cir.paths.tau[0]
     # Over several write chunks the CSV and the .cir payload equal the old
     # per-frame writers byte for byte.
-    many = ep.frames * 6
+    many = episode(frames_of(ep.cir) * 6)
     cir_to_csv(tmp_path / "many.csv", many)
     reference_cir_csv(tmp_path / "ref.csv", many)
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -310,14 +309,13 @@ def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
     doc = plates_scene_doc()
     scene = scene_from_dict(doc)
     config = ChirpConfig(n_chirps_total=2)
-    frames = simulate_cir(scene, SensingLink("UE", "UE"), config,
-                          TraceConfig(diffuse_samples_per_facet=4), t0=0.0)
-    assert (frames[0].paths.sample >= 0).any()
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), config,
+                       TraceConfig(diffuse_samples_per_facet=4), t0=0.0)
+    assert (cir[:1].paths.sample >= 0).any()
     path = tmp_path / "d.cir"
-    save_cir(path, frames, config, SensingLink("UE", "UE"))
+    save_cir(path, cir, config, SensingLink("UE", "UE"))
     back, _ = load_cir(path)
-    for got, want in zip(back, frames):
-        assert_same_frame(got, want)
+    assert_same_cir(back, cir)
 
 
 def _swap_key(key):
@@ -334,7 +332,7 @@ def test_swapping_tx_and_rx_keeps_every_delay_and_doppler(t):
     config = ChirpConfig()
     trace = TraceConfig(max_specular_order=3, diffuse_samples_per_facet=4)
     fwd, back = (simulate_cir(scene, SensingLink(tx, rx), config, trace, t0=t,
-                              n_chirps=1)[0].paths
+                              n_chirps=1).paths
                  for tx, rx in (("BS", "UE"), ("UE", "BS")))
     assert len(fwd) >= 4
     rows = {_swap_key(key): i for i, key in enumerate(back.keys())}
@@ -359,15 +357,13 @@ def _frame_strategy(draw, epoch):
                                np.uint8),
                       np.array(hops, np.uint8), facets, np.array(draw(ints), np.int32), a=a,
                       tau=np.array(draw(floats))[:n], nu=np.array(draw(floats))[n:])
-    return CirFrame(epoch, draw(st.floats(width=64)), paths,
-                    draw(st.integers(0, 2 ** 32 - 1)))
+    return epoch, draw(st.floats(width=64)), paths, draw(st.integers(0, 2 ** 32 - 1))
 
 
-def reference_cir_payload(frames):
+def reference_cir_payload(cir):
     """save_cir's payload as it was written, frame by frame."""
-    for fr in frames:
-        p = fr.paths
-        yield struct.pack("<Id II", fr.epoch_index, fr.t, len(p), fr.n_dropped)
+    for epoch, t, p, n_dropped in frames_of(cir):
+        yield struct.pack("<Id II", epoch, t, len(p), n_dropped)
         for col in (p.a.real, p.a.imag, p.tau, p.nu):
             yield np.ascontiguousarray(col, dtype="<f8").tobytes()
         yield from (p.kind.astype(np.uint8).tobytes(), p.hops.astype(np.uint8).tobytes(),
@@ -375,36 +371,34 @@ def reference_cir_payload(frames):
                     p.sample.astype("<i4").tobytes())
 
 
-def reference_cir_csv(path, frames):
+def reference_cir_csv(path, cir):
     """cir_to_csv as it was, one repr call per float: the byte reference."""
     with open(path, "w") as fh:
         fh.write("epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,facets,sample_index\n")
-        for fr in frames:
-            p = fr.paths
+        for epoch, t, p, _ in frames_of(cir):
             for k, tau, nu, re, im, row, s in zip(
                     p.kind.tolist(), p.tau.tolist(), p.nu.tolist(), p.a.real.tolist(),
                     p.a.imag.tolist(), p.facets.tolist(), p.sample.tolist()):
                 facets = "|".join(str(f) for f in row if f >= 0)
-                fh.write(f"{fr.epoch_index},{fr.t!r},{KINDS[k]},{tau!r},{nu!r},{re!r},{im!r},"
+                fh.write(f"{epoch},{t!r},{KINDS[k]},{tau!r},{nu!r},{re!r},{im!r},"
                          f"{facets},{'' if s < 0 else s}\n")
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
-    frames = [_frame_strategy(data.draw, epoch)
-              for epoch in range(data.draw(st.integers(0, 4)))]
+    cir = episode(_frame_strategy(data.draw, epoch)
+                  for epoch in range(data.draw(st.integers(0, 4))))
     directory = tmp_path_factory.mktemp("cir")
     path = directory / "random.cir"
-    save_cir(path, frames, ChirpConfig(), SensingLink("UE", "UE"), frozen_clock=True)
+    save_cir(path, cir, ChirpConfig(), SensingLink("UE", "UE"), frozen_clock=True)
     back, header = load_cir(path)
-    assert header["n_frames"] == len(back) == len(frames)
-    for got, want in zip(back, frames):
-        assert_same_frame(got, want)
-    assert path.read_bytes().endswith(b"".join(reference_cir_payload(frames)))
+    assert header["n_frames"] == len(back) == len(cir)
+    assert_same_cir(back, cir)
+    assert path.read_bytes().endswith(b"".join(reference_cir_payload(cir)))
     # The CSV export equals its per-value reference byte for byte.
-    cir_to_csv(directory / "random.csv", frames)
-    reference_cir_csv(directory / "ref.csv", frames)
+    cir_to_csv(directory / "random.csv", cir)
+    reference_cir_csv(directory / "ref.csv", cir)
     assert (directory / "random.csv").read_bytes() == (directory / "ref.csv").read_bytes()
 
 
@@ -509,9 +503,8 @@ def reference_cir(scene, link, config, trace, t0, n):
         paths.nu = reference_doppler(paths, snap, tx, rx, config.f_c)
         paths.tau = paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
         keep = paths.tau < config.max_delay
-        frames.append(CirFrame(k, t_k, paths.take(keep),
-                               len(keep) - int(np.count_nonzero(keep))))
-    return frames
+        frames.append((k, t_k, paths.take(keep), len(keep) - int(np.count_nonzero(keep))))
+    return episode(frames)
 
 
 def free_space_doc():
@@ -596,23 +589,43 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
     got = simulate_cir(scene, link, config, trace, t0=t0, n_chirps=n)
     want = reference_cir(scene, link, config, trace, t0, n)
     assert len(got) == len(want) == n
-    for g, w in zip(got, want):
-        assert_same_frame(g, w)
-        assert g.paths.facets.tobytes() == w.paths.facets.tobytes()
+    assert_same_cir(got, want)
+    assert got.paths.facets.tobytes() == want.paths.facets.tobytes()
     if case == "crossing" and n == 2 * B + 5 and start == 0.45:
-        counts = [len(fr.paths) for fr in got]
+        counts = np.bincount(got.paths.frame, minlength=n)
         assert 0 in counts and 1 in counts
 
 
 def test_frame_stats_on_the_plates(plates_episode):
-    stats = frame_stats(plates_episode.frames)
+    stats = frame_stats(plates_episode.cir)
     assert stats == {"paths_per_frame": {"specular": {"min": 3, "mean": 3.0, "max": 3}},
                      "dropped_per_frame": {"min": 0, "mean": 0.0, "max": 0}}
     # Frames cut from the episode: the kinds and drops of those frames only.
-    frames = [CirFrame(k, 0.0, fr.paths.take(slice(k)), fr.n_dropped + k)
-              for k, fr in enumerate(plates_episode.frames[:4])]
-    stats = frame_stats(frames)
+    cir = episode((epoch, 0.0, paths.take(slice(k)), n_dropped + k)
+                  for k, (epoch, _, paths, n_dropped)
+                  in enumerate(frames_of(plates_episode.cir[:4])))
+    stats = frame_stats(cir)
     assert stats["paths_per_frame"] == {"specular": {"min": 0, "mean": 1.5, "max": 3}}
     assert stats["dropped_per_frame"] == {"min": 0, "mean": 1.5, "max": 3}
-    assert frame_stats([]) == {"paths_per_frame": {},
-                               "dropped_per_frame": {"min": 0, "mean": 0.0, "max": 0}}
+    assert frame_stats(episode([])) == {"paths_per_frame": {},
+                                        "dropped_per_frame": {"min": 0, "mean": 0.0, "max": 0}}
+
+
+def test_frame_slices_are_sub_episodes(plates_episode):
+    """cir[lo:hi] holds the rows, epochs, times and drops of frames lo..hi-1,
+    with frame positions counted from lo; frames_of(episode(...)) inverts
+    episode, and a slice of a slice is the slice of the whole."""
+    cir = plates_episode.cir
+    part = cir[5:9]
+    assert len(part) == 4 and part.epoch_index.tolist() == [5, 6, 7, 8]
+    assert part.t.tobytes() == cir.t[5:9].tobytes()
+    rows = (cir.paths.frame >= 5) & (cir.paths.frame < 9)
+    assert part.paths.tau.tobytes() == cir.paths.tau[rows].tobytes()
+    assert part.paths.frame.tolist() == (cir.paths.frame[rows] - 5).tolist()
+    assert_same_cir(part[1:3], cir[6:8])
+    assert_same_cir(episode(frames_of(part)), part)
+    assert len(cir[9:5]) == len(cir[9:5].paths) == 0
+    assert_same_cir(cir[-2:], cir[len(cir) - 2:])
+    for frames in (3, slice(None, None, 2)):
+        with pytest.raises(TypeError, match="slice of consecutive frames"):
+            cir[frames]

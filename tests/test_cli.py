@@ -489,6 +489,51 @@ def test_malformed_header_chirp_config_is_input_error(artifacts, tmp_path, capsy
     assert list(tmp_path.iterdir()) == [bad]
 
 
+def _rewrite_header(raw: bytes, change) -> bytes:
+    """A container with its JSON header replaced by change(header)."""
+    hlen = struct.unpack_from("<I", raw, 8)[0]
+    blob = json.dumps(change(json.loads(raw[12:12 + hlen].decode()))).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _with_metadata(value):
+    return lambda header: {**header, "metadata": value}
+
+
+@pytest.mark.parametrize("name, change, command, message", [
+    ("run.cir", lambda header: [1], "info", "header is not a JSON object"),
+    ("run.cir", lambda header: [1], "process", "header is not a JSON object"),
+    ("run_w000000.ddm", lambda header: [1], "info", "header is not a JSON object"),
+    ("run_w000000.ddm", lambda header: [1], "compare", "header is not a JSON object"),
+    ("run.pdp", lambda header: [1], "info", "header is not a JSON object"),
+    ("run.cir", _without("link"), "info", "header lacks link"),
+    ("run.cir", _without("link"), "process", "header lacks link"),
+    ("run.cir", _without("t0"), "info", "header lacks t0"),
+    ("run_w000000.ddm", _with_metadata("x"), "info", "metadata is not a JSON object"),
+    ("run_w000000.ddm", _with_metadata("x"), "compare", "metadata is not a JSON object"),
+    ("run.pdp", _with_metadata(None), "info", "metadata is not a JSON object")],
+    ids=["cir-list-info", "cir-list-process", "ddm-list-info", "ddm-list-compare",
+         "pdp-list-info", "cir-no-link-info", "cir-no-link-process", "cir-no-t0-info",
+         "ddm-str-metadata-info", "ddm-str-metadata-compare", "pdp-null-metadata-info"])
+def test_malformed_container_headers_are_input_errors(artifacts, tmp_path, capsys,
+                                                      name, change, command, message):
+    out = artifacts["out"]
+    bad = tmp_path / f"bad_{name}"
+    bad.write_bytes(_rewrite_header((out / name).read_bytes(), change))
+    argv = {"info": ["info", str(bad)],
+            "process": ["process", "--cir", str(bad), "-N", "8", "-o", str(tmp_path)],
+            "compare": ["compare", "--reference", str(out / "run_pred_w000000.ddm"),
+                        "--test", str(bad), "-o", str(tmp_path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
     summary = json.loads((artifacts["out"] / "run_summary.json").read_text())
     # Every chirp of the plates sees each of the three plates once.

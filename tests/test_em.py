@@ -32,10 +32,11 @@ LAMBDA = SPEED_OF_LIGHT / F_C
 
 
 def amplitude_of(paths, snap, scene, f_c):
-    """Amplitude and dB budget of the single row of a BS -> UE table."""
+    """Amplitude and dB budget terms of the single row of a BS -> UE table."""
     assert len(paths) == 1
-    return amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", f_c,
-                         with_breakdown=True)[0]
+    amps, terms = amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", f_c,
+                                with_breakdown=True)
+    return complex(amps[0]), {name: column[0] for name, column in terms.items()}
 
 
 def geometry(paths, i):
@@ -105,13 +106,12 @@ def material_terms(s, rel_permittivity, conductivity, lobe_exponent):
     specular = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))
     diffuse = trace_diffuse(snap, "BS", "UE", TraceConfig(diffuse_samples_per_facet=4,
                                                           subdivide_area=1e9))
-    (reflection,) = (a.breakdown["reflection_0_facet_0_db"]
-                     for a in amplitudes_of(snap.attach(specular, "BS", "UE"), scene,
-                                            "BS", "UE", F_C, with_breakdown=True))
-    scatter = [a.breakdown["scatter_0_facet_0_db"]
-               for a in amplitudes_of(snap.attach(diffuse, "BS", "UE"), scene,
-                                      "BS", "UE", F_C, with_breakdown=True)]
-    return reflection, np.array(scatter)
+    assert specular.facets.tolist() == [[0]] and (diffuse.facets == 0).all()
+    _, reflection = amplitudes_of(snap.attach(specular, "BS", "UE"), scene,
+                                  "BS", "UE", F_C, with_breakdown=True)
+    _, scatter = amplitudes_of(snap.attach(diffuse, "BS", "UE"), scene,
+                               "BS", "UE", F_C, with_breakdown=True)
+    return reflection["hop_db"][0, 0], scatter["hop_db"][:, 0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,29 +224,30 @@ def test_free_space_amplitude_at_ten_meters():
     scene = scene_from_dict(isotropic_pair_doc(10.0))
     snap = snapshot(scene, 0.0)
     los = trace_los(snap, "BS", "UE")
-    amp = amplitude_of(los, snap, scene, F_C)
-    assert amp.magnitude == pytest.approx(LAMBDA / (4 * np.pi * 10.0), rel=1e-12)
-    assert amp.magnitude == pytest.approx(3.02e-5, rel=1e-3)
-    assert amp.phase == pytest.approx(-2 * np.pi * F_C * 10.0 / SPEED_OF_LIGHT)
+    amp, _ = amplitude_of(los, snap, scene, F_C)
+    assert abs(amp) == pytest.approx(LAMBDA / (4 * np.pi * 10.0), rel=1e-12)
+    assert abs(amp) == pytest.approx(3.02e-5, rel=1e-3)
+    assert amp / abs(amp) == pytest.approx(
+        cmath.exp(-2j * np.pi * F_C * 10.0 / SPEED_OF_LIGHT), abs=1e-9)
     # amplitude scales as 1/d
     far = scene_from_dict(isotropic_pair_doc(20.0))
     snap_far = snapshot(far, 0.0)
-    amp_far = amplitude_of(trace_los(snap_far, "BS", "UE"), snap_far, far, F_C)
-    assert amp_far.magnitude == pytest.approx(amp.magnitude / 2.0, rel=1e-12)
+    amp_far, _ = amplitude_of(trace_los(snap_far, "BS", "UE"), snap_far, far, F_C)
+    assert abs(amp_far) == pytest.approx(abs(amp) / 2.0, rel=1e-12)
 
 
 def test_free_space_cir_has_one_los_tap():
     # No facets: the LOS row is padded to the width of the diffuse and
     # specular tables, and its padding indexes no facet.
     scene = scene_from_dict(isotropic_pair_doc(10.0))
-    frames = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), n_chirps=3)
-    for fr in frames:
-        p = fr.paths
-        assert len(p) == 1 and p.kind[0] == KINDS.index("los") and fr.n_dropped == 0
-        assert p.facets.shape[1] >= 1 and (p.facets == -1).all()
-        assert abs(p.a[0]) == pytest.approx(LAMBDA / (4 * np.pi * 10.0), rel=1e-12)
-        assert p.tau[0] == pytest.approx(10.0 / SPEED_OF_LIGHT, rel=1e-12)
-        assert p.nu[0] == 0.0
+    cir = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), n_chirps=3)
+    p = cir.paths
+    assert p.frame.tolist() == [0, 1, 2] and cir.n_dropped.tolist() == [0, 0, 0]
+    assert (p.kind == KINDS.index("los")).all()
+    assert p.facets.shape[1] >= 1 and (p.facets == -1).all()
+    assert abs(p.a) == pytest.approx(LAMBDA / (4 * np.pi * 10.0), rel=1e-12)
+    assert p.tau == pytest.approx(10.0 / SPEED_OF_LIGHT, rel=1e-12)
+    assert (p.nu == 0.0).all()
 
 
 def pattern_gain_db(trx, direction):
@@ -258,22 +259,22 @@ def test_los_amplitude_includes_both_antenna_gains():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
     los = trace_los(snap, "BS", "UE")
-    amp = amplitude_of(los, snap, scene, F_C)
+    amp, terms = amplitude_of(los, snap, scene, F_C)
     geo = geometry(los, 0)
     d = geo["length"]
     g_tx = pattern_gain_db(scene.transceivers["BS"], geo["departure"])
     g_rx = pattern_gain_db(scene.transceivers["UE"], -geo["arrival"])
     expected = LAMBDA / (4 * np.pi * d) * 10 ** ((g_tx + g_rx) / 20.0)
-    assert amp.magnitude == pytest.approx(expected, rel=1e-12)
-    assert amp.breakdown["tx_gain_db"] == pytest.approx(g_tx)
-    assert amp.breakdown["rx_gain_db"] == pytest.approx(g_rx)
+    assert abs(amp) == pytest.approx(expected, rel=1e-12)
+    assert terms["tx_gain_db"] == pytest.approx(g_tx)
+    assert terms["rx_gain_db"] == pytest.approx(g_rx)
 
 
 def test_specular_amplitude_reimplemented():
     scene = scene_from_dict(two_ray_doc())
     snap = snapshot(scene, 0.0)
     paths = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=1))
-    amp = amplitude_of(paths, snap, scene, F_C)
+    amp, _ = amplitude_of(paths, snap, scene, F_C)
     path = geometry(paths, 0)
 
     mat = scene.materials["concrete"]
@@ -286,9 +287,9 @@ def test_specular_amplitude_reimplemented():
                     * specular_reduction(mat.scattering_coeff) * abs(gamma))
     expected_phase = (-2 * np.pi * F_C * path["length"] / SPEED_OF_LIGHT
                       + cmath.phase(gamma))
-    assert amp.magnitude == pytest.approx(expected_mag, rel=1e-12)
+    assert abs(amp) == pytest.approx(expected_mag, rel=1e-12)
     # compare phases on the circle
-    assert cmath.exp(1j * amp.phase) == pytest.approx(
+    assert amp / abs(amp) == pytest.approx(
         cmath.exp(1j * expected_phase), abs=1e-9)
 
 
@@ -325,12 +326,16 @@ def test_breakdown_terms_sum_to_magnitude():
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     paths = all_paths(snap, config)
     assert len(paths) >= 4
-    amps = amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", F_C,
-                         with_breakdown=True)
-    for amp, (_, facets, _) in zip(amps, paths.keys()):
-        assert len(amp.breakdown) == 3 + len(facets)
-        assert sum(amp.breakdown.values()) == pytest.approx(
-            20 * np.log10(amp.magnitude), abs=1e-9)
+    amps, terms = amplitudes_of(snap.attach(paths, "BS", "UE"), scene, "BS", "UE", F_C,
+                                with_breakdown=True)
+    assert sorted(terms) == ["hop_db", "rx_gain_db", "spreading_db", "tx_gain_db"]
+    # One hop term per interaction, in the facets layout; 0 dB in the padding.
+    assert terms["hop_db"].shape == paths.facets.shape
+    assert (terms["hop_db"][paths.facets < 0] == 0.0).all()
+    assert (terms["hop_db"][paths.facets >= 0] != 0.0).all()
+    total = (terms["spreading_db"] + terms["tx_gain_db"] + terms["rx_gain_db"]
+             + terms["hop_db"].sum(axis=1))
+    assert total == pytest.approx(20 * np.log10(np.abs(amps)), abs=1e-9)
 
 
 def test_vectorized_amplitudes_match_singles():
@@ -340,11 +345,13 @@ def test_vectorized_amplitudes_match_singles():
     paths = all_paths(snap, config)
     paths = snap.attach(paths, "BS", "UE")
     batch = amplitudes_of(paths, scene, "BS", "UE", F_C)
-    budgets = amplitudes_of(paths, scene, "BS", "UE", F_C, with_breakdown=True)
-    for i, (a, budget) in enumerate(zip(batch, budgets)):
-        single = amplitude_of(paths.take([i]), snap, scene, F_C)
-        assert a == pytest.approx(single.magnitude * np.exp(1j * single.phase), rel=1e-12)
-        assert a == pytest.approx(budget.magnitude * np.exp(1j * budget.phase), rel=1e-12)
+    budgets, terms = amplitudes_of(paths, scene, "BS", "UE", F_C, with_breakdown=True)
+    assert budgets.tobytes() == batch.tobytes()
+    for i, a in enumerate(batch):
+        single, single_terms = amplitude_of(paths.take([i]), snap, scene, F_C)
+        assert a == pytest.approx(single, rel=1e-12)
+        for name, column in terms.items():
+            assert single_terms[name] == pytest.approx(column[i], rel=1e-12, abs=1e-12)
 
 
 def test_empty_path_list():
@@ -353,4 +360,6 @@ def test_empty_path_list():
     empty = trace_specular(snap, "BS", "UE", TraceConfig(max_specular_order=0))
     empty = snap.attach(empty, "BS", "UE")
     assert len(amplitudes_of(empty, scene, "BS", "UE", F_C)) == 0
-    assert amplitudes_of(empty, scene, "BS", "UE", F_C, with_breakdown=True) == []
+    amps, terms = amplitudes_of(empty, scene, "BS", "UE", F_C, with_breakdown=True)
+    assert len(amps) == 0 and all(len(column) == 0 for column in terms.values())
+    assert terms["hop_db"].shape == empty.facets.shape

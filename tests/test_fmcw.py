@@ -8,8 +8,8 @@ from scipy import constants
 from scipy.constants import Boltzmann
 from scipy.signal import get_window
 
-from conftest import FLOAT_BITS, cir_frame, epoch_times, window_map
-from rftwin.channel import ChirpConfig, CirFrame
+from conftest import FLOAT_BITS, episode, frames_of, tap_table, window_map
+from rftwin.channel import ChirpConfig
 from rftwin import fmcw
 from rftwin.raytrace import PathTable
 from rftwin.fmcw import (
@@ -44,10 +44,11 @@ def tap(amplitude, delay, doppler):
     return amplitude, delay, doppler
 
 
-def make_frames(taps, n, t0=0.0):
-    """n frames carrying the same taps, each tap its own path key."""
+def make_cir(taps, n, t0=0.0):
+    """An episode of n frames carrying the same taps, each tap its own path
+    key."""
     a, tau, nu = zip(*taps) if taps else ((), (), ())
-    return [cir_frame(k, t0 + k * CFG.pri, a, tau, nu) for k in range(n)]
+    return episode((k, t0 + k * CFG.pri, tap_table(a, tau, nu), 0) for k in range(n))
 
 
 def wrap(phi):
@@ -98,7 +99,7 @@ def test_boltzmann_literal_is_codata():
 
 def test_beat_tone_sits_at_slope_times_delay():
     tau = 160 * DELAY_STEP          # exactly on delay bin 160
-    beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
     spec = np.abs(range_fft(beats[0], window="boxcar"))
     assert np.argmax(spec) == 160
     # on-grid boxcar tone: normalized peak equals the tap amplitude
@@ -110,7 +111,7 @@ def test_beat_tone_sits_at_slope_times_delay():
 def test_beat_constant_phase_term():
     tau = 160 * DELAY_STEP
     a = 0.5 * np.exp(-2j * np.pi * CFG.f_c * tau)   # carrier phase convention
-    beats = synth_beat(make_frames([tap(a, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(a, tau, 0.0)], 1), CFG)
     # at the first fast-time sample the f_c tau terms cancel, leaving the
     # residual video phase -pi slope tau^2
     expected = wrap(-np.pi * CFG.slope * tau ** 2)
@@ -121,7 +122,7 @@ def test_beat_constant_phase_term():
 def test_slow_time_phase_advance_per_chirp():
     nu = 1106.6
     tau = 200 * DELAY_STEP
-    beats = synth_beat(make_frames([tap(1.0, tau, nu)], 4), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, nu)], 4), CFG)
     for k in range(3):
         step = np.angle(beats[k + 1, 0] * np.conj(beats[k, 0]))
         assert step == pytest.approx(wrap(2 * np.pi * nu * CFG.pri), abs=1e-9)
@@ -142,7 +143,7 @@ def test_parseval_with_documented_scaling():
 
 def test_zero_padding_doubles_bins_and_keeps_peak():
     tau = 300 * DELAY_STEP
-    beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
     spec = np.abs(range_fft(beats[0], window="hann", zero_pad=True))
     assert len(spec) == 2 * NS
     assert np.argmax(spec) == 600
@@ -155,7 +156,7 @@ def test_hann_highest_sidelobe_level():
     # half-bin offset samples the sidelobes at their peaks; an on-grid tone
     # would sample them at their nulls and hide the window's leakage floor
     tau = 400.5 * DELAY_STEP
-    beats = synth_beat(make_frames([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
     spec = np.abs(range_fft(beats[0], window="hann"))
     k = np.arange(NS)
     mainlobe = np.abs(k - 400.5) < 2.5
@@ -167,7 +168,7 @@ def test_hann_highest_sidelobe_level():
 
 def test_tone_separation_resolved_and_merged():
     t1, t2_far, t2_near = 400 * DELAY_STEP, 403 * DELAY_STEP, 400.8 * DELAY_STEP
-    resolved = synth_beat(make_frames([tap(1.0, t1, 0.0),
+    resolved = synth_beat(make_cir([tap(1.0, t1, 0.0),
                                        tap(-1.0, t2_far, 0.0)], 1), CFG)
     spec = np.abs(range_fft(resolved[0], window="hann"))
     region = spec[395:410]
@@ -176,7 +177,7 @@ def test_tone_separation_resolved_and_merged():
                  and region[i] > 0.25 * region.max()]
     assert len(local_max) == 2
 
-    merged = synth_beat(make_frames([tap(1.0, t1, 0.0),
+    merged = synth_beat(make_cir([tap(1.0, t1, 0.0),
                                      tap(1.0, t2_near, 0.0)], 1), CFG)
     spec = np.abs(range_fft(merged[0], window="hann"))
     region = spec[395:410]
@@ -187,8 +188,8 @@ def test_tone_separation_resolved_and_merged():
 
 
 def test_map_axes_spacing_and_metadata():
-    frames = make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 128)
-    beats, times = synth_beat(frames, CFG), epoch_times(frames)
+    cir = make_cir([tap(1.0, 160 * DELAY_STEP, 0.0)], 128)
+    beats, times = synth_beat(cir, CFG), cir.t
     ddm = window_map(beats, times, CFG, n_chirps=128)
     assert ddm.power_db.shape == (128, NS)
     assert ddm.doppler_bin == pytest.approx(DOPPLER_STEP, rel=1e-12)
@@ -213,8 +214,8 @@ def test_map_axes_spacing_and_metadata():
 def test_on_grid_path_power_is_exact():
     a = 0.01
     tau = 160 * DELAY_STEP
-    frames = make_frames([tap(a, tau, 0.0)], 128)
-    ddm = window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
+    cir = make_cir([tap(a, tau, 0.0)], 128)
+    ddm = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert (i, j) == (64, 160)      # zero Doppler row, the tap's delay bin
     assert ddm.power_linear()[i, j] == pytest.approx(a * a, rel=1e-9)
@@ -223,13 +224,13 @@ def test_on_grid_path_power_is_exact():
 
 def test_approaching_target_lands_at_positive_doppler():
     nu = 17 * DOPPLER_STEP
-    frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
-    times = epoch_times(frames)
-    ddm = window_map(synth_beat(frames, CFG), times, CFG, n_chirps=128)
+    cir = make_cir([tap(1.0, 160 * DELAY_STEP, nu)], 128)
+    times = cir.t
+    ddm = window_map(synth_beat(cir, CFG), times, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu, rel=1e-12)
     assert j == 160
-    receding = synth_beat(make_frames([tap(1.0, 160 * DELAY_STEP, -nu)], 128), CFG)
+    receding = synth_beat(make_cir([tap(1.0, 160 * DELAY_STEP, -nu)], 128), CFG)
     i2, _ = np.unravel_index(np.argmax(window_map(receding, times, CFG).power_db),
                              (128, NS))
     assert window_map(receding, times, CFG).doppler_axis[i2] == pytest.approx(-nu)
@@ -238,19 +239,19 @@ def test_approaching_target_lands_at_positive_doppler():
 def test_doppler_beyond_nyquist_folds():
     f_rep = 1.0 / CFG.pri
     nu = 69 * DOPPLER_STEP          # 5 bins past the +Nyquist edge (64 bins)
-    frames = make_frames([tap(1.0, 160 * DELAY_STEP, nu)], 128)
-    ddm = window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=128)
+    cir = make_cir([tap(1.0, 160 * DELAY_STEP, nu)], 128)
+    ddm = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128)
     i, _ = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu - f_rep, rel=1e-9)
 
 
 def test_predicted_map_matches_processed_on_grid():
     a, tau, nu = 0.02, 160 * DELAY_STEP, 17 * DOPPLER_STEP
-    frames = make_frames([tap(a, tau, nu)], 128)
-    beats = synth_beat(frames, CFG)
-    proc = window_map(beats, epoch_times(frames), CFG, n_chirps=128,
+    cir = make_cir([tap(a, tau, nu)], 128)
+    beats = synth_beat(cir, CFG)
+    proc = window_map(beats, cir.t, CFG, n_chirps=128,
                       window_fast="boxcar", window_slow="boxcar")
-    pred = predicted_map(frames, CFG, n_chirps=128)
+    pred = predicted_map(cir, CFG, n_chirps=128)
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     qi = np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape)
     assert pi == qi == (64 + 17, 160)
@@ -264,8 +265,8 @@ def test_predicted_map_doppler_mainlobe_shape():
     # off-grid Doppler spreads as the slow-time spectrum of a boxcar phasor
     a, tau = 1.0, 160 * DELAY_STEP
     nu = 17.5 * DOPPLER_STEP
-    frames = make_frames([tap(a, tau, nu)], 128)
-    pred = predicted_map(frames, CFG, n_chirps=128)
+    cir = make_cir([tap(a, tau, nu)], 128)
+    pred = predicted_map(cir, CFG, n_chirps=128)
     col = pred.power_linear()[:, 160]
     mm = np.arange(128)
     expect = np.array([
@@ -279,23 +280,23 @@ def test_predicted_map_doppler_mainlobe_shape():
 
 
 def test_predicted_map_rounds_delay_to_nearest_bin():
-    frames = make_frames([tap(1.0, 160.4 * DELAY_STEP, 0.0)], 128)
-    pred = predicted_map(frames, CFG, n_chirps=128)
+    cir = make_cir([tap(1.0, 160.4 * DELAY_STEP, 0.0)], 128)
+    pred = predicted_map(cir, CFG, n_chirps=128)
     assert np.argmax(pred.power_db[64]) == 160
-    frames = make_frames([tap(1.0, 160.6 * DELAY_STEP, 0.0)], 128)
-    pred = predicted_map(frames, CFG, n_chirps=128)
+    cir = make_cir([tap(1.0, 160.6 * DELAY_STEP, 0.0)], 128)
+    pred = predicted_map(cir, CFG, n_chirps=128)
     assert np.argmax(pred.power_db[64]) == 161
     with pytest.raises(ValueError, match="outside"):
-        predicted_map(frames, CFG, t0_index=64, n_chirps=128)
+        predicted_map(cir, CFG, t0_index=64, n_chirps=128)
 
 
 def test_pdp_series_static_path():
-    frames = make_frames([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
-    beats = synth_beat(frames, CFG)
-    pdp = pdp_series(beats, epoch_times(frames), CFG)
+    cir = make_cir([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
+    beats = synth_beat(cir, CFG)
+    pdp = pdp_series(beats, cir.t, CFG)
     assert pdp.power_db.shape == (16, NS)
     assert np.array_equal(np.argmax(pdp.power_db, axis=1), np.full(16, 160))
-    assert np.allclose(pdp.times, [f.t for f in frames])
+    assert np.allclose(pdp.times, cir.t)
     assert pdp.metadata["window"] == "hann"
     assert pdp.power_db[0, 160] == pytest.approx(20 * np.log10(0.1), abs=1e-8)
     # range_fft transforms every row of the matrix as it does a single row
@@ -305,21 +306,20 @@ def test_pdp_series_static_path():
                        rtol=1e-12, atol=1e-15)
 
 
-def direct_beats(frames, config, noise=NoiseConfig()):
+def direct_beats(cir, config, noise=NoiseConfig()):
     """The direct sum: one weights @ exp(outer(tau, t_m)) per frame, with
     each key's phase trail updated frame by frame."""
     n_s = config.samples_per_chirp
     t_m = np.arange(n_s) / config.f_samp
     trail = {}                          # key -> (t, nu, phase) when last seen
-    beats = np.empty((len(frames), n_s), dtype=complex)
-    for row, fr in zip(beats, frames):
-        p = fr.paths
+    beats = np.empty((len(cir), n_s), dtype=complex)
+    for row, (epoch, t, p, _) in zip(beats, frames_of(cir)):
         keys = p.keys()
         t_prev, nu_prev, phi_prev = np.array(
             [trail.get(k, (np.nan,) * 3) for k in keys]).reshape(-1, 3).T
-        phi = phi_prev + np.pi * (nu_prev + p.nu) * (fr.t - t_prev)
+        phi = phi_prev + np.pi * (nu_prev + p.nu) * (t - t_prev)
         phi[np.isnan(t_prev)] = 0.0
-        trail.update(zip(keys, zip([fr.t] * len(p), p.nu.tolist(), phi.tolist())))
+        trail.update(zip(keys, zip([t] * len(p), p.nu.tolist(), phi.tolist())))
         const = 2.0 * np.pi * (config.f_c * p.tau
                                - 0.5 * config.slope * p.tau ** 2) + phi
         weights = p.a * np.exp(1j * const)
@@ -327,7 +327,7 @@ def direct_beats(frames, config, noise=NoiseConfig()):
         row[:] = weights @ tones
         if noise.enabled:
             sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
-            rng = np.random.default_rng([noise.seed, fr.epoch_index])
+            rng = np.random.default_rng([noise.seed, epoch])
             row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
     return beats
 
@@ -352,9 +352,10 @@ def test_factored_synthesis_matches_direct_sum(config, n_frames, pool, seed, noi
                           a=rng.standard_normal(n) + 1j * rng.standard_normal(n),
                           tau=rng.uniform(0.0, config.max_delay, n),
                           nu=rng.uniform(-0.5, 0.5, n) / config.pri)
-        frames.append(CirFrame(k, k * config.pri, paths))
+        frames.append((k, k * config.pri, paths, 0))
+    cir = episode(frames)
     cfg_noise = NoiseConfig(enabled=noise, seed=seed % 1000)
-    got, want = synth_beat(frames, config, cfg_noise), direct_beats(frames, config, cfg_noise)
+    got, want = synth_beat(cir, config, cfg_noise), direct_beats(cir, config, cfg_noise)
     assert got.shape == want.shape == (n_frames, config.samples_per_chirp)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -366,10 +367,10 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride):
     alone, and delay_doppler on them gives the bits of one slow-time FFT
     over the whole window, for every window name in both roles."""
     n = 40                      # more than one range_fft block per window
-    frames = make_frames([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
+    cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
                           tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
-    beats = synth_beat(frames, CFG, NoiseConfig(enabled=True, seed=3))
-    times = epoch_times(frames)
+    beats = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=3))
+    times = cir.t
     starts = list(range(0, len(beats) - n + 1, stride))
     names = ["hann", "hamming", "blackman", "boxcar"]
     for fast, slow in zip(names, names[1:] + names[:1]):
@@ -396,9 +397,9 @@ def test_noise_defaults_off_and_floor_formula():
     assert noise.floor_dbm(CFG.f_samp) == pytest.approx(expected_floor, abs=1e-9)
     assert noise.sample_variance(CFG.f_samp) == pytest.approx(
         10 ** ((expected_floor - 12.0) / 10.0), rel=1e-12)
-    frames = make_frames([tap(1.0, 160 * DELAY_STEP, 0.0)], 4)
-    clean = synth_beat(frames, CFG)
-    default = synth_beat(frames, CFG, NoiseConfig())
+    cir = make_cir([tap(1.0, 160 * DELAY_STEP, 0.0)], 4)
+    clean = synth_beat(cir, CFG)
+    default = synth_beat(cir, CFG, NoiseConfig())
     assert np.array_equal(clean, default)
 
 
@@ -415,22 +416,22 @@ def test_noise_config_validation():
 
 
 def test_noise_is_deterministic_and_keyed_by_epoch():
-    frames = make_frames([tap(0.001, 500 * DELAY_STEP, 0.0)], 48)
+    cir = make_cir([tap(0.001, 500 * DELAY_STEP, 0.0)], 48)
     noisy = NoiseConfig(enabled=True, seed=5)
-    a = synth_beat(frames, CFG, noisy)
-    b = synth_beat(frames, CFG, noisy)
+    a = synth_beat(cir, CFG, noisy)
+    b = synth_beat(cir, CFG, noisy)
     assert np.array_equal(a, b)
-    c = synth_beat(frames, CFG, NoiseConfig(enabled=True, seed=6))
+    c = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=6))
     assert not np.array_equal(a[0], c[0])
     # per-epoch keying: a tail batch reproduces the same noise draws
-    tail = synth_beat(frames[32:], CFG, noisy)
+    tail = synth_beat(cir[32:], CFG, noisy)
     assert np.array_equal(a[32:], tail)
 
 
 def test_noise_variance_matches_config():
-    frames = make_frames([], 64)
+    cir = make_cir([], 64)
     noise = NoiseConfig(enabled=True, seed=11)
-    beats = synth_beat(frames, CFG, noise)
+    beats = synth_beat(cir, CFG, noise)
     samples = beats.ravel()
     var = np.mean(np.abs(samples) ** 2)
     assert var == pytest.approx(noise.sample_variance(CFG.f_samp), rel=0.02)
@@ -438,8 +439,8 @@ def test_noise_variance_matches_config():
 
 
 def small_map():
-    frames = make_frames([tap(0.05, 160 * DELAY_STEP, 3 * 1.0 / (16 * CFG.pri))], 16)
-    return window_map(synth_beat(frames, CFG), epoch_times(frames), CFG, n_chirps=16)
+    cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * 1.0 / (16 * CFG.pri))], 16)
+    return window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=16)
 
 
 def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
@@ -518,8 +519,8 @@ def test_pdp_series_blocks_match_whole_matrix():
 
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):
-    frames = make_frames([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
-    pdp = pdp_series(synth_beat(frames, CFG), epoch_times(frames), CFG)
+    cir = make_cir([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
+    pdp = pdp_series(synth_beat(cir, CFG), cir.t, CFG)
     out = tmp_path / "series.pdp"
     save_pdp(out, pdp, frozen_clock=True)
     back = load_pdp(out)
