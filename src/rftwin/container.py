@@ -22,14 +22,16 @@ def now() -> str:
 
 
 def write_container(path, magic: bytes, header: dict, chunks) -> None:
-    """Write magic, header and every chunk (bytes or array) of the payload."""
+    """Write magic, header and every chunk of the payload.  A chunk is bytes
+    or a C-contiguous array, written through the buffer protocol without a
+    copy: its memory must already hold the little-endian layout."""
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for chunk in chunks:
-            fh.write(chunk if isinstance(chunk, bytes) else chunk.tobytes())
+            fh.write(chunk)
 
 
 class Payload:

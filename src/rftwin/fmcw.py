@@ -28,14 +28,18 @@ rounded apart, which moves each tone by a few ulps of its largest argument
 Processing: range_fft is the one windowed fast-time FFT.  pdp_series takes
 it over every beat row, and delay_doppler reads the range spectra of one
 window's rows; range_windows transforms each row once for a sequence of
-overlapping windows.  Both axes divide by the window sum (coherent gain),
-so an on-grid path of amplitude a peaks at |a| in the map, directly
-comparable to the analytic prediction of predicted_map.
+overlapping windows.  Both axes scale by the reciprocal of the window sum
+(coherent gain), with the bits of a complex division by it, so an on-grid
+path of amplitude a peaks at |a| in the map, directly comparable to the
+analytic prediction of predicted_map.  delay_doppler transforms its
+columns in place, block by block, and writes magnitudes straight into the
+fftshifted rows of the map.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,12 +216,23 @@ _PDP_BLOCK_ROWS = 32
 def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
               out: np.ndarray | None = None) -> np.ndarray:
     """Windowed fast-time FFT over the last axis, normalized by the window
-    sum; written into out when given.  A block of rows gives the bits of
-    each row on its own."""
+    sum; written into out (C-contiguous rows) when given.  A block of rows
+    gives the bits of each row on its own.
+
+    The normalization multiplies the real and imaginary parts by the
+    reciprocal of the window sum.  numpy's complex division by the sum
+    computes (re + im 0) (1 / sum) and (im - re 0) (1 / sum), so on finite
+    input the products have its bits up to the sign of a zero part; a
+    spectrum with a zero part then takes numpy's division by 1, which
+    applies that signed-zero rule."""
     n = samples.shape[-1]
     w = window_taps(window, n)
     spectrum = np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1, out=out)
-    spectrum /= w.sum()
+    parts = spectrum.view(np.float64)
+    # Dividing the parts by the sum instead would round differently.
+    parts *= 1.0 / w.sum()
+    if not parts.all():
+        spectrum[(spectrum.real == 0.0) | (spectrum.imag == 0.0)] /= 1.0
     return spectrum
 
 
@@ -300,8 +315,8 @@ def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay:
             np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri)), meta)
 
 
-# Delay columns per slow-time FFT in delay_doppler: about 1 MB of complex
-# temporaries at 128 chirps.
+# Delay columns per slow-time FFT in delay_doppler: one reusable 1 MB complex
+# block at 128 chirps.
 _MAP_BLOCK_COLUMNS = 512
 
 
@@ -315,8 +330,12 @@ def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
     beat row.  Rows twice as wide as samples_per_chirp are zero-padded.
     Doppler bins are spaced 1 / (n_chirps * pri) and span +-1 / (2 pri),
     centered on zero, with approaching targets at positive Doppler.  The
-    slow-time FFT runs over blocks of delay columns, which gives the bits
-    of one FFT over the whole window.
+    slow-time FFT runs in place over blocks of delay columns, which gives
+    the bits of one FFT over the whole window.  As in range_fft, the
+    normalization multiplies by the reciprocal of the window sum, the bits
+    of numpy's complex division up to the sign of zero parts, which the
+    magnitude drops.  The magnitudes go straight into the fftshifted rows
+    of the map and are squared there.
     """
     n_chirps, n_delay = rows.shape
     zero_pad = n_delay == 2 * config.samples_per_chirp
@@ -327,13 +346,19 @@ def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
                                       n_chirps, n_delay, [window_fast, window_slow],
                                       zero_pad)
     w_slow = window_taps(window_slow, n_chirps)
+    scale = 1.0 / w_slow.sum()
+    half = n_chirps // 2                 # fftshift moves bins [0, n - half) up by half
     power = np.empty((n_chirps, n_delay))
+    block = np.empty((n_chirps, min(n_delay, _MAP_BLOCK_COLUMNS)), dtype=complex)
     for lo in range(0, n_delay, _MAP_BLOCK_COLUMNS):
-        cols = slice(lo, lo + _MAP_BLOCK_COLUMNS)
-        grid = np.fft.fft(rows[:, cols] * w_slow[:, None], axis=0)
-        grid /= w_slow.sum()
-        power[:, cols] = np.fft.fftshift(np.abs(grid) ** 2, axes=0)
-    return DelayDopplerMap(_power_db(power), d_axis, nu_axis, meta)
+        hi = min(lo + _MAP_BLOCK_COLUMNS, n_delay)
+        grid = block[:, :hi - lo]
+        np.multiply(rows[:, lo:hi], w_slow[:, None], out=grid)
+        np.fft.fft(grid, axis=0, out=grid)
+        grid.view(np.float64)[...] *= scale
+        np.abs(grid[:n_chirps - half], out=power[half:, lo:hi])
+        np.abs(grid[n_chirps - half:], out=power[:half, lo:hi])
+    return DelayDopplerMap(_power_db(np.square(power, out=power)), d_axis, nu_axis, meta)
 
 
 @dataclass
@@ -437,8 +462,17 @@ def save_map(path, ddm: DelayDopplerMap, frozen_clock: bool = False) -> None:
 
 
 def load_map(path) -> DelayDopplerMap:
+    """Map of a .ddm file; ValueError unless it has at least one bin on each
+    axis and any metadata t_window is a finite number."""
     header, body = read_container(path, MAP_MAGIC, "delay-Doppler map")
     n_dop, n_del = header["n_doppler"], header["n_delay"]
+    for key, n in (("n_doppler", n_dop), ("n_delay", n_del)):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"{path}: header {key} must be a positive integer, got {n!r}")
+    t_window = header["metadata"].get("t_window", 0.0)
+    if type(t_window) not in (int, float) or not abs(t_window) <= sys.float_info.max:
+        raise ValueError(f"{path}: metadata t_window must be a finite number, "
+                         f"got {t_window!r}")
     d_axis, nu_axis = body.take("<f8", n_del).copy(), body.take("<f8", n_dop).copy()
     power = body.take("<f8", n_dop * n_del).reshape(n_dop, n_del).copy()
     body.end()

@@ -534,6 +534,27 @@ def test_malformed_container_headers_are_input_errors(artifacts, tmp_path, capsy
     assert list(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("edit, key", [("t_window-str", "t_window"), ("t_window-null", "t_window"),
+                                       ("no-doppler", "n_doppler"), ("no-delay", "n_delay")])
+def test_info_on_bad_map_metadata_or_empty_map_is_input_error(artifacts, tmp_path, capsys,
+                                                               edit, key):
+    from rftwin.fmcw import DelayDopplerMap, load_map, save_map
+
+    ddm = load_map(artifacts["out"] / "run_w000000.ddm")
+    power, d_axis, nu_axis, meta = ddm.power_db, ddm.delay_axis, ddm.doppler_axis, ddm.metadata
+    if edit == "no-doppler":
+        power, nu_axis = power[:0], nu_axis[:0]
+    elif edit == "no-delay":
+        power, d_axis = power[:, :0], d_axis[:0]
+    else:
+        meta["t_window"] = "0.001" if edit == "t_window-str" else None
+    bad = tmp_path / "bad.ddm"
+    save_map(bad, DelayDopplerMap(power, d_axis, nu_axis, meta))
+    assert main(["info", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and key in err
+
+
 def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
     summary = json.loads((artifacts["out"] / "run_summary.json").read_text())
     # Every chirp of the plates sees each of the three plates once.

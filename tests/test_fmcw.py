@@ -1,5 +1,7 @@
 """Beat synthesis and delay-Doppler processing against closed-form tones."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,16 +362,38 @@ def test_factored_synthesis_matches_direct_sum(config, n_frames, pool, seed, noi
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("window", ["hann", "hamming", "blackman", "boxcar"])
+@pytest.mark.parametrize("zero_pad", [False, True])
+@pytest.mark.parametrize("n", [64, NS])
+def test_range_fft_equals_complex_division_bit_for_bit(window, zero_pad, n):
+    """range_fft scales by the reciprocal of the window sum; every bit,
+    signed zeros included, equals numpy's complex division by the sum.  An
+    all-zero row times blackman's tiny negative first tap gives -0 inputs."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    x[1] = 0.0
+    x[3].imag = 0.0
+    taps = window_taps(window, n)
+    want = np.fft.fft(x * taps, 2 * n if zero_pad else n) / taps.sum()
+    assert range_fft(x, window, zero_pad).tobytes() == want.tobytes()
+    out = np.empty((7, want.shape[1]), dtype=complex)
+    got = range_fft(x, window, zero_pad, out=out[1:6])
+    assert got.base is out and out[1:6].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("zero_pad", [False, True])
 @pytest.mark.parametrize("stride", [7, 45])
-def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride):
+@pytest.mark.parametrize("n", [40, 41])
+def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n):
     """Each window's rows from range_windows are range_fft of that window
     alone, and delay_doppler on them gives the bits of one slow-time FFT
-    over the whole window, for every window name in both roles."""
-    n = 40                      # more than one range_fft block per window
+    over the whole window, for every window name in both roles.  Both n
+    exceed one range_fft block, an odd n splits the fftshift unevenly, and
+    beat row 50 is all zero."""
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
                           tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
     beats = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=3))
+    beats[50] = 0.0
     times = cir.t
     starts = list(range(0, len(beats) - n + 1, stride))
     names = ["hann", "hamming", "blackman", "boxcar"]
@@ -460,6 +484,19 @@ def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
     junk.write_bytes(b"XXXXXXXX" + b"\x00" * 16)
     with pytest.raises(ValueError, match="not a rftwin delay-Doppler"):
         load_map(junk)
+
+
+@pytest.mark.parametrize("t_window", [True, float("nan"), float("inf"), 10 ** 400],
+                         ids=["bool", "nan", "inf", "huge-int"])
+def test_load_map_rejects_a_t_window_that_is_not_a_finite_number(tmp_path, t_window):
+    """test_cli covers a string, null and empty axes; a bool, a non-finite
+    float and an int beyond the float range are not finite numbers either."""
+    ddm = small_map()
+    ddm.metadata["t_window"] = t_window
+    out = tmp_path / "bad.ddm"
+    save_map(out, ddm, frozen_clock=True)
+    with pytest.raises(ValueError, match=re.escape(f"{out}: metadata t_window")):
+        load_map(out)
 
 
 def test_map_csv_export(tmp_path):
