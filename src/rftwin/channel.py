@@ -365,10 +365,17 @@ def cir_to_csv(path, cir: Cir) -> None:
             return
         epochs = text_cells([str(e) for e in cir.epoch_index.tolist()])
         times = float_text(cir.t)
-        facet_rows, facet_of = np.unique(p.facets, axis=0, return_inverse=True)
-        kinds, facet_of = text_cells(KINDS), facet_of.reshape(-1)
+        # Each row's rank among the distinct facet rows, one integer key per
+        # row, ranked column by column so that the key stays below 2^63.
+        facet_of = np.zeros(len(p), np.int64)
+        for col in p.facets.T.astype(np.int64):
+            col -= col.min()
+            facet_of = np.unique(facet_of * (int(col.max()) + 1) + col, return_inverse=True)[1]
+        first = np.zeros(facet_of.max() + 1, np.int64)
+        first[facet_of] = np.arange(len(p))
+        kinds = text_cells(KINDS)
         facets = text_cells(["|".join(str(f) for f in row if f >= 0)
-                             for row in facet_rows.tolist()])
+                             for row in p.facets[first].tolist()])
         sample_ids, sample_of = np.unique(p.sample, return_inverse=True)
         samples = text_cells(["" if s < 0 else str(s) for s in sample_ids.tolist()])
         floats = np.column_stack([p.tau, p.nu, p.a.real, p.a.imag])

@@ -245,12 +245,13 @@ def cmd_process(args) -> int:
 
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
-    pdp = pdp_series(beats, times, config, window=window_fast)
-    pdp.metadata["seed"] = header.get("seed")
-    if "bin" in formats:
-        save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
-    if "csv" in formats:
-        pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
+    if "bin" in formats or "csv" in formats:
+        pdp = pdp_series(beats, times, config, window=window_fast)
+        pdp.metadata["seed"] = header.get("seed")
+        if "bin" in formats:
+            save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
+        if "csv" in formats:
+            pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
     written = []
     windows = range_windows(beats, starts, n, window_fast, args.zero_pad)
     for start, rows in zip(starts, windows):

@@ -480,19 +480,25 @@ def load_map(path) -> DelayDopplerMap:
 
 
 def map_to_csv(path, ddm: DelayDopplerMap) -> None:
-    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major; a
-    block's distinct powers (mostly the -300 dB floor) are formatted once."""
-    from .csvtext import CSV_CHUNK, csv_lines, float_text
+    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major; the
+    distinct powers of each block of rows (mostly the -300 dB floor) are
+    found block by block and formatted in one float_text call."""
+    from .csvtext import CSV_CHUNK, csv_lines, float_text, take_cells
+    power = np.ascontiguousarray(ddm.power_db, dtype=np.float64)
+    step = max(1, CSV_CHUNK // max(power.shape[1], 1))
+    starts = range(0, len(power), step)
+    blocks = [np.unique(power[lo:lo + step].view(np.int64), return_inverse=True) for lo in starts]
+    texts = np.ascontiguousarray(float_text(np.concatenate(
+        [np.empty(0, np.int64), *(bits for bits, _ in blocks)]).view(np.float64)))
     delays = float_text(ddm.delay_axis)[None, :, None]
     dopplers = float_text(ddm.doppler_axis)[:, None, None]
-    step = max(1, CSV_CHUNK // max(ddm.power_db.shape[1], 1))
     with open(path, "wb") as fh:
         fh.write(b"delay_s,doppler_hz,power_db\n")
-        for lo in range(0, len(dopplers), step):
-            block = np.ascontiguousarray(ddm.power_db[lo:lo + step], dtype=np.float64)
-            bits, index = np.unique(block.view(np.int64), return_inverse=True)
-            power = float_text(bits.view(np.float64))[index.reshape(block.shape)]
-            fh.write(csv_lines(delays, dopplers[lo:lo + step], power[:, :, None]))
+        at = 0
+        for lo, (bits, index) in zip(starts, blocks):
+            rows = at + index.reshape(power[lo:lo + step].shape + (1,))
+            fh.write(csv_lines(delays, dopplers[lo:lo + step], take_cells(texts, rows)))
+            at += len(bits)
 
 
 def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
@@ -527,12 +533,12 @@ def pdp_to_csv(path, pdp: PdpSeries) -> None:
     """Text PDP series: a `t` line with the delay axis, then one line per
     epoch holding its time and its row of dB powers."""
     from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
+    times = float_text(pdp.times)[:, None]
     step = max(1, CSV_CHUNK // (pdp.power_db.shape[1] + 1))
     with open(path, "wb") as fh:
         fh.write(csv_lines(text_cells(["t"])[None], float_text(pdp.delay_axis)[None]))
         for lo in range(0, len(pdp.times), step):
-            fh.write(csv_lines(float_text(pdp.times[lo:lo + step])[:, None],
-                               float_text(pdp.power_db[lo:lo + step])))
+            fh.write(csv_lines(times[lo:lo + step], float_text(pdp.power_db[lo:lo + step])))
 
 
 PDP_MAGIC = b"RFTPDP1\n"

@@ -43,7 +43,7 @@ from rftwin.raytrace import (
 )
 from rftwin.scene import SceneError, load_scene, scene_from_dict
 
-from conftest import FIXTURES, episode, frames_of, plates_scene_doc, spin_rig_doc
+from conftest import FIXTURES, NO_PATHS, episode, frames_of, plates_scene_doc, spin_rig_doc
 
 C = SPEED_OF_LIGHT
 
@@ -303,6 +303,14 @@ def test_cir_csv_export(tmp_path, plates_episode):
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     save_cir(tmp_path / "many.cir", many, ep.config, ep.link, frozen_clock=True)
     assert (tmp_path / "many.cir").read_bytes().endswith(b"".join(reference_cir_payload(many)))
+
+
+def test_cir_csv_export_of_empty_episodes(tmp_path):
+    for k, cir in enumerate((episode([]), episode([(0, 0.0, NO_PATHS, 0),
+                                                    (1, 1.2586e-4, NO_PATHS, 3)]))):
+        cir_to_csv(tmp_path / f"{k}.csv", cir)
+        reference_cir_csv(tmp_path / f"{k}_ref.csv", cir)
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}_ref.csv").read_bytes()
 
 
 def test_diffuse_taps_round_trip_with_sample_index(tmp_path):

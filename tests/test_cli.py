@@ -278,6 +278,24 @@ def test_frozen_clock_reruns_are_byte_identical(tmp_path):
         assert a == b, f"{name} differs between identical reruns"
 
 
+def test_process_without_a_pdp_export_skips_the_pdp(artifacts, tmp_path, monkeypatch):
+    cir = str(artifacts["out"] / "run.cir")
+    common = ["-N", "8", "--tag", "run", "--frozen-clock"]
+    assert main(["process", "--cir", cir, "--export", "bin,pgm", "-o", str(tmp_path / "bin"),
+                 *common]) == 0
+
+    def no_pdp(*args, **kwargs):
+        raise AssertionError("pdp_series ran for a map-only export")
+
+    monkeypatch.setattr("rftwin.fmcw.pdp_series", no_pdp)
+    assert main(["process", "--cir", cir, "--export", "pgm", "-o", str(tmp_path / "pgm"),
+                 *common]) == 0
+    assert sorted(p.name for p in (tmp_path / "pgm").iterdir()) == [
+        "run_w000000.pgm", "run_w000000.pgm.txt", "run_w000008.pgm", "run_w000008.pgm.txt"]
+    for path in (tmp_path / "pgm").iterdir():
+        assert path.read_bytes() == (tmp_path / "bin" / path.name).read_bytes()
+
+
 def test_default_out_dir_comes_from_environment(tmp_path, monkeypatch, capsys):
     scene = write_scene(tmp_path)
     env_out = tmp_path / "envout"

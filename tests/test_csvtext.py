@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FLOAT_BITS
+from conftest import FLOAT_BITS, REPO_ROOT
+from rftwin import csvtext
 from rftwin.csvtext import float_text
 
 
@@ -31,6 +36,13 @@ EXAMPLES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
             2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 9999999999999998.0,
             1e-4, 1e-5, 0.1, 1 / 3, -300.0, 1.8014398509481988e16, 2227925162407529.8,
             -2206331399073625.8, 1.7800590868057611e-307, 1.1392378155556871e-305)
+
+
+# The elements of EXAMPLES that take repr: NaN, the infinities, the
+# subnormal, and the ties (1e16 and 9999999999999998.0 lie in [2^53, 2^54),
+# where the interval ends are integers).
+FALLBACKS = (float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 9999999999999998.0,
+             1.8014398509481988e16, 2227925162407529.8, -2206331399073625.8)
 
 
 def _with_examples(test):
@@ -61,3 +73,37 @@ def test_float_text_keeps_the_shape_and_takes_lists():
     assert cells.shape[:2] == (2, 3) and cells.shape[2] <= 24 and cells.dtype == np.uint8
     assert texts(grid.ravel()) == texts(list(grid.ravel())) == [repr(v) for v in grid.ravel().tolist()]
     assert float_text([]).shape == (0, 1)
+
+
+def test_only_ties_subnormals_inf_and_nan_take_repr(monkeypatch):
+    seen = []
+    real = csvtext._repr_text
+
+    def counting(values):
+        seen.extend(values.tolist())
+        return real(values)
+
+    monkeypatch.setattr(csvtext, "_repr_text", counting)
+    rng = np.random.default_rng(7)
+    normal = np.concatenate([rng.uniform(-1e3, 1e3, 4000), 10 * np.log10(rng.uniform(0, 1, 4000)),
+                             rng.uniform(-1, 1, 4000) * 10.0 ** rng.integers(-300, 10, 4000),
+                             [0.0, -0.0, -300.0, 1.0, 2.2250738585072014e-308,
+                              1.7976931348623157e308] * 50])
+    assert texts(normal) == [repr(v) for v in normal.tolist()]
+    assert seen == []
+    float_text(EXAMPLES)
+    assert bits_of(*seen) == bits_of(*FALLBACKS)
+
+
+def test_command_modules_do_not_import_csvtext():
+    """The CSV writers import csvtext when they run, so starting a command
+    does not compile or import it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, rftwin.cli, rftwin.channel, rftwin.fmcw, rftwin.analysis; "
+            "print('rftwin.csvtext' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

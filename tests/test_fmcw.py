@@ -632,6 +632,33 @@ def test_map_and_pdp_round_trips_are_bit_exact(tmp_path_factory, data):
         assert (directory / f"{name}.csv").read_bytes() == (directory / f"{name}_ref.csv").read_bytes()
 
 
+def test_csv_writers_match_their_references_across_blocks(tmp_path):
+    """Maps and PDPs larger than one CSV block: a 40 x 2116 map (blocks of
+    7 rows) and a PDP row of 20000 values, with the -300 dB floor, signed
+    zeros, powers repeated in every block and exponent-form delays after a
+    0.0 first bin; then empty shapes."""
+    rng = np.random.default_rng(11)
+    repeated = np.concatenate([rng.normal(-60.0, 20.0, 40), [-300.0] * 200, [0.0, -0.0]])
+    power = rng.choice(repeated, (40, 2116))
+    power[::3, ::7] = rng.normal(-60.0, 20.0, power[::3, ::7].shape)
+    delay = np.arange(2116) * 2.500298702351641e-10
+    doppler = (np.arange(40) - 20.0) * 38.75968992248062
+    row = rng.choice(repeated, (1, 20000))
+    row[0, ::11] = rng.normal(-60.0, 20.0, row[0, ::11].shape)
+    cases = [(map_to_csv, reference_map_csv, DelayDopplerMap(power, delay, doppler, {})),
+             (pdp_to_csv, reference_pdp_csv, PdpSeries(row, np.arange(20000) * 2.5e-10,
+                                                        np.array([0.1]), {})),
+             (pdp_to_csv, reference_pdp_csv, PdpSeries(power, delay, doppler * 1e-6, {}))]
+    for rows, cols in ((0, 2116), (40, 0), (0, 0)):
+        cases.append((map_to_csv, reference_map_csv,
+                      DelayDopplerMap(power[:rows, :cols], delay[:cols], doppler[:rows], {})))
+    cases.append((pdp_to_csv, reference_pdp_csv, PdpSeries(power[:0], delay, doppler[:0], {})))
+    for k, (write, reference, item) in enumerate(cases):
+        write(tmp_path / f"{k}.csv", item)
+        reference(tmp_path / f"{k}_ref.csv", item)
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}_ref.csv").read_bytes(), k
+
+
 def test_beat_frames_cover_episode(plates_episode):
     beats, times = plates_episode.beats, plates_episode.times
     assert isinstance(beats, np.ndarray) and beats.dtype == complex
