@@ -24,23 +24,25 @@ def extract_peaks(ddm: DelayDopplerMap, threshold_db: float = 30.0,
 
     A cell qualifies if it is >= all eight neighbours; peaks closer than
     min_separation bins (Chebyshev distance) to an already accepted
-    stronger peak are suppressed.
+    stronger peak are suppressed.  Only the cells at or above the cut are
+    tested, so past one pass over the map the cost follows their number.
+    A neighbour index beyond the edge is clipped onto the map, which makes
+    it the cell itself or another of its neighbours.
     """
     p = ddm.power_db
     cut = p.max() - threshold_db
-    pad = np.pad(p, 1, mode="constant", constant_values=-np.inf)
-    is_max = np.ones_like(p, dtype=bool)
+    i, j = np.divmod(np.flatnonzero(p >= cut), p.shape[1])
+    value = p[i, j]
+    is_max = np.ones(len(value), dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_max &= p >= pad[1 + di:1 + di + p.shape[0],
-                               1 + dj:1 + dj + p.shape[1]]
-    cand = np.argwhere(is_max & (p >= cut))
-    order = np.argsort(p[cand[:, 0], cand[:, 1]])[::-1]
+            if di or dj:
+                is_max &= value >= p[np.clip(i + di, 0, p.shape[0] - 1),
+                                     np.clip(j + dj, 0, p.shape[1] - 1)]
+    rows, cols, value = i[is_max].tolist(), j[is_max].tolist(), value[is_max]
     peaks: list[Peak] = []
-    for idx in order:
-        i, j = map(int, cand[idx])
+    for idx in np.argsort(value)[::-1].tolist():
+        i, j = rows[idx], cols[idx]
         if any(max(abs(i - q.doppler_bin), abs(j - q.delay_bin)) < min_separation
                for q in peaks):
             continue

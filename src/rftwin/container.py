@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def write_container(path, magic: bytes, header: dict, chunks) -> None:
 class Payload:
     """Cursor over a container payload; every read is checked against its end."""
 
-    def __init__(self, path, raw: bytes, offset: int):
+    def __init__(self, path, raw: bytearray, offset: int):
         self.path, self.raw, self.offset = path, raw, offset
 
     def skip(self, nbytes: int) -> int:
@@ -53,7 +53,8 @@ class Payload:
         return struct.unpack_from(fmt, self.raw, self.skip(struct.calcsize(fmt)))
 
     def take(self, dtype, count) -> np.ndarray:
-        """count items of dtype, as a read-only view of the file bytes."""
+        """count items of dtype, as a writable view of the file bytes: the
+        array shares and keeps alive the buffer read_container filled."""
         if not isinstance(count, (int, np.integer)) or count < 0:
             raise ValueError(f"{self.path}: bad array length {count!r}")
         dtype = np.dtype(dtype)
@@ -67,8 +68,12 @@ class Payload:
 
 def read_container(path, magic: bytes, what: str) -> tuple[dict, Payload]:
     """Header and payload cursor of a container; ValueError on a foreign
-    file, or on a header or header metadata that is not a JSON object."""
-    raw = Path(path).read_bytes()
+    file, or on a header or header metadata that is not a JSON object.  The
+    file is read into one bytearray, so the arrays taken from the payload
+    are writable without a copy."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
     if raw[:len(magic)] != magic:
         raise ValueError(f"{path}: not a rftwin {what} file")
     payload = Payload(path, raw, len(magic))

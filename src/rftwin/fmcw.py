@@ -293,6 +293,10 @@ def _power_db(power: np.ndarray) -> np.ndarray:
     return power
 
 
+# _power_db of zero power, the value of every cell no path reaches.
+_FLOOR_DB = float(_power_db(np.zeros(1))[0])
+
+
 def _epochs(beats: np.ndarray, times) -> np.ndarray:
     """times as a float array; ValueError unless it has one epoch per beat row."""
     times = np.asarray(times, dtype=float)
@@ -384,14 +388,39 @@ def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
                      metadata={"window": window, "config": config.to_dict()})
 
 
+def _sin_pi_over(g: np.ndarray, n: int) -> np.ndarray:
+    """sin(pi g / n), taken of g less its nearest multiple of n: exactly 0
+    at those multiples and accurate near them, where g - turns n is exact
+    (the table's offsets are multiples of 1/64)."""
+    turns = np.round(g / n)
+    return np.sin(np.pi * (g - turns * n) / n) * (1.0 - 2.0 * (turns % 2))
+
+
+def _dirichlet(g: np.ndarray, n: int) -> np.ndarray:
+    """sum_m exp(-2j pi g m / n) over m < n: exp(-j pi g (n - 1) / n)
+    sin(pi g) / sin(pi g / n), and n where g is a multiple of n."""
+    den = _sin_pi_over(g, n)
+    on = den == 0
+    ratio = _sin_pi_over(g, 1) / np.where(on, 1.0, den)
+    return np.where(on, n, ratio * np.exp(-1j * np.pi * g * (n - 1) / n))
+
+
 def _window_response_table(window: str, n: int, oversample: int = 64,
                            span_bins: float = 8.0):
-    """|DTFT| of a window vs frequency offset in bins, normalized to 1 at 0;
-    n taps repeat every n bins, so a short window wraps its one period."""
-    w = window_taps(window, n)
-    spec = np.abs(np.fft.fft(w, n * oversample)) / w.sum()
-    offsets = np.arange(int(span_bins * oversample) + 1)
-    return offsets / oversample, spec[offsets % len(spec)]
+    """|DTFT| of a window vs frequency offset in bins, normalized by the tap
+    sum (1 at 0); n taps repeat every n bins, so a short window wraps its
+    one period.
+
+    Closed form (Harris 1978): tap m of the cosine sum is
+    sum_k a_k (-1)^k cos(2 pi k m / n), so its DTFT is
+    sum_k a_k (-1)^k (D(f - k) + D(f + k)) / 2 with D the Dirichlet kernel
+    of _dirichlet.  One tap is a boxcar, as in window_taps."""
+    offs = np.arange(int(span_bins * oversample) + 1) / oversample
+    coeffs = np.array(_WINDOWS[window] if n > 1 else (1.0,))
+    k = np.arange(1 - len(coeffs), len(coeffs))
+    weight = np.where(k == 0, 1.0, 0.5) * coeffs[np.abs(k)] * (-1.0) ** k
+    spec = weight @ _dirichlet(offs + k[:, None], n)
+    return offs, np.abs(spec) / window_taps(window, n).sum()
 
 
 def predicted_map(cir: Cir, config: ChirpConfig,
@@ -409,11 +438,15 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     reduces to |a_n|^2 sinc^2((nu_n - nu) T_w) on its delay bin.  The axes
     match delay_doppler without padding; the Doppler comparison assumes a
     boxcar slow-time window.
+
+    The window response is read from the closed-form table of
+    _window_response_table.  Powers accumulate only in the delay columns
+    that paths hit, and every other cell is the dB of zero power, so the
+    work beyond filling the map follows the paths, not the cells.
     """
     n_delay = config.samples_per_chirp
     d_axis, nu_axis, meta = _map_axes(cir.t, config, t0_index, n_chirps, n_delay,
                                       ["analytic", "analytic"], False)
-    power = np.zeros((n_chirps, n_delay))
     delay_step = d_axis[1] - d_axis[0]
     t_centroid = (n_delay - 1) / (2.0 * config.f_samp)
     offs, resp = _window_response_table(window_fast, n_delay)
@@ -441,8 +474,12 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     gain = np.interp(np.abs(tau_m / delay_step - bin_idx[:, None]), offs, resp)
     tone = gain * np.exp(2j * np.pi * apparent[:, None] * config.pri * m)
     col = np.abs(np.fft.fftshift(np.fft.fft(tone, axis=1), axes=1)) ** 2 / n_chirps ** 2
-    np.add.at(power.T, bin_idx, np.abs(a)[:, None] ** 2 * col)
-    return DelayDopplerMap(_power_db(power), d_axis, nu_axis, meta)
+    used, column = np.unique(bin_idx, return_inverse=True)
+    hit = np.zeros((n_chirps, len(used)))
+    np.add.at(hit.T, column, np.abs(a)[:, None] ** 2 * col)
+    power = np.full((n_chirps, n_delay), _FLOOR_DB)
+    power[:, used] = _power_db(hit)
+    return DelayDopplerMap(power, d_axis, nu_axis, meta)
 
 
 MAP_MAGIC = b"RFTDDM1\n"
@@ -473,8 +510,8 @@ def load_map(path) -> DelayDopplerMap:
     if type(t_window) not in (int, float) or not abs(t_window) <= sys.float_info.max:
         raise ValueError(f"{path}: metadata t_window must be a finite number, "
                          f"got {t_window!r}")
-    d_axis, nu_axis = body.take("<f8", n_del).copy(), body.take("<f8", n_dop).copy()
-    power = body.take("<f8", n_dop * n_del).reshape(n_dop, n_del).copy()
+    d_axis, nu_axis = body.take("<f8", n_del), body.take("<f8", n_dop)
+    power = body.take("<f8", n_dop * n_del).reshape(n_dop, n_del)
     body.end()
     return DelayDopplerMap(power, d_axis, nu_axis, header["metadata"])
 
@@ -531,14 +568,20 @@ def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
 
 def pdp_to_csv(path, pdp: PdpSeries) -> None:
     """Text PDP series: a `t` line with the delay axis, then one line per
-    epoch holding its time and its row of dB powers."""
+    epoch holding its time and its row of dB powers.  Without delay bins
+    the lines are `t,` and each time with a comma: one empty field stands
+    for the empty row."""
     from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
     times = float_text(pdp.times)[:, None]
-    step = max(1, CSV_CHUNK // (pdp.power_db.shape[1] + 1))
+    n_delay = pdp.power_db.shape[1]
+    step = max(1, CSV_CHUNK // (n_delay + 1))
+    empty = np.zeros((1, 1, 0), np.uint8)
     with open(path, "wb") as fh:
-        fh.write(csv_lines(text_cells(["t"])[None], float_text(pdp.delay_axis)[None]))
+        fh.write(csv_lines(text_cells(["t"])[None],
+                           float_text(pdp.delay_axis)[None] if n_delay else empty))
         for lo in range(0, len(pdp.times), step):
-            fh.write(csv_lines(times[lo:lo + step], float_text(pdp.power_db[lo:lo + step])))
+            fh.write(csv_lines(times[lo:lo + step],
+                               float_text(pdp.power_db[lo:lo + step]) if n_delay else empty))
 
 
 PDP_MAGIC = b"RFTPDP1\n"
@@ -559,7 +602,7 @@ def save_pdp(path, pdp: PdpSeries, frozen_clock: bool = False) -> None:
 def load_pdp(path) -> PdpSeries:
     header, body = read_container(path, PDP_MAGIC, "PDP")
     n_e, n_d = header["n_epochs"], header["n_delay"]
-    times, d_axis = body.take("<f8", n_e).copy(), body.take("<f8", n_d).copy()
-    power = body.take("<f8", n_e * n_d).reshape(n_e, n_d).copy()
+    times, d_axis = body.take("<f8", n_e), body.take("<f8", n_d)
+    power = body.take("<f8", n_e * n_d).reshape(n_e, n_d)
     body.end()
     return PdpSeries(power, d_axis, times, header["metadata"])

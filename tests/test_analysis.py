@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rftwin.analysis import (
     MatchReport,
@@ -64,6 +66,68 @@ def test_extract_peaks_suppresses_close_neighbours():
     shoulder[8, 9] = 0.95
     shoulder[8, 14] = 0.5
     assert len(extract_peaks(grid_map(shoulder), 30.0, min_separation=1)) == 2
+
+
+def dense_extract_peaks(ddm, threshold_db=30.0, min_separation=2, max_peaks=64):
+    """extract_peaks as it was, comparing every cell of the -inf padded map
+    with its eight neighbours: the reference for the candidate-only one."""
+    p = ddm.power_db
+    cut = p.max() - threshold_db
+    pad = np.pad(p, 1, mode="constant", constant_values=-np.inf)
+    is_max = np.ones_like(p, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            is_max &= p >= pad[1 + di:1 + di + p.shape[0],
+                               1 + dj:1 + dj + p.shape[1]]
+    cand = np.argwhere(is_max & (p >= cut))
+    order = np.argsort(p[cand[:, 0], cand[:, 1]])[::-1]
+    peaks = []
+    for idx in order:
+        i, j = map(int, cand[idx])
+        if any(max(abs(i - q.doppler_bin), abs(j - q.delay_bin)) < min_separation
+               for q in peaks):
+            continue
+        peaks.append(Peak(i, j, float(ddm.doppler_axis[i]),
+                          float(ddm.delay_axis[j]), float(p[i, j])))
+        if len(peaks) >= max_peaks:
+            break
+    return peaks
+
+
+# Small integer dB levels keep max - (max - level) == level exact; a map
+# draws its cells from a few of them, so plateaus and ties are common, and
+# -inf, NaN and +inf cells ride along.
+CELL_DB = st.one_of(st.integers(-6, 6).map(float),
+                    st.sampled_from([-np.inf, np.nan, np.inf, -300.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_extract_peaks_matches_the_dense_neighbour_test(data):
+    """Same Peak lists, in the same order, as the dense reference: on
+    plateaus and ties, -inf and NaN cells, edges and corners, 1 x N and
+    N x 1 maps, thresholds landing on a cell's value, and various
+    min_separation and max_peaks."""
+    if data is None:                    # a 1 x N plateau cut at its own level
+        power, threshold, sep, cap = np.array([[2.0, 2.0, -np.inf, 2.0, 1.0]]), 0.0, 1, 64
+    else:
+        rows, cols = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+        levels = data.draw(st.lists(CELL_DB, min_size=1, max_size=5))
+        power = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=rows * cols,
+                                            max_size=rows * cols))).reshape(rows, cols)
+        finite = power[np.isfinite(power)]
+        top = power.max()
+        at_cell = [float(top - v) for v in finite.tolist()] if np.isfinite(top) else []
+        threshold = data.draw(st.sampled_from(at_cell + [0.0, 2.5, 30.0, 1e9]))
+        sep = data.draw(st.integers(0, 4))
+        cap = data.draw(st.sampled_from([1, 2, 3, 64]))
+    ddm = DelayDopplerMap(power, np.arange(power.shape[1]) * 1e-9,
+                          (np.arange(power.shape[0]) - power.shape[0] // 2) * 10.0, {})
+    assert (extract_peaks(ddm, threshold, sep, cap)
+            == dense_extract_peaks(ddm, threshold, sep, cap))
 
 
 def test_match_identical_maps_is_exact():
