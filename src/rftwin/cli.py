@@ -212,8 +212,8 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 
 
 def cmd_process(args) -> int:
-    from .fmcw import (NoiseConfig, delay_doppler, pdp_series, pdp_to_csv,
-                       range_windows, save_pdp, synth_beat)
+    from .fmcw import (NoiseConfig, delay_doppler, padded_windows, pdp_series,
+                       pdp_to_csv, range_rows, save_pdp, synth_beat)
 
     cir, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps, least=2)
@@ -245,21 +245,29 @@ def cmd_process(args) -> int:
 
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
-    if "bin" in formats or "csv" in formats:
-        pdp = pdp_series(beats, times, config, window=window_fast)
-        pdp.metadata["seed"] = header.get("seed")
-        if "bin" in formats:
-            save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
-        if "csv" in formats:
-            pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
+    # Unpadded maps and the PDP share one in-place range transform of the
+    # beats; zero-padded maps are drawn from the beats before it.
+    if args.zero_pad:
+        windows = padded_windows(beats, starts, n, window_fast)
+    else:
+        spectra = range_rows(beats, window_fast)
+        windows = (spectra[start:start + n] for start in starts)
     written = []
-    windows = range_windows(beats, starts, n, window_fast, args.zero_pad)
     for start, rows in zip(starts, windows):
         ddm = delay_doppler(rows, times, config, t0_index=start,
                             window_fast=window_fast, window_slow=window_slow)
         ddm.metadata["seed"] = header.get("seed")
         written += _write_map(out / f"{tag}_w{start:06d}", ddm, formats,
                               args.frozen_clock)
+    if "bin" in formats or "csv" in formats:
+        if args.zero_pad:
+            spectra = range_rows(beats, window_fast)
+        pdp = pdp_series(spectra, times, config, window=window_fast)
+        pdp.metadata["seed"] = header.get("seed")
+        if "bin" in formats:
+            save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
+        if "csv" in formats:
+            pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
     t_w = config.window_duration(n)
     print(f"processed {len(beats)} beat frames; window {n} chirps "
           f"(T_w = {t_w * 1e3:.5f} ms); wrote {len(written)} map files")

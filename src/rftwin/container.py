@@ -37,7 +37,7 @@ def write_container(path, magic: bytes, header: dict, chunks) -> None:
 class Payload:
     """Cursor over a container payload; every read is checked against its end."""
 
-    def __init__(self, path, raw: bytearray, offset: int):
+    def __init__(self, path, raw: np.ndarray, offset: int):
         self.path, self.raw, self.offset = path, raw, offset
 
     def skip(self, nbytes: int) -> int:
@@ -69,12 +69,19 @@ class Payload:
 def read_container(path, magic: bytes, what: str) -> tuple[dict, Payload]:
     """Header and payload cursor of a container; ValueError on a foreign
     file, or on a header or header metadata that is not a JSON object.  The
-    file is read into one bytearray, so the arrays taken from the payload
-    are writable without a copy."""
+    file is read into one uint8 array, placed so that the payload starts on
+    an 8-byte boundary: the arrays taken from it are aligned and writable
+    without a copy."""
     with open(path, "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size)
-        del raw[fh.readinto(raw):]
-    if raw[:len(magic)] != magic:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(min(size, len(magic) + 4))
+        payload_at = len(head) + int.from_bytes(head[len(magic):], "little")
+        buffer = np.empty(size + 7, np.uint8)
+        shift = -(buffer.ctypes.data + payload_at) % 8
+        raw = buffer[shift:shift + size]
+        raw[:len(head)] = np.frombuffer(head, np.uint8)
+        raw = raw[:len(head) + fh.readinto(raw[len(head):])]
+    if head[:len(magic)] != magic:
         raise ValueError(f"{path}: not a rftwin {what} file")
     payload = Payload(path, raw, len(magic))
     (hlen,) = payload.unpack("<I")

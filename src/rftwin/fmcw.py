@@ -14,30 +14,32 @@ chirp.  t_ref is the first synthesized epoch, keeping the phasor argument
 small so slowly drifting Doppler does not skew the apparent frequency.
 
 Factored synthesis: with w_n the constant part of a path's phasor and
-omega_n = 2 pi slope tau_n / f_samp, the fast-time index splits as
+step_n = 2 pi slope tau_n / f_samp, the fast-time index splits as
 m = B q + r with B = ceil(sqrt(samples_per_chirp)), and
 
-    row[B q + r] = sum_n (w_n exp(j omega_n B q)) exp(j omega_n r),
+    row[B q + r] = sum_n (w_n exp(j step_n B q)) exp(j step_n r),
 
-one (Q x P) @ (P x B) complex product per chirp, built from P (Q + B)
-exponentials instead of P samples_per_chirp.  Both exponent arguments are
-rounded apart, which moves each tone by a few ulps of its largest argument
-(2 pi slope tau t_m, at most about 1.3e4 rad): every sample stays within
-1e-11 of the largest sample of the direct sum.
+one (Q x P) @ (P x B) complex product per chirp.  Both power tables are
+filled by doubling from anchor phasors exp(j step_n s) and exp(j step_n B s)
+at s = 1, 2, 4, ..., about 2 log2(B) exponentials per path.  A table entry
+is a product of at most that many anchors, each rounded once from an
+argument of at most about 1.3e4 rad: every sample stays within 1e-11 of
+the largest sample of the direct sum.
 
-Processing: range_fft is the one windowed fast-time FFT.  pdp_series takes
-it over every beat row, and delay_doppler reads the range spectra of one
-window's rows; range_windows transforms each row once for a sequence of
-overlapping windows.  Both axes scale by the reciprocal of the window sum
-(coherent gain), with the bits of a complex division by it, so an on-grid
-path of amplitude a peaks at |a| in the map, directly comparable to the
-analytic prediction of predicted_map.  delay_doppler transforms its
-columns in place, block by block, and writes magnitudes straight into the
-fftshifted rows of the map.
+Processing: range_fft is the one windowed fast-time FFT.  range_rows
+transforms every beat row once, in place; pdp_series takes their power and
+delay_doppler reads one window's slice.  padded_windows gives the
+zero-padded spectra of overlapping windows, transforming each row once.
+Both axes scale by the reciprocal of the window sum (coherent gain), with
+the bits of a complex division by it, so an on-grid path of amplitude a
+peaks at |a| in the map, directly comparable to the analytic prediction of
+predicted_map.  delay_doppler transforms its columns in place, block by
+block, and writes magnitudes straight into the fftshifted rows of the map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -108,8 +110,8 @@ class NoiseConfig:
         return 10.0 ** ((self.floor_dbm(f_samp) - self.tx_power_dbm) / 10.0)
 
 
-# Budget of a synth_beat block: about 1 MB of exponentials and products,
-# like the temporaries of one _PDP_BLOCK_ROWS range_fft.
+# Budget of a synth_beat block: about 1 MB of power tables, anchors and
+# products, like the temporaries of one _PDP_BLOCK_ROWS range_fft.
 _SYNTH_BLOCK_BYTES = 1 << 20
 
 
@@ -123,9 +125,10 @@ def synth_beat(cir: Cir, config: ChirpConfig,
     drifting nu evolves the phase correctly; for constant nu this equals
     nu * (t - t_first).  Frames go through np.matmul in blocks, padded to
     the block's largest path count with zero weights, so an empty frame
-    gives a zero row.  Noise draws are keyed by (seed, epoch_index), so a
-    given frame always receives the same noise regardless of batch
-    boundaries.
+    gives a zero row; the power tables put the power axis first, so each
+    doubling step is one contiguous multiply, and np.matmul reads them
+    transposed.  Noise draws are keyed by (seed, epoch_index), so a given
+    frame always receives the same noise regardless of batch boundaries.
     """
     n_s = config.samples_per_chirp
     beats = np.empty((len(cir), n_s), dtype=complex)
@@ -138,25 +141,30 @@ def synth_beat(cir: Cir, config: ChirpConfig,
                            - 0.5 * config.slope * paths.tau ** 2) + phi
     weights = paths.a * np.exp(1j * const)
 
-    # t_m at m = B q and at m = r, with the bits of the direct form's t_m.
-    t_m = np.arange(n_s) / config.f_samp
+    # Anchor (t, s) fills rows [s, 2 s) of table t from rows [0, s): the
+    # q table (t = 0) steps B s samples, the r table (t = 1) s samples.
     b = math.isqrt(max(n_s - 1, 0)) + 1
-    t_q, t_r = t_m[::b], t_m[:b]
-    q = len(t_q)
-    omega = 2.0 * np.pi * config.slope
+    q = -(-n_s // b)
+    fills = ([(0, 2 ** k) for k in range((q - 1).bit_length())]
+             + [(1, 2 ** k) for k in range((b - 1).bit_length())])
+    hops = np.array([s * (b, 1)[t] for t, s in fills], float)[:, None, None]
+    step = paths.tau * (2.0 * np.pi * config.slope / config.f_samp)
     block = max(1, _SYNTH_BLOCK_BYTES
-                // (16 * (q * b + 2 * (q + b) * max(int(counts.max()), 1))))
+                // (16 * (q * b + (q + b + len(hops) + 1) * max(int(counts.max()), 1))))
     bounds = np.concatenate([[0], np.cumsum(counts)])
     for f0 in range(0, len(cir), block):
         f1 = min(f0 + block, len(cir))
         live = np.arange(counts[f0:f1].max()) < counts[f0:f1, None]
-        w = np.zeros(live.shape, dtype=complex)
-        tau = np.zeros(live.shape)
-        w[live] = weights[bounds[f0]:bounds[f1]]
-        tau[live] = paths.tau[bounds[f0]:bounds[f1]]
-        left = w[:, None, :] * np.exp(1j * (omega * (tau[:, None, :] * t_q[:, None])))
-        right = np.exp(1j * (omega * (tau[:, :, None] * t_r)))
-        beats[f0:f1] = np.matmul(left, right).reshape(f1 - f0, q * b)[:, :n_s]
+        tables = left, right = [np.empty((n,) + live.shape, dtype=complex) for n in (q, b)]
+        arg = np.zeros(live.shape)
+        left[0], right[0] = 0.0, 1.0
+        left[0][live] = weights[bounds[f0]:bounds[f1]]
+        arg[live] = step[bounds[f0]:bounds[f1]]
+        for (t, s), anchor in zip(fills, np.exp(1j * (hops * arg))):
+            part = tables[t][s:2 * s]
+            np.multiply(tables[t][:len(part)], anchor, out=part)
+        product = np.matmul(left.transpose(1, 0, 2), right.transpose(1, 2, 0))
+        beats[f0:f1] = product.reshape(f1 - f0, q * b)[:, :n_s]
     if noise.enabled:
         sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
         for row, epoch in zip(beats, cir.epoch_index.tolist()):
@@ -207,7 +215,7 @@ def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (config.f_samp / n_bins) / config.slope
 
 
-# Rows per range_fft call in pdp_series and range_windows: about 1 MB of
+# Rows per range_fft call in range_rows and padded_windows: about 1 MB of
 # temporaries at 2116 samples per chirp, small enough that the allocator
 # reuses them from block to block instead of mapping fresh pages for each.
 _PDP_BLOCK_ROWS = 32
@@ -236,19 +244,23 @@ def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
     return spectrum
 
 
-def range_windows(beats: np.ndarray, starts, n_chirps: int, window: str = "hann",
-                  zero_pad: bool = False):
-    """Range spectra (range_fft) of the n_chirps beat rows from each of the
-    ascending starts, one window after the other: the rows argument of
-    delay_doppler.
+def range_rows(beats: np.ndarray, window: str = "hann") -> np.ndarray:
+    """beats with every row replaced in place by its range_fft, taken
+    _PDP_BLOCK_ROWS rows at a time."""
+    for lo in range(0, len(beats), _PDP_BLOCK_ROWS):
+        block = beats[lo:lo + _PDP_BLOCK_ROWS]
+        range_fft(block, window, out=block)
+    return beats
 
-    Every beat row is transformed once, however many windows hold it.  The
-    spectra live in a buffer of n_chirps rows, or 2 n_chirps when windows
-    overlap; each window is a view into it, valid until the next is drawn.
-    """
+
+def padded_windows(beats: np.ndarray, starts, n_chirps: int, window: str = "hann"):
+    """Zero-padded range spectra (range_fft) of the n_chirps beat rows from
+    each of the ascending starts, one window after the other, transforming
+    every beat row once.  The spectra live in a buffer of n_chirps rows, or
+    2 n_chirps when windows overlap; each window is a view into it, valid
+    until the next is drawn."""
     overlap = any(b - a < n_chirps for a, b in zip(starts, starts[1:]))
-    buffer = np.empty(((2 if overlap else 1) * n_chirps,
-                       beats.shape[1] * (2 if zero_pad else 1)), dtype=complex)
+    buffer = np.empty(((2 if overlap else 1) * n_chirps, 2 * beats.shape[1]), dtype=complex)
     base = done = 0         # buffer[i] holds beat row base + i; rows below done are in
     for start in starts:
         end = start + n_chirps
@@ -259,7 +271,7 @@ def range_windows(beats: np.ndarray, starts, n_chirps: int, window: str = "hann"
             base = start
         for lo in range(done, end, _PDP_BLOCK_ROWS):
             hi = min(lo + _PDP_BLOCK_ROWS, end)
-            range_fft(beats[lo:hi], window, zero_pad, out=buffer[lo - base:hi - base])
+            range_fft(beats[lo:hi], window, True, out=buffer[lo - base:hi - base])
         done = end
         yield buffer[start - base:end - base]
 
@@ -297,14 +309,6 @@ def _power_db(power: np.ndarray) -> np.ndarray:
 _FLOOR_DB = float(_power_db(np.zeros(1))[0])
 
 
-def _epochs(beats: np.ndarray, times) -> np.ndarray:
-    """times as a float array; ValueError unless it has one epoch per beat row."""
-    times = np.asarray(times, dtype=float)
-    if times.shape != beats.shape[:1]:
-        raise ValueError(f"{len(times)} epoch times for {len(beats)} beat rows")
-    return times
-
-
 def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay: int,
               windows: list[str], zero_pad: bool) -> tuple[np.ndarray, np.ndarray, dict]:
     """Delay axis, Doppler axis and metadata of the n_chirps-epoch window
@@ -330,8 +334,9 @@ def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
     """Delay-Doppler power map of one window of len(rows) chirps.
 
     rows holds range_fft(beats[t0_index:t0_index + len(rows)], window_fast,
-    zero_pad), as range_windows yields it, and times the epoch of every
-    beat row.  Rows twice as wide as samples_per_chirp are zero-padded.
+    zero_pad), a slice of range_rows or a window of padded_windows, and
+    times the epoch of every beat row.  Rows twice as wide as
+    samples_per_chirp are zero-padded.
     Doppler bins are spaced 1 / (n_chirps * pri) and span +-1 / (2 pri),
     centered on zero, with approaching targets at positive Doppler.  The
     slow-time FFT runs in place over blocks of delay columns, which gives
@@ -375,17 +380,16 @@ class PdpSeries:
     metadata: dict = field(default_factory=dict)
 
 
-def pdp_series(beats: np.ndarray, times: np.ndarray, config: ChirpConfig,
+def pdp_series(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
                window: str = "hann") -> PdpSeries:
-    """Range profile of every row of the beat matrix; times holds their epochs."""
-    times = _epochs(beats, times)
-    power_db = np.empty(beats.shape)
-    for start in range(0, len(beats), _PDP_BLOCK_ROWS):
-        rows = slice(start, start + _PDP_BLOCK_ROWS)
-        block = np.abs(range_fft(beats[rows], window), out=power_db[rows])
-        _power_db(np.square(block, out=block))
-    return PdpSeries(power_db, delay_axis(config, beats.shape[1]), times,
-                     metadata={"window": window, "config": config.to_dict()})
+    """Range profile of every beat row: rows holds their range spectra
+    (range_rows(beats, window)) and times their epochs."""
+    times = np.asarray(times, dtype=float)
+    if times.shape != rows.shape[:1]:
+        raise ValueError(f"{len(times)} epoch times for {len(rows)} beat rows")
+    power = np.abs(rows)
+    return PdpSeries(_power_db(np.square(power, out=power)), delay_axis(config, rows.shape[1]),
+                     times, metadata={"window": window, "config": config.to_dict()})
 
 
 def _sin_pi_over(g: np.ndarray, n: int) -> np.ndarray:
@@ -405,11 +409,12 @@ def _dirichlet(g: np.ndarray, n: int) -> np.ndarray:
     return np.where(on, n, ratio * np.exp(-1j * np.pi * g * (n - 1) / n))
 
 
+@functools.lru_cache(maxsize=8)
 def _window_response_table(window: str, n: int, oversample: int = 64,
                            span_bins: float = 8.0):
     """|DTFT| of a window vs frequency offset in bins, normalized by the tap
     sum (1 at 0); n taps repeat every n bins, so a short window wraps its
-    one period.
+    one period.  Cached, as read-only arrays: it depends on nothing else.
 
     Closed form (Harris 1978): tap m of the cosine sum is
     sum_k a_k (-1)^k cos(2 pi k m / n), so its DTFT is
@@ -420,7 +425,9 @@ def _window_response_table(window: str, n: int, oversample: int = 64,
     k = np.arange(1 - len(coeffs), len(coeffs))
     weight = np.where(k == 0, 1.0, 0.5) * coeffs[np.abs(k)] * (-1.0) ** k
     spec = weight @ _dirichlet(offs + k[:, None], n)
-    return offs, np.abs(spec) / window_taps(window, n).sum()
+    resp = np.abs(spec) / window_taps(window, n).sum()
+    offs.flags.writeable = resp.flags.writeable = False
+    return offs, resp
 
 
 def predicted_map(cir: Cir, config: ChirpConfig,

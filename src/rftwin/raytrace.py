@@ -440,11 +440,18 @@ class _SamplePattern:
     n_samples: int
 
 
+# Relative slack of the area blocks' ceil: a facet whose area lands a few
+# ulps above a multiple of subdivide_area after a rigid move keeps its count.
+_AREA_RTOL = 1e-9
+
+
 def diffuse_sample_count(area: float, config: TraceConfig) -> int:
     """Samples for one facet: base count scaled by area, as a full grid; more
-    than _MAX_FACET_SAMPLES (32768) is a ValueError."""
-    target = config.diffuse_samples_per_facet * max(
-        1, int(np.ceil(area / config.subdivide_area)))
+    than _MAX_FACET_SAMPLES (32768) is a ValueError.  The area counts in
+    blocks of subdivide_area, rounded up past a relative _AREA_RTOL, so
+    the count depends on the facet's shape and not on its pose."""
+    blocks = area / config.subdivide_area
+    target = config.diffuse_samples_per_facet * max(1, math.ceil(blocks * (1.0 - _AREA_RTOL)))
     side = math.isqrt(target - 1) + 1
     if side * side > _MAX_FACET_SAMPLES:
         raise ValueError(f"diffuse_samples_per_facet = {config.diffuse_samples_per_facet} "

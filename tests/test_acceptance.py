@@ -19,7 +19,7 @@ from rftwin.analysis import extract_peaks, ridge_fraction
 from rftwin.channel import ChirpConfig, max_range
 from rftwin.cli import main
 from rftwin.em import lobe_density, specular_reduction
-from rftwin.fmcw import pdp_series, predicted_map, synth_beat, window_taps
+from rftwin.fmcw import pdp_series, predicted_map, range_rows, synth_beat, window_taps
 from rftwin.kinematics import snapshot
 from rftwin.raytrace import trace_specular
 from rftwin.scene import scene_from_dict
@@ -358,7 +358,7 @@ def test_criterion_08_doppler_mainlobe_nulls():
 def test_criterion_09_platform_motion_pdp(scenario_c_episode):
     ep = scenario_c_episode
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
-    pdp = pdp_series(ep.beats, ep.times, ep.config)
+    pdp = pdp_series(range_rows(ep.beats.copy()), ep.times, ep.config)
     dominant_drift = int(np.ptp(np.argmax(pdp.power_db, axis=1)))
 
     delay_bin = (ep.config.f_samp / ep.config.samples_per_chirp) / ep.config.slope

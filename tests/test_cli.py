@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from conftest import FIXTURES, REPO_ROOT, plates_scene_doc
+from rftwin.channel import ChirpConfig, load_cir
 from rftwin.cli import main
+from rftwin.fmcw import NoiseConfig, delay_doppler, load_map, range_fft, synth_beat
 
 
 def write_scene(directory):
@@ -294,6 +296,50 @@ def test_process_without_a_pdp_export_skips_the_pdp(artifacts, tmp_path, monkeyp
         "run_w000000.pgm", "run_w000000.pgm.txt", "run_w000008.pgm", "run_w000008.pgm.txt"]
     for path in (tmp_path / "pgm").iterdir():
         assert path.read_bytes() == (tmp_path / "bin" / path.name).read_bytes()
+
+
+def test_process_transforms_each_beat_row_once(artifacts, tmp_path, monkeypatch):
+    """Without --zero-pad the PDP and every map, overlapping windows
+    included, read one range_fft of each of the 16 beat rows."""
+    seen = []
+
+    def counting(samples, window="hann", zero_pad=False, out=None):
+        assert not zero_pad
+        first = samples.__array_interface__["data"][0]
+        seen.extend(first + i * samples.strides[0] for i in range(len(samples)))
+        return range_fft(samples, window, zero_pad, out)
+
+    monkeypatch.setattr("rftwin.fmcw.range_fft", counting)
+    assert main(["process", "--cir", str(artifacts["out"] / "run.cir"), "-N", "8",
+                 "--stride", "3", "--export", "bin,csv,pgm", "--tag", "run",
+                 "-o", str(tmp_path), "--frozen-clock"]) == 0
+    assert len(seen) == len(set(seen)) == 16
+
+
+def test_zero_padded_process_keeps_the_unpadded_pdp(artifacts, tmp_path):
+    """--zero-pad maps are 2 n_s wide, with the bits of delay_doppler on
+    range_fft(beats[w], zero_pad=True) for overlapping windows, and the
+    .pdp is the unpadded run's byte for byte."""
+    cir = artifacts["out"] / "run.cir"
+    common = ["-N", "8", "--stride", "3", "--noise", "--window", "blackman",
+              "--window-slow", "hamming", "--tag", "run", "--frozen-clock"]
+    for name, flags in (("pad", ["--zero-pad"]), ("flat", [])):
+        assert main(["process", "--cir", str(cir), "-o", str(tmp_path / name),
+                     *flags, *common]) == 0
+    pdp = [(tmp_path / name / "run.pdp").read_bytes() for name in ("pad", "flat")]
+    assert pdp[0] == pdp[1]
+    episode, header = load_cir(cir)
+    config = ChirpConfig(**header["config"])
+    beats = synth_beat(episode, config, NoiseConfig(enabled=True))
+    for start in (0, 3, 6):
+        ddm = load_map(tmp_path / "pad" / f"run_w{start:06d}.ddm")
+        rows = range_fft(beats[start:start + 8], "blackman", zero_pad=True)
+        want = delay_doppler(rows, episode.t, config, t0_index=start,
+                             window_fast="blackman", window_slow="hamming")
+        assert ddm.power_db.shape == (8, 2 * config.samples_per_chirp)
+        assert ddm.power_db.tobytes() == want.power_db.tobytes()
+        assert ddm.metadata["zero_pad"] is True
+    assert not (tmp_path / "pad" / "run_w000009.ddm").exists()
 
 
 def test_default_out_dir_comes_from_environment(tmp_path, monkeypatch, capsys):

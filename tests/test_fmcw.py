@@ -25,11 +25,12 @@ from rftwin.fmcw import (
     load_pdp,
     map_to_csv,
     map_to_pgm,
+    padded_windows,
     pdp_series,
     pdp_to_csv,
     predicted_map,
     range_fft,
-    range_windows,
+    range_rows,
     save_map,
     save_pdp,
     synth_beat,
@@ -96,6 +97,16 @@ def test_window_response_table_repeats_short_windows(name):
         if n >= 9:
             spec = np.abs(np.fft.fft(w, n * 64)) / w.sum()
             assert np.abs(resp - spec[:8 * 64 + 1]).max() <= 16 * np.finfo(float).eps
+
+
+def test_window_response_table_is_cached_read_only():
+    """predicted_map reads one cached table per (window, n); a write to it
+    would reach every later prediction, so it raises."""
+    tables = fmcw._window_response_table("hann", 2116)
+    assert fmcw._window_response_table("hann", 2116) is tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 def test_boltzmann_literal_is_codata():
@@ -213,7 +224,7 @@ def test_map_axes_spacing_and_metadata():
     with pytest.raises(ValueError, match=f"{NS - 1} delay bins, expected {NS} or {2 * NS}"):
         delay_doppler(rows[:, 1:], times, CFG)
     with pytest.raises(ValueError, match="127 epoch times for 128 beat rows"):
-        pdp_series(beats, times[:-1], CFG)
+        pdp_series(rows, times[:-1], CFG)
 
 
 def test_on_grid_path_power_is_exact():
@@ -367,7 +378,7 @@ def test_predicted_map_equals_the_dense_reference(case, window_fast):
 def test_pdp_series_static_path():
     cir = make_cir([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
     beats = synth_beat(cir, CFG)
-    pdp = pdp_series(beats, cir.t, CFG)
+    pdp = pdp_series(range_rows(beats.copy()), cir.t, CFG)
     assert pdp.power_db.shape == (16, NS)
     assert np.array_equal(np.argmax(pdp.power_db, axis=1), np.full(16, 160))
     assert np.allclose(pdp.times, cir.t)
@@ -457,11 +468,11 @@ def test_range_fft_equals_complex_division_bit_for_bit(window, zero_pad, n):
 @pytest.mark.parametrize("stride", [7, 45])
 @pytest.mark.parametrize("n", [40, 41])
 def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n):
-    """Each window's rows from range_windows are range_fft of that window
-    alone, and delay_doppler on them gives the bits of one slow-time FFT
-    over the whole window, for every window name in both roles.  Both n
-    exceed one range_fft block, an odd n splits the fftshift unevenly, and
-    beat row 50 is all zero."""
+    """Each window's rows, sliced from range_rows or drawn by
+    padded_windows, are range_fft of that window alone, and delay_doppler
+    on them gives the bits of one slow-time FFT over the whole window, for
+    every window name in both roles.  Both n exceed one range_fft block,
+    an odd n splits the fftshift unevenly, and beat row 50 is all zero."""
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
                           tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
     beats = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=3))
@@ -470,7 +481,11 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
     starts = list(range(0, len(beats) - n + 1, stride))
     names = ["hann", "hamming", "blackman", "boxcar"]
     for fast, slow in zip(names, names[1:] + names[:1]):
-        shared = range_windows(beats, starts, n, fast, zero_pad)
+        if zero_pad:
+            shared = padded_windows(beats, starts, n, fast)
+        else:
+            spectra = range_rows(beats.copy(), fast)
+            shared = (spectra[start:start + n] for start in starts)
         for start, rows in zip(starts, shared):
             fresh = range_fft(beats[start:start + n], fast, zero_pad)
             assert rows.tobytes() == fresh.tobytes()
@@ -560,6 +575,30 @@ def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
         load_map(junk)
 
 
+def test_loaded_arrays_are_aligned_for_every_header_length(tmp_path):
+    """The payload starts at byte 12 + header length; padding the metadata
+    by one character at a time puts that offset at every residue mod 8, and
+    each time the map and PDP arrays come back 8-byte aligned, writable and
+    sharing one file buffer."""
+    ddm = small_map()
+    pdp = pdp_series(range_rows(np.ones((4, 8), complex)), np.arange(4) * CFG.pri, CFG)
+    files = ((save_map, load_map, ddm, "map.ddm", "doppler_axis"),
+             (save_pdp, load_pdp, pdp, "series.pdp", "times"))
+    residues = set()
+    for pad in range(8):
+        for save, load, data, name, axis in files:
+            data.metadata["pad"] = "x" * pad
+            save(tmp_path / name, data, frozen_clock=True)
+            back = load(tmp_path / name)
+            raw = (tmp_path / name).read_bytes()
+            residues.add((12 + int.from_bytes(raw[8:12], "little")) % 8)
+            arrays = [back.power_db, back.delay_axis, getattr(back, axis)]
+            assert all(a.flags.aligned and a.flags.writeable for a in arrays)
+            assert all(a.base is arrays[0].base for a in arrays)
+            assert back.power_db.tobytes() == data.power_db.tobytes()
+    assert residues == set(range(8))
+
+
 @pytest.mark.parametrize("t_window", [True, float("nan"), float("inf"), 10 ** 400],
                          ids=["bool", "nan", "inf", "huge-int"])
 def test_load_map_rejects_a_t_window_that_is_not_a_finite_number(tmp_path, t_window):
@@ -623,7 +662,8 @@ def test_pdp_series_blocks_match_whole_matrix():
     n = 2 * fmcw._PDP_BLOCK_ROWS + 37
     beats = rng.standard_normal((n, 96)) + 1j * rng.standard_normal((n, 96))
     beats[3] = 0.0                                  # clipped to the -300 dB floor
-    pdp = pdp_series(beats, np.arange(n) * CFG.pri, CFG, window="blackman")
+    pdp = pdp_series(range_rows(beats.copy(), "blackman"), np.arange(n) * CFG.pri, CFG,
+                     window="blackman")
     whole = 10.0 * np.log10(np.maximum(np.abs(range_fft(beats, "blackman")) ** 2, 1e-30))
     assert pdp.power_db.tobytes() == whole.tobytes()
     assert pdp.power_db.shape == (n, 96) and len(pdp.delay_axis) == 96
@@ -631,7 +671,7 @@ def test_pdp_series_blocks_match_whole_matrix():
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
-    pdp = pdp_series(synth_beat(cir, CFG), cir.t, CFG)
+    pdp = pdp_series(range_rows(synth_beat(cir, CFG)), cir.t, CFG)
     out = tmp_path / "series.pdp"
     save_pdp(out, pdp, frozen_clock=True)
     back = load_pdp(out)

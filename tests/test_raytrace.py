@@ -12,7 +12,7 @@ from scipy.optimize import minimize
 
 from rftwin import raytrace
 from rftwin.channel import ChirpConfig, doppler_of
-from rftwin.geometry import facet_normal
+from rftwin.geometry import facet_area, facet_normal
 from rftwin.kinematics import build_trajectories, snapshot, snapshots
 from rftwin.raytrace import (
     _FRONT_EPS,
@@ -210,6 +210,21 @@ def test_diffuse_sample_count_scales_with_area():
     assert diffuse_sample_count(25.0, config) == 16
     assert diffuse_sample_count(100.0, config) == 64
     assert diffuse_sample_count(30.0, config) == 36   # 2 blocks -> 32 -> side 6
+
+
+def test_diffuse_sample_count_ignores_a_rigid_move():
+    """scenario_b's facade facet 0 (5 m x 5 m) shifted by (8000, -6000, 0) m
+    and turned 0.3 rad about z has an area one rounding above 25 m^2; it
+    keeps the 16 samples of the facet at the origin instead of 36."""
+    vertices = load_scene(FIXTURES / "scenario_b.json").facets[0].vertices
+    c, s = np.cos(0.3), np.sin(0.3)
+    yaw = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    moved = vertices @ yaw + [8000.0, -6000.0, 0.0]
+    assert facet_area(vertices) == 25.0
+    assert facet_area(moved) == 25.00000000000135
+    config = TraceConfig()
+    assert diffuse_sample_count(facet_area(moved), config) == 16
+    assert diffuse_sample_count(25.0 * (1.0 + 1e-6), config) == 36
 
 
 def test_diffuse_sample_count_is_capped_at_one_tracing_pass():
