@@ -2,19 +2,19 @@
 samples.
 
 Specular paths come from the image method (Allen & Berkley, 1979), run as
-one vectorized pass over a chain table.  For F facets and orders 1..K the
-table holds every facet sequence without an immediate repeat,
-sum_k F (F-1)^(k-1) chains (301 for F = 7, K = 3), built once per (F, K)
-and ordered by order, then facet indices; that is the order paths come out
-in.  The pass runs over a SnapshotBlock, with a leading epoch axis on
-every array; one instant is the block of one epoch.  It
-  0. prunes the table to the chains whose facets can see each other at some
-     epoch of the block (the visibility tree of beam tracing, Funkhouser et
-     al., 1998): TX in front of the first facet, RX in front of the last,
-     and each consecutive pair partly in front of each other.  These are
-     loosened forms of the tests of steps 2 and 3, so no survivor is lost;
-     the steps below run on the kept rows only,
-  1. mirrors the transmitter through every facet prefix (nested images),
+one vectorized pass over the chains of a visibility tree (beam tracing,
+Funkhouser et al., 1998).  A chain is a facet sequence of order 1..K
+without an immediate repeat; of the sum_k F (F-1)^(k-1) such sequences
+(301 for F = 7, K = 3) only those whose facets can see each other are
+built.  Chains come out by order, then facet indices; that is the order
+paths come out in.  The pass runs over a SnapshotBlock, with a leading
+epoch axis on every array; one instant is the block of one epoch.  It
+  0. grows the chains prefix by prefix from per-epoch front tests: TX in
+     front of the first facet, each consecutive pair partly in front of
+     each other, and RX in front of the last.  These are loosened forms of
+     the tests of steps 2 and 3, so no survivor is lost,
+  1. mirrors the transmitter through the grown prefixes only, depth by
+     depth (nested images),
   2. intersects back to front, from the receiver through the last facet's
      image to the first, keeping chains whose every hit lies strictly
      inside its image segment,
@@ -35,7 +35,6 @@ within the block) of each row.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -232,8 +231,8 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
                    config: TraceConfig = TraceConfig()) -> PathTable:
     """Specular paths up to config.max_specular_order, image method.
 
-    Paths come out epoch by epoch, and within an epoch in chain-table
-    order: by order, then facet indices.
+    Paths come out epoch by epoch, and within an epoch by order, then facet
+    indices.
     """
     k_max = config.max_specular_order
     n_facets = block.pack.n_facets
@@ -241,103 +240,63 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
         return _table("specular", np.empty((0, k_max), int),
                       np.empty((0, k_max + 2, 3)), frame=np.empty(0, int))
 
-    full = _chain_table(n_facets, k_max)
-    step = max(1, _CHAIN_ROWS // len(full.hops))
-    tables = []
-    for lo in range(0, len(block), step):
+    # Parts of a block bound the rows of a pass, epochs times chains, and its
+    # (epochs, F, F) front masks; a part that grows too many chains is
+    # halved, and so is every part after it.
+    step = max(1, _CHAIN_ROWS // n_facets ** 2)
+    tables, lo = [], 0
+    while lo < len(block):
         part = block.view(slice(lo, lo + step))
         txp, rxp = part.states[tx_id].position, part.states[rx_id].position
-        table = full.subset(np.flatnonzero(_viable_chains(part.pack, txp, rxp, full)
-                                           .any(axis=0)))
-        ok, pts = _trace_chains(part.pack, txp, rxp, table)
-        frame, idx = np.nonzero(ok)
-        if idx.size:
-            # Occlusion over every segment of every survivor; the zero-length
-            # TX -> TX segments of the left padding never count as blocked.
-            legs = pts[frame, idx]
-            blocked = part.pack.segments_blocked(legs[:, :-1].reshape(-1, 3),
-                                                 legs[:, 1:].reshape(-1, 3),
-                                                 config.occlusion_epsilon,
-                                                 np.repeat(frame, k_max + 1))
-            clear = ~blocked.reshape(len(idx), -1).any(axis=1)
-            frame, idx = frame[clear], idx[clear]
-        tables.append(_table("specular", np.where(table.live[idx], table.seq[idx], -1),
-                             pts[frame, idx], frame=lo + frame))
+        table = _grow_chains(*_front_masks(part.pack, txp, rxp), k_max)
+        if len(part) * len(table.hops) > _CHAIN_ROWS and len(part) > 1:
+            step = (len(part) + 1) // 2
+            continue
+        frame, idx, legs = _trace_chains(part.pack, txp, rxp, table)
+        # Occlusion over every segment of every survivor but the zero-length
+        # TX -> TX segments of the left padding.
+        hops = table.hops[idx]
+        on = _live(hops + 1, k_max + 1)
+        blocked = np.zeros(on.shape, dtype=bool)
+        blocked[on] = part.pack.segments_blocked(legs[:, :-1][on], legs[:, 1:][on],
+                                                 config.occlusion_epsilon, frame.repeat(hops + 1))
+        clear = ~blocked.any(axis=1)
+        facets = np.where(_live(hops, k_max), table.seq[idx], -1)
+        tables.append(_table("specular", facets[clear], legs[clear], frame=lo + frame[clear]))
+        lo += len(part)
     return tables[0] if len(tables) == 1 else PathTable.concat(tables)
 
 
 @dataclass(frozen=True)
 class _ChainTable:
-    """Candidate facet sequences of orders 1..K, one row per chain.
+    """The chains of one tracing pass, one row each by order, then facet
+    indices, and the tree of facet prefixes they grow from.
 
-    The full table (_chain_table) holds every sequence without an immediate
-    repeat (a facet cannot face itself), sum_k F (F-1)^(k-1) rows by order,
-    then facet indices; subset keeps some of its rows in that order.
-    Sequences are right-aligned: column K-1 holds every chain's last facet
-    and the left padding (0, masked by ``live``) belongs to no chain.
-    images[:, c] is the row, in the dense image array, of the image through
-    the facet prefix ending at seq[:, c].  The back-to-front pass of the
-    image method visits the last facet first, so its step j touches the rows
-    with hops > j, the suffix from first[j], using step_facets[j] and the
-    nested image in image_rows[j].
+    seq holds each chain's facets right-aligned, after a left padding that
+    belongs to no chain.  tree[d] = (parent, facet) lists the prefixes of
+    d + 1 facets: the row of each one's first d facets in tree[d - 1] (0 at
+    d = 0) and its last facet.  Numbered depth by depth, prefix r has its
+    nested image at row r of _nested_images; images[:, c] is the row of the
+    chain's prefix ending at seq[:, c].
     """
 
     seq: np.ndarray             # (C, K) facet indices
-    hops: np.ndarray            # (C,) chain order
+    hops: np.ndarray            # (C,) chain order, increasing
     images: np.ndarray          # (C, K) image rows, right-aligned like seq
-    live: np.ndarray            # (C, K) True where seq is part of the chain
-    first: tuple                # per step j: first row with hops > j
-    step_facets: tuple          # per step j: facet of the depth-(hops - j) image
-    image_rows: tuple           # per step j: row of that image in the image array
-
-    @classmethod
-    def of(cls, seq, hops, images) -> _ChainTable:
-        """The table of rows sorted by hops, with the per-step slices."""
-        k_max = seq.shape[1]
-        first = tuple(int(np.searchsorted(hops, j + 1)) for j in range(k_max))
-        return cls(seq, hops, images, _live(hops, k_max), first,
-                   tuple(seq[lo:, k_max - 1 - j] for j, lo in enumerate(first)),
-                   tuple(images[lo:, k_max - 1 - j] for j, lo in enumerate(first)))
-
-    def subset(self, rows) -> _ChainTable:
-        """The table of the given rows, an increasing index array."""
-        return _ChainTable.of(self.seq[rows], self.hops[rows], self.images[rows])
+    tree: tuple                 # per depth d: (parent, facet) of its prefixes
 
 
-@functools.lru_cache(maxsize=8)
-def _chain_table(n_facets: int, max_order: int) -> _ChainTable:
-    """Chain table for a facet count, cached: it depends on nothing else.
+def _front_masks(pack, txp, rxp):
+    """Per epoch of a stacked pack, the (E, F) masks of the facets that TX
+    and RX are in front of, and the (E, F, F) mask of the facet pairs
+    mutually partly in front, some point of each facet in front of the
+    other's plane.
 
-    Nested images are stored densely, depth d over every d-facet prefix, in
-    one array with depth d starting at row F + F^2 + ... + F^(d-1).
-    """
-    f, k_max = n_facets, max_order
-    seqs, hops, codes = [], [], []
-    for k in range(1, k_max + 1):
-        s = np.indices((f,) * k).reshape(k, -1).T
-        s = s[np.all(s[:, 1:] != s[:, :-1], axis=1)]
-        seqs.append(np.pad(s, ((0, 0), (k_max - k, 0))))
-        hops.append(np.full(len(s), k))
-        # code[:, d] is the image row of the depth-(d+1) prefix
-        code = np.zeros((len(s), k_max), dtype=s.dtype)
-        prefix = np.zeros(len(s), dtype=s.dtype)
-        for d in range(k):
-            prefix = prefix * f + s[:, d]
-            code[:, k_max - k + d] = prefix + sum(f ** i for i in range(1, d + 1))
-        codes.append(code)
-    return _ChainTable.of(np.concatenate(seqs), np.concatenate(hops), np.concatenate(codes))
-
-
-def _viable_chains(pack, txp, rxp, table: _ChainTable) -> np.ndarray:
-    """(E, C) mask of the chains of the table whose facets can see each
-    other at each epoch of a stacked pack: TX in front of the first facet,
-    RX in front of the last, and each consecutive pair mutually partly in
-    front, some point of each facet in front of the other's plane.
-
-    Every chain that _trace_chains keeps is viable at that epoch: its TX and
-    RX tests are the full pass's, and each hit it keeps is one that contains
-    accepts, in front of the facets before and after it.  contains reaches
-    past the vertices in two ways, and the vertex test is widened for both:
+    Every chain that _trace_chains keeps passes these tests at that epoch:
+    its TX and RX tests are the full pass's, and each hit it keeps is one
+    that contains accepts, in front of the facets before and after it.
+    contains reaches past the vertices in two ways, and the vertex test is
+    widened for both:
       - it accepts side_e(p) >= -_EDGE_TOL on each edge e.  side_e is affine,
         so with c the vertex centroid and s = _EDGE_TOL / min_e side_e(c),
         q = c + (p - c) / (1 + s) is inside, and the distance of p to
@@ -363,7 +322,8 @@ def _viable_chains(pack, txp, rxp, table: _ChainTable) -> np.ndarray:
     eps = 0.5 * _FRONT_EPS
     tx_front, rx_front = dist[:, 0] > eps, dist[:, 1] > eps
     dist = dist[:, 2:].reshape(e, 4, f, f)
-    hi, lo = dist.max(axis=1), dist.min(axis=1)           # (E, a, b)
+    hi = np.maximum(np.maximum(dist[:, 0], dist[:, 1]), np.maximum(dist[:, 2], dist[:, 3]))
+    lo = np.minimum(np.minimum(dist[:, 0], dist[:, 1]), np.minimum(dist[:, 2], dist[:, 3]))
     verts, w = pack.verts[0], pack.edge_normals[0]        # (F, 4, 3)
     side = np.vecdot(verts.mean(axis=1, keepdims=True) - verts, w)
     # The zero edge of a triangle padded to a quad rejects no point.
@@ -371,13 +331,58 @@ def _viable_chains(pack, txp, rxp, table: _ChainTable) -> np.ndarray:
     s = 2.0 * _EDGE_TOL / side.min(axis=1)                # (F,)
     lift = 2.0 * np.abs(np.diagonal(dist[0], axis1=1, axis2=2)).max(axis=0)
     partly = hi + s[:, None] * (hi - lo) > (eps - (1.0 + 2.0 * s) * lift)[:, None]
-    mutual = (partly & partly.transpose(0, 2, 1)).reshape(e, f * f)
-    seq, k_max = table.seq, table.seq.shape[1]
-    ok = (tx_front[:, seq[np.arange(len(seq)), k_max - table.hops]]
-          & rx_front[:, seq[:, -1]])
-    for j in range(k_max - 1):
-        ok &= mutual[:, seq[:, j] * f + seq[:, j + 1]] | ~table.live[:, j]
-    return ok
+    return tx_front, rx_front, partly & partly.transpose(0, 2, 1)
+
+
+def _grow_chains(tx_front, rx_front, mutual, k_max: int) -> _ChainTable:
+    """The chains of orders 1..k_max that pass the front masks at one epoch:
+    TX in front of the first facet, each consecutive pair distinct and
+    mutual, RX in front of the last.  Prefixes grow depth by depth, each
+    alive at the epochs where its own tests pass, by the facets mutual with
+    its last one at such an epoch; the last order grows chains only.
+    """
+    mutual = mutual & ~np.eye(tx_front.shape[1], dtype=bool)
+    grown = tx_front[:, None]               # (E, prefix, next facet), the root first
+    rows = np.zeros((1, k_max), int)        # right-aligned image rows of the prefixes
+    tree, chains, n_rows = [], [], 0
+    for depth in range(k_max):
+        if depth:
+            grown = alive[:, :, None] & mutual[:, facet]
+        if depth == k_max - 1:
+            grown = grown & rx_front[:, None]
+        parent, facet = np.nonzero(grown.any(axis=0))
+        rows = np.concatenate([rows[parent, 1:], np.arange(n_rows, n_rows + len(facet))[:, None]],
+                              axis=1)
+        tree.append((parent, facet))
+        n_rows += len(facet)
+        if depth == k_max - 1:
+            chains.append(rows)
+            break
+        alive = grown[:, parent, facet]
+        chains.append(rows[(alive & rx_front[:, facet]).any(axis=0)])
+    images = np.concatenate(chains)
+    facets = np.concatenate([facet for _, facet in tree])
+    return _ChainTable(facets[images], np.repeat(np.arange(1, k_max + 1), list(map(len, chains))),
+                       images, tuple(tree))
+
+
+def _nested_images(pack, txp, table: _ChainTable) -> np.ndarray:
+    """(E, R, 3) images of TX through the R prefixes of the table's tree,
+    numbered depth by depth.  A depth takes the dot products of the images
+    before it with every normal in one batched (E, P, 3) x (E, 3, F)
+    product and picks each prefix's column.  The product has two rows at
+    least, so BLAS runs a matrix product, whose rounding does not depend
+    on P."""
+    n, off = pack.normals, pack.offsets                  # (E, F, 3), (E, F)
+    nt = n.transpose(0, 2, 1)
+    image = txp[:, None] - 2.0 * (np.matmul(txp[:, None], nt)[:, 0] - off)[..., None] * n
+    images = [image[:, table.tree[0][1]]]
+    for parent, facet in table.tree[1:]:
+        image = images[-1]
+        dots = np.matmul(image if image.shape[1] > 1 else image.repeat(2, axis=1), nt)
+        images.append(image[:, parent]
+                      - 2.0 * (dots[:, parent, facet] - off[:, facet])[..., None] * n[:, facet])
+    return np.concatenate(images, axis=1)
 
 
 def _trace_chains(pack, txp, rxp, table: _ChainTable):
@@ -385,53 +390,46 @@ def _trace_chains(pack, txp, rxp, table: _ChainTable):
     stacked pack of E snapshots, with the TX and RX positions txp and rxp
     (E, 3).
 
-    Returns the (E, C) mask of chains that pass the span, front-side and
-    containment tests, and the (E, C, K+2, 3) point table: TX, the hits,
-    RX, right-aligned like table.seq, with the left padding repeating TX.
+    Returns the epochs and table rows of the chains that pass the span,
+    front-side and containment tests, by epoch, then row, and their (N,
+    K+2, 3) points: TX, the hits, RX, right-aligned, the padding TX.
     """
     n, off = pack.normals, pack.offsets                  # (E, F, 3), (E, F)
-    e, f = off.shape
     k_max = table.seq.shape[1]
-    # Depth d images have shape (E, F, ..., F, 3) with d facet axes; the
-    # facet arrays broadcast over all but the last of them.
-    image = txp[:, None] - 2.0 * (np.matmul(txp[:, None], n.transpose(0, 2, 1))[:, 0]
-                                  - off)[..., None] * n
-    images = [image]
-    for depth in range(1, k_max):
-        ones = (1,) * depth
-        image = (image[..., None, :]
-                 - 2.0 * (np.matmul(image, n.transpose(0, 2, 1).reshape((e,) + ones[1:] + (3, f)))
-                          - off.reshape((e,) + ones + (f,)))[..., None]
-                 * n.reshape((e,) + ones + (f, 3)))
-        images.append(image.reshape(e, -1, 3))
-    images = np.concatenate(images, axis=1)
-
-    pts = np.empty((e, len(table.hops), k_max + 2, 3))
-    pts[:, :, :-1] = txp[:, None, None]
-    pts[:, :, -1] = rxp[:, None]
-    ok = np.ones((e, len(table.hops)), dtype=bool)
+    images = _nested_images(pack, txp, table)
+    ok = np.ones((len(off), len(table.hops)), dtype=bool)
+    # Back to front: step j intersects the line from the image of column
+    # K-1-j to the point after it (RX first) with the image's facet, on the
+    # rows with hops > j, from first[j] on.
+    first = np.searchsorted(table.hops, np.arange(1, k_max + 1)).tolist()
+    hits = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Back to front: intersect the line from each image to the point
-        # after it (RX first) with the image's facet.
-        for j in range(k_max):
-            lo, fac, src = table.first[j], table.step_facets[j], images[:, table.image_rows[j]]
+        for j, lo in enumerate(first):
+            fac, src = table.seq[lo:, -1 - j], images[:, table.images[lo:, -1 - j]]
             nf = n[:, fac]
-            d = pts[:, lo:, k_max + 1 - j] - src
+            d = (hits[-1][:, lo - first[j - 1]:] if j else rxp[:, None]) - src
             denom = np.einsum("ecj,ecj->ec", d, nf)
             t = (off[:, fac] - np.einsum("ecj,ecj->ec", src, nf)) / denom
             ok[:, lo:] &= (np.abs(denom) > 1e-12) & (t > _PARAM_EPS) & (t < 1.0 - _PARAM_EPS)
-            pts[:, lo:, k_max - j] = src + t[..., None] * d
+            hits.append(src + t[..., None] * d)
     # Each hit inside its facet, with the points before and after it
     # strictly in front of the facet; only chains still in span are tested.
     snap, rows = np.nonzero(ok)
-    seq, p = table.seq[rows], pts[snap, rows]
+    p = np.empty((len(rows), k_max + 2, 3))
+    p[:, :-1] = txp[snap, None]
+    p[:, -1] = rxp[snap]
+    p[:, k_max] = hits[0][snap, rows]
+    for j, lo in enumerate(first[1:], 1):
+        on = rows >= lo
+        p[on, k_max - j] = hits[j][snap[on], rows[on] - lo]
+    seq = table.seq[rows]
     at = (snap[:, None], seq)
     nrm, offs = n[at], off[at]
     good = ((np.einsum("ckj,ckj->ck", p[:, :-2], nrm) - offs > _FRONT_EPS)
             & (np.einsum("ckj,ckj->ck", p[:, 2:], nrm) - offs > _FRONT_EPS)
             & pack.contains(p[:, 1:-1], at))
-    ok[snap, rows] = np.all(good | ~table.live[rows], axis=1)
-    return ok, pts
+    keep = np.all(good | ~_live(table.hops[rows], k_max), axis=1)
+    return snap[keep], rows[keep], p[keep]
 
 
 @dataclass

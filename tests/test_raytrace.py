@@ -18,7 +18,6 @@ from rftwin.raytrace import (
     _FRONT_EPS,
     PathTable,
     TraceConfig,
-    _chain_table,
     _table,
     build_sample_patterns,
     diffuse_sample_count,
@@ -339,14 +338,98 @@ def test_specular_order_and_stable_sort():
     assert seqs == again.keys()
 
 
+def _full_chain_table(n_facets, max_order):
+    """Every facet sequence without an immediate repeat, sum_k F (F-1)^(k-1)
+    rows by order, then facet indices, with the image rows of the dense
+    image array: depth d over every d-facet prefix, starting at row
+    F + F^2 + ... + F^(d-1)."""
+    f, k_max = n_facets, max_order
+    seqs, hops, codes = [], [], []
+    for k in range(1, k_max + 1):
+        s = np.indices((f,) * k).reshape(k, -1).T
+        s = s[np.all(s[:, 1:] != s[:, :-1], axis=1)]
+        seqs.append(np.pad(s, ((0, 0), (k_max - k, 0))))
+        hops.append(np.full(len(s), k))
+        # code[:, d] is the image row of the depth-(d+1) prefix
+        code = np.zeros((len(s), k_max), dtype=s.dtype)
+        prefix = np.zeros(len(s), dtype=s.dtype)
+        for d in range(k):
+            prefix = prefix * f + s[:, d]
+            code[:, k_max - k + d] = prefix + sum(f ** i for i in range(1, d + 1))
+        codes.append(code)
+    return raytrace._ChainTable(np.concatenate(seqs), np.concatenate(hops),
+                               np.concatenate(codes), None)
+
+
+def _dense_images(pack, txp, table):
+    """Nested images through every facet prefix of every depth, in the rows
+    of _full_chain_table, each depth one broadcast over all prefixes."""
+    n, off = pack.normals, pack.offsets
+    e, f = off.shape
+    image = txp[:, None] - 2.0 * (np.matmul(txp[:, None], n.transpose(0, 2, 1))[:, 0]
+                                  - off)[..., None] * n
+    images = [image]
+    for depth in range(1, table.seq.shape[1]):
+        ones = (1,) * depth
+        image = (image[..., None, :]
+                 - 2.0 * (np.matmul(image, n.transpose(0, 2, 1).reshape((e,) + ones[1:] + (3, f)))
+                          - off.reshape((e,) + ones + (f,)))[..., None]
+                 * n.reshape((e,) + ones + (f, 3)))
+        images.append(image.reshape(e, -1, 3))
+    return np.concatenate(images, axis=1)
+
+
+def _dense_specular(block, tx_id, rx_id, config):
+    """trace_specular over every chain of the full table with the dense
+    nested images: the image pass as it ran before the visibility tree."""
+    def every_chain(tx_front, rx_front, mutual, k_max):
+        return _full_chain_table(tx_front.shape[1], k_max)
+    with mock.patch.object(raytrace, "_grow_chains", every_chain), \
+            mock.patch.object(raytrace, "_nested_images", _dense_images):
+        return trace_specular(block, tx_id, rx_id, config)
+
+
+def _chains(table):
+    """The table's facet sequences, in row order."""
+    return [tuple(row[-h:]) for row, h in zip(table.seq.tolist(), table.hops.tolist())]
+
+
 def test_chain_table_counts_and_order():
+    """With every facet in front of every other and of TX and RX, the tree
+    grows the full table: every sequence without an immediate repeat."""
     for f, k in ((1, 3), (2, 3), (7, 3), (5, 2)):
-        table = _chain_table(f, k)
+        every = np.ones((2, f), dtype=bool)
+        table = raytrace._grow_chains(every, every, np.ones((2, f, f), dtype=bool), k)
         assert len(table.hops) == sum(f * (f - 1) ** (j - 1) for j in range(1, k + 1))
-        chains = [tuple(row[-h:]) for row, h in zip(table.seq.tolist(), table.hops)]
+        chains = _chains(table)
         assert chains == sorted(chains, key=lambda c: (len(c), c))
         assert all(a != b for c in chains for a, b in zip(c, c[1:]))
-    assert _chain_table(7, 3) is _chain_table(7, 3)
+        assert chains == _chains(_full_chain_table(f, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.integers(1, 4), f=st.integers(1, 6), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0))
+def test_grown_chains_are_those_viable_at_some_epoch(e, f, k, seed, density):
+    """_grow_chains keeps, in full-table order, exactly the chains with TX in
+    front of the first facet, RX in front of the last and each consecutive
+    pair mutual at one and the same epoch; each chain's image rows are the
+    rows of its prefixes in the tree, numbered depth by depth."""
+    rng = np.random.default_rng(seed)
+    tx_front, rx_front = rng.random((e, f)) < density, rng.random((e, f)) < density
+    mutual = rng.random((e, f, f)) < density
+    table = raytrace._grow_chains(tx_front, rx_front, mutual, k)
+    expected = [c for c in _chains(_full_chain_table(f, k))
+                if (tx_front[:, c[0]] & rx_front[:, c[-1]]
+                    & np.all([mutual[:, a, b] for a, b in zip(c, c[1:])], axis=0)).any()]
+    assert _chains(table) == expected
+    numbered, depth = [], [()]
+    for parent, facet in table.tree:
+        depth = [depth[p] + (b,) for p, b in zip(parent.tolist(), facet.tolist())]
+        numbered += depth
+    for chain, row in zip(_chains(table), table.images.tolist()):
+        prefixes = [chain[:d + 1] for d in range(len(chain))]
+        assert [numbered[r] for r in row[-len(chain):]] == prefixes
 
 
 def _inside_facet(point, vertices, normal, tol=1e-9):
@@ -438,13 +521,37 @@ random_boxes = dict(
                     max_size=6).filter(any))
 
 
-def _random_box(size, tx, rx, angles, shift, scales, flips=(False,) * 6):
+def _halves(v):
+    """A panel as two coplanar halves, cut across its first and third edges."""
+    a, b = 0.5 * (v[0] + v[1]), 0.5 * (v[2] + v[3])
+    return [np.array([v[0], a, b, v[3]]), np.array([a, v[1], v[2], b])]
+
+
+def _tile(size, centre, yaw, pitch, half):
+    """A square tile of half-width half inside the box, facing (yaw, pitch)."""
+    normal = np.array([np.cos(yaw) * np.cos(pitch), np.sin(yaw) * np.cos(pitch), np.sin(pitch)])
+    u = np.cross(normal, [0.0, 0.0, 1.0] if abs(normal[2]) < 0.9 else [1.0, 0.0, 0.0])
+    u *= half / np.linalg.norm(u)
+    w = np.cross(normal, u)
+    c = np.multiply(centre, size)
+    return np.array([c - u - w, c + u - w, c + u + w, c - u + w])
+
+
+def _random_box(size, tx, rx, angles, shift, scales, flips=(False,) * 6,
+                splits=(False,) * 6, tile=None):
     """The panels, TX and RX, placed, and their scene; a flipped panel is
-    wound the other way, so it faces out of the box."""
+    wound the other way, so it faces out of the box, a split one is two
+    halves, and tile = (centre, yaw, pitch, half) adds a square tile inside."""
     rot, origin = _rotation(*angles), np.array(shift)
     place = lambda p: np.asarray(p) @ rot.T + origin
-    facets = [place(v[::-1] if flip else v)
-              for v, s, flip in zip(_box_walls(size, scales), scales, flips) if s > 0]
+    panels = []
+    for v, s, flip, split in zip(_box_walls(size, scales), scales, flips, splits):
+        if s > 0:
+            v = v[::-1] if flip else v
+            panels += _halves(v) if split else [v]
+    if tile is not None:
+        panels.append(_tile(size, *tile))
+    facets = [place(v) for v in panels]
     txp, rxp = place(np.multiply(tx, size)), place(np.multiply(rx, size))
     doc = {
         "materials": [{"preset": "metal"}],
@@ -477,15 +584,6 @@ def test_image_kernel_matches_brute_force_in_random_boxes(size, tx, rx, angles,
         assert np.abs(path_points(paths, i) - reference[seq]).max() < 1e-9
 
 
-def _dense_specular(block, tx_id, rx_id, config):
-    """trace_specular with every chain of the full table viable: the image
-    pass over all of _chain_table, as before the prune."""
-    def every_chain(pack, txp, rxp, table):
-        return np.ones((len(txp), len(table.hops)), dtype=bool)
-    with mock.patch.object(raytrace, "_viable_chains", every_chain):
-        return trace_specular(block, tx_id, rx_id, config)
-
-
 SPECULAR_COLUMNS = ("kind", "hops", "facets", "sample", "points", "area", "frame")
 
 
@@ -496,34 +594,98 @@ def assert_same_rows(table, reference):
         assert mine.tobytes() == ref.tobytes(), col
 
 
-@settings(max_examples=100, deadline=None)
+# Shifts that keep every point of a box within 10 km of the origin.
+far_shifts = st.builds(
+    lambda r, a, b: (r * np.cos(a) * np.cos(b), r * np.sin(a) * np.cos(b), r * np.sin(b)),
+    st.floats(0.0, 9975.0), st.floats(-np.pi, np.pi), st.floats(-np.pi / 2, np.pi / 2))
+
+
+def _dense_kept(pack, txp, rxp, order):
+    """The chains of the full table that the image pass keeps, with the
+    dense nested images."""
+    full = _full_chain_table(pack.n_facets, order)
+    with mock.patch.object(raytrace, "_nested_images", _dense_images):
+        _, rows, _ = raytrace._trace_chains(pack, txp, rxp, full)
+    return full, [_chains(full)[r] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
 @given(**{**random_boxes, "tx": st.tuples(*[st.floats(-0.5, 1.5)] * 3),
-          "rx": st.tuples(*[st.floats(-0.5, 1.5)] * 3)},
-       flips=st.lists(st.booleans(), min_size=6, max_size=6), order=st.integers(1, 3))
+          "rx": st.tuples(*[st.floats(-0.5, 1.5)] * 3),
+          "shift": st.one_of(random_boxes["shift"], far_shifts)},
+       flips=st.lists(st.booleans(), min_size=6, max_size=6),
+       splits=st.lists(st.booleans(), min_size=6, max_size=6),
+       tile=st.none() | st.tuples(st.tuples(*[unit_interval] * 3), st.floats(-np.pi, np.pi),
+                                  st.floats(-1.5, 1.5), st.floats(0.2, 2.0)),
+       order=st.integers(1, 3))
 # RX outside the box, behind a panel that a surviving chain starts on.
 @example(size=(4.0, 4.0, 4.0), tx=(0.34, 0.44, 0.12), rx=(-0.25, 0.84, 0.79),
          angles=(0.0, 0.0, 0.0), shift=(0.0, 0.0, 0.0), scales=[0.6, 0.8, 1.0, 0.6, 0.6, 1.0],
-         flips=[False] * 6, order=2)
+         flips=[False] * 6, splits=[False] * 6, tile=None, order=2)
+# 13 facets: every panel split, and a tile, 10 km from the origin.
+@example(size=(7.0, 5.0, 3.0), tx=(0.3, 0.6, 0.5), rx=(0.8, 0.2, 0.4),
+         angles=(0.4, -0.2, 0.1), shift=(5773.0, -5773.0, 5760.0), scales=[1.0] * 6,
+         flips=[False] * 6, splits=[True] * 6, tile=((0.5, 0.5, 0.5), 0.3, 0.2, 0.8), order=3)
+@example(size=(11.0, 2.0, 6.0), tx=(0.1, 0.5, 0.9), rx=(0.9, 0.5, 0.1),
+         angles=(2.0, 0.7, -1.1), shift=(-9975.0, 0.0, 0.0), scales=[0.8, 0.6, 1.0, 1.0, 0.8, 0.6],
+         flips=[False, True, False, False, False, False], splits=[True, False] * 3, tile=None,
+         order=3)
 def test_pruned_image_pass_keeps_every_survivor(size, tx, rx, angles, shift, scales,
-                                                flips, order):
-    """Every chain of the full table that the image pass keeps is viable at
-    its epoch, and the pruned trace_specular is the dense one bit for bit.
+                                                flips, splits, tile, order):
+    """Every chain of the full table that the image pass keeps is grown by
+    the tree, and trace_specular is the dense pass bit for bit: up to 13
+    facets, split panels and a tile inside, up to 10 km from the origin.
     TX and RX may lie outside the box, behind some panels.  A flipped panel
-    faces out of the box, so with TX and RX inside it the prune drops
-    every chain that starts or ends on it."""
-    facets, txp, rxp, scene = _random_box(size, tx, rx, angles, shift, scales, flips)
+    faces out of the box, so with TX and RX inside it the tree grows no
+    chain that starts or ends on it."""
+    facets, txp, rxp, scene = _random_box(size, tx, rx, angles, shift, scales, flips,
+                                          splits, tile)
     block = snapshot(scene, 0.0)
-    full = _chain_table(len(facets), order)
     txs, rxs = block.states["BS"].position, block.states["UE"].position
-    ok, _ = raytrace._trace_chains(block.pack, txs, rxs, full)
-    viable = raytrace._viable_chains(block.pack, txs, rxs, full)
-    assert not (ok & ~viable).any()
+    full, kept = _dense_kept(block.pack, txs, rxs, order)
+    grown = raytrace._grow_chains(*raytrace._front_masks(block.pack, txs, rxs), order)
+    assert set(kept) <= set(_chains(grown))
     inside = all(0.0 < c < 1.0 for c in tx + rx)
     if inside and any(f for f, s in zip(flips, scales) if s > 0):
-        assert np.count_nonzero(viable) < len(full.hops)
+        assert len(grown.hops) < len(full.hops)
     config = TraceConfig(max_specular_order=order)
     assert_same_rows(trace_specular(block, "BS", "UE", config),
                      _dense_specular(block, "BS", "UE", config))
+
+
+def _behind_wall_doc(tx, rx, top, angles):
+    """A tall wall at x = 0 facing +x and a wall of height top at x = 10
+    facing it, with TX behind the second, so that TX sees the first wall
+    only; all turned by _rotation(*angles)."""
+    rot = _rotation(*angles)
+    place = lambda points: (np.asarray(points) @ rot.T).tolist()
+    return {
+        "materials": [{"preset": "metal"}],
+        "facets": [{"vertices": place([[0.0, 5.0, 12.0], [0.0, -5.0, 12.0], [0.0, -5.0, 0.0],
+                                       [0.0, 5.0, 0.0]]), "material": "metal"},
+                   {"vertices": place([[10.0, -5.0, top], [10.0, 5.0, top], [10.0, 5.0, 0.0],
+                                       [10.0, -5.0, 0.0]]), "material": "metal"}],
+        "transceivers": [
+            {"id": "BS", "role": "BS", "position": place(tx), "boresight": [-1.0, 0.0, 0.0],
+             "pattern": dict(PATTERN)},
+            {"id": "UE", "role": "UE", "position": place(rx), "boresight": [1.0, 0.0, 0.0],
+             "pattern": dict(PATTERN)}],
+    }
+
+
+@pytest.mark.parametrize("tx, rx, top", [([12.0, 0.3, 14.0], [4.0, 1.0, 1.5], 5.0),
+                                         ([11.0, 0.7, 9.0], [6.0, -1.3, 2.5], 6.0),
+                                         ([10.5, 0.2, 11.0], [3.0, 0.4, 3.0], 6.0),
+                                         ([13.0, 0.2, 11.5], [5.0, 0.4, 1.0], 8.0)])
+@pytest.mark.parametrize("angles", [(0.3, -0.4, 0.7), (2.1, 0.9, -1.3)])
+def test_a_single_first_facet_keeps_the_dense_bits(tx, rx, top, angles):
+    """With one depth-0 prefix the next depth's images still come from a
+    matrix product, so chains through it carry the dense pass's bits."""
+    block = snapshot(scene_from_dict(_behind_wall_doc(tx, rx, top, angles)), 0.0)
+    config = TraceConfig(max_specular_order=3)
+    paths = trace_specular(block, "BS", "UE", config)
+    assert ("specular", (0, 1), None) in paths.keys()
+    assert_same_rows(paths, _dense_specular(block, "BS", "UE", config))
 
 
 def test_prune_keeps_few_chains_on_scenario_b():
@@ -535,7 +697,7 @@ def test_prune_keeps_few_chains_on_scenario_b():
     config = TraceConfig(max_specular_order=3)
     with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy:
         paths = trace_specular(block, "BS", "UE", config)
-    assert len(_chain_table(7, 3).hops) == 301
+    assert len(_full_chain_table(7, 3).hops) == 301
     assert [len(call.args[3].hops) < 100 for call in spy.call_args_list] == [True]
     assert len(paths) == 64
     assert_same_rows(paths, _dense_specular(block, "BS", "UE", config))
@@ -566,10 +728,26 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
             for col in columns:
                 assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
     assert_same_rows(whole[trace_specular], _dense_specular(block, "BS", "UE", config))
-    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # two epochs of 6 chains a pass
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # parts of three epochs
     parts = trace_specular(block, "BS", "UE", config)
     for col in columns + ("frame",):
         assert getattr(parts, col).tobytes() == getattr(whole[trace_specular], col).tobytes()
+
+
+def test_parts_halve_until_their_rows_fit(monkeypatch):
+    """A part whose tree holds more chains than F^2 is halved until its
+    epochs times chains fit _CHAIN_ROWS, and so is every part after it;
+    the parts give the rows of the whole block."""
+    scene = scene_from_dict(corridor_doc())        # F = 2, six chains at order 3
+    block = snapshots(scene, 0.1 * np.arange(7))
+    config = TraceConfig(max_specular_order=3)
+    whole = trace_specular(block, "BS", "UE", config)
+    assert len(whole) == 42
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)   # parts of 3 epochs, then 2
+    with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy:
+        parts = trace_specular(block, "BS", "UE", config)
+    assert [len(call.args[1]) for call in spy.call_args_list] == [2, 2, 2, 1]
+    assert_same_rows(parts, whole)
 
 
 def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
