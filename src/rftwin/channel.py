@@ -8,7 +8,11 @@ passes over each block:
 2. LOS, specular and diffuse tracing over the whole block, and one block
    table of their rows, ordered by epoch, with a frame column and the
    snapshot columns of each row's epoch;
-3. amplitude, Doppler and delay of every row of the block in one call each.
+3. amplitude, Doppler and delay of the block's rows in one call each.  A
+   row between fixed transceivers that touches only static facets is
+   episode-static: its a, tau and nu are the same at every epoch, so they
+   are computed for the first row of its key in the block and copied to
+   the others.
 
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
 are then dropped and counted per frame.  The kept rows of every block form
@@ -205,15 +209,35 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
             parts.append(trace_diffuse(snaps, tx, rx, trace, patterns))
         # Rows by epoch, and within an epoch LOS, specular, diffuse.
         block = PathTable.concat(parts)
-        block = snaps.attach(block.take(np.argsort(block.frame, kind="stable")), tx, rx)
-        block.a = amplitudes_of(block, scene, tx, rx, config.f_c, constants=constants)
-        block.nu = doppler_of(block, config.f_c)
-        block.tau = block.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
+        block = block.take(np.argsort(block.frame, kind="stable"))
+        # An episode-static row takes a, nu and tau from the first row of
+        # its key in the block.
+        static = np.flatnonzero(snaps.still_facets(tx, rx)[block.facets].all(axis=1))
+        ids = block.key_ids(static)
+        first = np.full(ids.max(initial=-1) + 1, len(block))
+        np.minimum.at(first, ids, static)
+        rows = np.arange(len(block))
+        source = rows.copy()
+        source[static] = first[ids]
+        own = source == rows
+        values = _channel_of(block.take(own), snaps, scene, link, config, constants)
+        at = (np.cumsum(own) - 1)[source]
+        block.a, block.nu, block.tau = (column[at] for column in values)
         keep = block.tau < config.max_delay
         kept.append(block.cir_columns().take(keep))
         kept[-1].frame += lo
         dropped.append(np.bincount(block.frame[~keep], minlength=len(snaps.t)))
     return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped))
+
+
+def _channel_of(paths: PathTable, snaps, scene: Scene, link: SensingLink,
+                config: ChirpConfig, constants: LinkConstants) -> tuple:
+    """a, nu and tau of every row of a block table whose frame column
+    indexes the epochs of snaps."""
+    paths = snaps.attach(paths, link.tx_id, link.rx_id)
+    return (amplitudes_of(paths, scene, link.tx_id, link.rx_id, config.f_c, constants=constants),
+            doppler_of(paths, config.f_c),
+            paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT)
 
 
 def frame_stats(cir: Cir) -> dict:
@@ -356,8 +380,11 @@ def load_cir(path) -> tuple[Cir, dict]:
 
 
 def cir_to_csv(path, cir: Cir) -> None:
-    """Flat CSV export: one row per path per frame."""
-    from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
+    """Flat CSV export: one row per path per frame.  Each distinct float of
+    the delay, Doppler and amplitude columns of a write chunk (an
+    episode-static path repeats its values in every frame) is formatted
+    once, found by its bits, so -0.0 keeps its sign."""
+    from .csvtext import CSV_CHUNK, csv_lines, float_text, take_cells, text_cells
     with open(path, "wb") as fh:
         fh.write(b"epoch_index,t,kind,delay_s,doppler_hz,a_real,a_imag,facets,sample_index\n")
         p = cir.paths
@@ -381,6 +408,9 @@ def cir_to_csv(path, cir: Cir) -> None:
         floats = np.column_stack([p.tau, p.nu, p.a.real, p.a.imag])
         for lo in range(0, len(p), CSV_CHUNK // 4):
             at = slice(lo, lo + CSV_CHUNK // 4)
+            bits, value_of = np.unique(floats[at].view(np.int64), return_inverse=True)
+            values = np.ascontiguousarray(float_text(bits.view(np.float64)))
             fh.write(csv_lines(epochs[p.frame[at], None], times[p.frame[at], None],
-                               kinds[p.kind[at], None], float_text(floats[at]),
+                               kinds[p.kind[at], None],
+                               take_cells(values, value_of.reshape(-1, 4)),
                                facets[facet_of[at], None], samples[sample_of[at], None]))

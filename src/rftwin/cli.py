@@ -282,8 +282,11 @@ def cmd_predict(args) -> int:
     cir, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps, least=2)
     formats = _export_formats(args.export)
+    window_fast = _window_name("window", args.window)
+    window_slow = _window_name("window-slow", args.window_slow)
     try:
-        ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n)
+        ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n,
+                            window_fast=window_fast, window_slow=window_slow)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     ddm.metadata["seed"] = header.get("seed")
@@ -434,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--cir", required=True)
     pred.add_argument("-N", "--n-chirps", type=int, default=128)
     pred.add_argument("--t0-index", type=int, default=0)
+    pred.add_argument("--window", default="hann", help="fast-time window modeled")
+    pred.add_argument("--window-slow", default="hann", help="slow-time window modeled")
     pred.add_argument("--export", default="bin", help="comma list: bin,csv,pgm")
     _add_common(pred)
     pred.set_defaults(func=cmd_predict)

@@ -48,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChirpConfig, Cir
-from .raytrace import PathTable
 from .container import now, read_container, write_container
 
 BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
@@ -136,7 +135,7 @@ def synth_beat(cir: Cir, config: ChirpConfig,
         return beats
     paths = cir.paths
     counts = np.bincount(paths.frame, minlength=len(cir))
-    phi = _phase_trails(_path_ids(paths), cir.t[paths.frame], paths.nu)
+    phi = _phase_trails(paths.key_ids(), cir.t[paths.frame], paths.nu)
     const = 2.0 * np.pi * (config.f_c * paths.tau
                            - 0.5 * config.slope * paths.tau ** 2) + phi
     weights = paths.a * np.exp(1j * const)
@@ -197,17 +196,6 @@ def _phase_trails(ids: np.ndarray, t: np.ndarray, nu: np.ndarray) -> np.ndarray:
     phi = np.empty_like(phase)
     phi[order] = phase
     return phi
-
-
-def _path_ids(paths: PathTable) -> np.ndarray:
-    """One integer id per path key: the id of every row of paths."""
-    rows = paths.key_rows()
-    order = np.lexsort(rows.T)
-    new = np.ones(len(rows), dtype=bool)          # first row of each key in order
-    new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(new) - 1
-    return ids
 
 
 def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
@@ -432,7 +420,7 @@ def _window_response_table(window: str, n: int, oversample: int = 64,
 
 def predicted_map(cir: Cir, config: ChirpConfig,
                   t0_index: int = 0, n_chirps: int = 128,
-                  window_fast: str = "hann") -> DelayDopplerMap:
+                  window_fast: str = "hann", window_slow: str = "boxcar") -> DelayDopplerMap:
     """Analytic delay-Doppler prediction from the episode's paths.
 
     Each path of the mid-window frame contributes its power |a_n|^2 on the
@@ -442,9 +430,14 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     effects of a migrating delay: the fast-time window response sampled at
     the drifting beat-tone offset (scalloping and range-walk smearing) and
     the extra phase slope from the window centroid.  For a static path this
-    reduces to |a_n|^2 sinc^2((nu_n - nu) T_w) on its delay bin.  The axes
-    match delay_doppler without padding; the Doppler comparison assumes a
-    boxcar slow-time window.
+    reduces to |a_n|^2 sinc^2((nu_n - nu) T_w) on its delay bin under a
+    boxcar slow-time window.  The tone is weighted by the taps of
+    window_slow before its Doppler FFT and the power divided by their sum
+    squared, as delay_doppler does, so the prediction matches a map
+    processed with the same two windows; a boxcar's taps of one leave the
+    tone's bits as they are.  The axes match delay_doppler without
+    padding; the metadata keeps the windows "analytic" and names the
+    modeled ones under model_windows.
 
     The window response is read from the closed-form table of
     _window_response_table.  Powers accumulate only in the delay columns
@@ -454,12 +447,13 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     n_delay = config.samples_per_chirp
     d_axis, nu_axis, meta = _map_axes(cir.t, config, t0_index, n_chirps, n_delay,
                                       ["analytic", "analytic"], False)
+    meta["model_windows"] = [window_fast, window_slow]
     delay_step = d_axis[1] - d_axis[0]
     t_centroid = (n_delay - 1) / (2.0 * config.f_samp)
     offs, resp = _window_response_table(window_fast, n_delay)
     window = cir[t0_index:t0_index + n_chirps]
     paths = window.paths
-    ids = _path_ids(paths)
+    ids = paths.key_ids()
     # First and last (t, tau) of every path key in the window.
     t = window.t[paths.frame]
     tau = paths.tau
@@ -479,8 +473,9 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     m = np.arange(n_chirps)
     tau_m = tau_mid[:, None] + tau_dot[:, None] * (m - n_chirps // 2) * config.pri
     gain = np.interp(np.abs(tau_m / delay_step - bin_idx[:, None]), offs, resp)
-    tone = gain * np.exp(2j * np.pi * apparent[:, None] * config.pri * m)
-    col = np.abs(np.fft.fftshift(np.fft.fft(tone, axis=1), axes=1)) ** 2 / n_chirps ** 2
+    w = window_taps(window_slow, n_chirps)
+    tone = gain * np.exp(2j * np.pi * apparent[:, None] * config.pri * m) * w
+    col = np.abs(np.fft.fftshift(np.fft.fft(tone, axis=1), axes=1)) ** 2 / w.sum() ** 2
     used, column = np.unique(bin_idx, return_inverse=True)
     hit = np.zeros((n_chirps, len(used)))
     np.add.at(hit.T, column, np.abs(a)[:, None] ** 2 * col)

@@ -7,6 +7,7 @@ import numpy as np
 COPLANARITY_TOL = 1e-6   # m, max vertex distance from the facet plane
 MIN_FACET_AREA = 1e-9    # m^2
 _EDGE_TOL = 1e-9         # m^2, point-in-polygon cross-product slack
+_REACH_SLACK = 1e-5      # m, FacetPack.reach's margin
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -112,6 +113,51 @@ class FacetPack:
             self.verts[k], self.normals[k], self.offsets[k], self.edge_normals[k])
         return pack
 
+    def subset(self, mask) -> FacetPack:
+        """The pack of the facets where mask (F,) holds, as C-ordered
+        copies (mask indexing would put the facet axis outermost in
+        memory)."""
+        pack = FacetPack.__new__(FacetPack)
+        pack.verts, pack.normals, pack.offsets, pack.edge_normals = (
+            np.compress(mask, a, axis=a.ndim - k)
+            for a, k in ((self.verts, 3), (self.normals, 2), (self.offsets, 1),
+                         (self.edge_normals, 3)))
+        pack.n_facets = pack.offsets.shape[-1]
+        return pack
+
+    def edge_slack(self) -> np.ndarray:
+        """Per facet of a stacked pack, a scale s such that contains
+        accepts a point p only if c + (p - c) / (1 + s) is inside the
+        facet, c its vertex centroid.
+
+        contains accepts side_e(p) >= -_EDGE_TOL on each edge e; side_e is
+        affine, so s = _EDGE_TOL / min_e side_e(c) will do.  (A flat
+        _EDGE_TOL / |e| would not: at a sharp corner accepted points lie
+        farther from the polygon.)  s depends only on the facet's shape,
+        which rigid motion keeps, so it is taken at the first epoch and
+        doubled for the rounding of the pose.
+        """
+        verts, w = self.verts[0], self.edge_normals[0]        # (F, 4, 3)
+        side = np.vecdot(verts.mean(axis=1, keepdims=True) - verts, w)
+        # The zero edge of a triangle padded to a quad rejects no point.
+        side[~w.any(axis=-1)] = np.inf
+        return 2.0 * _EDGE_TOL / side.min(axis=1)
+
+    def reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners (F, 3) of boxes that hold, at every
+        epoch of a stacked pack, each point within _REACH_SLACK of a
+        facet's plane that contains accepts on that facet.
+
+        Such a point lies in the facet scaled by 1 + s about its centroid,
+        s the edge_slack, which moves each coordinate by at most s times
+        the facet's extent along it.  _REACH_SLACK adds a quad's lift off
+        the plane (at most COPLANARITY_TOL) and the rounding of a segment's
+        plane crossing, for scenes within 10 km of the origin.
+        """
+        lo, hi = self.verts.min(axis=(0, 2)), self.verts.max(axis=(0, 2))
+        pad = self.edge_slack()[:, None] * (hi - lo) + _REACH_SLACK
+        return lo - pad, hi + pad
+
     def contains(self, points: np.ndarray, facet_idx=None) -> np.ndarray:
         """Point-in-facet mask, the one containment kernel of the tracer.
 
@@ -143,7 +189,7 @@ class FacetPack:
         p = np.atleast_2d(np.asarray(starts, dtype=float))
         q = np.atleast_2d(np.asarray(ends, dtype=float))
         blocked = np.zeros(len(p), dtype=bool)
-        if self.n_facets == 0:
+        if self.n_facets == 0 or not len(p):
             return blocked
         d = q - p                                     # (S, 3)
         lengths = np.linalg.norm(d, axis=1)

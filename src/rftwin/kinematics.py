@@ -209,6 +209,15 @@ class SnapshotBlock:
         block.states = {tid: state[epochs] for tid, state in self.states.items()}
         return block
 
+    def still_facets(self, tx_id: str, rx_id: str) -> np.ndarray:
+        """Per scene facet, and last for the -1 padding of path tables, (F+1,),
+        whether the link's paths see it still: both transceivers are fixed
+        mounts and the facet has no body.  A path touching only still facets
+        is episode-static, the same at every epoch.  A body counts as moving
+        even if its waypoints do not move."""
+        fixed = all(self.scene.transceiver(t).is_fixed for t in (tx_id, rx_id))
+        return (self.facet_body < 0) & fixed
+
     @staticmethod
     def _omega(yaw_rate):
         """Angular velocity vectors (..., 3) of yaw rates (...)."""

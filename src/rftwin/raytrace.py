@@ -40,7 +40,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import _EDGE_TOL
 from .kinematics import SnapshotBlock
 from .scene import Scene
 
@@ -180,9 +179,17 @@ class PathTable:
                 for k, row, s in zip(self.kind.tolist(), self.facets.tolist(),
                                      self.sample.tolist())]
 
-    def key_rows(self) -> np.ndarray:
-        """The keys as int rows: kind, sample, facets."""
-        return np.column_stack([self.kind, self.sample, self.facets]).astype(np.int64)
+    def key_ids(self, at=slice(None)) -> np.ndarray:
+        """One integer id per row of self[at], the same for the rows of one
+        key: the rank of the row's (kind, sample, facets) among their
+        distinct keys in lexicographic order."""
+        rows = np.column_stack([self.kind[at], self.sample[at], self.facets[at]]).astype(np.int64)
+        order = np.lexsort(rows.T)
+        new = np.ones(len(rows), dtype=bool)          # first row of each key in order
+        new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+        ids = np.empty(len(rows), dtype=np.intp)
+        ids[order] = np.cumsum(new) - 1
+        return ids
 
 
 def _live(hops: np.ndarray, width: int) -> np.ndarray:
@@ -297,20 +304,18 @@ def _front_masks(pack, txp, rxp):
     that contains accepts, in front of the facets before and after it.
     contains reaches past the vertices in two ways, and the vertex test is
     widened for both:
-      - it accepts side_e(p) >= -_EDGE_TOL on each edge e.  side_e is affine,
-        so with c the vertex centroid and s = _EDGE_TOL / min_e side_e(c),
-        q = c + (p - c) / (1 + s) is inside, and the distance of p to
-        another plane, affine too, is at most hi + s (hi - lo), hi and lo
-        its extremes over the vertices.  (A flat _EDGE_TOL / |e| would not
-        do: at a sharp corner accepted points lie farther from the polygon.)
+      - with c the vertex centroid and s the pack's edge_slack, it accepts
+        p only if c + (p - c) / (1 + s) is inside, so the distance of p to
+        another plane, affine, is at most hi + s (hi - lo), hi and lo its
+        extremes over the vertices.
       - it sees only the in-plane part of p - v, and a quad's fourth vertex
         may lie off the plane, by lift; projecting the vertices onto the
         plane moves that bound by at most (1 + 2 s) lift.
-    s and lift depend only on a facet's shape, which rigid motion keeps, so
-    they are taken at the first epoch and doubled for the rounding of the
-    pose.  Testing against _FRONT_EPS / 2 covers the rounding of the full
-    pass's hits and dot products, a few ulps of the coordinates and images,
-    for scenes within 10 km of the origin.
+    lift, like s, depends only on a facet's shape, which rigid motion
+    keeps, so it is taken at the first epoch and doubled for the rounding
+    of the pose.  Testing against _FRONT_EPS / 2 covers the rounding of the
+    full pass's hits and dot products, a few ulps of the coordinates and
+    images, for scenes within 10 km of the origin.
     """
     n, off = pack.normals, pack.offsets                  # (E, F, 3), (E, F)
     e, f = off.shape
@@ -324,11 +329,7 @@ def _front_masks(pack, txp, rxp):
     dist = dist[:, 2:].reshape(e, 4, f, f)
     hi = np.maximum(np.maximum(dist[:, 0], dist[:, 1]), np.maximum(dist[:, 2], dist[:, 3]))
     lo = np.minimum(np.minimum(dist[:, 0], dist[:, 1]), np.minimum(dist[:, 2], dist[:, 3]))
-    verts, w = pack.verts[0], pack.edge_normals[0]        # (F, 4, 3)
-    side = np.vecdot(verts.mean(axis=1, keepdims=True) - verts, w)
-    # The zero edge of a triangle padded to a quad rejects no point.
-    side[~w.any(axis=-1)] = np.inf
-    s = 2.0 * _EDGE_TOL / side.min(axis=1)                # (F,)
+    s = pack.edge_slack()                                 # (F,)
     lift = 2.0 * np.abs(np.diagonal(dist[0], axis1=1, axis2=2)).max(axis=0)
     partly = hi + s[:, None] * (hi - lo) > (eps - (1.0 + 2.0 * s) * lift)[:, None]
     return tx_front, rx_front, partly & partly.transpose(0, 2, 1)
@@ -496,6 +497,13 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     without it they are built per call.  Rigid motion leaves both the
     patterns and the facet areas unchanged.  Rows come out by epoch, then
     facet, then sample.
+
+    Between fixed transceivers a sample of a static facet is settled: its
+    point, its front test and the verdict of every static occluder are the
+    same at each epoch, so they are taken at the first epoch of a part.  The
+    moving facets are tested at each epoch, for a settled sample only if
+    its legs' bounding box meets a moving facet's FacetPack.reach over the
+    part: legs outside every reach cannot be blocked by the movers.
     """
     facets = block.scene.facets if config.diffuse_enabled else []
     if not facets or not len(block):
@@ -510,6 +518,8 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     sample = np.concatenate([np.arange(c) for c in counts])
     area = np.repeat([f.area / c for f, c in zip(facets, counts)], counts)
     eps = config.occlusion_epsilon
+    still = block.still_facets(tx_id, rx_id)[:-1]               # (F,)
+    settled = still[owner]
     step = max(1, _CHAIN_ROWS // len(owner))
     tables = []
     for lo in range(0, len(block), step):
@@ -518,17 +528,42 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
         txp, rxp = part.states[tx_id].position, part.states[rx_id].position
         front = ((np.einsum("ej,efj->ef", txp, pack.normals) - pack.offsets > _FRONT_EPS)
                  & (np.einsum("ej,efj->ef", rxp, pack.normals) - pack.offsets > _FRONT_EPS))
-        frame, rows = np.nonzero(front[:, owner])
-        points = np.concatenate([np.matmul(p.weights, pack.verts[:, i, :len(f.vertices)])
-                                 for i, (f, p) in enumerate(zip(facets, pats))], axis=1)
+        points = np.concatenate([np.broadcast_to(
+            np.matmul(p.weights, pack.verts[:1 if still[i] else len(part), i, :len(f.vertices)]),
+            (len(part), p.n_samples, 3)) for i, (f, p) in enumerate(zip(facets, pats))], axis=1)
+
+        def blocked(occluders, frame, pts):
+            """Per sample point at its epoch, whether a leg to it is blocked."""
+            if not occluders.n_facets:
+                return np.zeros(len(frame), dtype=bool)
+            return (occluders.segments_blocked(txp[frame], pts, eps, frame)
+                    | occluders.segments_blocked(pts, rxp[frame], eps, frame))
+
+        statics, movers = pack.subset(still), pack.subset(~still)
+        keep = front[:, owner]
+        # Settled samples: the static occluders at the first epoch, and the
+        # moving ones at each epoch if their legs come within reach.
+        once = np.flatnonzero(keep[0] & settled)
+        keep[:, once[blocked(statics[:1], np.zeros(len(once), int), points[0, once])]] = False
+        exposed = ~settled
+        if len(once):
+            reach_lo, reach_hi = movers.reach()
+            ends_lo = np.minimum(points[0, once], np.minimum(txp[0], rxp[0]))
+            ends_hi = np.maximum(points[0, once], np.maximum(txp[0], rxp[0]))
+            exposed[once] = ((ends_lo[:, None] <= reach_hi)
+                             & (ends_hi[:, None] >= reach_lo)).all(axis=2).any(axis=1)
+        frame, rows = np.nonzero(keep)
         pts = points[frame, rows]
-        keep = ~(pack.segments_blocked(txp[frame], pts, eps, frame)
-                 | pack.segments_blocked(pts, rxp[frame], eps, frame))
-        frame, rows = frame[keep], rows[keep]
-        legs = np.stack([txp[frame], pts[keep], rxp[frame]], axis=1)
+        clear = np.ones(len(rows), dtype=bool)
+        test = np.flatnonzero(exposed[rows])
+        clear[test] = ~blocked(movers, frame[test], pts[test])
+        test = np.flatnonzero(~settled[rows])
+        clear[test] &= ~blocked(statics, frame[test], pts[test])
+        frame, rows = frame[clear], rows[clear]
+        legs = np.stack([txp[frame], pts[clear], rxp[frame]], axis=1)
         tables.append(_table("diffuse", owner[rows, None], legs, sample[rows], area[rows],
                              frame=lo + frame))
-    return PathTable.concat(tables)
+    return tables[0] if len(tables) == 1 else PathTable.concat(tables)
 
 
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:

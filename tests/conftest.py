@@ -206,6 +206,58 @@ def spin_rig_doc() -> dict:
     }
 
 
+def static_crossing_doc(rx_on_cart=False, shift=(0.0, 0.0, 0.0)):
+    """A fixed BS and UE 10 m apart along x, a static wall along y = 4 m
+    and a 3 m wide plate sliding across at 4 m/s through x = 2.5 m.  The
+    plate blocks the LOS for t in [0.375, 1.125] s, the BS leg of the
+    wall's specular path for t in [0.875, 1.625] s and the BS legs of some
+    of the wall's diffuse samples in between.  A static panel at y = 2 m
+    shades the UE legs of the wall's samples with x in [2, 4] m at all
+    times, and those of the samples of a low sign gliding along the wall
+    with x in [3, 4.75] m.  With rx_on_cart the UE rides a cart creeping
+    along x instead.  shift moves the whole scene by that many metres."""
+    pattern = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 120.0, "hpbw_elevation_deg": 90.0}
+    doc = {
+        "materials": [{"preset": "concrete"}, {"preset": "metal"}],
+        "facets": [
+            {"vertices": [[0.0, 4.0, 0.0], [10.0, 4.0, 0.0], [10.0, 4.0, 3.0], [0.0, 4.0, 3.0]],
+             "material": "concrete"},
+            {"vertices": [[0.0, 1.5, -1.0], [0.0, -1.5, -1.0], [0.0, -1.5, 1.0], [0.0, 1.5, 1.0]],
+             "material": "metal", "body": "slider"},
+            {"vertices": [[-1.0, 0.0, -0.4], [1.0, 0.0, -0.4], [1.0, 0.0, 0.4], [-1.0, 0.0, 0.4]],
+             "material": "metal", "body": "sign"},
+            {"vertices": [[6.0, 2.0, 0.0], [7.0, 2.0, 0.0], [7.0, 2.0, 3.0], [6.0, 2.0, 3.0]],
+             "material": "concrete"},
+        ],
+        "transceivers": [
+            {"id": "BS", "role": "BS", "position": [0.0, 0.0, 1.5],
+             "boresight": [1.0, 0.5, 0.0], "pattern": dict(pattern)},
+            {"id": "UE", "role": "UE", "position": [10.0, 0.0, 1.5],
+             "boresight": [-1.0, 0.5, 0.0], "pattern": dict(pattern)},
+        ],
+        "bodies": [{"id": "slider", "waypoints": [[0.0, 2.5, -3.0, 1.5, 0.0],
+                                                  [2.0, 2.5, 5.0, 1.5, 0.0]]},
+                   {"id": "sign", "waypoints": [[0.0, 3.0, 3.5, 0.6, 0.0],
+                                                [2.0, 5.0, 3.5, 0.6, 0.0]]}],
+    }
+    if rx_on_cart:
+        doc["transceivers"][1] = {"id": "UE", "role": "UE", "body": "cart",
+                                  "offset_position": [0.0, 0.0, 1.5],
+                                  "offset_boresight": [-1.0, 0.5, 0.0], "pattern": dict(pattern)}
+        doc["bodies"].append({"id": "cart", "waypoints": [[0.0, 10.0, 0.0, 0.0, 0.0],
+                                                          [2.0, 9.0, 0.0, 0.0, 0.0]]})
+    place = lambda p: np.add(p, shift).tolist()
+    for f in doc["facets"]:
+        if "body" not in f:
+            f["vertices"] = [place(v) for v in f["vertices"]]
+    for trx in doc["transceivers"]:
+        if "position" in trx:
+            trx["position"] = place(trx["position"])
+    for body in doc["bodies"]:
+        body["waypoints"] = [[w[0], *place(w[1:4]), *w[4:]] for w in body["waypoints"]]
+    return doc
+
+
 @pytest.fixture(scope="session")
 def plates_episode() -> Episode:
     scene = scene_from_dict(plates_scene_doc())

@@ -22,6 +22,7 @@ from rftwin.channel import (
     save_cir,
     simulate_cir,
 )
+from rftwin.csvtext import CSV_CHUNK
 from rftwin.em import (
     _FREE_SPACE,
     SPEED_OF_LIGHT,
@@ -45,7 +46,8 @@ from rftwin.raytrace import (
 )
 from rftwin.scene import SceneError, load_scene, scene_from_dict
 
-from conftest import FIXTURES, NO_PATHS, episode, frames_of, plates_scene_doc, spin_rig_doc
+from conftest import (FIXTURES, NO_PATHS, episode, frames_of, plates_scene_doc, spin_rig_doc,
+                      static_crossing_doc)
 
 C = SPEED_OF_LIGHT
 
@@ -313,6 +315,29 @@ def test_cir_csv_export_of_empty_episodes(tmp_path):
         cir_to_csv(tmp_path / f"{k}.csv", cir)
         reference_cir_csv(tmp_path / f"{k}_ref.csv", cir)
         assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}_ref.csv").read_bytes()
+
+
+def test_cir_csv_export_formats_each_distinct_value_once(tmp_path):
+    """The CSV of an episode whose static paths repeat their values frame
+    after frame, over several write chunks, with Dopplers of -0.0 and 0.0
+    side by side, and of a free-space episode without facet columns, which
+    has a -0.0 Doppler in every frame: the per-value reference's bytes."""
+    free = simulate_cir(scene_from_dict(free_space_doc()), SensingLink("BS", "UE"),
+                        ChirpConfig(), TraceConfig(max_specular_order=0, diffuse_enabled=False),
+                        n_chirps=5)
+    assert free.paths.facets.shape == (5, 0) and np.signbit(free.paths.nu).all()
+    scene, link, trace, config, _, _ = BLOCK_CASES["static_crossing"]
+    crossing = simulate_cir(scene, link, config, trace, t0=0.66, n_chirps=2 * B + 5)
+    frames = frames_of(crossing) * 12
+    signed = frames[0][2].take(slice(None))
+    signed.nu = np.where(np.arange(len(signed)) % 2, 0.0, -0.0)
+    frames.insert(B, (B, frames[B][1], signed, 0))
+    many = episode(frames)
+    assert len(many.paths) > CSV_CHUNK // 4
+    for name, cir in (("free", free), ("many", many)):
+        cir_to_csv(tmp_path / f"{name}.csv", cir)
+        reference_cir_csv(tmp_path / f"{name}_ref.csv", cir)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
 
 
 def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
@@ -652,6 +677,12 @@ BLOCK_CASES = {
     "turntable": (scene_from_dict(turntable_doc()), SensingLink("UE", "BS"),
                   TraceConfig(diffuse_samples_per_facet=4), ChirpConfig(t_idle=1e-3),
                   (0.0, 1.0), 2 * B + 5),
+    "static_crossing": (scene_from_dict(static_crossing_doc()), SensingLink("BS", "UE"),
+                        TraceConfig(diffuse_samples_per_facet=4), ChirpConfig(t_idle=5e-3),
+                        (0.0, 2.0), 2 * B + 5),
+    "static_crossing_cart": (scene_from_dict(static_crossing_doc(rx_on_cart=True)),
+                             SensingLink("BS", "UE"), TraceConfig(diffuse_samples_per_facet=4),
+                             ChirpConfig(t_idle=5e-3), (0.0, 2.0), 2 * B + 5),
 }
 
 
@@ -667,10 +698,14 @@ BLOCK_CASES = {
 @example(case="free_space_mono", n_draw=3, start=0.0)
 @example(case="free_space_bi", n_draw=B + 2, start=0.0)
 @example(case="plates", n_draw=0, start=0.0)
+@example(case="static_crossing", n_draw=2 * B + 5, start=0.5)
+@example(case="static_crossing_cart", n_draw=2 * B + 5, start=0.5)
 def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, start):
     """The block pass against the per-snapshot reference, every .cir column
     bit for bit: blocks of B chirps and a remainder, chirps without paths,
-    a free-space scene and an empty episode."""
+    a free-space scene, an empty episode, and episode-static paths that a
+    moving plate blocks for part of the episode, between fixed mounts and
+    towards a UE on a cart."""
     scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
     n = min(n_draw, most)
     t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
@@ -682,6 +717,14 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
     if case == "crossing" and n == 2 * B + 5 and start == 0.45:
         counts = np.bincount(got.paths.frame, minlength=n)
         assert 0 in counts and 1 in counts
+    if case.startswith("static_crossing") and n == 2 * B + 5 and start == 0.5:
+        # The block boundary lies inside the occlusion of the LOS, of the
+        # wall's specular path and of some of its diffuse samples.
+        p = got.paths
+        los, wall, diffuse = (np.bincount(p.frame[p.kind == k], minlength=n) for k in range(3))
+        assert los[[B - 1, B]].tolist() == [0, 0] and los[-1] == 1
+        assert wall[[0, B - 1, B]].tolist() == [1, 0, 0]
+        assert max(diffuse[B - 1], diffuse[B]) < diffuse[0]
 
 
 def test_frame_stats_on_the_plates(plates_episode):

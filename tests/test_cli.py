@@ -438,6 +438,30 @@ def test_predict_rejects_a_one_chirp_window(artifacts, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_predict_models_the_windows_of_process(artifacts, tmp_path, capsys):
+    """predict models process's windows, hann in both axes by default, and
+    names them in the map metadata; --window-slow boxcar gives the boxcar
+    prediction bit for bit, and an unknown window is an input error."""
+    from rftwin.fmcw import predicted_map
+
+    cir_path = str(artifacts["out"] / "run.cir")
+    cir, header = load_cir(cir_path)
+    config = ChirpConfig(**header["config"])
+    default = load_map(artifacts["out"] / "run_pred_w000000.ddm")
+    assert default.metadata["model_windows"] == ["hann", "hann"]
+    assert (default.power_db.tobytes()
+            == predicted_map(cir, config, n_chirps=8, window_slow="hann").power_db.tobytes())
+    predict = ["predict", "--cir", cir_path, "-N", "8", "--tag", "run", "--frozen-clock"]
+    assert main(predict + ["--window-slow", "boxcar", "-o", str(tmp_path / "box")]) == 0
+    box = load_map(tmp_path / "box" / "run_pred_w000000.ddm")
+    assert box.metadata["model_windows"] == ["hann", "boxcar"]
+    assert box.power_db.tobytes() == predicted_map(cir, config, n_chirps=8).power_db.tobytes()
+    for flag in ("--window", "--window-slow"):
+        assert main(predict + [flag, "foo", "-o", str(tmp_path / "foo")]) == 2
+        assert f"{flag}: unknown window 'foo'" in capsys.readouterr().err
+    assert not (tmp_path / "foo").exists()
+
+
 def test_compare_names_a_foreign_file_once(artifacts, tmp_path, capsys):
     cir = str(artifacts["out"] / "run.cir")
     assert main(["compare", "--reference", cir, "--test", cir, "-o", str(tmp_path)]) == 2

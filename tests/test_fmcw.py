@@ -295,6 +295,32 @@ def test_predicted_map_doppler_mainlobe_shape():
     assert np.max(np.abs(col - sinc_form)) < 1e-4
 
 
+@pytest.mark.parametrize("window_slow", ["boxcar", "hann", "blackman"])
+def test_predicted_map_models_the_slow_time_window(window_slow):
+    """An on-grid tap peaks at the power of the map processed with the same
+    windows, an off-grid tap's column is the window's spectrum of its tone
+    over the tap sum squared, and the boxcar map is the default's bits."""
+    a, tau = 0.02, 160 * DELAY_STEP
+    cir = make_cir([tap(a, tau, 17 * DOPPLER_STEP)], 128)
+    proc = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128, window_slow=window_slow)
+    pred = predicted_map(cir, CFG, n_chirps=128, window_slow=window_slow)
+    assert pred.metadata["model_windows"] == ["hann", window_slow]
+    assert pred.metadata["windows"] == ["analytic", "analytic"]
+    pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
+    assert pi == np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape) == (81, 160)
+    assert pred.power_db[pi] == pytest.approx(proc.power_db[pi], abs=1e-6)
+    if window_slow == "boxcar":
+        assert pred.power_db.tobytes() == predicted_map(cir, CFG, n_chirps=128).power_db.tobytes()
+
+    nu = 17.5 * DOPPLER_STEP
+    pred = predicted_map(make_cir([tap(1.0, tau, nu)], 128), CFG, n_chirps=128,
+                         window_slow=window_slow)
+    w, mm = window_taps(window_slow, 128), np.arange(128)
+    expect = [abs((w * np.exp(2j * np.pi * (nu - f) * CFG.pri * mm)).sum()) ** 2 / w.sum() ** 2
+              for f in pred.doppler_axis]
+    assert np.allclose(pred.power_linear()[:, 160], expect, atol=1e-12)
+
+
 def test_predicted_map_rounds_delay_to_nearest_bin():
     cir = make_cir([tap(1.0, 160.4 * DELAY_STEP, 0.0)], 128)
     pred = predicted_map(cir, CFG, n_chirps=128)
@@ -318,7 +344,7 @@ def dense_predicted_map(cir, config, t0_index=0, n_chirps=128, window_fast="hann
     offs, resp = fmcw._window_response_table(window_fast, n_delay)
     window = cir[t0_index:t0_index + n_chirps]
     paths = window.paths
-    ids = fmcw._path_ids(paths)
+    ids = paths.key_ids()
     t = window.t[paths.frame]
     tau = paths.tau
     first = np.unique(ids, return_index=True)[1]

@@ -178,6 +178,40 @@ def test_contains_triangle_uses_padded_vertex():
     assert not bool(pack.contains(np.array([[0.7, 0.7, 0.0]])[:, None, :])[0, 0])
 
 
+def test_reach_holds_every_point_contains_accepts():
+    """Points that contains accepts just outside each corner of a facet,
+    where the slack of its two edges meets, and off the plane, lie in the
+    facet's reach over both epochs: slivers with corners of 1e-7 rad,
+    triangles and quads, up to 10 km from the origin."""
+    rng = np.random.default_rng(11)
+    tol = 0.9e-9                                     # within contains' _EDGE_TOL
+    sliver = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [5.0, 1e-6, 0.0]])
+    shapes = [sliver, sliver[[0, 1, 2, 2]] + [0.0, 0.0, 1.0],
+              *(random_convex_polygon(rng, n)[0] for n in (3, 4, 4))]
+    shifts = [np.zeros(3), [7990.0, -5990.0, 0.0], rng.uniform(-5770.0, 5770.0, 3)]
+    accepted = 0
+    for verts in shapes:
+        for shift in shifts:
+            # Two epochs 1 mm apart along the normal.
+            v = verts + shift
+            n = facet_normal(v)
+            pack = pack_of([v], [v + 1e-3 * n])
+            lo, hi = pack.reach()
+            w = np.cross(n, np.roll(v, -1, axis=0) - v)        # side_e = (p - v_e) . w_e
+            for i in range(len(v)):
+                a, b = w[i - 1], w[i]
+                if not a.any() or not b.any():
+                    continue
+                gram = np.array([[a @ a, a @ b], [a @ b, b @ b]])
+                x, y = np.linalg.solve(gram, [-tol, -tol])
+                for lift in (0.0, 5e-6, -5e-6):
+                    p = v[i] + x * a + y * b + lift * n
+                    if pack[0].contains(p[None, None, :])[0, 0]:
+                        accepted += 1
+                        assert np.all(lo[0] <= p) and np.all(p <= hi[0])
+    assert accepted >= 40
+
+
 def test_segments_blocked_matches_scalar_brute_force():
     rng = np.random.default_rng(8)
     facets = [random_convex_polygon(rng, n)[0] for n in (3, 4, 4)]

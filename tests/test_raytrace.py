@@ -28,7 +28,7 @@ from rftwin.raytrace import (
 )
 from rftwin.scene import load_scene, scene_from_dict
 
-from conftest import FIXTURES, spin_rig_doc, two_ray_doc
+from conftest import FIXTURES, spin_rig_doc, static_crossing_doc, two_ray_doc
 
 PATTERN = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 90.0, "hpbw_elevation_deg": 60.0}
 F_C = 79e9
@@ -797,13 +797,21 @@ def _ground_behind_doc():
 
 # name: (scene, TX, RX).  The spin rig's plate faces away from the UE it
 # carries, so it is behind an endpoint at every epoch; scenario_c's UE rides
-# on a body, and scenario_b's car facets move.
+# on a body, and scenario_b's car facets move.  In static_crossing a plate
+# crosses the legs of a static wall's samples between fixed mounts and a
+# static panel shades others; in its cart variant the UE rides a body, and
+# its far variant lies 10 km from the origin.
 DIFFUSE_RIGS = {
     "spin": (lambda: scene_from_dict(spin_rig_doc()), "BS", "UE"),
     "spin_reverse": (lambda: scene_from_dict(spin_rig_doc()), "UE", "BS"),
     "scenario_c": (lambda: load_scene(FIXTURES / "scenario_c.json"), "BS", "UE"),
     "scenario_b": (lambda: load_scene(FIXTURES / "scenario_b.json"), "UE", "UE"),
     "ground_behind": (lambda: scene_from_dict(_ground_behind_doc()), "BS", "UE"),
+    "static_crossing": (lambda: scene_from_dict(static_crossing_doc()), "BS", "UE"),
+    "static_crossing_cart": (lambda: scene_from_dict(static_crossing_doc(rx_on_cart=True)),
+                             "BS", "UE"),
+    "static_crossing_far": (lambda: scene_from_dict(
+        static_crossing_doc(shift=(7990.0, -5990.0, 0.0))), "BS", "UE"),
 }
 
 
@@ -829,6 +837,14 @@ def _diffuse_rig(name):
          cap=1)
 @example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0, prebuilt=False,
          cap=None)
+@example(rig="static_crossing", n=130, start=0.5, step=1e-2, samples=4, seed=1729,
+         prebuilt=True, cap=None)
+@example(rig="static_crossing", n=130, start=0.3, step=1e-2, samples=9, seed=5, prebuilt=False,
+         cap=200)
+@example(rig="static_crossing_cart", n=130, start=0.5, step=1e-2, samples=4, seed=1729,
+         prebuilt=True, cap=None)
+@example(rig="static_crossing_far", n=130, start=0.5, step=1e-2, samples=9, seed=1729,
+         prebuilt=True, cap=None)
 def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, samples,
                                                           seed, prebuilt, cap):
     """A block of 1 to 130 epochs gives, row for row and bit for bit, each
