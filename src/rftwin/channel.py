@@ -1,24 +1,24 @@
 """Time-varying channel impulse responses over a chirp epoch grid.
 
-simulate_cir runs an episode in blocks of _BLOCK_CHIRPS chirps, in three
-passes over each block:
+simulate_cir poses the world once at every epoch of the episode
+(kinematics.snapshots), quasi-static within each chirp, and runs the
+episode in blocks of _BLOCK_CHIRPS chirps, each a view of that world, in
+two passes over each block:
 
-1. the world at every epoch of the block at once (kinematics.snapshots),
-   quasi-static within each chirp;
-2. LOS, specular and diffuse tracing over the whole block, and one block
-   table of their rows, ordered by epoch, with a frame column and the
-   snapshot columns of each row's epoch;
-3. amplitude, Doppler and delay of the block's rows in one call each.  A
-   row between fixed transceivers that touches only static facets is
-   episode-static: its a, tau and nu are the same at every epoch, so they
-   are computed for the first row of its key in the block and copied to
-   the others.
+1. LOS, specular and diffuse tracing over the whole block, and one block
+   table of their rows with a frame column, the row's epoch in the block;
+2. the snapshot columns of each row's epoch, and amplitude, Doppler and
+   delay of the block's rows in one call each.  A row between fixed
+   transceivers that touches only static facets is episode-static: its a,
+   tau and nu are the same at every epoch, so they are computed for the
+   first row of its key in the block and copied to the others.
 
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
-are then dropped and counted per frame.  The kept rows of every block form
-one episode table, a Cir.  What is fixed for the episode (spline
-interpolants, diffuse sample patterns, the amplitude model's
-LinkConstants) is built once.
+are then dropped and counted per frame, and the .cir columns of the kept
+rows are taken once, in frame order.  The kept rows of every block form
+one episode table, a Cir.  What is fixed for the episode (the posed world,
+diffuse sample patterns, the amplitude model's LinkConstants) is built
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .container import now, read_container, write_container
 from .em import SPEED_OF_LIGHT, LinkConstants, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
-from .kinematics import build_trajectories, snapshot, snapshots  # noqa: F401
+from .kinematics import snapshot, snapshots  # noqa: F401
 from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns,
                        trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
@@ -197,21 +197,19 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
 
     tx, rx = link.tx_id, link.rx_id
     times = t0 + np.arange(max(n, 0)) * config.pri
-    trajectories = build_trajectories(scene)
+    world = snapshots(scene, times)
     patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
     constants = LinkConstants(scene, tx, rx, config.f_c)
     kept, dropped = [_NO_PATHS], [np.zeros(0, int)]
     for lo in range(0, len(times), _BLOCK_CHIRPS):
-        snaps = snapshots(scene, times[lo:lo + _BLOCK_CHIRPS], trajectories)
+        snaps = world.view(slice(lo, lo + _BLOCK_CHIRPS))
         parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
         parts.append(trace_specular(snaps, tx, rx, trace))
         if trace.diffuse_enabled:
             parts.append(trace_diffuse(snaps, tx, rx, trace, patterns))
-        # Rows by epoch, and within an epoch LOS, specular, diffuse.
         block = PathTable.concat(parts)
-        block = block.take(np.argsort(block.frame, kind="stable"))
         # An episode-static row takes a, nu and tau from the first row of
-        # its key in the block.
+        # its key in the block; each tracer's rows come by epoch.
         static = np.flatnonzero(snaps.still_facets(tx, rx)[block.facets].all(axis=1))
         ids = block.key_ids(static)
         first = np.full(ids.max(initial=-1) + 1, len(block))
@@ -224,7 +222,9 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         at = (np.cumsum(own) - 1)[source]
         block.a, block.nu, block.tau = (column[at] for column in values)
         keep = block.tau < config.max_delay
-        kept.append(block.cir_columns().take(keep))
+        # The kept rows by epoch, and within an epoch LOS, specular, diffuse.
+        order = np.argsort(block.frame, kind="stable")
+        kept.append(block.cir_columns().take(order[keep[order]]))
         kept[-1].frame += lo
         dropped.append(np.bincount(block.frame[~keep], minlength=len(snaps.t)))
     return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped))
@@ -285,42 +285,29 @@ def save_cir(path, cir: Cir, config: ChirpConfig,
 
 
 _FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4")])
-_PAYLOAD_CHUNK = 1 << 16        # 2-byte units gathered per written chunk
-
-
-def _runs(source: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """source[start:start + size] for every run, concatenated."""
-    ends = np.cumsum(sizes)
-    return source[np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])]
 
 
 def _cir_payload(cir: Cir):
-    """The .cir payload in chunks of whole frames, gathered from the
-    episode's columns: a frame is its header, then the run of its rows (or
-    facets) in every column.  With each frame's kind and hop codes joined
-    first, every run has an even size, so the gather moves 2-byte units."""
-    if not len(cir):
-        return
+    """The .cir payload, one bytes object per frame: its header, then the
+    run of its rows (or facets) in every column, sliced from the episode's
+    columns."""
     p = cir.paths
     n = np.bincount(p.frame, minlength=len(cir))
-    first, live = np.cumsum(n) - n, p.facets >= 0
-    n_facets = np.bincount(p.frame, live.sum(axis=1), minlength=len(n)).astype(int)
-    codes = _runs(np.concatenate([p.kind, p.hops]).astype(np.uint8),
-                  np.column_stack([first, first + len(p)]).ravel(), np.repeat(n, 2))
-    heads = np.empty(len(n), _FRAME_HEAD)
+    live = p.facets >= 0
+    n_facets = np.bincount(p.frame, live.sum(axis=1), minlength=len(cir)).astype(int)
+    heads = np.empty(len(cir), _FRAME_HEAD)
     heads["epoch"], heads["t"], heads["n_paths"], heads["n_dropped"] = (
         cir.epoch_index, cir.t, n, cir.n_dropped)
-    columns = [(heads, np.ones_like(n))]
-    columns += [(col.astype("<f8"), n) for col in (p.a.real, p.a.imag, p.tau, p.nu)]
-    columns += [(codes, 2 * n), (p.facets[live].astype("<i4"), n_facets),
-                (p.sample.astype("<i4"), n)]
-    source = np.concatenate([col.view(np.uint8) for col, _ in columns]).view(np.uint16)
-    sizes = np.column_stack([count * col.itemsize // 2 for col, count in columns])
-    starts = (np.cumsum([0] + [col.nbytes // 2 for col, _ in columns[:-1]])
-              + np.cumsum(sizes, axis=0) - sizes)
-    offset = np.cumsum(sizes.sum(axis=1)) - sizes.sum(axis=1)
-    for group in np.split(np.arange(len(n)), np.flatnonzero(np.diff(offset // _PAYLOAD_CHUNK)) + 1):
-        yield _runs(source, starts[group].ravel(), sizes[group].ravel())
+    floats = np.stack([p.a.real, p.a.imag, p.tau, p.nu]).astype("<f8")
+    codes = np.stack([p.kind, p.hops]).astype(np.uint8)
+    heads, size = heads.tobytes(), _FRAME_HEAD.itemsize
+    facets, samples = p.facets[live].astype("<i4").tobytes(), p.sample.astype("<i4").tobytes()
+    lo = facet_lo = 0
+    for k, (hi, facet_hi) in enumerate(zip(np.cumsum(n).tolist(), np.cumsum(n_facets).tolist())):
+        yield b"".join((heads[size * k:size * (k + 1)], floats[:, lo:hi].tobytes(),
+                        codes[:, lo:hi].tobytes(), facets[4 * facet_lo:4 * facet_hi],
+                        samples[4 * lo:4 * hi]))
+        lo, facet_lo = hi, facet_hi
 
 
 def load_cir(path) -> tuple[Cir, dict]:
@@ -392,19 +379,14 @@ def cir_to_csv(path, cir: Cir) -> None:
             return
         epochs = text_cells([str(e) for e in cir.epoch_index.tolist()])
         times = float_text(cir.t)
-        # Each row's rank among the distinct facet rows, one integer key per
-        # row, ranked column by column so that the key stays below 2^63.
-        facet_of = np.zeros(len(p), np.int64)
-        for col in p.facets.T.astype(np.int64):
-            col -= col.min()
-            facet_of = np.unique(facet_of * (int(col.max()) + 1) + col, return_inverse=True)[1]
-        first = np.zeros(facet_of.max() + 1, np.int64)
-        first[facet_of] = np.arange(len(p))
+        # Facet and sample text once per path key.
+        key_of = p.key_ids()
+        first = np.zeros(key_of.max() + 1, np.int64)
+        first[key_of] = np.arange(len(p))
         kinds = text_cells(KINDS)
         facets = text_cells(["|".join(str(f) for f in row if f >= 0)
                              for row in p.facets[first].tolist()])
-        sample_ids, sample_of = np.unique(p.sample, return_inverse=True)
-        samples = text_cells(["" if s < 0 else str(s) for s in sample_ids.tolist()])
+        samples = text_cells(["" if s < 0 else str(s) for s in p.sample[first].tolist()])
         floats = np.column_stack([p.tau, p.nu, p.a.real, p.a.imag])
         for lo in range(0, len(p), CSV_CHUNK // 4):
             at = slice(lo, lo + CSV_CHUNK // 4)
@@ -413,4 +395,4 @@ def cir_to_csv(path, cir: Cir) -> None:
             fh.write(csv_lines(epochs[p.frame[at], None], times[p.frame[at], None],
                                kinds[p.kind[at], None],
                                take_cells(values, value_of.reshape(-1, 4)),
-                               facets[facet_of[at], None], samples[sample_of[at], None]))
+                               facets[key_of[at], None], samples[key_of[at], None]))

@@ -10,10 +10,12 @@ same way when the waypoints give it; otherwise it comes from the velocity
 heading.  No extrapolation: asking for a time outside a body's waypoint span
 is an error.
 
-snapshots() poses the world at many epochs at once: one spline evaluation
-per body over the epoch array, and posed facets, their pack and the
-transceiver states as arrays with a leading epoch axis.  That SnapshotBlock
-is the one form of the world; snapshot() is the block of one epoch.
+snapshots() poses the world at many epochs at once: one spline fit and one
+evaluation per body over the epoch array, and posed facets, their pack and
+the transceiver states as arrays with a leading epoch axis.  That
+SnapshotBlock is the one form of the world; snapshot() is the block of one
+epoch.  An episode is posed once, and its blocks, and the tracers' parts of
+a block, are views of it (SnapshotBlock.view).
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class _Spline:
         u2 = u * u
         one = np.ones_like(u)
         powers = np.stack([one, one, u, u2, u2 * u], axis=-1)[..., None]
-        return (self._coef[i] * powers).sum(axis=-2).reshape(t.shape + (3, -1))
+        columns = self._coef.shape[-1] // 3
+        return (self._coef[i] * powers).sum(axis=-2).reshape(t.shape + (3, columns))
 
 
 def _natural_slopes(dx, y, slope):
@@ -92,9 +95,8 @@ def _natural_slopes(dx, y, slope):
 
 
 class _Trajectory:
-    """Callable interpolant for one body, built once and evaluated per block
-    of epochs: one spline over the position columns and, when given, the
-    unwrapped yaw."""
+    """Interpolant for one body: one spline over the position columns and,
+    when given, the unwrapped yaw."""
 
     def __init__(self, times, positions, yaws=None):
         self.t0, self.t1 = float(times[0]), float(times[-1])
@@ -143,22 +145,23 @@ class TransceiverState:
 class SnapshotBlock:
     """The world at n epochs, as arrays with a leading epoch axis.
 
-    Body poses come from one spline evaluation per body over the epochs,
-    facets are posed into one stacked FacetPack, and every transceiver's
-    state is an (n, 3) TransceiverState.  Velocities follow the rigid field
-    v + omega x r of the owning body, with omega = yaw_rate * z.  Static
-    facets and fixed transceivers have zero velocity.
+    Body poses come from one spline fit and evaluation per body over the
+    epochs, facets are posed into one stacked FacetPack, and every
+    transceiver's state is an (n, 3) TransceiverState.  Velocities follow
+    the rigid field v + omega x r of the owning body, with omega = yaw_rate
+    * z.  Static facets and fixed transceivers have zero velocity.
     """
 
-    def __init__(self, scene: Scene, times, trajectories: dict):
+    def __init__(self, scene: Scene, times):
         self.scene = scene
         self.t = np.asarray(times, dtype=float).reshape(-1)
         n = len(self.t)
-        self.body_ids = list(trajectories)
+        self.body_ids = list(scene.bodies)
         body = {b: j for j, b in enumerate(self.body_ids)}
         # Body pose arrays: (n, B, 3) position and velocity, (n, B) yaw and rate.
         if self.body_ids:
-            columns = zip(*(trajectories[b].poses(self.t) for b in self.body_ids))
+            columns = zip(*(_Trajectory(b.times, b.positions, b.yaws).poses(self.t)
+                            for b in scene.bodies.values()))
             (self.body_position, self.body_velocity, self.body_yaw,
              self.body_yaw_rate) = (np.stack(c, axis=1) for c in columns)
         else:
@@ -262,22 +265,11 @@ class SnapshotBlock:
         return paths
 
 
-def snapshots(scene: Scene, times, trajectories: dict | None = None) -> SnapshotBlock:
-    """The world at each of the times.
-
-    trajectories may carry prebuilt interpolants (from build_trajectories) to
-    avoid refitting splines for every block of epochs.
-    """
-    if trajectories is None:
-        trajectories = build_trajectories(scene)
-    return SnapshotBlock(scene, times, trajectories)
+def snapshots(scene: Scene, times) -> SnapshotBlock:
+    """The world at each of the times."""
+    return SnapshotBlock(scene, times)
 
 
-def snapshot(scene: Scene, t: float, trajectories: dict | None = None) -> SnapshotBlock:
+def snapshot(scene: Scene, t: float) -> SnapshotBlock:
     """The world at time t: the block of one epoch."""
-    return snapshots(scene, [t], trajectories)
-
-
-def build_trajectories(scene: Scene) -> dict[str, _Trajectory]:
-    return {bid: _Trajectory(b.times, b.positions, b.yaws)
-            for bid, b in scene.bodies.items()}
+    return snapshots(scene, [t])

@@ -94,10 +94,10 @@ class PathTable:
     diffuse sample index within its facet's pattern and area the patch it
     stands for; they are -1 and 0 for the other kinds.  The tracers fill the
     geometry columns and frame, the row's epoch within the block.
-    simulate_cir stacks a block's tables by frame and adds the snapshot
-    columns of each row's epoch (SnapshotBlock.attach): velocity beside
-    points, the hit facets' normals and the antenna boresights.  Then it
-    adds the complex amplitude a, the delay tau [s] and the Doppler nu [Hz].
+    simulate_cir stacks a block's tables and adds the snapshot columns of
+    each row's epoch (SnapshotBlock.attach): velocity beside points, the
+    hit facets' normals and the antenna boresights.  Then it adds the
+    complex amplitude a, the delay tau [s] and the Doppler nu [Hz].
     The table of a channel.Cir, simulated or read from a .cir file, has
     only the .cir columns and frame, the row's frame in the episode.
     """
@@ -183,11 +183,12 @@ class PathTable:
         """One integer id per row of self[at], the same for the rows of one
         key: the rank of the row's (kind, sample, facets) among their
         distinct keys in lexicographic order."""
-        rows = np.column_stack([self.kind[at], self.sample[at], self.facets[at]]).astype(np.int64)
-        order = np.lexsort(rows.T)
-        new = np.ones(len(rows), dtype=bool)          # first row of each key in order
-        new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-        ids = np.empty(len(rows), dtype=np.intp)
+        keys = np.stack([self.kind[at], self.sample[at], *self.facets[at].T]).astype(np.int64)
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        new = np.ones(len(order), dtype=bool)         # first row of each key in order
+        new[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+        ids = np.empty(len(order), dtype=np.intp)
         ids[order] = np.cumsum(new) - 1
         return ids
 
@@ -404,7 +405,7 @@ def _trace_chains(pack, txp, rxp, table: _ChainTable):
     # rows with hops > j, from first[j] on.
     first = np.searchsorted(table.hops, np.arange(1, k_max + 1)).tolist()
     hits = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j, lo in enumerate(first):
             fac, src = table.seq[lo:, -1 - j], images[:, table.images[lo:, -1 - j]]
             nf = n[:, fac]

@@ -34,7 +34,7 @@ from rftwin.em import (
     specular_reduction,
 )
 from rftwin.geometry import reflect_direction
-from rftwin.kinematics import build_trajectories, snapshot
+from rftwin.kinematics import snapshot
 from rftwin.raytrace import (
     KINDS,
     PathTable,
@@ -602,12 +602,11 @@ def reference_cir(scene, link, config, trace, t0, n):
     """simulate_cir one chirp at a time: snapshot, trace, amplitude, Doppler,
     delay and the drop beyond the maximum delay per chirp."""
     tx, rx = link.tx_id, link.rx_id
-    trajectories = build_trajectories(scene)
     patterns = build_sample_patterns(scene, trace)
     frames = []
     for k in range(n):
         t_k = t0 + k * config.pri
-        snap = snapshot(scene, t_k, trajectories)
+        snap = snapshot(scene, t_k)
         parts = [] if link.mono_static else [trace_los(snap, tx, rx, trace)]
         parts += [trace_specular(snap, tx, rx, trace),
                   trace_diffuse(snap, tx, rx, trace, patterns)]

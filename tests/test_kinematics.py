@@ -12,17 +12,20 @@ from rftwin.geometry import yaw_matrix
 from rftwin.kinematics import (
     TrajectoryRangeError,
     _Spline,
-    build_trajectories,
+    _Trajectory,
     snapshot,
+    snapshots,
 )
-from rftwin.scene import MobileBody, Scene, scene_from_dict
+from rftwin.scene import MobileBody, load_scene, scene_from_dict
+
+from conftest import FIXTURES, plates_scene_doc, spin_rig_doc
 
 PATTERN = {"peak_gain_dbi": 5.0, "hpbw_azimuth_deg": 90.0, "hpbw_elevation_deg": 60.0}
 
 
 def trajectory(body):
-    """The interpolant snapshot samples for this body."""
-    return build_trajectories(Scene({}, [], {}, {body.id: body}))[body.id]
+    """The interpolant snapshot fits for this body."""
+    return _Trajectory(body.times, body.positions, body.yaws)
 
 
 def pose(traj, t):
@@ -162,23 +165,21 @@ def test_mounted_transceiver_pose_and_velocity():
     assert np.allclose(ue.boresight, rotation @ [0.0, 1.0, 0.0])
     # velocity includes the omega x r lever-arm term; verify with central FD
     h = 1e-5
-    traj = build_trajectories(scene)
-    p_plus = snapshot(scene, 1.0 + h, traj).states["UE"].position[0]
-    p_minus = snapshot(scene, 1.0 - h, traj).states["UE"].position[0]
+    p_plus = snapshot(scene, 1.0 + h).states["UE"].position[0]
+    p_minus = snapshot(scene, 1.0 - h).states["UE"].position[0]
     assert np.allclose(ue.velocity, (p_plus - p_minus) / (2 * h), atol=1e-6)
     assert np.allclose(snap.states["BS"].velocity, 0.0)
 
 
 def test_point_velocity_matches_fd_of_posed_point():
     scene = scene_from_dict(moving_scene_doc())
-    traj = build_trajectories(scene)
     t, h = 0.8, 1e-5
-    snap = snapshot(scene, t, traj)
+    snap = snapshot(scene, t)
     rig = snap.body_ids.index("rig")
     corner_local = scene.facets[0].vertices[2]
 
     def world_corner(tt):
-        position, rotation = body_pose(snapshot(scene, tt, traj), "rig")
+        position, rotation = body_pose(snapshot(scene, tt), "rig")
         return position + rotation @ corner_local
 
     v_fd = (world_corner(t + h) - world_corner(t - h)) / (2 * h)
@@ -189,13 +190,48 @@ def test_point_velocity_matches_fd_of_posed_point():
     assert np.allclose(stacked, v_fd, atol=1e-6)
 
 
-def test_trajectories_reused_across_snapshots():
-    scene = scene_from_dict(moving_scene_doc())
-    traj = build_trajectories(scene)
-    a = snapshot(scene, 0.5, traj)
-    b = snapshot(scene, 0.5)
-    assert np.allclose(a.pack.verts[0], b.pack.verts[0])
-    assert a.t.tolist() == b.t.tolist() == [0.5]
+WORLDS = {"scenario_c": (load_scene(FIXTURES / "scenario_c.json"), 2.6),
+          "spin_rig": (scene_from_dict(spin_rig_doc()), 0.3),
+          "plates": (scene_from_dict(plates_scene_doc()), 0.0)}
+
+
+def block_arrays(block):
+    """Every array of a block: times, body poses, the pack and the
+    transceiver states."""
+    arrays = [block.t, block.body_position, block.body_velocity, block.body_yaw,
+              block.body_yaw_rate, block.facet_body, block.pack.verts, block.pack.normals,
+              block.pack.offsets, block.pack.edge_normals]
+    for state in block.states.values():
+        arrays += [state.position, state.boresight, state.velocity]
+    return arrays
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(WORLDS)), st.integers(1, 300),
+       st.lists(st.integers(0, 300), max_size=4))
+def test_views_of_a_posed_episode_are_the_blocks_of_their_epochs(name, n, cuts):
+    """Every view world.view(slice(lo, hi)) of an episode posed once holds
+    the bits of the world posed at times[lo:hi] alone."""
+    scene, t0 = WORLDS[name]
+    times = t0 + np.arange(n) * 125.86e-6
+    world = snapshots(scene, times)
+    bounds = sorted({0, n, *(min(c, n) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        view, alone = world.view(slice(lo, hi)), snapshots(scene, times[lo:hi])
+        assert view.body_ids == alone.body_ids and sorted(view.states) == sorted(alone.states)
+        for got, want in zip(block_arrays(view), block_arrays(alone), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scene", [load_scene(FIXTURES / "scenario_b.json"),
+                                   scene_from_dict(plates_scene_doc())],
+                         ids=["scenario_b", "plates"])
+def test_posing_no_epochs_gives_an_empty_block(scene):
+    block = snapshots(scene, [])
+    assert len(block) == 0 and scene.bodies
+    for array in block_arrays(block):
+        assert len(array) == (len(scene.facets) + 1 if array is block.facet_body else 0)
+    assert block.pack.verts.shape == (0, len(scene.facets), 4, 3)
 
 
 def knots(min_size, max_size):

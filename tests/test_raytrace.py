@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.optimize import minimize
 
 from rftwin import raytrace
 from rftwin.channel import ChirpConfig, doppler_of
-from rftwin.geometry import facet_area, facet_normal
-from rftwin.kinematics import build_trajectories, snapshot, snapshots
+from rftwin.geometry import FacetPack, facet_area, facet_normal
+from rftwin.kinematics import snapshot, snapshots
 from rftwin.raytrace import (
     _FRONT_EPS,
     PathTable,
@@ -287,12 +288,11 @@ def test_build_sample_patterns_matches_per_facet_calls():
 
 def test_path_doppler_matches_finite_difference_of_length():
     scene = scene_from_dict(spin_rig_doc())
-    traj = build_trajectories(scene)
     config = TraceConfig(diffuse_samples_per_facet=4, subdivide_area=1e9)
     t, h = 0.7, 5e-7
 
     def all_paths(tt):
-        snap = snapshot(scene, tt, traj)
+        snap = snapshot(scene, tt)
         return snap, PathTable.concat([trace_los(snap, "BS", "UE", config),
                                        trace_specular(snap, "BS", "UE", config),
                                        trace_diffuse(snap, "BS", "UE", config)])
@@ -593,6 +593,21 @@ def assert_same_rows(table, reference):
         assert mine.dtype == ref.dtype and mine.shape == ref.shape, col
         assert mine.tobytes() == ref.tobytes(), col
 
+
+
+def test_a_near_parallel_image_line_raises_no_warning():
+    """A line from the TX image to RX almost in the facet's plane: its
+    intersection parameter overflows, and the row fails the span test
+    without a RuntimeWarning that a caller's error filter would raise."""
+    verts = np.array([[[[0.0, -1.0, -1.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]]])
+    pack = FacetPack.stacked(verts, np.array([[[1.0, 0.0, 1e-310]]]))
+    one_chain = raytrace._ChainTable(np.zeros((1, 1), int), np.ones(1, int),
+                                     np.zeros((1, 1), int), ((np.zeros(1, int), np.zeros(1, int)),))
+    txp, rxp = np.array([[1.0, 0.0, 0.0]]), np.array([[-1.0, 5.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snap, rows, points = raytrace._trace_chains(pack, txp, rxp, one_chain)
+    assert len(snap) == len(rows) == len(points) == 0
 
 # Shifts that keep every point of a box within 10 km of the origin.
 far_shifts = st.builds(
