@@ -2,20 +2,23 @@
 
 simulate_cir poses the world once at every epoch of the episode
 (kinematics.snapshots), quasi-static within each chirp, and runs the
-episode in blocks of _BLOCK_CHIRPS chirps, each a view of that world, in
-two passes over each block:
+episode in passes, each a view of that world.  A pass holds as many chirps
+as fit the tracers' row budget (raytrace.pass_epochs) at the link's bound
+of rows per chirp: the LOS row, F^2 specular chains and every diffuse
+sample.  The shipped episodes run in one pass, long ones in several, so
+memory stays bounded.  Each pass runs in two steps:
 
-1. LOS, specular and diffuse tracing over the whole block, and one block
-   table of their rows with a frame column, the row's epoch in the block;
+1. LOS, specular and diffuse tracing over the whole pass, and one block
+   table of their rows with a frame column, the row's epoch in the pass;
 2. the snapshot columns of each row's epoch, and amplitude, Doppler and
-   delay of the block's rows in one call each.  A row between fixed
+   delay of the pass's rows in one call each.  A row between fixed
    transceivers that touches only static facets is episode-static: its a,
    tau and nu are the same at every epoch, so they are computed for the
-   first row of its key in the block and copied to the others.
+   first row of its key in the pass and copied to the others.
 
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
 are then dropped and counted per frame, and the .cir columns of the kept
-rows are taken once, in frame order.  The kept rows of every block form
+rows are taken once, in frame order.  The kept rows of every pass form
 one episode table, a Cir.  What is fixed for the episode (the posed world,
 diffuse sample patterns, the amplitude model's LinkConstants) is built
 once.
@@ -33,15 +36,9 @@ from .em import SPEED_OF_LIGHT, LinkConstants, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
 from .kinematics import snapshot, snapshots  # noqa: F401
-from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns,
+from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns, pass_epochs,
                        trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
-
-# Chirps per block pass: large enough to spread the fixed cost of the
-# vectorized passes, small enough that the block table and the temporaries
-# of the amplitude pass stay a few MB at the tens of paths per chirp of the
-# shipped scenes.
-_BLOCK_CHIRPS = 64
 
 
 @dataclass(frozen=True)
@@ -200,16 +197,18 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     world = snapshots(scene, times)
     patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
     constants = LinkConstants(scene, tx, rx, config.f_c)
+    samples = sum(p.n_samples for p in patterns.values()) if patterns else 0
+    step = pass_epochs(1 + len(scene.facets) ** 2 + samples)
     kept, dropped = [_NO_PATHS], [np.zeros(0, int)]
-    for lo in range(0, len(times), _BLOCK_CHIRPS):
-        snaps = world.view(slice(lo, lo + _BLOCK_CHIRPS))
+    for lo in range(0, len(times), step):
+        snaps = world.view(slice(lo, lo + step))
         parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
         parts.append(trace_specular(snaps, tx, rx, trace))
         if trace.diffuse_enabled:
             parts.append(trace_diffuse(snaps, tx, rx, trace, patterns))
         block = PathTable.concat(parts)
         # An episode-static row takes a, nu and tau from the first row of
-        # its key in the block; each tracer's rows come by epoch.
+        # its key in the pass; each tracer's rows come by epoch.
         static = np.flatnonzero(snaps.still_facets(tx, rx)[block.facets].all(axis=1))
         ids = block.key_ids(static)
         first = np.full(ids.max(initial=-1) + 1, len(block))
@@ -288,9 +287,10 @@ _FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_
 
 
 def _cir_payload(cir: Cir):
-    """The .cir payload, one bytes object per frame: its header, then the
-    run of its rows (or facets) in every column, sliced from the episode's
-    columns."""
+    """The .cir payload, one array of frame records per run of consecutive
+    frames that share a layout, the same path and live-facet counts.  A
+    record holds its frame's header, then the frame's rows (or facets) of
+    every column, sliced from the episode's columns."""
     p = cir.paths
     n = np.bincount(p.frame, minlength=len(cir))
     live = p.facets >= 0
@@ -300,14 +300,21 @@ def _cir_payload(cir: Cir):
         cir.epoch_index, cir.t, n, cir.n_dropped)
     floats = np.stack([p.a.real, p.a.imag, p.tau, p.nu]).astype("<f8")
     codes = np.stack([p.kind, p.hops]).astype(np.uint8)
-    heads, size = heads.tobytes(), _FRAME_HEAD.itemsize
-    facets, samples = p.facets[live].astype("<i4").tobytes(), p.sample.astype("<i4").tobytes()
-    lo = facet_lo = 0
-    for k, (hi, facet_hi) in enumerate(zip(np.cumsum(n).tolist(), np.cumsum(n_facets).tolist())):
-        yield b"".join((heads[size * k:size * (k + 1)], floats[:, lo:hi].tobytes(),
-                        codes[:, lo:hi].tobytes(), facets[4 * facet_lo:4 * facet_hi],
-                        samples[4 * lo:4 * hi]))
-        lo, facet_lo = hi, facet_hi
+    facets, samples = p.facets[live].astype("<i4"), p.sample.astype("<i4")
+    first, facet_first = np.cumsum(n) - n, np.cumsum(n_facets) - n_facets
+    starts = np.flatnonzero((np.diff(n, prepend=-1) != 0) | (np.diff(n_facets, prepend=-1) != 0))
+    for k, m in zip(starts.tolist(), np.diff(starts, append=len(cir)).tolist()):
+        c, f, lo, facet_lo = (int(v[k]) for v in (n, n_facets, first, facet_first))
+        run = np.empty(m, [("head", _FRAME_HEAD), ("floats", "<f8", (4, c)),
+                           ("codes", np.uint8, (2, c)), ("facets", "<i4", (f,)),
+                           ("samples", "<i4", (c,))])
+        at = slice(lo, lo + m * c)
+        run["head"] = heads[k:k + m]
+        run["floats"] = floats[:, at].reshape(4, m, c).transpose(1, 0, 2)
+        run["codes"] = codes[:, at].reshape(2, m, c).transpose(1, 0, 2)
+        run["facets"] = facets[facet_lo:facet_lo + m * f].reshape(m, f)
+        run["samples"] = samples[at].reshape(m, c)
+        yield run
 
 
 def load_cir(path) -> tuple[Cir, dict]:

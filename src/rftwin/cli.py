@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 EXIT_OK = 0
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=1729)
     _add_chirp_flags(sim)
     _add_common(sim)
-    sim.set_defaults(func=cmd_simulate)
 
     proc = sub.add_parser("process", help="beats, PDP, and maps from a CIR")
     proc.add_argument("--cir", required=True)
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     proc.add_argument("--tx-power", type=float, default=12.0)
     proc.add_argument("--noise-seed", type=int, default=0)
     _add_common(proc)
-    proc.set_defaults(func=cmd_process)
 
     pred = sub.add_parser("predict", help="analytic map for one CIR window")
     pred.add_argument("--cir", required=True)
@@ -441,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--window-slow", default="hann", help="slow-time window modeled")
     pred.add_argument("--export", default="bin", help="comma list: bin,csv,pgm")
     _add_common(pred)
-    pred.set_defaults(func=cmd_predict)
 
     comp = sub.add_parser("compare", help="peak-match two maps")
     comp.add_argument("--reference", required=True)
@@ -451,16 +448,23 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--gate", type=int, default=3,
                       help="association gate in bins")
     _add_common(comp)
-    comp.set_defaults(func=cmd_compare)
 
     info = sub.add_parser("info", help="describe a scene / CIR / map file")
     info.add_argument("file")
-    info.set_defaults(func=cmd_info)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process.  parse_args keeps
+    nothing between calls, each fills a new namespace, so main stays
+    re-entrant.  It names the subcommand and holds no handler: main looks
+    cmd_<command> up at each call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.threads is not None:
         if args.threads <= 0:
             print("error: --threads must be positive", file=sys.stderr)
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

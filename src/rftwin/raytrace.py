@@ -52,6 +52,12 @@ _CHAIN_ROWS = 1 << 15
 _MAX_FACET_SAMPLES = _CHAIN_ROWS    # diffuse samples one facet may have
 
 
+def pass_epochs(rows_per_epoch: int) -> int:
+    """Epochs of one pass whose rows, rows_per_epoch per epoch, fit the
+    _CHAIN_ROWS budget; one at least."""
+    return max(1, _CHAIN_ROWS // rows_per_epoch)
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Tracer knobs; defaults match the shipped fixtures.
@@ -251,7 +257,7 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
     # Parts of a block bound the rows of a pass, epochs times chains, and its
     # (epochs, F, F) front masks; a part that grows too many chains is
     # halved, and so is every part after it.
-    step = max(1, _CHAIN_ROWS // n_facets ** 2)
+    step = pass_epochs(n_facets ** 2)
     tables, lo = [], 0
     while lo < len(block):
         part = block.view(slice(lo, lo + step))
@@ -505,6 +511,16 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     moving facets are tested at each epoch, for a settled sample only if
     its legs' bounding box meets a moving facet's FacetPack.reach over the
     part: legs outside every reach cannot be blocked by the movers.
+
+    A moving facet's samples are not tested against that facet.  A leg ends
+    at its sample, on the facet's plane up to rounding, and starts at TX or
+    RX, which the front test puts in front of the plane; so it meets the
+    plane only next to the sample, where segments_blocked's endpoint margin
+    (occlusion_epsilon) ignores the crossing.  A crossing farther out needs
+    a leg that rises less than (the sample's distance off the plane) /
+    occlusion_epsilon rad over the facet: about 2e-11 rad for rounding at
+    10 m and 1e-2 rad for a quad's lift of COPLANARITY_TOL.  Such a hit is
+    an artifact of the sample's offset, not an obstruction.
     """
     facets = block.scene.facets if config.diffuse_enabled else []
     if not facets or not len(block):
@@ -521,7 +537,9 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     eps = config.occlusion_epsilon
     still = block.still_facets(tx_id, rx_id)[:-1]               # (F,)
     settled = still[owner]
-    step = max(1, _CHAIN_ROWS // len(owner))
+    # Per sample, its facet's place among the moving facets; -1 if settled.
+    mover = np.where(settled, -1, np.cumsum(~still)[owner] - 1)
+    step = pass_epochs(len(owner))
     tables = []
     for lo in range(0, len(block), step):
         part = block.view(slice(lo, lo + step))
@@ -557,7 +575,11 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
         pts = points[frame, rows]
         clear = np.ones(len(rows), dtype=bool)
         test = np.flatnonzero(exposed[rows])
-        clear[test] = ~blocked(movers, frame[test], pts[test])
+        group = mover[rows[test]]
+        for m in np.unique(group).tolist():
+            at = test[group == m]
+            occluders = movers if m < 0 else movers.subset(np.arange(movers.n_facets) != m)
+            clear[at] = ~blocked(occluders, frame[at], pts[at])
         test = np.flatnonzero(~settled[rows])
         clear[test] &= ~blocked(statics, frame[test], pts[test])
         frame, rows = frame[clear], rows[clear]

@@ -3,6 +3,7 @@
 import functools
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rftwin import channel
+from rftwin import channel, raytrace
 from rftwin.channel import (
     ChirpConfig,
     SensingLink,
@@ -653,7 +654,7 @@ def turntable_doc():
     return doc
 
 
-B = channel._BLOCK_CHIRPS
+B = 64      # chirps per pass in most examples below
 # name -> (scene, link, trace, chirp config, body span, most chirps drawn)
 BLOCK_CASES = {
     "spin_bs_ue": (scene_from_dict(spin_rig_doc()), SensingLink("BS", "UE"),
@@ -685,30 +686,49 @@ BLOCK_CASES = {
 }
 
 
+def rows_per_chirp(scene, trace):
+    """The per-chirp row bound that sizes simulate_cir's passes: the LOS
+    row, F^2 specular chains and every diffuse sample."""
+    patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else {}
+    return 1 + len(scene.facets) ** 2 + sum(p.n_samples for p in patterns.values())
+
+
+def traced_passes(budget, *args, **kwargs):
+    """simulate_cir under a row budget, and the chirps of each of its
+    passes."""
+    with (mock.patch.object(raytrace, "_CHAIN_ROWS", budget),
+          mock.patch.object(channel, "trace_specular", wraps=trace_specular) as spy):
+        cir = simulate_cir(*args, **kwargs)
+    return cir, [len(call.args[0]) for call in spy.call_args_list]
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(sorted(BLOCK_CASES)), n_draw=st.integers(0, 2 * B + 5),
-       start=st.floats(0.0, 1.0))
-@example(case="plates", n_draw=B + 3, start=0.0)
-@example(case="spin_bs_ue", n_draw=2 * B + 1, start=0.5)
-@example(case="spin_ue_bs", n_draw=B - 1, start=0.9)
-@example(case="scenario_b", n_draw=B + 1, start=0.1)
-@example(case="crossing", n_draw=2 * B + 5, start=0.45)
-@example(case="turntable", n_draw=2 * B + 5, start=0.4)
-@example(case="free_space_mono", n_draw=3, start=0.0)
-@example(case="free_space_bi", n_draw=B + 2, start=0.0)
-@example(case="plates", n_draw=0, start=0.0)
-@example(case="static_crossing", n_draw=2 * B + 5, start=0.5)
-@example(case="static_crossing_cart", n_draw=2 * B + 5, start=0.5)
-def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, start):
-    """The block pass against the per-snapshot reference, every .cir column
-    bit for bit: blocks of B chirps and a remainder, chirps without paths,
-    a free-space scene, an empty episode, and episode-static paths that a
-    moving plate blocks for part of the episode, between fixed mounts and
-    towards a UE on a cart."""
+       start=st.floats(0.0, 1.0), per_pass=st.integers(16, 2 * B + 5))
+@example(case="plates", n_draw=B + 3, start=0.0, per_pass=B)
+@example(case="spin_bs_ue", n_draw=2 * B + 1, start=0.5, per_pass=B)
+@example(case="spin_ue_bs", n_draw=B - 1, start=0.9, per_pass=1)
+@example(case="scenario_b", n_draw=B + 1, start=0.1, per_pass=7)
+@example(case="crossing", n_draw=2 * B + 5, start=0.45, per_pass=2 * B + 5)
+@example(case="turntable", n_draw=2 * B + 5, start=0.4, per_pass=B)
+@example(case="free_space_mono", n_draw=3, start=0.0, per_pass=1)
+@example(case="free_space_bi", n_draw=B + 2, start=0.0, per_pass=B)
+@example(case="plates", n_draw=0, start=0.0, per_pass=1)
+@example(case="static_crossing", n_draw=2 * B + 5, start=0.5, per_pass=B)
+@example(case="static_crossing_cart", n_draw=2 * B + 5, start=0.5, per_pass=B)
+def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, start, per_pass):
+    """The pass split against the per-snapshot reference, every .cir column
+    bit for bit: a row budget of per_pass chirps at the link's row bound
+    gives passes of per_pass chirps and a remainder, down to one chirp per
+    pass; also chirps without paths, a free-space scene, an empty episode,
+    and episode-static paths that a moving plate blocks for part of the
+    episode, between fixed mounts and towards a UE on a cart."""
     scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
     n = min(n_draw, most)
     t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
-    got = simulate_cir(scene, link, config, trace, t0=t0, n_chirps=n)
+    got, passes = traced_passes(per_pass * rows_per_chirp(scene, trace), scene, link, config,
+                                trace, t0=t0, n_chirps=n)
+    assert passes == [min(per_pass, n - k) for k in range(0, n, per_pass)]
     want = reference_cir(scene, link, config, trace, t0, n)
     assert len(got) == len(want) == n
     assert_same_cir(got, want)
@@ -717,13 +737,33 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
         counts = np.bincount(got.paths.frame, minlength=n)
         assert 0 in counts and 1 in counts
     if case.startswith("static_crossing") and n == 2 * B + 5 and start == 0.5:
-        # The block boundary lies inside the occlusion of the LOS, of the
+        # The pass boundary lies inside the occlusion of the LOS, of the
         # wall's specular path and of some of its diffuse samples.
         p = got.paths
         los, wall, diffuse = (np.bincount(p.frame[p.kind == k], minlength=n) for k in range(3))
         assert los[[B - 1, B]].tolist() == [0, 0] and los[-1] == 1
         assert wall[[0, B - 1, B]].tolist() == [1, 0, 0]
         assert max(diffuse[B - 1], diffuse[B]) < diffuse[0]
+
+
+def test_shipped_episodes_run_in_one_pass_and_long_ones_in_several():
+    """Under the tracers' row budget the three benchmark-shaped episodes
+    (scenario_b mono UE with diffuse paths, BS -> UE at order 3, the
+    plates) run in one pass each; a 4096-chirp scenario_b mono episode
+    runs in passes of 202 chirps, 162 rows per chirp."""
+    scenario_b = load_scene(FIXTURES / "scenario_b.json")
+    for scene, link, trace, t0, n in (
+            (scenario_b, SensingLink("UE", "UE"), TraceConfig(), 0.1, 128),
+            (scenario_b, SensingLink("BS", "UE"),
+             TraceConfig(max_specular_order=3, diffuse_enabled=False), 0.1, 128),
+            (scene_from_dict(plates_scene_doc()), SensingLink("UE", "UE"),
+             TraceConfig(diffuse_enabled=False), 0.0, 256)):
+        assert traced_passes(raytrace._CHAIN_ROWS, scene, link, ChirpConfig(), trace,
+                             t0=t0, n_chirps=n)[1] == [n]
+    assert rows_per_chirp(scenario_b, TraceConfig()) == 162
+    cir, passes = traced_passes(raytrace._CHAIN_ROWS, scenario_b, SensingLink("UE", "UE"),
+                                ChirpConfig(), TraceConfig(), t0=0.1, n_chirps=4096)
+    assert passes == [202] * 20 + [56] and len(cir) == 4096
 
 
 def test_frame_stats_on_the_plates(plates_episode):

@@ -1,17 +1,24 @@
 """End-to-end command-line pipeline runs on a small three-plate scene."""
 
+import contextlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, REPO_ROOT, plates_scene_doc
+from rftwin import cli
 from rftwin.channel import ChirpConfig, load_cir
 from rftwin.cli import main
 from rftwin.fmcw import NoiseConfig, delay_doppler, load_map, range_fft, synth_beat
+from rftwin.raytrace import TraceConfig
 
 
 def write_scene(directory):
@@ -663,3 +670,68 @@ def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
     assert summary["paths_per_kind"] == {} and summary["paths_per_frame"] == {}
     assert summary["dropped_per_frame"] == {"min": 1, "mean": 1.0, "max": 1}
     assert summary["dropped_beyond_max_delay"] == 5
+
+
+# Command lines for the shared parser: every subcommand, flags set and left
+# at their defaults, a global flag, and calls that argparse rejects.
+ARGVS = (
+    ["simulate", "--scene", "s.json", "--tx", "UE", "--no-diffuse", "--max-order", "3",
+     "--chirps", "70", "--t-idle", "0.005", "--frozen-clock", "--tag", "a"],
+    ["--threads", "2", "simulate", "--scene", "s.json", "--mode", "bi", "--tx", "BS",
+     "--rx", "UE"],
+    ["process", "--cir", "x.cir", "-N", "8", "--stride", "4", "--zero-pad", "--noise",
+     "--export", "bin,csv", "--window-slow", "boxcar", "-o", "out"],
+    ["process", "--cir", "x.cir"],
+    ["predict", "--cir", "x.cir", "--window", "blackman", "--t0-index", "3"],
+    ["compare", "--reference", "a.ddm", "--test", "b.ddm", "--gate", "5",
+     "--threshold", "20"],
+    ["info", "scene.json"],
+    ["simulate", "--tx", "UE"],
+    ["process", "--cir", "x.cir", "-N", "eight"],
+    ["bogus"],
+    [],
+)
+
+
+def parsed(parser, argv):
+    """The namespace's fields, or the exit code argparse gives up with."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.lists(st.sampled_from(range(len(ARGVS))), min_size=2, max_size=12))
+def test_the_shared_parser_keeps_no_state_between_calls(order):
+    """main's parser is built once per process; any interleaving of
+    subcommands, flags and rejected calls parses each command line as a
+    parser of its own would."""
+    assert cli._parser() is cli._parser()
+    for i in order:
+        assert parsed(cli._parser(), ARGVS[i]) == parsed(cli.build_parser(), ARGVS[i])
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    """A simulate after calls with other flags, an input error and a usage
+    error writes what a first call would: the defaults of every flag.  A
+    handler replaced after the parser was built is the one main calls."""
+    cli._parser()
+    monkeypatch.setattr(cli, "cmd_info", lambda args: 7)
+    assert main(["info", "anything"]) == 7
+    monkeypatch.undo()
+    scene = write_scene(tmp_path)
+    assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "4",
+                 "--no-diffuse", "--max-order", "3", "--seed", "5", "--t0", "0.01",
+                 "--frozen-clock", "--tag", "a", "-o", str(tmp_path)]) == 0
+    assert main(["--threads", "1", "info", str(tmp_path / "missing.cir")]) == 2
+    with pytest.raises(SystemExit):
+        main(["simulate", "--scene", str(scene)])
+    assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "4",
+                 "--tag", "b", "-o", str(tmp_path)]) == 0
+    _, header = load_cir(tmp_path / "b.cir")
+    assert header["trace"] == asdict(TraceConfig())
+    assert (header["t0"], header["seed"]) == (0.0, 1729)
+    assert header["created"] != "frozen"
+    assert json.loads((tmp_path / "b_summary.json").read_text())["frames"] == 4
