@@ -3,10 +3,12 @@
 simulate_cir poses the world once at every epoch of the episode
 (kinematics.snapshots), quasi-static within each chirp, and runs the
 episode in passes, each a view of that world.  A pass holds as many chirps
-as fit the tracers' row budget (raytrace.pass_epochs) at the link's bound
-of rows per chirp: the LOS row, F^2 specular chains and every diffuse
-sample.  The shipped episodes run in one pass, long ones in several, so
-memory stays bounded.  Each pass runs in two steps:
+as fit the row budget (raytrace.pass_epochs) at the link's bound of rows
+per chirp: the LOS row, F^2 specular chains and every diffuse sample.  The
+shipped episodes run in one pass, long ones in several, so memory stays
+bounded.  No other layer splits an episode, except that trace_specular
+halves a pass whose chain tree outgrows F^2 chains.  Each pass runs in two
+steps:
 
 1. LOS, specular and diffuse tracing over the whole pass, and one block
    table of their rows with a frame column, the row's epoch in the pass;
@@ -19,9 +21,8 @@ memory stays bounded.  Each pass runs in two steps:
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
 are then dropped and counted per frame, and the .cir columns of the kept
 rows are taken once, in frame order.  The kept rows of every pass form
-one episode table, a Cir.  What is fixed for the episode (the posed world,
-diffuse sample patterns, the amplitude model's LinkConstants) is built
-once.
+one episode table, a Cir.  The posed world and the diffuse sample
+patterns are built once per episode.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .container import now, read_container, write_container
-from .em import SPEED_OF_LIGHT, LinkConstants, amplitudes_of
+from .em import SPEED_OF_LIGHT, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
 from .kinematics import snapshot, snapshots  # noqa: F401
@@ -196,7 +197,6 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     times = t0 + np.arange(max(n, 0)) * config.pri
     world = snapshots(scene, times)
     patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
-    constants = LinkConstants(scene, tx, rx, config.f_c)
     samples = sum(p.n_samples for p in patterns.values()) if patterns else 0
     step = pass_epochs(1 + len(scene.facets) ** 2 + samples)
     kept, dropped = [_NO_PATHS], [np.zeros(0, int)]
@@ -217,9 +217,11 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         source = rows.copy()
         source[static] = first[ids]
         own = source == rows
-        values = _channel_of(block.take(own), snaps, scene, link, config, constants)
+        evaluated = snaps.attach(block.take(own), tx, rx)
         at = (np.cumsum(own) - 1)[source]
-        block.a, block.nu, block.tau = (column[at] for column in values)
+        block.a = amplitudes_of(evaluated, scene, tx, rx, config.f_c)[at]
+        block.nu = doppler_of(evaluated, config.f_c)[at]
+        block.tau = (evaluated.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT)[at]
         keep = block.tau < config.max_delay
         # The kept rows by epoch, and within an epoch LOS, specular, diffuse.
         order = np.argsort(block.frame, kind="stable")
@@ -227,16 +229,6 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         kept[-1].frame += lo
         dropped.append(np.bincount(block.frame[~keep], minlength=len(snaps.t)))
     return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped))
-
-
-def _channel_of(paths: PathTable, snaps, scene: Scene, link: SensingLink,
-                config: ChirpConfig, constants: LinkConstants) -> tuple:
-    """a, nu and tau of every row of a block table whose frame column
-    indexes the epochs of snaps."""
-    paths = snaps.attach(paths, link.tx_id, link.rx_id)
-    return (amplitudes_of(paths, scene, link.tx_id, link.rx_id, config.f_c, constants=constants),
-            doppler_of(paths, config.f_c),
-            paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT)
 
 
 def frame_stats(cir: Cir) -> dict:

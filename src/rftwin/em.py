@@ -26,10 +26,10 @@ per quantity: specular_reduction (R from S), lobe_density on
 lobe_normalization (f_lobe), fresnel on complex_permittivity (|Gamma| and
 the TE phase) and antenna_angles on antenna_frame (azimuth and elevation in
 degrees).  The table carries the snapshot columns of each row's epoch
-(SnapshotBlock.attach), for one epoch or a block of chirps alike; what is
-fixed over an episode (material tables, the facet -> material index, lobe
-normalization, the antenna frames of fixed transceivers) is built once in
-LinkConstants.
+(SnapshotBlock.attach), for one epoch or a block of chirps alike.
+amplitudes_of builds its small tables (per material, the facet ->
+material index and the antenna frames of fixed transceivers) on every
+call, once per pass of simulate_cir.
 """
 
 from __future__ import annotations
@@ -121,49 +121,32 @@ def antenna_angles(boresight, directions, frame=None):
 _FREE_SPACE = Material("free space", 1.0, 0.0, 0.0, 1)
 
 
-class LinkConstants:
-    """What amplitudes_of needs that is fixed over an episode of one link at
-    one carrier, built once per episode like the diffuse sample patterns.
-
-    The material tables end in free space, which the -1 facet padding picks
-    through facet_material, also in a scene without facets: permittivity
-    eps, the diffuse and specular splits S and R, the lobe exponent and its
-    normalization.  frames holds the antenna frame of a fixed TX and RX, and
-    None for a transceiver on a body, whose frame follows each row's
-    boresight.
-    """
-
-    def __init__(self, scene: Scene, tx_id: str, rx_id: str, f_c: float):
-        materials = list(scene.materials.values())
-        row = {m.name: j for j, m in enumerate(materials)}
-        materials.append(_FREE_SPACE)
-        self.eps = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
-                             for m in materials])
-        self.s = np.array([m.scattering_coeff for m in materials])
-        self.r = specular_reduction(self.s)
-        self.alpha = np.array([m.lobe_exponent for m in materials], dtype=float)
-        self.lobe_norm = lobe_normalization(self.alpha)
-        self.facet_material = np.array([row[f.material_id] for f in scene.facets] + [-1])
-        ends = (scene.transceiver(tx_id), scene.transceiver(rx_id))
-        self.patterns = tuple(trx.pattern for trx in ends)
-        self.frames = tuple(antenna_frame(np.asarray(trx.boresight, dtype=float))
-                            if trx.is_fixed else None for trx in ends)
-
-
 def amplitudes_of(paths: PathTable, scene: Scene, tx_id: str, rx_id: str, f_c: float,
-                  with_breakdown: bool = False,
-                  constants: LinkConstants | None = None):
+                  with_breakdown: bool = False):
     """Vectorized amplitude evaluation for a path table that carries its
     snapshot columns (SnapshotBlock.attach).
 
-    constants, the LinkConstants of (scene, tx_id, rx_id, f_c), saves
-    rebuilding them on every call.  Returns the complex amplitudes, and
-    with with_breakdown also their dB budget: a dict of the (n,) columns
-    spreading_db, tx_gain_db and rx_gain_db and the (n, K) column hop_db,
-    one term per interaction in the facets layout and 0 dB in the padding.
-    Each row's terms sum to 20 log10 |a|.
+    Returns the complex amplitudes, and with with_breakdown also their dB
+    budget: a dict of the (n,) columns spreading_db, tx_gain_db and
+    rx_gain_db and the (n, K) column hop_db, one term per interaction in
+    the facets layout and 0 dB in the padding.  Each row's terms sum to
+    20 log10 |a|.
     """
-    link = LinkConstants(scene, tx_id, rx_id, f_c) if constants is None else constants
+    # Per material, ending in free space, which the -1 facet padding picks
+    # also in a scene without facets: permittivity, the splits S and R, the
+    # lobe exponent and its normalization.
+    materials = [*scene.materials.values(), _FREE_SPACE]
+    row = {name: j for j, name in enumerate(scene.materials)}
+    facet_material = np.array([row[f.material_id] for f in scene.facets] + [-1])
+    eps = np.array([complex_permittivity(m.rel_permittivity, m.conductivity, f_c)
+                    for m in materials])
+    s = np.array([m.scattering_coeff for m in materials])
+    alpha = np.array([m.lobe_exponent for m in materials], dtype=float)
+    # A fixed transceiver's antenna frame; one on a body follows each row's
+    # boresight.
+    tx, rx = scene.transceiver(tx_id), scene.transceiver(rx_id)
+    tx_frame, rx_frame = (antenna_frame(np.asarray(trx.boresight, dtype=float))
+                          if trx.is_fixed else None for trx in (tx, rx))
 
     lam = SPEED_OF_LIGHT / f_c
     hop_mask = paths.facets >= 0                            # (n, k)
@@ -182,23 +165,22 @@ def amplitudes_of(paths: PathTable, scene: Scene, tx_id: str, rx_id: str, f_c: f
     lengths = seg_len.sum(axis=1)
     spread_len = np.where(is_diffuse, seg_len[rows, first] * seg_len[:, -1], lengths)
 
-    (tx_pattern, rx_pattern), (tx_frame, rx_frame) = link.patterns, link.frames
-    tx_gain_db = tx_pattern.gain_db(*antenna_angles(paths.tx_boresight, departures, tx_frame))
-    rx_gain_db = rx_pattern.gain_db(*antenna_angles(paths.rx_boresight, -arrivals, rx_frame))
+    tx_gain_db = tx.pattern.gain_db(*antenna_angles(paths.tx_boresight, departures, tx_frame))
+    rx_gain_db = rx.pattern.gain_db(*antenna_angles(paths.rx_boresight, -arrivals, rx_frame))
     gain_factor = 10.0 ** ((tx_gain_db + rx_gain_db) / 20.0)
 
     # The -1 facet padding picks free space and a zero normal; the factors
     # of padded slots are masked below.
-    mat_at = link.facet_material[paths.facets]
+    mat_at = facet_material[paths.facets]
     normals = paths.normals
     k_mir = reflect_direction(k_in, normals)
     cos_i = np.clip(np.abs(np.einsum("nkj,nkj->nk", k_in, normals)), 0.0, 1.0)
-    gamma_mag, gamma_phase = fresnel(link.eps[mat_at], cos_i)
+    gamma_mag, gamma_phase = fresnel(eps[mat_at], cos_i)
 
-    split = np.where(is_diffuse[:, None], link.s[mat_at], link.r[mat_at])
+    split = np.where(is_diffuse[:, None], s[mat_at], specular_reduction(s)[mat_at])
     cos_s = np.clip(np.einsum("nkj,nkj->nk", k_out, normals), 0.0, 1.0)
     dot = np.clip(np.einsum("nkj,nkj->nk", k_mir, k_out), -1.0, 1.0)
-    f_lobe = lobe_density(dot, link.alpha[mat_at], link.lobe_norm[mat_at])
+    f_lobe = lobe_density(dot, alpha[mat_at], lobe_normalization(alpha)[mat_at])
     patch = np.sqrt(np.maximum(paths.area[:, None] * cos_i * cos_s * f_lobe, 0.0))
     patch = np.where(is_diffuse[:, None], patch, 1.0)
 

@@ -22,7 +22,8 @@ epoch axis on every array; one instant is the block of one epoch.  It
      before and after each hit strictly in front of it, and
   4. drops chains with an occluded segment, sliced from the same
      (epochs, chains, K+2, 3) point table in one batched occlusion test.
-LOS and diffuse tracing run over a block the same way.
+LOS and diffuse tracing run over a block the same way.  A tracer traces
+the whole block it is given, save a specular block that outgrows _CHAIN_ROWS.
 
 Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
@@ -45,9 +46,9 @@ from .scene import Scene
 
 _FRONT_EPS = 1e-9   # m, strict front-side margin
 _PARAM_EPS = 1e-9   # unitless span margin for image-line intersections
-# Rows of one tracing pass over a block of snapshots, epochs times chains
-# (image method) or epochs times diffuse samples: bounds its point and
-# occlusion tables to a few MB in large scenes.
+# Rows of one tracing pass, epochs times chains or diffuse samples: it sizes
+# simulate_cir's passes, and trace_specular halves a block with more rows,
+# so point and occlusion tables stay a few MB in large scenes.
 _CHAIN_ROWS = 1 << 15
 _MAX_FACET_SAMPLES = _CHAIN_ROWS    # diffuse samples one facet may have
 
@@ -249,36 +250,31 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
     indices.
     """
     k_max = config.max_specular_order
-    n_facets = block.pack.n_facets
-    if n_facets == 0 or k_max == 0 or not len(block):
+    if block.pack.n_facets == 0 or k_max == 0 or not len(block):
         return _table("specular", np.empty((0, k_max), int),
                       np.empty((0, k_max + 2, 3)), frame=np.empty(0, int))
 
-    # Parts of a block bound the rows of a pass, epochs times chains, and its
-    # (epochs, F, F) front masks; a part that grows too many chains is
-    # halved, and so is every part after it.
-    step = pass_epochs(n_facets ** 2)
-    tables, lo = [], 0
-    while lo < len(block):
-        part = block.view(slice(lo, lo + step))
-        txp, rxp = part.states[tx_id].position, part.states[rx_id].position
-        table = _grow_chains(*_front_masks(part.pack, txp, rxp), k_max)
-        if len(part) * len(table.hops) > _CHAIN_ROWS and len(part) > 1:
-            step = (len(part) + 1) // 2
-            continue
-        frame, idx, legs = _trace_chains(part.pack, txp, rxp, table)
-        # Occlusion over every segment of every survivor but the zero-length
-        # TX -> TX segments of the left padding.
-        hops = table.hops[idx]
-        on = _live(hops + 1, k_max + 1)
-        blocked = np.zeros(on.shape, dtype=bool)
-        blocked[on] = part.pack.segments_blocked(legs[:, :-1][on], legs[:, 1:][on],
-                                                 config.occlusion_epsilon, frame.repeat(hops + 1))
-        clear = ~blocked.any(axis=1)
-        facets = np.where(_live(hops, k_max), table.seq[idx], -1)
-        tables.append(_table("specular", facets[clear], legs[clear], frame=lo + frame[clear]))
-        lo += len(part)
-    return tables[0] if len(tables) == 1 else PathTable.concat(tables)
+    txp, rxp = block.states[tx_id].position, block.states[rx_id].position
+    table = _grow_chains(*_front_masks(block.pack, txp, rxp), k_max)
+    if len(block) * len(table.hops) > _CHAIN_ROWS and len(block) > 1:
+        # Too many rows for one pass: trace each half, which may grow fewer
+        # chains, on its own.
+        half = (len(block) + 1) // 2
+        head, tail = (trace_specular(block.view(at), tx_id, rx_id, config)
+                      for at in (slice(0, half), slice(half, None)))
+        tail.frame += half
+        return PathTable.concat([head, tail])
+    frame, idx, legs = _trace_chains(block.pack, txp, rxp, table)
+    # Occlusion over every segment of every survivor but the zero-length
+    # TX -> TX segments of the left padding.
+    hops = table.hops[idx]
+    on = _live(hops + 1, k_max + 1)
+    blocked = np.zeros(on.shape, dtype=bool)
+    blocked[on] = block.pack.segments_blocked(legs[:, :-1][on], legs[:, 1:][on],
+                                              config.occlusion_epsilon, frame.repeat(hops + 1))
+    clear = ~blocked.any(axis=1)
+    facets = np.where(_live(hops, k_max), table.seq[idx], -1)
+    return _table("specular", facets[clear], legs[clear], frame=frame[clear])
 
 
 @dataclass(frozen=True)
@@ -507,10 +503,10 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
 
     Between fixed transceivers a sample of a static facet is settled: its
     point, its front test and the verdict of every static occluder are the
-    same at each epoch, so they are taken at the first epoch of a part.  The
-    moving facets are tested at each epoch, for a settled sample only if
-    its legs' bounding box meets a moving facet's FacetPack.reach over the
-    part: legs outside every reach cannot be blocked by the movers.
+    same at each epoch, so they are taken at the first epoch of the block.
+    The moving facets are tested at each epoch, for a settled sample only
+    if its legs' bounding box meets a moving facet's FacetPack.reach over
+    the block: legs outside every reach cannot be blocked by the movers.
 
     A moving facet's samples are not tested against that facet.  A leg ends
     at its sample, on the facet's plane up to rounding, and starts at TX or
@@ -539,54 +535,48 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     settled = still[owner]
     # Per sample, its facet's place among the moving facets; -1 if settled.
     mover = np.where(settled, -1, np.cumsum(~still)[owner] - 1)
-    step = pass_epochs(len(owner))
-    tables = []
-    for lo in range(0, len(block), step):
-        part = block.view(slice(lo, lo + step))
-        pack = part.pack
-        txp, rxp = part.states[tx_id].position, part.states[rx_id].position
-        front = ((np.einsum("ej,efj->ef", txp, pack.normals) - pack.offsets > _FRONT_EPS)
-                 & (np.einsum("ej,efj->ef", rxp, pack.normals) - pack.offsets > _FRONT_EPS))
-        points = np.concatenate([np.broadcast_to(
-            np.matmul(p.weights, pack.verts[:1 if still[i] else len(part), i, :len(f.vertices)]),
-            (len(part), p.n_samples, 3)) for i, (f, p) in enumerate(zip(facets, pats))], axis=1)
+    pack = block.pack
+    txp, rxp = block.states[tx_id].position, block.states[rx_id].position
+    front = ((np.einsum("ej,efj->ef", txp, pack.normals) - pack.offsets > _FRONT_EPS)
+             & (np.einsum("ej,efj->ef", rxp, pack.normals) - pack.offsets > _FRONT_EPS))
+    points = np.concatenate([np.broadcast_to(
+        np.matmul(p.weights, pack.verts[:1 if still[i] else len(block), i, :len(f.vertices)]),
+        (len(block), p.n_samples, 3)) for i, (f, p) in enumerate(zip(facets, pats))], axis=1)
 
-        def blocked(occluders, frame, pts):
-            """Per sample point at its epoch, whether a leg to it is blocked."""
-            if not occluders.n_facets:
-                return np.zeros(len(frame), dtype=bool)
-            return (occluders.segments_blocked(txp[frame], pts, eps, frame)
-                    | occluders.segments_blocked(pts, rxp[frame], eps, frame))
+    def blocked(occluders, frame, pts):
+        """Per sample point at its epoch, whether a leg to it is blocked."""
+        if not occluders.n_facets:
+            return np.zeros(len(frame), dtype=bool)
+        return (occluders.segments_blocked(txp[frame], pts, eps, frame)
+                | occluders.segments_blocked(pts, rxp[frame], eps, frame))
 
-        statics, movers = pack.subset(still), pack.subset(~still)
-        keep = front[:, owner]
-        # Settled samples: the static occluders at the first epoch, and the
-        # moving ones at each epoch if their legs come within reach.
-        once = np.flatnonzero(keep[0] & settled)
-        keep[:, once[blocked(statics[:1], np.zeros(len(once), int), points[0, once])]] = False
-        exposed = ~settled
-        if len(once):
-            reach_lo, reach_hi = movers.reach()
-            ends_lo = np.minimum(points[0, once], np.minimum(txp[0], rxp[0]))
-            ends_hi = np.maximum(points[0, once], np.maximum(txp[0], rxp[0]))
-            exposed[once] = ((ends_lo[:, None] <= reach_hi)
-                             & (ends_hi[:, None] >= reach_lo)).all(axis=2).any(axis=1)
-        frame, rows = np.nonzero(keep)
-        pts = points[frame, rows]
-        clear = np.ones(len(rows), dtype=bool)
-        test = np.flatnonzero(exposed[rows])
-        group = mover[rows[test]]
-        for m in np.unique(group).tolist():
-            at = test[group == m]
-            occluders = movers if m < 0 else movers.subset(np.arange(movers.n_facets) != m)
-            clear[at] = ~blocked(occluders, frame[at], pts[at])
-        test = np.flatnonzero(~settled[rows])
-        clear[test] &= ~blocked(statics, frame[test], pts[test])
-        frame, rows = frame[clear], rows[clear]
-        legs = np.stack([txp[frame], pts[clear], rxp[frame]], axis=1)
-        tables.append(_table("diffuse", owner[rows, None], legs, sample[rows], area[rows],
-                             frame=lo + frame))
-    return tables[0] if len(tables) == 1 else PathTable.concat(tables)
+    statics, movers = pack.subset(still), pack.subset(~still)
+    keep = front[:, owner]
+    # Settled samples: the static occluders at the first epoch, and the
+    # moving ones at each epoch if their legs come within reach.
+    once = np.flatnonzero(keep[0] & settled)
+    keep[:, once[blocked(statics[:1], np.zeros(len(once), int), points[0, once])]] = False
+    exposed = ~settled
+    if len(once):
+        reach_lo, reach_hi = movers.reach()
+        ends_lo = np.minimum(points[0, once], np.minimum(txp[0], rxp[0]))
+        ends_hi = np.maximum(points[0, once], np.maximum(txp[0], rxp[0]))
+        exposed[once] = ((ends_lo[:, None] <= reach_hi)
+                         & (ends_hi[:, None] >= reach_lo)).all(axis=2).any(axis=1)
+    frame, rows = np.nonzero(keep)
+    pts = points[frame, rows]
+    clear = np.ones(len(rows), dtype=bool)
+    test = np.flatnonzero(exposed[rows])
+    group = mover[rows[test]]
+    for m in np.unique(group).tolist():
+        at = test[group == m]
+        occluders = movers if m < 0 else movers.subset(np.arange(movers.n_facets) != m)
+        clear[at] = ~blocked(occluders, frame[at], pts[at])
+    test = np.flatnonzero(~settled[rows])
+    clear[test] &= ~blocked(statics, frame[test], pts[test])
+    frame, rows = frame[clear], rows[clear]
+    legs = np.stack([txp[frame], pts[clear], rxp[frame]], axis=1)
+    return _table("diffuse", owner[rows, None], legs, sample[rows], area[rows], frame=frame)
 
 
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:

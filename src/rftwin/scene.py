@@ -32,6 +32,37 @@ def _require_finite(values, what: str) -> None:
         raise SceneError(f"{what} must be finite numbers")
 
 
+# JSON checks of scene_from_dict: a value of the wrong JSON type is a
+# SceneError naming the field, not a TypeError from deeper down.
+def _objects(doc: dict, key: str) -> list:
+    """doc[key], a list of JSON objects; empty when absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(d, dict) for d in value):
+        raise SceneError(f"{key} must be a list of objects")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SceneError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _number(value, what: str, kind: str = "a number"):
+    """value, a number; JSON true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise SceneError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str):
+    """value, a number, an array or nested lists of numbers in rows of equal
+    length; one leaf of each type is checked."""
+    for leaf in {type(v): v for v in np.asarray(value, dtype=object).flat}.values():
+        _number(leaf, what, "numbers in rows of equal length")
+    return value
+
+
 # Relative gain floor of the parabolic-in-dB pattern model.
 PATTERN_FLOOR_DB = 30.0
 
@@ -163,6 +194,8 @@ class Transceiver:
             if value is not None:
                 _require_finite(value, f"transceiver '{self.id}': {name}")
                 v = np.asarray(value, dtype=float)
+                if v.shape != (3,):
+                    raise SceneError(f"transceiver '{self.id}': {name} must be 3 numbers")
                 # geometry.unit's test: the squared length must not be 0
                 if name.endswith("boresight") and not np.vecdot(v, v) > 0.0:
                     raise SceneError(f"transceiver '{self.id}': {name} must have nonzero length")
@@ -322,32 +355,36 @@ class Scene:
 def _material_from_dict(d: dict) -> Material:
     if "preset" in d:
         presets = material_defaults()
-        name = d["preset"]
+        name = _string(d["preset"], "material preset")
         if name not in presets:
             raise SceneError(f"unknown material preset '{name}'")
         base = presets[name]
-        return Material(d.get("name", name), base.rel_permittivity, base.conductivity,
-                        base.scattering_coeff, base.lobe_exponent)
+        return Material(_string(d.get("name", name), "material name"), base.rel_permittivity,
+                        base.conductivity, base.scattering_coeff, base.lobe_exponent)
     try:
-        return Material(d["name"], d["rel_permittivity"], d["conductivity"],
-                        d["scattering_coeff"], d["lobe_exponent"])
+        name = _string(d["name"], "material name")
+        return Material(name, *(_number(d[key], f"material '{name}': {key}") for key in (
+            "rel_permittivity", "conductivity", "scattering_coeff", "lobe_exponent")))
     except KeyError as e:
         raise SceneError(f"material entry missing field {e}") from None
 
 
 def _transceiver_from_dict(d: dict) -> Transceiver:
     try:
-        pattern = AntennaPattern(**d["pattern"])
-        return Transceiver(
-            id=d["id"], role=d["role"], pattern=pattern,
-            tx_power_dbm=d.get("tx_power_dbm", 12.0),
-            noise_figure_db=d.get("noise_figure_db", 15.0),
-            position=tuple(d["position"]) if "position" in d else None,
-            boresight=tuple(d["boresight"]) if "boresight" in d else None,
-            body_id=d.get("body"),
-            offset_position=tuple(d["offset_position"]) if "offset_position" in d else None,
-            offset_boresight=tuple(d["offset_boresight"]) if "offset_boresight" in d else None,
-        )
+        tid = _string(d["id"], "transceiver id")
+        if not isinstance(d["pattern"], dict):
+            raise SceneError(f"transceiver '{tid}': pattern must be an object")
+        pattern = {key: _number(value, f"transceiver '{tid}': pattern {key}")
+                   for key, value in d["pattern"].items()}
+        fields = {key: _number(d[key], f"transceiver '{tid}': {key}")
+                  for key in ("tx_power_dbm", "noise_figure_db") if key in d}
+        for key in ("position", "boresight", "offset_position", "offset_boresight"):
+            if key in d:
+                value = _numbers(d[key], f"transceiver '{tid}': {key}")
+                fields[key] = tuple(value) if isinstance(value, list) else value
+        if d.get("body") is not None:
+            fields["body_id"] = _string(d["body"], f"transceiver '{tid}': body")
+        return Transceiver(tid, d["role"], AntennaPattern(**pattern), **fields)
     except KeyError as e:
         raise SceneError(f"transceiver entry missing field {e}") from None
     except TypeError as e:
@@ -355,39 +392,39 @@ def _transceiver_from_dict(d: dict) -> Transceiver:
 
 
 def _body_from_dict(d: dict) -> MobileBody:
-    try:
-        wp = np.asarray(d["waypoints"], dtype=float)
-    except (KeyError, ValueError):
-        raise SceneError(f"body '{d.get('id', '?')}': waypoints must be numeric rows") from None
+    bid = _string(d.get("id"), "body id")
+    wp = np.asarray(_numbers(d.get("waypoints"), f"body '{bid}': waypoints"), dtype=float)
     if wp.ndim != 2 or wp.shape[1] not in (4, 5):
-        raise SceneError(f"body '{d.get('id', '?')}': waypoints must be [t,x,y,z] or [t,x,y,z,yaw]")
+        raise SceneError(f"body '{bid}': waypoints must be [t,x,y,z] or [t,x,y,z,yaw]")
     yaws = wp[:, 4] if wp.shape[1] == 5 else None
-    return MobileBody(d["id"], wp[:, 0], wp[:, 1:4], yaws)
+    return MobileBody(bid, wp[:, 0], wp[:, 1:4], yaws)
 
 
 def scene_from_dict(doc: dict) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
     materials = {}
-    for d in doc.get("materials", []):
+    for d in _objects(doc, "materials"):
         m = _material_from_dict(d)
         if m.name in materials:
             raise SceneError(f"duplicate material '{m.name}'")
         materials[m.name] = m
 
     bodies = {}
-    for d in doc.get("bodies", []):
+    for d in _objects(doc, "bodies"):
         b = _body_from_dict(d)
         if b.id in bodies:
             raise SceneError(f"duplicate body '{b.id}'")
         bodies[b.id] = b
 
     facets = []
-    for i, d in enumerate(doc.get("facets", [])):
+    for i, d in enumerate(_objects(doc, "facets")):
         if "material" not in d:
             raise SceneError(f"facet {i}: missing material reference")
-        f = Facet(np.asarray(d["vertices"], dtype=float), d["material"],
-                  d.get("body"), index=i)
+        body = d.get("body")
+        f = Facet(np.asarray(_numbers(d.get("vertices"), f"facet {i}: vertices"), dtype=float),
+                  _string(d["material"], f"facet {i}: material"),
+                  None if body is None else _string(body, f"facet {i}: body"), index=i)
         if f.material_id not in materials:
             raise SceneError(f"facet {i}: unknown material '{f.material_id}'")
         if f.body_id is not None and f.body_id not in bodies:
@@ -395,7 +432,7 @@ def scene_from_dict(doc: dict) -> Scene:
         facets.append(f)
 
     transceivers = {}
-    for d in doc.get("transceivers", []):
+    for d in _objects(doc, "transceivers"):
         t = _transceiver_from_dict(d)
         if t.id in transceivers:
             raise SceneError(f"duplicate transceiver '{t.id}'")
@@ -406,7 +443,7 @@ def scene_from_dict(doc: dict) -> Scene:
     if not transceivers:
         raise SceneError("scene has no transceivers")
     return Scene(materials, facets, transceivers, bodies,
-                 name=doc.get("name", "scene"))
+                 name=_string(doc.get("name", "scene"), "scene name"))
 
 
 def load_scene(path) -> Scene:

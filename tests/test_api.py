@@ -10,7 +10,8 @@ import rftwin
 
 # (module, name) of helpers that were replaced by the em kernels, by
 # references inside the tests, by the SnapshotBlock of one epoch, or by the
-# Cir episode table and the breakdown columns of amplitudes_of.
+# Cir episode table and the breakdown columns of amplitudes_of; LinkConstants
+# by the tables amplitudes_of builds on each call.
 RETIRED = [
     ("em", "fresnel_reflection"), ("em", "_fresnel_te_tm"), ("em", "lobe_gain"),
     ("em", "split_power"), ("em", "_antenna_frame"), ("em", "_gains_db"),
@@ -19,7 +20,7 @@ RETIRED = [
     ("kinematics", "interpolate"), ("fmcw", "fold_doppler"),
     ("analysis", "peak_to_sidelobe_db"), ("kinematics", "WorldSnapshot"),
     ("kinematics", "PoseSample"), ("channel", "CirFrame"), ("channel", "_block_frames"),
-    ("em", "PathAmplitude"),
+    ("em", "PathAmplitude"), ("em", "LinkConstants"),
 ]
 
 

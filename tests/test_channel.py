@@ -27,7 +27,6 @@ from rftwin.csvtext import CSV_CHUNK
 from rftwin.em import (
     _FREE_SPACE,
     SPEED_OF_LIGHT,
-    LinkConstants,
     antenna_angles,
     complex_permittivity,
     fresnel,
@@ -393,16 +392,16 @@ def test_swapping_tx_and_rx_keeps_every_delay_and_doppler(t):
     snap = snapshot(scene, t)
     hits = trace_diffuse(snap, "BS", "UE", trace)
     at = {(f, s): i for i, (_, (f,), s) in enumerate(hits.keys())}
-    link = LinkConstants(scene, "BS", "UE", config.f_c)
     diffuse = np.flatnonzero(~exact)
     assert len(diffuse) >= 2
     for i in diffuse:
         _, (f,), s = fwd.keys()[i]
         tx, hit, rx = hits.points[at[f, s]]
         n = snap.pack.normals[0, f]
+        material = scene.materials[scene.facets[f].material_id]
+        eps = complex_permittivity(material.rel_permittivity, material.conductivity, config.f_c)
         k_in, k_out = (d / np.linalg.norm(d) for d in (hit - tx, rx - hit))
-        (g_in, ph_in), (g_out, ph_out) = (fresnel(link.eps[link.facet_material[f]], c)
-                                          for c in (abs(k_in @ n), k_out @ n))
+        (g_in, ph_in), (g_out, ph_out) = (fresnel(eps, c) for c in (abs(k_in @ n), k_out @ n))
         assert abs(b[i]) == pytest.approx(abs(a[i]) * g_out / g_in, rel=1e-9)
         assert np.angle(np.exp(1j * (turn[i] - (ph_out - ph_in)))) == pytest.approx(0.0, abs=1e-9)
 
@@ -654,6 +653,21 @@ def turntable_doc():
     return doc
 
 
+def canyon_doc():
+    """scenario_b in a street canyon: nine 4.9 m concrete walls on each side
+    of the road, F = 25.  At order 3 between BS and UE its chain tree keeps
+    about 2,100 chains, more than F^2."""
+    doc = json.loads((FIXTURES / "scenario_b.json").read_text())
+    for i in range(9):
+        x = 12.0 + 5.0 * i
+        doc["facets"].append({"vertices": [[x, 6, 0], [x + 4.9, 6, 0], [x + 4.9, 6, 5], [x, 6, 5]],
+                              "material": "concrete"})
+        x = -10.0 + 5.0 * i
+        doc["facets"].append({"vertices": [[x + 4.9, -6, 0], [x, -6, 0], [x, -6, 5],
+                                           [x + 4.9, -6, 5]], "material": "concrete"})
+    return doc
+
+
 B = 64      # chirps per pass in most examples below
 # name -> (scene, link, trace, chirp config, body span, most chirps drawn)
 BLOCK_CASES = {
@@ -683,6 +697,9 @@ BLOCK_CASES = {
     "static_crossing_cart": (scene_from_dict(static_crossing_doc(rx_on_cart=True)),
                              SensingLink("BS", "UE"), TraceConfig(diffuse_samples_per_facet=4),
                              ChirpConfig(t_idle=5e-3), (0.0, 2.0), 2 * B + 5),
+    "canyon": (scene_from_dict(canyon_doc()), SensingLink("BS", "UE"),
+               TraceConfig(max_specular_order=3, diffuse_enabled=False), ChirpConfig(),
+               (0.0, 2.0), 40),
 }
 
 
@@ -716,18 +733,21 @@ def traced_passes(budget, *args, **kwargs):
 @example(case="plates", n_draw=0, start=0.0, per_pass=1)
 @example(case="static_crossing", n_draw=2 * B + 5, start=0.5, per_pass=B)
 @example(case="static_crossing_cart", n_draw=2 * B + 5, start=0.5, per_pass=B)
+@example(case="canyon", n_draw=40, start=0.05, per_pass=16)
 def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, start, per_pass):
     """The pass split against the per-snapshot reference, every .cir column
     bit for bit: a row budget of per_pass chirps at the link's row bound
     gives passes of per_pass chirps and a remainder, down to one chirp per
     pass; also chirps without paths, a free-space scene, an empty episode,
-    and episode-static paths that a moving plate blocks for part of the
-    episode, between fixed mounts and towards a UE on a cart."""
+    episode-static paths that a moving plate blocks for part of the
+    episode, between fixed mounts and towards a UE on a cart, and a canyon
+    whose chain tree outgrows F^2, so trace_specular halves its passes."""
     scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
     n = min(n_draw, most)
     t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
-    got, passes = traced_passes(per_pass * rows_per_chirp(scene, trace), scene, link, config,
-                                trace, t0=t0, n_chirps=n)
+    with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as chains:
+        got, passes = traced_passes(per_pass * rows_per_chirp(scene, trace), scene, link,
+                                    config, trace, t0=t0, n_chirps=n)
     assert passes == [min(per_pass, n - k) for k in range(0, n, per_pass)]
     want = reference_cir(scene, link, config, trace, t0, n)
     assert len(got) == len(want) == n
@@ -736,6 +756,9 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
     if case == "crossing" and n == 2 * B + 5 and start == 0.45:
         counts = np.bincount(got.paths.frame, minlength=n)
         assert 0 in counts and 1 in counts
+    if case == "canyon" and (n, per_pass) == (40, 16):
+        # Passes of 16, 16 and 8 chirps, each halved down to 4-chirp parts.
+        assert [len(call.args[1]) for call in chains.call_args_list] == [4] * 10
     if case.startswith("static_crossing") and n == 2 * B + 5 and start == 0.5:
         # The pass boundary lies inside the occlusion of the LOS, of the
         # wall's specular path and of some of its diffuse samples.

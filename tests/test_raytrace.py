@@ -726,7 +726,7 @@ def epochs(block):
 def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     """LOS and specular tracing over a block of epochs give each epoch's
     per-snapshot rows, in epoch order, also when the specular pass is
-    split into parts of a few epochs, each pruned on its own; and the
+    halved down to parts of a few epochs, each pruned on its own; and the
     pruned specular rows are the dense pass's."""
     scene = scene_from_dict(spin_rig_doc())
     block = snapshots(scene, 0.3 + 0.05 * np.arange(20))
@@ -743,22 +743,22 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
             for col in columns:
                 assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
     assert_same_rows(whole[trace_specular], _dense_specular(block, "BS", "UE", config))
-    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # parts of three epochs
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # parts of one to three epochs
     parts = trace_specular(block, "BS", "UE", config)
     for col in columns + ("frame",):
         assert getattr(parts, col).tobytes() == getattr(whole[trace_specular], col).tobytes()
 
 
 def test_parts_halve_until_their_rows_fit(monkeypatch):
-    """A part whose tree holds more chains than F^2 is halved until its
-    epochs times chains fit _CHAIN_ROWS, and so is every part after it;
-    the parts give the rows of the whole block."""
+    """A block whose epochs times grown chains exceed _CHAIN_ROWS is
+    halved, the first half taking the odd epoch, and each half again until
+    its rows fit; the parts give the rows of the whole block."""
     scene = scene_from_dict(corridor_doc())        # F = 2, six chains at order 3
     block = snapshots(scene, 0.1 * np.arange(7))
     config = TraceConfig(max_specular_order=3)
     whole = trace_specular(block, "BS", "UE", config)
     assert len(whole) == 42
-    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)   # parts of 3 epochs, then 2
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)   # 7 -> 4 + 3 -> 2 + 2 + 2 + 1
     with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy:
         parts = trace_specular(block, "BS", "UE", config)
     assert [len(call.args[1]) for call in spy.call_args_list] == [2, 2, 2, 1]
@@ -865,36 +865,28 @@ def _diffuse_rig(name):
 @given(rig=st.sampled_from(sorted(DIFFUSE_RIGS)), n=st.integers(1, 130),
        start=st.floats(0.0, 1.0), step=st.sampled_from([125.86e-6, 2e-3, 1e-2]),
        samples=st.integers(1, 9), seed=st.integers(0, 2 ** 16),
-       prebuilt=st.booleans(), cap=st.sampled_from([None, 1, 200, 1000]))
-@example(rig="spin", n=130, start=0.2, step=1e-2, samples=4, seed=1729, prebuilt=True, cap=None)
-@example(rig="spin_reverse", n=129, start=0.5, step=1e-2, samples=9, seed=3, prebuilt=False,
-         cap=200)
-@example(rig="scenario_c", n=130, start=0.4, step=1e-2, samples=8, seed=1729, prebuilt=True,
-         cap=1000)
-@example(rig="scenario_b", n=65, start=0.1, step=1e-2, samples=16, seed=1, prebuilt=True,
-         cap=None)
-@example(rig="scenario_b", n=3, start=0.0, step=2e-3, samples=4, seed=9001, prebuilt=False,
-         cap=1)
-@example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0, prebuilt=False,
-         cap=None)
-@example(rig="static_crossing", n=130, start=0.5, step=1e-2, samples=4, seed=1729,
-         prebuilt=True, cap=None)
-@example(rig="static_crossing", n=130, start=0.3, step=1e-2, samples=9, seed=5, prebuilt=False,
-         cap=200)
+       prebuilt=st.booleans())
+@example(rig="spin", n=130, start=0.2, step=1e-2, samples=4, seed=1729, prebuilt=True)
+@example(rig="spin_reverse", n=129, start=0.5, step=1e-2, samples=9, seed=3, prebuilt=False)
+@example(rig="scenario_c", n=130, start=0.4, step=1e-2, samples=8, seed=1729, prebuilt=True)
+@example(rig="scenario_b", n=65, start=0.1, step=1e-2, samples=16, seed=1, prebuilt=True)
+@example(rig="scenario_b", n=3, start=0.0, step=2e-3, samples=4, seed=9001, prebuilt=False)
+@example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0, prebuilt=False)
+@example(rig="static_crossing", n=130, start=0.5, step=1e-2, samples=4, seed=1729, prebuilt=True)
+@example(rig="static_crossing", n=130, start=0.3, step=1e-2, samples=9, seed=5, prebuilt=False)
 @example(rig="static_crossing_cart", n=130, start=0.5, step=1e-2, samples=4, seed=1729,
-         prebuilt=True, cap=None)
+         prebuilt=True)
 @example(rig="static_crossing_far", n=130, start=0.5, step=1e-2, samples=9, seed=1729,
-         prebuilt=True, cap=None)
-@example(rig="grazing", n=100, start=0.0, step=1e-2, samples=9, seed=1729, prebuilt=True,
-         cap=None)
+         prebuilt=True)
+@example(rig="grazing", n=100, start=0.0, step=1e-2, samples=9, seed=1729, prebuilt=True)
 def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, samples,
-                                                          seed, prebuilt, cap):
+                                                          seed, prebuilt):
     """A block of 1 to 130 epochs gives, row for row and bit for bit, each
-    epoch's rows from the per-facet tracer, in epoch order with their frame:
-    with and without prebuilt patterns, and split by the row cap.  The
-    reference tests every leg against every facet, so a moving facet's
-    samples, which the tracer tests against the other facets only, keep
-    the verdicts of the full test."""
+    epoch's rows from the per-facet tracer, in epoch order with their frame,
+    with and without prebuilt patterns.  The reference tests every leg
+    against every facet, so a moving facet's samples, which the tracer
+    tests against the other facets only, keep the verdicts of the full
+    test."""
     scene, tx, rx = _diffuse_rig(rig)
     lo, hi = scene.t_span or (0.0, 1.0)
     step = min(step, (hi - lo) / n)
@@ -902,8 +894,7 @@ def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, s
     config = TraceConfig(diffuse_samples_per_facet=samples, seed=seed)
     patterns = build_sample_patterns(scene, config) if prebuilt else None
     block = snapshots(scene, times)
-    with mock.patch.object(raytrace, "_CHAIN_ROWS", cap or raytrace._CHAIN_ROWS):
-        table = trace_diffuse(block, tx, rx, config, patterns)
+    table = trace_diffuse(block, tx, rx, config, patterns)
     parts = []
     for k, snap in enumerate(epochs(block)):
         parts.append(_reference_diffuse(snap, tx, rx, config, patterns))

@@ -1,9 +1,15 @@
 """Scene schema: materials, patterns, facet validation, JSON round-trip."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rftwin.em import antenna_angles, specular_reduction
 from rftwin.geometry import unit
@@ -151,6 +157,88 @@ def test_zero_boresight_is_rejected(link, tmp_path, capsys):
     doc["transceivers"][1]["offset_boresight"] = [0.0, 0.0, 0.0]
     with pytest.raises(SceneError, match="'UE': offset_boresight must have nonzero length"):
         scene_from_dict(doc)
+
+
+def _simulate_scene_b_with(path, mutate):
+    """Exit code and stderr of a short simulate run on scenario_b edited by
+    mutate, written to path."""
+    from conftest import FIXTURES
+    from rftwin.cli import main
+
+    doc = json.loads((FIXTURES / "scenario_b.json").read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scene", str(path), "--tx", "UE", "--t0", "0.1",
+                     "--chirps", "4", "-o", str(path.parent)])
+    return code, err.getvalue()
+
+
+EXPLICIT_MATERIAL = {"name": "custom", "rel_permittivity": "a", "conductivity": 0.1,
+                     "scattering_coeff": 0.5, "lobe_exponent": 3}
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (lambda d: d.update(facets=5), "facets must be a list of objects"),
+    (lambda d: d["facets"].__setitem__(2, 5), "facets must be a list of objects"),
+    (lambda d: d["facets"][0].update(material=["concrete"]), "facet 0: material must be a string"),
+    (lambda d: d["facets"][3].update(body=["car"]), "facet 3: body must be a string"),
+    (lambda d: d["materials"].append(3), "materials must be a list of objects"),
+    (lambda d: d.update(materials={"a": 1}), "materials must be a list of objects"),
+    (lambda d: d["materials"].append(EXPLICIT_MATERIAL),
+     "material 'custom': rel_permittivity must be a number"),
+    (lambda d: d["bodies"].append(1), "bodies must be a list of objects"),
+    (lambda d: d["transceivers"][0].update(id=["UE"]), "transceiver id must be a string"),
+    (lambda d: d["transceivers"][0].update(position=[1, 2]), "'UE': position must be 3 numbers"),
+])
+def test_malformed_scene_json_is_an_input_error_naming_the_file(mutate, match, tmp_path):
+    code, err = _simulate_scene_b_with(tmp_path / "scene.json", mutate)
+    assert code == 2
+    assert f"{tmp_path / 'scene.json'}: " in err and match in err
+    assert not (tmp_path / "scene.cir").exists()
+
+
+# One strategy per JSON type, keyed by the Python type json.loads gives.
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-10.0, 10.0),
+                        st.text(max_size=3))
+JSON_TYPES = {type(None): st.none(), bool: st.booleans(),
+              float: st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(-1e6, 1e6)),
+              str: st.text(max_size=4), list: st.lists(JSON_LEAVES, max_size=3),
+              dict: st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=2)}
+
+
+def _json_type(value):
+    return float if type(value) is int else type(value)
+
+
+def _json_paths(value, at=()):
+    """The key path of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    return [path for key, v in items for path in [at + (key,), *_json_paths(v, at + (key,))]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_value_of_another_json_type_never_is_an_internal_error(data):
+    """Any one value of scenario_b, a leaf or a whole list or object, swapped
+    for a value of another JSON type is rejected with exit code 2 or, where
+    it is ignored, simulated: never an internal error (exit 4)."""
+    from conftest import FIXTURES
+
+    paths = _json_paths(json.loads((FIXTURES / "scenario_b.json").read_text()))
+    where = data.draw(st.sampled_from(paths))
+
+    def mutate(doc):
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        kinds = [t for t in JSON_TYPES if t is not _json_type(parent[where[-1]])]
+        parent[where[-1]] = data.draw(st.sampled_from(kinds).flatmap(JSON_TYPES.get))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _simulate_scene_b_with(Path(tmp) / "scene.json", mutate)
+    assert code in (0, 2), err
 
 
 def test_pattern_gain_peak_halfpower_and_floor():
