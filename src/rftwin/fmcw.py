@@ -519,25 +519,61 @@ def load_map(path) -> DelayDopplerMap:
 
 
 def map_to_csv(path, ddm: DelayDopplerMap) -> None:
-    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major; the
-    distinct powers of each block of rows (mostly the -300 dB floor) are
-    found block by block and formatted in one float_text call."""
+    """One `delay_s,doppler_hz,power_db` line per cell, Doppler-major.
+
+    Most cells hold the floor _FLOOR_DB, which no path reaches.  A run of
+    floor cells in row r is one join of its delays' text with r's tail
+    `,doppler,-300.0\\n`.  Only the reached cells are formatted, a block of
+    at most CSV_CHUNK of them at a time (whole rows where they fit, so a
+    block without floor cells shares each delay's text down its rows), and
+    each run of consecutive reached cells is a slice of its block's text."""
     from .csvtext import CSV_CHUNK, csv_lines, float_text, take_cells
     power = np.ascontiguousarray(ddm.power_db, dtype=np.float64)
-    step = max(1, CSV_CHUNK // max(power.shape[1], 1))
-    starts = range(0, len(power), step)
-    blocks = [np.unique(power[lo:lo + step].view(np.int64), return_inverse=True) for lo in starts]
-    texts = np.ascontiguousarray(float_text(np.concatenate(
-        [np.empty(0, np.int64), *(bits for bits, _ in blocks)]).view(np.float64)))
-    delays = float_text(ddm.delay_axis)[None, :, None]
-    dopplers = float_text(ddm.doppler_axis)[:, None, None]
+    n_cols = power.shape[1]
+    bits = power.reshape(-1).view(np.int64)
+    cells = np.flatnonzero(bits != np.float64(_FLOOR_DB).view(np.int64))
+    delays, dopplers = float_text(ddm.delay_axis), float_text(ddm.doppler_axis)
+    heads = csv_lines(delays[:, None]).split(b"\n")[:-1]
+    floor = f",{_FLOOR_DB!r}\n".encode()
+    tails = [b"," + text + floor for text in csv_lines(dopplers[:, None]).split(b"\n")[:-1]]
+    step = CSV_CHUNK // max(n_cols, 1) * n_cols or CSV_CHUNK
+
     with open(path, "wb") as fh:
+        def floor_run(lo, hi):
+            while lo < hi:                          # cells [lo, hi), row by row
+                r, c = divmod(lo, n_cols)
+                count = min(n_cols - c, hi - lo)
+                fh.write(tails[r].join(heads[c:c + count]))
+                fh.write(tails[r])
+                lo += count
+
         fh.write(b"delay_s,doppler_hz,power_db\n")
-        at = 0
-        for lo, (bits, index) in zip(starts, blocks):
-            rows = at + index.reshape(power[lo:lo + step].shape + (1,))
-            fh.write(csv_lines(delays, dopplers[lo:lo + step], take_cells(texts, rows)))
-            at += len(bits)
+        done = 0
+        for at in range(0, len(cells), step):
+            block = cells[at:at + step]
+            first, n = int(block[0]), len(block)
+            texts = float_text(bits[block].view(np.float64))
+            if block[-1] - first + 1 == n and first % n_cols == n % n_cols == 0:   # whole rows
+                r = first // n_cols
+                text = csv_lines(delays[None, :, None], dopplers[r:r + n // n_cols, None, None],
+                                 texts.reshape(n // n_cols, n_cols, 1, -1))
+            else:
+                rows, cols = np.divmod(block, n_cols)
+                text = csv_lines(take_cells(delays, cols)[:, None],
+                                 take_cells(dopplers, rows)[:, None], texts[:, None])
+            runs = np.flatnonzero(np.diff(block, prepend=-2) != 1)   # each run's first cell
+            stops = np.append(runs[1:], n)
+            cuts = [0, len(text)]
+            if len(runs) > 1:                       # byte offsets where the later runs start
+                newlines = np.flatnonzero(np.frombuffer(text, np.uint8) == 10)
+                cuts[1:1] = (newlines[runs[1:] - 1] + 1).tolist()
+            lines = memoryview(text)
+            for lo, last, a, b in zip(block[runs].tolist(), block[stops - 1].tolist(),
+                                      cuts, cuts[1:]):
+                floor_run(done, lo)
+                fh.write(lines[a:b])
+                done = last + 1
+        floor_run(done, len(bits))
 
 
 def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,

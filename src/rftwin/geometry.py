@@ -48,21 +48,22 @@ def facet_area(vertices: np.ndarray) -> float:
     return float(area)
 
 
-def coplanarity_error(vertices: np.ndarray) -> float:
-    """Max distance of the remaining vertices from the plane of the first three."""
+def coplanarity_error(vertices: np.ndarray, normal: np.ndarray) -> float:
+    """Max distance of the remaining vertices from the plane of the first
+    three, whose unit normal (facet_normal) is given."""
     v = np.asarray(vertices, dtype=float)
     if len(v) <= 3:
         return 0.0
-    n = facet_normal(v)
-    return float(np.max(np.abs((v[3:] - v[0]) @ n)))
+    return float(np.max(np.abs((v[3:] - v[0]) @ normal)))
 
 
-def is_convex(vertices: np.ndarray) -> bool:
-    """Convexity with winding consistent with the facet normal."""
+def is_convex(vertices: np.ndarray, normal: np.ndarray) -> bool:
+    """Convexity with winding consistent with the facet's unit normal
+    (facet_normal)."""
     v = np.asarray(vertices, dtype=float)
-    n = facet_normal(v)
-    edges = np.roll(v, -1, axis=0) - v
-    return bool(np.all(cross(edges, np.roll(edges, -1, axis=0)) @ n >= -_EDGE_TOL))
+    ahead = np.arange(1, len(v) + 1) % len(v)           # each vertex's successor
+    edges = v[ahead] - v
+    return bool(np.all(cross(edges, edges[ahead]) @ normal >= -_EDGE_TOL))
 
 
 def reflect_direction(k_in: np.ndarray, normal: np.ndarray) -> np.ndarray:

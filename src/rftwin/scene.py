@@ -12,7 +12,6 @@ body are given in the body frame and ride along with it.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -230,6 +229,10 @@ class Facet:
     material_id: str
     body_id: str | None = None
     index: int = -1
+    # Computed once from the vertices, which the checks also use; snapshots
+    # read both for every facet at every epoch.
+    normal: np.ndarray = field(init=False, repr=False, compare=False)
+    area: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -237,27 +240,19 @@ class Facet:
             raise SceneError(f"facet {self.index}: needs 3 or 4 xyz vertices")
         _require_finite(v, f"facet {self.index}: vertices")
         self.vertices = v
-        if facet_area(v) <= MIN_FACET_AREA:
+        self.area = facet_area(v)
+        if self.area <= MIN_FACET_AREA:
             raise SceneError(f"facet {self.index}: degenerate area")
         try:
-            err = coplanarity_error(v)
-            convex = is_convex(v)
+            self.normal = facet_normal(v)
         except ValueError:
             # collinear leading vertices leave the plane normal undefined
             raise SceneError(f"facet {self.index}: degenerate vertex layout") from None
+        err = coplanarity_error(v, self.normal)
         if err > COPLANARITY_TOL:
             raise SceneError(f"facet {self.index}: vertices deviate {err:.2e} m from a plane")
-        if not convex:
+        if not is_convex(v, self.normal):
             raise SceneError(f"facet {self.index}: polygon must be convex with consistent winding")
-
-    # Cached: snapshots read both for every facet at every epoch.
-    @functools.cached_property
-    def normal(self) -> np.ndarray:
-        return facet_normal(self.vertices)
-
-    @functools.cached_property
-    def area(self) -> float:
-        return facet_area(self.vertices)
 
     def to_dict(self) -> dict:
         out = {"vertices": self.vertices.tolist(), "material": self.material_id}

@@ -309,6 +309,29 @@ def test_cir_csv_export(tmp_path, plates_episode):
     assert (tmp_path / "many.cir").read_bytes().endswith(b"".join(reference_cir_payload(many)))
 
 
+def test_cir_payload_of_episodes_whose_layout_changes_between_frames(tmp_path, plates_episode):
+    """The plates episode with one path dropped from every odd frame (256
+    one-frame runs of two layouts), then with a third layout and one run of
+    20 frames in the middle of its layout's records: the file equals the
+    per-frame payload and reads back the same."""
+    ep = plates_episode
+    frames = frames_of(ep.cir)
+    for name, drops in (("odd", [k % 2 for k in range(len(frames))]),
+                        ("mixed", [0 if 200 <= k < 220 else k % 2 + k // 64 % 2
+                                   for k in range(len(frames))])):
+        cir = episode((epoch, t, p.take(slice(0, len(p) - drop)), n_dropped)
+                      for (epoch, t, p, n_dropped), drop in zip(frames, drops))
+        counts = np.bincount(cir.paths.frame, minlength=len(cir))
+        assert np.unique(counts).size == 1 + max(drops)
+        assert np.count_nonzero(np.diff(counts)) == np.count_nonzero(np.diff(drops))
+        path = tmp_path / f"{name}.cir"
+        save_cir(path, cir, ep.config, ep.link, frozen_clock=True)
+        assert path.read_bytes().endswith(b"".join(reference_cir_payload(cir)))
+        back, header = load_cir(path)
+        assert header["n_frames"] == len(cir)
+        assert_same_cir(back, cir)
+
+
 def test_cir_csv_export_of_empty_episodes(tmp_path):
     for k, cir in enumerate((episode([]), episode([(0, 0.0, NO_PATHS, 0),
                                                     (1, 1.2586e-4, NO_PATHS, 3)]))):

@@ -14,6 +14,7 @@ from conftest import FLOAT_BITS, episode, frames_of, tap_table, window_map
 from rftwin.channel import ChirpConfig
 from rftwin import fmcw
 from rftwin.raytrace import PathTable
+from rftwin.csvtext import CSV_CHUNK
 from rftwin.fmcw import (
     BOLTZMANN,
     DelayDopplerMap,
@@ -777,7 +778,11 @@ def test_csv_writers_match_their_references_across_blocks(tmp_path):
     """Maps and PDPs larger than one CSV block: a 40 x 2116 map (blocks of
     7 rows) and a PDP row of 20000 values, with the -300 dB floor, signed
     zeros, powers repeated in every block and exponent-form delays after a
-    0.0 first bin; then empty shapes, with and without epochs or delay bins."""
+    0.0 first bin; maps with more reached cells than CSV_CHUNK: 9 x 2116
+    without floor (blocks of whole rows), 12 x 2116 with floor runs at row
+    starts and ends and inside rows (runs cut by block edges), one column,
+    and rows wider than a block; then empty shapes, with and without epochs
+    or delay bins."""
     rng = np.random.default_rng(11)
     repeated = np.concatenate([rng.normal(-60.0, 20.0, 40), [-300.0] * 200, [0.0, -0.0]])
     power = rng.choice(repeated, (40, 2116))
@@ -790,6 +795,18 @@ def test_csv_writers_match_their_references_across_blocks(tmp_path):
              (pdp_to_csv, reference_pdp_csv, PdpSeries(row, np.arange(20000) * 2.5e-10,
                                                         np.array([0.1]), {})),
              (pdp_to_csv, reference_pdp_csv, PdpSeries(power, delay, doppler * 1e-6, {}))]
+    dense = rng.normal(-60.0, 20.0, (9, 2116))
+    runs = rng.normal(-60.0, 20.0, (12, 2116))
+    runs[::2, :300] = runs[1::2, -500:] = runs[3, 1000:1200] = fmcw._FLOOR_DB
+    column = rng.normal(-60.0, 20.0, (30000, 1))
+    column[rng.random(30000) < 0.3] = fmcw._FLOOR_DB
+    wide = rng.normal(-60.0, 20.0, (2, 20000))
+    wide[1, 5000:5010] = fmcw._FLOOR_DB
+    for grid in (dense, runs, column, wide):
+        assert (grid != fmcw._FLOOR_DB).sum() > CSV_CHUNK
+        cases.append((map_to_csv, reference_map_csv,
+                      DelayDopplerMap(grid, np.arange(grid.shape[1]) * 2.5e-10,
+                                      np.arange(len(grid)) - 4.0, {})))
     for rows, cols in ((0, 2116), (40, 0), (0, 0)):
         cases.append((map_to_csv, reference_map_csv,
                       DelayDopplerMap(power[:rows, :cols], delay[:cols], doppler[:rows], {})))
@@ -800,6 +817,39 @@ def test_csv_writers_match_their_references_across_blocks(tmp_path):
         write(tmp_path / f"{k}.csv", item)
         reference(tmp_path / f"{k}_ref.csv", item)
         assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}_ref.csv").read_bytes(), k
+
+
+FLOOR_BITS = int(np.float64(fmcw._FLOOR_DB).view(np.uint64))
+MAP_BITS = st.one_of(st.just(FLOOR_BITS), FLOAT_BITS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_map_csv_floor_runs_match_the_reference(tmp_path_factory, data):
+    """Floor runs at the start or end of a row, as the whole row or nowhere
+    in it, among -0.0, NaN, +-inf and arbitrary float bits (floor cells
+    drawn among them make runs inside rows too)."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    bits = np.array(data.draw(st.lists(MAP_BITS, min_size=rows * cols, max_size=rows * cols)),
+                    np.uint64).reshape(rows, cols)
+    for row in bits:
+        layout = data.draw(st.sampled_from(["start", "end", "whole", "none"]))
+        n = data.draw(st.integers(0, cols))
+        if layout == "start":
+            row[:n] = FLOOR_BITS
+        elif layout == "end":
+            row[cols - n:] = FLOOR_BITS
+        elif layout == "whole":
+            row[:] = FLOOR_BITS
+        else:
+            row[row == FLOOR_BITS] = np.float64(-0.0).view(np.uint64)
+    axes = np.array(data.draw(st.lists(FLOAT_BITS, min_size=rows + cols, max_size=rows + cols)),
+                    np.uint64).view(np.float64)
+    ddm = DelayDopplerMap(bits.view(np.float64), axes[:cols], axes[cols:], {})
+    directory = tmp_path_factory.mktemp("runs")
+    map_to_csv(directory / "m.csv", ddm)
+    reference_map_csv(directory / "m_ref.csv", ddm)
+    assert (directory / "m.csv").read_bytes() == (directory / "m_ref.csv").read_bytes()
 
 
 def test_beat_frames_cover_episode(plates_episode):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rftwin.geometry import (
+    _EDGE_TOL,
     FacetPack,
     coplanarity_error,
     cross,
@@ -104,17 +105,33 @@ def test_facet_area_matches_shoelace_oracle():
 
 
 def test_coplanarity_error_measures_out_of_plane_offset():
-    assert coplanarity_error(SQUARE_XY) == 0.0
+    assert coplanarity_error(SQUARE_XY, facet_normal(SQUARE_XY)) == 0.0
     bent = SQUARE_XY.copy()
     bent[3, 2] = 0.01
-    assert coplanarity_error(bent) == pytest.approx(0.01, rel=1e-12)
+    assert coplanarity_error(bent, facet_normal(bent)) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_is_convex_accepts_square_rejects_chevron():
-    assert is_convex(SQUARE_XY)
+    assert is_convex(SQUARE_XY, facet_normal(SQUARE_XY))
     chevron = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
                         [1.0, 0.2, 0.0], [2.0, 1.0, 0.0]])
-    assert not is_convex(chevron)
+    assert not is_convex(chevron, facet_normal(chevron))
+
+
+def test_is_convex_matches_the_rolled_edge_test():
+    """Successor edges taken by index decide as np.roll did, on random
+    triangles and quads, some convex, some not, some wound backwards."""
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for n in (3, 4) * 100:
+        v = rng.normal(size=(n, 3))
+        v[3:] -= ((v[3:] - v[0]) @ facet_normal(v))[:, None] * facet_normal(v)
+        normal = facet_normal(v) * rng.choice([1.0, -1.0])
+        edges = np.roll(v, -1, axis=0) - v
+        rolled = bool(np.all(np.cross(edges, np.roll(edges, -1, axis=0)) @ normal >= -_EDGE_TOL))
+        assert is_convex(v, normal) == rolled
+        verdicts.append(rolled)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_mirror_point_involution_and_midpoint_on_plane():
