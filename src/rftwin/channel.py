@@ -278,12 +278,11 @@ def save_cir(path, cir: Cir, config: ChirpConfig,
 _FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4")])
 
 
-def _cir_payload(cir: Cir) -> list:
-    """The .cir payload as arrays of frame records in frame order.  A
+def _cir_payload(cir: Cir):
+    """The .cir payload, one array of frame records per run of consecutive
+    frames that share a layout, the same path and live-facet counts.  A
     record holds its frame's header, then the frame's rows (or facets) of
-    every column.  Frames of one layout (path and live-facet counts) fill
-    one record array, gathered from the episode's columns; each run of
-    consecutive frames that share a layout is a slice of it."""
+    every column, sliced from the episode's columns."""
     p = cir.paths
     n = np.bincount(p.frame, minlength=len(cir))
     live = p.facets >= 0
@@ -295,29 +294,19 @@ def _cir_payload(cir: Cir) -> list:
     codes = np.stack([p.kind, p.hops]).astype(np.uint8)
     facets, samples = p.facets[live].astype("<i4"), p.sample.astype("<i4")
     first, facet_first = np.cumsum(n) - n, np.cumsum(n_facets) - n_facets
-    _, firsts, layout = np.unique(n << 32 | n_facets, return_index=True, return_inverse=True)
-    records, at = [], np.empty(len(cir), int)    # at: each frame's record in its array
-    for j, (c, f) in enumerate(zip(n[firsts].tolist(), n_facets[firsts].tolist())):
-        frames = np.flatnonzero(layout == j)
-        m, lo, facet_lo = len(frames), int(first[frames[0]]), int(facet_first[frames[0]])
-        at[frames] = np.arange(m)
-        if frames[-1] - frames[0] == m - 1:     # one run: its rows are one slice
-            rows, facet_rows = slice(lo, lo + m * c), slice(facet_lo, facet_lo + m * f)
-        else:
-            rows = (first[frames, None] + np.arange(c)).ravel()
-            facet_rows = (facet_first[frames, None] + np.arange(f)).ravel()
-        record = np.empty(m, [("head", _FRAME_HEAD), ("floats", "<f8", (4, c)),
-                              ("codes", np.uint8, (2, c)), ("facets", "<i4", (f,)),
-                              ("samples", "<i4", (c,))])
-        record["head"] = heads[frames]
-        record["floats"] = floats[:, rows].reshape(4, m, c).transpose(1, 0, 2)
-        record["codes"] = codes[:, rows].reshape(2, m, c).transpose(1, 0, 2)
-        record["facets"] = facets[facet_rows].reshape(m, f)
-        record["samples"] = samples[rows].reshape(m, c)
-        records.append(record)
-    starts = np.flatnonzero(np.diff(layout, prepend=-1) != 0)
-    return [records[j][k:k + m] for j, k, m in zip(
-        layout[starts].tolist(), at[starts].tolist(), np.diff(starts, append=len(cir)).tolist())]
+    starts = np.flatnonzero((np.diff(n, prepend=-1) != 0) | (np.diff(n_facets, prepend=-1) != 0))
+    for k, m in zip(starts.tolist(), np.diff(starts, append=len(cir)).tolist()):
+        c, f, lo, facet_lo = (int(v[k]) for v in (n, n_facets, first, facet_first))
+        run = np.empty(m, [("head", _FRAME_HEAD), ("floats", "<f8", (4, c)),
+                           ("codes", np.uint8, (2, c)), ("facets", "<i4", (f,)),
+                           ("samples", "<i4", (c,))])
+        at = slice(lo, lo + m * c)
+        run["head"] = heads[k:k + m]
+        run["floats"] = floats[:, at].reshape(4, m, c).transpose(1, 0, 2)
+        run["codes"] = codes[:, at].reshape(2, m, c).transpose(1, 0, 2)
+        run["facets"] = facets[facet_lo:facet_lo + m * f].reshape(m, f)
+        run["samples"] = samples[at].reshape(m, c)
+        yield run
 
 
 def load_cir(path) -> tuple[Cir, dict]:
