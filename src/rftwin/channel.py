@@ -27,6 +27,7 @@ patterns are built once per episode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -255,13 +256,9 @@ def save_cir(path, cir: Cir, config: ChirpConfig,
              link: SensingLink, trace: TraceConfig | None = None,
              t0: float = 0.0, extra: dict | None = None,
              frozen_clock: bool = False) -> None:
-    """Write an episode in the little-endian binary layout described in README.
-
-    Layout: 8-byte magic, u32 header length, UTF-8 JSON header, then per
-    frame u32 epoch_index, f64 t, u32 n_paths, u32 n_dropped followed by
-    f64 arrays a_re, a_im, tau, nu, u8 kind codes, u8 hop counts, i32 facet
-    indices (concatenated) and i32 sample indices (-1 when absent).
-    """
+    """Write an episode in the little-endian binary layout described in README:
+    8-byte magic, u32 header length, UTF-8 JSON header, then one record per
+    frame, laid out by _frame_layout."""
     header = {"format": "rftwin-cir", "version": 1,
               "config": config.to_dict(),
               "link": {"tx": link.tx_id, "rx": link.rx_id},
@@ -275,46 +272,52 @@ def save_cir(path, cir: Cir, config: ChirpConfig,
     write_container(path, CIR_MAGIC, header, _cir_payload(cir))
 
 
-_FRAME_HEAD = np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4")])
+@functools.lru_cache(maxsize=256)
+def _frame_layout(n_paths: int, n_facets: int) -> np.dtype:
+    """The record of a .cir frame with n_paths rows and n_facets facet
+    indices: the frame head (epoch index, time, path count, dropped count),
+    then the frame's columns a_re, a_im, tau and nu (f64), kind codes and
+    hop counts (u8), its facet indices, row after row (i32), and sample
+    indices (i32, -1 when absent).  _frame_layout(0, 0) is the head alone."""
+    rows = (n_paths,)
+    return np.dtype([("epoch", "<u4"), ("t", "<f8"), ("n_paths", "<u4"), ("n_dropped", "<u4"),
+                     *[(name, "<f8", rows) for name in ("a_re", "a_im", "tau", "nu")],
+                     ("kind", np.uint8, rows), ("hops", np.uint8, rows),
+                     ("facets", "<i4", (n_facets,)), ("sample", "<i4", rows)])
 
 
 def _cir_payload(cir: Cir):
     """The .cir payload, one array of frame records per run of consecutive
-    frames that share a layout, the same path and live-facet counts.  A
-    record holds its frame's header, then the frame's rows (or facets) of
-    every column, sliced from the episode's columns."""
+    frames that share a layout, the same path and facet counts.  Each
+    record's fields are sliced from the episode's columns."""
     p = cir.paths
     n = np.bincount(p.frame, minlength=len(cir))
     live = p.facets >= 0
     n_facets = np.bincount(p.frame, live.sum(axis=1), minlength=len(cir)).astype(int)
-    heads = np.empty(len(cir), _FRAME_HEAD)
-    heads["epoch"], heads["t"], heads["n_paths"], heads["n_dropped"] = (
-        cir.epoch_index, cir.t, n, cir.n_dropped)
-    floats = np.stack([p.a.real, p.a.imag, p.tau, p.nu]).astype("<f8")
-    codes = np.stack([p.kind, p.hops]).astype(np.uint8)
-    facets, samples = p.facets[live].astype("<i4"), p.sample.astype("<i4")
+    per_frame = {"epoch": cir.epoch_index, "t": cir.t, "n_paths": n, "n_dropped": cir.n_dropped}
+    per_row = {"a_re": p.a.real, "a_im": p.a.imag, "tau": p.tau, "nu": p.nu,
+               "kind": p.kind, "hops": p.hops, "sample": p.sample}
+    facets = p.facets[live]
     first, facet_first = np.cumsum(n) - n, np.cumsum(n_facets) - n_facets
     starts = np.flatnonzero((np.diff(n, prepend=-1) != 0) | (np.diff(n_facets, prepend=-1) != 0))
     for k, m in zip(starts.tolist(), np.diff(starts, append=len(cir)).tolist()):
         c, f, lo, facet_lo = (int(v[k]) for v in (n, n_facets, first, facet_first))
-        run = np.empty(m, [("head", _FRAME_HEAD), ("floats", "<f8", (4, c)),
-                           ("codes", np.uint8, (2, c)), ("facets", "<i4", (f,)),
-                           ("samples", "<i4", (c,))])
-        at = slice(lo, lo + m * c)
-        run["head"] = heads[k:k + m]
-        run["floats"] = floats[:, at].reshape(4, m, c).transpose(1, 0, 2)
-        run["codes"] = codes[:, at].reshape(2, m, c).transpose(1, 0, 2)
+        run = np.empty(m, _frame_layout(c, f))
+        for name, column in per_frame.items():
+            run[name] = column[k:k + m]
+        for name, column in per_row.items():
+            run[name] = column[lo:lo + m * c].reshape(m, c)
         run["facets"] = facets[facet_lo:facet_lo + m * f].reshape(m, f)
-        run["samples"] = samples[at].reshape(m, c)
         yield run
 
 
 def load_cir(path) -> tuple[Cir, dict]:
     """Read a CIR file back into its episode table plus its JSON header.
 
-    One pass walks the frame headers and joins the frames' column bytes;
-    each column is then cut from them for the whole file at once.  Facet
-    rows are as wide as the file's largest hop count.
+    One pass walks the frame heads; a frame's facet count is the sum of its
+    hop counts.  Each run of consecutive frames that share a layout is then
+    read as one array of frame records.  Facet rows are as wide as the
+    file's largest hop count.
     """
     header, body = read_container(path, CIR_MAGIC, "CIR")
     missing = sorted({"config", "link", "t0", "n_frames"} - set(header))
@@ -324,45 +327,42 @@ def load_cir(path) -> tuple[Cir, dict]:
     if not isinstance(n_frames, int) or n_frames < 0:
         raise ValueError(f"{path}: bad frame count {n_frames!r}")
     raw = memoryview(body.raw)
-    heads, floats, codes, ints, n_facets = [], [], [], [], []
-    for _ in range(n_frames):
-        heads.append(body.unpack("<Id II"))
-        count = heads[-1][2]
-        start = body.skip(34 * count)           # a_re, a_im, tau, nu, kind, hops
-        n_facets.append(sum(raw[start + 33 * count:start + 34 * count]))
-        body.skip(4 * (n_facets[-1] + count))   # facet indices, sample indices
-        floats.append(raw[start:start + 32 * count])
-        codes.append(raw[start + 32 * count:start + 34 * count])
-        ints.append(raw[start + 34 * count:body.offset])
+    head = _frame_layout(0, 0)
+    count_at = head.fields["n_paths"][1]
+    runs = []                                   # [(n_paths, n_facets), offset, frames]
+    for k in range(n_frames):
+        start = body.skip(head.itemsize)
+        count = int.from_bytes(raw[start + count_at:start + count_at + 4], "little")
+        if count > len(raw):
+            raise ValueError(f"{path}: frame {k} declares {count} paths, more than the "
+                             "file holds")
+        hops = start + _frame_layout(count, 0).fields["hops"][1]
+        layout = (count, sum(raw[hops:hops + count]))
+        body.skip(_frame_layout(*layout).itemsize - head.itemsize)
+        if runs and runs[-1][0] == layout:
+            runs[-1][2] += 1
+        else:
+            runs.append([layout, start, 1])
     body.end()
 
-    # Frame k's block of c columns starts at c * first[k] in the joined
-    # bytes, so item r of column j sits at r + (c - 1) * first[k] + j * n[k].
-    heads = np.array(heads, _FRAME_HEAD)
-    n = heads["n_paths"].astype(np.intp)
-    n_facets = np.array(n_facets, dtype=np.intp)
-    first = np.cumsum(n) - n
-    rows = np.arange(n.sum())
-    floats = np.frombuffer(b"".join(floats), "<f8")
-    a_re, a_im, tau, nu = (floats[rows + np.repeat(3 * first + j * n, n)] for j in range(4))
-    codes = np.frombuffer(b"".join(codes), np.uint8)
-    kind, hops = (codes[rows + np.repeat(first + j * n, n)] for j in range(2))
-    ints = np.frombuffer(b"".join(ints), "<i4")
-    flat = ints[np.arange(n_facets.sum()) + np.repeat(first, n_facets)]
-    sample = ints[rows + np.repeat(np.cumsum(n_facets), n)]
-    frame = np.repeat(np.arange(n_frames), n)
-    bad = np.concatenate([frame[kind >= len(KINDS)],
-                          np.repeat(np.arange(n_frames), n_facets)[flat < 0]])
+    records = [np.frombuffer(body.raw, _frame_layout(*layout), m, start)
+               for layout, start, m in runs] or [np.zeros(0, head)]
+
+    def column(name):
+        return np.concatenate([r[name].reshape(-1) for r in records])
+
+    epoch, kind, hops, flat = column("epoch"), column("kind"), column("hops"), column("facets")
+    frame = np.repeat(np.arange(n_frames), column("n_paths"))
+    bad = np.concatenate([frame[kind >= len(KINDS)], np.repeat(frame, hops)[flat < 0]])
     if bad.size:
-        raise ValueError(f"{path}: frame {heads['epoch'][bad.min()]}: unknown kind code "
+        raise ValueError(f"{path}: frame {epoch[bad.min()]}: unknown kind code "
                          "or negative facet index")
 
-    a = np.empty(len(rows), dtype=complex)
-    a.real, a.imag = a_re, a_im
-    paths = PathTable(kind, hops, PathTable.facet_rows(hops, flat), sample, a=a, tau=tau,
-                      nu=nu, frame=frame)
-    return Cir(paths, heads["epoch"].astype(int), heads["t"].astype(float),
-               heads["n_dropped"].astype(int)), header
+    a = np.empty(len(kind), dtype=complex)
+    a.real, a.imag = column("a_re"), column("a_im")
+    paths = PathTable(kind, hops, PathTable.facet_rows(hops, flat), column("sample"), a=a,
+                      tau=column("tau"), nu=column("nu"), frame=frame)
+    return Cir(paths, epoch.astype(int), column("t"), column("n_dropped").astype(int)), header
 
 
 def cir_to_csv(path, cir: Cir) -> None:

@@ -357,7 +357,8 @@ def cmd_info(args) -> int:
     from .fmcw import MAP_MAGIC, PDP_MAGIC, load_map, load_pdp
 
     p = _require_file(args.file)
-    head = p.read_bytes()[:8]
+    with p.open("rb") as fh:
+        head = fh.read(len(CIR_MAGIC))
     if head == CIR_MAGIC:
         cir, header = _load_checked(load_cir, p)
         print(f"{p}: CIR, {len(cir)} frames, link {header['link']}, "

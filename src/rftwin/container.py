@@ -49,9 +49,6 @@ class Payload:
         self.offset += nbytes
         return start
 
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.raw, self.skip(struct.calcsize(fmt)))
-
     def take(self, dtype, count) -> np.ndarray:
         """count items of dtype, as a writable view of the file bytes: the
         array shares and keeps alive the buffer read_container filled."""
@@ -84,7 +81,7 @@ def read_container(path, magic: bytes, what: str) -> tuple[dict, Payload]:
     if head[:len(magic)] != magic:
         raise ValueError(f"{path}: not a rftwin {what} file")
     payload = Payload(path, raw, len(magic))
-    (hlen,) = payload.unpack("<I")
+    hlen = int(payload.take("<u4", 1)[0])
     header = json.loads(payload.take(np.uint8, hlen).tobytes().decode())
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")

@@ -489,33 +489,20 @@ MAP_MAGIC = b"RFTDDM1\n"
 
 def save_map(path, ddm: DelayDopplerMap, frozen_clock: bool = False) -> None:
     """Binary map container: magic, JSON header, f64 axes, f64 dB grid."""
-    meta = dict(ddm.metadata)
-    meta["created"] = "frozen" if frozen_clock else now()
-    header = {"format": "rftwin-ddm", "version": 1,
-              "n_doppler": int(ddm.power_db.shape[0]),
-              "n_delay": int(ddm.power_db.shape[1]),
-              "metadata": meta}
-    write_container(path, MAP_MAGIC, header,
-                    (np.ascontiguousarray(a, dtype="<f8")
-                     for a in (ddm.delay_axis, ddm.doppler_axis, ddm.power_db)))
+    _save_grid(path, MAP_MAGIC, "rftwin-ddm", ("n_doppler", "n_delay"),
+               (ddm.delay_axis, ddm.doppler_axis, ddm.power_db), ddm.metadata, frozen_clock)
 
 
 def load_map(path) -> DelayDopplerMap:
     """Map of a .ddm file; ValueError unless it has at least one bin on each
     axis and any metadata t_window is a finite number."""
-    header, body = read_container(path, MAP_MAGIC, "delay-Doppler map")
-    n_dop, n_del = header["n_doppler"], header["n_delay"]
-    for key, n in (("n_doppler", n_dop), ("n_delay", n_del)):
-        if type(n) is not int or n < 1:
-            raise ValueError(f"{path}: header {key} must be a positive integer, got {n!r}")
-    t_window = header["metadata"].get("t_window", 0.0)
+    d_axis, nu_axis, power, meta = _load_grid(path, MAP_MAGIC, "delay-Doppler map",
+                                              ("n_doppler", "n_delay"), ("n_delay", "n_doppler"))
+    t_window = meta.get("t_window", 0.0)
     if type(t_window) not in (int, float) or not abs(t_window) <= sys.float_info.max:
         raise ValueError(f"{path}: metadata t_window must be a finite number, "
                          f"got {t_window!r}")
-    d_axis, nu_axis = body.take("<f8", n_del), body.take("<f8", n_dop)
-    power = body.take("<f8", n_dop * n_del).reshape(n_dop, n_del)
-    body.end()
-    return DelayDopplerMap(power, d_axis, nu_axis, header["metadata"])
+    return DelayDopplerMap(power, d_axis, nu_axis, meta)
 
 
 def map_to_csv(path, ddm: DelayDopplerMap) -> None:
@@ -524,9 +511,8 @@ def map_to_csv(path, ddm: DelayDopplerMap) -> None:
     Most cells hold the floor _FLOOR_DB, which no path reaches.  A run of
     floor cells in row r is one join of its delays' text with r's tail
     `,doppler,-300.0\\n`.  Only the reached cells are formatted, a block of
-    at most CSV_CHUNK of them at a time (whole rows where they fit, so a
-    block without floor cells shares each delay's text down its rows), and
-    each run of consecutive reached cells is a slice of its block's text."""
+    at most CSV_CHUNK of them at a time, and each run of consecutive
+    reached cells is a slice of its block's text."""
     from .csvtext import CSV_CHUNK, csv_lines, float_text, take_cells
     power = np.ascontiguousarray(ddm.power_db, dtype=np.float64)
     n_cols = power.shape[1]
@@ -536,7 +522,6 @@ def map_to_csv(path, ddm: DelayDopplerMap) -> None:
     heads = csv_lines(delays[:, None]).split(b"\n")[:-1]
     floor = f",{_FLOOR_DB!r}\n".encode()
     tails = [b"," + text + floor for text in csv_lines(dopplers[:, None]).split(b"\n")[:-1]]
-    step = CSV_CHUNK // max(n_cols, 1) * n_cols or CSV_CHUNK
 
     with open(path, "wb") as fh:
         def floor_run(lo, hi):
@@ -549,20 +534,13 @@ def map_to_csv(path, ddm: DelayDopplerMap) -> None:
 
         fh.write(b"delay_s,doppler_hz,power_db\n")
         done = 0
-        for at in range(0, len(cells), step):
-            block = cells[at:at + step]
-            first, n = int(block[0]), len(block)
-            texts = float_text(bits[block].view(np.float64))
-            if block[-1] - first + 1 == n and first % n_cols == n % n_cols == 0:   # whole rows
-                r = first // n_cols
-                text = csv_lines(delays[None, :, None], dopplers[r:r + n // n_cols, None, None],
-                                 texts.reshape(n // n_cols, n_cols, 1, -1))
-            else:
-                rows, cols = np.divmod(block, n_cols)
-                text = csv_lines(take_cells(delays, cols)[:, None],
-                                 take_cells(dopplers, rows)[:, None], texts[:, None])
+        for at in range(0, len(cells), CSV_CHUNK):
+            block = cells[at:at + CSV_CHUNK]
+            rows, cols = np.divmod(block, n_cols)
+            text = csv_lines(take_cells(delays, cols)[:, None], take_cells(dopplers, rows)[:, None],
+                             float_text(bits[block].view(np.float64))[:, None])
             runs = np.flatnonzero(np.diff(block, prepend=-2) != 1)   # each run's first cell
-            stops = np.append(runs[1:], n)
+            stops = np.append(runs[1:], len(block))
             cuts = [0, len(text)]
             if len(runs) > 1:                       # byte offsets where the later runs start
                 newlines = np.flatnonzero(np.frombuffer(text, np.uint8) == 10)
@@ -626,21 +604,43 @@ PDP_MAGIC = b"RFTPDP1\n"
 
 
 def save_pdp(path, pdp: PdpSeries, frozen_clock: bool = False) -> None:
-    meta = dict(pdp.metadata)
-    meta["created"] = "frozen" if frozen_clock else now()
-    header = {"format": "rftwin-pdp", "version": 1,
-              "n_epochs": int(pdp.power_db.shape[0]),
-              "n_delay": int(pdp.power_db.shape[1]),
-              "metadata": meta}
-    write_container(path, PDP_MAGIC, header,
-                    (np.ascontiguousarray(a, dtype="<f8")
-                     for a in (pdp.times, pdp.delay_axis, pdp.power_db)))
+    """Binary PDP container: magic, JSON header, f64 times and delay axis,
+    f64 dB grid."""
+    _save_grid(path, PDP_MAGIC, "rftwin-pdp", ("n_epochs", "n_delay"),
+               (pdp.times, pdp.delay_axis, pdp.power_db), pdp.metadata, frozen_clock)
 
 
 def load_pdp(path) -> PdpSeries:
-    header, body = read_container(path, PDP_MAGIC, "PDP")
-    n_e, n_d = header["n_epochs"], header["n_delay"]
-    times, d_axis = body.take("<f8", n_e), body.take("<f8", n_d)
-    power = body.take("<f8", n_e * n_d).reshape(n_e, n_d)
+    """PDP series of a .pdp file; ValueError unless it has at least one
+    epoch and one delay bin."""
+    times, d_axis, power, meta = _load_grid(path, PDP_MAGIC, "PDP", ("n_epochs", "n_delay"),
+                                            ("n_epochs", "n_delay"))
+    return PdpSeries(power, d_axis, times, meta)
+
+
+def _save_grid(path, magic: bytes, name: str, shape_keys, arrays, metadata: dict,
+               frozen_clock: bool) -> None:
+    """The .ddm and .pdp container: a header with the format name, the grid's
+    two sizes under shape_keys and the metadata with its "created" time,
+    then three little-endian f64 arrays, two axes and the grid last."""
+    header = {"format": name, "version": 1,
+              "metadata": {**metadata, "created": "frozen" if frozen_clock else now()}}
+    header.update(zip(shape_keys, map(int, arrays[-1].shape)))
+    write_container(path, magic, header,
+                    (np.ascontiguousarray(a, dtype="<f8") for a in arrays))
+
+
+def _load_grid(path, magic: bytes, what: str, shape_keys, axis_keys):
+    """The two axes, grid and metadata of a _save_grid container; the axes'
+    lengths are the header sizes named by axis_keys.  ValueError unless both
+    sizes are JSON integers of at least 1."""
+    header, body = read_container(path, magic, what)
+    for key in shape_keys:
+        n = header.get(key)
+        if type(n) is not int or n < 1:
+            raise ValueError(f"{path}: header {key} must be a positive integer, got {n!r}")
+    axes = [body.take("<f8", header[key]) for key in axis_keys]
+    rows, cols = (header[key] for key in shape_keys)
+    grid = body.take("<f8", rows * cols).reshape(rows, cols)
     body.end()
-    return PdpSeries(power, d_axis, times, header["metadata"])
+    return *axes, grid, header["metadata"]

@@ -13,7 +13,7 @@ body are given in the body frame and ride along with it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,15 +96,6 @@ class Material:
         if int(self.lobe_exponent) != self.lobe_exponent or self.lobe_exponent < 1:
             raise SceneError(f"material '{self.name}': lobe_exponent must be an integer >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "rel_permittivity": self.rel_permittivity,
-            "conductivity": self.conductivity,
-            "scattering_coeff": self.scattering_coeff,
-            "lobe_exponent": self.lobe_exponent,
-        }
-
 
 def material_defaults() -> dict[str, Material]:
     """Built-in material presets usable by name in scene files.
@@ -148,13 +139,6 @@ class AntennaPattern:
         out = self.peak_gain_dbi - np.minimum(roll_off, PATTERN_FLOOR_DB)
         return out if out.ndim else float(out)
 
-    def to_dict(self) -> dict:
-        return {
-            "peak_gain_dbi": self.peak_gain_dbi,
-            "hpbw_azimuth_deg": self.hpbw_azimuth_deg,
-            "hpbw_elevation_deg": self.hpbw_elevation_deg,
-        }
-
 
 @dataclass(frozen=True)
 class Transceiver:
@@ -168,8 +152,6 @@ class Transceiver:
     id: str
     role: str
     pattern: AntennaPattern
-    tx_power_dbm: float = 12.0
-    noise_figure_db: float = 15.0
     position: tuple | None = None
     boresight: tuple | None = None
     body_id: str | None = None
@@ -185,9 +167,6 @@ class Transceiver:
         if fixed == mounted:
             raise SceneError(
                 f"transceiver '{self.id}': exactly one of a fixed pose or a body mount must be set")
-        for name in ("tx_power_dbm", "noise_figure_db"):
-            if not -np.inf < getattr(self, name) < np.inf:
-                raise SceneError(f"transceiver '{self.id}': {name} must be finite")
         for name in ("position", "boresight", "offset_position", "offset_boresight"):
             value = getattr(self, name)
             if value is not None:
@@ -207,9 +186,7 @@ class Transceiver:
         out = {
             "id": self.id,
             "role": self.role,
-            "pattern": self.pattern.to_dict(),
-            "tx_power_dbm": self.tx_power_dbm,
-            "noise_figure_db": self.noise_figure_db,
+            "pattern": asdict(self.pattern),
         }
         if self.is_fixed:
             out["position"] = list(self.position)
@@ -334,7 +311,7 @@ class Scene:
         return {
             "name": self.name,
             "units": "m,s,rad",
-            "materials": [m.to_dict() for m in self.materials.values()],
+            "materials": [asdict(m) for m in self.materials.values()],
             "facets": [f.to_dict() for f in self.facets],
             "transceivers": [t.to_dict() for t in self.transceivers.values()],
             "bodies": [b.to_dict() for b in self.bodies.values()],
@@ -371,8 +348,7 @@ def _transceiver_from_dict(d: dict) -> Transceiver:
             raise SceneError(f"transceiver '{tid}': pattern must be an object")
         pattern = {key: _number(value, f"transceiver '{tid}': pattern {key}")
                    for key, value in d["pattern"].items()}
-        fields = {key: _number(d[key], f"transceiver '{tid}': {key}")
-                  for key in ("tx_power_dbm", "noise_figure_db") if key in d}
+        fields = {}
         for key in ("position", "boresight", "offset_position", "offset_boresight"):
             if key in d:
                 value = _numbers(d[key], f"transceiver '{tid}': {key}")

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 import struct
 from unittest import mock
 
@@ -283,6 +284,21 @@ def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_
         blob = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
         with pytest.raises(ValueError, match=f"bad frame count {count!r}"):
+            load_cir(path)
+
+
+def test_load_cir_rejects_path_counts_beyond_the_file(tmp_path, plates_episode):
+    """A frame head whose path count is more than the file's bytes, up to
+    the u32 maximum, is a ValueError naming the file and the frame."""
+    ep = plates_episode
+    path = tmp_path / "plates.cir"
+    save_cir(path, ep.cir[:2], ep.config, ep.link)
+    raw = bytearray(path.read_bytes())
+    at = 12 + struct.unpack_from("<I", raw, 8)[0]     # frame 0 header
+    for count in (len(raw) + 1, 2 ** 26, 2 ** 32 - 1):
+        struct.pack_into("<I", raw, at + 12, count)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: frame 0 declares {count} "):
             load_cir(path)
 
 

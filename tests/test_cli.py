@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -648,6 +649,28 @@ def test_info_on_bad_map_metadata_or_empty_map_is_input_error(artifacts, tmp_pat
     assert main(["info", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and key in err
+
+
+def test_grid_header_sizes_must_be_positive_integers(artifacts, tmp_path, capsys):
+    """A .ddm or .pdp whose size key is true, -1, 1.0 or missing: the loader
+    raises a ValueError naming the file and the key, and info exits 2."""
+    from rftwin.fmcw import load_pdp
+
+    for name, load, keys in (("run_w000000.ddm", load_map, ("n_doppler", "n_delay")),
+                             ("run.pdp", load_pdp, ("n_epochs", "n_delay"))):
+        raw = (artifacts["out"] / name).read_bytes()
+        for key in keys:
+            for label, change in (("true", lambda h: {**h, key: True}),
+                                  ("minus-one", lambda h: {**h, key: -1}),
+                                  ("float", lambda h: {**h, key: 1.0}),
+                                  ("missing", _without(key))):
+                bad = tmp_path / f"{label}_{key}_{name}"
+                bad.write_bytes(_rewrite_header(raw, change))
+                with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: header {key} "):
+                    load(bad)
+                assert main(["info", str(bad)]) == 2, (name, key, label)
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {bad}: header {key} "), err
 
 
 def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):

@@ -775,14 +775,13 @@ def test_map_and_pdp_round_trips_are_bit_exact(tmp_path_factory, data):
 
 
 def test_csv_writers_match_their_references_across_blocks(tmp_path):
-    """Maps and PDPs larger than one CSV block: a 40 x 2116 map (blocks of
-    7 rows) and a PDP row of 20000 values, with the -300 dB floor, signed
-    zeros, powers repeated in every block and exponent-form delays after a
-    0.0 first bin; maps with more reached cells than CSV_CHUNK: 9 x 2116
-    without floor (blocks of whole rows), 12 x 2116 with floor runs at row
-    starts and ends and inside rows (runs cut by block edges), one column,
-    and rows wider than a block; then empty shapes, with and without epochs
-    or delay bins."""
+    """Maps and PDPs larger than one CSV block: a 40 x 2116 map and a PDP
+    row of 20000 values, with the -300 dB floor, signed zeros, powers
+    repeated in every block and exponent-form delays after a 0.0 first bin;
+    maps with more reached cells than CSV_CHUNK: 9 x 2116 without floor,
+    12 x 2116 with floor runs at row starts and ends and inside rows (runs
+    cut by block edges), one column, and rows wider than a block; then
+    empty shapes, with and without epochs or delay bins."""
     rng = np.random.default_rng(11)
     repeated = np.concatenate([rng.normal(-60.0, 20.0, 40), [-300.0] * 200, [0.0, -0.0]])
     power = rng.choice(repeated, (40, 2116))
