@@ -673,6 +673,24 @@ def test_grid_header_sizes_must_be_positive_integers(artifacts, tmp_path, capsys
                 assert err.startswith(f"error: {bad}: header {key} "), err
 
 
+def test_grid_header_sizes_of_zero_are_rejected(artifacts, tmp_path, capsys):
+    """A .ddm or .pdp with zero Doppler bins, epochs or delay bins: the
+    loader raises a ValueError naming the file and the key, and info exits 2."""
+    from rftwin.fmcw import load_pdp
+
+    for name, load, keys in (("run_w000000.ddm", load_map, ("n_doppler", "n_delay")),
+                             ("run.pdp", load_pdp, ("n_epochs", "n_delay"))):
+        raw = (artifacts["out"] / name).read_bytes()
+        for key in keys:
+            bad = tmp_path / f"zero_{key}_{name}"
+            bad.write_bytes(_rewrite_header(raw, lambda h: {**h, key: 0}))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: header {key} .* got 0$"):
+                load(bad)
+            assert main(["info", str(bad)]) == 2, (name, key)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: header {key} "), err
+
+
 def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
     summary = json.loads((artifacts["out"] / "run_summary.json").read_text())
     # Every chirp of the plates sees each of the three plates once.

@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +139,32 @@ def test_non_finite_antenna_and_link_fields_are_rejected(trx, field, match, valu
                  "--chirps", "2", "-o", str(tmp_path)]) == 2
     assert match in capsys.readouterr().err
     assert not (tmp_path / "scene.cir").exists()
+
+
+def test_transceiver_noise_keys_are_ignored(tmp_path):
+    """tx_power_dbm and noise_figure_db are not scene fields (process --noise
+    takes both from its flags): a scene carrying them, finite or not, loads
+    as the same scene without them, and save writes neither."""
+    keys = ("tx_power_dbm", "noise_figure_db")
+
+    def strip(trxs):
+        for entry in trxs.values():
+            for key in keys:
+                entry.pop(key, None)
+
+    def poison(trxs):
+        for entry in trxs.values():
+            entry.update(tx_power_dbm=float("nan"), noise_figure_db=float("inf"))
+
+    scenes = []
+    for name, mutate in (("plain", strip), ("poisoned", poison)):
+        (tmp_path / name).mkdir()
+        scenes.append(load_scene(_scene_b_with(tmp_path / name, mutate)))
+    assert scenes[0] == scenes[1]
+    saved = tmp_path / "saved.json"
+    scenes[1].save(saved)
+    for entry in json.loads(saved.read_text())["transceivers"]:
+        assert not set(keys) & set(entry), entry
 
 
 @pytest.mark.parametrize("link", [["--tx", "UE"], ["--mode", "bi", "--tx", "UE", "--rx", "BS"]])
@@ -392,6 +418,20 @@ def test_scene_roundtrip_through_json(tmp_path):
     assert again.name == "roundtrip"
     assert not again.transceivers["UE"].is_fixed
     assert again.bodies["cart"].yaws is not None
+
+
+def test_scene_save_writes_material_and_pattern_fields_in_declaration_order(tmp_path):
+    """Materials and antenna patterns are saved as their dataclass fields,
+    every field in declaration order."""
+    scene = scene_from_dict(small_scene_doc())
+    path = tmp_path / "scene.json"
+    scene.save(path)
+    doc = json.loads(path.read_text())
+    material_keys = [f.name for f in fields(Material)]
+    assert doc["materials"] and all(list(m) == material_keys for m in doc["materials"])
+    pattern_keys = [f.name for f in fields(AntennaPattern)]
+    assert doc["transceivers"]
+    assert all(list(t["pattern"]) == pattern_keys for t in doc["transceivers"])
 
 
 def test_scene_t_span():
