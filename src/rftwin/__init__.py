@@ -4,8 +4,11 @@ Builds time-varying channel impulse responses from scenes with moving
 scatterers, synthesizes FMCW beat signals, and cross-validates processed
 delay-Doppler maps against analytic predictions.
 
-Submodules are imported lazily so the CLI can cap numeric thread pools
-before the numeric stack loads.
+Submodules are imported lazily, on the first use of one of their names,
+so `rftwin --help` and usage errors answer without loading numpy.  The
+CLI's handlers import what they use when they run, so a module attribute
+replaced after import (a test's monkeypatch, a profiler's wrapper) is the
+one they call.
 """
 
 from __future__ import annotations

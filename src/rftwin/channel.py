@@ -7,8 +7,8 @@ as fit the row budget (raytrace.pass_epochs) at the link's bound of rows
 per chirp: the LOS row, F^2 specular chains and every diffuse sample.  The
 shipped episodes run in one pass, long ones in several, so memory stays
 bounded.  No other layer splits an episode, except that trace_specular
-halves a pass whose chain tree outgrows F^2 chains.  Each pass runs in two
-steps:
+runs its image pass on parts, by the same rule, of a pass whose chain tree
+outgrows F^2 chains.  Each pass runs in two steps:
 
 1. LOS, specular and diffuse tracing over the whole pass, and one block
    table of their rows with a frame column, the row's epoch in the pass;

@@ -12,8 +12,11 @@ valid inputs, 4 internal error.  RFTWIN_OUT sets the default output
 directory.  --frozen-clock pins header timestamps so reruns with the same
 arguments are byte-identical.
 
-Heavy numeric imports happen inside the command handlers so that --threads
-can cap the BLAS/OpenMP pools before they start.
+The command handlers import the library when they run, for two reasons:
+--help and usage errors answer without loading numpy, and a handler looks
+its library functions up at each call, so a module attribute replaced
+after import (a test's monkeypatch, a profiler's wrapper) is the one
+called.
 """
 
 from __future__ import annotations
@@ -179,8 +182,11 @@ def _load_cir_config(path):
 
 
 def _export_formats(spec: str) -> list[str]:
-    """The --export comma list; an unknown format is an input error."""
+    """The --export comma list; an unknown format, or none, is an input
+    error."""
     formats = [f.strip() for f in spec.split(",") if f.strip()]
+    if not formats:
+        raise InputError("--export names no format; give a comma list of bin, csv, pgm")
     for f in formats:
         if f not in ("bin", "csv", "pgm"):
             raise InputError(f"unknown export format '{f}'")
@@ -393,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rftwin",
         description="Ray-traced RF digital twin: time-varying CIRs, FMCW "
                     "beat synthesis, and delay-Doppler map validation.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap numeric worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="trace a scene into a CIR file")
@@ -466,13 +470,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads <= 0:
-            print("error: --threads must be positive", file=sys.stderr)
-            return EXIT_INPUT
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:

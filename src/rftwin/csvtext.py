@@ -236,27 +236,15 @@ def take_cells(cells, index) -> np.ndarray:
 def csv_lines(*fields) -> bytes:
     """CSV lines from NUL-padded text fields (uint8 of shape lines + (k,
     width): k fields per line, line axes broadcasting), joined by commas in
-    argument order; each line ends with a newline and NULs are dropped.
-
-    The commas, the newlines and the fields that are the same along the
-    first line axis are written once, to its first entry, which is then
-    copied on whole; the other fields are written cell by cell."""
+    argument order; each line ends with a newline and NULs are dropped."""
     lines = np.broadcast_shapes(*(f.shape[:-2] for f in fields))
-    if not lines:
-        return csv_lines(*(f[None] for f in fields))
     spans = [f.shape[-2] * (f.shape[-1] + 1) for f in fields]
     buf = np.empty(lines + (sum(spans),), np.uint8)
-    varying, at = [], 0
+    at = 0
     for f, span in zip(fields, spans):
         cell = buf[..., at:at + span].reshape(lines + (f.shape[-2], f.shape[-1] + 1))   # a view
-        cell[:1, ..., -1] = 44
-        if f.ndim < cell.ndim or f.shape[0] == 1:
-            cell[:1, ..., :-1] = f
-        else:
-            varying.append((cell, f))
-        at += span
-    buf[:1, ..., -1] = 10
-    buf[1:] = buf[:1]
-    for cell, f in varying:
         cell[..., :-1] = f
+        cell[..., -1] = 44
+        at += span
+    buf[..., -1] = 10
     return buf.tobytes().translate(None, b"\0")

@@ -23,7 +23,9 @@ epoch axis on every array; one instant is the block of one epoch.  It
   4. drops chains with an occluded segment, sliced from the same
      (epochs, chains, K+2, 3) point table in one batched occlusion test.
 LOS and diffuse tracing run over a block the same way.  A tracer traces
-the whole block it is given, save a specular block that outgrows _CHAIN_ROWS.
+the whole block it is given.  Steps 1 to 3 run on parts of the block that
+fit _CHAIN_ROWS, all sharing the block's one chain tree; steps 0 and 4
+run once over the whole block.
 
 Diffuse paths use a deterministic stratified sample pattern per
 facet (centroid-jittered grid, seeded from TraceConfig), so reruns of the
@@ -47,8 +49,9 @@ from .scene import Scene
 _FRONT_EPS = 1e-9   # m, strict front-side margin
 _PARAM_EPS = 1e-9   # unitless span margin for image-line intersections
 # Rows of one tracing pass, epochs times chains or diffuse samples: it sizes
-# simulate_cir's passes, and trace_specular halves a block with more rows,
-# so point and occlusion tables stay a few MB in large scenes.
+# simulate_cir's passes, and trace_specular's image pass runs on parts of a
+# block that fit it, all on one chain tree, so point tables stay a few MB in
+# large scenes.
 _CHAIN_ROWS = 1 << 15
 _MAX_FACET_SAMPLES = _CHAIN_ROWS    # diffuse samples one facet may have
 
@@ -256,15 +259,15 @@ def trace_specular(block: SnapshotBlock, tx_id: str, rx_id: str,
 
     txp, rxp = block.states[tx_id].position, block.states[rx_id].position
     table = _grow_chains(*_front_masks(block.pack, txp, rxp), k_max)
-    if len(block) * len(table.hops) > _CHAIN_ROWS and len(block) > 1:
-        # Too many rows for one pass: trace each half, which may grow fewer
-        # chains, on its own.
-        half = (len(block) + 1) // 2
-        head, tail = (trace_specular(block.view(at), tx_id, rx_id, config)
-                      for at in (slice(0, half), slice(half, None)))
-        tail.frame += half
-        return PathTable.concat([head, tail])
-    frame, idx, legs = _trace_chains(block.pack, txp, rxp, table)
+    # The image pass runs on parts that fit _CHAIN_ROWS, all on the block's
+    # table: a chain that fails the front masks at every epoch of a part
+    # fails the full tests there too.
+    step, parts = pass_epochs(max(len(table.hops), 1)), []
+    for lo in range(0, len(block), step):
+        at = slice(lo, lo + step)
+        frame, idx, legs = _trace_chains(block.pack[at], txp[at], rxp[at], table)
+        parts.append((frame + lo, idx, legs))
+    frame, idx, legs = map(np.concatenate, zip(*parts))
     # Occlusion over every segment of every survivor but the zero-length
     # TX -> TX segments of the left padding.
     hops = table.hops[idx]

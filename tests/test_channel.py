@@ -780,7 +780,8 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
     pass; also chirps without paths, a free-space scene, an empty episode,
     episode-static paths that a moving plate blocks for part of the
     episode, between fixed mounts and towards a UE on a cart, and a canyon
-    whose chain tree outgrows F^2, so trace_specular halves its passes."""
+    whose chain tree outgrows F^2, so trace_specular runs its image pass on
+    parts of each pass."""
     scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
     n = min(n_draw, most)
     t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
@@ -796,7 +797,7 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
         counts = np.bincount(got.paths.frame, minlength=n)
         assert 0 in counts and 1 in counts
     if case == "canyon" and (n, per_pass) == (40, 16):
-        # Passes of 16, 16 and 8 chirps, each halved down to 4-chirp parts.
+        # Passes of 16, 16 and 8 chirps, each traced in 4-chirp parts.
         assert [len(call.args[1]) for call in chains.call_args_list] == [4] * 10
     if case.startswith("static_crossing") and n == 2 * B + 5 and start == 0.5:
         # The pass boundary lies inside the occlusion of the LOS, of the

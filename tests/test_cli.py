@@ -360,17 +360,6 @@ def test_default_out_dir_comes_from_environment(tmp_path, monkeypatch, capsys):
     assert (env_out / "envrun.cir").is_file()
 
 
-def test_threads_flag_validation(monkeypatch, capsys):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, "1"))
-    assert main(["--threads", "0", "info", "whatever"]) == 2
-    assert "--threads" in capsys.readouterr().err
-    junk_ok = main(["--threads", "2", "info", "/definitely/not/a/file"])
-    assert junk_ok == 2           # threads accepted, then input error on file
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 def test_maps_and_pdps_record_the_simulate_seed(tmp_path):
     from rftwin.fmcw import load_map, load_pdp
 
@@ -414,6 +403,19 @@ def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeyp
     # a valid command does reach the patched synthesis
     assert main(["process", "--cir", cir, "-N", "8"] + sink) == 4
     assert "synthesis reached" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["", ",", " , "])
+@pytest.mark.parametrize("command", ["process", "predict"])
+def test_an_export_list_without_a_format_is_an_input_error(artifacts, tmp_path, capsys,
+                                                           command, spec):
+    """An --export list that names no format would write nothing; process
+    and predict exit 2 naming the flag, and write no file."""
+    cir = str(artifacts["out"] / "run.cir")
+    assert main([command, "--cir", cir, "-N", "8", "--export", spec,
+                 "-o", str(tmp_path)]) == 2
+    assert "--export names no format" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -540,6 +542,26 @@ def test_commands_run_without_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run_w000008.ddm").is_file()
+
+
+def test_the_cli_starts_without_numpy():
+    """rftwin and its CLI load the library lazily: importing rftwin.cli,
+    building the parser and answering a usage error load no numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import contextlib, io, sys, rftwin.cli\n"
+            "rftwin.cli.build_parser()\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        rftwin.cli.main(['simulate', '--tx', 'UE'])\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code)\n"
+            "print('numpy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2", "False"]
 
 
 def static_scene(directory):
@@ -714,12 +736,11 @@ def test_summary_reports_per_frame_counts_and_drops(artifacts, tmp_path):
 
 
 # Command lines for the shared parser: every subcommand, flags set and left
-# at their defaults, a global flag, and calls that argparse rejects.
+# at their defaults, and calls that argparse rejects.
 ARGVS = (
     ["simulate", "--scene", "s.json", "--tx", "UE", "--no-diffuse", "--max-order", "3",
      "--chirps", "70", "--t-idle", "0.005", "--frozen-clock", "--tag", "a"],
-    ["--threads", "2", "simulate", "--scene", "s.json", "--mode", "bi", "--tx", "BS",
-     "--rx", "UE"],
+    ["simulate", "--scene", "s.json", "--mode", "bi", "--tx", "BS", "--rx", "UE"],
     ["process", "--cir", "x.cir", "-N", "8", "--stride", "4", "--zero-pad", "--noise",
      "--export", "bin,csv", "--window-slow", "boxcar", "-o", "out"],
     ["process", "--cir", "x.cir"],
@@ -766,9 +787,12 @@ def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "4",
                  "--no-diffuse", "--max-order", "3", "--seed", "5", "--t0", "0.01",
                  "--frozen-clock", "--tag", "a", "-o", str(tmp_path)]) == 0
-    assert main(["--threads", "1", "info", str(tmp_path / "missing.cir")]) == 2
+    assert main(["info", str(tmp_path / "missing.cir")]) == 2
     with pytest.raises(SystemExit):
         main(["simulate", "--scene", str(scene)])
+    with pytest.raises(SystemExit) as usage:
+        main(["--threads", "1", "info", str(tmp_path / "missing.cir")])
+    assert usage.value.code == 2
     assert main(["simulate", "--scene", str(scene), "--tx", "UE", "--chirps", "4",
                  "--tag", "b", "-o", str(tmp_path)]) == 0
     _, header = load_cir(tmp_path / "b.cir")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import FLOAT_BITS, REPO_ROOT
 from rftwin import csvtext
-from rftwin.csvtext import float_text
+from rftwin.csvtext import csv_lines, float_text
 
 
 def texts(values) -> list[str]:
@@ -93,6 +94,31 @@ def test_only_ties_subnormals_inf_and_nan_take_repr(monkeypatch):
     assert seen == []
     float_text(EXAMPLES)
     assert bits_of(*seen) == bits_of(*FALLBACKS)
+
+
+# Field bytes: text without commas or newlines, and NUL padding anywhere.
+FIELD_BYTES = st.sampled_from(b"\0\0\0-.0123456789aefint")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_lines=st.integers(1, 5))
+def test_csv_lines_joins_each_lines_fields(data, n_lines):
+    """Line by line, csv_lines is the comma join of that line's fields with
+    their NULs dropped, whatever the widths; a field with a leading line
+    axis of 1, or none, repeats on every line."""
+    fields = []
+    for _ in range(data.draw(st.integers(1, 4), label="fields")):
+        k, width = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 5))
+        lines = data.draw(st.sampled_from([(n_lines,), (1,), ()]))
+        size = math.prod(lines) * k * width
+        cells = data.draw(st.lists(FIELD_BYTES, min_size=size, max_size=size))
+        fields.append(np.array(cells, np.uint8).reshape(lines + (k, width)))
+    n = max((len(f) for f in fields if f.ndim == 3), default=1)
+    want = b"".join(
+        b",".join(cell[cell != 0].tobytes() for f in fields
+                  for cell in np.broadcast_to(f, (n,) + f.shape[-2:])[line]) + b"\n"
+        for line in range(n))
+    assert csv_lines(*fields) == want
 
 
 def test_command_modules_do_not_import_csvtext():

@@ -725,8 +725,8 @@ def epochs(block):
 
 def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
     """LOS and specular tracing over a block of epochs give each epoch's
-    per-snapshot rows, in epoch order, also when the specular pass is
-    halved down to parts of a few epochs, each pruned on its own; and the
+    per-snapshot rows, in epoch order, also when the specular image pass
+    runs on parts of a few epochs of the block's one chain tree; and the
     pruned specular rows are the dense pass's."""
     scene = scene_from_dict(spin_rig_doc())
     block = snapshots(scene, 0.3 + 0.05 * np.arange(20))
@@ -743,24 +743,27 @@ def test_block_tracers_match_per_snapshot_tracing(monkeypatch):
             for col in columns:
                 assert getattr(single, col).tobytes() == getattr(mine, col).tobytes(), col
     assert_same_rows(whole[trace_specular], _dense_specular(block, "BS", "UE", config))
-    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # parts of one to three epochs
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)     # two chains: parts of 6, 6, 6, 2
     parts = trace_specular(block, "BS", "UE", config)
     for col in columns + ("frame",):
         assert getattr(parts, col).tobytes() == getattr(whole[trace_specular], col).tobytes()
 
 
 def test_parts_halve_until_their_rows_fit(monkeypatch):
-    """A block whose epochs times grown chains exceed _CHAIN_ROWS is
-    halved, the first half taking the odd epoch, and each half again until
-    its rows fit; the parts give the rows of the whole block."""
+    """A block whose epochs times grown chains exceed _CHAIN_ROWS grows its
+    chain tree once, and the image pass runs on consecutive parts of
+    pass_epochs(chains) epochs, all on that tree; the parts give the rows
+    of the whole block."""
     scene = scene_from_dict(corridor_doc())        # F = 2, six chains at order 3
     block = snapshots(scene, 0.1 * np.arange(7))
     config = TraceConfig(max_specular_order=3)
     whole = trace_specular(block, "BS", "UE", config)
     assert len(whole) == 42
-    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)   # 7 -> 4 + 3 -> 2 + 2 + 2 + 1
-    with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy:
+    monkeypatch.setattr(raytrace, "_CHAIN_ROWS", 13)   # 13 // 6 = 2 epochs a part
+    with (mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as spy,
+          mock.patch.object(raytrace, "_grow_chains", wraps=raytrace._grow_chains) as grow):
         parts = trace_specular(block, "BS", "UE", config)
+    assert grow.call_count == 1
     assert [len(call.args[1]) for call in spy.call_args_list] == [2, 2, 2, 1]
     assert_same_rows(parts, whole)
 
