@@ -43,9 +43,21 @@ from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns, pas
 from .scene import Scene, SceneError
 
 
+# Most fast-time samples a chirp may have: 31 times the default 2116, so one
+# beat row is at most 1 MB and a 128-chirp map at most 64 MB.
+MAX_SAMPLES_PER_CHIRP = 1 << 16
+
+
 @dataclass(frozen=True)
 class ChirpConfig:
-    """FMCW timing; defaults reproduce the validated 79 GHz configuration."""
+    """FMCW timing; defaults reproduce the validated 79 GHz configuration.
+
+    Every field must be finite and positive (t_idle may be 0), slope *
+    t_chirp must be within 0.1% of the bandwidth, and a chirp must have
+    from 2 to MAX_SAMPLES_PER_CHIRP (65536) samples, floor(t_chirp *
+    f_samp); ValueError otherwise.  The same check serves the command-line
+    flags and the config in a .cir header.
+    """
 
     f_c: float = 79.0e9
     bandwidth: float = 4.0e9
@@ -64,6 +76,10 @@ class ChirpConfig:
                 raise ValueError(f"ChirpConfig.{name} must be positive")
         if self.n_chirps_total < 1:
             raise ValueError("n_chirps_total must be >= 1")
+        if not self.t_chirp * self.f_samp < MAX_SAMPLES_PER_CHIRP + 1:
+            raise ValueError(f"samples per chirp floor(t_chirp * f_samp) = "
+                             f"floor({self.t_chirp * self.f_samp!r}) is above the cap of "
+                             f"{MAX_SAMPLES_PER_CHIRP}")
         if self.samples_per_chirp < 2:
             raise ValueError(f"samples per chirp floor(t_chirp * f_samp) is "
                              f"{self.samples_per_chirp}; at least 2 are needed")

@@ -218,8 +218,8 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 
 
 def cmd_process(args) -> int:
-    from .fmcw import (NoiseConfig, delay_doppler, padded_windows, pdp_series,
-                       pdp_to_csv, range_rows, save_pdp, synth_beat)
+    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, pdp_series, range_fft,
+                       window_maps)
 
     cir, header, config = _load_cir_config(args.cir)
     n = _positive("integer", "N", args.n_chirps, least=2)
@@ -246,36 +246,44 @@ def cmd_process(args) -> int:
         raise InputError(f"no complete {n}-chirp window starts at index "
                          f"{args.t0_index} in {len(cir)} beat frames")
 
-    beats = synth_beat(cir, config, noise)
+    # The PDP covers every frame; without it only the windows' frames are
+    # synthesized, up to the end of the last.
+    pdp_out = "bin" in formats or "csv" in formats
+    frames = range(len(cir)) if pdp_out else range(starts[0], starts[-1] + n)
+    passes = beat_passes(cir, config, noise, frames.start, frames.stop)
     times = cir.t
-
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
-    # Unpadded maps and the PDP share one in-place range transform of the
-    # beats; zero-padded maps are drawn from the beats before it.
-    if args.zero_pad:
-        windows = padded_windows(beats, starts, n, window_fast)
-    else:
-        spectra = range_rows(beats, window_fast)
-        windows = (spectra[start:start + n] for start in starts)
+    pdp = PdpWriter(times, out / f"{tag}.pdp" if "bin" in formats else None,
+                    out / f"{tag}_pdp.csv" if "csv" in formats else None, args.frozen_clock)
+
+    def pdp_rows(lo, spectra):
+        """A pass's PDP rows, held by no local of spectra() once written."""
+        rows = pdp_series(spectra, times[lo:lo + len(spectra)], config, window=window_fast)
+        rows.metadata["seed"] = header.get("seed")
+        return rows
+
+    def spectra():
+        """Each pass's range spectra, zero-padded with --zero-pad, after its
+        unpadded spectra went to the PDP."""
+        for lo, beats in passes:
+            padded = range_fft(beats, window_fast, zero_pad=True) if args.zero_pad else None
+            if pdp_out or padded is None:
+                range_fft(beats, window_fast, out=beats)
+            if pdp_out:
+                pdp.write(pdp_rows(lo, beats))
+            yield lo, beats if padded is None else padded
+
     written = []
-    for start, rows in zip(starts, windows):
-        ddm = delay_doppler(rows, times, config, t0_index=start,
-                            window_fast=window_fast, window_slow=window_slow)
-        ddm.metadata["seed"] = header.get("seed")
-        written += _write_map(out / f"{tag}_w{start:06d}", ddm, formats,
-                              args.frozen_clock)
-    if "bin" in formats or "csv" in formats:
-        if args.zero_pad:
-            spectra = range_rows(beats, window_fast)
-        pdp = pdp_series(spectra, times, config, window=window_fast)
-        pdp.metadata["seed"] = header.get("seed")
-        if "bin" in formats:
-            save_pdp(out / f"{tag}.pdp", pdp, frozen_clock=args.frozen_clock)
-        if "csv" in formats:
-            pdp_to_csv(out / f"{tag}_pdp.csv", pdp)
+    with pdp:
+        for start, ddm in window_maps(spectra(), times, config, starts, n,
+                                      window_fast, window_slow):
+            ddm.metadata["seed"] = header.get("seed")
+            written += _write_map(out / f"{tag}_w{start:06d}", ddm, formats,
+                                  args.frozen_clock)
+            del ddm                 # before the next map is made
     t_w = config.window_duration(n)
-    print(f"processed {len(beats)} beat frames; window {n} chirps "
+    print(f"processed {len(frames)} beat frames; window {n} chirps "
           f"(T_w = {t_w * 1e3:.5f} ms); wrote {len(written)} map files")
     for name in written:
         print(f"  {name}")

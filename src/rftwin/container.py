@@ -8,6 +8,7 @@ a short payload or trailing bytes raise ValueError.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
@@ -21,15 +22,23 @@ def now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def write_container(path, magic: bytes, header: dict, chunks) -> None:
-    """Write magic, header and every chunk of the payload.  A chunk is bytes
-    or a C-contiguous array, written through the buffer protocol without a
-    copy: its memory must already hold the little-endian layout."""
+@contextlib.contextmanager
+def open_container(path, magic: bytes, header: dict):
+    """Create the file at path and write magic and header; yields the open
+    binary file, for the caller to write the payload to, and closes it."""
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
+        yield fh
+
+
+def write_container(path, magic: bytes, header: dict, chunks) -> None:
+    """Write magic, header and every chunk of the payload.  A chunk is bytes
+    or a C-contiguous array, written through the buffer protocol without a
+    copy: its memory must already hold the little-endian layout."""
+    with open_container(path, magic, header) as fh:
         for chunk in chunks:
             fh.write(chunk)
 

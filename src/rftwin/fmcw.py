@@ -26,11 +26,11 @@ is a product of at most that many anchors, each rounded once from an
 argument of at most about 1.3e4 rad: every sample stays within 1e-11 of
 the largest sample of the direct sum.
 
-Processing: range_fft is the one windowed fast-time FFT.  range_rows
-transforms every beat row once, in place; pdp_series takes their power and
-delay_doppler reads one window's slice.  padded_windows gives the
-zero-padded spectra of overlapping windows, transforming each row once.
-Both axes scale by the reciprocal of the window sum (coherent gain), with
+Processing runs pass by pass: beat_passes synthesizes a pass of beat rows,
+range_fft is the one windowed fast-time FFT and transforms each row once,
+pdp_series takes the power of a pass's spectra, PdpWriter appends it to
+the PDP files, and window_maps keeps the passes that windows still to come
+span and makes each window's map once its last row is in.  Both axes scale by the reciprocal of the window sum (coherent gain), with
 the bits of a complex division by it, so an on-grid path of amplitude a
 peaks at |a| in the map, directly comparable to the analytic prediction of
 predicted_map.  delay_doppler transforms its columns in place, block by
@@ -39,6 +39,7 @@ block, and writes magnitudes straight into the fftshifted rows of the map.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -48,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChirpConfig, Cir
-from .container import now, read_container, write_container
+from .container import now, open_container, read_container
 
 BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
 
@@ -109,30 +110,44 @@ class NoiseConfig:
         return 10.0 ** ((self.floor_dbm(f_samp) - self.tx_power_dbm) / 10.0)
 
 
-# Budget of a synth_beat block: about 1 MB of power tables, anchors and
-# products, like the temporaries of one _PDP_BLOCK_ROWS range_fft.
-_SYNTH_BLOCK_BYTES = 1 << 20
+# Budget of one pass, in complex values: process synthesizes, range-
+# transforms and writes the PDP of pass_frames(samples_per_chirp) beat rows
+# at a time (30 rows, about 1 MB, at 2116 samples per chirp), and synthesis
+# builds its power tables, anchors and products for as many frames of a
+# pass as fit it.  Blocks of about 1 MB are small enough that the allocator
+# reuses them from one to the next instead of mapping fresh pages for each.
+_PASS_VALUES = 1 << 16
 
 
-def synth_beat(cir: Cir, config: ChirpConfig,
-               noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
-    """Dechirped I/Q samples, one row per frame, in the factored form of the
-    module docstring.
+def pass_frames(values_per_frame: int) -> int:
+    """Frames of one pass whose values_per_frame complex values each fit the
+    _PASS_VALUES budget; one at least."""
+    return max(1, _PASS_VALUES // values_per_frame)
+
+
+def beat_passes(cir: Cir, config: ChirpConfig, noise: NoiseConfig = NoiseConfig(),
+                lo: int = 0, hi: int | None = None):
+    """Dechirped I/Q samples of frames [lo, hi) of the episode (hi None: to
+    its end), in the factored form of the module docstring, one pass after
+    the other: (first frame, rows) pairs, rows a new (frames,
+    samples_per_chirp) array of pass_frames(samples_per_chirp) frames, fewer
+    in the last pass, that the caller may overwrite.
 
     Each path's slow-time phase is the running integral of its Doppler
     over the frames where it appears (trapezoid rule, keyed by path), so a
     drifting nu evolves the phase correctly; for constant nu this equals
-    nu * (t - t_first).  Frames go through np.matmul in blocks, padded to
-    the block's largest path count with zero weights, so an empty frame
-    gives a zero row; the power tables put the power axis first, so each
-    doubling step is one contiguous multiply, and np.matmul reads them
-    transposed.  Noise draws are keyed by (seed, epoch_index), so a given
-    frame always receives the same noise regardless of batch boundaries.
+    nu * (t - t_first).  The phases are summed once per call, over the
+    whole episode.  Frames go through np.matmul in blocks, padded to the
+    block's largest path count with zero weights, so an empty frame gives a
+    zero row; the power tables put the power axis first, so each doubling
+    step is one contiguous multiply, and np.matmul reads them transposed.
+    Noise draws are keyed by (seed, epoch_index), so a given frame always
+    receives the same noise regardless of pass boundaries.
     """
     n_s = config.samples_per_chirp
-    beats = np.empty((len(cir), n_s), dtype=complex)
-    if not len(cir):
-        return beats
+    span = range(len(cir))[lo:hi]
+    if not span:
+        return
     paths = cir.paths
     counts = np.bincount(paths.frame, minlength=len(cir))
     phi = _phase_trails(paths.key_ids(), cir.t[paths.frame], paths.nu)
@@ -148,27 +163,39 @@ def synth_beat(cir: Cir, config: ChirpConfig,
              + [(1, 2 ** k) for k in range((b - 1).bit_length())])
     hops = np.array([s * (b, 1)[t] for t, s in fills], float)[:, None, None]
     step = paths.tau * (2.0 * np.pi * config.slope / config.f_samp)
-    block = max(1, _SYNTH_BLOCK_BYTES
-                // (16 * (q * b + (q + b + len(hops) + 1) * max(int(counts.max()), 1))))
+    block = pass_frames(q * b + (q + b + len(hops) + 1) * max(int(counts.max()), 1))
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    for f0 in range(0, len(cir), block):
-        f1 = min(f0 + block, len(cir))
-        live = np.arange(counts[f0:f1].max()) < counts[f0:f1, None]
-        tables = left, right = [np.empty((n,) + live.shape, dtype=complex) for n in (q, b)]
-        arg = np.zeros(live.shape)
-        left[0], right[0] = 0.0, 1.0
-        left[0][live] = weights[bounds[f0]:bounds[f1]]
-        arg[live] = step[bounds[f0]:bounds[f1]]
-        for (t, s), anchor in zip(fills, np.exp(1j * (hops * arg))):
-            part = tables[t][s:2 * s]
-            np.multiply(tables[t][:len(part)], anchor, out=part)
-        product = np.matmul(left.transpose(1, 0, 2), right.transpose(1, 2, 0))
-        beats[f0:f1] = product.reshape(f1 - f0, q * b)[:, :n_s]
-    if noise.enabled:
-        sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
-        for row, epoch in zip(beats, cir.epoch_index.tolist()):
-            rng = np.random.default_rng([noise.seed, epoch])
-            row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
+    sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
+    for p0 in range(span.start, span.stop, pass_frames(n_s)):
+        p1 = min(p0 + pass_frames(n_s), span.stop)
+        beats = np.empty((p1 - p0, n_s), dtype=complex)
+        for f0 in range(p0, p1, block):
+            f1 = min(f0 + block, p1)
+            live = np.arange(counts[f0:f1].max()) < counts[f0:f1, None]
+            tables = left, right = [np.empty((n,) + live.shape, dtype=complex) for n in (q, b)]
+            arg = np.zeros(live.shape)
+            left[0], right[0] = 0.0, 1.0
+            left[0][live] = weights[bounds[f0]:bounds[f1]]
+            arg[live] = step[bounds[f0]:bounds[f1]]
+            for (t, s), anchor in zip(fills, np.exp(1j * (hops * arg))):
+                part = tables[t][s:2 * s]
+                np.multiply(tables[t][:len(part)], anchor, out=part)
+            product = np.matmul(left.transpose(1, 0, 2), right.transpose(1, 2, 0))
+            beats[f0 - p0:f1 - p0] = product.reshape(f1 - f0, q * b)[:, :n_s]
+        if noise.enabled:
+            for row, epoch in zip(beats, cir.epoch_index[p0:p1].tolist()):
+                rng = np.random.default_rng([noise.seed, epoch])
+                row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
+        yield p0, beats
+
+
+def synth_beat(cir: Cir, config: ChirpConfig,
+               noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
+    """Dechirped I/Q samples of the whole episode, one row per frame: the
+    passes of beat_passes stacked."""
+    beats = np.empty((len(cir), config.samples_per_chirp), dtype=complex)
+    for lo, rows in beat_passes(cir, config, noise):
+        beats[lo:lo + len(rows)] = rows
     return beats
 
 
@@ -203,12 +230,6 @@ def delay_axis(config: ChirpConfig, n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (config.f_samp / n_bins) / config.slope
 
 
-# Rows per range_fft call in range_rows and padded_windows: about 1 MB of
-# temporaries at 2116 samples per chirp, small enough that the allocator
-# reuses them from block to block instead of mapping fresh pages for each.
-_PDP_BLOCK_ROWS = 32
-
-
 def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
               out: np.ndarray | None = None) -> np.ndarray:
     """Windowed fast-time FFT over the last axis, normalized by the window
@@ -230,38 +251,6 @@ def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
     if not parts.all():
         spectrum[(spectrum.real == 0.0) | (spectrum.imag == 0.0)] /= 1.0
     return spectrum
-
-
-def range_rows(beats: np.ndarray, window: str = "hann") -> np.ndarray:
-    """beats with every row replaced in place by its range_fft, taken
-    _PDP_BLOCK_ROWS rows at a time."""
-    for lo in range(0, len(beats), _PDP_BLOCK_ROWS):
-        block = beats[lo:lo + _PDP_BLOCK_ROWS]
-        range_fft(block, window, out=block)
-    return beats
-
-
-def padded_windows(beats: np.ndarray, starts, n_chirps: int, window: str = "hann"):
-    """Zero-padded range spectra (range_fft) of the n_chirps beat rows from
-    each of the ascending starts, one window after the other, transforming
-    every beat row once.  The spectra live in a buffer of n_chirps rows, or
-    2 n_chirps when windows overlap; each window is a view into it, valid
-    until the next is drawn."""
-    overlap = any(b - a < n_chirps for a, b in zip(starts, starts[1:]))
-    buffer = np.empty(((2 if overlap else 1) * n_chirps, 2 * beats.shape[1]), dtype=complex)
-    base = done = 0         # buffer[i] holds beat row base + i; rows below done are in
-    for start in starts:
-        end = start + n_chirps
-        if start >= done:
-            base = done = start
-        elif end - base > len(buffer):        # move the shared rows to the front
-            buffer[:done - start] = buffer[start - base:done - base]
-            base = start
-        for lo in range(done, end, _PDP_BLOCK_ROWS):
-            hi = min(lo + _PDP_BLOCK_ROWS, end)
-            range_fft(beats[lo:hi], window, True, out=buffer[lo - base:hi - base])
-        done = end
-        yield buffer[start - base:end - base]
 
 
 @dataclass
@@ -316,15 +305,16 @@ def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay:
 _MAP_BLOCK_COLUMNS = 512
 
 
-def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
+def delay_doppler(rows, times: np.ndarray, config: ChirpConfig,
                   t0_index: int = 0, window_fast: str = "hann",
                   window_slow: str = "hann") -> DelayDopplerMap:
-    """Delay-Doppler power map of one window of len(rows) chirps.
+    """Delay-Doppler power map of one window of n_chirps chirps.
 
-    rows holds range_fft(beats[t0_index:t0_index + len(rows)], window_fast,
-    zero_pad), a slice of range_rows or a window of padded_windows, and
-    times the epoch of every beat row.  Rows twice as wide as
-    samples_per_chirp are zero-padded.
+    rows holds range_fft(beats[t0_index:t0_index + n_chirps], window_fast,
+    zero_pad): one array, or a sequence of row blocks that stack to it, such
+    as the slices of the passes a window of window_maps spans.  times holds
+    the epoch of every beat row.  Rows twice as wide as samples_per_chirp are
+    zero-padded.
     Doppler bins are spaced 1 / (n_chirps * pri) and span +-1 / (2 pri),
     centered on zero, with approaching targets at positive Doppler.  The
     slow-time FFT runs in place over blocks of delay columns, which gives
@@ -334,7 +324,8 @@ def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
     magnitude drops.  The magnitudes go straight into the fftshifted rows
     of the map and are squared there.
     """
-    n_chirps, n_delay = rows.shape
+    blocks = (rows,) if isinstance(rows, np.ndarray) else tuple(rows)
+    n_chirps, n_delay = sum(len(block) for block in blocks), blocks[0].shape[1]
     zero_pad = n_delay == 2 * config.samples_per_chirp
     if not zero_pad and n_delay != config.samples_per_chirp:
         raise ValueError(f"{n_delay} delay bins, expected {config.samples_per_chirp} "
@@ -350,12 +341,49 @@ def delay_doppler(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
     for lo in range(0, n_delay, _MAP_BLOCK_COLUMNS):
         hi = min(lo + _MAP_BLOCK_COLUMNS, n_delay)
         grid = block[:, :hi - lo]
-        np.multiply(rows[:, lo:hi], w_slow[:, None], out=grid)
+        at = 0
+        for part in blocks:
+            np.multiply(part[:, lo:hi], w_slow[at:at + len(part), None],
+                        out=grid[at:at + len(part)])
+            at += len(part)
         np.fft.fft(grid, axis=0, out=grid)
         grid.view(np.float64)[...] *= scale
         np.abs(grid[:n_chirps - half], out=power[half:, lo:hi])
         np.abs(grid[n_chirps - half:], out=power[:half, lo:hi])
     return DelayDopplerMap(_power_db(np.square(power, out=power)), d_axis, nu_axis, meta)
+
+
+def window_maps(passes, times: np.ndarray, config: ChirpConfig, starts, n_chirps: int,
+                window_fast: str = "hann", window_slow: str = "hann"):
+    """delay_doppler of the n_chirps-row window from each of the ascending
+    starts, as (start, map) pairs, from passes of range spectra: (first
+    row, rows) pairs of consecutive rows in order, such as beat_passes with
+    its rows replaced by their range_fft.
+
+    A window's map is made as soon as its last row has come, from the
+    slices of the passes it spans, so no row is copied or transformed
+    again however many windows hold it.  Only the passes that a window
+    still to come reads are kept: one window of rows plus at most two
+    passes.  Every pass is consumed, those after the last window too, and
+    the kept passes are let go before the last map is handed out.
+    """
+    starts = list(starts)
+    kept, k = [], 0
+    for lo, rows in passes:
+        if k == len(starts):
+            continue
+        kept = [(a, r) for a, r in kept + [(lo, rows)] if a + len(r) > starts[k]]
+        while k < len(starts) and starts[k] + n_chirps <= lo + len(rows):
+            start, k = starts[k], k + 1
+            end = start + n_chirps
+            ddm = delay_doppler([r[max(start - a, 0):end - a] for a, r in kept
+                                 if a < end and a + len(r) > start],
+                                times, config, t0_index=start,
+                                window_fast=window_fast, window_slow=window_slow)
+            if k == len(starts):
+                kept = []
+            yield start, ddm
+            del ddm
 
 
 @dataclass
@@ -371,7 +399,7 @@ class PdpSeries:
 def pdp_series(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
                window: str = "hann") -> PdpSeries:
     """Range profile of every beat row: rows holds their range spectra
-    (range_rows(beats, window)) and times their epochs."""
+    (range_fft(beats, window)) and times their epochs."""
     times = np.asarray(times, dtype=float)
     if times.shape != rows.shape[:1]:
         raise ValueError(f"{len(times)} epoch times for {len(rows)} beat rows")
@@ -489,8 +517,9 @@ MAP_MAGIC = b"RFTDDM1\n"
 
 def save_map(path, ddm: DelayDopplerMap, frozen_clock: bool = False) -> None:
     """Binary map container: magic, JSON header, f64 axes, f64 dB grid."""
-    _save_grid(path, MAP_MAGIC, "rftwin-ddm", ("n_doppler", "n_delay"),
-               (ddm.delay_axis, ddm.doppler_axis, ddm.power_db), ddm.metadata, frozen_clock)
+    with _grid_file(path, MAP_MAGIC, "rftwin-ddm", ("n_delay", "n_doppler"),
+                    (ddm.delay_axis, ddm.doppler_axis), ddm.metadata, frozen_clock) as fh:
+        fh.write(np.ascontiguousarray(ddm.power_db, dtype="<f8"))
 
 
 def load_map(path) -> DelayDopplerMap:
@@ -587,17 +616,8 @@ def pdp_to_csv(path, pdp: PdpSeries) -> None:
     epoch holding its time and its row of dB powers.  Without delay bins
     the lines are `t,` and each time with a comma: one empty field stands
     for the empty row."""
-    from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
-    times = float_text(pdp.times)[:, None]
-    n_delay = pdp.power_db.shape[1]
-    step = max(1, CSV_CHUNK // (n_delay + 1))
-    empty = np.zeros((1, 1, 0), np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(csv_lines(text_cells(["t"])[None],
-                           float_text(pdp.delay_axis)[None] if n_delay else empty))
-        for lo in range(0, len(pdp.times), step):
-            fh.write(csv_lines(times[lo:lo + step],
-                               float_text(pdp.power_db[lo:lo + step]) if n_delay else empty))
+    with PdpWriter(pdp.times, csv_path=path) as writer:
+        writer.write(pdp)
 
 
 PDP_MAGIC = b"RFTPDP1\n"
@@ -606,8 +626,68 @@ PDP_MAGIC = b"RFTPDP1\n"
 def save_pdp(path, pdp: PdpSeries, frozen_clock: bool = False) -> None:
     """Binary PDP container: magic, JSON header, f64 times and delay axis,
     f64 dB grid."""
-    _save_grid(path, PDP_MAGIC, "rftwin-pdp", ("n_epochs", "n_delay"),
-               (pdp.times, pdp.delay_axis, pdp.power_db), pdp.metadata, frozen_clock)
+    with PdpWriter(pdp.times, bin_path=path, frozen_clock=frozen_clock) as writer:
+        writer.write(pdp)
+
+
+class PdpWriter:
+    """A PDP series written block by block, with the bytes that save_pdp
+    (bin_path) and pdp_to_csv (csv_path) give the whole series.
+
+    times are the epochs of the whole series.  Each write appends the rows
+    of one PdpSeries block, the rows after those written before; the first
+    write opens the files, with the block's delay axis and metadata in the
+    headers.  The text goes out in chunks of CSV_CHUNK values whatever the
+    blocks, rows short of a chunk waiting for the next block.  Leaving the
+    context closes the files, and raises ValueError if it is left without
+    an exception before a row for every time came.
+    """
+
+    def __init__(self, times, bin_path=None, csv_path=None, frozen_clock: bool = False):
+        self.times = np.asarray(times, dtype=float)
+        self.bin_path, self.csv_path, self.frozen_clock = bin_path, csv_path, frozen_clock
+        self.rows = 0
+        self._files = None
+        self._bin = self._csv = None
+
+    def __enter__(self) -> PdpWriter:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if self._files is not None:
+            self._files.close()
+            if kind is None and self.rows != len(self.times):
+                raise ValueError(f"{self.rows} PDP rows written for {len(self.times)} epochs")
+
+    def write(self, block: PdpSeries) -> None:
+        from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
+        n_delay = block.power_db.shape[1]
+        empty = np.zeros((1, 1, 0), np.uint8)
+        if self._files is None:
+            self._files = contextlib.ExitStack()
+            if self.bin_path is not None:
+                self._bin = self._files.enter_context(_grid_file(
+                    self.bin_path, PDP_MAGIC, "rftwin-pdp", ("n_epochs", "n_delay"),
+                    (self.times, block.delay_axis), block.metadata, self.frozen_clock))
+            if self.csv_path is not None:
+                self._csv = self._files.enter_context(open(self.csv_path, "wb"))
+                self._csv.write(csv_lines(text_cells(["t"])[None],
+                                          float_text(block.delay_axis)[None] if n_delay else empty))
+                self._time_text = float_text(self.times)[:, None]
+                self._waiting = block.power_db[:0]
+        if self._bin is not None:
+            self._bin.write(np.ascontiguousarray(block.power_db, dtype="<f8"))
+        self.rows += len(block.power_db)
+        if self._csv is not None:
+            power = np.concatenate([self._waiting, block.power_db])
+            first = self.rows - len(power)
+            step = max(1, CSV_CHUNK // (n_delay + 1))
+            done = len(power) if self.rows >= len(self.times) else len(power) // step * step
+            for lo in range(0, done, step):
+                self._csv.write(csv_lines(
+                    self._time_text[first + lo:first + min(lo + step, done)],
+                    float_text(power[lo:min(lo + step, done)]) if n_delay else empty))
+            self._waiting = power[done:]
 
 
 def load_pdp(path) -> PdpSeries:
@@ -618,20 +698,25 @@ def load_pdp(path) -> PdpSeries:
     return PdpSeries(power, d_axis, times, meta)
 
 
-def _save_grid(path, magic: bytes, name: str, shape_keys, arrays, metadata: dict,
-               frozen_clock: bool) -> None:
-    """The .ddm and .pdp container: a header with the format name, the grid's
-    two sizes under shape_keys and the metadata with its "created" time,
-    then three little-endian f64 arrays, two axes and the grid last."""
+@contextlib.contextmanager
+def _grid_file(path, magic: bytes, name: str, axis_keys, axes, metadata: dict,
+               frozen_clock: bool):
+    """The .ddm and .pdp container up to its grid: a header with the format
+    name, the length of each axis under axis_keys and the metadata with its
+    "created" time, then the two axes as little-endian f64.  Yields the
+    open file, to which the caller appends the grid's rows, little-endian
+    f64, in one or more row blocks."""
     header = {"format": name, "version": 1,
               "metadata": {**metadata, "created": "frozen" if frozen_clock else now()}}
-    header.update(zip(shape_keys, map(int, arrays[-1].shape)))
-    write_container(path, magic, header,
-                    (np.ascontiguousarray(a, dtype="<f8") for a in arrays))
+    header.update((key, len(axis)) for key, axis in zip(axis_keys, axes))
+    with open_container(path, magic, header) as fh:
+        for axis in axes:
+            fh.write(np.ascontiguousarray(axis, dtype="<f8"))
+        yield fh
 
 
 def _load_grid(path, magic: bytes, what: str, shape_keys, axis_keys):
-    """The two axes, grid and metadata of a _save_grid container; the axes'
+    """The two axes, grid and metadata of a _grid_file container; the axes'
     lengths are the header sizes named by axis_keys.  ValueError unless both
     sizes are JSON integers of at least 1."""
     header, body = read_container(path, magic, what)

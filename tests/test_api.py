@@ -11,7 +11,8 @@ import rftwin
 # (module, name) of helpers that were replaced by the em kernels, by
 # references inside the tests, by the SnapshotBlock of one epoch, or by the
 # Cir episode table and the breakdown columns of amplitudes_of; LinkConstants
-# by the tables amplitudes_of builds on each call.
+# by the tables amplitudes_of builds on each call; range_rows and
+# padded_windows by the passes of beat_passes and window_maps.
 RETIRED = [
     ("em", "fresnel_reflection"), ("em", "_fresnel_te_tm"), ("em", "lobe_gain"),
     ("em", "split_power"), ("em", "_antenna_frame"), ("em", "_gains_db"),
@@ -20,7 +21,8 @@ RETIRED = [
     ("kinematics", "interpolate"), ("fmcw", "fold_doppler"),
     ("analysis", "peak_to_sidelobe_db"), ("kinematics", "WorldSnapshot"),
     ("kinematics", "PoseSample"), ("channel", "CirFrame"), ("channel", "_block_frames"),
-    ("em", "PathAmplitude"), ("em", "LinkConstants"),
+    ("em", "PathAmplitude"), ("em", "LinkConstants"), ("fmcw", "range_rows"),
+    ("fmcw", "padded_windows"),
 ]
 
 

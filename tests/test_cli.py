@@ -132,6 +132,43 @@ def test_oversized_diffuse_patterns_are_input_errors(tmp_path, capsys, monkeypat
     assert not list(tmp_path.iterdir())
 
 
+def test_chirps_with_too_many_samples_are_input_errors(artifacts, tmp_path, capsys,
+                                                      monkeypatch):
+    """A t_chirp * f_samp that overflows, or gives more than 65536 samples
+    per chirp, exits 2 from the chirp flags and from a .cir header: the
+    check runs before any episode is traced or synthesized."""
+    import rftwin.channel
+    import rftwin.fmcw
+    from rftwin.channel import MAX_SAMPLES_PER_CHIRP
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode was traced or synthesized")
+    for module, name in ((rftwin.channel, "simulate_cir"), (rftwin.fmcw, "beat_passes"),
+                         (rftwin.fmcw, "predicted_map")):
+        monkeypatch.setattr(module, name, no_episode)
+    edge = {"t_chirp": 2.0 ** -10, "slope": 4.0e9 * 2 ** 10}     # exact products
+    assert ChirpConfig(f_samp=2.0 ** 26, **edge).samples_per_chirp == MAX_SAMPLES_PER_CHIRP == 65536
+    cases = [({"t_chirp": 1e308}, "inf"), ({"f_samp": 1.1e12}, "124146000.0"),
+             ({"f_samp": 2.0 ** 26 + 2 ** 10, **edge}, "65537.0")]
+    raw = (artifacts["out"] / "run.cir").read_bytes()
+    for change, product in cases:
+        with pytest.raises(ValueError, match=re.escape(f"floor({product}) is above the cap of "
+                                                       "65536") + "$"):
+            ChirpConfig(**change)
+        flags = [f"--{key.replace('_', '-')}={change[key]!r}" for key in sorted(change)]
+        assert main(["simulate", "--scene", str(FIXTURES / "scenario_b.json"), "--tx", "UE",
+                     "--chirps", "4", *flags, "-o", str(tmp_path)]) == 2, flags
+        assert "above the cap of 65536" in capsys.readouterr().err
+        bad = tmp_path / "bad.cir"
+        bad.write_bytes(_rewrite_header(raw, lambda h: {**h, "config": {**h["config"], **change}}))
+        for command in ("process", "predict"):
+            assert main([command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: bad chirp config in the header: ")
+            assert "above the cap of 65536" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.cir"]
+
+
 def test_mono_mode_requires_matching_rx(tmp_path, capsys):
     scene = write_scene(tmp_path)
     code = main(["simulate", "--scene", str(scene), "--tx", "UE",
@@ -350,6 +387,56 @@ def test_zero_padded_process_keeps_the_unpadded_pdp(artifacts, tmp_path):
     assert not (tmp_path / "pad" / "run_w000009.ddm").exists()
 
 
+def test_process_memory_and_work_do_not_grow_with_the_episode(tmp_path, monkeypatch):
+    """scenario_b mono (no diffuse paths) at 128 and 1024 chirps, one
+    128-chirp window.  With the PDP written (--export bin), the tracemalloc
+    peak of process grows by at most per_frame bytes per extra frame, for
+    the .cir records, their path table, the phase trails and the time axes
+    (about 250 measured), plus slack, one pass of beat rows (1 MB): the
+    long episode's window ends inside a full pass, the short one's in a
+    pass of 8 rows.  A whole-episode beat matrix would add 16 * 2116 bytes
+    per frame and its PDP 8 * 2116.  With --export pgm only the window's
+    frames, rounded up to a pass, are synthesized."""
+    import tracemalloc
+
+    import rftwin.fmcw
+    from rftwin.fmcw import pass_frames
+
+    per_frame, slack = 512, 1 << 20
+    common = ["-o", str(tmp_path), "--frozen-clock"]
+    for chirps in (128, 1024):
+        assert main(["simulate", "--scene", str(FIXTURES / "scenario_b.json"), "--tx", "UE",
+                     "--t0", "0.1", "--no-diffuse", "--chirps", str(chirps),
+                     "--tag", f"b{chirps}", *common]) == 0
+
+    def process(chirps, export):
+        return main(["process", "--cir", str(tmp_path / f"b{chirps}.cir"), "-N", "128",
+                     "--num-windows", "1", "--export", export, "--tag", f"p{chirps}", *common])
+
+    assert process(128, "bin") == 0                 # caches and lazy imports
+    peaks = {}
+    for chirps in (128, 1024):
+        tracemalloc.start()
+        try:
+            assert process(chirps, "bin") == 0
+            peaks[chirps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1024] - peaks[128] <= (1024 - 128) * per_frame + slack, peaks
+
+    rows = []
+    real = rftwin.fmcw.beat_passes
+
+    def counting(*args, **kwargs):
+        for first, block in real(*args, **kwargs):
+            rows.append(len(block))
+            yield first, block
+
+    monkeypatch.setattr(rftwin.fmcw, "beat_passes", counting)
+    assert process(1024, "pgm") == 0
+    assert 128 <= sum(rows) <= 128 + pass_frames(ChirpConfig().samples_per_chirp)
+
+
 def test_default_out_dir_comes_from_environment(tmp_path, monkeypatch, capsys):
     scene = write_scene(tmp_path)
     env_out = tmp_path / "envout"
@@ -376,12 +463,14 @@ def test_maps_and_pdps_record_the_simulate_seed(tmp_path):
 
 
 def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeypatch):
+    """Every flag is checked before beat_passes, process's one way into
+    synthesis, is called, and no file is written before it."""
     import rftwin.fmcw
 
-    def synth_beat(*args, **kwargs):
+    def beat_passes(*args, **kwargs):
         raise RuntimeError("synthesis reached")
 
-    monkeypatch.setattr(rftwin.fmcw, "synth_beat", synth_beat)
+    monkeypatch.setattr(rftwin.fmcw, "beat_passes", beat_passes)
     cir = str(artifacts["out"] / "run.cir")
     sink = ["-o", str(tmp_path)]
     assert main(["process", "--cir", cir, "-N", "8", "--export", "foo"] + sink) == 2

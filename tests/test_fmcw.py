@@ -1,40 +1,44 @@
 """Beat synthesis and delay-Doppler processing against closed-form tones."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import constants
 from scipy.constants import Boltzmann
 from scipy.signal import get_window
 
-from conftest import FLOAT_BITS, episode, frames_of, tap_table, window_map
-from rftwin.channel import ChirpConfig
+from conftest import (FIXTURES, FLOAT_BITS, episode, frames_of, static_crossing_doc, tap_table,
+                      window_map)
+from rftwin.channel import ChirpConfig, SensingLink, simulate_cir
 from rftwin import fmcw
-from rftwin.raytrace import PathTable
+from rftwin.raytrace import PathTable, TraceConfig
+from rftwin.scene import load_scene, scene_from_dict
 from rftwin.csvtext import CSV_CHUNK
 from rftwin.fmcw import (
     BOLTZMANN,
     DelayDopplerMap,
     NoiseConfig,
     PdpSeries,
+    PdpWriter,
+    beat_passes,
     delay_axis,
     delay_doppler,
     load_map,
     load_pdp,
     map_to_csv,
     map_to_pgm,
-    padded_windows,
     pdp_series,
     pdp_to_csv,
     predicted_map,
     range_fft,
-    range_rows,
     save_map,
     save_pdp,
     synth_beat,
+    window_maps,
     window_taps,
 )
 
@@ -405,7 +409,7 @@ def test_predicted_map_equals_the_dense_reference(case, window_fast):
 def test_pdp_series_static_path():
     cir = make_cir([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
     beats = synth_beat(cir, CFG)
-    pdp = pdp_series(range_rows(beats.copy()), cir.t, CFG)
+    pdp = pdp_series(range_fft(beats), cir.t, CFG)
     assert pdp.power_db.shape == (16, NS)
     assert np.array_equal(np.argmax(pdp.power_db, axis=1), np.full(16, 160))
     assert np.allclose(pdp.times, cir.t)
@@ -491,15 +495,26 @@ def test_range_fft_equals_complex_division_bit_for_bit(window, zero_pad, n):
     assert got.base is out and out[1:6].tobytes() == want.tobytes()
 
 
+def spectra_passes(beats, rows, window, zero_pad, seen=None):
+    """range_fft of beats in passes of rows rows, as (first row, spectra)
+    pairs; the first row of each pass drawn goes into seen."""
+    for lo in range(0, len(beats), rows):
+        if seen is not None:
+            seen.append(lo)
+        yield lo, range_fft(beats[lo:lo + rows], window, zero_pad)
+
+
 @pytest.mark.parametrize("zero_pad", [False, True])
 @pytest.mark.parametrize("stride", [7, 45])
 @pytest.mark.parametrize("n", [40, 41])
 def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n):
-    """Each window's rows, sliced from range_rows or drawn by
-    padded_windows, are range_fft of that window alone, and delay_doppler
-    on them gives the bits of one slow-time FFT over the whole window, for
-    every window name in both roles.  Both n exceed one range_fft block,
-    an odd n splits the fftshift unevenly, and beat row 50 is all zero."""
+    """window_maps over passes of range spectra gives, for each window, the
+    bits of delay_doppler on range_fft of that window alone, which are
+    those of one slow-time FFT over the whole window, for every window name
+    in both roles and passes of 1, 7 and 30 rows: a window is read as the
+    slices of the 2 to 41 passes it spans.  An odd n splits the fftshift
+    unevenly, and beat row 50 is all zero.  Every pass is drawn, also
+    after the last window."""
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
                           tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
     beats = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=3))
@@ -507,25 +522,68 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
     times = cir.t
     starts = list(range(0, len(beats) - n + 1, stride))
     names = ["hann", "hamming", "blackman", "boxcar"]
-    for fast, slow in zip(names, names[1:] + names[:1]):
-        if zero_pad:
-            shared = padded_windows(beats, starts, n, fast)
-        else:
-            spectra = range_rows(beats.copy(), fast)
-            shared = (spectra[start:start + n] for start in starts)
-        for start, rows in zip(starts, shared):
+    for rows, (fast, slow) in zip([1, 7, 30, 7], zip(names, names[1:] + names[:1])):
+        seen, made = [], []
+        for start, ddm in window_maps(spectra_passes(beats, rows, fast, zero_pad, seen), times,
+                                      CFG, starts, n, fast, slow):
+            made.append(start)
             fresh = range_fft(beats[start:start + n], fast, zero_pad)
-            assert rows.tobytes() == fresh.tobytes()
-            ddm = delay_doppler(rows, times, CFG, t0_index=start,
-                                window_fast=fast, window_slow=slow)
+            alone = delay_doppler(fresh, times, CFG, t0_index=start,
+                                  window_fast=fast, window_slow=slow)
             w = window_taps(slow, n)
             grid = np.fft.fftshift(np.fft.fft(fresh * w[:, None], axis=0), axes=0)
             grid /= w.sum()
             whole = 10.0 * np.log10(np.maximum(np.abs(grid) ** 2, 1e-30))
-            assert ddm.power_db.tobytes() == whole.tobytes()
+            assert ddm.power_db.tobytes() == alone.power_db.tobytes() == whole.tobytes()
+            assert ddm.metadata == alone.metadata
             assert ddm.metadata["zero_pad"] is zero_pad
             assert ddm.metadata["windows"] == [fast, slow]
             assert ddm.metadata["t0_index"] == start
+        assert made == starts
+        assert seen == list(range(0, len(beats), rows))
+
+
+@functools.cache
+def synthesis_episodes():
+    """Episodes for the pass tests: scenario_b mono with diffuse paths, and
+    the static crossing BS -> UE, whose plate starts to block the LOS at
+    t = 0.375 s, so frames lose paths partway."""
+    b = simulate_cir(load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
+                     CFG, TraceConfig(), t0=0.1, n_chirps=70)
+    config = ChirpConfig(t_idle=5e-3)
+    crossing = simulate_cir(scene_from_dict(static_crossing_doc()), SensingLink("BS", "UE"),
+                            config, TraceConfig(diffuse_samples_per_facet=4), t0=0.2,
+                            n_chirps=70)
+    return {"scenario_b": (b, CFG), "static_crossing": (crossing, config)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["scenario_b", "static_crossing"]), lo=st.integers(0, 70),
+       size=st.integers(0, 70), rows=st.integers(1, 40), noise=st.booleans())
+@example(case="static_crossing", lo=0, size=70, rows=1, noise=True)
+@example(case="static_crossing", lo=29, size=37, rows=6, noise=False)
+@example(case="scenario_b", lo=3, size=66, rows=30, noise=True)
+def test_synthesis_over_a_frame_range_equals_the_one_shot_matrix(case, lo, size, rows, noise):
+    """beat_passes over frames [lo, hi) in passes of `rows` rows gives, bit
+    for bit, those rows of the matrix that one np.matmul block over the
+    whole episode gives.  The pass budget also sizes synthesis's blocks,
+    so they pad to other path counts than the one-shot block."""
+    cir, config = synthesis_episodes()[case]
+    hi = min(lo + size, len(cir))
+    noise = NoiseConfig(enabled=noise, seed=lo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fmcw, "_PASS_VALUES", 1 << 40)
+        whole = synth_beat(cir, config, noise)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fmcw, "_PASS_VALUES", rows * config.samples_per_chirp)
+        passes = list(beat_passes(cir, config, noise, lo, hi))
+    firsts = list(range(lo, hi, rows))
+    assert [first for first, _ in passes] == firsts
+    assert [len(block) for _, block in passes] == [min(rows, hi - f) for f in firsts]
+    got = np.concatenate([block for _, block in passes]) if passes else whole[:0]
+    assert got.tobytes() == whole[lo:hi].tobytes()
+    counts = np.bincount(cir.paths.frame, minlength=len(cir))
+    assert (case == "static_crossing") == (counts.min() < counts.max())
 
 
 def test_noise_defaults_off_and_floor_formula():
@@ -608,7 +666,7 @@ def test_loaded_arrays_are_aligned_for_every_header_length(tmp_path):
     each time the map and PDP arrays come back 8-byte aligned, writable and
     sharing one file buffer."""
     ddm = small_map()
-    pdp = pdp_series(range_rows(np.ones((4, 8), complex)), np.arange(4) * CFG.pri, CFG)
+    pdp = pdp_series(range_fft(np.ones((4, 8), complex)), np.arange(4) * CFG.pri, CFG)
     files = ((save_map, load_map, ddm, "map.ddm", "doppler_axis"),
              (save_pdp, load_pdp, pdp, "series.pdp", "times"))
     residues = set()
@@ -684,21 +742,39 @@ def test_map_pgm_export(tmp_path):
     assert repr(ddm.doppler_bin) in sidecar
 
 
-def test_pdp_series_blocks_match_whole_matrix():
+def test_pdp_series_blocks_match_whole_matrix(tmp_path):
+    """The PDP of range spectra taken in passes is that of the whole
+    matrix, and a PdpWriter fed the passes' blocks writes the bytes that
+    save_pdp and pdp_to_csv give the whole series; one row short, leaving
+    it raises."""
     rng = np.random.default_rng(5)
-    n = 2 * fmcw._PDP_BLOCK_ROWS + 37
+    rows = fmcw.pass_frames(96)
+    n = 2 * rows + 37
     beats = rng.standard_normal((n, 96)) + 1j * rng.standard_normal((n, 96))
     beats[3] = 0.0                                  # clipped to the -300 dB floor
-    pdp = pdp_series(range_rows(beats.copy(), "blackman"), np.arange(n) * CFG.pri, CFG,
-                     window="blackman")
+    times = np.arange(n) * CFG.pri
+    pdp = pdp_series(range_fft(beats, "blackman"), times, CFG, window="blackman")
     whole = 10.0 * np.log10(np.maximum(np.abs(range_fft(beats, "blackman")) ** 2, 1e-30))
     assert pdp.power_db.tobytes() == whole.tobytes()
     assert pdp.power_db.shape == (n, 96) and len(pdp.delay_axis) == 96
+    save_pdp(tmp_path / "whole.pdp", pdp, frozen_clock=True)
+    pdp_to_csv(tmp_path / "whole.csv", pdp)
+    blocks = [pdp_series(range_fft(beats[lo:lo + rows], "blackman"), times[lo:lo + rows], CFG,
+                         window="blackman") for lo in range(0, n, rows)]
+    with PdpWriter(times, tmp_path / "passes.pdp", tmp_path / "passes.csv", True) as writer:
+        for block in blocks:
+            writer.write(block)
+    for suffix in (".pdp", ".csv"):
+        assert ((tmp_path / f"passes{suffix}").read_bytes()
+                == (tmp_path / f"whole{suffix}").read_bytes())
+    with pytest.raises(ValueError, match=f"{n - 1} PDP rows written for {n} epochs"):
+        with PdpWriter(times, tmp_path / "short.pdp") as writer:
+            writer.write(pdp_series(range_fft(beats[:-1]), times[:-1], CFG))
 
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
-    pdp = pdp_series(range_rows(synth_beat(cir, CFG)), cir.t, CFG)
+    pdp = pdp_series(range_fft(synth_beat(cir, CFG)), cir.t, CFG)
     out = tmp_path / "series.pdp"
     save_pdp(out, pdp, frozen_clock=True)
     back = load_pdp(out)
