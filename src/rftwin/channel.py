@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .container import now, read_container, write_container
+from .container import now, open_container, read_container
 from .em import SPEED_OF_LIGHT, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
@@ -190,9 +190,9 @@ _NO_PATHS = PathTable(*(np.zeros(0, np.uint8),) * 2, np.zeros((0, 0), np.int32),
 
 
 def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
-                 trace: TraceConfig = TraceConfig(), t0: float = 0.0,
-                 n_chirps: int | None = None) -> Cir:
-    """Impulse response of the episode on the chirp epoch grid t0 + k * pri.
+                 trace: TraceConfig = TraceConfig(), t0: float = 0.0) -> Cir:
+    """Impulse response of the episode of config.n_chirps_total chirps on
+    the epoch grid t0 + k * pri.
 
     Deterministic for a fixed scene, configs and t0.  Raises SceneError when
     t0 is not finite or the epoch grid is not covered by every body
@@ -202,7 +202,7 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     scene.transceiver(link.rx_id)
     if not math.isfinite(t0):
         raise SceneError(f"episode start t0 must be finite, got {t0}")
-    n = config.n_chirps_total if n_chirps is None else n_chirps
+    n = config.n_chirps_total
     span = scene.t_span
     t_end = t0 + (n - 1) * config.pri
     if span is not None and (t0 < span[0] - 1e-12 or t_end > span[1] + 1e-12):
@@ -211,7 +211,7 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
             f"trajectories [{span[0]:.6g}, {span[1]:.6g}] s")
 
     tx, rx = link.tx_id, link.rx_id
-    times = t0 + np.arange(max(n, 0)) * config.pri
+    times = t0 + np.arange(n) * config.pri
     world = snapshots(scene, times)
     patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
     samples = sum(p.n_samples for p in patterns.values()) if patterns else 0
@@ -268,8 +268,7 @@ def frame_stats(cir: Cir) -> dict:
 CIR_MAGIC = b"RFTCIR1\n"
 
 
-def save_cir(path, cir: Cir, config: ChirpConfig,
-             link: SensingLink, trace: TraceConfig | None = None,
+def save_cir(path, cir: Cir, config: ChirpConfig, link: SensingLink, trace: TraceConfig,
              t0: float = 0.0, extra: dict | None = None,
              frozen_clock: bool = False) -> None:
     """Write an episode in the little-endian binary layout described in README:
@@ -278,14 +277,13 @@ def save_cir(path, cir: Cir, config: ChirpConfig,
     header = {"format": "rftwin-cir", "version": 1,
               "config": config.to_dict(),
               "link": {"tx": link.tx_id, "rx": link.rx_id},
-              "t0": t0, "n_frames": len(cir),
+              "trace": asdict(trace), "t0": t0, "n_frames": len(cir),
               "created": "frozen" if frozen_clock else now()}
-    if trace is not None:
-        header["trace"] = asdict(trace)
     if extra:
         header.update(extra)
-
-    write_container(path, CIR_MAGIC, header, _cir_payload(cir))
+    with open_container(path, CIR_MAGIC, header) as fh:
+        for run in _cir_payload(cir):
+            fh.write(run)
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,9 +8,10 @@ Subcommands
     info       print the header of a scene / CIR / map / PDP file
 
 Exit codes: 0 ok, 2 input error, 3 contract mismatch between otherwise
-valid inputs, 4 internal error.  RFTWIN_OUT sets the default output
-directory.  --frozen-clock pins header timestamps so reruns with the same
-arguments are byte-identical.
+valid inputs, 4 internal error; a numpy floating-point error in process or
+predict, which no traced episode sets off, is an input error.  RFTWIN_OUT
+sets the default output directory.  --frozen-clock pins header timestamps
+so reruns with the same arguments are byte-identical.
 
 The command handlers import the library when they run, for two reasons:
 --help and usage errors answer without loading numpy, and a handler looks
@@ -22,6 +23,7 @@ called.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -56,23 +58,21 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _positive(kind, name, value, least=1):
+def _positive(name, value, least=1):
     if value < least:
         floor = f" of at least {least}" if least > 1 else ""
-        raise InputError(f"--{name} must be a positive {kind}{floor}, got {value}")
+        raise InputError(f"--{name} must be a positive integer{floor}, got {value}")
     return value
 
 
 def _chirp_config(args):
+    """The ChirpConfig of the chirp flags, each named after its field; a
+    field whose flag is not given keeps its default."""
+    from dataclasses import fields
+
     from .channel import ChirpConfig
-    kwargs = {}
-    for flag, field in (("f_c", "f_c"), ("bandwidth", "bandwidth"),
-                        ("t_chirp", "t_chirp"), ("t_idle", "t_idle"),
-                        ("slope", "slope"), ("f_samp", "f_samp"),
-                        ("chirps", "n_chirps_total")):
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[field] = value
+    kwargs = {f.name: getattr(args, f.name) for f in fields(ChirpConfig)
+              if getattr(args, f.name) is not None}
     try:
         return ChirpConfig(**kwargs)
     except ValueError as exc:
@@ -87,7 +87,18 @@ def _add_chirp_flags(sub):
     g.add_argument("--t-idle", dest="t_idle", type=float, help="inter-chirp idle [s]")
     g.add_argument("--slope", type=float, help="chirp slope [Hz/s]")
     g.add_argument("--f-samp", dest="f_samp", type=float, help="ADC rate [Hz]")
-    g.add_argument("--chirps", type=int, help="chirps in the episode")
+    g.add_argument("--chirps", dest="n_chirps_total", type=int, help="chirps in the episode")
+
+
+def _add_window_flags(sub):
+    """The map window flags of process and predict; _window_spec checks them."""
+    sub.add_argument("--cir", required=True)
+    sub.add_argument("-N", "--n-chirps", type=int, default=128,
+                     help="chirps per delay-Doppler window")
+    sub.add_argument("--t0-index", type=int, default=0, help="first frame of the window")
+    sub.add_argument("--window", default="hann", help="fast-time window (hann, hamming, ...)")
+    sub.add_argument("--window-slow", default="hann", help="slow-time window")
+    sub.add_argument("--export", default="bin", help="comma list: bin,csv,pgm")
 
 
 def _add_common(sub):
@@ -181,27 +192,33 @@ def _load_cir_config(path):
         raise InputError(f"{path}: bad chirp config in the header: {exc}") from exc
 
 
-def _export_formats(spec: str) -> list[str]:
-    """The --export comma list; an unknown format, or none, is an input
-    error."""
-    formats = [f.strip() for f in spec.split(",") if f.strip()]
+def _window_spec(args, config, zero_pad: bool = False):
+    """The flags of _add_window_flags, checked: N, the --export formats and
+    the fast- and slow-time window names.  An N below 2, a negative
+    --t0-index, a map of more than MAX_MAP_CELLS cells (zero-padded columns
+    counted), an export list of an unknown format or of none, or an unknown
+    window name is an input error."""
+    from .fmcw import MAX_MAP_CELLS, window_taps
+
+    n = _positive("N", args.n_chirps, least=2)
+    if args.t0_index < 0:
+        raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
+    bins = config.samples_per_chirp * (2 if zero_pad else 1)
+    if n * bins > MAX_MAP_CELLS:
+        raise InputError(f"a window of {n} chirps by {bins} delay bins is {n * bins} map "
+                         f"cells, more than the cap of {MAX_MAP_CELLS}")
+    formats = [f.strip() for f in args.export.split(",") if f.strip()]
     if not formats:
         raise InputError("--export names no format; give a comma list of bin, csv, pgm")
     for f in formats:
         if f not in ("bin", "csv", "pgm"):
             raise InputError(f"unknown export format '{f}'")
-    return formats
-
-
-def _window_name(flag: str, name: str) -> str:
-    """A --window/--window-slow value; an unknown name is an input error."""
-    from .fmcw import window_taps
-
-    try:
-        window_taps(name, 1)
-    except ValueError as exc:
-        raise InputError(f"--{flag}: {exc}") from exc
-    return name
+    for flag, name in (("window", args.window), ("window-slow", args.window_slow)):
+        try:
+            window_taps(name, 1)
+        except ValueError as exc:
+            raise InputError(f"--{flag}: {exc}") from exc
+    return n, formats, args.window, args.window_slow
 
 
 def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
@@ -218,30 +235,25 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 
 
 def cmd_process(args) -> int:
-    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, pdp_series, range_fft,
+    import numpy as np
+
+    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, delay_axis, pdp_series, range_fft,
                        window_maps)
 
     cir, header, config = _load_cir_config(args.cir)
-    n = _positive("integer", "N", args.n_chirps, least=2)
-    stride = n if args.stride is None else _positive("integer", "stride", args.stride)
-    if args.t0_index < 0:
-        raise InputError(f"--t0-index must be >= 0, got {args.t0_index}")
+    n, formats, window_fast, window_slow = _window_spec(args, config, args.zero_pad)
+    stride = n if args.stride is None else _positive("stride", args.stride)
     if args.num_windows is not None:
-        _positive("integer", "num-windows", args.num_windows)
+        _positive("num-windows", args.num_windows)
     if n > len(cir):
         raise InputError(f"window of {n} chirps exceeds the {len(cir)} "
                          f"frames in {args.cir}")
-    formats = _export_formats(args.export)
-    window_fast = _window_name("window", args.window)
-    window_slow = _window_name("window-slow", args.window_slow)
     try:
         noise = NoiseConfig(enabled=args.noise, noise_figure_db=args.noise_figure,
                             tx_power_dbm=args.tx_power, seed=args.noise_seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    starts = list(range(args.t0_index, len(cir) - n + 1, stride))
-    if args.num_windows is not None:
-        starts = starts[:args.num_windows]
+    starts = list(range(args.t0_index, len(cir) - n + 1, stride))[:args.num_windows]
     if not starts:
         raise InputError(f"no complete {n}-chirp window starts at index "
                          f"{args.t0_index} in {len(cir)} beat frames")
@@ -254,14 +266,11 @@ def cmd_process(args) -> int:
     times = cir.t
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
-    pdp = PdpWriter(times, out / f"{tag}.pdp" if "bin" in formats else None,
-                    out / f"{tag}_pdp.csv" if "csv" in formats else None, args.frozen_clock)
-
-    def pdp_rows(lo, spectra):
-        """A pass's PDP rows, held by no local of spectra() once written."""
-        rows = pdp_series(spectra, times[lo:lo + len(spectra)], config, window=window_fast)
-        rows.metadata["seed"] = header.get("seed")
-        return rows
+    meta = {"window": window_fast, "config": config.to_dict(), "seed": header.get("seed")}
+    pdp = PdpWriter(times, delay_axis(config, config.samples_per_chirp), meta,
+                    out / f"{tag}.pdp" if "bin" in formats else None,
+                    out / f"{tag}_pdp.csv" if "csv" in formats else None,
+                    args.frozen_clock) if pdp_out else contextlib.nullcontext()
 
     def spectra():
         """Each pass's range spectra, zero-padded with --zero-pad, after its
@@ -271,11 +280,12 @@ def cmd_process(args) -> int:
             if pdp_out or padded is None:
                 range_fft(beats, window_fast, out=beats)
             if pdp_out:
-                pdp.write(pdp_rows(lo, beats))
+                pdp.write(pdp_series(beats, times[lo:lo + len(beats)], config,
+                                     window_fast).power_db)
             yield lo, beats if padded is None else padded
 
     written = []
-    with pdp:
+    with np.errstate(over="raise", invalid="raise", divide="raise"), pdp:
         for start, ddm in window_maps(spectra(), times, config, starts, n,
                                       window_fast, window_slow):
             ddm.metadata["seed"] = header.get("seed")
@@ -291,16 +301,16 @@ def cmd_process(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
     from .fmcw import predicted_map
 
     cir, header, config = _load_cir_config(args.cir)
-    n = _positive("integer", "N", args.n_chirps, least=2)
-    formats = _export_formats(args.export)
-    window_fast = _window_name("window", args.window)
-    window_slow = _window_name("window-slow", args.window_slow)
+    n, formats, window_fast, window_slow = _window_spec(args, config)
     try:
-        ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n,
-                            window_fast=window_fast, window_slow=window_slow)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n,
+                                window_fast=window_fast, window_slow=window_slow)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     ddm.metadata["seed"] = header.get("seed")
@@ -426,18 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
 
     proc = sub.add_parser("process", help="beats, PDP, and maps from a CIR")
-    proc.add_argument("--cir", required=True)
-    proc.add_argument("-N", "--n-chirps", type=int, default=128,
-                      help="chirps per delay-Doppler window")
-    proc.add_argument("--t0-index", type=int, default=0)
+    _add_window_flags(proc)
     proc.add_argument("--stride", type=int, default=None,
                       help="chirps between window starts (default N)")
     proc.add_argument("--num-windows", type=int, default=None)
-    proc.add_argument("--window", default="hann", help="fast-time window")
-    proc.add_argument("--window-slow", default="hann", help="slow-time window")
     proc.add_argument("--zero-pad", action="store_true",
                       help="double the fast-time FFT length")
-    proc.add_argument("--export", default="bin", help="comma list: bin,csv,pgm")
     proc.add_argument("--noise", action="store_true", help="enable AWGN")
     proc.add_argument("--noise-figure", type=float, default=15.0)
     proc.add_argument("--tx-power", type=float, default=12.0)
@@ -445,12 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(proc)
 
     pred = sub.add_parser("predict", help="analytic map for one CIR window")
-    pred.add_argument("--cir", required=True)
-    pred.add_argument("-N", "--n-chirps", type=int, default=128)
-    pred.add_argument("--t0-index", type=int, default=0)
-    pred.add_argument("--window", default="hann", help="fast-time window modeled")
-    pred.add_argument("--window-slow", default="hann", help="slow-time window modeled")
-    pred.add_argument("--export", default="bin", help="comma list: bin,csv,pgm")
+    _add_window_flags(pred)
     _add_common(pred)
 
     comp = sub.add_parser("compare", help="peak-match two maps")
@@ -486,6 +485,9 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except FloatingPointError as exc:
+        print(f"error: the input's values break the arithmetic ({exc})", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -25,22 +25,14 @@ def now() -> str:
 @contextlib.contextmanager
 def open_container(path, magic: bytes, header: dict):
     """Create the file at path and write magic and header; yields the open
-    binary file, for the caller to write the payload to, and closes it."""
+    binary file, for the caller to write the payload to, and closes it.  An
+    array is written as its memory holds it, so it must be little-endian."""
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         yield fh
-
-
-def write_container(path, magic: bytes, header: dict, chunks) -> None:
-    """Write magic, header and every chunk of the payload.  A chunk is bytes
-    or a C-contiguous array, written through the buffer protocol without a
-    copy: its memory must already hold the little-endian layout."""
-    with open_container(path, magic, header) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
 
 
 class Payload:

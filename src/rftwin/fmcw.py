@@ -30,11 +30,12 @@ Processing runs pass by pass: beat_passes synthesizes a pass of beat rows,
 range_fft is the one windowed fast-time FFT and transforms each row once,
 pdp_series takes the power of a pass's spectra, PdpWriter appends it to
 the PDP files, and window_maps keeps the passes that windows still to come
-span and makes each window's map once its last row is in.  Both axes scale by the reciprocal of the window sum (coherent gain), with
-the bits of a complex division by it, so an on-grid path of amplitude a
-peaks at |a| in the map, directly comparable to the analytic prediction of
-predicted_map.  delay_doppler transforms its columns in place, block by
-block, and writes magnitudes straight into the fftshifted rows of the map.
+span and makes each window's map once its last row is in.  Both axes
+scale by the reciprocal of the window sum (coherent gain), with the bits of
+a complex division by it, so an on-grid path of amplitude a peaks at |a| in
+the map, directly comparable to the analytic prediction of predicted_map.
+delay_doppler transforms its columns in place, block by block, and writes
+magnitudes straight into the fftshifted rows of the map.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChirpConfig, Cir
+from .channel import MAX_SAMPLES_PER_CHIRP, ChirpConfig, Cir
 from .container import now, open_container, read_container
 
 BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
@@ -300,6 +301,10 @@ def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay:
             np.fft.fftshift(np.fft.fftfreq(n_chirps, d=config.pri)), meta)
 
 
+# Most cells, zero-padded ones counted, of a map the commands make: a 128 MB
+# power grid, the zero-padded 128-chirp window at MAX_SAMPLES_PER_CHIRP.
+MAX_MAP_CELLS = 128 * 2 * MAX_SAMPLES_PER_CHIRP
+
 # Delay columns per slow-time FFT in delay_doppler: one reusable 1 MB complex
 # block at 128 chirps.
 _MAP_BLOCK_COLUMNS = 512
@@ -426,17 +431,17 @@ def _dirichlet(g: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _window_response_table(window: str, n: int, oversample: int = 64,
-                           span_bins: float = 8.0):
+def _window_response_table(window: str, n: int):
     """|DTFT| of a window vs frequency offset in bins, normalized by the tap
-    sum (1 at 0); n taps repeat every n bins, so a short window wraps its
-    one period.  Cached, as read-only arrays: it depends on nothing else.
+    sum (1 at 0), at 64 points per bin over 8 bins; n taps repeat every n
+    bins, so a short window wraps its one period.  Cached, as read-only
+    arrays: it depends on nothing else.
 
     Closed form (Harris 1978): tap m of the cosine sum is
     sum_k a_k (-1)^k cos(2 pi k m / n), so its DTFT is
     sum_k a_k (-1)^k (D(f - k) + D(f + k)) / 2 with D the Dirichlet kernel
     of _dirichlet.  One tap is a boxcar, as in window_taps."""
-    offs = np.arange(int(span_bins * oversample) + 1) / oversample
+    offs = np.arange(8 * 64 + 1) / 64
     coeffs = np.array(_WINDOWS[window] if n > 1 else (1.0,))
     k = np.arange(1 - len(coeffs), len(coeffs))
     weight = np.where(k == 0, 1.0, 0.5) * coeffs[np.abs(k)] * (-1.0) ** k
@@ -448,7 +453,7 @@ def _window_response_table(window: str, n: int, oversample: int = 64,
 
 def predicted_map(cir: Cir, config: ChirpConfig,
                   t0_index: int = 0, n_chirps: int = 128,
-                  window_fast: str = "hann", window_slow: str = "boxcar") -> DelayDopplerMap:
+                  window_fast: str = "hann", window_slow: str = "hann") -> DelayDopplerMap:
     """Analytic delay-Doppler prediction from the episode's paths.
 
     Each path of the mid-window frame contributes its power |a_n|^2 on the
@@ -462,10 +467,10 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     boxcar slow-time window.  The tone is weighted by the taps of
     window_slow before its Doppler FFT and the power divided by their sum
     squared, as delay_doppler does, so the prediction matches a map
-    processed with the same two windows; a boxcar's taps of one leave the
-    tone's bits as they are.  The axes match delay_doppler without
-    padding; the metadata keeps the windows "analytic" and names the
-    modeled ones under model_windows.
+    processed with the same two windows, hann in both by default as in
+    delay_doppler; a boxcar's taps of one leave the tone's bits as they
+    are.  The axes match delay_doppler without padding; the metadata keeps
+    the windows "analytic" and names the modeled ones under model_windows.
 
     The window response is read from the closed-form table of
     _window_response_table.  Powers accumulate only in the delay columns
@@ -583,17 +588,15 @@ def map_to_csv(path, ddm: DelayDopplerMap) -> None:
         floor_run(done, len(bits))
 
 
-def map_to_pgm(path, ddm: DelayDopplerMap, vmin: float | None = None,
-               vmax: float | None = None) -> None:
-    """8-bit PGM heatmap plus a text sidecar recording the dB scale.
+def map_to_pgm(path, ddm: DelayDopplerMap) -> None:
+    """8-bit PGM heatmap plus a text sidecar recording the dB scale: black
+    at 80 dB below the map's peak or lower, white at the peak.
 
     Rows run from the highest Doppler at the top to the lowest at the
     bottom; columns run from zero delay on the left.
     """
-    if vmax is None:
-        vmax = float(ddm.power_db.max())
-    if vmin is None:
-        vmin = vmax - 80.0
+    vmax = float(ddm.power_db.max())
+    vmin = vmax - 80.0
     scaled = np.clip((ddm.power_db - vmin) / (vmax - vmin), 0.0, 1.0)
     pixels = np.flipud(np.round(255.0 * scaled).astype(np.uint8))
     h, w = pixels.shape
@@ -616,8 +619,8 @@ def pdp_to_csv(path, pdp: PdpSeries) -> None:
     epoch holding its time and its row of dB powers.  Without delay bins
     the lines are `t,` and each time with a comma: one empty field stands
     for the empty row."""
-    with PdpWriter(pdp.times, csv_path=path) as writer:
-        writer.write(pdp)
+    with PdpWriter(pdp.times, pdp.delay_axis, pdp.metadata, csv_path=path) as writer:
+        writer.write(pdp.power_db)
 
 
 PDP_MAGIC = b"RFTPDP1\n"
@@ -626,67 +629,71 @@ PDP_MAGIC = b"RFTPDP1\n"
 def save_pdp(path, pdp: PdpSeries, frozen_clock: bool = False) -> None:
     """Binary PDP container: magic, JSON header, f64 times and delay axis,
     f64 dB grid."""
-    with PdpWriter(pdp.times, bin_path=path, frozen_clock=frozen_clock) as writer:
-        writer.write(pdp)
+    with PdpWriter(pdp.times, pdp.delay_axis, pdp.metadata, bin_path=path,
+                   frozen_clock=frozen_clock) as writer:
+        writer.write(pdp.power_db)
 
 
 class PdpWriter:
     """A PDP series written block by block, with the bytes that save_pdp
     (bin_path) and pdp_to_csv (csv_path) give the whole series.
 
-    times are the epochs of the whole series.  Each write appends the rows
-    of one PdpSeries block, the rows after those written before; the first
-    write opens the files, with the block's delay axis and metadata in the
-    headers.  The text goes out in chunks of CSV_CHUNK values whatever the
+    times, delay_axis and metadata are those of the whole series; entering
+    the context opens the files and writes their headers.  Each write
+    appends a block of rows of dB powers, the rows after those written
+    before.  The text goes out in chunks of CSV_CHUNK values whatever the
     blocks, rows short of a chunk waiting for the next block.  Leaving the
     context closes the files, and raises ValueError if it is left without
     an exception before a row for every time came.
     """
 
-    def __init__(self, times, bin_path=None, csv_path=None, frozen_clock: bool = False):
+    def __init__(self, times, delay_axis, metadata: dict, bin_path=None, csv_path=None,
+                 frozen_clock: bool = False):
         self.times = np.asarray(times, dtype=float)
-        self.bin_path, self.csv_path, self.frozen_clock = bin_path, csv_path, frozen_clock
-        self.rows = 0
-        self._files = None
-        self._bin = self._csv = None
+        self.delay_axis = np.asarray(delay_axis, dtype=float)
+        self.metadata, self.frozen_clock = metadata, frozen_clock
+        self.bin_path, self.csv_path, self.rows = bin_path, csv_path, 0
+
+    def _cells(self, values: np.ndarray) -> np.ndarray:
+        """Text fields of rows of values; one empty field without delay bins."""
+        from .csvtext import float_text
+        return float_text(values) if len(self.delay_axis) else np.zeros((1, 1, 0), np.uint8)
 
     def __enter__(self) -> PdpWriter:
+        from .csvtext import csv_lines, float_text, text_cells
+        self._bin = self._csv = None
+        with contextlib.ExitStack() as files:
+            if self.bin_path is not None:
+                self._bin = files.enter_context(_grid_file(
+                    self.bin_path, PDP_MAGIC, "rftwin-pdp", ("n_epochs", "n_delay"),
+                    (self.times, self.delay_axis), self.metadata, self.frozen_clock))
+            if self.csv_path is not None:
+                self._csv = files.enter_context(open(self.csv_path, "wb"))
+                self._csv.write(csv_lines(text_cells(["t"])[None],
+                                          self._cells(self.delay_axis[None])))
+                self._time_text = float_text(self.times)[:, None]
+                self._waiting = np.zeros((0, len(self.delay_axis)))
+            self._files = files.pop_all()
         return self
 
     def __exit__(self, kind, value, traceback) -> None:
-        if self._files is not None:
-            self._files.close()
-            if kind is None and self.rows != len(self.times):
-                raise ValueError(f"{self.rows} PDP rows written for {len(self.times)} epochs")
+        self._files.close()
+        if kind is None and self.rows != len(self.times):
+            raise ValueError(f"{self.rows} PDP rows written for {len(self.times)} epochs")
 
-    def write(self, block: PdpSeries) -> None:
-        from .csvtext import CSV_CHUNK, csv_lines, float_text, text_cells
-        n_delay = block.power_db.shape[1]
-        empty = np.zeros((1, 1, 0), np.uint8)
-        if self._files is None:
-            self._files = contextlib.ExitStack()
-            if self.bin_path is not None:
-                self._bin = self._files.enter_context(_grid_file(
-                    self.bin_path, PDP_MAGIC, "rftwin-pdp", ("n_epochs", "n_delay"),
-                    (self.times, block.delay_axis), block.metadata, self.frozen_clock))
-            if self.csv_path is not None:
-                self._csv = self._files.enter_context(open(self.csv_path, "wb"))
-                self._csv.write(csv_lines(text_cells(["t"])[None],
-                                          float_text(block.delay_axis)[None] if n_delay else empty))
-                self._time_text = float_text(self.times)[:, None]
-                self._waiting = block.power_db[:0]
+    def write(self, power_db: np.ndarray) -> None:
+        from .csvtext import CSV_CHUNK, csv_lines
         if self._bin is not None:
-            self._bin.write(np.ascontiguousarray(block.power_db, dtype="<f8"))
-        self.rows += len(block.power_db)
+            self._bin.write(np.ascontiguousarray(power_db, dtype="<f8"))
+        self.rows += len(power_db)
         if self._csv is not None:
-            power = np.concatenate([self._waiting, block.power_db])
+            power = np.concatenate([self._waiting, power_db])
             first = self.rows - len(power)
-            step = max(1, CSV_CHUNK // (n_delay + 1))
+            step = max(1, CSV_CHUNK // (len(self.delay_axis) + 1))
             done = len(power) if self.rows >= len(self.times) else len(power) // step * step
             for lo in range(0, done, step):
-                self._csv.write(csv_lines(
-                    self._time_text[first + lo:first + min(lo + step, done)],
-                    float_text(power[lo:min(lo + step, done)]) if n_delay else empty))
+                self._csv.write(csv_lines(self._time_text[first + lo:first + min(lo + step, done)],
+                                          self._cells(power[lo:min(lo + step, done)])))
             self._waiting = power[done:]
 
 

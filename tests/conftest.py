@@ -43,6 +43,34 @@ PLATE_T_MID = 64 * 125.86e-6   # window center with the default chirp timing
 _SPECIAL_BITS = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]).view(np.uint64).tolist()
 FLOAT_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2 ** 64 - 1))
 
+# One strategy per JSON type, keyed by the Python type json.loads gives.
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-10.0, 10.0),
+                         st.text(max_size=3))
+_JSON_TYPES = {type(None): st.none(), bool: st.booleans(),
+               float: st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(-1e6, 1e6)),
+               str: st.text(max_size=4), list: st.lists(_JSON_LEAVES, max_size=3),
+               dict: st.dictionaries(st.text(max_size=3), _JSON_LEAVES, max_size=2)}
+
+
+def _json_paths(value, at=()):
+    """The key path of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    return [path for key, v in items for path in [at + (key,), *_json_paths(v, at + (key,))]]
+
+
+def swap_json_value(draw, doc) -> None:
+    """Replace one value of a JSON document in place, a leaf or a whole list
+    or object, with a value of another JSON type; draw picks both."""
+    where = draw(st.sampled_from(_json_paths(doc)))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    kind = float if type(parent[where[-1]]) is int else type(parent[where[-1]])
+    others = [t for t in _JSON_TYPES if t is not kind]
+    parent[where[-1]] = draw(st.sampled_from(others).flatmap(_JSON_TYPES.get))
+
+
 SCENARIO_B_T0 = 0.1
 SCENARIO_C_T0 = 2.74223872
 

@@ -4,6 +4,7 @@ import functools
 import json
 import re
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -119,8 +120,8 @@ def test_max_range_mono_and_bi():
 
 def test_static_plate_delay_and_doppler():
     scene = scene_from_dict(mono_plate_doc(6.0))
-    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                       TraceConfig(diffuse_enabled=False), n_chirps=2)
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(n_chirps_total=2),
+                       TraceConfig(diffuse_enabled=False))
     assert len(cir) == 2
     assert cir.paths.keys() == [("specular", (0,), None)] * 2
     assert cir.paths.frame.tolist() == [0, 1]
@@ -133,12 +134,11 @@ def test_static_plate_delay_and_doppler():
 def test_mono_link_has_no_los_bi_link_does():
     scene = scene_from_dict(mono_plate_doc(6.0))
     trace = TraceConfig(diffuse_enabled=False)
-    mono = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(), trace,
-                        n_chirps=1)
+    one = ChirpConfig(n_chirps_total=1)
+    mono = simulate_cir(scene, SensingLink("UE", "UE"), one, trace)
     assert all(kind != "los" for kind, _, _ in mono.paths.keys())
     assert SensingLink("UE", "UE").mono_static
-    bi = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), trace,
-                      n_chirps=1)
+    bi = simulate_cir(scene, SensingLink("BS", "UE"), one, trace)
     assert bi.paths.keys()[0] == ("los", (), None)
     assert not SensingLink("BS", "UE").mono_static
     assert bi.paths.tau[0] == pytest.approx(2.0 / C, rel=1e-12)
@@ -147,7 +147,7 @@ def test_mono_link_has_no_los_bi_link_does():
 def test_unknown_link_endpoint_raises():
     scene = scene_from_dict(mono_plate_doc())
     with pytest.raises(SceneError, match="unknown transceiver"):
-        simulate_cir(scene, SensingLink("UE", "XX"), ChirpConfig(), n_chirps=1)
+        simulate_cir(scene, SensingLink("UE", "XX"), ChirpConfig(n_chirps_total=1))
 
 
 def test_non_finite_episode_start_raises():
@@ -156,8 +156,8 @@ def test_non_finite_episode_start_raises():
     for doc in (spin_rig_doc(), mono_plate_doc()):
         for t0 in (np.nan, np.inf):
             with pytest.raises(SceneError, match="t0 must be finite"):
-                simulate_cir(scene_from_dict(doc), SensingLink("UE", "UE"), ChirpConfig(),
-                             t0=t0, n_chirps=2)
+                simulate_cir(scene_from_dict(doc), SensingLink("UE", "UE"),
+                             ChirpConfig(n_chirps_total=2), t0=t0)
 
 
 def test_epoch_grid_must_be_covered_by_trajectories():
@@ -169,21 +169,20 @@ def test_epoch_grid_must_be_covered_by_trajectories():
         simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
                      TraceConfig(diffuse_enabled=False), t0=0.9)
     # a grid that fits the span is fine
-    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                       TraceConfig(diffuse_enabled=False), t0=0.5, n_chirps=16)
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(n_chirps_total=16),
+                       TraceConfig(diffuse_enabled=False), t0=0.5)
     assert len(cir) == 16
 
 
 def test_paths_beyond_unambiguous_delay_are_dropped_and_counted():
     reach = max_range(ChirpConfig(), "mono")
     scene = scene_from_dict(mono_plate_doc(np.ceil(reach) + 15.0))
-    cir = simulate_cir(scene, SensingLink("UE", "UE"), ChirpConfig(),
-                       TraceConfig(diffuse_enabled=False), n_chirps=1)
+    one = ChirpConfig(n_chirps_total=1)
+    cir = simulate_cir(scene, SensingLink("UE", "UE"), one, TraceConfig(diffuse_enabled=False))
     assert len(cir.paths) == 0
     assert cir.n_dropped.tolist() == [1]
     near = scene_from_dict(mono_plate_doc(np.floor(reach) - 5.0))
-    cir = simulate_cir(near, SensingLink("UE", "UE"), ChirpConfig(),
-                       TraceConfig(diffuse_enabled=False), n_chirps=1)
+    cir = simulate_cir(near, SensingLink("UE", "UE"), one, TraceConfig(diffuse_enabled=False))
     assert len(cir.paths) == 1
     assert cir.n_dropped.tolist() == [0]
 
@@ -225,6 +224,11 @@ def test_cir_file_roundtrip(tmp_path, plates_episode):
     assert header["trace"]["diffuse_enabled"] is False
     assert len(back) == 3
     assert_same_cir(back, subset)
+    # An episode of no frames, which simulate_cir never makes, round-trips.
+    save_cir(tmp_path / "none.cir", ep.cir[0:0], ep.config, ep.link, ep.trace)
+    none, header = load_cir(tmp_path / "none.cir")
+    assert header["n_frames"] == len(none) == 0
+    assert_same_cir(none, ep.cir[0:0])
 
 
 def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode):
@@ -259,7 +263,7 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
     frame = ep.cir[:1]
     frame.paths.kind = np.full(len(frame.paths), 3, np.uint8)
     path = tmp_path / "kind3.cir"
-    save_cir(path, frame, ep.config, ep.link)
+    save_cir(path, frame, ep.config, ep.link, ep.trace)
     with pytest.raises(ValueError, match="unknown kind code"):
         load_cir(path)
 
@@ -267,7 +271,7 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
 def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_episode):
     ep = plates_episode
     path = tmp_path / "plates.cir"
-    save_cir(path, ep.cir[:3], ep.config, ep.link)
+    save_cir(path, ep.cir[:3], ep.config, ep.link, ep.trace)
     raw = bytearray(path.read_bytes())
     hlen = struct.unpack_from("<I", raw, 8)[0]
     at = 12 + hlen                                  # frame 0 header
@@ -292,7 +296,7 @@ def test_load_cir_rejects_path_counts_beyond_the_file(tmp_path, plates_episode):
     the u32 maximum, is a ValueError naming the file and the frame."""
     ep = plates_episode
     path = tmp_path / "plates.cir"
-    save_cir(path, ep.cir[:2], ep.config, ep.link)
+    save_cir(path, ep.cir[:2], ep.config, ep.link, ep.trace)
     raw = bytearray(path.read_bytes())
     at = 12 + struct.unpack_from("<I", raw, 8)[0]     # frame 0 header
     for count in (len(raw) + 1, 2 ** 26, 2 ** 32 - 1):
@@ -321,7 +325,7 @@ def test_cir_csv_export(tmp_path, plates_episode):
     cir_to_csv(tmp_path / "many.csv", many)
     reference_cir_csv(tmp_path / "ref.csv", many)
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    save_cir(tmp_path / "many.cir", many, ep.config, ep.link, frozen_clock=True)
+    save_cir(tmp_path / "many.cir", many, ep.config, ep.link, ep.trace, frozen_clock=True)
     assert (tmp_path / "many.cir").read_bytes().endswith(b"".join(reference_cir_payload(many)))
 
 
@@ -341,7 +345,7 @@ def test_cir_payload_of_episodes_whose_layout_changes_between_frames(tmp_path, p
         assert np.unique(counts).size == 1 + max(drops)
         assert np.count_nonzero(np.diff(counts)) == np.count_nonzero(np.diff(drops))
         path = tmp_path / f"{name}.cir"
-        save_cir(path, cir, ep.config, ep.link, frozen_clock=True)
+        save_cir(path, cir, ep.config, ep.link, ep.trace, frozen_clock=True)
         assert path.read_bytes().endswith(b"".join(reference_cir_payload(cir)))
         back, header = load_cir(path)
         assert header["n_frames"] == len(cir)
@@ -362,11 +366,12 @@ def test_cir_csv_export_formats_each_distinct_value_once(tmp_path):
     side by side, and of a free-space episode without facet columns, which
     has a -0.0 Doppler in every frame: the per-value reference's bytes."""
     free = simulate_cir(scene_from_dict(free_space_doc()), SensingLink("BS", "UE"),
-                        ChirpConfig(), TraceConfig(max_specular_order=0, diffuse_enabled=False),
-                        n_chirps=5)
+                        ChirpConfig(n_chirps_total=5),
+                        TraceConfig(max_specular_order=0, diffuse_enabled=False))
     assert free.paths.facets.shape == (5, 0) and np.signbit(free.paths.nu).all()
     scene, link, trace, config, _, _ = BLOCK_CASES["static_crossing"]
-    crossing = simulate_cir(scene, link, config, trace, t0=0.66, n_chirps=2 * B + 5)
+    crossing = simulate_cir(scene, link, replace(config, n_chirps_total=2 * B + 5), trace,
+                            t0=0.66)
     frames = frames_of(crossing) * 12
     signed = frames[0][2].take(slice(None))
     signed.nu = np.where(np.arange(len(signed)) % 2, 0.0, -0.0)
@@ -387,7 +392,7 @@ def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
                        TraceConfig(diffuse_samples_per_facet=4), t0=0.0)
     assert (cir[:1].paths.sample >= 0).any()
     path = tmp_path / "d.cir"
-    save_cir(path, cir, config, SensingLink("UE", "UE"))
+    save_cir(path, cir, config, SensingLink("UE", "UE"), TraceConfig())
     back, _ = load_cir(path)
     assert_same_cir(back, cir)
 
@@ -408,10 +413,9 @@ def test_swapping_tx_and_rx_keeps_every_delay_and_doppler(t):
     ends scales a diffuse row by |Gamma(cos_s)| / |Gamma(cos_i)| and turns it
     by the difference of their phases, to 1e-9 of each."""
     scene = scene_from_dict(spin_rig_doc())
-    config = ChirpConfig()
+    config = ChirpConfig(n_chirps_total=1)
     trace = TraceConfig(max_specular_order=3, diffuse_samples_per_facet=4)
-    fwd, back = (simulate_cir(scene, SensingLink(tx, rx), config, trace, t0=t,
-                              n_chirps=1).paths
+    fwd, back = (simulate_cir(scene, SensingLink(tx, rx), config, trace, t0=t).paths
                  for tx, rx in (("BS", "UE"), ("UE", "BS")))
     assert len(fwd) >= 4
     rows = {_swap_key(key): i for i, key in enumerate(back.keys())}
@@ -469,9 +473,10 @@ def _moved(doc, shift, yaw):
 @functools.lru_cache(maxsize=None)
 def _scenario_b_mono(shift=(0.0, 0.0), yaw=0.0):
     doc = _moved(json.loads((FIXTURES / "scenario_b.json").read_text()), shift, yaw)
-    return simulate_cir(scene_from_dict(doc), SensingLink("UE", "UE"), ChirpConfig(),
+    return simulate_cir(scene_from_dict(doc), SensingLink("UE", "UE"),
+                        ChirpConfig(n_chirps_total=64),
                         TraceConfig(max_specular_order=3, diffuse_samples_per_facet=8),
-                        t0=0.1, n_chirps=64).paths
+                        t0=0.1).paths
 
 
 @settings(max_examples=25, deadline=None)
@@ -543,7 +548,7 @@ def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
                   for epoch in range(data.draw(st.integers(0, 4))))
     directory = tmp_path_factory.mktemp("cir")
     path = directory / "random.cir"
-    save_cir(path, cir, ChirpConfig(), SensingLink("UE", "UE"), frozen_clock=True)
+    save_cir(path, cir, ChirpConfig(), SensingLink("UE", "UE"), TraceConfig(), frozen_clock=True)
     back, header = load_cir(path)
     assert header["n_frames"] == len(back) == len(cir)
     assert_same_cir(back, cir)
@@ -759,7 +764,7 @@ def traced_passes(budget, *args, **kwargs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(sorted(BLOCK_CASES)), n_draw=st.integers(0, 2 * B + 5),
+@given(case=st.sampled_from(sorted(BLOCK_CASES)), n_draw=st.integers(1, 2 * B + 5),
        start=st.floats(0.0, 1.0), per_pass=st.integers(16, 2 * B + 5))
 @example(case="plates", n_draw=B + 3, start=0.0, per_pass=B)
 @example(case="spin_bs_ue", n_draw=2 * B + 1, start=0.5, per_pass=B)
@@ -769,7 +774,6 @@ def traced_passes(budget, *args, **kwargs):
 @example(case="turntable", n_draw=2 * B + 5, start=0.4, per_pass=B)
 @example(case="free_space_mono", n_draw=3, start=0.0, per_pass=1)
 @example(case="free_space_bi", n_draw=B + 2, start=0.0, per_pass=B)
-@example(case="plates", n_draw=0, start=0.0, per_pass=1)
 @example(case="static_crossing", n_draw=2 * B + 5, start=0.5, per_pass=B)
 @example(case="static_crossing_cart", n_draw=2 * B + 5, start=0.5, per_pass=B)
 @example(case="canyon", n_draw=40, start=0.05, per_pass=16)
@@ -777,17 +781,17 @@ def test_block_pass_is_bit_identical_to_the_per_snapshot_pass(case, n_draw, star
     """The pass split against the per-snapshot reference, every .cir column
     bit for bit: a row budget of per_pass chirps at the link's row bound
     gives passes of per_pass chirps and a remainder, down to one chirp per
-    pass; also chirps without paths, a free-space scene, an empty episode,
-    episode-static paths that a moving plate blocks for part of the
-    episode, between fixed mounts and towards a UE on a cart, and a canyon
-    whose chain tree outgrows F^2, so trace_specular runs its image pass on
-    parts of each pass."""
+    pass; also chirps without paths, a free-space scene, episode-static
+    paths that a moving plate blocks for part of the episode, between fixed
+    mounts and towards a UE on a cart, and a canyon whose chain tree
+    outgrows F^2, so trace_specular runs its image pass on parts of each
+    pass.  (ChirpConfig rejects an episode without chirps.)"""
     scene, link, trace, config, (lo, hi), most = BLOCK_CASES[case]
     n = min(n_draw, most)
-    t0 = lo + start * (hi - lo - max(n - 1, 0) * config.pri)
+    t0 = lo + start * (hi - lo - (n - 1) * config.pri)
     with mock.patch.object(raytrace, "_trace_chains", wraps=raytrace._trace_chains) as chains:
         got, passes = traced_passes(per_pass * rows_per_chirp(scene, trace), scene, link,
-                                    config, trace, t0=t0, n_chirps=n)
+                                    replace(config, n_chirps_total=n), trace, t0=t0)
     assert passes == [min(per_pass, n - k) for k in range(0, n, per_pass)]
     want = reference_cir(scene, link, config, trace, t0, n)
     assert len(got) == len(want) == n
@@ -821,11 +825,11 @@ def test_shipped_episodes_run_in_one_pass_and_long_ones_in_several():
              TraceConfig(max_specular_order=3, diffuse_enabled=False), 0.1, 128),
             (scene_from_dict(plates_scene_doc()), SensingLink("UE", "UE"),
              TraceConfig(diffuse_enabled=False), 0.0, 256)):
-        assert traced_passes(raytrace._CHAIN_ROWS, scene, link, ChirpConfig(), trace,
-                             t0=t0, n_chirps=n)[1] == [n]
+        assert traced_passes(raytrace._CHAIN_ROWS, scene, link, ChirpConfig(n_chirps_total=n),
+                             trace, t0=t0)[1] == [n]
     assert rows_per_chirp(scenario_b, TraceConfig()) == 162
     cir, passes = traced_passes(raytrace._CHAIN_ROWS, scenario_b, SensingLink("UE", "UE"),
-                                ChirpConfig(), TraceConfig(), t0=0.1, n_chirps=4096)
+                                ChirpConfig(), TraceConfig(), t0=0.1)
     assert passes == [202] * 20 + [56] and len(cir) == 4096
 
 

@@ -8,7 +8,9 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,49 @@ def test_chirps_with_too_many_samples_are_input_errors(artifacts, tmp_path, caps
             assert err.startswith(f"error: {bad}: bad chirp config in the header: ")
             assert "above the cap of 65536" in err
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.cir"]
+
+
+def test_a_map_above_the_cell_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """A .cir of 20,000 empty frames at 65536 samples per chirp is about
+    400 KB, and a 20,000-chirp window of it would be 1.3e9 map cells.
+    process and predict exit 2 for any window of more than MAX_MAP_CELLS
+    cells, zero-padded columns counted, before they synthesize, transform
+    or predict anything; a window at the cap reaches synthesis."""
+    import numpy as np
+
+    import rftwin.fmcw
+    from rftwin.channel import Cir, SensingLink, save_cir
+    from rftwin.fmcw import MAX_MAP_CELLS
+
+    from conftest import episode
+
+    def allocation(*args, **kwargs):
+        raise RuntimeError("a map was allocated")
+    for name in ("beat_passes", "window_maps", "delay_doppler", "predicted_map"):
+        monkeypatch.setattr(rftwin.fmcw, name, allocation)
+    n = 20_000
+    config = ChirpConfig(f_samp=2.0 ** 26, t_chirp=2.0 ** -10, slope=4.0e9 * 2 ** 10,
+                         n_chirps_total=n)
+    assert config.samples_per_chirp == 65536 and MAX_MAP_CELLS == 2 * 128 * 65536
+    cir = Cir(episode([]).paths, np.arange(n), np.arange(n) * config.pri, np.zeros(n, int))
+    path = tmp_path / "long.cir"
+    save_cir(path, cir, config, SensingLink("UE", "UE"), TraceConfig())
+    assert path.stat().st_size < 500_000
+    sink = ["-o", str(tmp_path / "out")]
+    for command, flags, bins in (("predict", ["-N", "20000"], 65536),
+                                 ("process", ["-N", "20000"], 65536),
+                                 ("predict", ["-N", "257"], 65536),
+                                 ("process", ["-N", "257"], 65536),
+                                 ("process", ["-N", "129", "--zero-pad"], 131072)):
+        assert main([command, "--cir", str(path), *flags, *sink]) == 2, (command, flags)
+        cells = int(flags[1]) * bins
+        assert (f"error: a window of {flags[1]} chirps by {bins} delay bins is {cells} map "
+                f"cells, more than the cap of {MAX_MAP_CELLS}\n") == capsys.readouterr().err
+    for command, flags in (("predict", ["-N", "256"]), ("process", ["-N", "256"]),
+                           ("process", ["-N", "128", "--zero-pad"])):
+        assert main([command, "--cir", str(path), *flags, *sink]) == 4
+        assert "a map was allocated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
 
 def test_mono_mode_requires_matching_rx(tmp_path, capsys):
@@ -549,12 +594,14 @@ def test_predict_models_the_windows_of_process(artifacts, tmp_path, capsys):
     default = load_map(artifacts["out"] / "run_pred_w000000.ddm")
     assert default.metadata["model_windows"] == ["hann", "hann"]
     assert (default.power_db.tobytes()
-            == predicted_map(cir, config, n_chirps=8, window_slow="hann").power_db.tobytes())
+            == predicted_map(cir, config, n_chirps=8, window_fast="hann",
+                             window_slow="hann").power_db.tobytes())
     predict = ["predict", "--cir", cir_path, "-N", "8", "--tag", "run", "--frozen-clock"]
     assert main(predict + ["--window-slow", "boxcar", "-o", str(tmp_path / "box")]) == 0
     box = load_map(tmp_path / "box" / "run_pred_w000000.ddm")
     assert box.metadata["model_windows"] == ["hann", "boxcar"]
-    assert box.power_db.tobytes() == predicted_map(cir, config, n_chirps=8).power_db.tobytes()
+    assert box.power_db.tobytes() == predicted_map(cir, config, n_chirps=8, window_fast="hann",
+                                                   window_slow="boxcar").power_db.tobytes()
     for flag in ("--window", "--window-slow"):
         assert main(predict + [flag, "foo", "-o", str(tmp_path / "foo")]) == 2
         assert f"{flag}: unknown window 'foo'" in capsys.readouterr().err
@@ -701,6 +748,71 @@ def _rewrite_header(raw: bytes, change) -> bytes:
     hlen = struct.unpack_from("<I", raw, 8)[0]
     blob = json.dumps(change(json.loads(raw[12:12 + hlen].decode()))).encode()
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def test_episode_values_no_trace_writes_are_input_errors(artifacts, tmp_path, capsys):
+    """A .cir with amplitudes whose power overflows, or with a NaN delay,
+    loads, but the commands whose arithmetic it breaks exit 2: numpy's
+    floating-point errors raise there, and a traced episode never sets them
+    off."""
+    from rftwin.channel import SensingLink, save_cir
+
+    for column, value, commands in (("a", 1e300, ("process", "predict")),
+                                    ("tau", float("nan"), ("predict",))):
+        cir, header = load_cir(artifacts["out"] / "run.cir")
+        getattr(cir.paths, column)[:] = value
+        bad = tmp_path / f"{column}.cir"
+        save_cir(bad, cir, ChirpConfig(**header["config"]), SensingLink("UE", "UE"),
+                 TraceConfig(**header["trace"]))
+        for command in commands:
+            assert main([command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: the input's values break the arithmetic ("), err
+
+
+# The commands that read each artifact of the shared run, after its path.
+_READERS = {"run.cir": (["info"], ["process", "--cir"], ["predict", "--cir"]),
+            "run_w000000.ddm": (["info"], ["compare", "--reference", "PRED", "--test"]),
+            "run.pdp": (["info"],)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_artifacts_never_are_an_internal_error(artifacts, data):
+    """The shared run's 16-chirp .cir, its .ddm and its .pdp, with a few
+    bytes overwritten (in the header or anywhere), cut short, or with one
+    header value swapped for a value of another JSON type: every command
+    that reads the file exits 0, 2 or 3, never 4."""
+    from conftest import swap_json_value
+
+    name = data.draw(st.sampled_from(sorted(_READERS)))
+    raw = (artifacts["out"] / name).read_bytes()
+    how = data.draw(st.sampled_from(["overwrite", "truncate", "swap"]))
+    if how == "overwrite":
+        end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        at = data.draw(st.integers(0, end - 1) | st.integers(0, len(raw) - 1))
+        mutant = bytearray(raw)
+        patch = data.draw(st.binary(min_size=1, max_size=8))[:len(raw) - at]
+        mutant[at:at + len(patch)] = patch
+    elif how == "truncate":
+        mutant = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        def swap(header):
+            swap_json_value(data.draw, header)
+            return header
+        mutant = _rewrite_header(raw, swap)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / name
+        bad.write_bytes(mutant)
+        pred = str(artifacts["out"] / "run_pred_w000000.ddm")
+        for reader in _READERS[name]:
+            argv = [pred if arg == "PRED" else arg for arg in reader] + [str(bad)]
+            if reader[0] != "info":
+                argv += ["-N", "8"] * (reader[0] != "compare") + ["-o", tmp]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (how, argv, err.getvalue())
 
 
 def _without(key):

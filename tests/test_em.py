@@ -240,7 +240,7 @@ def test_free_space_cir_has_one_los_tap():
     # No facets: the LOS row is padded to the width of the diffuse and
     # specular tables, and its padding indexes no facet.
     scene = scene_from_dict(isotropic_pair_doc(10.0))
-    cir = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(), n_chirps=3)
+    cir = simulate_cir(scene, SensingLink("BS", "UE"), ChirpConfig(n_chirps_total=3))
     p = cir.paths
     assert p.frame.tolist() == [0, 1, 2] and cir.n_dropped.tolist() == [0, 0, 0]
     assert (p.kind == KINDS.index("los")).all()

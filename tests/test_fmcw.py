@@ -2,6 +2,7 @@
 
 import functools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_predicted_map_matches_processed_on_grid():
     beats = synth_beat(cir, CFG)
     proc = window_map(beats, cir.t, CFG, n_chirps=128,
                       window_fast="boxcar", window_slow="boxcar")
-    pred = predicted_map(cir, CFG, n_chirps=128)
+    pred = predicted_map(cir, CFG, n_chirps=128, window_slow="boxcar")
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     qi = np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape)
     assert pi == qi == (64 + 17, 160)
@@ -287,7 +288,7 @@ def test_predicted_map_doppler_mainlobe_shape():
     a, tau = 1.0, 160 * DELAY_STEP
     nu = 17.5 * DOPPLER_STEP
     cir = make_cir([tap(a, tau, nu)], 128)
-    pred = predicted_map(cir, CFG, n_chirps=128)
+    pred = predicted_map(cir, CFG, n_chirps=128, window_slow="boxcar")
     col = pred.power_linear()[:, 160]
     mm = np.arange(128)
     expect = np.array([
@@ -304,7 +305,7 @@ def test_predicted_map_doppler_mainlobe_shape():
 def test_predicted_map_models_the_slow_time_window(window_slow):
     """An on-grid tap peaks at the power of the map processed with the same
     windows, an off-grid tap's column is the window's spectrum of its tone
-    over the tap sum squared, and the boxcar map is the default's bits."""
+    over the tap sum squared, and the hann map is the default's bits."""
     a, tau = 0.02, 160 * DELAY_STEP
     cir = make_cir([tap(a, tau, 17 * DOPPLER_STEP)], 128)
     proc = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128, window_slow=window_slow)
@@ -314,7 +315,7 @@ def test_predicted_map_models_the_slow_time_window(window_slow):
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     assert pi == np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape) == (81, 160)
     assert pred.power_db[pi] == pytest.approx(proc.power_db[pi], abs=1e-6)
-    if window_slow == "boxcar":
+    if window_slow == "hann":
         assert pred.power_db.tobytes() == predicted_map(cir, CFG, n_chirps=128).power_db.tobytes()
 
     nu = 17.5 * DOPPLER_STEP
@@ -324,6 +325,27 @@ def test_predicted_map_models_the_slow_time_window(window_slow):
     expect = [abs((w * np.exp(2j * np.pi * (nu - f) * CFG.pri * mm)).sum()) ** 2 / w.sum() ** 2
               for f in pred.doppler_axis]
     assert np.allclose(pred.power_linear()[:, 160], expect, atol=1e-12)
+
+
+def test_the_default_maps_of_a_window_agree():
+    """predicted_map and delay_doppler with their default windows, over the
+    first 128 chirps of a scenario_b mono episode of specular paths: every
+    peak within 60 dB of the maximum pairs up, in the same cell, within
+    0.05 dB.  A boxcar slow window puts the prediction 1.42 dB off the
+    default map at its strongest peak."""
+    from rftwin.analysis import match_maps
+
+    config = replace(CFG, n_chirps_total=128)
+    cir = simulate_cir(load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
+                       config, TraceConfig(diffuse_enabled=False), t0=0.1)
+    processed = delay_doppler(range_fft(synth_beat(cir, config)), cir.t, config)
+    report = match_maps(predicted_map(cir, config), processed, threshold_db=60.0)
+    assert report.max_power_error_db <= 0.05, report.summary()
+    assert len(report.matches) == 2
+    assert not report.unmatched_reference and not report.unmatched_test
+    assert report.max_delay_bin_error == report.max_doppler_bin_error == 0
+    boxcar = match_maps(predicted_map(cir, config, window_slow="boxcar"), processed)
+    assert boxcar.max_power_error_db == pytest.approx(1.42, abs=0.01)
 
 
 def test_predicted_map_rounds_delay_to_nearest_bin():
@@ -398,7 +420,8 @@ def test_predicted_map_equals_the_dense_reference(case, window_fast):
         cir = drifting_cir(lambda k: [2116.0 + 0.01 * k, 2115.4, 500.0, -0.6, 9000.0])
     else:
         cir = drifting_cir(lambda k: [160.0, 160.3 - 0.002 * k, 159.7, 700.0, 160.45 - 0.001 * k])
-    got = predicted_map(cir, CFG, n_chirps=128, window_fast=window_fast).power_db
+    got = predicted_map(cir, CFG, n_chirps=128, window_fast=window_fast,
+                        window_slow="boxcar").power_db
     want = dense_predicted_map(cir, CFG, n_chirps=128, window_fast=window_fast)
     assert got.tobytes() == want.tobytes()
     hit = np.flatnonzero((got > -300.0).any(axis=0)).tolist()
@@ -548,13 +571,13 @@ def synthesis_episodes():
     """Episodes for the pass tests: scenario_b mono with diffuse paths, and
     the static crossing BS -> UE, whose plate starts to block the LOS at
     t = 0.375 s, so frames lose paths partway."""
+    config_b = replace(CFG, n_chirps_total=70)
     b = simulate_cir(load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
-                     CFG, TraceConfig(), t0=0.1, n_chirps=70)
-    config = ChirpConfig(t_idle=5e-3)
+                     config_b, TraceConfig(), t0=0.1)
+    config = ChirpConfig(t_idle=5e-3, n_chirps_total=70)
     crossing = simulate_cir(scene_from_dict(static_crossing_doc()), SensingLink("BS", "UE"),
-                            config, TraceConfig(diffuse_samples_per_facet=4), t0=0.2,
-                            n_chirps=70)
-    return {"scenario_b": (b, CFG), "static_crossing": (crossing, config)}
+                            config, TraceConfig(diffuse_samples_per_facet=4), t0=0.2)
+    return {"scenario_b": (b, config_b), "static_crossing": (crossing, config)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -761,15 +784,16 @@ def test_pdp_series_blocks_match_whole_matrix(tmp_path):
     pdp_to_csv(tmp_path / "whole.csv", pdp)
     blocks = [pdp_series(range_fft(beats[lo:lo + rows], "blackman"), times[lo:lo + rows], CFG,
                          window="blackman") for lo in range(0, n, rows)]
-    with PdpWriter(times, tmp_path / "passes.pdp", tmp_path / "passes.csv", True) as writer:
+    with PdpWriter(times, pdp.delay_axis, pdp.metadata, tmp_path / "passes.pdp",
+                   tmp_path / "passes.csv", True) as writer:
         for block in blocks:
-            writer.write(block)
+            writer.write(block.power_db)
     for suffix in (".pdp", ".csv"):
         assert ((tmp_path / f"passes{suffix}").read_bytes()
                 == (tmp_path / f"whole{suffix}").read_bytes())
     with pytest.raises(ValueError, match=f"{n - 1} PDP rows written for {n} epochs"):
-        with PdpWriter(times, tmp_path / "short.pdp") as writer:
-            writer.write(pdp_series(range_fft(beats[:-1]), times[:-1], CFG))
+        with PdpWriter(times, pdp.delay_axis, pdp.metadata, tmp_path / "short.pdp") as writer:
+            writer.write(pdp_series(range_fft(beats[:-1]), times[:-1], CFG).power_db)
 
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):

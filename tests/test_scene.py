@@ -224,45 +224,17 @@ def test_malformed_scene_json_is_an_input_error_naming_the_file(mutate, match, t
     assert not (tmp_path / "scene.cir").exists()
 
 
-# One strategy per JSON type, keyed by the Python type json.loads gives.
-JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-10.0, 10.0),
-                        st.text(max_size=3))
-JSON_TYPES = {type(None): st.none(), bool: st.booleans(),
-              float: st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(-1e6, 1e6)),
-              str: st.text(max_size=4), list: st.lists(JSON_LEAVES, max_size=3),
-              dict: st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=2)}
-
-
-def _json_type(value):
-    return float if type(value) is int else type(value)
-
-
-def _json_paths(value, at=()):
-    """The key path of every value inside a JSON document."""
-    items = value.items() if isinstance(value, dict) else enumerate(value) \
-        if isinstance(value, list) else ()
-    return [path for key, v in items for path in [at + (key,), *_json_paths(v, at + (key,))]]
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_value_of_another_json_type_never_is_an_internal_error(data):
     """Any one value of scenario_b, a leaf or a whole list or object, swapped
     for a value of another JSON type is rejected with exit code 2 or, where
     it is ignored, simulated: never an internal error (exit 4)."""
-    from conftest import FIXTURES
+    from conftest import swap_json_value
 
-    paths = _json_paths(json.loads((FIXTURES / "scenario_b.json").read_text()))
-    where = data.draw(st.sampled_from(paths))
-
-    def mutate(doc):
-        parent = doc
-        for key in where[:-1]:
-            parent = parent[key]
-        kinds = [t for t in JSON_TYPES if t is not _json_type(parent[where[-1]])]
-        parent[where[-1]] = data.draw(st.sampled_from(kinds).flatmap(JSON_TYPES.get))
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _simulate_scene_b_with(Path(tmp) / "scene.json", mutate)
+        code, err = _simulate_scene_b_with(Path(tmp) / "scene.json",
+                                           lambda doc: swap_json_value(data.draw, doc))
     assert code in (0, 2), err
 
 
