@@ -21,8 +21,7 @@ outgrows F^2 chains.  Each pass runs in two steps:
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
 are then dropped and counted per frame, and the .cir columns of the kept
 rows are taken once, in frame order.  The kept rows of every pass form
-one episode table, a Cir.  The posed world and the diffuse sample
-patterns are built once per episode.
+one episode table, a Cir.  The posed world is built once per episode.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .em import SPEED_OF_LIGHT, amplitudes_of
 # snapshot is not called here any more; perfbench's span recorder still
 # looks it up in this module.
 from .kinematics import snapshot, snapshots  # noqa: F401
-from .raytrace import (KINDS, PathTable, TraceConfig, build_sample_patterns, pass_epochs,
+from .raytrace import (KINDS, PathTable, TraceConfig, diffuse_sample_count, pass_epochs,
                        trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
 
@@ -125,10 +124,6 @@ class SensingLink:
     tx_id: str
     rx_id: str
 
-    @property
-    def mono_static(self) -> bool:
-        return self.tx_id == self.rx_id
-
 
 @dataclass
 class Cir:
@@ -213,16 +208,15 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
     tx, rx = link.tx_id, link.rx_id
     times = t0 + np.arange(n) * config.pri
     world = snapshots(scene, times)
-    patterns = build_sample_patterns(scene, trace) if trace.diffuse_enabled else None
-    samples = sum(p.n_samples for p in patterns.values()) if patterns else 0
+    samples = (sum(diffuse_sample_count(f.area, trace) for f in scene.facets)
+               if trace.diffuse_enabled else 0)
     step = pass_epochs(1 + len(scene.facets) ** 2 + samples)
     kept, dropped = [_NO_PATHS], [np.zeros(0, int)]
     for lo in range(0, len(times), step):
         snaps = world.view(slice(lo, lo + step))
-        parts = [] if link.mono_static else [trace_los(snaps, tx, rx, trace)]
-        parts.append(trace_specular(snaps, tx, rx, trace))
+        parts = [trace_los(snaps, tx, rx, trace), trace_specular(snaps, tx, rx, trace)]
         if trace.diffuse_enabled:
-            parts.append(trace_diffuse(snaps, tx, rx, trace, patterns))
+            parts.append(trace_diffuse(snaps, tx, rx, trace))
         block = PathTable.concat(parts)
         # An episode-static row takes a, nu and tau from the first row of
         # its key in the pass; each tracer's rows come by epoch.
@@ -269,16 +263,16 @@ CIR_MAGIC = b"RFTCIR1\n"
 
 
 def save_cir(path, cir: Cir, config: ChirpConfig, link: SensingLink, trace: TraceConfig,
-             t0: float = 0.0, extra: dict | None = None,
-             frozen_clock: bool = False) -> None:
+             extra: dict | None = None, frozen_clock: bool = False) -> None:
     """Write an episode in the little-endian binary layout described in README:
     8-byte magic, u32 header length, UTF-8 JSON header, then one record per
-    frame, laid out by _frame_layout."""
+    frame, laid out by _frame_layout.  The header's t0 is the first frame's
+    time, 0.0 for an episode of no frames."""
     header = {"format": "rftwin-cir", "version": 1,
               "config": config.to_dict(),
               "link": {"tx": link.tx_id, "rx": link.rx_id},
-              "trace": asdict(trace), "t0": t0, "n_frames": len(cir),
-              "created": "frozen" if frozen_clock else now()}
+              "trace": asdict(trace), "t0": float(cir.t[0]) if len(cir) else 0.0,
+              "n_frames": len(cir), "created": "frozen" if frozen_clock else now()}
     if extra:
         header.update(extra)
     with open_container(path, CIR_MAGIC, header) as fh:

@@ -149,15 +149,14 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     tag = args.tag or scene_path.stem
     cir_path = out / f"{tag}.cir"
-    save_cir(cir_path, cir, config, link, trace=trace, t0=args.t0,
-             frozen_clock=args.frozen_clock,
+    save_cir(cir_path, cir, config, link, trace=trace, frozen_clock=args.frozen_clock,
              extra={"scene": scene_path.name, "seed": args.seed})
     csv_path = out / f"{tag}_paths.csv"
     cir_to_csv(csv_path, cir)
 
     per_kind = np.bincount(cir.paths.kind, minlength=len(KINDS))
     counts = {kind: int(c) for kind, c in zip(KINDS, per_kind) if c}
-    summary = {"frames": len(cir), "t0": args.t0,
+    summary = {"frames": len(cir), "t0": float(cir.t[0]),
                "paths_per_kind": counts, "seed": args.seed,
                "dropped_beyond_max_delay": int(cir.n_dropped.sum()),
                **frame_stats(cir)}
@@ -180,12 +179,20 @@ def _load_checked(load, path):
 
 
 def _load_cir_config(path):
-    """Episode, header and chirp config of a .cir file.  A malformed file, or
-    a header config that ChirpConfig rejects (unknown key, wrong type, bad
-    value), is an input error naming the file."""
+    """Episode, header and chirp config of a .cir file.  A malformed file, a
+    header config that ChirpConfig rejects (unknown key, wrong type, bad
+    value), or a NaN or infinite frame time, delay, Doppler or amplitude is
+    an input error naming the file."""
+    import numpy as np
+
     from .channel import ChirpConfig, load_cir
 
     cir, header = _load_checked(load_cir, path)
+    p = cir.paths
+    for name, column in (("t", cir.t), ("tau", p.tau), ("nu", p.nu),
+                         ("a_re", p.a.real), ("a_im", p.a.imag)):
+        if not np.isfinite(column).all():
+            raise InputError(f"{path}: the {name} column holds a NaN or infinite value")
     try:
         return cir, header, ChirpConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -53,6 +53,7 @@ from .channel import MAX_SAMPLES_PER_CHIRP, ChirpConfig, Cir
 from .container import now, open_container, read_container
 
 BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
+T0_K = 290.0                              # K, where a noise figure is defined (Friis, 1944)
 
 # Cosine-sum coefficients a_k of w = sum_k a_k cos(k x), x over [-pi, pi).
 # Hamming's second one is 1 - 0.54, which is one ulp away from 0.46.
@@ -82,13 +83,12 @@ class NoiseConfig:
     """Complex AWGN at the receiver, relative to unit transmit amplitude.
 
     The floor is thermal noise over the sampled band plus the noise figure:
-    10 log10(k T f_samp / 1 mW) + NF dBm, scaled against tx_power_dbm.
+    10 log10(k T0 f_samp / 1 mW) + NF dBm, scaled against tx_power_dbm.
     """
 
     enabled: bool = False
     noise_figure_db: float = 15.0
     tx_power_dbm: float = 12.0
-    temperature_k: float = 290.0
     seed: int = 0
 
     def __post_init__(self):
@@ -96,14 +96,11 @@ class NoiseConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"NoiseConfig.{name} must be finite, got {value}")
-        if not 0.0 < self.temperature_k < math.inf:
-            raise ValueError(f"NoiseConfig.temperature_k must be finite and positive, "
-                             f"got {self.temperature_k}")
         if self.seed < 0:
             raise ValueError(f"NoiseConfig.seed must be a non-negative integer, got {self.seed}")
 
     def floor_dbm(self, f_samp: float) -> float:
-        return (10.0 * np.log10(BOLTZMANN * self.temperature_k * f_samp / 1e-3)
+        return (10.0 * np.log10(BOLTZMANN * T0_K * f_samp / 1e-3)
                 + self.noise_figure_db)
 
     def sample_variance(self, f_samp: float) -> float:

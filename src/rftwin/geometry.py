@@ -159,17 +159,12 @@ class FacetPack:
         pad = self.edge_slack()[:, None] * (hi - lo) + _REACH_SLACK
         return lo - pad, hi + pad
 
-    def contains(self, points: np.ndarray, facet_idx=None) -> np.ndarray:
-        """Point-in-facet mask, the one containment kernel of the tracer.
-
-        With facet_idx, points[..., 3] is tested against facet facet_idx[...]
-        (same leading shape).  Without it, points[..., F, 3] is tested against
-        the pack, facet f on the second to last axis; a size-1 axis there
-        broadcasts against every facet.
-        """
-        verts, w = self.verts, self.edge_normals
-        if facet_idx is not None:
-            verts, w = verts[facet_idx], w[facet_idx]
+    def contains(self, points: np.ndarray, facet_idx) -> np.ndarray:
+        """Point-in-facet mask, the one containment kernel of the tracer:
+        points[..., 3] is tested against the facets pack.verts[facet_idx]
+        (same leading shape), such as an (epochs, facets) index tuple of a
+        stacked pack."""
+        verts, w = self.verts[facet_idx], self.edge_normals[facet_idx]
         p = np.asarray(points, dtype=float)[..., None, :]
         side = ((p[..., 0] - verts[..., 0]) * w[..., 0]
                 + (p[..., 1] - verts[..., 1]) * w[..., 1]

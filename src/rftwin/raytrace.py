@@ -38,6 +38,7 @@ within the block) of each row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -439,9 +440,9 @@ def _trace_chains(pack, txp, rxp, table: _ChainTable):
     return snap[keep], rows[keep], p[keep]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SamplePattern:
-    weights: np.ndarray       # (M, n_vertices) convex vertex weights
+    weights: np.ndarray       # (M, n_vertices) convex vertex weights, read-only
     n_samples: int
 
 
@@ -489,20 +490,20 @@ def diffuse_sample_pattern(facet_index: int, n_vertices: int, area: float,
         u = np.where(fold, 1.0 - u, u)
         v = np.where(fold, 1.0 - v, v)
         weights = np.stack([1.0 - u - v, u, v], axis=1)
+    weights.flags.writeable = False
     return _SamplePattern(weights, m)
 
 
 def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
-                  config: TraceConfig = TraceConfig(),
-                  patterns: dict | None = None) -> PathTable:
+                  config: TraceConfig = TraceConfig()) -> PathTable:
     """Single-bounce diffuse paths from the stratified facet samples.
 
     Samples of facets facing away from either endpoint, or with a blocked
     leg, are dropped; each survivor carries area = facet area / n_samples.
-    patterns (from build_sample_patterns) holds the scene facets' patterns;
-    without it they are built per call.  Rigid motion leaves both the
-    patterns and the facet areas unchanged.  Rows come out by epoch, then
-    facet, then sample.
+    The patterns come from build_sample_patterns, whose cache builds them
+    once for all the passes of an episode.  Rigid motion leaves
+    both the patterns and the facet areas unchanged.  Rows come out by
+    epoch, then facet, then sample.
 
     Between fixed transceivers a sample of a static facet is settled: its
     point, its front test and the verdict of every static occluder are the
@@ -525,9 +526,7 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     if not facets or not len(block):
         return _table("diffuse", np.empty((0, 1), int), np.empty((0, 3, 3)),
                       frame=np.empty(0, int))
-    pats = [patterns[f.index] if patterns is not None and f.index in patterns
-            else diffuse_sample_pattern(f.index, len(f.vertices), f.area, config)
-            for f in facets]
+    pats = list(build_sample_patterns(block.scene, config).values())
     # Per pattern sample, facet by facet: its facet, index and area.
     counts = [p.n_samples for p in pats]
     owner = np.repeat(np.arange(len(pats)), counts)
@@ -582,7 +581,13 @@ def trace_diffuse(block: SnapshotBlock, tx_id: str, rx_id: str,
     return _table("diffuse", owner[rows, None], legs, sample[rows], area[rows], frame=frame)
 
 
+# One entry: an episode builds each pattern once and leaves only its own.
+@functools.lru_cache(maxsize=1)
+def _facet_set_patterns(shapes: tuple, config: TraceConfig) -> tuple:
+    return tuple(diffuse_sample_pattern(*shape, config) for shape in shapes)
+
+
 def build_sample_patterns(scene: Scene, config: TraceConfig) -> dict:
-    """Precompute per-facet sample patterns keyed by scene facet index."""
-    return {f.index: diffuse_sample_pattern(f.index, len(f.vertices), f.area, config)
-            for f in scene.facets}
+    """Per-facet sample patterns keyed by scene facet index, cached per facet set."""
+    shapes = tuple((f.index, len(f.vertices), f.area) for f in scene.facets)
+    return dict(zip((f.index for f in scene.facets), _facet_set_patterns(shapes, config)))

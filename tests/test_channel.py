@@ -137,10 +137,8 @@ def test_mono_link_has_no_los_bi_link_does():
     one = ChirpConfig(n_chirps_total=1)
     mono = simulate_cir(scene, SensingLink("UE", "UE"), one, trace)
     assert all(kind != "los" for kind, _, _ in mono.paths.keys())
-    assert SensingLink("UE", "UE").mono_static
     bi = simulate_cir(scene, SensingLink("BS", "UE"), one, trace)
     assert bi.paths.keys()[0] == ("los", (), None)
-    assert not SensingLink("BS", "UE").mono_static
     assert bi.paths.tau[0] == pytest.approx(2.0 / C, rel=1e-12)
 
 
@@ -211,7 +209,7 @@ def test_cir_file_roundtrip(tmp_path, plates_episode):
     ep = plates_episode
     subset = ep.cir[:3]
     path = tmp_path / "plates.cir"
-    save_cir(path, subset, ep.config, ep.link, trace=ep.trace, t0=ep.t0,
+    save_cir(path, subset, ep.config, ep.link, trace=ep.trace,
              extra={"scene": "calibration_plates", "seed": 1729},
              frozen_clock=True)
     back, header = load_cir(path)
@@ -235,9 +233,21 @@ def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode)
     ep = plates_episode
     p1, p2 = tmp_path / "a.cir", tmp_path / "b.cir"
     for p in (p1, p2):
-        save_cir(p, ep.cir[:2], ep.config, ep.link, trace=ep.trace,
-                 t0=ep.t0, frozen_clock=True)
+        save_cir(p, ep.cir[:2], ep.config, ep.link, trace=ep.trace, frozen_clock=True)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cir_header_t0_is_the_first_frame_time(tmp_path):
+    """A header's t0 agrees with the frames it holds, for a sub-episode
+    too; an episode of no frames writes 0.0."""
+    scene = scene_from_dict(mono_plate_doc())
+    link, trace = SensingLink("UE", "UE"), TraceConfig(diffuse_enabled=False)
+    config = ChirpConfig(n_chirps_total=6)
+    cir = simulate_cir(scene, link, config, trace, t0=0.1)
+    for name, part, t0 in (("tail", cir[3:], cir.t[3]), ("none", cir[0:0], 0.0)):
+        save_cir(tmp_path / f"{name}.cir", part, config, link, trace)
+        header = load_cir(tmp_path / f"{name}.cir")[1]
+        assert header["t0"] == t0 and type(header["t0"]) is float
 
 
 def assert_same_cir(got, want):
@@ -646,15 +656,13 @@ def reference_cir(scene, link, config, trace, t0, n):
     """simulate_cir one chirp at a time: snapshot, trace, amplitude, Doppler,
     delay and the drop beyond the maximum delay per chirp."""
     tx, rx = link.tx_id, link.rx_id
-    patterns = build_sample_patterns(scene, trace)
     frames = []
     for k in range(n):
         t_k = t0 + k * config.pri
         snap = snapshot(scene, t_k)
-        parts = [] if link.mono_static else [trace_los(snap, tx, rx, trace)]
-        parts += [trace_specular(snap, tx, rx, trace),
-                  trace_diffuse(snap, tx, rx, trace, patterns)]
-        paths = PathTable.concat(parts)
+        paths = PathTable.concat([trace_los(snap, tx, rx, trace),
+                                  trace_specular(snap, tx, rx, trace),
+                                  trace_diffuse(snap, tx, rx, trace)])
         paths.a = reference_amplitudes(paths, snap, scene, tx, rx, config.f_c)
         paths.nu = reference_doppler(paths, snap, tx, rx, config.f_c)
         paths.tau = paths.segment_lengths().sum(axis=1) / SPEED_OF_LIGHT
@@ -831,6 +839,21 @@ def test_shipped_episodes_run_in_one_pass_and_long_ones_in_several():
     cir, passes = traced_passes(raytrace._CHAIN_ROWS, scenario_b, SensingLink("UE", "UE"),
                                 ChirpConfig(), TraceConfig(), t0=0.1)
     assert passes == [202] * 20 + [56] and len(cir) == 4096
+
+
+def test_an_episode_builds_each_sample_pattern_once():
+    """Every pass of an episode takes its diffuse patterns from one cache
+    entry: scenario_b's 7 facets give 7 builds over 5 passes, and a
+    repeated episode builds none."""
+    scene, link = load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE")
+    raytrace._facet_set_patterns.cache_clear()
+    with mock.patch.object(raytrace, "diffuse_sample_pattern",
+                           wraps=raytrace.diffuse_sample_pattern) as build:
+        for builds in (len(scene.facets), 0):
+            build.reset_mock()
+            _, passes = traced_passes(162 * 8, scene, link, ChirpConfig(n_chirps_total=40),
+                                      TraceConfig(), t0=0.1)
+            assert passes == [8] * 5 and build.call_count == builds
 
 
 def test_frame_stats_on_the_plates(plates_episode):

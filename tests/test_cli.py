@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -61,6 +62,19 @@ def test_simulate_outputs(artifacts, capsys):
     csv_lines = (out / "run_paths.csv").read_text().splitlines()
     assert csv_lines[0].startswith("epoch")
     assert len(csv_lines) > 16
+
+
+def test_simulate_takes_t0_from_the_frames(tmp_path):
+    """The summary and the .cir header both state the first frame's time:
+    --t0 -0.0 starts the frames at +0.0, and both say so."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--scene", str(write_scene(tmp_path)), "--tx", "UE",
+                 "--chirps", "4", "--no-diffuse", "--t0", "-0.0", "--tag", "neg",
+                 "-o", str(out), "--frozen-clock"]) == 0
+    cir, header = load_cir(out / "neg.cir")
+    summary = json.loads((out / "neg_summary.json").read_text())
+    for t0 in (header["t0"], summary["t0"]):
+        assert t0 == cir.t[0] and math.copysign(1.0, t0) == 1.0
 
 
 def test_process_outputs(artifacts):
@@ -751,23 +765,28 @@ def _rewrite_header(raw: bytes, change) -> bytes:
 
 
 def test_episode_values_no_trace_writes_are_input_errors(artifacts, tmp_path, capsys):
-    """A .cir with amplitudes whose power overflows, or with a NaN delay,
-    loads, but the commands whose arithmetic it breaks exit 2: numpy's
+    """A .cir with a NaN or infinite frame time, delay, Doppler or amplitude
+    loads, but process and predict exit 2 naming the file and the column.
+    One with amplitudes whose power overflows exits 2 as well: numpy's
     floating-point errors raise there, and a traced episode never sets them
     off."""
     from rftwin.channel import SensingLink, save_cir
 
-    for column, value, commands in (("a", 1e300, ("process", "predict")),
-                                    ("tau", float("nan"), ("predict",))):
+    nan = float("nan")
+    for name, column, value in (("a", "a", 1e300), ("tau", "tau", nan), ("a_re", "a", nan),
+                                ("a_im", "a", complex(0.0, nan)), ("nu", "nu", float("inf")),
+                                ("t", "t", nan)):
         cir, header = load_cir(artifacts["out"] / "run.cir")
-        getattr(cir.paths, column)[:] = value
-        bad = tmp_path / f"{column}.cir"
+        (cir.t if column == "t" else getattr(cir.paths, column))[:] = value
+        bad = tmp_path / f"{name}.cir"
         save_cir(bad, cir, ChirpConfig(**header["config"]), SensingLink("UE", "UE"),
                  TraceConfig(**header["trace"]))
-        for command in commands:
+        want = (f"{bad}: the {name} column holds a NaN or infinite value" if name != "a"
+                else "error: the input's values break the arithmetic (")
+        for command in ("process", "predict"):
             assert main([command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: the input's values break the arithmetic ("), err
+            assert want in err, err
 
 
 # The commands that read each artifact of the shared run, after its path.

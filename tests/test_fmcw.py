@@ -625,13 +625,10 @@ def test_noise_defaults_off_and_floor_formula():
 def test_noise_config_validation():
     for kwargs, message in (({"noise_figure_db": np.nan}, "noise_figure_db must be finite"),
                             ({"tx_power_dbm": np.inf}, "tx_power_dbm must be finite"),
-                            ({"temperature_k": 0.0}, "temperature_k must be finite and positive"),
-                            ({"temperature_k": np.inf}, "temperature_k must be finite"),
-                            ({"temperature_k": np.nan}, "temperature_k must be finite"),
                             ({"seed": -1}, "seed must be a non-negative integer, got -1")):
         with pytest.raises(ValueError, match=message):
             NoiseConfig(enabled=True, **kwargs)
-    NoiseConfig(enabled=True, seed=0, temperature_k=1e-3)
+    NoiseConfig(enabled=True, seed=0)
 
 
 def test_noise_is_deterministic_and_keyed_by_epoch():

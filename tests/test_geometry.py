@@ -28,6 +28,12 @@ def pack_of(*worlds):
     return FacetPack.stacked(verts, normals)
 
 
+def in_first_facet(pack, points):
+    """contains of each point (n, 3) against facet 0 of snapshot 0."""
+    zero = np.zeros(len(points), int)
+    return pack.contains(points, (zero, zero))
+
+
 def blocked(pack, starts, ends, eps):
     """segments_blocked of every segment in snapshot 0."""
     return pack.segments_blocked(starts, ends, eps, np.zeros(len(starts), int))
@@ -47,7 +53,7 @@ def segment_hits_facet(p, q, vertices, eps=0.0):
     if not (margin < t < 1.0 - margin):
         return None
     x = p + t * d
-    if not bool(pack_of([v]).contains(x[None, None, :])[0, 0]):
+    if not in_first_facet(pack_of([v]), x[None])[0]:
         return None
     return x
 
@@ -180,19 +186,19 @@ def test_contains_accepts_convex_interior_rejects_exterior():
     w = rng.dirichlet(np.ones(4), size=50) * 0.9 + 0.025
     w /= w.sum(axis=1, keepdims=True)
     inside = w @ verts
-    assert np.all(pack.contains(inside[:, None, :]).ravel())
+    assert np.all(in_first_facet(pack, inside))
     # points pushed out past each edge midpoint
     centroid = verts.mean(axis=0)
     mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
     outside = centroid + 1.3 * (mids - centroid)
-    assert not np.any(pack.contains(outside[:, None, :]).ravel())
+    assert not np.any(in_first_facet(pack, outside))
 
 
 def test_contains_triangle_uses_padded_vertex():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     pack = pack_of([tri])
-    assert bool(pack.contains(np.array([[0.2, 0.2, 0.0]])[:, None, :])[0, 0])
-    assert not bool(pack.contains(np.array([[0.7, 0.7, 0.0]])[:, None, :])[0, 0])
+    assert in_first_facet(pack, np.array([[0.2, 0.2, 0.0]]))[0]
+    assert not in_first_facet(pack, np.array([[0.7, 0.7, 0.0]]))[0]
 
 
 def test_reach_holds_every_point_contains_accepts():
@@ -223,7 +229,7 @@ def test_reach_holds_every_point_contains_accepts():
                 x, y = np.linalg.solve(gram, [-tol, -tol])
                 for lift in (0.0, 5e-6, -5e-6):
                     p = v[i] + x * a + y * b + lift * n
-                    if pack[0].contains(p[None, None, :])[0, 0]:
+                    if in_first_facet(pack, p[None])[0]:
                         accepted += 1
                         assert np.all(lo[0] <= p) and np.all(p <= hi[0])
     assert accepted >= 40

@@ -167,9 +167,16 @@ def test_los_occlusion_toggle():
 
 
 def test_colocated_pair_has_no_los():
+    """No row at any epoch of a block, for a fixed pair and for scenario_c's
+    body-mounted UE, which simulate_cir relies on for a mono link."""
     scene = scene_from_dict(two_ray_doc())
-    snap = snapshot(scene, 0.0)
-    assert len(trace_los(snap, "BS", "BS")) == 0
+    assert len(trace_los(snapshot(scene, 0.0), "BS", "BS")) == 0
+    assert len(trace_los(snapshots(scene, np.linspace(0.0, 1.0, 7)), "BS", "BS")) == 0
+    moving = load_scene(FIXTURES / "scenario_c.json")
+    block = snapshots(moving, np.linspace(*moving.t_span, 33))
+    assert np.ptp(block.states["UE"].position, axis=0).max() > 1.0
+    assert len(trace_los(block, "UE", "UE")) == 0
+    assert len(trace_los(block, "BS", "UE")) > 0
 
 
 def test_one_sided_facets_need_both_endpoints_in_front():
@@ -239,6 +246,9 @@ def test_diffuse_pattern_is_deterministic_and_convex():
     a = diffuse_sample_pattern(3, 4, 10.0, config)
     b = diffuse_sample_pattern(3, 4, 10.0, config)
     assert np.array_equal(a.weights, b.weights)
+    assert not a.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.weights[0, 0] = 1.0
     c = diffuse_sample_pattern(3, 4, 10.0, TraceConfig(seed=99))
     assert not np.array_equal(a.weights, c.weights)
     for pat in (a, diffuse_sample_pattern(0, 3, 2.0, config)):
@@ -253,7 +263,7 @@ def test_diffuse_paths_cover_facet_and_sum_area():
     paths = trace_diffuse(snap, "BS", "UE", config)
     assert len(paths) == diffuse_sample_count(200.0, config)
     assert paths.area.sum() == pytest.approx(200.0, rel=1e-12)
-    assert snap.pack[0].contains(paths.points[:, 1, None, :]).all()
+    assert snap.pack[0].contains(paths.points[:, 1], np.zeros(len(paths), int)).all()
     assert len(set(paths.sample.tolist())) == len(paths)
     assert (paths.kind == 2).all() and (paths.hops == 1).all() and (paths.facets == 0).all()
     assert lengths(paths) == pytest.approx([total_length(p) for p in paths.points], abs=1e-12)
@@ -284,6 +294,17 @@ def test_build_sample_patterns_matches_per_facet_calls():
     patterns = build_sample_patterns(scene, config)
     direct = diffuse_sample_pattern(0, 4, scene.facets[0].area, config)
     assert np.array_equal(patterns[0].weights, direct.weights)
+
+
+def test_sample_patterns_are_shared_and_read_only():
+    """Repeated asks for one facet set return the same patterns, which no
+    caller can write; another config builds its own."""
+    scene = load_scene(FIXTURES / "scenario_b.json")
+    a = build_sample_patterns(scene, TraceConfig())
+    assert all(p is a[i] for i, p in build_sample_patterns(scene, TraceConfig()).items())
+    assert all(not p.weights.flags.writeable for p in a.values())
+    other = build_sample_patterns(scene, TraceConfig(seed=99))
+    assert not np.array_equal(other[0].weights, a[0].weights)
 
 
 def test_path_doppler_matches_finite_difference_of_length():
@@ -768,7 +789,7 @@ def test_parts_halve_until_their_rows_fit(monkeypatch):
     assert_same_rows(parts, whole)
 
 
-def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
+def _reference_diffuse(snap, tx_id, rx_id, config):
     """The per-facet diffuse tracer over one snapshot, a block of one epoch:
     a Python loop over the facets in front of both endpoints, posed in the
     snapshot's pack, then one occlusion pass per leg through that pack."""
@@ -782,10 +803,7 @@ def _reference_diffuse(snap, tx_id, rx_id, config, patterns=None):
         if sd_tx <= _FRONT_EPS or sd_rx <= _FRONT_EPS:
             continue
         nv = len(facet.vertices)
-        if patterns is not None and facet.index in patterns:
-            pat = patterns[facet.index]
-        else:
-            pat = diffuse_sample_pattern(facet.index, nv, facet.area, config)
+        pat = diffuse_sample_pattern(facet.index, nv, facet.area, config)
         points.append(pat.weights @ pack.verts[fi, :nv])
         owners.append(np.full(pat.n_samples, fi))
         sample_ids.append(np.arange(pat.n_samples))
@@ -867,40 +885,34 @@ def _diffuse_rig(name):
 @settings(max_examples=40, deadline=None)
 @given(rig=st.sampled_from(sorted(DIFFUSE_RIGS)), n=st.integers(1, 130),
        start=st.floats(0.0, 1.0), step=st.sampled_from([125.86e-6, 2e-3, 1e-2]),
-       samples=st.integers(1, 9), seed=st.integers(0, 2 ** 16),
-       prebuilt=st.booleans())
-@example(rig="spin", n=130, start=0.2, step=1e-2, samples=4, seed=1729, prebuilt=True)
-@example(rig="spin_reverse", n=129, start=0.5, step=1e-2, samples=9, seed=3, prebuilt=False)
-@example(rig="scenario_c", n=130, start=0.4, step=1e-2, samples=8, seed=1729, prebuilt=True)
-@example(rig="scenario_b", n=65, start=0.1, step=1e-2, samples=16, seed=1, prebuilt=True)
-@example(rig="scenario_b", n=3, start=0.0, step=2e-3, samples=4, seed=9001, prebuilt=False)
-@example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0, prebuilt=False)
-@example(rig="static_crossing", n=130, start=0.5, step=1e-2, samples=4, seed=1729, prebuilt=True)
-@example(rig="static_crossing", n=130, start=0.3, step=1e-2, samples=9, seed=5, prebuilt=False)
-@example(rig="static_crossing_cart", n=130, start=0.5, step=1e-2, samples=4, seed=1729,
-         prebuilt=True)
-@example(rig="static_crossing_far", n=130, start=0.5, step=1e-2, samples=9, seed=1729,
-         prebuilt=True)
-@example(rig="grazing", n=100, start=0.0, step=1e-2, samples=9, seed=1729, prebuilt=True)
-def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, samples,
-                                                          seed, prebuilt):
+       samples=st.integers(1, 9), seed=st.integers(0, 2 ** 16))
+@example(rig="spin", n=130, start=0.2, step=1e-2, samples=4, seed=1729)
+@example(rig="spin_reverse", n=129, start=0.5, step=1e-2, samples=9, seed=3)
+@example(rig="scenario_c", n=130, start=0.4, step=1e-2, samples=8, seed=1729)
+@example(rig="scenario_b", n=65, start=0.1, step=1e-2, samples=16, seed=1)
+@example(rig="scenario_b", n=3, start=0.0, step=2e-3, samples=4, seed=9001)
+@example(rig="ground_behind", n=1, start=0.0, step=1e-2, samples=4, seed=0)
+@example(rig="static_crossing", n=130, start=0.5, step=1e-2, samples=4, seed=1729)
+@example(rig="static_crossing", n=130, start=0.3, step=1e-2, samples=9, seed=5)
+@example(rig="static_crossing_cart", n=130, start=0.5, step=1e-2, samples=4, seed=1729)
+@example(rig="static_crossing_far", n=130, start=0.5, step=1e-2, samples=9, seed=1729)
+@example(rig="grazing", n=100, start=0.0, step=1e-2, samples=9, seed=1729)
+def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, samples, seed):
     """A block of 1 to 130 epochs gives, row for row and bit for bit, each
-    epoch's rows from the per-facet tracer, in epoch order with their frame,
-    with and without prebuilt patterns.  The reference tests every leg
-    against every facet, so a moving facet's samples, which the tracer
-    tests against the other facets only, keep the verdicts of the full
-    test."""
+    epoch's rows from the per-facet tracer, in epoch order with their frame.
+    The reference tests every leg against every facet, so a moving facet's
+    samples, which the tracer tests against the other facets only, keep the
+    verdicts of the full test."""
     scene, tx, rx = _diffuse_rig(rig)
     lo, hi = scene.t_span or (0.0, 1.0)
     step = min(step, (hi - lo) / n)
     times = lo + start * ((hi - lo) - (n - 1) * step) + step * np.arange(n)
     config = TraceConfig(diffuse_samples_per_facet=samples, seed=seed)
-    patterns = build_sample_patterns(scene, config) if prebuilt else None
     block = snapshots(scene, times)
-    table = trace_diffuse(block, tx, rx, config, patterns)
+    table = trace_diffuse(block, tx, rx, config)
     parts = []
     for k, snap in enumerate(epochs(block)):
-        parts.append(_reference_diffuse(snap, tx, rx, config, patterns))
+        parts.append(_reference_diffuse(snap, tx, rx, config))
         parts[-1].frame = np.full(len(parts[-1]), k)
     reference = PathTable.concat(parts)
     for col in ("kind", "hops", "facets", "sample", "points", "area", "frame"):
@@ -914,6 +926,6 @@ def test_block_diffuse_tracer_matches_per_facet_reference(rig, n, start, step, s
     if rig == "grazing" and (n, step, samples) == (100, 1e-2, 9):
         slab = np.bincount(table.frame[table.facets[:, 0] == 0], minlength=n)
         assert slab.max() == 9 and slab.min() < 9      # the gate blocks some legs
-    single = trace_diffuse(block.view(slice(n - 1, n)), tx, rx, config, patterns)
+    single = trace_diffuse(block.view(slice(n - 1, n)), tx, rx, config)
     assert not single.frame.any()
     assert single.points.tobytes() == table.take(table.frame == n - 1).points.tobytes()
