@@ -21,7 +21,8 @@ outgrows F^2 chains.  Each pass runs in two steps:
 Paths whose delay exceeds the unambiguous beat-spectrum span f_samp / slope
 are then dropped and counted per frame, and the .cir columns of the kept
 rows are taken once, in frame order.  The kept rows of every pass form
-one episode table, a Cir.  The posed world is built once per episode.
+one episode table, a Cir, which carries the chirp config, link and trace
+settings it was traced under.  The posed world is built once per episode.
 """
 
 from __future__ import annotations
@@ -133,26 +134,33 @@ class Cir:
     in frame order; its frame column is the row's frame position in the
     episode.  epoch_index, t and n_dropped are per frame: the epoch on the
     chirp grid, its time and the rows dropped beyond the maximum delay.
+    config, link and trace are the settings the episode was traced under,
+    the one source of them for synthesis, prediction and the .cir header.
     """
 
     paths: PathTable
     epoch_index: np.ndarray         # (F,) int
     t: np.ndarray                   # (F,) float
     n_dropped: np.ndarray           # (F,) int
+    config: ChirpConfig
+    link: SensingLink
+    trace: TraceConfig
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __getitem__(self, frames: slice) -> Cir:
         """The sub-episode of a slice of consecutive frames, such as
-        cir[lo:hi]; its frame column counts from the slice start."""
+        cir[lo:hi], under the episode's settings; its frame column counts
+        from the slice start."""
         at = range(len(self))[frames]
         if not isinstance(at, range) or at.step != 1:
             raise TypeError("a Cir takes a slice of consecutive frames, such as cir[k:k + 1]")
         lo, hi = np.searchsorted(self.paths.frame, [at.start, at.stop])
         paths = self.paths.take(slice(lo, hi))
         paths.frame = paths.frame - at.start
-        return Cir(paths, self.epoch_index[frames], self.t[frames], self.n_dropped[frames])
+        return Cir(paths, self.epoch_index[frames], self.t[frames], self.n_dropped[frames],
+                   self.config, self.link, self.trace)
 
 
 def doppler_of(paths: PathTable, f_c: float) -> np.ndarray:
@@ -239,7 +247,8 @@ def simulate_cir(scene: Scene, link: SensingLink, config: ChirpConfig,
         kept.append(block.cir_columns().take(order[keep[order]]))
         kept[-1].frame += lo
         dropped.append(np.bincount(block.frame[~keep], minlength=len(snaps.t)))
-    return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped))
+    return Cir(PathTable.concat(kept), np.arange(len(times)), times, np.concatenate(dropped),
+               config, link, trace)
 
 
 def frame_stats(cir: Cir) -> dict:
@@ -262,16 +271,16 @@ def frame_stats(cir: Cir) -> dict:
 CIR_MAGIC = b"RFTCIR1\n"
 
 
-def save_cir(path, cir: Cir, config: ChirpConfig, link: SensingLink, trace: TraceConfig,
-             extra: dict | None = None, frozen_clock: bool = False) -> None:
+def save_cir(path, cir: Cir, extra: dict | None = None, frozen_clock: bool = False) -> None:
     """Write an episode in the little-endian binary layout described in README:
     8-byte magic, u32 header length, UTF-8 JSON header, then one record per
-    frame, laid out by _frame_layout.  The header's t0 is the first frame's
-    time, 0.0 for an episode of no frames."""
+    frame, laid out by _frame_layout.  The header holds the episode's
+    config, link and trace; its t0 is the first frame's time, 0.0 for an
+    episode of no frames."""
     header = {"format": "rftwin-cir", "version": 1,
-              "config": config.to_dict(),
-              "link": {"tx": link.tx_id, "rx": link.rx_id},
-              "trace": asdict(trace), "t0": float(cir.t[0]) if len(cir) else 0.0,
+              "config": cir.config.to_dict(),
+              "link": {"tx": cir.link.tx_id, "rx": cir.link.rx_id},
+              "trace": asdict(cir.trace), "t0": float(cir.t[0]) if len(cir) else 0.0,
               "n_frames": len(cir), "created": "frozen" if frozen_clock else now()}
     if extra:
         header.update(extra)
@@ -322,18 +331,30 @@ def _cir_payload(cir: Cir):
 def load_cir(path) -> tuple[Cir, dict]:
     """Read a CIR file back into its episode table plus its JSON header.
 
-    One pass walks the frame heads; a frame's facet count is the sum of its
+    The episode's config, link and trace are built from the header.  One
+    pass walks the frame heads; a frame's facet count is the sum of its
     hop counts.  Each run of consecutive frames that share a layout is then
     read as one array of frame records.  Facet rows are as wide as the
-    file's largest hop count.
+    file's largest hop count.  A header that lacks a key, a frame count
+    that is not a JSON integer of at least 0, settings that their
+    constructors reject, and a NaN or infinity in a t, tau, nu or a column
+    raise one ValueError naming the file.
     """
     header, body = read_container(path, CIR_MAGIC, "CIR")
-    missing = sorted({"config", "link", "t0", "n_frames"} - set(header))
+    missing = sorted({"config", "link", "trace", "t0", "n_frames"} - set(header))
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     n_frames = header["n_frames"]
-    if not isinstance(n_frames, int) or n_frames < 0:
+    if type(n_frames) is not int or n_frames < 0:
         raise ValueError(f"{path}: bad frame count {n_frames!r}")
+    settings = []
+    for key, what, build in (("config", "chirp config", lambda d: ChirpConfig(**d)),
+                             ("link", "link", lambda d: SensingLink(d["tx"], d["rx"])),
+                             ("trace", "trace settings", lambda d: TraceConfig(**d))):
+        try:
+            settings.append(build(header[key]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: bad {what} in the header: {exc}") from exc
     raw = memoryview(body.raw)
     head = _frame_layout(0, 0)
     count_at = head.fields["n_paths"][1]
@@ -366,11 +387,16 @@ def load_cir(path) -> tuple[Cir, dict]:
         raise ValueError(f"{path}: frame {epoch[bad.min()]}: unknown kind code "
                          "or negative facet index")
 
+    floats = {name: column(name) for name in ("t", "tau", "nu", "a_re", "a_im")}
+    for name, values in floats.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: the {name} column holds a NaN or infinite value")
     a = np.empty(len(kind), dtype=complex)
-    a.real, a.imag = column("a_re"), column("a_im")
+    a.real, a.imag = floats["a_re"], floats["a_im"]
     paths = PathTable(kind, hops, PathTable.facet_rows(hops, flat), column("sample"), a=a,
-                      tau=column("tau"), nu=column("nu"), frame=frame)
-    return Cir(paths, epoch.astype(int), column("t"), column("n_dropped").astype(int)), header
+                      tau=floats["tau"], nu=floats["nu"], frame=frame)
+    return Cir(paths, epoch.astype(int), floats["t"], column("n_dropped").astype(int),
+               *settings), header
 
 
 def cir_to_csv(path, cir: Cir) -> None:

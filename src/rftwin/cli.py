@@ -149,8 +149,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     tag = args.tag or scene_path.stem
     cir_path = out / f"{tag}.cir"
-    save_cir(cir_path, cir, config, link, trace=trace, frozen_clock=args.frozen_clock,
-             extra={"scene": scene_path.name, "seed": args.seed})
+    save_cir(cir_path, cir, extra={"scene": scene_path.name, "seed": args.seed},
+             frozen_clock=args.frozen_clock)
     csv_path = out / f"{tag}_paths.csv"
     cir_to_csv(csv_path, cir)
 
@@ -176,27 +176,6 @@ def _load_checked(load, path):
     except (ValueError, KeyError) as exc:
         message = str(exc)
         raise InputError(message if message.startswith(f"{p}:") else f"{p}: {message}") from exc
-
-
-def _load_cir_config(path):
-    """Episode, header and chirp config of a .cir file.  A malformed file, a
-    header config that ChirpConfig rejects (unknown key, wrong type, bad
-    value), or a NaN or infinite frame time, delay, Doppler or amplitude is
-    an input error naming the file."""
-    import numpy as np
-
-    from .channel import ChirpConfig, load_cir
-
-    cir, header = _load_checked(load_cir, path)
-    p = cir.paths
-    for name, column in (("t", cir.t), ("tau", p.tau), ("nu", p.nu),
-                         ("a_re", p.a.real), ("a_im", p.a.imag)):
-        if not np.isfinite(column).all():
-            raise InputError(f"{path}: the {name} column holds a NaN or infinite value")
-    try:
-        return cir, header, ChirpConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad chirp config in the header: {exc}") from exc
 
 
 def _window_spec(args, config, zero_pad: bool = False):
@@ -244,10 +223,12 @@ def _write_map(base, ddm, formats, frozen_clock) -> list[str]:
 def cmd_process(args) -> int:
     import numpy as np
 
+    from .channel import load_cir
     from .fmcw import (NoiseConfig, PdpWriter, beat_passes, delay_axis, pdp_series, range_fft,
                        window_maps)
 
-    cir, header, config = _load_cir_config(args.cir)
+    cir, header = _load_checked(load_cir, args.cir)
+    config = cir.config
     n, formats, window_fast, window_slow = _window_spec(args, config, args.zero_pad)
     stride = n if args.stride is None else _positive("stride", args.stride)
     if args.num_windows is not None:
@@ -269,7 +250,7 @@ def cmd_process(args) -> int:
     # synthesized, up to the end of the last.
     pdp_out = "bin" in formats or "csv" in formats
     frames = range(len(cir)) if pdp_out else range(starts[0], starts[-1] + n)
-    passes = beat_passes(cir, config, noise, frames.start, frames.stop)
+    passes = beat_passes(cir, noise, frames.start, frames.stop)
     times = cir.t
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
@@ -310,13 +291,14 @@ def cmd_process(args) -> int:
 def cmd_predict(args) -> int:
     import numpy as np
 
+    from .channel import load_cir
     from .fmcw import predicted_map
 
-    cir, header, config = _load_cir_config(args.cir)
-    n, formats, window_fast, window_slow = _window_spec(args, config)
+    cir, header = _load_checked(load_cir, args.cir)
+    n, formats, window_fast, window_slow = _window_spec(args, cir.config)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ddm = predicted_map(cir, config, t0_index=args.t0_index, n_chirps=n,
+            ddm = predicted_map(cir, t0_index=args.t0_index, n_chirps=n,
                                 window_fast=window_fast, window_slow=window_slow)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -123,13 +123,13 @@ def pass_frames(values_per_frame: int) -> int:
     return max(1, _PASS_VALUES // values_per_frame)
 
 
-def beat_passes(cir: Cir, config: ChirpConfig, noise: NoiseConfig = NoiseConfig(),
-                lo: int = 0, hi: int | None = None):
+def beat_passes(cir: Cir, noise: NoiseConfig = NoiseConfig(), lo: int = 0,
+                hi: int | None = None):
     """Dechirped I/Q samples of frames [lo, hi) of the episode (hi None: to
-    its end), in the factored form of the module docstring, one pass after
-    the other: (first frame, rows) pairs, rows a new (frames,
-    samples_per_chirp) array of pass_frames(samples_per_chirp) frames, fewer
-    in the last pass, that the caller may overwrite.
+    its end) under its chirp config, in the factored form of the module
+    docstring, one pass after the other: (first frame, rows) pairs, rows a
+    new (frames, samples_per_chirp) array of pass_frames(samples_per_chirp)
+    frames, fewer in the last pass, that the caller may overwrite.
 
     Each path's slow-time phase is the running integral of its Doppler
     over the frames where it appears (trapezoid rule, keyed by path), so a
@@ -142,6 +142,7 @@ def beat_passes(cir: Cir, config: ChirpConfig, noise: NoiseConfig = NoiseConfig(
     Noise draws are keyed by (seed, epoch_index), so a given frame always
     receives the same noise regardless of pass boundaries.
     """
+    config = cir.config
     n_s = config.samples_per_chirp
     span = range(len(cir))[lo:hi]
     if not span:
@@ -187,12 +188,11 @@ def beat_passes(cir: Cir, config: ChirpConfig, noise: NoiseConfig = NoiseConfig(
         yield p0, beats
 
 
-def synth_beat(cir: Cir, config: ChirpConfig,
-               noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
+def synth_beat(cir: Cir, noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
     """Dechirped I/Q samples of the whole episode, one row per frame: the
     passes of beat_passes stacked."""
-    beats = np.empty((len(cir), config.samples_per_chirp), dtype=complex)
-    for lo, rows in beat_passes(cir, config, noise):
+    beats = np.empty((len(cir), cir.config.samples_per_chirp), dtype=complex)
+    for lo, rows in beat_passes(cir, noise):
         beats[lo:lo + len(rows)] = rows
     return beats
 
@@ -448,10 +448,10 @@ def _window_response_table(window: str, n: int):
     return offs, resp
 
 
-def predicted_map(cir: Cir, config: ChirpConfig,
-                  t0_index: int = 0, n_chirps: int = 128,
+def predicted_map(cir: Cir, t0_index: int = 0, n_chirps: int = 128,
                   window_fast: str = "hann", window_slow: str = "hann") -> DelayDopplerMap:
-    """Analytic delay-Doppler prediction from the episode's paths.
+    """Analytic delay-Doppler prediction from the episode's paths, under its
+    chirp config.
 
     Each path of the mid-window frame contributes its power |a_n|^2 on the
     delay bin nearest tau_n, spread over Doppler by the discrete slow-time
@@ -474,6 +474,7 @@ def predicted_map(cir: Cir, config: ChirpConfig,
     that paths hit, and every other cell is the dB of zero power, so the
     work beyond filling the map follows the paths, not the cells.
     """
+    config = cir.config
     n_delay = config.samples_per_chirp
     d_axis, nu_axis, meta = _map_axes(cir.t, config, t0_index, n_chirps, n_delay,
                                       ["analytic", "analytic"], False)

@@ -77,13 +77,11 @@ SCENARIO_C_T0 = 2.74223872
 
 @dataclass
 class Episode:
-    """One simulated link: scene, geometry trace, CIR episode, beat matrix
-    and the epoch of every frame."""
+    """One simulated link: scene, CIR episode (with the chirp config, link
+    and trace settings it was traced under), beat matrix and the epoch of
+    every frame."""
 
     scene: Scene
-    config: ChirpConfig
-    trace: TraceConfig
-    link: SensingLink
     t0: float
     cir: Cir
     beats: np.ndarray
@@ -96,9 +94,9 @@ def _run_episode(scene, config, trace, link, t0) -> Episode:
     cir = simulate_cir(scene, link, config, trace, t0=t0)
     t_sim = time.perf_counter() - started
     started = time.perf_counter()
-    beats = synth_beat(cir, config)
+    beats = synth_beat(cir)
     t_synth = time.perf_counter() - started
-    return Episode(scene, config, trace, link, t0, cir, beats, cir.t,
+    return Episode(scene, t0, cir, beats, cir.t,
                    {"simulate": t_sim, "synth": t_synth})
 
 
@@ -127,17 +125,18 @@ NO_PATHS = PathTable(np.zeros(0, np.uint8), np.zeros(0, np.uint8), np.zeros((0, 
                      nu=np.zeros(0))
 
 
-def episode(frames) -> Cir:
-    """The Cir of per-frame tables: frames holds (epoch_index, t, paths,
-    n_dropped) per frame.  Only the .cir columns of the tables are kept,
-    padded on the left to the widest facet rows."""
+def episode(frames, config=ChirpConfig(), link=SensingLink("UE", "UE"),
+            trace=TraceConfig()) -> Cir:
+    """The Cir of per-frame tables under the given settings: frames holds
+    (epoch_index, t, paths, n_dropped) per frame.  Only the .cir columns of
+    the tables are kept, padded on the left to the widest facet rows."""
     frames = list(frames)
     tables = [paths for _, _, paths, _ in frames]
     paths = PathTable.concat([NO_PATHS] + tables).cir_columns()
     paths.frame = np.repeat(np.arange(len(frames)), [len(table) for table in tables])
     columns = [np.array([fr[j] for fr in frames], dtype=dtype)
                for j, dtype in ((0, int), (1, float), (3, int))]
-    return Cir(paths, *columns)
+    return Cir(paths, *columns, config, link, trace)
 
 
 def frames_of(cir: Cir) -> list[tuple]:

@@ -56,14 +56,14 @@ def test_criterion_03_crossing_car_map(scenario_b_episode):
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
     n = 128
     start = len(ep.beats) - n      # closest approach sits at the episode end
-    ddm = window_map(ep.beats, ep.times, ep.config, t0_index=start, n_chirps=n)
+    ddm = window_map(ep.beats, ep.times, ep.cir.config, t0_index=start, n_chirps=n)
     movers = [p for p in extract_peaks(ddm, threshold_db=40.0)
               if abs(p.doppler_hz) > 300.0]
     top = max(movers, key=lambda p: p.power_db)
 
     static = replace(ep.cir, paths=ep.cir.paths.take(np.abs(ep.cir.paths.nu) < 5.0))
-    static_map = window_map(synth_beat(static, ep.config), ep.times,
-                            ep.config, t0_index=start, n_chirps=n)
+    static_map = window_map(synth_beat(static), ep.times,
+                            ep.cir.config, t0_index=start, n_chirps=n)
     ridge = ridge_fraction(static_map)
 
     ok = (abs(top.delay_s - 62e-9) <= ddm.delay_bin
@@ -127,7 +127,7 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
             (scenario_b_episode, tuple(range(0, 3585, 512))),
             (scenario_c_episode, tuple(range(0, 3585, 512))))
     for (ep, windows), window_slow in itertools.product(jobs, checks):
-        cfg = ep.config
+        cfg = ep.cir.config
         n_delay = cfg.samples_per_chirp
         offs, resp = _hann_response(n_delay)
         delay_bin = (cfg.f_samp / n_delay) / cfg.slope
@@ -139,8 +139,7 @@ def test_criterion_04_predicted_vs_processed(plates_episode,
             nb = mid.paths.nu / doppler_bin
             proc = window_map(ep.beats, ep.times, cfg, t0_index=w, n_chirps=128,
                               window_fast="hann", window_slow=window_slow)
-            pred = predicted_map(ep.cir, cfg, t0_index=w, n_chirps=128,
-                                 window_slow=window_slow)
+            pred = predicted_map(ep.cir, t0_index=w, n_chirps=128, window_slow=window_slow)
             a_top = amps.max()
             for i in range(len(mid.paths)):
                 col = int(round(tb[i]))
@@ -178,7 +177,7 @@ def test_criterion_05_doppler_matches_delay_rate(plates_episode,
     total = 0
     worst = 0.0
     for ep in (plates_episode, scenario_b_episode, scenario_c_episode):
-        f_c = ep.config.f_c
+        f_c = ep.cir.config.f_c
         series: dict = {}
         p, epochs, times = ep.cir.paths, ep.cir.epoch_index.tolist(), ep.cir.t.tolist()
         for key, k, tau, nu in zip(p.keys(), p.frame.tolist(), p.tau, p.nu):
@@ -311,9 +310,9 @@ def test_criterion_08_doppler_mainlobe_nulls():
 
     def tone_map(nu):
         amp = 0.5 * np.exp(-2j * np.pi * config.f_c * 40e-9)
-        cir = episode((k, k * config.pri, tap_table([amp], [40e-9], [nu]), 0)
-                      for k in range(n))
-        beats = synth_beat(cir, config)
+        cir = episode(((k, k * config.pri, tap_table([amp], [40e-9], [nu]), 0)
+                       for k in range(n)), config)
+        beats = synth_beat(cir)
         ddm = window_map(beats, cir.t, config, t0_index=0, n_chirps=n,
                          window_fast="boxcar", window_slow="boxcar")
         return ddm, beats
@@ -363,10 +362,11 @@ def test_criterion_08_doppler_mainlobe_nulls():
 def test_criterion_09_platform_motion_pdp(scenario_c_episode):
     ep = scenario_c_episode
     runtime = ep.seconds["simulate"] + ep.seconds["synth"]
-    pdp = pdp_series(range_fft(ep.beats), ep.times, ep.config)
+    config = ep.cir.config
+    pdp = pdp_series(range_fft(ep.beats), ep.times, config)
     dominant_drift = int(np.ptp(np.argmax(pdp.power_db, axis=1)))
 
-    delay_bin = (ep.config.f_samp / ep.config.samples_per_chirp) / ep.config.slope
+    delay_bin = (config.f_samp / config.samples_per_chirp) / config.slope
     lo: dict = {}
     hi: dict = {}
     count: dict = {}

@@ -12,7 +12,8 @@ import rftwin
 # references inside the tests, by the SnapshotBlock of one epoch, or by the
 # Cir episode table and the breakdown columns of amplitudes_of; LinkConstants
 # by the tables amplitudes_of builds on each call; range_rows and
-# padded_windows by the passes of beat_passes and window_maps.
+# padded_windows by the passes of beat_passes and window_maps; the CLI's
+# _load_cir_config by the settings and checks of load_cir.
 RETIRED = [
     ("em", "fresnel_reflection"), ("em", "_fresnel_te_tm"), ("em", "lobe_gain"),
     ("em", "split_power"), ("em", "_antenna_frame"), ("em", "_gains_db"),
@@ -22,7 +23,7 @@ RETIRED = [
     ("analysis", "peak_to_sidelobe_db"), ("kinematics", "WorldSnapshot"),
     ("kinematics", "PoseSample"), ("channel", "CirFrame"), ("channel", "_block_frames"),
     ("em", "PathAmplitude"), ("em", "LinkConstants"), ("fmcw", "range_rows"),
-    ("fmcw", "padded_windows"),
+    ("fmcw", "padded_windows"), ("cli", "_load_cir_config"),
 ]
 
 

@@ -4,7 +4,7 @@ import functools
 import json
 import re
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -189,11 +189,11 @@ def test_frame_doppler_matches_per_path_recompute(plates_episode):
     ep = plates_episode
     frame = ep.cir[97:98]
     snap = snapshot(ep.scene, frame.t[0])
-    traced = trace_specular(snap, "UE", "UE", ep.trace)
+    traced = trace_specular(snap, "UE", "UE", ep.cir.trace)
     assert traced.keys() == frame.paths.keys()
     assert len(frame.paths) == 3
     assert frame.paths.nu == pytest.approx(
-        doppler_of(snap.attach(traced, "UE", "UE"), ep.config.f_c), abs=1e-9)
+        doppler_of(snap.attach(traced, "UE", "UE"), ep.cir.config.f_c), abs=1e-9)
     assert frame.paths.tau == pytest.approx(
         traced.segment_lengths().sum(axis=1) / C, rel=1e-12)
 
@@ -209,21 +209,21 @@ def test_cir_file_roundtrip(tmp_path, plates_episode):
     ep = plates_episode
     subset = ep.cir[:3]
     path = tmp_path / "plates.cir"
-    save_cir(path, subset, ep.config, ep.link, trace=ep.trace,
-             extra={"scene": "calibration_plates", "seed": 1729},
+    save_cir(path, subset, extra={"scene": "calibration_plates", "seed": 1729},
              frozen_clock=True)
     back, header = load_cir(path)
     assert header["created"] == "frozen"
     assert header["format"] == "rftwin-cir"
-    assert header["config"] == ep.config.to_dict()
+    assert header["config"] == ep.cir.config.to_dict() == ChirpConfig(n_chirps_total=256).to_dict()
     assert header["link"] == {"tx": "UE", "rx": "UE"}
     assert header["n_frames"] == 3
     assert header["scene"] == "calibration_plates"
     assert header["trace"]["diffuse_enabled"] is False
     assert len(back) == 3
     assert_same_cir(back, subset)
+    assert (back.config, back.link, back.trace) == (ep.cir.config, ep.cir.link, ep.cir.trace)
     # An episode of no frames, which simulate_cir never makes, round-trips.
-    save_cir(tmp_path / "none.cir", ep.cir[0:0], ep.config, ep.link, ep.trace)
+    save_cir(tmp_path / "none.cir", ep.cir[0:0])
     none, header = load_cir(tmp_path / "none.cir")
     assert header["n_frames"] == len(none) == 0
     assert_same_cir(none, ep.cir[0:0])
@@ -233,7 +233,7 @@ def test_cir_saves_are_deterministic_with_frozen_clock(tmp_path, plates_episode)
     ep = plates_episode
     p1, p2 = tmp_path / "a.cir", tmp_path / "b.cir"
     for p in (p1, p2):
-        save_cir(p, ep.cir[:2], ep.config, ep.link, trace=ep.trace, frozen_clock=True)
+        save_cir(p, ep.cir[:2], frozen_clock=True)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -245,7 +245,7 @@ def test_cir_header_t0_is_the_first_frame_time(tmp_path):
     config = ChirpConfig(n_chirps_total=6)
     cir = simulate_cir(scene, link, config, trace, t0=0.1)
     for name, part, t0 in (("tail", cir[3:], cir.t[3]), ("none", cir[0:0], 0.0)):
-        save_cir(tmp_path / f"{name}.cir", part, config, link, trace)
+        save_cir(tmp_path / f"{name}.cir", part)
         header = load_cir(tmp_path / f"{name}.cir")[1]
         assert header["t0"] == t0 and type(header["t0"]) is float
 
@@ -273,7 +273,7 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
     frame = ep.cir[:1]
     frame.paths.kind = np.full(len(frame.paths), 3, np.uint8)
     path = tmp_path / "kind3.cir"
-    save_cir(path, frame, ep.config, ep.link, ep.trace)
+    save_cir(path, frame)
     with pytest.raises(ValueError, match="unknown kind code"):
         load_cir(path)
 
@@ -281,7 +281,7 @@ def test_load_cir_rejects_unknown_kind_codes(tmp_path, plates_episode):
 def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_episode):
     ep = plates_episode
     path = tmp_path / "plates.cir"
-    save_cir(path, ep.cir[:3], ep.config, ep.link, ep.trace)
+    save_cir(path, ep.cir[:3])
     raw = bytearray(path.read_bytes())
     hlen = struct.unpack_from("<I", raw, 8)[0]
     at = 12 + hlen                                  # frame 0 header
@@ -293,11 +293,30 @@ def test_load_cir_rejects_negative_facets_and_bad_frame_counts(tmp_path, plates_
     with pytest.raises(ValueError, match="frame 1: unknown kind code or negative facet"):
         load_cir(path)
     header = json.loads(raw[12:12 + hlen].decode())
-    for count in (-1, 2.5, "3"):
+    for count in (-1, 2.5, "3", True):
         header["n_frames"] = count
         blob = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
         with pytest.raises(ValueError, match=f"bad frame count {count!r}"):
+            load_cir(path)
+
+
+def test_load_cir_rejects_non_finite_columns(tmp_path, plates_episode):
+    """A NaN or an infinity in a frame time, delay, Doppler or amplitude
+    column is a ValueError naming the file and the column."""
+    good = tmp_path / "good.cir"
+    save_cir(good, plates_episode.cir[:2])
+    nan = float("nan")
+    for name, column, value in (("tau", "tau", nan), ("a_re", "a", nan),
+                                ("a_im", "a", complex(0.0, nan)), ("nu", "nu", float("inf")),
+                                ("nu", "nu", -float("inf")), ("t", "t", nan),
+                                ("a_re", "a", complex(float("inf"), 0.0))):
+        cir = load_cir(good)[0]
+        (cir.t if column == "t" else getattr(cir.paths, column))[-1:] = value
+        path = tmp_path / f"{name}.cir"
+        save_cir(path, cir)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the {name} column "
+                                             "holds a NaN or infinite value$"):
             load_cir(path)
 
 
@@ -306,7 +325,7 @@ def test_load_cir_rejects_path_counts_beyond_the_file(tmp_path, plates_episode):
     the u32 maximum, is a ValueError naming the file and the frame."""
     ep = plates_episode
     path = tmp_path / "plates.cir"
-    save_cir(path, ep.cir[:2], ep.config, ep.link, ep.trace)
+    save_cir(path, ep.cir[:2])
     raw = bytearray(path.read_bytes())
     at = 12 + struct.unpack_from("<I", raw, 8)[0]     # frame 0 header
     for count in (len(raw) + 1, 2 ** 26, 2 ** 32 - 1):
@@ -335,7 +354,7 @@ def test_cir_csv_export(tmp_path, plates_episode):
     cir_to_csv(tmp_path / "many.csv", many)
     reference_cir_csv(tmp_path / "ref.csv", many)
     assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    save_cir(tmp_path / "many.cir", many, ep.config, ep.link, ep.trace, frozen_clock=True)
+    save_cir(tmp_path / "many.cir", many, frozen_clock=True)
     assert (tmp_path / "many.cir").read_bytes().endswith(b"".join(reference_cir_payload(many)))
 
 
@@ -355,7 +374,7 @@ def test_cir_payload_of_episodes_whose_layout_changes_between_frames(tmp_path, p
         assert np.unique(counts).size == 1 + max(drops)
         assert np.count_nonzero(np.diff(counts)) == np.count_nonzero(np.diff(drops))
         path = tmp_path / f"{name}.cir"
-        save_cir(path, cir, ep.config, ep.link, ep.trace, frozen_clock=True)
+        save_cir(path, cir, frozen_clock=True)
         assert path.read_bytes().endswith(b"".join(reference_cir_payload(cir)))
         back, header = load_cir(path)
         assert header["n_frames"] == len(cir)
@@ -402,7 +421,7 @@ def test_diffuse_taps_round_trip_with_sample_index(tmp_path):
                        TraceConfig(diffuse_samples_per_facet=4), t0=0.0)
     assert (cir[:1].paths.sample >= 0).any()
     path = tmp_path / "d.cir"
-    save_cir(path, cir, config, SensingLink("UE", "UE"), TraceConfig())
+    save_cir(path, cir)
     back, _ = load_cir(path)
     assert_same_cir(back, cir)
 
@@ -509,7 +528,9 @@ def test_rigid_motion_keeps_every_path(r, bearing, yaw):
     assert np.all(np.abs(np.angle(moved.a / base.a)) <= 2e-8)
 
 
-def _frame_strategy(draw, epoch):
+def _frame_strategy(draw, epoch, finite=False):
+    """One frame of random .cir columns; its floats are finite with finite,
+    else any float64, NaN and infinities included."""
     n = draw(st.integers(0, 6))
     hops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     width = draw(st.integers(max(hops, default=0), 3))
@@ -518,13 +539,14 @@ def _frame_strategy(draw, epoch):
         facets[i, width - h:] = draw(st.lists(st.integers(0, 2 ** 31 - 1),
                                               min_size=h, max_size=h))
     ints = st.lists(st.integers(-1, 2 ** 31 - 1), min_size=n, max_size=n)
-    floats = st.lists(st.floats(width=64), min_size=2 * n, max_size=2 * n)
+    number = st.floats(width=64, allow_nan=not finite, allow_infinity=not finite)
+    floats = st.lists(number, min_size=2 * n, max_size=2 * n)
     a = np.array(draw(floats)).view(complex)
     paths = PathTable(np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
                                np.uint8),
                       np.array(hops, np.uint8), facets, np.array(draw(ints), np.int32), a=a,
                       tau=np.array(draw(floats))[:n], nu=np.array(draw(floats))[n:])
-    return epoch, draw(st.floats(width=64)), paths, draw(st.integers(0, 2 ** 32 - 1))
+    return epoch, draw(number), paths, draw(st.integers(0, 2 ** 32 - 1))
 
 
 def reference_cir_payload(cir):
@@ -554,19 +576,73 @@ def reference_cir_csv(path, cir):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cir_round_trip_is_exact_for_random_frames(tmp_path_factory, data):
-    cir = episode(_frame_strategy(data.draw, epoch)
+    """Random frames of any float64 bits are written as the per-frame
+    payload and, when every float is finite, read back bit for bit; else
+    load_cir names the first column, in file order, with a NaN or an
+    infinity."""
+    finite = data.draw(st.booleans())
+    cir = episode(_frame_strategy(data.draw, epoch, finite)
                   for epoch in range(data.draw(st.integers(0, 4))))
     directory = tmp_path_factory.mktemp("cir")
     path = directory / "random.cir"
-    save_cir(path, cir, ChirpConfig(), SensingLink("UE", "UE"), TraceConfig(), frozen_clock=True)
-    back, header = load_cir(path)
-    assert header["n_frames"] == len(back) == len(cir)
-    assert_same_cir(back, cir)
+    save_cir(path, cir, frozen_clock=True)
     assert path.read_bytes().endswith(b"".join(reference_cir_payload(cir)))
+    p = cir.paths
+    bad = [name for name, column in (("t", cir.t), ("tau", p.tau), ("nu", p.nu),
+                                     ("a_re", p.a.real), ("a_im", p.a.imag))
+           if not np.isfinite(column).all()]
+    assert not (finite and bad)
+    if bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the {bad[0]} column"):
+            load_cir(path)
+    else:
+        back, header = load_cir(path)
+        assert header["n_frames"] == len(back) == len(cir)
+        assert_same_cir(back, cir)
     # The CSV export equals its per-value reference byte for byte.
     cir_to_csv(directory / "random.csv", cir)
     reference_cir_csv(directory / "ref.csv", cir)
     assert (directory / "random.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+@st.composite
+def _settings(draw):
+    """A valid chirp config, link and trace, each field drawn: slope sweeps
+    the bandwidth in t_chirp, and a chirp has 2 to 65536 samples."""
+    t_chirp = draw(st.floats(1e-7, 1e-2))
+    bandwidth = draw(st.floats(1e3, 1e11))
+    samples = draw(st.integers(2, 65535))
+    config = ChirpConfig(f_c=draw(st.floats(1e3, 1e13)), bandwidth=bandwidth, t_chirp=t_chirp,
+                         t_idle=draw(st.floats(0.0, 1.0)), slope=bandwidth / t_chirp,
+                         f_samp=(samples + 0.5) / t_chirp,
+                         n_chirps_total=draw(st.integers(1, 2 ** 40)))
+    link = SensingLink(draw(st.text(min_size=1, max_size=6)), draw(st.text(min_size=1, max_size=6)))
+    trace = TraceConfig(max_specular_order=draw(st.integers(0, 3)),
+                        diffuse_enabled=draw(st.booleans()),
+                        diffuse_samples_per_facet=draw(st.integers(1, 32768)),
+                        occlusion_epsilon=draw(st.floats(1e-12, 1.0)),
+                        seed=draw(st.integers(0, 2 ** 63)),
+                        subdivide_area=draw(st.floats(1e-3, 1e6)))
+    return config, link, trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), settings_=_settings())
+def test_an_episode_carries_its_settings_through_the_file(tmp_path_factory, data, settings_):
+    """A hand-built episode under random valid settings goes through
+    save_cir and load_cir with equal settings and bit-identical columns;
+    the header holds the settings' fields."""
+    config, link, trace = settings_
+    cir = episode((_frame_strategy(data.draw, epoch, finite=True)
+                   for epoch in range(data.draw(st.integers(0, 3)))), config, link, trace)
+    path = tmp_path_factory.mktemp("settings") / "episode.cir"
+    save_cir(path, cir, frozen_clock=True)
+    back, header = load_cir(path)
+    assert (back.config, back.link, back.trace) == (config, link, trace)
+    assert header["config"] == config.to_dict()
+    assert header["link"] == {"tx": link.tx_id, "rx": link.rx_id}
+    assert header["trace"] == asdict(trace)
+    assert_same_cir(back, cir)
 
 
 # -- the per-snapshot pass that the block pass replaced, kept as its reference
@@ -885,6 +961,12 @@ def test_frame_slices_are_sub_episodes(plates_episode):
     assert_same_cir(part[1:3], cir[6:8])
     assert_same_cir(episode(frames_of(part)), part)
     assert len(cir[9:5]) == len(cir[9:5].paths) == 0
+    # Every slice, one of no frames too, carries the episode's settings.
+    assert (cir.config, cir.link, cir.trace) == (ChirpConfig(n_chirps_total=256),
+                                                 SensingLink("UE", "UE"),
+                                                 TraceConfig(diffuse_enabled=False))
+    for sub in (part, part[1:3], cir[0:0], cir[9:5], cir[-2:]):
+        assert (sub.config, sub.link, sub.trace) == (cir.config, cir.link, cir.trace)
     assert_same_cir(cir[-2:], cir[len(cir) - 2:])
     for frames in (3, slice(None, None, 2)):
         with pytest.raises(TypeError, match="slice of consecutive frames"):

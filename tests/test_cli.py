@@ -207,9 +207,10 @@ def test_a_map_above_the_cell_cap_is_an_input_error(tmp_path, capsys, monkeypatc
     config = ChirpConfig(f_samp=2.0 ** 26, t_chirp=2.0 ** -10, slope=4.0e9 * 2 ** 10,
                          n_chirps_total=n)
     assert config.samples_per_chirp == 65536 and MAX_MAP_CELLS == 2 * 128 * 65536
-    cir = Cir(episode([]).paths, np.arange(n), np.arange(n) * config.pri, np.zeros(n, int))
+    cir = Cir(episode([]).paths, np.arange(n), np.arange(n) * config.pri, np.zeros(n, int),
+              config, SensingLink("UE", "UE"), TraceConfig())
     path = tmp_path / "long.cir"
-    save_cir(path, cir, config, SensingLink("UE", "UE"), TraceConfig())
+    save_cir(path, cir)
     assert path.stat().st_size < 500_000
     sink = ["-o", str(tmp_path / "out")]
     for command, flags, bins in (("predict", ["-N", "20000"], 65536),
@@ -432,9 +433,9 @@ def test_zero_padded_process_keeps_the_unpadded_pdp(artifacts, tmp_path):
                      *flags, *common]) == 0
     pdp = [(tmp_path / name / "run.pdp").read_bytes() for name in ("pad", "flat")]
     assert pdp[0] == pdp[1]
-    episode, header = load_cir(cir)
-    config = ChirpConfig(**header["config"])
-    beats = synth_beat(episode, config, NoiseConfig(enabled=True))
+    episode = load_cir(cir)[0]
+    config = episode.config
+    beats = synth_beat(episode, NoiseConfig(enabled=True))
     for start in (0, 3, 6):
         ddm = load_map(tmp_path / "pad" / f"run_w{start:06d}.ddm")
         rows = range_fft(beats[start:start + 8], "blackman", zero_pad=True)
@@ -603,18 +604,17 @@ def test_predict_models_the_windows_of_process(artifacts, tmp_path, capsys):
     from rftwin.fmcw import predicted_map
 
     cir_path = str(artifacts["out"] / "run.cir")
-    cir, header = load_cir(cir_path)
-    config = ChirpConfig(**header["config"])
+    cir = load_cir(cir_path)[0]
     default = load_map(artifacts["out"] / "run_pred_w000000.ddm")
     assert default.metadata["model_windows"] == ["hann", "hann"]
     assert (default.power_db.tobytes()
-            == predicted_map(cir, config, n_chirps=8, window_fast="hann",
+            == predicted_map(cir, n_chirps=8, window_fast="hann",
                              window_slow="hann").power_db.tobytes())
     predict = ["predict", "--cir", cir_path, "-N", "8", "--tag", "run", "--frozen-clock"]
     assert main(predict + ["--window-slow", "boxcar", "-o", str(tmp_path / "box")]) == 0
     box = load_map(tmp_path / "box" / "run_pred_w000000.ddm")
     assert box.metadata["model_windows"] == ["hann", "boxcar"]
-    assert box.power_db.tobytes() == predicted_map(cir, config, n_chirps=8, window_fast="hann",
+    assert box.power_db.tobytes() == predicted_map(cir, n_chirps=8, window_fast="hann",
                                                    window_slow="boxcar").power_db.tobytes()
     for flag in ("--window", "--window-slow"):
         assert main(predict + [flag, "foo", "-o", str(tmp_path / "foo")]) == 2
@@ -766,27 +766,28 @@ def _rewrite_header(raw: bytes, change) -> bytes:
 
 def test_episode_values_no_trace_writes_are_input_errors(artifacts, tmp_path, capsys):
     """A .cir with a NaN or infinite frame time, delay, Doppler or amplitude
-    loads, but process and predict exit 2 naming the file and the column.
-    One with amplitudes whose power overflows exits 2 as well: numpy's
-    floating-point errors raise there, and a traced episode never sets them
-    off."""
-    from rftwin.channel import SensingLink, save_cir
+    does not load: info, process and predict exit 2 naming the file and the
+    column.  One with amplitudes whose power overflows loads, and process
+    and predict exit 2 as well: numpy's floating-point errors raise there,
+    and a traced episode never sets them off."""
+    from rftwin.channel import save_cir
 
     nan = float("nan")
     for name, column, value in (("a", "a", 1e300), ("tau", "tau", nan), ("a_re", "a", nan),
                                 ("a_im", "a", complex(0.0, nan)), ("nu", "nu", float("inf")),
                                 ("t", "t", nan)):
-        cir, header = load_cir(artifacts["out"] / "run.cir")
+        cir = load_cir(artifacts["out"] / "run.cir")[0]
         (cir.t if column == "t" else getattr(cir.paths, column))[:] = value
         bad = tmp_path / f"{name}.cir"
-        save_cir(bad, cir, ChirpConfig(**header["config"]), SensingLink("UE", "UE"),
-                 TraceConfig(**header["trace"]))
-        want = (f"{bad}: the {name} column holds a NaN or infinite value" if name != "a"
-                else "error: the input's values break the arithmetic (")
-        for command in ("process", "predict"):
-            assert main([command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]) == 2
+        save_cir(bad, cir)
+        want = (f"error: {bad}: the {name} column holds a NaN or infinite value\n"
+                if name != "a" else "error: the input's values break the arithmetic (")
+        argvs = [[command, "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]
+                 for command in ("process", "predict")] + [["info", str(bad)]] * (name != "a")
+        for argv in argvs:
+            assert main(argv) == 2
             err = capsys.readouterr().err
-            assert want in err, err
+            assert err.startswith(want), err
 
 
 # The commands that read each artifact of the shared run, after its path.
@@ -869,6 +870,38 @@ def test_malformed_container_headers_are_input_errors(artifacts, tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and message in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda h: {**h, "config": {**h["config"], "f_samp": "18.75e6"}}, "bad chirp config"),
+    (lambda h: {**h, "config": {**h["config"], "f_samp": 10 ** 400}}, "bad chirp config"),
+    (lambda h: {**h, "config": [1]}, "bad chirp config"),
+    (lambda h: {**h, "link": {"tx": "UE"}}, "bad link"),
+    (lambda h: {**h, "link": "UE"}, "bad link"),
+    (lambda h: {**h, "trace": {**h["trace"], "seed": -1}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "seed": "1729"}}, "bad trace settings"),
+    (_without("trace"), "header lacks trace"),
+    (lambda h: {**h, "n_frames": True}, "bad frame count True"),
+    (lambda h: {**h, "n_frames": 16.0}, "bad frame count 16.0")],
+    ids=["f_samp-str", "f_samp-huge-int", "config-list", "link-no-rx",
+         "link-str", "trace-seed", "trace-seed-str", "no-trace", "n_frames-true",
+         "n_frames-float"])
+def test_rejected_cir_headers_are_input_errors_of_every_reader(artifacts, tmp_path, capsys,
+                                                               change, message):
+    """A .cir header whose config, link or trace its constructor rejects, or
+    whose frame count is not a JSON integer: load_cir raises one ValueError
+    naming the file, and info, process and predict exit 2 with it, writing
+    nothing."""
+    bad = tmp_path / "bad.cir"
+    bad.write_bytes(_rewrite_header((artifacts["out"] / "run.cir").read_bytes(), change))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{bad}: {message}')}"):
+        load_cir(bad)
+    for argv in (["info", str(bad)],
+                 ["process", "--cir", str(bad), "-N", "8", "-o", str(tmp_path)],
+                 ["predict", "--cir", str(bad), "-N", "8", "-o", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
     assert list(tmp_path.iterdir()) == [bad]
 
 

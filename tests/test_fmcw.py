@@ -54,10 +54,10 @@ def tap(amplitude, delay, doppler):
 
 
 def make_cir(taps, n, t0=0.0):
-    """An episode of n frames carrying the same taps, each tap its own path
-    key."""
+    """An episode of n frames under CFG carrying the same taps, each tap its
+    own path key."""
     a, tau, nu = zip(*taps) if taps else ((), (), ())
-    return episode((k, t0 + k * CFG.pri, tap_table(a, tau, nu), 0) for k in range(n))
+    return episode(((k, t0 + k * CFG.pri, tap_table(a, tau, nu), 0) for k in range(n)), CFG)
 
 
 def wrap(phi):
@@ -121,7 +121,7 @@ def test_boltzmann_literal_is_codata():
 
 def test_beat_tone_sits_at_slope_times_delay():
     tau = 160 * DELAY_STEP          # exactly on delay bin 160
-    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1))
     spec = np.abs(range_fft(beats[0], window="boxcar"))
     assert np.argmax(spec) == 160
     # on-grid boxcar tone: normalized peak equals the tap amplitude
@@ -133,7 +133,7 @@ def test_beat_tone_sits_at_slope_times_delay():
 def test_beat_constant_phase_term():
     tau = 160 * DELAY_STEP
     a = 0.5 * np.exp(-2j * np.pi * CFG.f_c * tau)   # carrier phase convention
-    beats = synth_beat(make_cir([tap(a, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(a, tau, 0.0)], 1))
     # at the first fast-time sample the f_c tau terms cancel, leaving the
     # residual video phase -pi slope tau^2
     expected = wrap(-np.pi * CFG.slope * tau ** 2)
@@ -144,7 +144,7 @@ def test_beat_constant_phase_term():
 def test_slow_time_phase_advance_per_chirp():
     nu = 1106.6
     tau = 200 * DELAY_STEP
-    beats = synth_beat(make_cir([tap(1.0, tau, nu)], 4), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, nu)], 4))
     for k in range(3):
         step = np.angle(beats[k + 1, 0] * np.conj(beats[k, 0]))
         assert step == pytest.approx(wrap(2 * np.pi * nu * CFG.pri), abs=1e-9)
@@ -165,7 +165,7 @@ def test_parseval_with_documented_scaling():
 
 def test_zero_padding_doubles_bins_and_keeps_peak():
     tau = 300 * DELAY_STEP
-    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1))
     spec = np.abs(range_fft(beats[0], window="hann", zero_pad=True))
     assert len(spec) == 2 * NS
     assert np.argmax(spec) == 600
@@ -178,7 +178,7 @@ def test_hann_highest_sidelobe_level():
     # half-bin offset samples the sidelobes at their peaks; an on-grid tone
     # would sample them at their nulls and hide the window's leakage floor
     tau = 400.5 * DELAY_STEP
-    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1), CFG)
+    beats = synth_beat(make_cir([tap(1.0, tau, 0.0)], 1))
     spec = np.abs(range_fft(beats[0], window="hann"))
     k = np.arange(NS)
     mainlobe = np.abs(k - 400.5) < 2.5
@@ -191,7 +191,7 @@ def test_hann_highest_sidelobe_level():
 def test_tone_separation_resolved_and_merged():
     t1, t2_far, t2_near = 400 * DELAY_STEP, 403 * DELAY_STEP, 400.8 * DELAY_STEP
     resolved = synth_beat(make_cir([tap(1.0, t1, 0.0),
-                                       tap(-1.0, t2_far, 0.0)], 1), CFG)
+                                       tap(-1.0, t2_far, 0.0)], 1))
     spec = np.abs(range_fft(resolved[0], window="hann"))
     region = spec[395:410]
     local_max = [i for i in range(1, len(region) - 1)
@@ -200,7 +200,7 @@ def test_tone_separation_resolved_and_merged():
     assert len(local_max) == 2
 
     merged = synth_beat(make_cir([tap(1.0, t1, 0.0),
-                                     tap(1.0, t2_near, 0.0)], 1), CFG)
+                                     tap(1.0, t2_near, 0.0)], 1))
     spec = np.abs(range_fft(merged[0], window="hann"))
     region = spec[395:410]
     local_max = [i for i in range(1, len(region) - 1)
@@ -211,7 +211,7 @@ def test_tone_separation_resolved_and_merged():
 
 def test_map_axes_spacing_and_metadata():
     cir = make_cir([tap(1.0, 160 * DELAY_STEP, 0.0)], 128)
-    beats, times = synth_beat(cir, CFG), cir.t
+    beats, times = synth_beat(cir), cir.t
     ddm = window_map(beats, times, CFG, n_chirps=128)
     assert ddm.power_db.shape == (128, NS)
     assert ddm.doppler_bin == pytest.approx(DOPPLER_STEP, rel=1e-12)
@@ -237,7 +237,7 @@ def test_on_grid_path_power_is_exact():
     a = 0.01
     tau = 160 * DELAY_STEP
     cir = make_cir([tap(a, tau, 0.0)], 128)
-    ddm = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128)
+    ddm = window_map(synth_beat(cir), cir.t, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert (i, j) == (64, 160)      # zero Doppler row, the tap's delay bin
     assert ddm.power_linear()[i, j] == pytest.approx(a * a, rel=1e-9)
@@ -248,11 +248,11 @@ def test_approaching_target_lands_at_positive_doppler():
     nu = 17 * DOPPLER_STEP
     cir = make_cir([tap(1.0, 160 * DELAY_STEP, nu)], 128)
     times = cir.t
-    ddm = window_map(synth_beat(cir, CFG), times, CFG, n_chirps=128)
+    ddm = window_map(synth_beat(cir), times, CFG, n_chirps=128)
     i, j = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu, rel=1e-12)
     assert j == 160
-    receding = synth_beat(make_cir([tap(1.0, 160 * DELAY_STEP, -nu)], 128), CFG)
+    receding = synth_beat(make_cir([tap(1.0, 160 * DELAY_STEP, -nu)], 128))
     i2, _ = np.unravel_index(np.argmax(window_map(receding, times, CFG).power_db),
                              (128, NS))
     assert window_map(receding, times, CFG).doppler_axis[i2] == pytest.approx(-nu)
@@ -262,7 +262,7 @@ def test_doppler_beyond_nyquist_folds():
     f_rep = 1.0 / CFG.pri
     nu = 69 * DOPPLER_STEP          # 5 bins past the +Nyquist edge (64 bins)
     cir = make_cir([tap(1.0, 160 * DELAY_STEP, nu)], 128)
-    ddm = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128)
+    ddm = window_map(synth_beat(cir), cir.t, CFG, n_chirps=128)
     i, _ = np.unravel_index(np.argmax(ddm.power_db), ddm.power_db.shape)
     assert ddm.doppler_axis[i] == pytest.approx(nu - f_rep, rel=1e-9)
 
@@ -270,10 +270,10 @@ def test_doppler_beyond_nyquist_folds():
 def test_predicted_map_matches_processed_on_grid():
     a, tau, nu = 0.02, 160 * DELAY_STEP, 17 * DOPPLER_STEP
     cir = make_cir([tap(a, tau, nu)], 128)
-    beats = synth_beat(cir, CFG)
+    beats = synth_beat(cir)
     proc = window_map(beats, cir.t, CFG, n_chirps=128,
                       window_fast="boxcar", window_slow="boxcar")
-    pred = predicted_map(cir, CFG, n_chirps=128, window_slow="boxcar")
+    pred = predicted_map(cir, n_chirps=128, window_slow="boxcar")
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     qi = np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape)
     assert pi == qi == (64 + 17, 160)
@@ -288,7 +288,7 @@ def test_predicted_map_doppler_mainlobe_shape():
     a, tau = 1.0, 160 * DELAY_STEP
     nu = 17.5 * DOPPLER_STEP
     cir = make_cir([tap(a, tau, nu)], 128)
-    pred = predicted_map(cir, CFG, n_chirps=128, window_slow="boxcar")
+    pred = predicted_map(cir, n_chirps=128, window_slow="boxcar")
     col = pred.power_linear()[:, 160]
     mm = np.arange(128)
     expect = np.array([
@@ -308,18 +308,18 @@ def test_predicted_map_models_the_slow_time_window(window_slow):
     over the tap sum squared, and the hann map is the default's bits."""
     a, tau = 0.02, 160 * DELAY_STEP
     cir = make_cir([tap(a, tau, 17 * DOPPLER_STEP)], 128)
-    proc = window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=128, window_slow=window_slow)
-    pred = predicted_map(cir, CFG, n_chirps=128, window_slow=window_slow)
+    proc = window_map(synth_beat(cir), cir.t, CFG, n_chirps=128, window_slow=window_slow)
+    pred = predicted_map(cir, n_chirps=128, window_slow=window_slow)
     assert pred.metadata["model_windows"] == ["hann", window_slow]
     assert pred.metadata["windows"] == ["analytic", "analytic"]
     pi = np.unravel_index(np.argmax(pred.power_db), pred.power_db.shape)
     assert pi == np.unravel_index(np.argmax(proc.power_db), proc.power_db.shape) == (81, 160)
     assert pred.power_db[pi] == pytest.approx(proc.power_db[pi], abs=1e-6)
     if window_slow == "hann":
-        assert pred.power_db.tobytes() == predicted_map(cir, CFG, n_chirps=128).power_db.tobytes()
+        assert pred.power_db.tobytes() == predicted_map(cir, n_chirps=128).power_db.tobytes()
 
     nu = 17.5 * DOPPLER_STEP
-    pred = predicted_map(make_cir([tap(1.0, tau, nu)], 128), CFG, n_chirps=128,
+    pred = predicted_map(make_cir([tap(1.0, tau, nu)], 128), n_chirps=128,
                          window_slow=window_slow)
     w, mm = window_taps(window_slow, 128), np.arange(128)
     expect = [abs((w * np.exp(2j * np.pi * (nu - f) * CFG.pri * mm)).sum()) ** 2 / w.sum() ** 2
@@ -338,31 +338,32 @@ def test_the_default_maps_of_a_window_agree():
     config = replace(CFG, n_chirps_total=128)
     cir = simulate_cir(load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
                        config, TraceConfig(diffuse_enabled=False), t0=0.1)
-    processed = delay_doppler(range_fft(synth_beat(cir, config)), cir.t, config)
-    report = match_maps(predicted_map(cir, config), processed, threshold_db=60.0)
+    processed = delay_doppler(range_fft(synth_beat(cir)), cir.t, config)
+    report = match_maps(predicted_map(cir), processed, threshold_db=60.0)
     assert report.max_power_error_db <= 0.05, report.summary()
     assert len(report.matches) == 2
     assert not report.unmatched_reference and not report.unmatched_test
     assert report.max_delay_bin_error == report.max_doppler_bin_error == 0
-    boxcar = match_maps(predicted_map(cir, config, window_slow="boxcar"), processed)
+    boxcar = match_maps(predicted_map(cir, window_slow="boxcar"), processed)
     assert boxcar.max_power_error_db == pytest.approx(1.42, abs=0.01)
 
 
 def test_predicted_map_rounds_delay_to_nearest_bin():
     cir = make_cir([tap(1.0, 160.4 * DELAY_STEP, 0.0)], 128)
-    pred = predicted_map(cir, CFG, n_chirps=128)
+    pred = predicted_map(cir, n_chirps=128)
     assert np.argmax(pred.power_db[64]) == 160
     cir = make_cir([tap(1.0, 160.6 * DELAY_STEP, 0.0)], 128)
-    pred = predicted_map(cir, CFG, n_chirps=128)
+    pred = predicted_map(cir, n_chirps=128)
     assert np.argmax(pred.power_db[64]) == 161
     with pytest.raises(ValueError, match="outside"):
-        predicted_map(cir, CFG, t0_index=64, n_chirps=128)
+        predicted_map(cir, t0_index=64, n_chirps=128)
 
 
-def dense_predicted_map(cir, config, t0_index=0, n_chirps=128, window_fast="hann"):
+def dense_predicted_map(cir, t0_index=0, n_chirps=128, window_fast="hann"):
     """predicted_map as it was, accumulating into a zero map of every delay
     bin and taking the dB of all of it: the reference for the one that
     accumulates only the columns that paths hit."""
+    config = cir.config
     n_delay = config.samples_per_chirp
     d_axis = delay_axis(config, n_delay)
     power = np.zeros((n_chirps, n_delay))
@@ -404,7 +405,7 @@ def drifting_cir(delays_at, n=128, empty_frame=None):
         return tap_table(0.5 ** np.arange(len(tau)),
                          np.asarray(tau, float) * DELAY_STEP,
                          3.3 * DOPPLER_STEP * np.arange(1, len(tau) + 1))
-    return episode((k, k * CFG.pri, frame(k), 0) for k in range(n))
+    return episode(((k, k * CFG.pri, frame(k), 0) for k in range(n)), CFG)
 
 
 @pytest.mark.parametrize("window_fast", ["hann", "boxcar"])
@@ -420,9 +421,9 @@ def test_predicted_map_equals_the_dense_reference(case, window_fast):
         cir = drifting_cir(lambda k: [2116.0 + 0.01 * k, 2115.4, 500.0, -0.6, 9000.0])
     else:
         cir = drifting_cir(lambda k: [160.0, 160.3 - 0.002 * k, 159.7, 700.0, 160.45 - 0.001 * k])
-    got = predicted_map(cir, CFG, n_chirps=128, window_fast=window_fast,
+    got = predicted_map(cir, n_chirps=128, window_fast=window_fast,
                         window_slow="boxcar").power_db
-    want = dense_predicted_map(cir, CFG, n_chirps=128, window_fast=window_fast)
+    want = dense_predicted_map(cir, n_chirps=128, window_fast=window_fast)
     assert got.tobytes() == want.tobytes()
     hit = np.flatnonzero((got > -300.0).any(axis=0)).tolist()
     assert hit == {"empty_mid_frame": [], "beyond_last_bin": [500, 2115],
@@ -431,7 +432,7 @@ def test_predicted_map_equals_the_dense_reference(case, window_fast):
 
 def test_pdp_series_static_path():
     cir = make_cir([tap(0.1, 160 * DELAY_STEP, 0.0)], 16)
-    beats = synth_beat(cir, CFG)
+    beats = synth_beat(cir)
     pdp = pdp_series(range_fft(beats), cir.t, CFG)
     assert pdp.power_db.shape == (16, NS)
     assert np.array_equal(np.argmax(pdp.power_db, axis=1), np.full(16, 160))
@@ -445,9 +446,10 @@ def test_pdp_series_static_path():
                        rtol=1e-12, atol=1e-15)
 
 
-def direct_beats(cir, config, noise=NoiseConfig()):
+def direct_beats(cir, noise=NoiseConfig()):
     """The direct sum: one weights @ exp(outer(tau, t_m)) per frame, with
     each key's phase trail updated frame by frame."""
+    config = cir.config
     n_s = config.samples_per_chirp
     t_m = np.arange(n_s) / config.f_samp
     trail = {}                          # key -> (t, nu, phase) when last seen
@@ -492,9 +494,9 @@ def test_factored_synthesis_matches_direct_sum(config, n_frames, pool, seed, noi
                           tau=rng.uniform(0.0, config.max_delay, n),
                           nu=rng.uniform(-0.5, 0.5, n) / config.pri)
         frames.append((k, k * config.pri, paths, 0))
-    cir = episode(frames)
+    cir = episode(frames, config)
     cfg_noise = NoiseConfig(enabled=noise, seed=seed % 1000)
-    got, want = synth_beat(cir, config, cfg_noise), direct_beats(cir, config, cfg_noise)
+    got, want = synth_beat(cir, cfg_noise), direct_beats(cir, cfg_noise)
     assert got.shape == want.shape == (n_frames, config.samples_per_chirp)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -540,7 +542,7 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
     after the last window."""
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * DOPPLER_STEP),
                           tap(0.02, 420.3 * DELAY_STEP, -11.4 * DOPPLER_STEP)], 100)
-    beats = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=3))
+    beats = synth_beat(cir, NoiseConfig(enabled=True, seed=3))
     beats[50] = 0.0
     times = cir.t
     starts = list(range(0, len(beats) - n + 1, stride))
@@ -571,13 +573,12 @@ def synthesis_episodes():
     """Episodes for the pass tests: scenario_b mono with diffuse paths, and
     the static crossing BS -> UE, whose plate starts to block the LOS at
     t = 0.375 s, so frames lose paths partway."""
-    config_b = replace(CFG, n_chirps_total=70)
     b = simulate_cir(load_scene(FIXTURES / "scenario_b.json"), SensingLink("UE", "UE"),
-                     config_b, TraceConfig(), t0=0.1)
-    config = ChirpConfig(t_idle=5e-3, n_chirps_total=70)
+                     replace(CFG, n_chirps_total=70), TraceConfig(), t0=0.1)
     crossing = simulate_cir(scene_from_dict(static_crossing_doc()), SensingLink("BS", "UE"),
-                            config, TraceConfig(diffuse_samples_per_facet=4), t0=0.2)
-    return {"scenario_b": (b, config_b), "static_crossing": (crossing, config)}
+                            ChirpConfig(t_idle=5e-3, n_chirps_total=70),
+                            TraceConfig(diffuse_samples_per_facet=4), t0=0.2)
+    return {"scenario_b": b, "static_crossing": crossing}
 
 
 @settings(max_examples=30, deadline=None)
@@ -591,15 +592,15 @@ def test_synthesis_over_a_frame_range_equals_the_one_shot_matrix(case, lo, size,
     for bit, those rows of the matrix that one np.matmul block over the
     whole episode gives.  The pass budget also sizes synthesis's blocks,
     so they pad to other path counts than the one-shot block."""
-    cir, config = synthesis_episodes()[case]
+    cir = synthesis_episodes()[case]
     hi = min(lo + size, len(cir))
     noise = NoiseConfig(enabled=noise, seed=lo)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fmcw, "_PASS_VALUES", 1 << 40)
-        whole = synth_beat(cir, config, noise)
+        whole = synth_beat(cir, noise)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fmcw, "_PASS_VALUES", rows * config.samples_per_chirp)
-        passes = list(beat_passes(cir, config, noise, lo, hi))
+        patch.setattr(fmcw, "_PASS_VALUES", rows * cir.config.samples_per_chirp)
+        passes = list(beat_passes(cir, noise, lo, hi))
     firsts = list(range(lo, hi, rows))
     assert [first for first, _ in passes] == firsts
     assert [len(block) for _, block in passes] == [min(rows, hi - f) for f in firsts]
@@ -617,8 +618,8 @@ def test_noise_defaults_off_and_floor_formula():
     assert noise.sample_variance(CFG.f_samp) == pytest.approx(
         10 ** ((expected_floor - 12.0) / 10.0), rel=1e-12)
     cir = make_cir([tap(1.0, 160 * DELAY_STEP, 0.0)], 4)
-    clean = synth_beat(cir, CFG)
-    default = synth_beat(cir, CFG, NoiseConfig())
+    clean = synth_beat(cir)
+    default = synth_beat(cir, NoiseConfig())
     assert np.array_equal(clean, default)
 
 
@@ -634,20 +635,20 @@ def test_noise_config_validation():
 def test_noise_is_deterministic_and_keyed_by_epoch():
     cir = make_cir([tap(0.001, 500 * DELAY_STEP, 0.0)], 48)
     noisy = NoiseConfig(enabled=True, seed=5)
-    a = synth_beat(cir, CFG, noisy)
-    b = synth_beat(cir, CFG, noisy)
+    a = synth_beat(cir, noisy)
+    b = synth_beat(cir, noisy)
     assert np.array_equal(a, b)
-    c = synth_beat(cir, CFG, NoiseConfig(enabled=True, seed=6))
+    c = synth_beat(cir, NoiseConfig(enabled=True, seed=6))
     assert not np.array_equal(a[0], c[0])
     # per-epoch keying: a tail batch reproduces the same noise draws
-    tail = synth_beat(cir[32:], CFG, noisy)
+    tail = synth_beat(cir[32:], noisy)
     assert np.array_equal(a[32:], tail)
 
 
 def test_noise_variance_matches_config():
     cir = make_cir([], 64)
     noise = NoiseConfig(enabled=True, seed=11)
-    beats = synth_beat(cir, CFG, noise)
+    beats = synth_beat(cir, noise)
     samples = beats.ravel()
     var = np.mean(np.abs(samples) ** 2)
     assert var == pytest.approx(noise.sample_variance(CFG.f_samp), rel=0.02)
@@ -656,7 +657,7 @@ def test_noise_variance_matches_config():
 
 def small_map():
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 3 * 1.0 / (16 * CFG.pri))], 16)
-    return window_map(synth_beat(cir, CFG), cir.t, CFG, n_chirps=16)
+    return window_map(synth_beat(cir), cir.t, CFG, n_chirps=16)
 
 
 def test_map_file_roundtrip_and_frozen_determinism(tmp_path):
@@ -795,7 +796,7 @@ def test_pdp_series_blocks_match_whole_matrix(tmp_path):
 
 def test_pdp_file_roundtrip_and_csv(tmp_path):
     cir = make_cir([tap(0.05, 160 * DELAY_STEP, 0.0)], 8)
-    pdp = pdp_series(range_fft(synth_beat(cir, CFG)), cir.t, CFG)
+    pdp = pdp_series(range_fft(synth_beat(cir)), cir.t, CFG)
     out = tmp_path / "series.pdp"
     save_pdp(out, pdp, frozen_clock=True)
     back = load_pdp(out)
