@@ -39,7 +39,7 @@ from .em import SPEED_OF_LIGHT, amplitudes_of
 # looks it up in this module.
 from .kinematics import snapshot, snapshots  # noqa: F401
 from .raytrace import (KINDS, PathTable, TraceConfig, diffuse_sample_count, pass_epochs,
-                       trace_diffuse, trace_los, trace_specular)
+                       require_types, trace_diffuse, trace_los, trace_specular)
 from .scene import Scene, SceneError
 
 
@@ -55,8 +55,9 @@ class ChirpConfig:
     Every field must be finite and positive (t_idle may be 0), slope *
     t_chirp must be within 0.1% of the bandwidth, and a chirp must have
     from 2 to MAX_SAMPLES_PER_CHIRP (65536) samples, floor(t_chirp *
-    f_samp); ValueError otherwise.  The same check serves the command-line
-    flags and the config in a .cir header.
+    f_samp); ValueError otherwise.  n_chirps_total must be an integer,
+    Python or numpy but not a bool; TypeError otherwise.  The same check
+    serves the command-line flags and the config in a .cir header.
     """
 
     f_c: float = 79.0e9
@@ -68,6 +69,7 @@ class ChirpConfig:
     n_chirps_total: int = 4096
 
     def __post_init__(self):
+        require_types(self, integers=("n_chirps_total",))
         for name in ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -120,10 +122,14 @@ def max_range(config: ChirpConfig, mode: str = "mono") -> float:
 
 @dataclass(frozen=True)
 class SensingLink:
-    """TX/RX pairing; a co-identified pair is the mono-static radar mode."""
+    """TX/RX pairing; a co-identified pair is the mono-static radar mode.
+    Both ids are transceiver id strings; TypeError otherwise."""
 
     tx_id: str
     rx_id: str
+
+    def __post_init__(self):
+        require_types(self, strings=("tx_id", "rx_id"))
 
 
 @dataclass

@@ -224,7 +224,7 @@ def cmd_process(args) -> int:
     import numpy as np
 
     from .channel import load_cir
-    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, delay_axis, pdp_series, range_fft,
+    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, delay_axis, pdp_power_db, range_fft,
                        window_maps)
 
     cir, header = _load_checked(load_cir, args.cir)
@@ -268,8 +268,7 @@ def cmd_process(args) -> int:
             if pdp_out or padded is None:
                 range_fft(beats, window_fast, out=beats)
             if pdp_out:
-                pdp.write(pdp_series(beats, times[lo:lo + len(beats)], config,
-                                     window_fast).power_db)
+                pdp.write(pdp_power_db(beats))
             yield lo, beats if padded is None else padded
 
     written = []

@@ -28,21 +28,27 @@ the largest sample of the direct sum.
 
 Processing runs pass by pass: beat_passes synthesizes a pass of beat rows,
 range_fft is the one windowed fast-time FFT and transforms each row once,
-pdp_series takes the power of a pass's spectra, PdpWriter appends it to
+pdp_power_db takes the power of a pass's spectra, PdpWriter appends it to
 the PDP files, and window_maps keeps the passes that windows still to come
 span and makes each window's map once its last row is in.  Both axes
 scale by the reciprocal of the window sum (coherent gain), with the bits of
 a complex division by it, so an on-grid path of amplitude a peaks at |a| in
 the map, directly comparable to the analytic prediction of predicted_map.
 delay_doppler transforms its columns in place, block by block, and writes
-magnitudes straight into the fftshifted rows of the map.
+the dB of each block's magnitudes into the fftshifted rows of the map.  It
+splits a map's delay columns into contiguous spans, one for each CPU the
+process may run on (its affinity set, which taskset limits), and makes
+them on that many threads.  Each cell is made by one thread, so a map has
+the same bits for any count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -303,8 +309,53 @@ def _map_axes(times, config: ChirpConfig, t0_index: int, n_chirps: int, n_delay:
 MAX_MAP_CELLS = 128 * 2 * MAX_SAMPLES_PER_CHIRP
 
 # Delay columns per slow-time FFT in delay_doppler: one reusable 1 MB complex
-# block at 128 chirps.
+# block at 128 chirps in each thread that makes part of a map.
 _MAP_BLOCK_COLUMNS = 512
+
+# Threads that make one map: the CPUs this process may run on, which taskset
+# limits.  delay_doppler gives each of them a span of at least
+# _MAP_SPAN_COLUMNS delay columns.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_MAP_SPAN_COLUMNS = 256
+
+
+@functools.cache
+def _map_pool(threads: int):
+    """The pool of threads that make the spans of a map beside the calling
+    thread; built on first use, so a process that never splits a map starts
+    no thread and never imports concurrent.futures."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="rftwin-map")
+
+
+def _map_span(blocks, w_slow: np.ndarray, power: np.ndarray, lo: int, hi: int) -> None:
+    """Fill delay columns [lo, hi) of power with their dB cells, in as few
+    blocks of at most _MAP_BLOCK_COLUMNS columns as there can be, of equal
+    widths give or take one: window, slow-time FFT in place, scale, then
+    magnitude, square and _power_db in a contiguous block of their own,
+    copied into the fftshifted rows.  The scratch blocks are allocated
+    here, in the thread that uses them."""
+    n_chirps = len(power)
+    scale = 1.0 / w_slow.sum()
+    half = n_chirps // 2                 # fftshift moves bins [0, n - half) up by half
+    count = -(-(hi - lo) // _MAP_BLOCK_COLUMNS)
+    edges = [lo + (hi - lo) * k // count for k in range(count + 1)]
+    width = -(-(hi - lo) // count)
+    block = np.empty((n_chirps, width), dtype=complex)
+    scratch = np.empty(n_chirps * width)
+    for c0, c1 in zip(edges[:-1], edges[1:]):
+        grid, cells = block[:, :c1 - c0], scratch[:n_chirps * (c1 - c0)].reshape(n_chirps, -1)
+        at = 0
+        for part in blocks:
+            np.multiply(part[:, c0:c1], w_slow[at:at + len(part), None],
+                        out=grid[at:at + len(part)])
+            at += len(part)
+        np.fft.fft(grid, axis=0, out=grid)
+        grid.view(np.float64)[...] *= scale
+        _power_db(np.square(np.abs(grid, out=cells), out=cells))
+        power[half:, c0:c1] = cells[:n_chirps - half]
+        power[:half, c0:c1] = cells[n_chirps - half:]
 
 
 def delay_doppler(rows, times: np.ndarray, config: ChirpConfig,
@@ -323,8 +374,16 @@ def delay_doppler(rows, times: np.ndarray, config: ChirpConfig,
     the bits of one FFT over the whole window.  As in range_fft, the
     normalization multiplies by the reciprocal of the window sum, the bits
     of numpy's complex division up to the sign of zero parts, which the
-    magnitude drops.  The magnitudes go straight into the fftshifted rows
-    of the map and are squared there.
+    magnitude drops.  Each block's magnitudes are squared and turned into
+    dB in a scratch block, then copied into the fftshifted rows of the map.
+
+    The delay columns are split into min(_WORKERS, n_delay // 256) spans,
+    one at least, each made whole by one thread: the calling thread makes
+    the first, a pool of _WORKERS - 1 threads the others.  No cell is made
+    by two threads, so the map has the same bits for any number of them.
+    Each span runs in a copy of the caller's context, under its numpy
+    error settings, and the call returns or raises only once every span
+    has ended; the first exception in column order is raised.
     """
     blocks = (rows,) if isinstance(rows, np.ndarray) else tuple(rows)
     n_chirps, n_delay = sum(len(block) for block in blocks), blocks[0].shape[1]
@@ -336,23 +395,20 @@ def delay_doppler(rows, times: np.ndarray, config: ChirpConfig,
                                       n_chirps, n_delay, [window_fast, window_slow],
                                       zero_pad)
     w_slow = window_taps(window_slow, n_chirps)
-    scale = 1.0 / w_slow.sum()
-    half = n_chirps // 2                 # fftshift moves bins [0, n - half) up by half
     power = np.empty((n_chirps, n_delay))
-    block = np.empty((n_chirps, min(n_delay, _MAP_BLOCK_COLUMNS)), dtype=complex)
-    for lo in range(0, n_delay, _MAP_BLOCK_COLUMNS):
-        hi = min(lo + _MAP_BLOCK_COLUMNS, n_delay)
-        grid = block[:, :hi - lo]
-        at = 0
-        for part in blocks:
-            np.multiply(part[:, lo:hi], w_slow[at:at + len(part), None],
-                        out=grid[at:at + len(part)])
-            at += len(part)
-        np.fft.fft(grid, axis=0, out=grid)
-        grid.view(np.float64)[...] *= scale
-        np.abs(grid[:n_chirps - half], out=power[half:, lo:hi])
-        np.abs(grid[n_chirps - half:], out=power[:half, lo:hi])
-    return DelayDopplerMap(_power_db(np.square(power, out=power)), d_axis, nu_axis, meta)
+    parts = max(1, min(_WORKERS, n_delay // _MAP_SPAN_COLUMNS))
+    edges = [n_delay * k // parts for k in range(parts + 1)]
+    pool = _map_pool(_WORKERS - 1) if parts > 1 else None
+    spans = [pool.submit(contextvars.copy_context().run, _map_span, blocks, w_slow, power,
+                         lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        _map_span(blocks, w_slow, power, edges[0], edges[1])
+    finally:
+        for span in spans:
+            span.exception()            # waits, so no span outlives the call
+    for span in spans:
+        span.result()
+    return DelayDopplerMap(power, d_axis, nu_axis, meta)
 
 
 def window_maps(passes, times: np.ndarray, config: ChirpConfig, starts, n_chirps: int,
@@ -398,6 +454,14 @@ class PdpSeries:
     metadata: dict = field(default_factory=dict)
 
 
+def pdp_power_db(rows: np.ndarray) -> np.ndarray:
+    """Range-profile powers in dB of range spectra rows (range_fft(beats)),
+    as a new array: the powers of pdp_series, which process writes pass by
+    pass with the delay axis and metadata it gives its PdpWriter once."""
+    power = np.abs(rows)
+    return _power_db(np.square(power, out=power))
+
+
 def pdp_series(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
                window: str = "hann") -> PdpSeries:
     """Range profile of every beat row: rows holds their range spectra
@@ -405,9 +469,8 @@ def pdp_series(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
     times = np.asarray(times, dtype=float)
     if times.shape != rows.shape[:1]:
         raise ValueError(f"{len(times)} epoch times for {len(rows)} beat rows")
-    power = np.abs(rows)
-    return PdpSeries(_power_db(np.square(power, out=power)), delay_axis(config, rows.shape[1]),
-                     times, metadata={"window": window, "config": config.to_dict()})
+    return PdpSeries(pdp_power_db(rows), delay_axis(config, rows.shape[1]), times,
+                     metadata={"window": window, "config": config.to_dict()})
 
 
 def _sin_pi_over(g: np.ndarray, n: int) -> np.ndarray:

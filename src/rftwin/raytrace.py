@@ -63,6 +63,21 @@ def pass_epochs(rows_per_epoch: int) -> int:
     return max(1, _CHAIN_ROWS // rows_per_epoch)
 
 
+def require_types(settings, integers=(), flags=(), strings=()) -> None:
+    """TypeError unless each named field of settings is an integer (Python
+    or numpy, not a bool), a bool, or a string, by the group it is named in."""
+    for names, kind, fits in (
+            (integers, "an integer", lambda v: isinstance(v, (int, np.integer))
+             and not isinstance(v, bool)),
+            (flags, "true or false", lambda v: isinstance(v, bool)),
+            (strings, "a string", lambda v: isinstance(v, str))):
+        for name in names:
+            value = getattr(settings, name)
+            if not fits(value):
+                raise TypeError(f"{type(settings).__name__}.{name} must be {kind}, "
+                                f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Tracer knobs; defaults match the shipped fixtures.
@@ -70,6 +85,8 @@ class TraceConfig:
     diffuse_samples_per_facet is a base count; facets larger than
     subdivide_area get proportionally more samples, rounded up to a full
     stratification grid.  The jitter seed makes sample patterns reproducible.
+    The counts and the seed are integers (Python or numpy, not bools) and
+    diffuse_enabled a bool, TypeError otherwise; out of range, ValueError.
     """
 
     max_specular_order: int = 2
@@ -80,6 +97,8 @@ class TraceConfig:
     subdivide_area: float = 25.0
 
     def __post_init__(self):
+        require_types(self, integers=("max_specular_order", "diffuse_samples_per_facet", "seed"),
+                      flags=("diffuse_enabled",))
         if not 0 <= self.max_specular_order <= 3:
             raise ValueError("max_specular_order must be between 0 and 3")
         if self.diffuse_samples_per_facet < 1:
@@ -146,13 +165,16 @@ class PathTable:
 
     @staticmethod
     def concat(tables) -> PathTable:
-        """Rows of every table in order, padded on the left to the widest K."""
+        """Rows of every table in order, padded on the left to the widest K
+        of them all; a column that some table lacks is None.  Tables with no
+        rows add nothing, so none of their columns is copied or padded."""
         k = max(t.facets.shape[1] for t in tables)
+        full = [t for t in tables if len(t)] or tables[:1]
 
         def column(name):
-            parts = [getattr(t, name) for t in tables]
-            if any(p is None for p in parts):
+            if any(getattr(t, name) is None for t in tables):
                 return None
+            parts = [getattr(t, name) for t in full]
             if name in ("facets", "points"):
                 parts = [_pad_left(p, k if name == "facets" else k + 2) for p in parts]
             return np.concatenate(parts)

@@ -109,6 +109,19 @@ def test_chirp_config_validation():
     ChirpConfig(t_idle=0.0)
 
 
+def test_chirp_config_and_link_check_their_types():
+    """n_chirps_total takes Python and numpy integers but no bool or other
+    number, and a link's ids are strings: TypeError naming the field."""
+    assert ChirpConfig(n_chirps_total=np.int64(8)).n_chirps_total == 8
+    for value in (2.5, 8.0, True, "8", None):
+        with pytest.raises(TypeError, match="^ChirpConfig.n_chirps_total must be an integer, "
+                                            f"got {re.escape(repr(value))}$"):
+            ChirpConfig(n_chirps_total=value)
+    for tx, rx, field in ((1, "UE", "tx_id"), ("UE", None, "rx_id"), (b"UE", "UE", "tx_id")):
+        with pytest.raises(TypeError, match=f"^SensingLink.{field} must be a string"):
+            SensingLink(tx, rx)
+
+
 def test_max_range_mono_and_bi():
     config = ChirpConfig()
     span = C * config.f_samp / config.slope

@@ -883,10 +883,19 @@ def test_malformed_container_headers_are_input_errors(artifacts, tmp_path, capsy
     (lambda h: {**h, "trace": {**h["trace"], "seed": "1729"}}, "bad trace settings"),
     (_without("trace"), "header lacks trace"),
     (lambda h: {**h, "n_frames": True}, "bad frame count True"),
-    (lambda h: {**h, "n_frames": 16.0}, "bad frame count 16.0")],
+    (lambda h: {**h, "n_frames": 16.0}, "bad frame count 16.0"),
+    (lambda h: {**h, "config": {**h["config"], "n_chirps_total": 2.5}}, "bad chirp config"),
+    (lambda h: {**h, "config": {**h["config"], "n_chirps_total": True}}, "bad chirp config"),
+    (lambda h: {**h, "trace": {**h["trace"], "max_specular_order": 1.5}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "diffuse_enabled": "no"}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "diffuse_samples_per_facet": 1.5}},
+     "bad trace settings"),
+    (lambda h: {**h, "link": {"tx": 1, "rx": None}}, "bad link")],
     ids=["f_samp-str", "f_samp-huge-int", "config-list", "link-no-rx",
          "link-str", "trace-seed", "trace-seed-str", "no-trace", "n_frames-true",
-         "n_frames-float"])
+         "n_frames-float", "n_chirps_total-float", "n_chirps_total-true",
+         "max_specular_order-float", "diffuse_enabled-str", "diffuse_samples-float",
+         "link-ids-not-strings"])
 def test_rejected_cir_headers_are_input_errors_of_every_reader(artifacts, tmp_path, capsys,
                                                                change, message):
     """A .cir header whose config, link or trace its constructor rejects, or

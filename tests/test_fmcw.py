@@ -1,7 +1,11 @@
 """Beat synthesis and delay-Doppler processing against closed-form tones."""
 
 import functools
+import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +16,8 @@ from scipy import constants
 from scipy.constants import Boltzmann
 from scipy.signal import get_window
 
-from conftest import (FIXTURES, FLOAT_BITS, episode, frames_of, static_crossing_doc, tap_table,
-                      window_map)
+from conftest import (FIXTURES, FLOAT_BITS, REPO_ROOT, episode, frames_of, static_crossing_doc,
+                      tap_table, window_map)
 from rftwin.channel import ChirpConfig, SensingLink, simulate_cir
 from rftwin import fmcw
 from rftwin.raytrace import PathTable, TraceConfig
@@ -520,6 +524,15 @@ def test_range_fft_equals_complex_division_bit_for_bit(window, zero_pad, n):
     assert got.base is out and out[1:6].tobytes() == want.tobytes()
 
 
+def whole_map_db(rows, window_slow):
+    """The dB map of one slow-time FFT over all of rows, as in the module
+    docstring: the reference for any split of the delay columns."""
+    w = window_taps(window_slow, len(rows))
+    grid = np.fft.fftshift(np.fft.fft(rows * w[:, None], axis=0), axes=0)
+    grid /= w.sum()
+    return 10.0 * np.log10(np.maximum(np.abs(grid) ** 2, 1e-30))
+
+
 def spectra_passes(beats, rows, window, zero_pad, seen=None):
     """range_fft of beats in passes of rows rows, as (first row, spectra)
     pairs; the first row of each pass drawn goes into seen."""
@@ -555,10 +568,7 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
             fresh = range_fft(beats[start:start + n], fast, zero_pad)
             alone = delay_doppler(fresh, times, CFG, t0_index=start,
                                   window_fast=fast, window_slow=slow)
-            w = window_taps(slow, n)
-            grid = np.fft.fftshift(np.fft.fft(fresh * w[:, None], axis=0), axes=0)
-            grid /= w.sum()
-            whole = 10.0 * np.log10(np.maximum(np.abs(grid) ** 2, 1e-30))
+            whole = whole_map_db(fresh, slow)
             assert ddm.power_db.tobytes() == alone.power_db.tobytes() == whole.tobytes()
             assert ddm.metadata == alone.metadata
             assert ddm.metadata["zero_pad"] is zero_pad
@@ -566,6 +576,101 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
             assert ddm.metadata["t0_index"] == start
         assert made == starts
         assert seen == list(range(0, len(beats), rows))
+
+
+# (samples per chirp, zero_pad, n_chirps): odd and even widths, spans of
+# fewer than 256 columns per worker, one span only, and odd windows.
+SPLITS = [(2116, False, 64), (2116, True, 41), (1001, False, 40), (601, True, 33),
+          (600, False, 16), (300, False, 9)]
+
+
+@pytest.mark.parametrize("n_s, zero_pad, n", SPLITS)
+@pytest.mark.parametrize("window_slow", ["hann", "boxcar"])
+def test_delay_doppler_has_the_same_bits_for_any_worker_count(monkeypatch, n_s, zero_pad, n,
+                                                             window_slow):
+    """A map split over 1, 2, 3 or 8 workers, from one array or from row
+    blocks, has the bits of one slow-time FFT over the whole window: each
+    cell is made by one thread.  Its columns are 256 and more per span, so
+    a narrow map uses fewer spans than workers; row 3 is all zero.  The
+    threads switch every microsecond, so spans interleave finely."""
+    config = ChirpConfig(f_samp=(n_s + 0.5) / CFG.t_chirp)
+    assert config.samples_per_chirp == n_s
+    rng = np.random.default_rng(n_s + n)
+    beats = rng.standard_normal((n, n_s)) + 1j * rng.standard_normal((n, n_s))
+    beats[3] = 0.0
+    rows = range_fft(beats, "hann", zero_pad)
+    times = np.arange(n) * config.pri
+    want = whole_map_db(rows, window_slow).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(fmcw, "_WORKERS", workers)
+            for given_rows in (rows, [rows[:n // 3], rows[n // 3:n // 2], rows[n // 2:]]):
+                ddm = delay_doppler(given_rows, times, config, window_slow=window_slow)
+                assert ddm.power_db.tobytes() == want, (workers, type(given_rows))
+                assert ddm.metadata["zero_pad"] is zero_pad
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_delay_doppler_spans_keep_the_callers_float_error_settings(monkeypatch, workers):
+    """Only the last delay column overflows when squared, which a pool
+    thread makes when there are several: under np.errstate(over="raise")
+    the map raises FloatingPointError for every worker count."""
+    monkeypatch.setattr(fmcw, "_WORKERS", workers)
+    rows = np.ones((16, NS), dtype=complex)
+    rows[:, -1] = 1e200
+    times = np.arange(16) * CFG.pri
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        delay_doppler(rows, times, CFG, window_slow="boxcar")
+    with np.errstate(over="ignore"):
+        assert delay_doppler(rows, times, CFG).power_db[:, -1].max() == np.inf
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_delay_doppler_returns_only_after_every_span_ended(monkeypatch, failing):
+    """When one of three spans raises, the exception reaches the caller only
+    after the other two spans have finished, whichever thread raised."""
+    monkeypatch.setattr(fmcw, "_WORKERS", 3)
+    edges = [NS * k // 3 for k in range(4)]
+    real, finished = fmcw._map_span, []
+
+    def span(blocks, w_slow, power, lo, hi):
+        if lo == edges[failing]:
+            raise RuntimeError(f"span at {lo}")
+        time.sleep(0.05)
+        real(blocks, w_slow, power, lo, hi)
+        finished.append(lo)
+
+    monkeypatch.setattr(fmcw, "_map_span", span)
+    rows = range_fft(np.ones((8, NS), dtype=complex))
+    with pytest.raises(RuntimeError, match=f"span at {edges[failing]}"):
+        delay_doppler(rows, np.arange(8) * CFG.pri, CFG)
+    assert sorted(finished) == [lo for lo in edges[:3] if lo != edges[failing]]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_single_cpu_process_starts_no_thread():
+    """With one CPU in its affinity set, a process makes a map on its own
+    thread and never imports concurrent.futures."""
+    code = ("import os, sys, threading\n"
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+            "import numpy as np\n"
+            "from rftwin.channel import ChirpConfig\n"
+            "from rftwin.fmcw import delay_doppler\n"
+            "config = ChirpConfig()\n"
+            "rows = np.ones((16, 2 * config.samples_per_chirp), dtype=complex)\n"
+            "delay_doppler(rows, np.arange(16) * config.pri, config)\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "False"]
 
 
 @functools.cache

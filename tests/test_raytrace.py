@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -209,6 +210,45 @@ def test_trace_config_validation():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         TraceConfig(seed=-1)
     TraceConfig(seed=0)
+
+
+def test_trace_config_checks_its_types():
+    """The counts and the seed take Python and numpy integers but no bool
+    or other number, and diffuse_enabled takes a bool only: TypeError
+    naming the field otherwise."""
+    config = TraceConfig(max_specular_order=np.int64(3), diffuse_samples_per_facet=np.int32(4),
+                         seed=np.uint16(5))
+    assert (config.max_specular_order, config.diffuse_samples_per_facet, config.seed) == (3, 4, 5)
+    for name in ("max_specular_order", "diffuse_samples_per_facet", "seed"):
+        for value in (1.5, 1.0, True, np.float64(2.0), "1", None):
+            with pytest.raises(TypeError, match=f"^TraceConfig.{name} must be an integer, "
+                                                f"got {re.escape(repr(value))}$"):
+                TraceConfig(**{name: value})
+    for value in ("no", 0, 1, np.bool_(True), None):
+        with pytest.raises(TypeError, match="^TraceConfig.diffuse_enabled must be true or false"):
+            TraceConfig(diffuse_enabled=value)
+
+
+def test_concat_skips_tables_without_rows_but_keeps_their_width():
+    """An empty table adds no row and no copy, yet the facet and point
+    columns still take the widest K of every table, and a column that an
+    empty table lacks is still None."""
+    wide = _table("specular", np.empty((0, 3), int), np.empty((0, 5, 3)), frame=np.empty(0, int))
+    los = _table("los", np.empty((2, 0), int), np.arange(12.0).reshape(2, 2, 3),
+                 frame=np.arange(2))
+    one = _table("specular", np.array([[4]]), np.arange(9.0).reshape(1, 3, 3),
+                 frame=np.array([1]))
+    got = PathTable.concat([wide, los, wide, one])
+    assert got.facets.tolist() == [[-1, -1, -1], [-1, -1, -1], [-1, -1, 4]]
+    assert got.points.shape == (3, 5, 3)
+    assert (got.points[:, :3] == got.points[:, :1]).all()
+    assert got.frame.tolist() == [0, 1, 1] and got.kind.tolist() == [0, 0, 1]
+    only = PathTable.concat([los])
+    assert only.points.tobytes() == los.points.tobytes() and only.points is not los.points
+    no_frame = PathTable(wide.kind, wide.hops, wide.facets, wide.sample)
+    assert PathTable.concat([los, no_frame]).frame is None
+    empty = PathTable.concat([wide, wide])
+    assert len(empty) == 0 and empty.facets.shape == (0, 3)
 
 
 def test_diffuse_sample_count_scales_with_area():
