@@ -56,7 +56,8 @@ class ChirpConfig:
     t_chirp must be within 0.1% of the bandwidth, and a chirp must have
     from 2 to MAX_SAMPLES_PER_CHIRP (65536) samples, floor(t_chirp *
     f_samp); ValueError otherwise.  n_chirps_total must be an integer,
-    Python or numpy but not a bool; TypeError otherwise.  The same check
+    Python or numpy but not a bool, and the other fields real numbers, an
+    integer or a float but not a bool; TypeError otherwise.  The same check
     serves the command-line flags and the config in a .cir header.
     """
 
@@ -69,8 +70,9 @@ class ChirpConfig:
     n_chirps_total: int = 4096
 
     def __post_init__(self):
-        require_types(self, integers=("n_chirps_total",))
-        for name in ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp"):
+        reals = ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp")
+        require_types(self, integers=("n_chirps_total",), reals=reals)
+        for name in reals:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"ChirpConfig.{name} must be finite, got {value}")

@@ -224,8 +224,7 @@ def cmd_process(args) -> int:
     import numpy as np
 
     from .channel import load_cir
-    from .fmcw import (NoiseConfig, PdpWriter, beat_passes, delay_axis, pdp_power_db, range_fft,
-                       window_maps)
+    from .fmcw import NoiseConfig, PdpWriter, delay_axis, spectra_passes, window_maps
 
     cir, header = _load_checked(load_cir, args.cir)
     config = cir.config
@@ -250,7 +249,8 @@ def cmd_process(args) -> int:
     # synthesized, up to the end of the last.
     pdp_out = "bin" in formats or "csv" in formats
     frames = range(len(cir)) if pdp_out else range(starts[0], starts[-1] + n)
-    passes = beat_passes(cir, noise, frames.start, frames.stop)
+    passes = spectra_passes(cir, noise, frames.start, frames.stop, window_fast, args.zero_pad,
+                            pdp_out, [start + n for start in starts])
     times = cir.t
     out = _out_dir(args)
     tag = args.tag or Path(args.cir).stem
@@ -262,17 +262,15 @@ def cmd_process(args) -> int:
 
     def spectra():
         """Each pass's range spectra, zero-padded with --zero-pad, after its
-        unpadded spectra went to the PDP."""
-        for lo, beats in passes:
-            padded = range_fft(beats, window_fast, zero_pad=True) if args.zero_pad else None
-            if pdp_out or padded is None:
-                range_fft(beats, window_fast, out=beats)
+        PDP powers went to the PDP files."""
+        for lo, rows, power in passes:
             if pdp_out:
-                pdp.write(pdp_power_db(beats))
-            yield lo, beats if padded is None else padded
+                pdp.write(power)
+            yield lo, rows
 
     written = []
-    with np.errstate(over="raise", invalid="raise", divide="raise"), pdp:
+    with np.errstate(over="raise", invalid="raise", divide="raise"), pdp, \
+            contextlib.closing(passes):
         for start, ddm in window_maps(spectra(), times, config, starts, n,
                                       window_fast, window_slow):
             ddm.metadata["seed"] = header.get("seed")

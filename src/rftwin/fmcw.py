@@ -35,15 +35,22 @@ scale by the reciprocal of the window sum (coherent gain), with the bits of
 a complex division by it, so an on-grid path of amplitude a peaks at |a| in
 the map, directly comparable to the analytic prediction of predicted_map.
 delay_doppler transforms its columns in place, block by block, and writes
-the dB of each block's magnitudes into the fftshifted rows of the map.  It
-splits a map's delay columns into contiguous spans, one for each CPU the
-process may run on (its affinity set, which taskset limits), and makes
-them on that many threads.  Each cell is made by one thread, so a map has
-the same bits for any count.
+the dB of each block's magnitudes into the fftshifted rows of the map.
+
+Threads: the process uses one for each CPU it may run on (its affinity
+set, which taskset limits), the calling thread and a pool of the others.
+delay_doppler splits a map's delay columns into contiguous spans, one a
+thread.  spectra_passes, which process reads, makes each pass's beats,
+range spectra and PDP powers on the pool, one pass ahead of the caller,
+except while the caller makes a map; the maps and every file are made on
+the calling thread.  Each map cell and each pass is made whole by one
+thread, so the outputs have the same bits for any count; with one CPU no
+thread is started.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 import functools
@@ -57,6 +64,7 @@ import numpy as np
 
 from .channel import MAX_SAMPLES_PER_CHIRP, ChirpConfig, Cir
 from .container import now, open_container, read_container
+from .raytrace import require_types
 
 BOLTZMANN = 1.380649e-23                  # J/K, exact since the 2019 SI
 T0_K = 290.0                              # K, where a noise figure is defined (Friis, 1944)
@@ -90,6 +98,9 @@ class NoiseConfig:
 
     The floor is thermal noise over the sampled band plus the noise figure:
     10 log10(k T0 f_samp / 1 mW) + NF dBm, scaled against tx_power_dbm.
+    enabled is a bool, the two levels real numbers and the seed an integer,
+    none of them a bool, TypeError otherwise; the levels must be finite and
+    the seed non-negative, ValueError otherwise.
     """
 
     enabled: bool = False
@@ -98,6 +109,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_types(self, integers=("seed",), flags=("enabled",),
+                      reals=("noise_figure_db", "tx_power_dbm"))
         for name in ("noise_figure_db", "tx_power_dbm"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -129,30 +142,49 @@ def pass_frames(values_per_frame: int) -> int:
     return max(1, _PASS_VALUES // values_per_frame)
 
 
+def _passes(cir: Cir, lo: int, hi: int | None) -> list[tuple[int, int]]:
+    """(first, end) frames of each pass over frames [lo, hi) of the episode
+    (hi None: to its end): pass_frames(samples_per_chirp) frames a pass,
+    fewer in the last."""
+    span = range(len(cir))[lo:hi]
+    step = pass_frames(cir.config.samples_per_chirp)
+    return [(p0, min(p0 + step, span.stop)) for p0 in span[::step]]
+
+
 def beat_passes(cir: Cir, noise: NoiseConfig = NoiseConfig(), lo: int = 0,
                 hi: int | None = None):
     """Dechirped I/Q samples of frames [lo, hi) of the episode (hi None: to
     its end) under its chirp config, in the factored form of the module
     docstring, one pass after the other: (first frame, rows) pairs, rows a
     new (frames, samples_per_chirp) array of pass_frames(samples_per_chirp)
-    frames, fewer in the last pass, that the caller may overwrite.
+    frames, fewer in the last pass, that the caller may overwrite.  See
+    _synthesis for how the rows are made."""
+    passes = _passes(cir, lo, hi)
+    make = _synthesis(cir, noise) if passes else None
+    for p0, p1 in passes:
+        yield p0, make(p0, p1)
+
+
+def _synthesis(cir: Cir, noise: NoiseConfig):
+    """make(p0, p1), the beat rows of frames [p0, p1) of the episode as a
+    new (p1 - p0, samples_per_chirp) array; beat_passes and spectra_passes
+    call it once per pass.
 
     Each path's slow-time phase is the running integral of its Doppler
     over the frames where it appears (trapezoid rule, keyed by path), so a
     drifting nu evolves the phase correctly; for constant nu this equals
-    nu * (t - t_first).  The phases are summed once per call, over the
-    whole episode.  Frames go through np.matmul in blocks, padded to the
-    block's largest path count with zero weights, so an empty frame gives a
-    zero row; the power tables put the power axis first, so each doubling
-    step is one contiguous multiply, and np.matmul reads them transposed.
-    Noise draws are keyed by (seed, epoch_index), so a given frame always
-    receives the same noise regardless of pass boundaries.
+    nu * (t - t_first).  The phases are summed once, here, over the whole
+    episode.  Frames go through np.matmul in blocks, counted from p0,
+    padded to the block's largest path count with zero weights, so an empty
+    frame gives a zero row; the power tables put the power axis first, so
+    each doubling step is one contiguous multiply, and np.matmul reads them
+    transposed.  Noise draws are keyed by (seed, epoch_index), so a given
+    frame always receives the same noise regardless of pass boundaries.
+    make only reads what is built here, so passes may be made on several
+    threads at once.
     """
     config = cir.config
     n_s = config.samples_per_chirp
-    span = range(len(cir))[lo:hi]
-    if not span:
-        return
     paths = cir.paths
     counts = np.bincount(paths.frame, minlength=len(cir))
     phi = _phase_trails(paths.key_ids(), cir.t[paths.frame], paths.nu)
@@ -171,8 +203,8 @@ def beat_passes(cir: Cir, noise: NoiseConfig = NoiseConfig(), lo: int = 0,
     block = pass_frames(q * b + (q + b + len(hops) + 1) * max(int(counts.max()), 1))
     bounds = np.concatenate([[0], np.cumsum(counts)])
     sigma = np.sqrt(noise.sample_variance(config.f_samp) / 2.0)
-    for p0 in range(span.start, span.stop, pass_frames(n_s)):
-        p1 = min(p0 + pass_frames(n_s), span.stop)
+
+    def make(p0: int, p1: int) -> np.ndarray:
         beats = np.empty((p1 - p0, n_s), dtype=complex)
         for f0 in range(p0, p1, block):
             f1 = min(f0 + block, p1)
@@ -191,7 +223,9 @@ def beat_passes(cir: Cir, noise: NoiseConfig = NoiseConfig(), lo: int = 0,
             for row, epoch in zip(beats, cir.epoch_index[p0:p1].tolist()):
                 rng = np.random.default_rng([noise.seed, epoch])
                 row += sigma * (rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s))
-        yield p0, beats
+        return beats
+
+    return make
 
 
 def synth_beat(cir: Cir, noise: NoiseConfig = NoiseConfig()) -> np.ndarray:
@@ -238,7 +272,9 @@ def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
               out: np.ndarray | None = None) -> np.ndarray:
     """Windowed fast-time FFT over the last axis, normalized by the window
     sum; written into out (C-contiguous rows) when given.  A block of rows
-    gives the bits of each row on its own.
+    gives the bits of each row on its own.  With out samples itself, the
+    window multiplies the rows and the FFT runs in place, with the bits of
+    a windowed copy and no block-sized temporary.
 
     The normalization multiplies the real and imaginary parts by the
     reciprocal of the window sum.  numpy's complex division by the sum
@@ -248,7 +284,8 @@ def range_fft(samples: np.ndarray, window: str = "hann", zero_pad: bool = False,
     applies that signed-zero rule."""
     n = samples.shape[-1]
     w = window_taps(window, n)
-    spectrum = np.fft.fft(samples * w, n=2 * n if zero_pad else n, axis=-1, out=out)
+    windowed = np.multiply(samples, w, out=samples if out is samples else None)
+    spectrum = np.fft.fft(windowed, n=2 * n if zero_pad else n, axis=-1, out=out)
     parts = spectrum.view(np.float64)
     # Dividing the parts by the sum instead would round differently.
     parts *= 1.0 / w.sum()
@@ -312,9 +349,9 @@ MAX_MAP_CELLS = 128 * 2 * MAX_SAMPLES_PER_CHIRP
 # block at 128 chirps in each thread that makes part of a map.
 _MAP_BLOCK_COLUMNS = 512
 
-# Threads that make one map: the CPUs this process may run on, which taskset
-# limits.  delay_doppler gives each of them a span of at least
-# _MAP_SPAN_COLUMNS delay columns.
+# Threads of the process: the CPUs it may run on, which taskset limits.
+# delay_doppler gives each of them a span of at least _MAP_SPAN_COLUMNS
+# delay columns, and spectra_passes makes passes on all but the caller's.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _MAP_SPAN_COLUMNS = 256
@@ -322,9 +359,10 @@ _MAP_SPAN_COLUMNS = 256
 
 @functools.cache
 def _map_pool(threads: int):
-    """The pool of threads that make the spans of a map beside the calling
-    thread; built on first use, so a process that never splits a map starts
-    no thread and never imports concurrent.futures."""
+    """The pool of threads that make the spans of a map, and the passes of
+    spectra_passes, beside the calling thread; built on first use, so a
+    process on one CPU starts no thread and never imports
+    concurrent.futures."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(threads, thread_name_prefix="rftwin-map")
 
@@ -471,6 +509,81 @@ def pdp_series(rows: np.ndarray, times: np.ndarray, config: ChirpConfig,
         raise ValueError(f"{len(times)} epoch times for {len(rows)} beat rows")
     return PdpSeries(pdp_power_db(rows), delay_axis(config, rows.shape[1]), times,
                      metadata={"window": window, "config": config.to_dict()})
+
+
+def spectra_passes(cir: Cir, noise: NoiseConfig = NoiseConfig(), lo: int = 0,
+                   hi: int | None = None, window: str = "hann", zero_pad: bool = False,
+                   pdp: bool = False, ends=()):
+    """The passes of beat_passes turned into range spectra, as an iterator
+    of (first frame, spectra, powers) triples in pass order: spectra the
+    range_fft(beats, window, zero_pad) of the pass's beat rows, powers the
+    pdp_power_db of their unpadded spectra when pdp is set, else None.
+
+    The passes are made on the map pool, one ahead of the caller: while
+    the caller holds a pass, the pool makes the next.  A pass in which a
+    window ends (ends holds each window's end frame, start + n_chirps, in
+    ascending order) runs nothing ahead, so the window's map finds the
+    pool free and no later pass is made or kept while it is made.  A caller that waits for a
+    pass the pool is making makes the next one itself, if no thread has
+    started it.  Each pass is made whole by one thread, in a copy of the
+    caller's context, so the bits and numpy's error settings do not depend
+    on the number of threads; with one CPU everything runs on the calling
+    thread.  The first exception in pass order is raised, and no pass is
+    being made once the generator is closed or exhausted.  The phases are
+    summed on the calling thread, when the first pass is asked for."""
+    passes = _passes(cir, lo, hi)
+    make = _synthesis(cir, noise) if passes else None
+    holds = {k for k, (p0, p1) in enumerate(passes)
+             if bisect.bisect_right(ends, p0) < bisect.bisect_right(ends, p1)}
+    jobs = [functools.partial(_spectra_pass, make, p0, p1, window, zero_pad, pdp)
+            for p0, p1 in passes]
+    yield from _in_pass_order(jobs, holds)
+
+
+def _spectra_pass(make, p0: int, p1: int, window: str, zero_pad: bool, pdp: bool):
+    """One pass of spectra_passes: synthesis, then the zero-padded range
+    spectra if asked for, and the unpadded ones in place of the beats when
+    they are the spectra or the PDP needs them."""
+    beats = make(p0, p1)
+    padded = range_fft(beats, window, zero_pad=True) if zero_pad else None
+    if pdp or padded is None:
+        range_fft(beats, window, out=beats)
+    return p0, beats if padded is None else padded, pdp_power_db(beats) if pdp else None
+
+
+def _in_pass_order(jobs, holds):
+    """The results of jobs, callables made in order, one ahead of the caller
+    on the map pool except after the job indices in holds; see
+    spectra_passes.  Each job's outcome is a future: the pool's, or a
+    finished one holding what the calling thread made, so an exception
+    waits for its turn in job order."""
+    if _WORKERS == 1:
+        for job in jobs:
+            yield job()
+        return
+    from concurrent.futures import Future
+    pool = _map_pool(_WORKERS - 1)
+    ahead = {}                              # job index -> Future, for jobs after the caller's
+    try:
+        for k, job in enumerate(jobs):
+            if k not in holds and k + 1 < len(jobs) and k + 1 not in ahead:
+                ahead[k + 1] = pool.submit(contextvars.copy_context().run, jobs[k + 1])
+            made = ahead.pop(k, None)
+            if made is None or made.cancel():
+                yield job()
+                continue
+            after = ahead.get(k + 1)
+            if not made.done() and after is not None and after.cancel():
+                ahead[k + 1] = after = Future()
+                try:
+                    after.set_result(jobs[k + 1]())
+                except Exception as exc:    # raised in its turn, after job k's outcome
+                    after.set_exception(exc)
+            yield made.result()
+    finally:
+        for made in ahead.values():
+            if not made.cancel():
+                made.exception()            # waits, so no job outlives the iterator
 
 
 def _sin_pi_over(g: np.ndarray, n: int) -> np.ndarray:

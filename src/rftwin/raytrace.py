@@ -63,11 +63,14 @@ def pass_epochs(rows_per_epoch: int) -> int:
     return max(1, _CHAIN_ROWS // rows_per_epoch)
 
 
-def require_types(settings, integers=(), flags=(), strings=()) -> None:
+def require_types(settings, integers=(), flags=(), strings=(), reals=()) -> None:
     """TypeError unless each named field of settings is an integer (Python
-    or numpy, not a bool), a bool, or a string, by the group it is named in."""
+    or numpy, not a bool), a bool, a string, or a real number (an integer
+    or a Python or numpy float), by the group it is named in."""
     for names, kind, fits in (
             (integers, "an integer", lambda v: isinstance(v, (int, np.integer))
+             and not isinstance(v, bool)),
+            (reals, "a real number", lambda v: isinstance(v, (int, float, np.integer, np.floating))
              and not isinstance(v, bool)),
             (flags, "true or false", lambda v: isinstance(v, bool)),
             (strings, "a string", lambda v: isinstance(v, str))):
@@ -85,8 +88,10 @@ class TraceConfig:
     diffuse_samples_per_facet is a base count; facets larger than
     subdivide_area get proportionally more samples, rounded up to a full
     stratification grid.  The jitter seed makes sample patterns reproducible.
-    The counts and the seed are integers (Python or numpy, not bools) and
-    diffuse_enabled a bool, TypeError otherwise; out of range, ValueError.
+    The counts and the seed are integers (Python or numpy, not bools),
+    diffuse_enabled a bool and occlusion_epsilon and subdivide_area real
+    numbers, TypeError otherwise; out of range, ValueError: the two reals
+    must be finite and positive.
     """
 
     max_specular_order: int = 2
@@ -98,13 +103,15 @@ class TraceConfig:
 
     def __post_init__(self):
         require_types(self, integers=("max_specular_order", "diffuse_samples_per_facet", "seed"),
-                      flags=("diffuse_enabled",))
+                      flags=("diffuse_enabled",), reals=("occlusion_epsilon", "subdivide_area"))
         if not 0 <= self.max_specular_order <= 3:
             raise ValueError("max_specular_order must be between 0 and 3")
         if self.diffuse_samples_per_facet < 1:
             raise ValueError("diffuse_samples_per_facet must be >= 1")
-        if self.occlusion_epsilon <= 0:
-            raise ValueError("occlusion_epsilon must be positive")
+        for name in ("occlusion_epsilon", "subdivide_area"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

@@ -111,12 +111,19 @@ def test_chirp_config_validation():
 
 def test_chirp_config_and_link_check_their_types():
     """n_chirps_total takes Python and numpy integers but no bool or other
-    number, and a link's ids are strings: TypeError naming the field."""
+    number, the other fields Python and numpy reals but no bool, and a
+    link's ids are strings: TypeError naming the field."""
     assert ChirpConfig(n_chirps_total=np.int64(8)).n_chirps_total == 8
     for value in (2.5, 8.0, True, "8", None):
         with pytest.raises(TypeError, match="^ChirpConfig.n_chirps_total must be an integer, "
                                             f"got {re.escape(repr(value))}$"):
             ChirpConfig(n_chirps_total=value)
+    assert ChirpConfig(f_c=np.float32(79e9), t_idle=0).t_idle == 0
+    for name in ("f_c", "bandwidth", "t_chirp", "t_idle", "slope", "f_samp"):
+        for value in (True, False, np.bool_(True), "1", None):
+            with pytest.raises(TypeError, match=f"^ChirpConfig.{name} must be a real number, "
+                                                f"got {re.escape(repr(value))}$"):
+                ChirpConfig(**{name: value})
     for tx, rx, field in ((1, "UE", "tx_id"), ("UE", None, "rx_id"), (b"UE", "UE", "tx_id")):
         with pytest.raises(TypeError, match=f"^SensingLink.{field} must be a string"):
             SensingLink(tx, rx)

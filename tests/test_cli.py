@@ -159,7 +159,7 @@ def test_chirps_with_too_many_samples_are_input_errors(artifacts, tmp_path, caps
 
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode was traced or synthesized")
-    for module, name in ((rftwin.channel, "simulate_cir"), (rftwin.fmcw, "beat_passes"),
+    for module, name in ((rftwin.channel, "simulate_cir"), (rftwin.fmcw, "spectra_passes"),
                          (rftwin.fmcw, "predicted_map")):
         monkeypatch.setattr(module, name, no_episode)
     edge = {"t_chirp": 2.0 ** -10, "slope": 4.0e9 * 2 ** 10}     # exact products
@@ -201,7 +201,7 @@ def test_a_map_above_the_cell_cap_is_an_input_error(tmp_path, capsys, monkeypatc
 
     def allocation(*args, **kwargs):
         raise RuntimeError("a map was allocated")
-    for name in ("beat_passes", "window_maps", "delay_doppler", "predicted_map"):
+    for name in ("spectra_passes", "window_maps", "delay_doppler", "predicted_map"):
         monkeypatch.setattr(rftwin.fmcw, name, allocation)
     n = 20_000
     config = ChirpConfig(f_samp=2.0 ** 26, t_chirp=2.0 ** -10, slope=4.0e9 * 2 ** 10,
@@ -485,16 +485,137 @@ def test_process_memory_and_work_do_not_grow_with_the_episode(tmp_path, monkeypa
     assert peaks[1024] - peaks[128] <= (1024 - 128) * per_frame + slack, peaks
 
     rows = []
-    real = rftwin.fmcw.beat_passes
+    real = rftwin.fmcw._synthesis
 
-    def counting(*args, **kwargs):
-        for first, block in real(*args, **kwargs):
-            rows.append(len(block))
-            yield first, block
+    def counting(*args):
+        make = real(*args)
 
-    monkeypatch.setattr(rftwin.fmcw, "beat_passes", counting)
+        def counted(p0, p1):
+            rows.append(p1 - p0)
+            return make(p0, p1)
+        return counted
+
+    monkeypatch.setattr(rftwin.fmcw, "_synthesis", counting)
     assert process(1024, "pgm") == 0
     assert 128 <= sum(rows) <= 128 + pass_frames(ChirpConfig().samples_per_chirp)
+
+
+# 16-chirp windows 50 apart on a 130-chirp episode at 2116 samples per chirp:
+# they end in passes 0, 2 and 3 of its five 30-row passes, so process makes
+# passes 1 and 4 ahead of the caller and holds the others.
+PASS_WINDOWS = ["-N", "16", "--stride", "50"]
+
+
+@pytest.fixture(scope="module")
+def pass_episode(tmp_path_factory):
+    """The .cir of 130 chirps of scenario_b mono with diffuse paths."""
+    out = tmp_path_factory.mktemp("passes")
+    assert main(["simulate", "--scene", str(FIXTURES / "scenario_b.json"), "--tx", "UE",
+                 "--t0", "0.1", "--chirps", "130", "--tag", "ep", "-o", str(out),
+                 "--frozen-clock"]) == 0
+    return out / "ep.cir"
+
+
+def _timed_passes(monkeypatch, log, wait_for=None):
+    """Record (p0, start, end, on the main thread) of each pass job of
+    process in log.  With wait_for (first, then), the job of pass `first`
+    waits, at most 10 s, until the job of pass `then` has started."""
+    import threading
+    import time
+
+    import rftwin.fmcw
+    real, started = rftwin.fmcw._spectra_pass, threading.Event()
+
+    def timed(make, p0, *args):
+        if wait_for and p0 == wait_for[1]:
+            started.set()
+        begin = time.perf_counter()
+        if wait_for and p0 == wait_for[0]:
+            assert started.wait(10.0), "the pass ahead never started"
+        try:
+            return real(make, p0, *args)
+        finally:
+            log.append((p0, begin, time.perf_counter(),
+                        threading.current_thread() is threading.main_thread()))
+
+    monkeypatch.setattr(rftwin.fmcw, "_spectra_pass", timed)
+
+
+def test_process_writes_the_same_bytes_for_any_worker_count(pass_episode, tmp_path, monkeypatch):
+    """A noisy process of the pass episode, with and without --zero-pad,
+    writes every bin, csv and pgm file with the same bytes whether one,
+    two, three or eight threads make its passes and maps."""
+    import rftwin.fmcw
+
+    for pad in ([], ["--zero-pad"]):
+        files = {}
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(rftwin.fmcw, "_WORKERS", workers)
+            out = tmp_path / f"{len(pad)}_{workers}"
+            assert main(["process", "--cir", str(pass_episode), *PASS_WINDOWS, *pad, "--noise",
+                         "--export", "bin,csv,pgm", "--frozen-clock", "-o", str(out)]) == 0
+            files[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(files[1]) == 2 + 3 * 4         # .pdp, _pdp.csv; .ddm, .csv, .pgm, .pgm.txt
+        for workers in (2, 3, 8):
+            assert files[workers] == files[1], (pad, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_a_float_error_in_a_pass_made_ahead_exits_2(tmp_path, monkeypatch, capsys, workers):
+    """A path of amplitude 1e200 in frames 30-59 only overflows the PDP
+    powers of pass 1 alone.  The window [60, 68) ends in pass 2, so with
+    several workers pass 1 is made ahead on a pool thread, under the
+    caller's np.errstate: process exits 2 for every worker count."""
+    import rftwin.fmcw
+    from rftwin.channel import save_cir
+
+    from conftest import episode, tap_table
+
+    config = ChirpConfig(n_chirps_total=90)
+    step = (config.f_samp / config.samples_per_chirp) / config.slope
+    frames = [(k, k * config.pri,
+               tap_table([1e-3, 1e200], [80 * step, 300 * step], [0.0, 0.0]) if 30 <= k < 60
+               else tap_table([1e-3], [80 * step], [0.0]), 0) for k in range(90)]
+    path = tmp_path / "loud.cir"
+    save_cir(path, episode(frames, config))
+    monkeypatch.setattr(rftwin.fmcw, "_WORKERS", workers)
+    log = []
+    _timed_passes(monkeypatch, log, (0, 30) if workers > 1 else None)
+    assert main(["process", "--cir", str(path), "-N", "8", "--t0-index", "60",
+                 "--num-windows", "1", "-o", str(tmp_path / "out")]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert [(p0, main_thread) for p0, *_, main_thread in log if p0 == 30] == [(30, workers == 1)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_pass_is_made_while_a_map_is(pass_episode, tmp_path, monkeypatch, workers):
+    """While process makes a map, no pass job runs, so the map's spans find
+    the pool free; passes in which no window ends are made ahead, pass 2 on
+    a pool thread while the caller makes pass 1."""
+    import time
+
+    import rftwin.fmcw
+
+    monkeypatch.setattr(rftwin.fmcw, "_WORKERS", workers)
+    passes, maps = [], []
+    _timed_passes(monkeypatch, passes, (30, 60))
+    real = rftwin.fmcw.delay_doppler
+
+    def timed(*args, **kwargs):
+        begin = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            maps.append((begin, time.perf_counter()))
+
+    monkeypatch.setattr(rftwin.fmcw, "delay_doppler", timed)
+    assert main(["process", "--cir", str(pass_episode), *PASS_WINDOWS, "--zero-pad",
+                 "-o", str(tmp_path)]) == 0
+    assert sorted(p0 for p0, *_ in passes) == [0, 30, 60, 90, 120] and len(maps) == 3
+    for m0, m1 in maps:
+        for p0, begin, end, _ in passes:
+            assert end <= m0 or begin >= m1, (p0, begin - m0, end - m0, m1 - m0)
+    assert [p0 for p0, *_, main_thread in passes if not main_thread] == [60]
 
 
 def test_default_out_dir_comes_from_environment(tmp_path, monkeypatch, capsys):
@@ -523,14 +644,14 @@ def test_maps_and_pdps_record_the_simulate_seed(tmp_path):
 
 
 def test_process_validates_before_synthesis(artifacts, tmp_path, capsys, monkeypatch):
-    """Every flag is checked before beat_passes, process's one way into
+    """Every flag is checked before spectra_passes, process's one way into
     synthesis, is called, and no file is written before it."""
     import rftwin.fmcw
 
-    def beat_passes(*args, **kwargs):
+    def spectra_passes(*args, **kwargs):
         raise RuntimeError("synthesis reached")
 
-    monkeypatch.setattr(rftwin.fmcw, "beat_passes", beat_passes)
+    monkeypatch.setattr(rftwin.fmcw, "spectra_passes", spectra_passes)
     cir = str(artifacts["out"] / "run.cir")
     sink = ["-o", str(tmp_path)]
     assert main(["process", "--cir", cir, "-N", "8", "--export", "foo"] + sink) == 2
@@ -890,12 +1011,19 @@ def test_malformed_container_headers_are_input_errors(artifacts, tmp_path, capsy
     (lambda h: {**h, "trace": {**h["trace"], "diffuse_enabled": "no"}}, "bad trace settings"),
     (lambda h: {**h, "trace": {**h["trace"], "diffuse_samples_per_facet": 1.5}},
      "bad trace settings"),
-    (lambda h: {**h, "link": {"tx": 1, "rx": None}}, "bad link")],
+    (lambda h: {**h, "link": {"tx": 1, "rx": None}}, "bad link"),
+    (lambda h: {**h, "trace": {**h["trace"], "subdivide_area": "x"}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "subdivide_area": -5.0}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "subdivide_area": math.nan}}, "bad trace settings"),
+    (lambda h: {**h, "trace": {**h["trace"], "occlusion_epsilon": True}}, "bad trace settings"),
+    (lambda h: {**h, "config": {**h["config"], "f_c": True}}, "bad chirp config"),
+    (lambda h: {**h, "config": {**h["config"], "t_idle": True}}, "bad chirp config")],
     ids=["f_samp-str", "f_samp-huge-int", "config-list", "link-no-rx",
          "link-str", "trace-seed", "trace-seed-str", "no-trace", "n_frames-true",
          "n_frames-float", "n_chirps_total-float", "n_chirps_total-true",
          "max_specular_order-float", "diffuse_enabled-str", "diffuse_samples-float",
-         "link-ids-not-strings"])
+         "link-ids-not-strings", "subdivide_area-str", "subdivide_area-negative",
+         "subdivide_area-nan", "occlusion_epsilon-true", "f_c-true", "t_idle-true"])
 def test_rejected_cir_headers_are_input_errors_of_every_reader(artifacts, tmp_path, capsys,
                                                                change, message):
     """A .cir header whose config, link or trace its constructor rejects, or

@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,12 +38,14 @@ from rftwin.fmcw import (
     load_pdp,
     map_to_csv,
     map_to_pgm,
+    pdp_power_db,
     pdp_series,
     pdp_to_csv,
     predicted_map,
     range_fft,
     save_map,
     save_pdp,
+    spectra_passes,
     synth_beat,
     window_maps,
     window_taps,
@@ -524,6 +528,30 @@ def test_range_fft_equals_complex_division_bit_for_bit(window, zero_pad, n):
     assert got.base is out and out[1:6].tobytes() == want.tobytes()
 
 
+def test_range_fft_in_place_has_the_bits_of_a_windowed_copy():
+    """With out the samples themselves, range_fft windows and transforms
+    the rows in place: the bits of range_fft into new memory, a zero row
+    and a row without imaginary parts included.  On one 30 x 2116 pass the
+    tracemalloc peak stays under half the block, which a windowed copy
+    alone would fill."""
+    rng = np.random.default_rng(11)
+    for window in ("hann", "boxcar", "blackman"):
+        for n in (NS, 1001, 600):
+            x = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+            x[3] = 0.0
+            x[5].imag = 0.0
+            want = range_fft(x, window).tobytes()
+            tracemalloc.start()
+            try:
+                got = range_fft(x, window, out=x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got is x and x.tobytes() == want, (window, n)
+            if n == NS:
+                assert peak < x.nbytes // 2, (window, peak)
+
+
 def whole_map_db(rows, window_slow):
     """The dB map of one slow-time FFT over all of rows, as in the module
     docstring: the reference for any split of the delay columns."""
@@ -533,7 +561,7 @@ def whole_map_db(rows, window_slow):
     return 10.0 * np.log10(np.maximum(np.abs(grid) ** 2, 1e-30))
 
 
-def spectra_passes(beats, rows, window, zero_pad, seen=None):
+def spectra_in_passes(beats, rows, window, zero_pad, seen=None):
     """range_fft of beats in passes of rows rows, as (first row, spectra)
     pairs; the first row of each pass drawn goes into seen."""
     for lo in range(0, len(beats), rows):
@@ -562,7 +590,7 @@ def test_shared_range_rows_give_per_window_maps_bit_for_bit(zero_pad, stride, n)
     names = ["hann", "hamming", "blackman", "boxcar"]
     for rows, (fast, slow) in zip([1, 7, 30, 7], zip(names, names[1:] + names[:1])):
         seen, made = [], []
-        for start, ddm in window_maps(spectra_passes(beats, rows, fast, zero_pad, seen), times,
+        for start, ddm in window_maps(spectra_in_passes(beats, rows, fast, zero_pad, seen), times,
                                       CFG, starts, n, fast, slow):
             made.append(start)
             fresh = range_fft(beats[start:start + n], fast, zero_pad)
@@ -652,25 +680,28 @@ def test_delay_doppler_returns_only_after_every_span_ended(monkeypatch, failing)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_a_single_cpu_process_starts_no_thread():
-    """With one CPU in its affinity set, a process makes a map on its own
-    thread and never imports concurrent.futures."""
+def test_a_single_cpu_process_starts_no_thread(tmp_path):
+    """With one CPU in its affinity set, a process that simulates an
+    episode and runs a whole `rftwin process` of it, zero-padded maps of
+    several windows over several passes, makes every pass and map on its
+    own thread and never imports concurrent.futures."""
     code = ("import os, sys, threading\n"
             "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
-            "import numpy as np\n"
-            "from rftwin.channel import ChirpConfig\n"
-            "from rftwin.fmcw import delay_doppler\n"
-            "config = ChirpConfig()\n"
-            "rows = np.ones((16, 2 * config.samples_per_chirp), dtype=complex)\n"
-            "delay_doppler(rows, np.arange(16) * config.pri, config)\n"
+            "from rftwin.cli import main\n"
+            "scene, out = sys.argv[1:]\n"
+            "assert main(['simulate', '--scene', scene, '--tx', 'UE', '--t0', '0.1',\n"
+            "             '--chirps', '70', '--tag', 'one', '-o', out]) == 0\n"
+            "assert main(['process', '--cir', os.path.join(out, 'one.cir'), '-N', '16',\n"
+            "             '--stride', '20', '--zero-pad', '--export', 'bin,csv,pgm',\n"
+            "             '-o', out]) == 0\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code, str(FIXTURES / "scenario_b.json"),
+                          str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["1", "False"]
+    assert run.stdout.splitlines()[-1].split() == ["1", "False"]
 
 
 @functools.cache
@@ -715,6 +746,89 @@ def test_synthesis_over_a_frame_range_equals_the_one_shot_matrix(case, lo, size,
     assert (case == "static_crossing") == (counts.min() < counts.max())
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_spectra_passes_have_the_bits_of_serial_passes(monkeypatch, workers):
+    """spectra_passes gives, in pass order, the bits of beat_passes
+    range-transformed on the calling thread, pass by pass: zero-padded or
+    not, with or without PDP powers, over all or part of the episode, with
+    windows ending in no pass, in one, or in the first and the last.  The
+    threads switch every microsecond, so passes interleave finely."""
+    monkeypatch.setattr(fmcw, "_WORKERS", workers)
+    cir = synthesis_episodes()["scenario_b"]
+    noise = NoiseConfig(enabled=True, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lo, hi, ends in ((0, None, []), (3, 70, [40]), (3, 70, [33, 70]), (31, 32, [32])):
+            for window, zero_pad, pdp in (("hann", False, True), ("blackman", True, True),
+                                          ("hann", True, False), ("boxcar", False, False)):
+                want = []
+                for p0, beats in beat_passes(cir, noise, lo, hi):
+                    padded = range_fft(beats, window, zero_pad=True) if zero_pad else None
+                    spectra = range_fft(beats, window)
+                    want.append((p0, (spectra if padded is None else padded).tobytes(),
+                                 pdp_power_db(spectra).tobytes() if pdp else None))
+                got = [(p0, rows.tobytes(), None if power is None else power.tobytes())
+                       for p0, rows, power in spectra_passes(cir, noise, lo, hi, window,
+                                                             zero_pad, pdp, ends)]
+                assert got == want, (lo, hi, ends, window, zero_pad, pdp)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_pass_order_raises_the_first_failure_and_outlives_no_job(monkeypatch, workers):
+    """Of six jobs, after job 1 holds, job 3 fails once job 4 has failed,
+    and job 3's exception is raised; by then no job is running and none
+    starts later.  With several workers, job 2 on the calling thread waits
+    until job 3 has started on the pool, and with one pool thread the
+    caller makes job 4 while it waits for job 3.  A generator closed after
+    its first result, which waits until job 1 has started on the pool,
+    leaves no job running and started no job after job 1.  Each wait is
+    bounded."""
+    monkeypatch.setattr(fmcw, "_WORKERS", workers)
+    lock, running, started = threading.Lock(), set(), []
+    one, began, failed = threading.Event(), threading.Event(), threading.Event()
+
+    def job(k):
+        with lock:
+            running.add(k)
+            started.append(k)
+        try:
+            if k == 1:
+                one.set()
+                time.sleep(0.05)
+            if k == 3:
+                began.set()
+            if workers > 1 and k in (0, 2, 3):
+                assert {0: one, 2: began, 3: failed}[k].wait(10.0), f"job {k} waited in vain"
+            if k in (3, 4):
+                raise RuntimeError(f"job {k}")
+            return k
+        finally:
+            if k == 4:
+                failed.set()
+                time.sleep(0.05)            # still running when job 3 fails
+            with lock:
+                running.discard(k)
+
+    jobs = [functools.partial(job, k) for k in range(6)]
+    with pytest.raises(RuntimeError, match="^job 3$"):
+        list(fmcw._in_pass_order(jobs, {1}))
+    assert not running
+    begun = list(started)
+    time.sleep(0.1)
+    assert started == begun and set(begun) == set(range(4 + (workers > 1)))
+    started.clear()
+    one.clear()
+    passes = fmcw._in_pass_order(jobs, set())
+    assert next(passes) == 0
+    passes.close()
+    assert not running
+    time.sleep(0.1)
+    assert set(started) <= {0, 1}
+
+
 def test_noise_defaults_off_and_floor_formula():
     noise = NoiseConfig()
     assert not noise.enabled
@@ -735,6 +849,13 @@ def test_noise_config_validation():
         with pytest.raises(ValueError, match=message):
             NoiseConfig(enabled=True, **kwargs)
     NoiseConfig(enabled=True, seed=0)
+    for name, value, kind in (("noise_figure_db", True, "a real number"),
+                              ("tx_power_dbm", "12", "a real number"),
+                              ("seed", 1.0, "an integer"), ("seed", True, "an integer"),
+                              ("enabled", 1, "true or false")):
+        with pytest.raises(TypeError, match=f"^NoiseConfig.{name} must be {kind}, "
+                                            f"got {re.escape(repr(value))}$"):
+            NoiseConfig(**{name: value})
 
 
 def test_noise_is_deterministic_and_keyed_by_epoch():

@@ -214,8 +214,10 @@ def test_trace_config_validation():
 
 def test_trace_config_checks_its_types():
     """The counts and the seed take Python and numpy integers but no bool
-    or other number, and diffuse_enabled takes a bool only: TypeError
-    naming the field otherwise."""
+    or other number, diffuse_enabled takes a bool only, and
+    occlusion_epsilon and subdivide_area take Python and numpy reals but no
+    bool: TypeError naming the field otherwise.  The two reals must be
+    finite and positive: ValueError naming the field otherwise."""
     config = TraceConfig(max_specular_order=np.int64(3), diffuse_samples_per_facet=np.int32(4),
                          seed=np.uint16(5))
     assert (config.max_specular_order, config.diffuse_samples_per_facet, config.seed) == (3, 4, 5)
@@ -227,6 +229,17 @@ def test_trace_config_checks_its_types():
     for value in ("no", 0, 1, np.bool_(True), None):
         with pytest.raises(TypeError, match="^TraceConfig.diffuse_enabled must be true or false"):
             TraceConfig(diffuse_enabled=value)
+    config = TraceConfig(occlusion_epsilon=np.float32(0.5), subdivide_area=np.int64(3))
+    assert (config.occlusion_epsilon, config.subdivide_area) == (0.5, 3)
+    for name in ("occlusion_epsilon", "subdivide_area"):
+        for value in (True, False, np.bool_(True), "x", "25.0", None, 1j):
+            with pytest.raises(TypeError, match=f"^TraceConfig.{name} must be a real number, "
+                                                f"got {re.escape(repr(value))}$"):
+                TraceConfig(**{name: value})
+        for value in (-5.0, 0, 0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, "
+                                                 f"got {re.escape(str(value))}$"):
+                TraceConfig(**{name: value})
 
 
 def test_concat_skips_tables_without_rows_but_keeps_their_width():
